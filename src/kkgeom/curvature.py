@@ -12,9 +12,10 @@ Index conventions (all 0-based):
 
 The component formulas are fixed by the covariant-derivative/bracket
 definitions; every family is cross-checked at sample points against a
-direct evaluation of those definitions (``*_from_definition``), which uses
-only the frame coefficients, the raw bracket table and nested
-differentiation.  The definition side is the arbiter.
+direct evaluation of those definitions (``frame_definitions`` for all frame
+fields at once, ``*_from_definition`` for single fields), which uses only
+the frame coefficients, the raw bracket table and nested differentiation.
+The definition side is the arbiter.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .dconnection import (
     DVectorField,
     bracket_d_vectors,
     cov_deriv_along,
+    frame_contract,
+    frame_derivatives,
     frame_h,
     frame_v,
     h_cov_deriv,
@@ -49,6 +52,7 @@ __all__ = [
     "curvature_components",
     "torsion_from_definition",
     "curvature_from_definition",
+    "frame_definitions",
     "ricci",
     "scalar_curvature",
     "energy_momentum",
@@ -320,43 +324,99 @@ def energy_momentum(ric: RicciTensor, scalar: float, G: MetricStructure,
     return EnergyMomentum(Tab=Tab, Ta0=Ta0, T0b=T0b, T00=T00, kappa=kappa)
 
 
+def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
+                      A: AlgebroidData, pt: EPoint):
+    """Torsion and curvature of every frame pair and triple at pt, straight
+    from the definitions.
+
+    Frame index p is the vertical frame.  Returns ``(torsion, curvature)``
+    with ``torsion[x][y] = D_{e_x} e_y - D_{e_y} e_x - [e_x, e_y]`` and
+    ``curvature[x][y][z] = D_{e_y} D_{e_z} e_x - D_{e_z} D_{e_y} e_x
+    - D_{[e_y, e_z]} e_x`` as ``(h_list, v)`` pairs: the values of
+    :func:`torsion_from_definition` and :func:`curvature_from_definition`
+    for frame arguments.  Two nested
+    :func:`frame_derivatives` passes give D_{e_j} e_k and D_{e_i} D_{e_j}
+    e_k for all indices; brackets come from :func:`bracket_d_vectors`.
+    """
+    p = D.p
+    n = p + 1
+    frames = [[[1.0 if a == k else 0.0 for a in range(p)],
+               1.0 if k == p else 0.0] for k in range(n)]
+    first_at = frame_derivatives(lambda xs, y: frames, A, N, D)
+    # The frames ride along in the outer pass, so it returns D_{e_i} e_k
+    # (at index k) next to D_{e_i} D_{e_j} e_k (at index n + n*j + k).
+    second = frame_derivatives(
+        lambda xs, y: frames + [w for row in first_at(xs, y) for w in row],
+        A, N, D)(pt.x, pt.y)
+    fields = [frame_h(p, a) for a in range(p)] + [frame_v(p)]
+    br = [[bracket_d_vectors(X, Y, A, N).at(pt) for Y in fields]
+          for X in fields]
+
+    def dd(i, j, k):
+        return second[i][n + n * j + k]
+
+    def diff3(u, w, z):
+        return ([u[0][a] - w[0][a] - z[0][a] for a in range(p)],
+                u[1] - w[1] - z[1])
+
+    torsion = [[diff3(second[x][y], second[y][x], br[x][y])
+                for y in range(n)] for x in range(n)]
+    curvature = [
+        [
+            [
+                diff3(dd(y, z, x), dd(z, y, x),
+                      frame_contract(list(br[y][z][0]) + [br[y][z][1]],
+                                     [second[l][x] for l in range(n)]))
+                for z in range(n)
+            ]
+            for y in range(n)
+        ]
+        for x in range(n)
+    ]
+    return torsion, curvature
+
+
 def oracle_suite(D: DConnectionCoeffs, N: NonlinearConnection,
                  A: AlgebroidData, samples, tol: float = 1e-8):
     """Definition-vs-components equivalence over every frame pair/triple.
 
-    Returns two CheckResults (torsion, curvature).  This is the load-bearing
-    certification of the component formulas.
+    At each sample point the definition side comes from
+    :func:`frame_definitions` (two nested derivative passes, whatever p),
+    which never uses the component formulas; each torsion and curvature
+    family is compared with it entry by entry.  Returns two CheckResults
+    (torsion, curvature).  This is the load-bearing certification of the
+    component formulas.
     """
     p = D.p
     t_tracker = ResidualTracker("oracle.torsion", tol)
     c_tracker = ResidualTracker("oracle.curvature", tol)
-    fh = [frame_h(p, a) for a in range(p)]
-    fv = frame_v(p)
     for pt in samples:
         try:
-            _oracle_point(D, N, A, pt, p, fh, fv, t_tracker, c_tracker)
+            _oracle_point(D, N, A, pt, p, t_tracker, c_tracker)
         except EvaluationDomainError as exc:
             raise _attach_point(exc, pt)
     return [t_tracker.result(), c_tracker.result()]
 
 
-def _oracle_point(D, N, A, pt, p, fh, fv, t_tracker, c_tracker):
+def _oracle_point(D, N, A, pt, p, t_tracker, c_tracker):
     tors = torsion_components(D, N, A, pt)
     curv = curvature_components(D, N, A, pt)
+    T, C = frame_definitions(D, N, A, pt)
+    vert = p  # the vertical frame index
     # torsion: horizontal frame pairs
     for b in range(p):
         for c in range(p):
-            h, v = torsion_from_definition(fh[c], fh[b], D, N, A, pt)
+            h, v = T[c][b]
             for a in range(p):
                 t_tracker.update(h[a] - tors.Thh[a][b][c], pt)
             t_tracker.update(v - tors.Tv[b][c], pt)
     # torsion: mixed and doubled-vertical pairs
     for b in range(p):
-        h, v = torsion_from_definition(fv, fh[b], D, N, A, pt)
+        h, v = T[vert][b]
         for a in range(p):
             t_tracker.update(h[a] - tors.Ph[a][b], pt)
         t_tracker.update(v - tors.Pv[b], pt)
-    h, v = torsion_from_definition(fv, fv, D, N, A, pt)
+    h, v = T[vert][vert]
     for a in range(p):
         t_tracker.update(h[a], pt)
     t_tracker.update(v - tors.S00, pt)
@@ -364,37 +424,36 @@ def _oracle_point(D, N, A, pt, p, fh, fv, t_tracker, c_tracker):
     for b in range(p):
         for c in range(p):
             for e in range(p):
-                h, v = curvature_from_definition(
-                    fh[b], fh[e], fh[c], D, N, A, pt)
+                h, v = C[b][e][c]
                 for a in range(p):
                     c_tracker.update(h[a] - curv.Rh[a][b][c][e], pt)
                 c_tracker.update(v, pt)
     # [Rv] X vertical
     for c in range(p):
         for e in range(p):
-            h, v = curvature_from_definition(fv, fh[e], fh[c], D, N, A, pt)
+            h, v = C[vert][e][c]
             for a in range(p):
                 c_tracker.update(h[a], pt)
             c_tracker.update(v - curv.Rv[c][e], pt)
     # [P-blocks] Y vertical
     for eps in range(p):
         for c in range(p):
-            h, v = curvature_from_definition(fh[eps], fv, fh[c], D, N, A, pt)
+            h, v = C[eps][vert][c]
             for a in range(p):
                 c_tracker.update(h[a] - curv.Ph[a][eps][c], pt)
             c_tracker.update(v, pt)
     for c in range(p):
-        h, v = curvature_from_definition(fv, fv, fh[c], D, N, A, pt)
+        h, v = C[vert][vert][c]
         for a in range(p):
             c_tracker.update(h[a], pt)
         c_tracker.update(v - curv.Pv[c], pt)
     # [S-blocks] doubled vertical pair
     for b in range(p):
-        h, v = curvature_from_definition(fh[b], fv, fv, D, N, A, pt)
+        h, v = C[b][vert][vert]
         for a in range(p):
             c_tracker.update(h[a] - curv.Sh[a][b], pt)
         c_tracker.update(v, pt)
-    h, v = curvature_from_definition(fv, fv, fv, D, N, A, pt)
+    h, v = C[vert][vert][vert]
     for a in range(p):
         c_tracker.update(h[a], pt)
     c_tracker.update(v - curv.Sv, pt)

@@ -36,6 +36,8 @@ __all__ = [
     "h_cov_deriv",
     "v_cov_deriv",
     "tensor_product",
+    "frame_derivatives",
+    "frame_contract",
     "cov_deriv_along",
     "bracket_d_vectors",
     "frame_h",
@@ -313,40 +315,76 @@ def frame_v(p: int) -> DVectorField:
     return DVectorField(p, hv_at=lambda xs, y: ([0.0] * p, 1.0))
 
 
+def frame_derivatives(W_at, A: AlgebroidData, N: NonlinearConnection,
+                      D: DConnectionCoeffs):
+    """D_{e_j} W_k for every frame field e_j and every vector field W_k.
+
+    ``W_at(xs, y)`` returns the fields as a list of ``[h_list, v]`` pairs.
+    The frame index j runs over the horizontal frame 0..p-1 and then the
+    vertical frame (j = p).  The returned evaluator gives ``out[j][k]`` as
+    an ``[h_list, v]`` pair, by the Leibniz rule on frame components:
+
+        D_{e_g} W = (delta_g W^a + hh[a][b][g] W^b,  delta_g W^v + hv[g] W^v)
+        D_{e_v} W = (d/dy0 W^a + vh[a][b] W^b,       d/dy0 W^v + vv W^v)
+
+    One ``adapted_derivatives`` pass and one coefficient evaluation serve
+    every (j, k).  The output is in the input's format, so passes nest.
+    """
+    p = D.p
+
+    def at(xs, y):
+        vals, delta, ddy = adapted_derivatives(W_at, xs, y, A, N)
+        Hh, Hv, Vh, Vv = D.all_at(xs, y)
+        out = [
+            [[[delta[g][k][0][a]
+               + sum(Hh[a][b][g] * Wh[b] for b in range(p))
+               for a in range(p)],
+              delta[g][k][1] + Hv[g] * Wv]
+             for k, (Wh, Wv) in enumerate(vals)]
+            for g in range(p)
+        ]
+        out.append(
+            [[[ddy[k][0][a] + sum(Vh[a][b] * Wh[b] for b in range(p))
+               for a in range(p)],
+              ddy[k][1] + Vv * Wv]
+             for k, (Wh, Wv) in enumerate(vals)])
+        return out
+
+    return at
+
+
+def frame_contract(Xc, derivs):
+    """X^j D_{e_j} W from the frame components ``Xc`` (p horizontal, then
+    vertical) and ``derivs[j] = D_{e_j} W`` as ``[h_list, v]``."""
+    out_h = []
+    for a in range(len(Xc) - 1):
+        acc = 0.0
+        for x, d in zip(Xc, derivs):
+            acc = acc + x * d[0][a]
+        out_h.append(acc)
+    out_v = 0.0
+    for x, d in zip(Xc, derivs):
+        out_v = out_v + x * d[1]
+    return out_h, out_v
+
+
 def cov_deriv_along(X: DVectorField, W: DVectorField, A: AlgebroidData,
                     N: NonlinearConnection, D: DConnectionCoeffs) -> DVectorField:
-    """D_X W for vector fields, from the frame coefficients and the Leibniz
-    rule only.  Returns closures, so results can be differentiated again."""
-    p = X.p
-
-    def combined(xs, y):
+    """D_X W for vector fields: the contraction X^j D_{e_j} W over
+    :func:`frame_derivatives`.  Returns closures, so results can be
+    differentiated again."""
+    def W_at(xs, y):
         h, v = W.hv_at(xs, y)
-        return [list(h), v]
+        return [[list(h), v]]
+
+    derivs_at = frame_derivatives(W_at, A, N, D)
 
     def components(xs, y):
-        vals, delta, ddy = adapted_derivatives(combined, xs, y, A, N)
-        Wh, Wv = vals
-        dWh, dWv = ddy
-        Hh = D.hh_at(xs, y)
-        Hv = D.hv_at(xs, y)
-        Vh = D.vh_at(xs, y)
-        Vv = D.vv_at(xs, y)
+        derivs = derivs_at(xs, y)
         Xh, Xv = X.hv_at(xs, y)
-        out_h = []
-        for a in range(p):
-            acc = 0.0
-            for g in range(p):
-                acc = acc + Xh[g] * (delta[g][0][a]
-                                     + sum(Hh[a][b][g] * Wh[b] for b in range(p)))
-            acc = acc + Xv * (dWh[a] + sum(Vh[a][b] * Wh[b] for b in range(p)))
-            out_h.append(acc)
-        out_v = 0.0
-        for g in range(p):
-            out_v = out_v + Xh[g] * (delta[g][1] + Hv[g] * Wv)
-        out_v = out_v + Xv * (dWv + Vv * Wv)
-        return out_h, out_v
+        return frame_contract(list(Xh) + [Xv], [row[0] for row in derivs])
 
-    return DVectorField(p, hv_at=components)
+    return DVectorField(X.p, hv_at=components)
 
 
 def bracket_d_vectors(X: DVectorField, Y: DVectorField, A: AlgebroidData,

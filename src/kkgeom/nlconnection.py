@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .algebroid import AlgebroidData
 from .calculus import (
     EPoint,
+    EvaluationDomainError,
     SmoothField,
     jdx,
     jdy,
@@ -119,10 +120,12 @@ def nlc_curvature(A: AlgebroidData, N: NonlinearConnection, pt: EPoint):
     """Bracket curvature matrix at a point, as plain floats."""
     R = nlc_curvature_at(A, N, pt.x, pt.y)
     out = [[primal(v) for v in row] for row in R]
-    # antisymmetric by construction whenever the bracket table is; assert it
-    assert all(abs(out[a][b] + out[b][a]) <= 1e-12 * (1.0 + abs(out[a][b]))
-               for a in range(A.p) for b in range(A.p)), \
-        "bracket curvature not antisymmetric (is the L table antisymmetric?)"
+    # antisymmetric by construction whenever the bracket table is
+    if not all(abs(out[a][b] + out[b][a]) <= 1e-12 * (1.0 + abs(out[a][b]))
+               for a in range(A.p) for b in range(A.p)):
+        raise EvaluationDomainError(
+            "bracket curvature not antisymmetric (is the L table "
+            "antisymmetric?)", point=pt)
     return out
 
 

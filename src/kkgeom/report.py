@@ -54,8 +54,10 @@ class ResidualTracker:
         self.worst_point = None
 
     def update(self, value: float, point: EPoint | None = None):
+        # NaN compares false with everything; ``value != value`` keeps it
+        # from being dropped, and once it is the max no number replaces it.
         value = abs(value)
-        if value >= self.max_residual:
+        if value >= self.max_residual or value != value:
             self.max_residual = value
             self.worst_point = point
 

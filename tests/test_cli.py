@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -167,3 +170,61 @@ def test_lift_without_section_exits_2(capsys):
 def test_unreadable_scenario_exits_2(capsys):
     code, _, _ = run(capsys, "validate", "does-not-exist.json")
     assert code == 2
+
+
+def _variant(tmp_path, name, edit):
+    doc = json.loads((SCENARIO_DIR / name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_nan_residual_fails_check(capsys, tmp_path):
+    def overflow(doc):
+        doc["connection"]["Gamma"][0] = "x1*1e308*10*y0"
+
+    path = _variant(tmp_path, "berwald.json", overflow)
+    code, out, _ = run(capsys, "check", path, "--suite", "oracle",
+                       "--samples", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert [c["max_residual"] for c in doc["checks"]] == ["nan", "nan"]
+
+
+def _asymmetric_bracket(doc):
+    doc["algebroid"]["L"][0][0][1] = "1"
+
+
+def test_nlc_curvature_asymmetry_is_an_evaluation_error(capsys, tmp_path):
+    path = _variant(tmp_path, "nonabelian.json", _asymmetric_bracket)
+    code, out, err = run(capsys, "compute", path, "--what", "nlc-curvature",
+                         "--at", "x1=0.1,x2=0.2,y0=0.5")
+    assert code == 1 and out == ""
+    assert "not antisymmetric" in err and "EPoint" in err
+
+
+def _kkgeom(*args, optimize=False):
+    root = SCENARIO_DIR.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cmd = [sys.executable] + (["-O"] if optimize else []) \
+        + ["-m", "kkgeom", *args]
+    return subprocess.run(cmd, cwd=root, env=env, capture_output=True,
+                          timeout=300)
+
+
+def test_checks_do_not_rely_on_assert(tmp_path):
+    """``python -O`` strips asserts; every check and its output must stay."""
+    argv = ("check", "scenarios/d1_perturbed.json", "--suite", "all",
+            "--seed", "1")
+    plain = _kkgeom(*argv)
+    optimized = _kkgeom(*argv, optimize=True)
+    assert plain.returncode == 1 and optimized.returncode == 1
+    assert optimized.stdout == plain.stdout
+    path = _variant(tmp_path, "nonabelian.json", _asymmetric_bracket)
+    proc = _kkgeom("compute", path, "--what", "nlc-curvature",
+                   "--at", "x1=0.1,x2=0.2,y0=0.5", optimize=True)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kkgeom import curvature
 from kkgeom.algebroid import AlgebroidData
 from kkgeom.calculus import EPoint, jdx, jdy, jval, primal, seeded_point
 from kkgeom.curvature import (
@@ -12,6 +13,7 @@ from kkgeom.curvature import (
     curvature_from_definition,
     default_test_vector,
     energy_momentum,
+    frame_definitions,
     oracle_suite,
     ricci,
     scalar_curvature,
@@ -125,6 +127,106 @@ def test_oracle_equivalence_berwald():
     D = berwald(N, 2)
     for res in oracle_suite(D, N, A_ID, PTS[:5]):
         assert res.max_residual <= 1e-8, res.name
+
+
+def rank3_setup():
+    """p = m = 3: exponential anchor closing under a constant bracket,
+    fiber-dependent Gamma and metric, canonical metric connection."""
+    def f3(src):
+        return field(src, m=3)
+
+    zero = f3("0")
+    rho = ((f3("1"), zero, zero),
+           (zero, f3("exp(0.3*x1)"), zero),
+           (zero, zero, f3("exp(0.5*x1)")))
+    L = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    for a, c in ((1, "0.3"), (2, "0.5")):
+        L[a][0][a] = f3(c)
+        L[a][a][0] = f3("-" + c)
+    A = AlgebroidData(3, 3, rho, tuple(tuple(map(tuple, t)) for t in L))
+    N = NonlinearConnection(3, (f3("0.4*x2*y0 + 0.2*sin(x1)*y0^2"),
+                                f3("0.6*x3*y0"),
+                                f3("0.3*x1*y0 + 0.1*sin(x3)*y0^2")))
+    G = MetricStructure(3, tuple(
+        tuple(f3(f"1 + 0.5*x{a + 1}^2 + 0.2*y0^2") if a == b else zero
+              for b in range(3)) for a in range(3)),
+        f3("exp(x1)*(1 + 0.3*y0^2)"))
+    return A, N, canonical_metric_dconnection(G, A, N)
+
+
+def _metric_setup(make):
+    A, N, G = make()
+    return A, N, canonical_metric_dconnection(G, A, N)
+
+
+EQUIVALENCE_SETUPS = {
+    "d1": lambda: _metric_setup(make_d1),
+    "vdep": lambda: _metric_setup(make_vdep),
+    "generic": lambda: make_nonabelian()[:2] + (generic_connection(),),
+    "rank3": rank3_setup,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_SETUPS))
+def test_frame_definitions_match_per_field_definitions(name):
+    """The batched definition tables equal the one-field-at-a-time
+    definitions for every frame pair and triple."""
+    A, N, D = EQUIVALENCE_SETUPS[name]()
+    p = D.p
+    fields = [frame_h(p, a) for a in range(p)] + [frame_v(p)]
+    pt = sample_points(Box.default(A.m), 1, seed=0xA1B2)[0]
+    torsion, curv = frame_definitions(D, N, A, pt)
+
+    def close(got, want):
+        return max(abs(g - w) for g, w in zip(got[0] + [got[1]],
+                                                want[0] + [want[1]])) <= 1e-14
+
+    for x, X in enumerate(fields):
+        for y, Y in enumerate(fields):
+            assert close(torsion[x][y],
+                         torsion_from_definition(X, Y, D, N, A, pt)), (x, y)
+            for z, Z in enumerate(fields):
+                assert close(curv[x][y][z], curvature_from_definition(
+                    X, Y, Z, D, N, A, pt)), (x, y, z)
+
+
+def _bump_first_entry(node):
+    if isinstance(node, list):
+        return [_bump_first_entry(node[0])] + node[1:]
+    return node + 1e-6
+
+
+@pytest.mark.parametrize("target, family, check", [
+    ("torsion_components_at", "Thh", "oracle.torsion"),
+    ("torsion_components_at", "Tv", "oracle.torsion"),
+    ("torsion_components_at", "Ph", "oracle.torsion"),
+    ("torsion_components_at", "Pv", "oracle.torsion"),
+    ("torsion_components_at", "S00", "oracle.torsion"),
+    ("curvature_components_at", "Rh", "oracle.curvature"),
+    ("curvature_components_at", "Rv", "oracle.curvature"),
+    ("curvature_components_at", "Ph", "oracle.curvature"),
+    ("curvature_components_at", "Pv", "oracle.curvature"),
+    ("curvature_components_at", "Sh", "oracle.curvature"),
+    ("curvature_components_at", "Sv", "oracle.curvature"),
+])
+def test_oracle_fails_on_perturbed_family(monkeypatch, target, family, check):
+    """A 1e-6 error in one entry of any component family fails the
+    matching oracle check and leaves the other one passing."""
+    original = getattr(curvature, target)
+
+    def perturbed(*args):
+        out = original(*args)
+        out[family] = _bump_first_entry(out[family])
+        return out
+
+    monkeypatch.setattr(curvature, target, perturbed)
+    A, N, _ = make_vdep()
+    results = {r.name: r for r in oracle_suite(generic_connection(), N, A,
+                                               PTS[:1])}
+    assert not results[check].passed
+    assert results[check].max_residual >= 0.5e-6
+    other = ({"oracle.torsion", "oracle.curvature"} - {check}).pop()
+    assert results[other].passed
 
 
 # -- curvature ----------------------------------------------------------------
