@@ -299,7 +299,11 @@ def fpow(base, expo):
         if isinstance(base, Jet):
             fv = fpow(base.value, e)
             return base.chain(fv, e * fpow(base.value, e - 1.0))
-        return math.pow(base, e)
+        try:
+            return math.pow(base, e)
+        except OverflowError as exc:
+            raise EvaluationDomainError(
+                f"power overflow at {base!r}^{e!r}") from exc
     # exponent carries derivatives: a^b = exp(b log a), needs a > 0
     if primal(base) <= 0.0:
         raise EvaluationDomainError(

@@ -14,6 +14,7 @@ human-readable summary, including wall times, goes to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -106,6 +107,15 @@ def cmd_validate(args) -> int:
     return 0 if passed else 1
 
 
+def _all_finite(node) -> bool:
+    """Every number in a block (a number or a rectangular nested list)."""
+    if not isinstance(node, list):
+        return math.isfinite(node)
+    if node and isinstance(node[0], list):
+        return all(map(_all_finite, node))
+    return all(map(math.isfinite, node))
+
+
 def cmd_compute(args) -> int:
     sc = load_scenario(args.scenario)
     pt = _parse_at(args.at, sc)
@@ -155,6 +165,10 @@ def cmd_compute(args) -> int:
                           "index_convention": "Tab[alpha][beta]"}
     else:
         raise ScenarioError("--what", f"unknown block {what!r}")
+    for key, block in values.items():
+        if key != "index_convention" and not _all_finite(block):
+            raise EvaluationDomainError(
+                f"non-finite value in {what} block {key}", point=pt)
     doc = {"command": "compute", "scenario": args.scenario, "what": what,
            "at": _point_obj(pt), "values": values}
     print(emit_json(doc))

@@ -17,10 +17,20 @@ so they nest to the third order exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
-from .calculus import EPoint, SmoothField, jdx, jdy, jval, primal, seeded_point
+from .calculus import (
+    EPoint,
+    Jet,
+    SmoothField,
+    jdx,
+    jdy,
+    jval,
+    primal,
+    seeded_point,
+)
 from .nlconnection import (
     CoordinateChange,
     NonlinearConnection,
@@ -82,6 +92,76 @@ class DConnectionCoeffs:
     def all_at(self, xs, y):
         return [self.hh_at(xs, y), self.hv_at(xs, y),
                 self.vh_at(xs, y), self.vv_at(xs, y)]
+
+    def memoised(self) -> "DConnectionCoeffs":
+        """The same coefficients, each family remembering its results at
+        one base point.
+
+        For callers that evaluate the same point repeatedly: the identity
+        suites nest covariant derivatives, and every nested level asks
+        for the coefficients again at the same (possibly seeded) point.
+        A family's memo is keyed on the exact input: floats compare
+        bitwise (0.0 and -0.0 differ, NaN never hits) and Jets compare
+        recursively.  It holds entries for one base point (the primal
+        coordinates) and is emptied by a call at another; a call that
+        raises stores nothing.  The memo lives in the returned closures,
+        not on either object, so no reference cycle keeps them alive.
+
+        Repeated calls return the same nested lists: callers must not
+        mutate them.
+        """
+        return DConnectionCoeffs(
+            self.p, self.m, _memo(self.hh_at), _memo(self.hv_at),
+            _memo(self.vh_at), _memo(self.vv_at))
+
+
+class _Uncacheable(Exception):
+    """Raised while building a memo key that contains a NaN."""
+
+
+def _key(s):
+    """Hashable key equal for bitwise-equal floats and Jet trees."""
+    if isinstance(s, Jet):
+        return (_key(s.value), tuple(map(_key, s.dx)), _key(s.dy))
+    if s != s:
+        raise _Uncacheable
+    if s == 0.0 and math.copysign(1.0, s) < 0.0:
+        return "-0.0"
+    return s
+
+
+def _primal_key(k):
+    """The key of the primal value, from the key of a scalar."""
+    while type(k) is tuple:
+        k = k[0]
+    return k
+
+
+def _memo(fn):
+    """``fn(xs, y)`` remembered for the latest base point (see
+    :meth:`DConnectionCoeffs.memoised`)."""
+    base = None
+    cache = {}
+
+    def at(xs, y):
+        nonlocal base
+        try:
+            key = (tuple(map(_key, xs)), _key(y))
+        except _Uncacheable:
+            return fn(xs, y)
+        here = (tuple(map(_primal_key, key[0])), _primal_key(key[1]))
+        if here != base:
+            cache.clear()
+            base = here
+        else:
+            out = cache.get(key)
+            if out is not None:
+                return out
+        out = fn(xs, y)
+        cache[key] = out
+        return out
+
+    return at
 
 
 def berwald(N: NonlinearConnection, m: int) -> DConnectionCoeffs:

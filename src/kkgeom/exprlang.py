@@ -226,14 +226,47 @@ class _Parser:
         raise ParseError(offset, f"a known function (got {name!r})")
 
 
+# Compiled closures wrap every operation in one level of parentheses, and
+# CPython's tokenizer refuses 200 nested levels.
+_MAX_DEPTH = 199
+
+
+def _depth(node: Expr) -> int:
+    """Operation nodes on the longest root-to-leaf path (iterative, so it
+    works on trees deeper than the recursion limit)."""
+    deepest = 0
+    stack = [(node, 0)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, BinOp):
+            children = (node.left, node.right)
+        elif isinstance(node, Neg):
+            children = (node.child,)
+        elif isinstance(node, Call):
+            children = (node.arg,)
+        else:
+            deepest = max(deepest, d)
+            continue
+        stack.extend((child, d + 1) for child in children)
+    return deepest
+
+
 def parse(src: str, m: int, *, allow_y: bool = True, allow_t: bool = False) -> Expr:
-    """Parse ``src`` against base dimension ``m``; raises ParseError on bad input."""
+    """Parse ``src`` against base dimension ``m``; raises ParseError on bad
+    input, including nesting too deep to parse or compile."""
     tokens = _tokenize(src)
     parser = _Parser(tokens, m, allow_y, allow_t)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ParseError(parser.peek()[2],
+                         "a less deeply nested expression") from None
     kind, _, offset = parser.peek()
     if kind != "end":
         raise ParseError(offset, "end of input or an operator")
+    # every operation owns at least one token, so short inputs skip the walk
+    if len(tokens) > _MAX_DEPTH and _depth(node) > _MAX_DEPTH:
+        raise ParseError(0, f"at most {_MAX_DEPTH} nested operations")
     return node
 
 

@@ -151,8 +151,10 @@ def local_invertibility_residual(L: LiftMorphism, points):
         gt = [primal(v) for v in L.gtilde_at(pt.x)]
         for a in range(L.p):
             for b in range(L.p):
-                worst = max(worst,
-                            abs(gt[b] * g[a] - (1.0 if a == b else 0.0)))
+                r = abs(gt[b] * g[a] - (1.0 if a == b else 0.0))
+                # a NaN becomes the worst and stays (``max`` would drop it)
+                if r > worst or r != r:
+                    worst = r
     return worst
 
 

@@ -103,8 +103,14 @@ def run_validate(sc: Scenario, samples=None, seed=None, tol: float = 1e-8):
             for a in range(sc.p):
                 for b in range(sc.p):
                     sym.update(g[a][b] - g[b][a], pt)
-            min_det = min(min_det, abs(_det(g)))
-            min_g00 = min(min_g00, abs(primal(sc.metric.g00_at(pt.x, pt.y))))
+            # A NaN must fail the check, so it replaces the minimum and is
+            # never replaced (``min`` would drop it).
+            det = abs(_det(g))
+            if det < min_det or det != det:
+                min_det = det
+            g00 = abs(primal(sc.metric.g00_at(pt.x, pt.y)))
+            if g00 < min_g00 or g00 != g00:
+                min_g00 = g00
         checks.append(sym.result().to_json_obj())
         checks.append({
             "name": "metric_nondegeneracy",
@@ -259,12 +265,16 @@ def run_suite(sc: Scenario, suite: str, tol=None, samples=None, seed=None):
     used_tol = tol if tol is not None else SUITE_DEFAULT_TOLS[suite]
     pts = sample_points(sc.box, n, seed if seed is not None else sc.seed)
     A, N = sc.algebroid, sc.connection
+    # The identity suites nest covariant derivatives, and each nesting level
+    # asks for the coefficients again at the same point, so they use the
+    # memoised evaluators; the transformation suite asks once per point.
 
     if suite == "oracle":
-        return oracle_suite(sc.dconnection(), N, A, pts, used_tol)
+        return oracle_suite(sc.dconnection().memoised(), N, A, pts,
+                            used_tol)
 
     if suite == "ricci-commutation":
-        D = sc.dconnection()
+        D = sc.dconnection().memoised()
         Z1 = default_test_vector(sc.p, sc.m)
         Z2 = DVectorField(sc.p,
                           lambda xs, y: [1.0] + [0.0] * (sc.p - 1),
@@ -276,15 +286,16 @@ def run_suite(sc: Scenario, suite: str, tol=None, samples=None, seed=None):
         return [r1, r2]
 
     if suite == "bianchi":
-        return check_bianchi(sc.dconnection(), N, A, pts, used_tol)
+        return check_bianchi(sc.dconnection().memoised(), N, A, pts,
+                             used_tol)
 
     if suite == "compatibility":
         if sc.metric is None:
             raise ScenarioError("metric",
                                 "compatibility suite requires a metric")
         from .metric import compatibility_check
-        return [compatibility_check(sc.metric, sc.dconnection(), A, N, pts,
-                                    used_tol)]
+        return [compatibility_check(sc.metric, sc.dconnection().memoised(),
+                                    A, N, pts, used_tol)]
 
     if suite == "transformation":
         if sc.metric is None:

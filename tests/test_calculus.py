@@ -145,6 +145,8 @@ def test_domain_errors():
         field("1/(x1+1)")(p.x, p.y)
     with pytest.raises(EvaluationDomainError):
         field("sqrt(x1)")(p.x, p.y)
+    with pytest.raises(EvaluationDomainError):
+        field("(1e200+x2)^2.5")(p.x, p.y)
 
 
 def test_epoint_rejects_nonfinite():

@@ -228,3 +228,88 @@ def test_checks_do_not_rely_on_assert(tmp_path):
     assert proc.returncode == 1 and proc.stdout == b""
     assert b"Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def _one_line_error(err):
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_compute_rejects_nonfinite_values(capsys, tmp_path):
+    def overflow(doc):
+        doc["connection"]["Gamma"][0] = "x1*1e308*10*y0"
+
+    path = _variant(tmp_path, "berwald.json", overflow)
+    code, out, err = run(capsys, "compute", path, "--what", "curvature",
+                         "--at", "x1=0.5,x2=0.2,y0=0.5")
+    assert code == 1 and out == ""
+    _one_line_error(err)
+    assert "non-finite value in curvature block" in err
+    assert "EPoint(x=(0.5, 0.2), y=0.5)" in err
+
+
+def test_validate_nan_determinant_fails_nondegeneracy(capsys, tmp_path):
+    def nan_entry(doc):
+        doc["metric"]["g"][1][1] = "1+x1*1e308*10*0"
+
+    path = _variant(tmp_path, "d1.json", nan_entry)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["name"] == "metric_nondegeneracy")
+    assert check["passed"] is False
+    assert check["min_abs_det_g"] == "nan"
+
+
+def test_validate_nan_lift_inverse_fails_invertibility(capsys, tmp_path):
+    def nan_inverse(doc):
+        doc["lift"]["gtilde"] = ["1+x1*1e308*10*0"]
+
+    path = _variant(tmp_path, "riccati.json", nan_inverse)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["name"] == "lift_local_invertibility")
+    assert check["passed"] is False
+    assert check["max_residual"] == "nan"
+
+
+def test_power_overflow_is_an_evaluation_error(capsys, tmp_path):
+    def overflow(doc):
+        doc["metric"]["g"][1][1] = "(1e200+x1)^2.5"
+
+    path = _variant(tmp_path, "d1.json", overflow)
+    for argv in (("validate", path),
+                 ("check", path, "--suite", "compatibility", "--samples", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        _one_line_error(err)
+        assert "power overflow" in err
+
+
+@pytest.mark.parametrize("levels,code", [(180, 0), (250, 2), (3000, 2)])
+def test_deeply_nested_expression_exit_code(capsys, tmp_path, levels, code):
+    def nest(doc):
+        doc["metric"]["g"][1][1] = "(" * levels + "1" + ")" * levels
+
+    path = _variant(tmp_path, "d1.json", nest)
+    got, _, err = run(capsys, "validate", path, "--samples", "2")
+    assert got == code
+    if code:
+        _one_line_error(err)
+        assert "nested" in err
+
+
+GOLDEN_DIR = SCENARIO_DIR.parent / "tests" / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob(
+    "*.json")))
+def test_check_all_matches_golden_output(capsys, monkeypatch, name):
+    """``check --suite all --seed 1`` prints the recorded bytes: speed-ups
+    must not change any digit of the certified output."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    code, out, _ = run(capsys, "check", f"scenarios/{name}.json", "--suite",
+                       "all", "--seed", "1")
+    assert code == (1 if name == "d1_perturbed" else 0)
+    assert out == (GOLDEN_DIR / f"check_all_seed1_{name}.json").read_text()

@@ -1,7 +1,18 @@
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint, partial, primal
+from kkgeom.calculus import (
+    EPoint,
+    EvaluationDomainError,
+    Jet,
+    partial,
+    primal,
+    seeded_point,
+)
 from kkgeom.dconnection import (
     DConnectionCoeffs,
     DTensorField,
@@ -14,7 +25,7 @@ from kkgeom.dconnection import (
 from kkgeom.nlconnection import CoordinateChange, NonlinearConnection
 from kkgeom.calculus import SmoothField
 from kkgeom.sampling import Box, sample_points
-from conftest import field
+from conftest import field, make_d1, make_vdep
 
 PTS = sample_points(Box.default(2), 16, seed=0xA1B2)
 A_ID = AlgebroidData.identity(2)
@@ -240,3 +251,150 @@ def test_transformation_fiber_scaling():
     C = CoordinateChange(2, 2, fiber_scale=SmoothField.constant(k, 2))
     res = check_dconnection_transformation(D, D_p, C, A_ID, N, PTS[:8])
     assert res.max_residual <= 1e-12
+
+
+# -- memoised coefficient evaluators ------------------------------------------
+
+
+def _metric_connection(make):
+    from kkgeom.metric import canonical_metric_dconnection
+    A, N, G = make()
+    return canonical_metric_dconnection(G, A, N)
+
+
+def _seeded(pt, depth):
+    xs, y = pt.x, pt.y
+    for _ in range(depth):
+        xs, y = seeded_point(xs, y)
+    return xs, y
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _metric_connection(make_d1),
+    lambda: _metric_connection(make_vdep),
+    _generic_connection,
+], ids=["d1", "vdep", "explicit"])
+def test_memoised_values_bitwise_equal(build):
+    D = build()
+    M = D.memoised()
+    assert (M.p, M.m) == (D.p, D.m)
+    # repeated calls at each depth, then interleaved points and depths
+    calls = [(pt, depth) for pt in PTS[:2] for depth in (0, 1, 2)
+             for _ in range(2)]
+    calls += [(PTS[k % 3], depth) for k, depth in
+              enumerate((0, 2, 1, 0, 1, 2, 2, 0, 1))]
+    for pt, depth in calls:
+        xs, y = _seeded(pt, depth)
+        # repr prints every float exactly (and -0.0 as such)
+        assert repr(M.all_at(xs, y)) == repr(D.all_at(xs, y))
+
+
+def _depth(s):
+    depth = 0
+    while isinstance(s, Jet):
+        s, depth = s.value, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("suite,times", [("oracle", 1), ("bianchi", 1),
+                                         ("compatibility", 1),
+                                         ("ricci-commutation", 2)])
+def test_memoised_suites_evaluate_each_point_and_depth_once(
+        monkeypatch, suite, times):
+    from conftest import SCENARIO_DIR
+    from kkgeom.scenario import Scenario, load_scenario
+    from kkgeom.suites import run_suite
+
+    calls = Counter()
+    original = Scenario.dconnection
+
+    def counted(self):
+        D = original(self)
+
+        def wrap(name):
+            fn = getattr(D, name + "_at")
+
+            def at(xs, y):
+                calls[name, tuple(map(primal, xs)), primal(y), _depth(y)] += 1
+                return fn(xs, y)
+            return at
+
+        return DConnectionCoeffs(D.p, D.m, *map(wrap, ("hh", "hv", "vh", "vv")))
+
+    monkeypatch.setattr(Scenario, "dconnection", counted)
+    run_suite(load_scenario(str(SCENARIO_DIR / "d1.json")), suite,
+              samples=3, seed=5)
+    assert {key[0] for key in calls} == {"hh", "hv", "vh", "vv"}
+    assert len({key[1:3] for key in calls}) == 3
+    assert set(calls.values()) == {times}
+
+
+def _counting_coeffs(calls, fail=False):
+    """A p = m = 2 coefficient set that counts its evaluations per family;
+    with ``fail`` every evaluation raises."""
+
+    def family(name, value):
+        def at(xs, y):
+            calls[name] += 1
+            if fail:
+                raise EvaluationDomainError("no coefficients here")
+            return value
+        return at
+
+    return DConnectionCoeffs(
+        2, 2, family("hh", [[[0.5] * 2] * 2] * 2), family("hv", [0.5] * 2),
+        family("vh", [[0.5] * 2] * 2), family("vv", 0.5))
+
+
+def test_memo_holds_one_base_point():
+    calls = Counter()
+    M = _counting_coeffs(calls).memoised()
+    a, b = PTS[0], PTS[1]
+    M.hh_at(a.x, a.y)
+    M.hh_at(*seeded_point(a.x, a.y))
+    M.hh_at(a.x, a.y)
+    M.hh_at(*seeded_point(a.x, a.y))
+    assert calls["hh"] == 2
+    M.hh_at(b.x, b.y)
+    M.hh_at(a.x, a.y)
+    assert calls["hh"] == 4
+    assert calls["hv"] == calls["vh"] == calls["vv"] == 0
+
+
+def test_memo_keys_are_bitwise():
+    calls = Counter()
+    M = _counting_coeffs(calls).memoised()
+    M.vv_at((0.0, 0.3), 0.5)
+    M.vv_at((-0.0, 0.3), 0.5)
+    M.vv_at((0.0, 0.3), 0.5)
+    assert calls["vv"] == 3
+    nan = float("nan")
+    M.vv_at((nan, 0.3), 0.5)
+    M.vv_at((nan, 0.3), 0.5)
+    assert calls["vv"] == 5
+
+
+def test_memo_does_not_cache_a_raise():
+    calls = Counter()
+    M = _counting_coeffs(calls, fail=True).memoised()
+    pt = PTS[0]
+    for _ in range(3):
+        with pytest.raises(EvaluationDomainError):
+            M.hh_at(pt.x, pt.y)
+    assert calls["hh"] == 3
+
+
+def test_memoised_connection_is_freed_by_refcount(d1):
+    from kkgeom.metric import canonical_metric_dconnection
+    A, N, G = d1
+    gc.disable()
+    try:
+        M = canonical_metric_dconnection(G, A, N).memoised()
+        pt = PTS[0]
+        M.all_at(pt.x, pt.y)
+        M.all_at(*seeded_point(pt.x, pt.y))
+        ref = weakref.ref(M)
+        del M
+        assert ref() is None
+    finally:
+        gc.enable()

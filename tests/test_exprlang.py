@@ -127,3 +127,19 @@ def exprs(m=2, allow_t=False):
 @settings(max_examples=300, deadline=None)
 def test_pretty_roundtrip(tree):
     assert parse(pretty(tree), 2) == tree
+
+
+def test_nested_parentheses():
+    assert field("(" * 180 + "x1" + ")" * 180)((0.25, 0.0), 0.0) == 0.25
+    for levels in (250, 3000):
+        with pytest.raises(ParseError):
+            parse("(" * levels + "x1" + ")" * levels, 2)
+
+
+def test_deep_operation_chains_are_parse_errors():
+    # compiled closures nest one level per operation
+    assert field("+".join(["x1"] * 199))((1.0, 0.0), 0.0) == 199.0
+    for src in ("+".join(["x1"] * 250), "-" * 250 + "x1",
+                "sin(" * 250 + "x1" + ")" * 250, "^".join(["1"] * 3000)):
+        with pytest.raises(ParseError):
+            parse(src, 2)
