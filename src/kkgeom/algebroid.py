@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calculus import (
-    EPoint,
-    EvaluationDomainError,
     SmoothField,
+    at_point,
     jdx,
     jval,
     seeded_point,
@@ -70,21 +69,13 @@ class AlgebroidData:
         return AlgebroidData(m, m, rho, L)
 
 
-def _attach(exc: EvaluationDomainError, point: EPoint):
-    if exc.point is None:
-        exc.point = point
-    return exc
-
-
 def validate_antisymmetry(A: AlgebroidData, samples,
                           tol: float = DEFAULT_VALIDATOR_TOL) -> CheckResult:
     """max |L^g_{ab} + L^g_{ba}| over samples and indices."""
     tracker = ResidualTracker("antisymmetry", tol)
     for pt in samples:
-        try:
+        with at_point(pt):
             Lv = A.L_at(pt.x)
-        except EvaluationDomainError as exc:
-            raise _attach(exc, pt)
         for g in range(A.p):
             for a in range(A.p):
                 for b in range(A.p):
@@ -98,15 +89,13 @@ def validate_anchor_compatibility(A: AlgebroidData, samples,
     tracker = ResidualTracker("anchor_compatibility", tol)
     m, p = A.m, A.p
     for pt in samples:
-        try:
+        with at_point(pt):
             jxs, _ = seeded_point(pt.x, pt.y)
             jrho = [[A.rho[a][i](jxs, 0.0) for i in range(m)] for a in range(p)]
             rho = [[jval(jrho[a][i]) for i in range(m)] for a in range(p)]
             drho = [[[jdx(jrho[a][i], k) for k in range(m)] for i in range(m)]
                     for a in range(p)]
             Lv = A.L_at(pt.x)
-        except EvaluationDomainError as exc:
-            raise _attach(exc, pt)
         for a in range(p):
             for b in range(p):
                 for k in range(m):
@@ -123,7 +112,7 @@ def validate_jacobi(A: AlgebroidData, samples,
     tracker = ResidualTracker("jacobi", tol)
     m, p = A.m, A.p
     for pt in samples:
-        try:
+        with at_point(pt):
             rho = A.rho_at(pt.x)
             jxs, _ = seeded_point(pt.x, pt.y)
             jL = [[[A.L[g][a][b](jxs, 0.0) for b in range(p)] for a in range(p)]
@@ -132,8 +121,6 @@ def validate_jacobi(A: AlgebroidData, samples,
                   for g in range(p)]
             dL = [[[[jdx(jL[g][a][b], k) for k in range(m)] for b in range(p)]
                    for a in range(p)] for g in range(p)]
-        except EvaluationDomainError as exc:
-            raise _attach(exc, pt)
 
         def term(a, b, c, d):
             out = sum(rho[a][i] * dL[d][b][c][i] for i in range(m))

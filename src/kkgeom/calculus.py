@@ -13,11 +13,13 @@ evaluated concurrently and results are bit-reproducible.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 __all__ = [
     "EvaluationDomainError",
+    "at_point",
     "EPoint",
     "Jet",
     "SmoothField",
@@ -55,6 +57,18 @@ class EvaluationDomainError(ValueError):
     def __init__(self, message, point=None):
         super().__init__(message)
         self.point = point
+
+
+@contextmanager
+def at_point(point):
+    """Attach ``point`` to an :class:`EvaluationDomainError` raised inside
+    the block, unless the error already names a point."""
+    try:
+        yield
+    except EvaluationDomainError as exc:
+        if exc.point is None:
+            exc.point = point
+        raise
 
 
 @dataclass(frozen=True)
@@ -312,11 +326,26 @@ def fpow(base, expo):
     return fexp(expo * flog(base))
 
 
+# Integer powers up to this exponent multiply out, which keeps the bits of
+# the small powers scenarios use; larger ones use the power rule, whose
+# cost does not grow with the exponent.
+_IPOW_MULTIPLY_MAX = 64
+
+
 def _ipow(base, n):
     if n == 0:
         return 1.0
     if n < 0:
         return _recip(_ipow(base, -n))
+    if n > _IPOW_MULTIPLY_MAX:
+        if isinstance(base, Jet):
+            return base.chain(_ipow(base.value, n),
+                              n * _ipow(base.value, n - 1))
+        try:
+            return math.pow(base, n)
+        except OverflowError as exc:
+            raise EvaluationDomainError(
+                f"power overflow at {base!r}^{n!r}") from exc
     result = base
     for _ in range(n - 1):
         result = result * base

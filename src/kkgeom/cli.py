@@ -33,7 +33,8 @@ from .nlconnection import nlc_curvature
 from .report import emit_json
 from .sampling import sample_points
 from .scenario import Scenario, ScenarioError, load_scenario
-from .suites import SUITE_NAMES, applicable_suites, run_suite, run_validate
+from .suites import SUITE_DEFAULT_SAMPLES, SUITE_NAMES, applicable_suites, \
+    run_suites, run_validate
 
 WHAT_CHOICES = ["frame", "nlc-curvature", "torsion", "curvature", "ricci",
                 "scalar", "einstein"]
@@ -184,16 +185,13 @@ def cmd_check(args) -> int:
         if args.suite not in SUITE_NAMES:
             raise ScenarioError("--suite", f"unknown suite {args.suite!r}")
         suites = [args.suite]
-    from .suites import SUITE_DEFAULT_SAMPLES
     checks = []
     timings = []
-    for suite in suites:
+    for suite, results, seconds in run_suites(
+            sc, suites, tol=args.tol, samples=args.samples, seed=args.seed):
         effective = args.samples if args.samples is not None \
             else SUITE_DEFAULT_SAMPLES[suite]
-        t0 = time.perf_counter()
-        results = run_suite(sc, suite, tol=args.tol, samples=args.samples,
-                            seed=args.seed)
-        timings.append((suite, time.perf_counter() - t0))
+        timings.append((suite, seconds))
         for r in results:
             obj = r.to_json_obj()
             obj["suite"] = suite

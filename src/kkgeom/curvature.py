@@ -23,18 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
-from .calculus import EPoint, EvaluationDomainError, primal
+from .calculus import EPoint, at_point, primal
 from .dconnection import (
     DConnectionCoeffs,
     DTensorField,
     DVectorField,
     bracket_d_vectors,
+    bracket_pairs,
     cov_deriv_along,
     frame_contract,
     frame_derivatives,
     frame_h,
     frame_v,
     h_cov_deriv,
+    memo_point,
     v_cov_deriv,
 )
 from .metric import MetricStructure, inverse_h
@@ -56,17 +58,15 @@ __all__ = [
     "ricci",
     "scalar_curvature",
     "energy_momentum",
+    "PointTables",
+    "OracleCheck",
+    "RicciCommutationCheck",
+    "BianchiCheck",
     "oracle_suite",
     "check_ricci_commutation",
     "check_bianchi",
     "default_test_vector",
 ]
-
-
-def _attach_point(exc: EvaluationDomainError, pt: EPoint):
-    if exc.point is None:
-        exc.point = pt
-    return exc
 
 
 @dataclass
@@ -241,18 +241,19 @@ def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
     return {"Rh": Rh, "Rv": Rv, "Ph": Pc_h, "Pv": Pc_v, "Sh": Sh, "Sv": Sv}
 
 
+def _primal_tree(node):
+    """A nested list of scalars with every entry unwrapped to its float."""
+    if isinstance(node, list):
+        return [_primal_tree(v) for v in node]
+    return primal(node)
+
+
 def curvature_components(D, N, A, pt: EPoint) -> CurvatureComponents:
     c = curvature_components_at(D, N, A, pt.x, pt.y)
-    p = D.p
-
-    def deep(node):
-        if isinstance(node, list):
-            return [deep(v) for v in node]
-        return primal(node)
-
     return CurvatureComponents(
-        Rh=deep(c["Rh"]), Rv=deep(c["Rv"]), Ph=deep(c["Ph"]),
-        Pv=deep(c["Pv"]), Sh=deep(c["Sh"]), Sv=primal(c["Sv"]),
+        Rh=_primal_tree(c["Rh"]), Rv=_primal_tree(c["Rv"]),
+        Ph=_primal_tree(c["Ph"]), Pv=_primal_tree(c["Pv"]),
+        Sh=_primal_tree(c["Sh"]), Sv=primal(c["Sv"]),
     )
 
 
@@ -336,7 +337,8 @@ def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
     :func:`torsion_from_definition` and :func:`curvature_from_definition`
     for frame arguments.  Two nested
     :func:`frame_derivatives` passes give D_{e_j} e_k and D_{e_i} D_{e_j}
-    e_k for all indices; brackets come from :func:`bracket_d_vectors`.
+    e_k for all indices; brackets come from one :func:`bracket_pairs`
+    evaluation over every frame pair.
     """
     p = D.p
     n = p + 1
@@ -349,8 +351,11 @@ def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
         lambda xs, y: frames + [w for row in first_at(xs, y) for w in row],
         A, N, D)(pt.x, pt.y)
     fields = [frame_h(p, a) for a in range(p)] + [frame_v(p)]
-    br = [[bracket_d_vectors(X, Y, A, N).at(pt) for Y in fields]
-          for X in fields]
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    flat = bracket_pairs(fields, pairs, A, N)(pt.x, pt.y)
+    br = [[([primal(w) for w in flat[n * x + y][0]],
+            primal(flat[n * x + y][1])) for y in range(n)]
+          for x in range(n)]
 
     def dd(i, j, k):
         return second[i][n + n * j + k]
@@ -376,32 +381,67 @@ def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
     return torsion, curvature
 
 
-def oracle_suite(D: DConnectionCoeffs, N: NonlinearConnection,
-                 A: AlgebroidData, samples, tol: float = 1e-8):
+class PointTables:
+    """The float torsion and curvature components at one sample point, each
+    computed on first use, so that the suites visiting the point share
+    them."""
+
+    def __init__(self, D: DConnectionCoeffs, N: NonlinearConnection,
+                 A: AlgebroidData, pt: EPoint):
+        self._args = (D, N, A, pt)
+        self._torsion = None
+        self._curvature = None
+
+    @property
+    def torsion(self) -> TorsionComponents:
+        if self._torsion is None:
+            self._torsion = torsion_components(*self._args)
+        return self._torsion
+
+    @property
+    def curvature(self) -> CurvatureComponents:
+        if self._curvature is None:
+            self._curvature = curvature_components(*self._args)
+        return self._curvature
+
+
+def _run_points(check, D, N, A, samples):
+    """``check.step`` at every sample point, then ``check.finish()``."""
+    for pt in samples:
+        with at_point(pt):
+            check.step(pt, PointTables(D, N, A, pt))
+    return check.finish()
+
+
+class OracleCheck:
     """Definition-vs-components equivalence over every frame pair/triple.
 
     At each sample point the definition side comes from
     :func:`frame_definitions` (two nested derivative passes, whatever p),
     which never uses the component formulas; each torsion and curvature
-    family is compared with it entry by entry.  Returns two CheckResults
-    (torsion, curvature).  This is the load-bearing certification of the
-    component formulas.
+    family is compared with it entry by entry.  This is the load-bearing
+    certification of the component formulas.  ``step(pt, tables)`` checks
+    one point; ``finish()`` returns two CheckResults (torsion, curvature).
     """
-    p = D.p
-    t_tracker = ResidualTracker("oracle.torsion", tol)
-    c_tracker = ResidualTracker("oracle.curvature", tol)
-    for pt in samples:
-        try:
-            _oracle_point(D, N, A, pt, p, t_tracker, c_tracker)
-        except EvaluationDomainError as exc:
-            raise _attach_point(exc, pt)
-    return [t_tracker.result(), c_tracker.result()]
+
+    def __init__(self, D: DConnectionCoeffs, N: NonlinearConnection,
+                 A: AlgebroidData, tol: float = 1e-8):
+        self._args = (D, N, A)
+        self._t_tracker = ResidualTracker("oracle.torsion", tol)
+        self._c_tracker = ResidualTracker("oracle.curvature", tol)
+
+    def finish(self):
+        return [self._t_tracker.result(), self._c_tracker.result()]
+
+    def step(self, pt: EPoint, tables: PointTables):
+        tors = tables.torsion
+        curv = tables.curvature
+        T, C = frame_definitions(*self._args, pt)
+        _oracle_point(tors, curv, T, C, pt, len(tors.Pv), self._t_tracker,
+                      self._c_tracker)
 
 
-def _oracle_point(D, N, A, pt, p, t_tracker, c_tracker):
-    tors = torsion_components(D, N, A, pt)
-    curv = curvature_components(D, N, A, pt)
-    T, C = frame_definitions(D, N, A, pt)
+def _oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
     vert = p  # the vertical frame index
     # torsion: horizontal frame pairs
     for b in range(p):
@@ -459,6 +499,13 @@ def _oracle_point(D, N, A, pt, p, t_tracker, c_tracker):
     c_tracker.update(v - curv.Sv, pt)
 
 
+def oracle_suite(D: DConnectionCoeffs, N: NonlinearConnection,
+                 A: AlgebroidData, samples, tol: float = 1e-8):
+    """:class:`OracleCheck` over the samples; returns two CheckResults
+    (torsion, curvature)."""
+    return _run_points(OracleCheck(D, N, A, tol), D, N, A, samples)
+
+
 def default_test_vector(p: int, m: int) -> DVectorField:
     """Fixed test field for the commutation suite: h-components cycle
     through a small set of smooth expressions (restricted to the declared
@@ -482,23 +529,38 @@ def default_test_vector(p: int, m: int) -> DVectorField:
     )
 
 
-def check_ricci_commutation(Z: DVectorField, D: DConnectionCoeffs,
-                            N: NonlinearConnection, A: AlgebroidData,
-                            samples, tol: float = 1e-6) -> CheckResult:
-    """Second-covariant-derivative commutation for the horizontal part of Z
-    (and, separately, its vertical component), checked against the curvature
-    and torsion blocks:
+class RicciCommutationCheck:
+    """Second-covariant-derivative commutation for the horizontal part of
+    each test field Z (and, separately, its vertical component), checked
+    against the curvature and torsion blocks:
 
         Z|c|b - Z|b|c         = Rh[.][.][c][b] Z + Thh[.][b][c] Z|. + Tv[b][c] Z|v
         (Z|c)|v - (Z|v)|c     = Pc_h[.][.][c] Z - Pv_t[c] Z|v - Ph_t[.][c] Z|.
 
     with the left sides evaluated through nested covariant derivatives of
-    block tensors (full valence bookkeeping).
+    block tensors (full valence bookkeeping).  ``step(pt, tables)`` checks
+    every field at one point; ``finish()`` returns one CheckResult per
+    field, in the order of ``fields``.
     """
-    p = D.p
-    m = A.m
-    tracker = ResidualTracker("ricci_commutation", tol)
 
+    def __init__(self, fields, D: DConnectionCoeffs, N: NonlinearConnection,
+                 A: AlgebroidData, tol: float = 1e-6):
+        self._fields = [(Z, _commutation_tensors(Z, D, N, A)) for Z in fields]
+        self._trackers = [ResidualTracker("ricci_commutation", tol)
+                          for _ in fields]
+
+    def finish(self):
+        return [tracker.result() for tracker in self._trackers]
+
+    def step(self, pt: EPoint, tables: PointTables):
+        tors = tables.torsion
+        curv = tables.curvature
+        for (Z, tensors), tracker in zip(self._fields, self._trackers):
+            _commutation_point(Z, tensors, tors, curv, pt, tracker)
+
+
+def _commutation_tensors(Z, D, N, A):
+    p, m = D.p, A.m
     TZ = DTensorField(p, m, 1, 0, 0, 0, lambda xs, y: list(Z.h_at(xs, y)))
     A1 = h_cov_deriv(TZ, A, N, D)
     A2 = h_cov_deriv(A1, A, N, D)
@@ -512,109 +574,99 @@ def check_ricci_commutation(Z: DVectorField, D: DConnectionCoeffs,
     D1 = v_cov_deriv(TY, A, D)
     C1v = v_cov_deriv(C1, A, D)
     D1h = h_cov_deriv(D1, A, N, D)
+    return A2, A1, B1, A1v, B1h, C2, C1, D1, C1v, D1h
 
-    for pt in samples:
-        try:
-            tors = torsion_components(D, N, A, pt)
-            curv = curvature_components(D, N, A, pt)
-            zh_raw, yv_raw = Z.hv_at(pt.x, pt.y)
-        except EvaluationDomainError as exc:
-            raise _attach_point(exc, pt)
-        Zh = [primal(v) for v in zh_raw]
-        Yv = primal(yv_raw)
-        a2 = A2.values_at(pt.x, pt.y)
-        a1 = A1.values_at(pt.x, pt.y)
-        b1 = B1.values_at(pt.x, pt.y)
-        a1v = A1v.values_at(pt.x, pt.y)
-        b1h = B1h.values_at(pt.x, pt.y)
-        c2 = C2.values_at(pt.x, pt.y)
-        c1 = C1.values_at(pt.x, pt.y)
-        d1 = D1.values_at(pt.x, pt.y)
-        c1v = C1v.values_at(pt.x, pt.y)
-        d1h = D1h.values_at(pt.x, pt.y)
-        for al in range(p):
-            for c in range(p):
-                for b in range(p):
-                    lhs = primal(a2[al][c][b]) - primal(a2[al][b][c])
-                    rhs = sum(curv.Rh[al][t][c][b] * Zh[t] for t in range(p))
-                    rhs += sum(tors.Thh[t][b][c] * primal(a1[al][t])
-                               for t in range(p))
-                    rhs += tors.Tv[b][c] * primal(b1[al])
-                    tracker.update(lhs - rhs, pt)
-            for c in range(p):
-                lhs = primal(a1v[al][c]) - primal(b1h[al][c])
-                rhs = sum(curv.Ph[al][t][c] * Zh[t] for t in range(p))
-                rhs -= tors.Pv[c] * primal(b1[al])
-                rhs -= sum(tors.Ph[t][c] * primal(a1[al][t]) for t in range(p))
-                tracker.update(lhs - rhs, pt)
+
+def _commutation_point(Z, tensors, tors, curv, pt, tracker):
+    p = len(tors.Pv)
+    zh_raw, yv_raw = Z.hv_at(pt.x, pt.y)
+    Zh = [primal(v) for v in zh_raw]
+    Yv = primal(yv_raw)
+    a2, a1, b1, a1v, b1h, c2, c1, d1, c1v, d1h = (
+        T.values_at(pt.x, pt.y) for T in tensors)
+    for al in range(p):
         for c in range(p):
             for b in range(p):
-                lhs = primal(c2[c][b]) - primal(c2[b][c])
-                rhs = curv.Rv[c][b] * Yv
-                rhs += sum(tors.Thh[t][b][c] * primal(c1[t]) for t in range(p))
-                rhs += tors.Tv[b][c] * primal(d1)
+                lhs = primal(a2[al][c][b]) - primal(a2[al][b][c])
+                rhs = sum(curv.Rh[al][t][c][b] * Zh[t] for t in range(p))
+                rhs += sum(tors.Thh[t][b][c] * primal(a1[al][t])
+                           for t in range(p))
+                rhs += tors.Tv[b][c] * primal(b1[al])
                 tracker.update(lhs - rhs, pt)
-            lhs = primal(c1v[c]) - primal(d1h[c])
-            rhs = curv.Pv[c] * Yv
-            rhs -= tors.Pv[c] * primal(d1)
-            rhs -= sum(tors.Ph[t][c] * primal(c1[t]) for t in range(p))
+        for c in range(p):
+            lhs = primal(a1v[al][c]) - primal(b1h[al][c])
+            rhs = sum(curv.Ph[al][t][c] * Zh[t] for t in range(p))
+            rhs -= tors.Pv[c] * primal(b1[al])
+            rhs -= sum(tors.Ph[t][c] * primal(a1[al][t]) for t in range(p))
             tracker.update(lhs - rhs, pt)
-    return tracker.result()
+    for c in range(p):
+        for b in range(p):
+            lhs = primal(c2[c][b]) - primal(c2[b][c])
+            rhs = curv.Rv[c][b] * Yv
+            rhs += sum(tors.Thh[t][b][c] * primal(c1[t]) for t in range(p))
+            rhs += tors.Tv[b][c] * primal(d1)
+            tracker.update(lhs - rhs, pt)
+        lhs = primal(c1v[c]) - primal(d1h[c])
+        rhs = curv.Pv[c] * Yv
+        rhs -= tors.Pv[c] * primal(d1)
+        rhs -= sum(tors.Ph[t][c] * primal(c1[t]) for t in range(p))
+        tracker.update(lhs - rhs, pt)
 
 
-def check_bianchi(D: DConnectionCoeffs, N: NonlinearConnection,
-                  A: AlgebroidData, samples, tol: float = 1e-5):
+def check_ricci_commutation(Z: DVectorField, D: DConnectionCoeffs,
+                            N: NonlinearConnection, A: AlgebroidData,
+                            samples, tol: float = 1e-6) -> CheckResult:
+    """:class:`RicciCommutationCheck` of one test field over the samples."""
+    check = RicciCommutationCheck([Z], D, N, A, tol)
+    return _run_points(check, D, N, A, samples)[0]
+
+
+class BianchiCheck:
     """Cyclic component identities tying torsion, curvature and their
     covariant derivatives.  First family (cyclic over three horizontal frame
     slots, both output blocks) and second family (cyclic over the three
     direction slots with the vector slot fixed).  Valid data makes all four
     residuals vanish; any persistent nonzero indicates a formula error and
-    is reported, never absorbed.
+    is reported, never absorbed.  ``step(pt, tables)`` checks one point;
+    ``finish()`` returns the four CheckResults.
     """
-    p = D.p
-    m = A.m
-    t1h = ResidualTracker("bianchi1_h", tol)
-    t1v = ResidualTracker("bianchi1_v", tol)
-    t2h = ResidualTracker("bianchi2_h", tol)
-    t2v = ResidualTracker("bianchi2_v", tol)
 
-    Thh_T = DTensorField(
-        p, m, 1, 2, 0, 0,
-        lambda xs, y: torsion_components_at(D, N, A, xs, y)["Thh"])
-    Tv_T = DTensorField(
-        p, m, 0, 2, 1, 0,
-        lambda xs, y: torsion_components_at(D, N, A, xs, y)["Tv"])
-    Rh_T = DTensorField(
-        p, m, 1, 3, 0, 0,
-        lambda xs, y: curvature_components_at(D, N, A, xs, y)["Rh"])
-    Rv_T = DTensorField(
-        p, m, 0, 2, 1, 1,
-        lambda xs, y: curvature_components_at(D, N, A, xs, y)["Rv"])
-    Thh_d = h_cov_deriv(Thh_T, A, N, D)
-    Tv_d = h_cov_deriv(Tv_T, A, N, D)
-    Rh_d = h_cov_deriv(Rh_T, A, N, D)
-    Rv_d = h_cov_deriv(Rv_T, A, N, D)
+    def __init__(self, D: DConnectionCoeffs, N: NonlinearConnection,
+                 A: AlgebroidData, tol: float = 1e-5):
+        p, m = D.p, A.m
+        self._trackers = [ResidualTracker(name, tol) for name in (
+            "bianchi1_h", "bianchi1_v", "bianchi2_h", "bianchi2_v")]
+        # Thh and Tv (Rh and Rv) are differentiated at the same seeded
+        # point, so they read one remembered component evaluation.
+        tors_at = memo_point(
+            lambda xs, y: torsion_components_at(D, N, A, xs, y))
+        curv_at = memo_point(
+            lambda xs, y: curvature_components_at(D, N, A, xs, y))
+        Thh_T = DTensorField(p, m, 1, 2, 0, 0,
+                             lambda xs, y: tors_at(xs, y)["Thh"])
+        Tv_T = DTensorField(p, m, 0, 2, 1, 0,
+                            lambda xs, y: tors_at(xs, y)["Tv"])
+        Rh_T = DTensorField(p, m, 1, 3, 0, 0,
+                            lambda xs, y: curv_at(xs, y)["Rh"])
+        Rv_T = DTensorField(p, m, 0, 2, 1, 1,
+                            lambda xs, y: curv_at(xs, y)["Rv"])
+        self._derivs = [h_cov_deriv(T, A, N, D)
+                        for T in (Thh_T, Tv_T, Rh_T, Rv_T)]
 
-    for pt in samples:
-        try:
-            tors = torsion_components(D, N, A, pt)
-            curv = curvature_components(D, N, A, pt)
-        except EvaluationDomainError as exc:
-            raise _attach_point(exc, pt)
+    def finish(self):
+        return [tracker.result() for tracker in self._trackers]
+
+    def step(self, pt: EPoint, tables: PointTables):
+        tors = tables.torsion
+        curv = tables.curvature
+        t1h, t1v, t2h, t2v = self._trackers
         Thh, Tv = tors.Thh, tors.Tv
         Pht, Pvt = tors.Ph, tors.Pv
         Rh, Rv = curv.Rh, curv.Rv
         Pch, Pcv = curv.Ph, curv.Pv
-
-        def deep(node):
-            if isinstance(node, list):
-                return [deep(v) for v in node]
-            return primal(node)
-
-        dThh = deep(Thh_d.values_at(pt.x, pt.y))
-        dTv = deep(Tv_d.values_at(pt.x, pt.y))
-        dRh = deep(Rh_d.values_at(pt.x, pt.y))
-        dRv = deep(Rv_d.values_at(pt.x, pt.y))
+        p = len(Pvt)
+        dThh, dTv, dRh, dRv = (_primal_tree(T.values_at(pt.x, pt.y))
+                               for T in self._derivs)
 
         for b in range(p):
             for c in range(p):
@@ -659,4 +711,10 @@ def check_bianchi(D: DConnectionCoeffs, N: NonlinearConnection,
                         acc += sum(Thh[mu][yy][x] * Rv[z][mu] for mu in range(p))
                         acc += Tv[yy][x] * Pcv[z]
                     t2v.update(acc, pt)
-    return [t1h.result(), t1v.result(), t2h.result(), t2v.result()]
+
+
+def check_bianchi(D: DConnectionCoeffs, N: NonlinearConnection,
+                  A: AlgebroidData, samples, tol: float = 1e-5):
+    """:class:`BianchiCheck` over the samples; returns the four
+    CheckResults."""
+    return _run_points(BianchiCheck(D, N, A, tol), D, N, A, samples)

@@ -49,6 +49,8 @@ __all__ = [
     "frame_derivatives",
     "frame_contract",
     "cov_deriv_along",
+    "memo_point",
+    "bracket_pairs",
     "bracket_d_vectors",
     "frame_h",
     "frame_v",
@@ -111,8 +113,8 @@ class DConnectionCoeffs:
         mutate them.
         """
         return DConnectionCoeffs(
-            self.p, self.m, _memo(self.hh_at), _memo(self.hv_at),
-            _memo(self.vh_at), _memo(self.vv_at))
+            self.p, self.m, memo_point(self.hh_at), memo_point(self.hv_at),
+            memo_point(self.vh_at), memo_point(self.vv_at))
 
 
 class _Uncacheable(Exception):
@@ -137,9 +139,11 @@ def _primal_key(k):
     return k
 
 
-def _memo(fn):
-    """``fn(xs, y)`` remembered for the latest base point (see
-    :meth:`DConnectionCoeffs.memoised`)."""
+def memo_point(fn):
+    """``fn(xs, y)`` remembered for the latest base point.
+
+    Keys and lifetime are those of :meth:`DConnectionCoeffs.memoised`;
+    callers must not mutate the returned values."""
     base = None
     cache = {}
 
@@ -467,65 +471,67 @@ def cov_deriv_along(X: DVectorField, W: DVectorField, A: AlgebroidData,
     return DVectorField(X.p, hv_at=components)
 
 
-def bracket_d_vectors(X: DVectorField, Y: DVectorField, A: AlgebroidData,
-                      N: NonlinearConnection) -> DVectorField:
-    """[X, Y] in adapted components, computed through the natural frame so
-    that only the raw bracket table L and plain derivatives enter (the
-    adapted-frame bracket relations are *not* used; this is the oracle)."""
-    p = X.p
+def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
+    """[fields[i], fields[j]] in adapted components for each ``(i, j)`` in
+    ``pairs``, computed through the natural frame so that only the raw
+    bracket table L and plain derivatives enter (the adapted-frame bracket
+    relations are *not* used; this is the oracle).
+
+    The returned evaluator gives the brackets as ``(h_list, v)`` pairs in
+    the order of ``pairs``.  It seeds the point and evaluates rho, L and
+    Gamma once for all pairs, and each field once.
+    """
+    p = fields[0].p
     m = A.m
 
-    def natural(Z):
-        # adapted (h, v) -> natural (A^gamma = h, A^0 = v - Gamma.h)
-        def nat_at(xs, y):
-            h, v = Z.hv_at(xs, y)
-            gam = N.gamma_at(xs, y)
-            return [list(h), v - sum(gam[g] * h[g] for g in range(p))]
-        return nat_at
+    def rho_apply(rho, Zh, Zv, dF, yF):
+        # anchor(Z) applied to a function with gradient dF, fiber yF
+        return sum(Zh[a] * sum(rho[a][i] * dF[i] for i in range(m))
+                   for a in range(p)) + Zv * yF
 
-    X_nat = natural(X)
-    Y_nat = natural(Y)
+    def natural(Z, jxs, jy, jgam):
+        # adapted (h, v) -> natural (A^gamma = h, A^0 = v - Gamma.h),
+        # unpacked into values, base gradients and fiber derivatives
+        h, v = Z.hv_at(jxs, jy)
+        v = v - sum(jgam[g] * h[g] for g in range(p))
+        return ([jval(s) for s in h], jval(v),
+                [[jdx(s, i) for i in range(m)] for s in h],
+                [jdx(v, i) for i in range(m)],
+                [jdy(s) for s in h], jdy(v))
 
-    def components(xs, y):
+    def at(xs, y):
         rho = A.rho_at(xs)
         Lv = A.L_at(xs)
         jxs, jy = seeded_point(xs, y)
-        Xn_j = X_nat(jxs, jy)
-        Yn_j = Y_nat(jxs, jy)
+        jgam = N.gamma_at(jxs, jy)
+        gam = [jval(s) for s in jgam]
+        nat = [natural(Z, jxs, jy, jgam) for Z in fields]
+        out = []
+        for i, j in pairs:
+            Xh, Xv, dXh, dXv, yXh, yXv = nat[i]
+            Yh, Yv, dYh, dYv, yYh, yYv = nat[j]
+            out_h = []
+            for g in range(p):
+                acc = rho_apply(rho, Xh, Xv, dYh[g], yYh[g]) \
+                    - rho_apply(rho, Yh, Yv, dXh[g], yXh[g])
+                acc = acc + sum(Xh[a] * Yh[b] * Lv[g][a][b]
+                                for a in range(p) for b in range(p))
+                out_h.append(acc)
+            out_v = rho_apply(rho, Xh, Xv, dYv, yYv) \
+                - rho_apply(rho, Yh, Yv, dXv, yXv)
+            # back to adapted components
+            out.append((out_h,
+                        out_v + sum(gam[g] * out_h[g] for g in range(p))))
+        return out
 
-        def unpack(node):
-            h, v = node
-            hv = [jval(s) for s in h]
-            vv = jval(v)
-            dh = [[jdx(s, i) for i in range(m)] for s in h]
-            dv = [jdx(v, i) for i in range(m)]
-            hy = [jdy(s) for s in h]
-            vy = jdy(v)
-            return hv, vv, dh, dv, hy, vy
+    return at
 
-        Xh, Xv, dXh, dXv, yXh, yXv = unpack(Xn_j)
-        Yh, Yv, dYh, dYv, yYh, yYv = unpack(Yn_j)
 
-        def rho_apply(Zh, Zv, dF, yF):
-            # anchor(Z) applied to a function with gradient dF, fiber yF
-            return sum(Zh[a] * sum(rho[a][i] * dF[i] for i in range(m))
-                       for a in range(p)) + Zv * yF
-
-        out_h = []
-        for g in range(p):
-            acc = rho_apply(Xh, Xv, dYh[g], yYh[g]) \
-                - rho_apply(Yh, Yv, dXh[g], yXh[g])
-            acc = acc + sum(Xh[a] * Yh[b] * Lv[g][a][b]
-                            for a in range(p) for b in range(p))
-            out_h.append(acc)
-        out_v = rho_apply(Xh, Xv, dYv, yYv) - rho_apply(Yh, Yv, dXv, yXv)
-
-        # back to adapted components
-        gam = N.gamma_at(xs, y)
-        out_v_adapted = out_v + sum(gam[g] * out_h[g] for g in range(p))
-        return out_h, out_v_adapted
-
-    return DVectorField(p, hv_at=components)
+def bracket_d_vectors(X: DVectorField, Y: DVectorField, A: AlgebroidData,
+                      N: NonlinearConnection) -> DVectorField:
+    """[X, Y] in adapted components: :func:`bracket_pairs` for one pair."""
+    pair_at = bracket_pairs([X, Y], [(0, 1)], A, N)
+    return DVectorField(X.p, hv_at=lambda xs, y: pair_at(xs, y)[0])
 
 
 def check_dconnection_transformation(D: DConnectionCoeffs,

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .algebroid import AlgebroidData
-from .calculus import EPoint, Jet, SmoothField, jdx, jval, primal
+from .calculus import EPoint, Jet, SmoothField, at_point, jdx, jval, primal
 from .dconnection import DConnectionCoeffs
 from .nlconnection import NonlinearConnection
 
@@ -147,8 +147,9 @@ def local_invertibility_residual(L: LiftMorphism, points):
         raise ValueError("lift morphism has no stated inverse")
     worst = 0.0
     for pt in points:
-        g = [primal(v) for v in L.g_at(pt.x)]
-        gt = [primal(v) for v in L.gtilde_at(pt.x)]
+        with at_point(pt):
+            g = [primal(v) for v in L.g_at(pt.x)]
+            gt = [primal(v) for v in L.gtilde_at(pt.x)]
         for a in range(L.p):
             for b in range(L.p):
                 r = abs(gt[b] * g[a] - (1.0 if a == b else 0.0))

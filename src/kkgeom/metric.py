@@ -21,6 +21,7 @@ from .calculus import (
     EPoint,
     EvaluationDomainError,
     SmoothField,
+    at_point,
     jdy,
     jval,
     primal,
@@ -43,6 +44,7 @@ __all__ = [
     "inverse_h",
     "metric_dconnection",
     "canonical_metric_dconnection",
+    "CompatibilityCheck",
     "compatibility_check",
     "riemannian_flags",
 ]
@@ -227,28 +229,26 @@ def _metric_tensors(G: MetricStructure, m: int):
     return g_T, g00_T
 
 
-def compatibility_check(G: MetricStructure, D: DConnectionCoeffs,
-                        A: AlgebroidData, N: NonlinearConnection, samples,
-                        tol: float = 1e-9) -> CheckResult:
-    """Max over samples of the four covariant-constancy residual families:
-    horizontal and vertical derivatives of both metric blocks."""
-    tracker = ResidualTracker("compatibility", tol)
-    g_T, g00_T = _metric_tensors(G, A.m)
-    g_h = h_cov_deriv(g_T, A, N, D)
-    g_v = v_cov_deriv(g_T, A, D)
-    g00_h = h_cov_deriv(g00_T, A, N, D)
-    g00_v = v_cov_deriv(g00_T, A, D)
-    p = G.p
-    for pt in samples:
-        try:
-            vh = g_h.values_at(pt.x, pt.y)
-            vv = g_v.values_at(pt.x, pt.y)
-            v0h = g00_h.values_at(pt.x, pt.y)
-            v0v = g00_v.values_at(pt.x, pt.y)
-        except EvaluationDomainError as exc:
-            if exc.point is None:
-                exc.point = pt
-            raise
+class CompatibilityCheck:
+    """The four covariant-constancy residual families: horizontal and
+    vertical derivatives of both metric blocks.  ``step(pt, tables)``
+    checks one point (it needs no component tables); ``finish()`` returns
+    the one CheckResult, as a list."""
+
+    def __init__(self, G: MetricStructure, D: DConnectionCoeffs,
+                 A: AlgebroidData, N: NonlinearConnection, tol: float = 1e-9):
+        self._p = G.p
+        self._tracker = ResidualTracker("compatibility", tol)
+        g_T, g00_T = _metric_tensors(G, A.m)
+        self._derivs = (h_cov_deriv(g_T, A, N, D), v_cov_deriv(g_T, A, D),
+                        h_cov_deriv(g00_T, A, N, D), v_cov_deriv(g00_T, A, D))
+
+    def finish(self):
+        return [self._tracker.result()]
+
+    def step(self, pt: EPoint, tables=None):
+        tracker, p = self._tracker, self._p
+        vh, vv, v0h, v0v = (T.values_at(pt.x, pt.y) for T in self._derivs)
         for a in range(p):
             for b in range(p):
                 for c in range(p):
@@ -257,7 +257,17 @@ def compatibility_check(G: MetricStructure, D: DConnectionCoeffs,
         for c in range(p):
             tracker.update(primal(v0h[c]), pt)
         tracker.update(primal(v0v), pt)
-    return tracker.result()
+
+
+def compatibility_check(G: MetricStructure, D: DConnectionCoeffs,
+                        A: AlgebroidData, N: NonlinearConnection, samples,
+                        tol: float = 1e-9) -> CheckResult:
+    """Max over samples of :class:`CompatibilityCheck`'s residuals."""
+    check = CompatibilityCheck(G, D, A, N, tol)
+    for pt in samples:
+        with at_point(pt):
+            check.step(pt)
+    return check.finish()[0]
 
 
 def riemannian_flags(G: MetricStructure, samples, tol: float = 1e-12):
@@ -265,10 +275,12 @@ def riemannian_flags(G: MetricStructure, samples, tol: float = 1e-12):
     max_h = 0.0
     max_v = 0.0
     for pt in samples:
-        jxs, jy = seeded_point(pt.x, pt.y)
-        gj = G.g_at(jxs, jy)
+        with at_point(pt):
+            jxs, jy = seeded_point(pt.x, pt.y)
+            gj = G.g_at(jxs, jy)
+            g00j = G.g00_at(jxs, jy)
         for row in gj:
             for v in row:
                 max_h = max(max_h, abs(primal(jdy(v))))
-        max_v = max(max_v, abs(primal(jdy(G.g00_at(jxs, jy)))))
+        max_v = max(max_v, abs(primal(jdy(g00j))))
     return max_h <= tol, max_v <= tol

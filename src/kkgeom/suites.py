@@ -9,18 +9,21 @@ of the coefficient change laws, so the law is tested, not restated.
 
 from __future__ import annotations
 
+import time
+
 from .algebroid import (
     AlgebroidData,
     validate_anchor_compatibility,
     validate_antisymmetry,
     validate_jacobi,
 )
-from .calculus import EvaluationDomainError, SmoothField, primal
+from .calculus import SmoothField, at_point, primal
 from .curvature import (
-    check_bianchi,
-    check_ricci_commutation,
+    BianchiCheck,
+    OracleCheck,
+    PointTables,
+    RicciCommutationCheck,
     default_test_vector,
-    oracle_suite,
 )
 from .dconnection import (
     DConnectionCoeffs,
@@ -29,8 +32,8 @@ from .dconnection import (
     check_dconnection_transformation,
 )
 from .lift import local_invertibility_residual
-from .metric import MetricStructure, matrix_inverse, metric_dconnection, \
-    riemannian_flags
+from .metric import CompatibilityCheck, MetricStructure, matrix_inverse, \
+    metric_dconnection, riemannian_flags
 from .nlconnection import (
     CoordinateChange,
     NonlinearConnection,
@@ -41,7 +44,7 @@ from .sampling import sample_points
 from .scenario import Scenario, ScenarioError
 
 __all__ = ["SUITE_NAMES", "SUITE_DEFAULT_SAMPLES", "SUITE_DEFAULT_TOLS",
-           "run_validate", "run_suite", "applicable_suites"]
+           "run_validate", "run_suites", "run_suite", "applicable_suites"]
 
 SUITE_NAMES = ["oracle", "ricci-commutation", "bianchi", "compatibility",
                "transformation"]
@@ -99,7 +102,10 @@ def run_validate(sc: Scenario, samples=None, seed=None, tol: float = 1e-8):
         min_det = float("inf")
         min_g00 = float("inf")
         for pt in pts:
-            g = [[primal(v) for v in row] for row in sc.metric.g_at(pt.x, pt.y)]
+            with at_point(pt):
+                g = [[primal(v) for v in row]
+                     for row in sc.metric.g_at(pt.x, pt.y)]
+                g00 = abs(primal(sc.metric.g00_at(pt.x, pt.y)))
             for a in range(sc.p):
                 for b in range(sc.p):
                     sym.update(g[a][b] - g[b][a], pt)
@@ -108,7 +114,6 @@ def run_validate(sc: Scenario, samples=None, seed=None, tol: float = 1e-8):
             det = abs(_det(g))
             if det < min_det or det != det:
                 min_det = det
-            g00 = abs(primal(sc.metric.g00_at(pt.x, pt.y)))
             if g00 < min_g00 or g00 != g00:
                 min_g00 = g00
         checks.append(sym.result().to_json_obj())
@@ -257,52 +262,89 @@ def _fiber_scaling_checks(sc: Scenario, pts, tol, factor: float = 2.0) -> list:
     return [r1, r2]
 
 
+_NEEDS_METRIC = {
+    "compatibility": "compatibility suite requires a metric",
+    "transformation": "transformation suite requires a metric (the primed "
+                      "connection is rebuilt from the transformed metric)",
+}
+
+
+def _point_checks(sc: Scenario, names, tols):
+    """The per-point check of each memo-sharing suite in ``names``, all on
+    one memoised coefficient set."""
+    D = sc.dconnection().memoised()
+    A, N = sc.algebroid, sc.connection
+    checks = {}
+    for name in names:
+        if name == "oracle":
+            checks[name] = OracleCheck(D, N, A, tols[name])
+        elif name == "ricci-commutation":
+            Z2 = DVectorField(sc.p,
+                              lambda xs, y: [1.0] + [0.0] * (sc.p - 1),
+                              lambda xs, y: 1.0)
+            checks[name] = RicciCommutationCheck(
+                [default_test_vector(sc.p, sc.m), Z2], D, N, A, tols[name])
+        elif name == "bianchi":
+            checks[name] = BianchiCheck(D, N, A, tols[name])
+        elif name == "compatibility":
+            checks[name] = CompatibilityCheck(sc.metric, D, A, N, tols[name])
+    return D, checks
+
+
+def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
+    """Run the named suites; returns ``[(name, results, seconds)]`` in the
+    order of ``names``, ``results`` being a list of CheckResult.
+
+    The identity suites (oracle, ricci-commutation, bianchi, compatibility)
+    run point-major.  ``sample_points`` is prefix-stable, so one draw of the
+    largest sample count gives every suite its points: at point k, each
+    suite whose sample count is above k runs its step there.  They share one
+    memoised coefficient set, whose memo holds the current point, and one
+    lazily computed float torsion/curvature table; ``seconds`` charges that
+    shared work to the first suite that runs at a point.  The transformation
+    suite builds its own connections and runs afterwards.
+    """
+    for name in names:
+        if name not in SUITE_NAMES:
+            raise ScenarioError("suite", f"unknown suite {name!r}")
+        if name in _NEEDS_METRIC and sc.metric is None:
+            raise ScenarioError("metric", _NEEDS_METRIC[name])
+    counts = {name: samples if samples is not None
+              else SUITE_DEFAULT_SAMPLES[name] for name in names}
+    tols = {name: tol if tol is not None else SUITE_DEFAULT_TOLS[name]
+            for name in names}
+    pts = sample_points(sc.box, max(counts.values(), default=0),
+                        seed if seed is not None else sc.seed)
+    seconds = dict.fromkeys(names, 0.0)
+    results = {}
+
+    shared = [name for name in names if name != "transformation"]
+    if shared:
+        D, checks = _point_checks(sc, shared, tols)
+        A, N = sc.algebroid, sc.connection
+        for k, pt in enumerate(pts):
+            tables = PointTables(D, N, A, pt)
+            for name, check in checks.items():
+                if k < counts[name]:
+                    t0 = time.perf_counter()
+                    with at_point(pt):
+                        check.step(pt, tables)
+                    seconds[name] += time.perf_counter() - t0
+        for name, check in checks.items():
+            results[name] = check.finish()
+        for k, res in enumerate(results.get("ricci-commutation", ()), 1):
+            res.name = f"ricci_commutation_{k}"
+
+    if "transformation" in names:
+        t0 = time.perf_counter()
+        trans_pts = pts[:counts["transformation"]]
+        results["transformation"] = (
+            _frame_change_checks(sc, trans_pts, tols["transformation"])
+            + _fiber_scaling_checks(sc, trans_pts, tols["transformation"]))
+        seconds["transformation"] = time.perf_counter() - t0
+    return [(name, results[name], seconds[name]) for name in names]
+
+
 def run_suite(sc: Scenario, suite: str, tol=None, samples=None, seed=None):
     """Run one named suite; returns a list of CheckResult."""
-    if suite not in SUITE_NAMES:
-        raise ScenarioError("suite", f"unknown suite {suite!r}")
-    n = samples if samples is not None else SUITE_DEFAULT_SAMPLES[suite]
-    used_tol = tol if tol is not None else SUITE_DEFAULT_TOLS[suite]
-    pts = sample_points(sc.box, n, seed if seed is not None else sc.seed)
-    A, N = sc.algebroid, sc.connection
-    # The identity suites nest covariant derivatives, and each nesting level
-    # asks for the coefficients again at the same point, so they use the
-    # memoised evaluators; the transformation suite asks once per point.
-
-    if suite == "oracle":
-        return oracle_suite(sc.dconnection().memoised(), N, A, pts,
-                            used_tol)
-
-    if suite == "ricci-commutation":
-        D = sc.dconnection().memoised()
-        Z1 = default_test_vector(sc.p, sc.m)
-        Z2 = DVectorField(sc.p,
-                          lambda xs, y: [1.0] + [0.0] * (sc.p - 1),
-                          lambda xs, y: 1.0)
-        r1 = check_ricci_commutation(Z1, D, N, A, pts, used_tol)
-        r1.name = "ricci_commutation_1"
-        r2 = check_ricci_commutation(Z2, D, N, A, pts, used_tol)
-        r2.name = "ricci_commutation_2"
-        return [r1, r2]
-
-    if suite == "bianchi":
-        return check_bianchi(sc.dconnection().memoised(), N, A, pts,
-                             used_tol)
-
-    if suite == "compatibility":
-        if sc.metric is None:
-            raise ScenarioError("metric",
-                                "compatibility suite requires a metric")
-        from .metric import compatibility_check
-        return [compatibility_check(sc.metric, sc.dconnection().memoised(),
-                                    A, N, pts, used_tol)]
-
-    if suite == "transformation":
-        if sc.metric is None:
-            raise ScenarioError(
-                "metric", "transformation suite requires a metric (the primed "
-                "connection is rebuilt from the transformed metric)")
-        return (_frame_change_checks(sc, pts, used_tol)
-                + _fiber_scaling_checks(sc, pts, used_tol))
-
-    raise AssertionError(suite)
+    return run_suites(sc, [suite], tol, samples, seed)[0][1]

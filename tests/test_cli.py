@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -313,3 +314,48 @@ def test_check_all_matches_golden_output(capsys, monkeypatch, name):
                        "all", "--seed", "1")
     assert code == (1 if name == "d1_perturbed" else 0)
     assert out == (GOLDEN_DIR / f"check_all_seed1_{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob(
+    "*.json")))
+def test_check_all_few_samples_matches_golden_output(capsys, monkeypatch,
+                                                      name):
+    """``check --suite all --samples 3 --seed 7``: every suite on the same
+    points, so the point-major run is pinned where suites overlap fully."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    code, out, _ = run(capsys, "check", f"scenarios/{name}.json", "--suite",
+                       "all", "--samples", "3", "--seed", "7")
+    assert code == (1 if name == "d1_perturbed" else 0)
+    assert out == (GOLDEN_DIR
+                   / f"check_all_samples3_seed7_{name}.json").read_text()
+
+
+def test_power_overflow_error_names_the_point(capsys, tmp_path):
+    def overflow(doc):
+        doc["metric"]["g"][1][1] = "(1e200+x1)^2.5"
+
+    path = _variant(tmp_path, "d1.json", overflow)
+    for argv in (("validate", path), ("check", path, "--suite", "all")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        _one_line_error(err)
+        assert "power overflow" in err and " at EPoint(x=(" in err
+
+
+@pytest.mark.parametrize("gamma,code", [("x1^1e12", 0), ("(x1+2)^1e12", 1),
+                                        ("x1^-1e12", 1)])
+def test_huge_integer_power_takes_bounded_time(tmp_path, gamma, code):
+    def power(doc):
+        doc["connection"]["Gamma"][0] = gamma
+
+    path = _variant(tmp_path, "berwald.json", power)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SCENARIO_DIR.parent / "src")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kkgeom", "compute", path, "--what", "frame",
+         "--at", "x1=0.5,x2=0.2,y0=0.5"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == code
+    _one_line_error(proc.stderr)

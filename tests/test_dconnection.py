@@ -298,7 +298,7 @@ def _depth(s):
 
 @pytest.mark.parametrize("suite,times", [("oracle", 1), ("bianchi", 1),
                                          ("compatibility", 1),
-                                         ("ricci-commutation", 2)])
+                                         ("ricci-commutation", 1)])
 def test_memoised_suites_evaluate_each_point_and_depth_once(
         monkeypatch, suite, times):
     from conftest import SCENARIO_DIR
@@ -327,6 +327,42 @@ def test_memoised_suites_evaluate_each_point_and_depth_once(
     assert {key[0] for key in calls} == {"hh", "hv", "vh", "vv"}
     assert len({key[1:3] for key in calls}) == 3
     assert set(calls.values()) == {times}
+
+
+def test_check_all_evaluates_each_point_and_depth_once(monkeypatch, capsys):
+    """The four memo-sharing suites of ``check --suite all`` run point-major
+    on one memo: each family once per (point, depth) over all of them."""
+    from conftest import SCENARIO_DIR
+    from kkgeom.cli import main
+    from kkgeom.scenario import Scenario
+    from kkgeom.suites import SUITE_DEFAULT_SAMPLES
+
+    calls = Counter()
+    original = Scenario.dconnection
+
+    def counted(self):
+        D = original(self)
+
+        def wrap(name):
+            fn = getattr(D, name + "_at")
+
+            def at(xs, y):
+                calls[name, tuple(map(primal, xs)), primal(y), _depth(y)] += 1
+                return fn(xs, y)
+            return at
+
+        return DConnectionCoeffs(D.p, D.m, *map(wrap, ("hh", "hv", "vh", "vv")))
+
+    monkeypatch.setattr(Scenario, "dconnection", counted)
+    assert main(["check", str(SCENARIO_DIR / "d1.json"), "--suite", "all",
+                 "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert {key[0] for key in calls} == {"hh", "hv", "vh", "vv"}
+    # the default sample counts differ per suite; the largest sets the points
+    assert len({key[1:3] for key in calls}) == max(
+        SUITE_DEFAULT_SAMPLES[s] for s in
+        ("oracle", "ricci-commutation", "bianchi", "compatibility"))
+    assert set(calls.values()) == {1}
 
 
 def _counting_coeffs(calls, fail=False):

@@ -115,3 +115,13 @@ def test_base_map_push_and_scalar_coefficients():
 
     N_p = NonlinearConnection(2, (gamma_p(0), gamma_p(1)))
     assert check_nlc_transformation(N, N_p, C, A, PTS).max_residual <= 1e-12
+
+
+@pytest.mark.parametrize("box", [Box.default(2), Box(((0.0, 3.0),), (1.0, 2.0))])
+@pytest.mark.parametrize("seed", [0, 7, 0xA1B2])
+def test_sample_points_are_prefix_stable(box, seed):
+    """Point k is the same in every draw; the point-major suite driver
+    draws the largest sample count once and gives each suite a prefix."""
+    longest = sample_points(box, 40, seed)
+    for n in (0, 1, 3, 6, 20, 40):
+        assert sample_points(box, n, seed) == longest[:n]
