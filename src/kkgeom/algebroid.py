@@ -14,6 +14,7 @@ suites downstream assume data that passes these.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .calculus import (
     SmoothField,
@@ -100,8 +101,8 @@ def validate_anchor_compatibility(A: AlgebroidData, samples,
             for b in range(p):
                 for k in range(m):
                     lhs = sum(Lv[g][a][b] * rho[g][k] for g in range(p))
-                    rhs = sum(rho[a][i] * drho[b][k][i] for i in range(m)) \
-                        - sum(rho[b][j] * drho[a][k][j] for j in range(m))
+                    rhs = sum(map(mul, rho[a], drho[b][k])) \
+                        - sum(map(mul, rho[b], drho[a][k]))
                     tracker.update(lhs - rhs, pt)
     return tracker.result()
 
@@ -122,17 +123,24 @@ def validate_jacobi(A: AlgebroidData, samples,
             dL = [[[[jdx(jL[g][a][b], k) for k in range(m)] for b in range(p)]
                    for a in range(p)] for g in range(p)]
 
+        # Lcol[b][c][e] = L^e_{bc}
+        Lcol = [[[Lv[e][b][c] for e in range(p)] for c in range(p)]
+                for b in range(p)]
+
         def term(a, b, c, d):
-            out = sum(rho[a][i] * dL[d][b][c][i] for i in range(m))
-            out += sum(Lv[d][a][e] * Lv[e][b][c] for e in range(p))
+            out = sum(map(mul, rho[a], dL[d][b][c]))
+            out += sum(map(mul, Lv[d][a], Lcol[b][c]))
             return out
 
+        # Each term enters three cyclic sums; evaluate it once.
+        T = [[[[term(a, b, c, d) for d in range(p)] for c in range(p)]
+              for b in range(p)] for a in range(p)]
         for a in range(p):
             for b in range(p):
                 for c in range(p):
                     for d in range(p):
                         tracker.update(
-                            term(a, b, c, d) + term(b, c, a, d) + term(c, a, b, d),
+                            T[a][b][c][d] + T[b][c][a][d] + T[c][a][b][d],
                             pt,
                         )
     return tracker.result()

@@ -178,13 +178,8 @@ def berwald(N: NonlinearConnection, m: int) -> DConnectionCoeffs:
         out = N.gamma_at(jxs, jy)
         return [jdy(o) for o in out]
 
-    return DConnectionCoeffs(
-        p, m,
-        lambda xs, y: [[[0.0] * p for _ in range(p)] for _ in range(p)],
-        hv_at,
-        lambda xs, y: [[0.0] * p for _ in range(p)],
-        lambda xs, y: 0.0,
-    )
+    zero = DConnectionCoeffs.zero(p, m)
+    return DConnectionCoeffs(p, m, zero.hh_at, hv_at, zero.vh_at, zero.vv_at)
 
 
 class DTensorField:

@@ -104,7 +104,11 @@ def _tokenize(src: str):
             offset = pos + len(src[pos:]) - len(src[pos:].lstrip())
             raise ParseError(offset, "a number, identifier or operator")
         if mobj.group("num") is not None:
-            tokens.append(("num", float(mobj.group("num")), mobj.start("num")))
+            value = float(mobj.group("num"))
+            if not math.isfinite(value):
+                raise ParseError(mobj.start("num"),
+                                 "a number within the float range")
+            tokens.append(("num", value, mobj.start("num")))
         elif mobj.group("ident") is not None:
             tokens.append(("ident", mobj.group("ident"), mobj.start("ident")))
         else:

@@ -157,20 +157,20 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
             lambda jxs, jy: G.g_at(jxs, jy), xs, y, A, N)
         ginv = matrix_inverse(g_vals)
         Lv = A.L_at(xs)
+        # The Koszul terms do not depend on the upper index a.
+        terms = [[[g_delta[c][e][b] + g_delta[b][e][c] - g_delta[e][b][c]
+                   + sum(g_vals[th][e] * Lv[th][c][b]
+                         - g_vals[b][th] * Lv[th][c][e]
+                         - g_vals[th][c] * Lv[th][b][e]
+                         for th in range(p))
+                   for e in range(p)] for c in range(p)] for b in range(p)]
         out = [[[None] * p for _ in range(p)] for _ in range(p)]
         for a in range(p):
             for b in range(p):
                 for c in range(p):
                     acc = 0.0
-                    for e in range(p):
-                        term = g_delta[c][e][b] + g_delta[b][e][c] - g_delta[e][b][c]
-                        term = term + sum(
-                            g_vals[th][e] * Lv[th][c][b]
-                            - g_vals[b][th] * Lv[th][c][e]
-                            - g_vals[th][c] * Lv[th][b][e]
-                            for th in range(p)
-                        )
-                        acc = acc + ginv[a][e] * term
+                    for gi, term in zip(ginv[a], terms[b][c]):
+                        acc = acc + gi * term
                     out[a][b][c] = 0.5 * acc
         return out
 
@@ -193,16 +193,17 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
         g_dy = [[jdy(v) for v in row] for row in gj]
         ginv = matrix_inverse(g_vals)
         vh0 = baseline.vh_at(xs, y)
+        # The ring terms do not depend on the upper index a.
+        rings = [[g_dy[b][e] - sum(
+                      vh0[th][b] * g_vals[th][e] + vh0[th][e] * g_vals[b][th]
+                      for th in range(p))
+                  for e in range(p)] for b in range(p)]
         out = [[None] * p for _ in range(p)]
         for a in range(p):
             for b in range(p):
                 acc = 0.0
-                for e in range(p):
-                    ring = g_dy[b][e] - sum(
-                        vh0[th][b] * g_vals[th][e] + vh0[th][e] * g_vals[b][th]
-                        for th in range(p)
-                    )
-                    acc = acc + ginv[a][e] * ring
+                for gi, ring in zip(ginv[a], rings[b]):
+                    acc = acc + gi * ring
                 out[a][b] = vh0[a][b] + 0.5 * acc
         return out
 

@@ -14,15 +14,16 @@ on floats or Jets alike, so the operators nest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .algebroid import AlgebroidData
 from .calculus import (
     EPoint,
     EvaluationDomainError,
+    Jet,
     SmoothField,
     jdx,
     jdy,
-    jval,
     primal,
     seeded_point,
 )
@@ -60,36 +61,41 @@ class NonlinearConnection:
                                             for _ in range(p)))
 
 
-def _map_structure(fn, obj):
-    if isinstance(obj, list):
-        return [_map_structure(fn, o) for o in obj]
-    return fn(obj)
-
-
 def adapted_derivatives(array_fn, xs, y, A: AlgebroidData, N: NonlinearConnection):
     """Evaluate ``array_fn`` (nested lists of scalars) at a jointly seeded
     point and return (values, [delta_gamma structure for each gamma], ddy).
 
     This is the workhorse: one evaluation of the underlying fields yields the
     adapted derivatives of every component at once, and it nests (callers may
-    pass Jet-valued xs, y).
+    pass Jet-valued xs, y).  One walk over the output gives all three; each
+    delta is ``sum(rho[gamma][i] * d_i s) - Gamma[gamma] * d_y s`` with the
+    sum taken in the order of i, from 0.
     """
     rho = A.rho_at(xs)
     gam = N.gamma_at(xs, y)
     jxs, jy = seeded_point(xs, y)
     out = array_fn(jxs, jy)
-    vals = _map_structure(jval, out)
-    ddy = _map_structure(jdy, out)
-    m = A.m
-    delta = [
-        _map_structure(
-            lambda s, _g=g: sum(rho[_g][i] * jdx(s, i) for i in range(m))
-            - gam[_g] * jdy(s),
-            out,
-        )
-        for g in range(A.p)
-    ]
-    return vals, delta, ddy
+    pairs = tuple(zip(rho, gam))
+    zeros = (0.0,) * A.m
+
+    def split(node):
+        if isinstance(node, list):
+            vals, ddy = [], []
+            deltas = [[] for _ in pairs]
+            for sub in node:
+                v, d, dy = split(sub)
+                vals.append(v)
+                ddy.append(dy)
+                for acc, dg in zip(deltas, d):
+                    acc.append(dg)
+            return vals, deltas, ddy
+        if isinstance(node, Jet):
+            v, dx, dy = node.value, node.dx, node.dy
+        else:
+            v, dx, dy = node, zeros, 0.0
+        return v, [sum(map(mul, r, dx)) - g * dy for r, g in pairs], dy
+
+    return split(out)
 
 
 def h_derivative(f: SmoothField, gamma: int, A: AlgebroidData,

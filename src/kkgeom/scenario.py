@@ -84,12 +84,18 @@ class Scenario:
         if self.explicit_dconnection is not None:
             return self.explicit_dconnection
         if self.metric is not None:
-            base = (berwald(self.connection, self.m) if self.baseline == "berwald"
-                    else DConnectionCoeffs.zero(self.p, self.m))
-            return metric_dconnection(self.metric, base, self.algebroid,
-                                      self.connection)
+            return metric_dconnection(self.metric,
+                                      self.baseline_for(self.connection),
+                                      self.algebroid, self.connection)
         raise ScenarioError("dconnection",
                             "scenario has neither a metric nor explicit tables")
+
+    def baseline_for(self, N: NonlinearConnection) -> DConnectionCoeffs:
+        """The configured baseline (ring) connection over ``N``: the
+        fiber-derivative (Berwald-type) one, or zero."""
+        if self.baseline == "berwald":
+            return berwald(N, self.m)
+        return DConnectionCoeffs.zero(self.p, self.m)
 
 
 def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:

@@ -10,9 +10,9 @@ of the coefficient change laws, so the law is tested, not restated.
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 from .algebroid import (
-    AlgebroidData,
     validate_anchor_compatibility,
     validate_antisymmetry,
     validate_jacobi,
@@ -25,12 +25,7 @@ from .curvature import (
     RicciCommutationCheck,
     default_test_vector,
 )
-from .dconnection import (
-    DConnectionCoeffs,
-    DVectorField,
-    berwald,
-    check_dconnection_transformation,
-)
+from .dconnection import DVectorField, check_dconnection_transformation
 from .lift import local_invertibility_residual
 from .metric import CompatibilityCheck, MetricStructure, matrix_inverse, \
     metric_dconnection, riemannian_flags
@@ -152,9 +147,17 @@ def _constant_matrix_fields(mat, m):
     return tuple(tuple(SmoothField.constant(v, m) for v in row) for row in mat)
 
 
-def _frame_change_checks(sc: Scenario, pts, tol) -> list:
-    """Constant invertible frame change; primed data built tensorially and
-    the primed metric connection rebuilt from it."""
+def _frame_change_data(sc: Scenario):
+    """A constant invertible frame change C and the anchor, bracket,
+    nonlinear-connection and metric tables in the new frame, built
+    tensorially from the unprimed tables: ``(C, A', N', G')``.
+
+    A', N' and G' carry what the metric connection and the change laws
+    read, the dimensions and the table evaluators (``rho_at``, ``L_at``,
+    ``gamma_at``, ``g_at``, ``g00_at``), and no per-entry fields: each
+    table evaluation transforms one evaluation of the unprimed table, with
+    the summation order of the per-entry law.
+    """
     p, m = sc.p, sc.m
     lam = [[1.0 if a == b else 0.0 for b in range(p)] for a in range(p)]
     if p == 1:
@@ -162,65 +165,47 @@ def _frame_change_checks(sc: Scenario, pts, tol) -> list:
     else:
         lam[0][1] = 1.0  # unitriangular, det 1
     lam_inv = matrix_inverse(lam)
-
-    A, N, G = sc.algebroid, sc.connection, sc.metric
-    rho_p = tuple(
-        tuple(
-            SmoothField(
-                lambda xs, y, _ap=ap, _i=i: sum(
-                    lam_inv[a][_ap] * A.rho[a][_i](xs, y) for a in range(p)),
-                m)
-            for i in range(m)
-        )
-        for ap in range(p)
-    )
-    L_p = tuple(
-        tuple(
-            tuple(
-                SmoothField(
-                    lambda xs, y, _gp=gp, _ap=ap, _bp=bp: sum(
-                        lam[_gp][g] * A.L[g][a][b](xs, y)
-                        * lam_inv[a][_ap] * lam_inv[b][_bp]
-                        for g in range(p) for a in range(p) for b in range(p)),
-                    m)
-                for bp in range(p)
-            )
-            for ap in range(p)
-        )
-        for gp in range(p)
-    )
-    A_p = AlgebroidData(m, p, rho_p, L_p)
-    gamma_p = tuple(
-        SmoothField(
-            lambda xs, y, _gp=gp: sum(
-                N.gamma[g](xs, y) * lam_inv[g][_gp] for g in range(p)),
-            m)
-        for gp in range(p)
-    )
-    N_p = NonlinearConnection(p, gamma_p)
-    g_p = tuple(
-        tuple(
-            SmoothField(
-                lambda xs, y, _ap=ap, _bp=bp: sum(
-                    G.g[a][b](xs, y) * lam_inv[a][_ap] * lam_inv[b][_bp]
-                    for a in range(p) for b in range(p)),
-                m)
-            for bp in range(p)
-        )
-        for ap in range(p)
-    )
-    G_p = MetricStructure(p, g_p, G.g00)
-    base = (berwald(N, m) if sc.baseline == "berwald"
-            else DConnectionCoeffs.zero(p, m))
-    base_p = (berwald(N_p, m) if sc.baseline == "berwald"
-              else DConnectionCoeffs.zero(p, m))
-    D = metric_dconnection(G, base, A, N)
-    D_p = metric_dconnection(G_p, base_p, A_p, N_p)
     C = CoordinateChange(
         m, p,
         frame=_constant_matrix_fields(lam, m),
         frame_inverse=_constant_matrix_fields(lam_inv, m),
     )
+    A, N, G = sc.algebroid, sc.connection, sc.metric
+    P = range(p)
+
+    def rho_at(xs):
+        rho = A.rho_at(xs)
+        return [[sum(lam_inv[a][ap] * rho[a][i] for a in P) for i in range(m)]
+                for ap in P]
+
+    def L_at(xs):
+        Lv = A.L_at(xs)
+        return [[[sum(lam[gp][g] * Lv[g][a][b] * lam_inv[a][ap] * lam_inv[b][bp]
+                      for g in P for a in P for b in P)
+                  for bp in P] for ap in P] for gp in P]
+
+    def gamma_at(xs, y):
+        gam = N.gamma_at(xs, y)
+        return [sum(gam[g] * lam_inv[g][gp] for g in P) for gp in P]
+
+    def g_at(xs, y):
+        gv = G.g_at(xs, y)
+        return [[sum(gv[a][b] * lam_inv[a][ap] * lam_inv[b][bp]
+                     for a in P for b in P) for bp in P] for ap in P]
+
+    A_p = SimpleNamespace(m=m, p=p, rho_at=rho_at, L_at=L_at)
+    N_p = SimpleNamespace(p=p, gamma_at=gamma_at)
+    G_p = SimpleNamespace(p=p, g_at=g_at, g00_at=G.g00_at)
+    return C, A_p, N_p, G_p
+
+
+def _frame_change_checks(sc: Scenario, pts, tol) -> list:
+    """Constant invertible frame change; primed data built tensorially and
+    the primed metric connection rebuilt from it."""
+    A, N, G = sc.algebroid, sc.connection, sc.metric
+    C, A_p, N_p, G_p = _frame_change_data(sc)
+    D = metric_dconnection(G, sc.baseline_for(N), A, N)
+    D_p = metric_dconnection(G_p, sc.baseline_for(N_p), A_p, N_p)
     r1 = check_nlc_transformation(N, N_p, C, A, pts, tol)
     r1.name = "transformation.nlc_frame"
     r2 = check_dconnection_transformation(D, D_p, C, A, N, pts, tol)
@@ -248,12 +233,8 @@ def _fiber_scaling_checks(sc: Scenario, pts, tol, factor: float = 2.0) -> list:
     )
     g00_p = SmoothField(lambda xs, y: G.g00(xs, y * inv) * inv * inv, m)
     G_p = MetricStructure(p, g_p, g00_p)
-    base = (berwald(N, m) if sc.baseline == "berwald"
-            else DConnectionCoeffs.zero(p, m))
-    base_p = (berwald(N_p, m) if sc.baseline == "berwald"
-              else DConnectionCoeffs.zero(p, m))
-    D = metric_dconnection(G, base, A, N)
-    D_p = metric_dconnection(G_p, base_p, A, N_p)
+    D = metric_dconnection(G, sc.baseline_for(N), A, N)
+    D_p = metric_dconnection(G_p, sc.baseline_for(N_p), A, N_p)
     C = CoordinateChange(m, p, fiber_scale=SmoothField.constant(factor, m))
     r1 = check_nlc_transformation(N, N_p, C, A, pts, tol)
     r1.name = "transformation.nlc_fiber"

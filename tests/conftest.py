@@ -11,6 +11,22 @@ from kkgeom.metric import MetricStructure
 from kkgeom.nlconnection import NonlinearConnection
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+# gen3_seed1.json: the p = m = 3 scenario that perfbench/scenarios.py
+# generates for seed 1 (exponential anchor, constant bracket, fiber-dependent
+# Gamma, diagonal metric over the berwald baseline), written once; the tests
+# do not import the benchmark.
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def bits(s):
+    """A scalar, Jet or nested list as nested tuples of ``float.hex``:
+    equal exactly when every float is bitwise equal (NaNs compare equal,
+    -0.0 and 0.0 do not) and the nesting is the same."""
+    if isinstance(s, (list, tuple)):
+        return tuple(map(bits, s))
+    if hasattr(s, "dx"):
+        return ("jet", bits(s.value), bits(s.dx), bits(s.dy))
+    return float.hex(s)
 
 
 def field(src, m=2, **kw):
@@ -61,6 +77,31 @@ def make_sphere():
     N = NonlinearConnection.zero(2, 2)
     G = MetricStructure(2, ((field("1"), field("0")),
                             (field("0"), field("sin(x1)^2"))), field("1"))
+    return A, N, G
+
+
+def make_dense3():
+    """p = m = 3 with every table dense and varying: anchor, bracket, Gamma
+    and a symmetric metric with off-diagonal entries.  It need not satisfy
+    the structure identities; it makes every summand of the index sums
+    nonzero, so a reordered or reassociated sum changes bits."""
+    f = lambda s: field(s, 3)  # noqa: E731
+    rho = tuple(tuple(f(f"{1 + (a == i)} + 0.{a + i + 1}*sin(x{1 + (a + i) % 3})")
+                      for i in range(3)) for a in range(3))
+    L = tuple(tuple(tuple(f(f"0.{g + 1}*x{1 + a}*x{1 + b} + {a - b}*cos(x{1 + g})")
+                          for b in range(3)) for a in range(3))
+              for g in range(3))
+    A = AlgebroidData(3, 3, rho, L)
+    N = NonlinearConnection(3, tuple(
+        f(f"0.{g + 2}*x{1 + g}*y0 + 0.1*sin(x{1 + (g + 1) % 3})*y0^2"
+          "+ 0.2*x1*x2*x3")
+        for g in range(3)))
+    off = {(0, 1): "0.3*x2*y0", (0, 2): "0.2*sin(x3)", (1, 2): "0.25*x1*x3"}
+    diag = ["3+x1^2", "2+x2^2+0.1*y0^2", "4+cos(x1*y0)"]
+    dense = "+0.1*x1*x2*x3*y0"
+    G = MetricStructure(3, tuple(
+        tuple(f((diag[a] if a == b else off[min(a, b), max(a, b)]) + dense)
+              for b in range(3)) for a in range(3)), f("exp(0.5*x1)*(1+y0^2)"))
     return A, N, G
 
 

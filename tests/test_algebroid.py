@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from kkgeom import algebroid
 from kkgeom.algebroid import (
     AlgebroidData,
     frame_commutator_residual,
@@ -9,9 +10,11 @@ from kkgeom.algebroid import (
     validate_antisymmetry,
     validate_jacobi,
 )
-from kkgeom.calculus import EvaluationDomainError
+from kkgeom.calculus import (EvaluationDomainError, SmoothField, jdx, jval,
+                             seeded_point)
+from kkgeom.report import ResidualTracker
 from kkgeom.sampling import Box, sample_points
-from conftest import field, make_nonabelian
+from conftest import bits, field, make_nonabelian
 
 PTS = sample_points(Box.default(2), 64, seed=0xA1B2)
 
@@ -93,3 +96,80 @@ def test_domain_error_carries_point():
     with pytest.raises(EvaluationDomainError) as err:
         validate_anchor_compatibility(A, PTS)
     assert err.value.point is not None
+
+
+# p = 3 over m = 2 with varying anchor and bracket: the Jacobi residual is
+# far from zero, so every term shows in it.
+VARYING = AlgebroidData(
+    2, 3,
+    tuple(tuple(field(s) for s in row) for row in
+          [["1", "x2"], ["exp(x1)", "0"], ["sin(x2)", "x1*x2"]]),
+    tuple(tuple(tuple(field(f"{g - a + 2 * b}*x1 + sin({a + 1}*x2) - {b}")
+                      for b in range(3)) for a in range(3))
+          for g in range(3)))
+
+
+def _jacobi_residuals_loop(A, samples):
+    """The Jacobi residual at every (point, a, b, c, d), each term evaluated
+    inside every cyclic sum it enters: the standard for the tabled terms."""
+    m, p = A.m, A.p
+    out = []
+    for pt in samples:
+        rho = A.rho_at(pt.x)
+        jxs, _ = seeded_point(pt.x, pt.y)
+        jL = [[[A.L[g][a][b](jxs, 0.0) for b in range(p)] for a in range(p)]
+              for g in range(p)]
+        Lv = [[[jval(jL[g][a][b]) for b in range(p)] for a in range(p)]
+              for g in range(p)]
+        dL = [[[[jdx(jL[g][a][b], k) for k in range(m)] for b in range(p)]
+               for a in range(p)] for g in range(p)]
+
+        def term(a, b, c, d):
+            out = sum(rho[a][i] * dL[d][b][c][i] for i in range(m))
+            out += sum(Lv[d][a][e] * Lv[e][b][c] for e in range(p))
+            return out
+
+        for a in range(p):
+            for b in range(p):
+                for c in range(p):
+                    for d in range(p):
+                        out.append((term(a, b, c, d) + term(b, c, a, d)
+                                    + term(c, a, b, d), pt))
+    return out
+
+
+@pytest.mark.parametrize("case", ["nonabelian", "varying"])
+def test_jacobi_residuals_match_the_cyclic_loop(monkeypatch, case):
+    A = make_nonabelian()[0] if case == "nonabelian" else VARYING
+    seen = []
+
+    class Recording(ResidualTracker):
+        def update(self, value, point=None):
+            seen.append((value, point))
+            super().update(value, point)
+
+    monkeypatch.setattr(algebroid, "ResidualTracker", Recording)
+    validate_jacobi(A, PTS[:8])
+    want = _jacobi_residuals_loop(A, PTS[:8])
+    assert [(bits(v), pt) for v, pt in seen] == [(bits(v), pt)
+                                                 for v, pt in want]
+
+
+def test_jacobi_evaluates_each_term_once():
+    """Each term rho^i_a d_i L^d_bc + L^d_ae L^e_bc enters three cyclic
+    sums but is computed once: the anchor entries take part in exactly
+    p^4 m products per point (3 p^4 m if the terms were recomputed)."""
+    products = [0]
+
+    class Counting(float):
+        def __mul__(self, other):
+            products[0] += 1
+            return float(self) * other
+
+        __rmul__ = __mul__
+
+    p, m = VARYING.p, VARYING.m
+    rho = tuple(tuple(SmoothField(lambda xs, y, _f=f: Counting(_f(xs, y)), m)
+                      for f in row) for row in VARYING.rho)
+    validate_jacobi(AlgebroidData(m, p, rho, VARYING.L), PTS[:2])
+    assert products[0] == 2 * p ** 4 * m

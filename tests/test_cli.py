@@ -359,3 +359,41 @@ def test_huge_integer_power_takes_bounded_time(tmp_path, gamma, code):
     assert time.perf_counter() - t0 < 1.0
     assert proc.returncode == code
     _one_line_error(proc.stderr)
+
+
+@pytest.mark.parametrize("gamma", ["x1^1e400", "x1*1e400", "x1+.5e309"])
+def test_overflowing_literal_is_a_parse_error(capsys, tmp_path, gamma):
+    """A literal beyond the float range is an input error (exit 2, one line
+    naming its offset), not an evaluation or compile failure."""
+    def literal(doc):
+        doc["connection"]["Gamma"][0] = gamma
+
+    path = _variant(tmp_path, "berwald.json", literal)
+    for argv in (("compute", path, "--what", "frame",
+                  "--at", "x1=0.5,x2=0.2,y0=0.5"),
+                 ("check", path, "--suite", "all", "--samples", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        _one_line_error(err)
+        assert "connection.Gamma[0]" in err and "offset 3" in err
+
+
+GEN3 = "tests/data/gen3_seed1.json"
+
+
+def test_validate_gen3_matches_golden_output(capsys, monkeypatch):
+    """A p = m = 3 scenario: the index sums over the frame rank are pinned
+    where p is above the shipped scenarios' 2."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    code, out, _ = run(capsys, "validate", GEN3, "--seed", "1")
+    assert code == 0
+    assert out == (GOLDEN_DIR / "validate_seed1_gen3_seed1.json").read_text()
+
+
+def test_check_all_gen3_matches_golden_output(capsys, monkeypatch):
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    code, out, _ = run(capsys, "check", GEN3, "--suite", "all",
+                       "--samples", "2", "--seed", "1")
+    assert code == 0
+    assert out == (GOLDEN_DIR
+                   / "check_all_samples2_seed1_gen3_seed1.json").read_text()

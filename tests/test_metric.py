@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint, jdx, primal, seeded_point
+from kkgeom.calculus import EPoint, jdx, jdy, jval, primal, seeded_point
 from kkgeom.dconnection import DConnectionCoeffs, berwald
 from kkgeom.metric import (
     MetricStructure,
@@ -12,12 +12,15 @@ from kkgeom.metric import (
     canonical_metric_dconnection,
     compatibility_check,
     inverse_h,
+    matrix_inverse,
     metric_dconnection,
     riemannian_flags,
 )
-from kkgeom.nlconnection import NonlinearConnection
+from kkgeom.nlconnection import NonlinearConnection, adapted_derivatives
 from kkgeom.sampling import Box, sample_points
-from conftest import field, make_d1, make_nonabelian, make_vdep
+from kkgeom.scenario import load_scenario
+from conftest import (DATA_DIR, bits, field, make_d1, make_dense3,
+                      make_nonabelian, make_vdep)
 
 PTS = sample_points(Box.default(2), 40, seed=0xA1B2)
 A_ID = AlgebroidData.identity(2)
@@ -220,3 +223,99 @@ def test_riemannian_flags():
     g_r = MetricStructure(2, ((field("1+x1^2"), field("0")),
                               (field("0"), field("1"))), field("1"))
     assert riemannian_flags(g_r, PTS) == (True, True)
+
+
+def _loop_hh_vh(G, baseline, A, N):
+    """``hh_at`` and ``vh_at`` of :func:`metric_dconnection` with the Koszul
+    and ring terms rebuilt inside the loop over the upper index a: the
+    bitwise standard for the hoisted sums."""
+    p = G.p
+
+    def hh_at(xs, y):
+        g_vals, g_delta, _ = adapted_derivatives(
+            lambda jxs, jy: G.g_at(jxs, jy), xs, y, A, N)
+        ginv = matrix_inverse(g_vals)
+        Lv = A.L_at(xs)
+        out = [[[None] * p for _ in range(p)] for _ in range(p)]
+        for a in range(p):
+            for b in range(p):
+                for c in range(p):
+                    acc = 0.0
+                    for e in range(p):
+                        term = (g_delta[c][e][b] + g_delta[b][e][c]
+                                - g_delta[e][b][c])
+                        term = term + sum(
+                            g_vals[th][e] * Lv[th][c][b]
+                            - g_vals[b][th] * Lv[th][c][e]
+                            - g_vals[th][c] * Lv[th][b][e]
+                            for th in range(p))
+                        acc = acc + ginv[a][e] * term
+                    out[a][b][c] = 0.5 * acc
+        return out
+
+    def vh_at(xs, y):
+        jxs, jy = seeded_point(xs, y)
+        gj = G.g_at(jxs, jy)
+        g_vals = [[jval(v) for v in row] for row in gj]
+        g_dy = [[jdy(v) for v in row] for row in gj]
+        ginv = matrix_inverse(g_vals)
+        vh0 = baseline.vh_at(xs, y)
+        out = [[None] * p for _ in range(p)]
+        for a in range(p):
+            for b in range(p):
+                acc = 0.0
+                for e in range(p):
+                    ring = g_dy[b][e] - sum(
+                        vh0[th][b] * g_vals[th][e] + vh0[th][e] * g_vals[b][th]
+                        for th in range(p))
+                    acc = acc + ginv[a][e] * ring
+                out[a][b] = vh0[a][b] + 0.5 * acc
+        return out
+
+    return hh_at, vh_at
+
+
+def _explicit_baseline(p, m):
+    """A baseline whose vh family is nonzero, so the ring sums carry it."""
+    f = lambda s: field(s, m)  # noqa: E731
+    return DConnectionCoeffs.from_fields(
+        p, m,
+        [[[f(f"0.1*x1*y0 + {a - b + c}") for c in range(p)]
+          for b in range(p)] for a in range(p)],
+        [f(f"{c}*y0") for c in range(p)],
+        [[f(f"0.3*x{1 + (a + b) % m} - 0.2*y0^2 + {a * b}")
+          for b in range(p)] for a in range(p)],
+        f("0.5*y0"))
+
+
+def _metric_cases():
+    gen3 = load_scenario(str(DATA_DIR / "gen3_seed1.json"))
+    A3, N3, G3 = gen3.algebroid, gen3.connection, gen3.metric
+    A1, N1, G1 = make_d1()
+    Av, Nv, Gv = make_vdep()
+    Ad, Nd, Gd = make_dense3()
+    return {
+        "d1": (G1, berwald(N1, 2), A1, N1),
+        "vdep": (Gv, berwald(Nv, 2), Av, Nv),
+        "vdep-explicit-baseline": (Gv, _explicit_baseline(2, 2), Av, Nv),
+        "gen3": (G3, gen3.baseline_for(N3), A3, N3),
+        "gen3-explicit-baseline": (G3, _explicit_baseline(3, 3), A3, N3),
+        "dense3": (Gd, _explicit_baseline(3, 3), Ad, Nd),
+    }
+
+
+@pytest.mark.parametrize("case", ["d1", "vdep", "vdep-explicit-baseline",
+                                  "gen3", "gen3-explicit-baseline", "dense3"])
+def test_hoisted_metric_sums_match_the_loops_bitwise(case):
+    """hh and vh at derivative depths 0-3 give the bits of the per-(a, b, c)
+    loops, signed zeros included."""
+    G, base, A, N = _metric_cases()[case]
+    D = metric_dconnection(G, base, A, N)
+    hh_ref, vh_ref = _loop_hh_vh(G, base, A, N)
+    m = A.m
+    for pt in sample_points(Box.default(m), 2, seed=5):
+        xs, y = pt.x, pt.y
+        for depth in range(4):
+            assert bits(D.hh_at(xs, y)) == bits(hh_ref(xs, y)), depth
+            assert bits(D.vh_at(xs, y)) == bits(vh_ref(xs, y)), depth
+            xs, y = seeded_point(xs, y)

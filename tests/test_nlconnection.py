@@ -5,14 +5,17 @@ from kkgeom.calculus import EPoint
 from kkgeom.nlconnection import (
     CoordinateChange,
     NonlinearConnection,
+    adapted_derivatives,
     bracket_residual,
     check_nlc_transformation,
     h_derivative,
     nlc_curvature,
 )
-from kkgeom.calculus import SmoothField
+from kkgeom.calculus import SmoothField, jdx, jdy, jval, seeded_point
 from kkgeom.sampling import Box, sample_points
-from conftest import field, make_nonabelian, make_vdep
+from kkgeom.scenario import load_scenario
+from conftest import (DATA_DIR, bits, field, make_dense3, make_nonabelian,
+                      make_vdep)
 
 PTS = sample_points(Box.default(2), 24, seed=0xA1B2)
 
@@ -140,3 +143,50 @@ def test_transformation_base_dependent_fiber_scale():
     C = CoordinateChange(2, 2, fiber_scale=phi)
     res = check_nlc_transformation(N, N_p, C, A, PTS)
     assert res.max_residual <= 1e-10
+
+
+def _walk_derivatives(array_fn, xs, y, A, N):
+    """``adapted_derivatives`` as one walk per output (values, ddy, then
+    each delta_gamma): the bitwise standard for the single-walk version."""
+    def map_structure(fn, obj):
+        if isinstance(obj, list):
+            return [map_structure(fn, o) for o in obj]
+        return fn(obj)
+
+    rho = A.rho_at(xs)
+    gam = N.gamma_at(xs, y)
+    jxs, jy = seeded_point(xs, y)
+    out = array_fn(jxs, jy)
+    vals = map_structure(jval, out)
+    ddy = map_structure(jdy, out)
+    delta = [
+        map_structure(lambda s, _g=g: sum(rho[_g][i] * jdx(s, i)
+                                          for i in range(A.m))
+                      - gam[_g] * jdy(s), out)
+        for g in range(A.p)
+    ]
+    return vals, delta, ddy
+
+
+@pytest.mark.parametrize("case", ["vdep", "gen3", "dense3"])
+def test_adapted_derivatives_match_one_walk_per_output(case):
+    """Values, every delta_gamma and d/dy0 of a nested table, a flat list
+    and a bare scalar, at depths 0-3, bit for bit."""
+    if case == "vdep":
+        A, N, G = make_vdep()
+    elif case == "dense3":
+        A, N, G = make_dense3()
+    else:
+        sc = load_scenario(str(DATA_DIR / "gen3_seed1.json"))
+        A, N, G = sc.algebroid, sc.connection, sc.metric
+    outputs = [lambda xs, y: G.g_at(xs, y),
+               lambda xs, y: N.gamma_at(xs, y),
+               lambda xs, y: G.g00_at(xs, y),
+               lambda xs, y: [[G.g00_at(xs, y), [1.0, -0.0]], []]]
+    for pt in sample_points(Box.default(A.m), 2, seed=9):
+        xs, y = pt.x, pt.y
+        for depth in range(4):
+            for fn in outputs:
+                assert bits(adapted_derivatives(fn, xs, y, A, N)) == bits(
+                    _walk_derivatives(fn, xs, y, A, N)), depth
+            xs, y = seeded_point(xs, y)

@@ -1,5 +1,10 @@
+import dataclasses
+import itertools
+from collections import Counter
+
 import pytest
 
+from kkgeom import suites
 from kkgeom.algebroid import AlgebroidData
 from kkgeom.calculus import SmoothField, jdx, seeded_point
 from kkgeom.dconnection import berwald, check_dconnection_transformation
@@ -12,7 +17,7 @@ from kkgeom.nlconnection import (
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import ScenarioError, load_scenario
 from kkgeom.suites import applicable_suites, run_suite, run_validate
-from conftest import SCENARIO_DIR, field, make_vdep
+from conftest import DATA_DIR, SCENARIO_DIR, field, make_vdep
 
 PTS = sample_points(Box.default(2), 12, seed=0xA1B2)
 
@@ -125,3 +130,57 @@ def test_sample_points_are_prefix_stable(box, seed):
     longest = sample_points(box, 40, seed)
     for n in (0, 1, 3, 6, 20, 40):
         assert sample_points(box, n, seed) == longest[:n]
+
+
+def _counting_scenario(sc, counts):
+    """``sc`` with every anchor, bracket, Gamma and g entry counting its
+    evaluations in ``counts[(table, index)]``."""
+    def wrap(table, fields, idx=()):
+        if isinstance(fields, tuple):
+            return tuple(wrap(table, f, idx + (k,))
+                         for k, f in enumerate(fields))
+
+        def fn(xs, y):
+            counts[table, idx] += 1
+            return fields(xs, y)
+        return SmoothField(fn, sc.m)
+
+    A, N, G = sc.algebroid, sc.connection, sc.metric
+    return dataclasses.replace(
+        sc,
+        algebroid=AlgebroidData(sc.m, sc.p, wrap("rho", A.rho),
+                                wrap("L", A.L)),
+        connection=NonlinearConnection(sc.p, wrap("Gamma", N.gamma)),
+        metric=MetricStructure(sc.p, wrap("g", G.g), G.g00))
+
+
+def test_primed_tables_evaluate_each_unprimed_entry_once():
+    """One primed table evaluation, and one primed metric-connection hh
+    evaluation, read each unprimed anchor, bracket, Gamma and g entry
+    exactly once (not once per primed entry: p^3 times for L at p = 3)."""
+    counts = Counter()
+    sc = _counting_scenario(load_scenario(str(DATA_DIR / "gen3_seed1.json")),
+                            counts)
+    p, m = sc.p, sc.m
+    entries = {
+        "rho": list(itertools.product(range(p), range(m))),
+        "L": list(itertools.product(range(p), repeat=3)),
+        "Gamma": [(g,) for g in range(p)],
+        "g": list(itertools.product(range(p), repeat=2)),
+    }
+    _, A_p, N_p, G_p = suites._frame_change_data(sc)
+    pt = sample_points(Box.default(m), 1, seed=3)[0]
+    jxs, jy = seeded_point(pt.x, pt.y)
+    for table, evaluate in (("rho", lambda: A_p.rho_at(jxs)),
+                            ("L", lambda: A_p.L_at(jxs)),
+                            ("Gamma", lambda: N_p.gamma_at(jxs, jy)),
+                            ("g", lambda: G_p.g_at(jxs, jy))):
+        counts.clear()
+        evaluate()
+        assert counts == {(table, idx): 1 for idx in entries[table]}, table
+
+    D_p = metric_dconnection(G_p, sc.baseline_for(N_p), A_p, N_p)
+    counts.clear()
+    D_p.hh_at(pt.x, pt.y)
+    assert counts == {(table, idx): 1
+                      for table, idxs in entries.items() for idx in idxs}
