@@ -33,6 +33,7 @@ __all__ = [
     "jdx",
     "jdy",
     "primal",
+    "map_nested",
     "fsin",
     "fcos",
     "ftan",
@@ -98,6 +99,14 @@ def primal(s):
     while isinstance(s, Jet):
         s = s.value
     return s
+
+
+def map_nested(fn, node):
+    """``fn`` applied to every leaf of a nested list (or tuple), as nested
+    lists of the same shape."""
+    if isinstance(node, (list, tuple)):
+        return [map_nested(fn, v) for v in node]
+    return fn(node)
 
 
 def jval(s):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
-from .calculus import EPoint, at_point, primal
+from .calculus import EPoint, Jet, at_point, map_nested, primal
 from .dconnection import (
     DConnectionCoeffs,
     DTensorField,
@@ -36,11 +36,14 @@ from .dconnection import (
     frame_h,
     frame_v,
     h_cov_deriv,
-    memo_point,
     v_cov_deriv,
 )
 from .metric import MetricStructure, inverse_h
-from .nlconnection import NonlinearConnection, adapted_derivatives
+from .nlconnection import (
+    NonlinearConnection,
+    adapted_derivatives,
+    bracket_curvature,
+)
 from .report import CheckResult, ResidualTracker
 
 __all__ = [
@@ -109,17 +112,6 @@ def _gamma_derivs(A, N, xs, y):
     return adapted_derivatives(lambda jxs, jy: N.gamma_at(jxs, jy), xs, y, A, N)
 
 
-def _nlc_R(gam_vals, gam_delta, Lv, p):
-    return [
-        [
-            gam_delta[b][a] - gam_delta[a][b]
-            + sum(Lv[g][a][b] * gam_vals[g] for g in range(p))
-            for b in range(p)
-        ]
-        for a in range(p)
-    ]
-
-
 def torsion_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
                           A: AlgebroidData, xs, y) -> dict:
     """All torsion family arrays at a point; generic over Jets."""
@@ -130,7 +122,7 @@ def torsion_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
     Vv = D.vv_at(xs, y)
     Lv = A.L_at(xs)
     gam_vals, gam_delta, gam_dy = _gamma_derivs(A, N, xs, y)
-    R = _nlc_R(gam_vals, gam_delta, Lv, p)
+    R = bracket_curvature(gam_vals, gam_delta, Lv)
     Thh = [
         [
             [Hh[a][b][c] - Hh[a][c][b] - Lv[a][c][b] for c in range(p)]
@@ -150,15 +142,8 @@ def torsion_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
 
 def torsion_components(D, N, A, pt: EPoint) -> TorsionComponents:
     t = torsion_components_at(D, N, A, pt.x, pt.y)
-    p = D.p
-    return TorsionComponents(
-        Thh=[[[primal(t["Thh"][a][b][c]) for c in range(p)] for b in range(p)]
-             for a in range(p)],
-        Tv=[[primal(v) for v in row] for row in t["Tv"]],
-        Ph=[[primal(v) for v in row] for row in t["Ph"]],
-        Pv=[primal(v) for v in t["Pv"]],
-        S00=primal(t["S00"]),
-    )
+    return TorsionComponents(**{k: map_nested(primal, v)
+                                for k, v in t.items()})
 
 
 def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
@@ -175,7 +160,7 @@ def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
     dHh, dHv, dVh, dVv = ddy
     Lv = A.L_at(xs)
     gam_vals, gam_delta, gam_dy = _gamma_derivs(A, N, xs, y)
-    R = _nlc_R(gam_vals, gam_delta, Lv, p)
+    R = bracket_curvature(gam_vals, gam_delta, Lv)
 
     def dlt(g, family, *idx):
         node = delta[g][family]
@@ -241,20 +226,10 @@ def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
     return {"Rh": Rh, "Rv": Rv, "Ph": Pc_h, "Pv": Pc_v, "Sh": Sh, "Sv": Sv}
 
 
-def _primal_tree(node):
-    """A nested list of scalars with every entry unwrapped to its float."""
-    if isinstance(node, list):
-        return [_primal_tree(v) for v in node]
-    return primal(node)
-
-
 def curvature_components(D, N, A, pt: EPoint) -> CurvatureComponents:
     c = curvature_components_at(D, N, A, pt.x, pt.y)
-    return CurvatureComponents(
-        Rh=_primal_tree(c["Rh"]), Rv=_primal_tree(c["Rv"]),
-        Ph=_primal_tree(c["Ph"]), Pv=_primal_tree(c["Pv"]),
-        Sh=_primal_tree(c["Sh"]), Sv=primal(c["Sv"]),
-    )
+    return CurvatureComponents(**{k: map_nested(primal, v)
+                                  for k, v in c.items()})
 
 
 def torsion_from_definition(X: DVectorField, Y: DVectorField,
@@ -382,15 +357,45 @@ def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
 
 
 class PointTables:
-    """The float torsion and curvature components at one sample point, each
-    computed on first use, so that the suites visiting the point share
-    them."""
+    """What the suites visiting one sample point share, each computed on
+    first use: the coefficient set ``D`` bound to the point, and the float
+    torsion and curvature components.
+
+    The suites evaluate at the point and at its iterated ``seeded_point``
+    seedings only, so one input per Jet depth reaches an evaluator here:
+    each family of ``D``, and each evaluator wrapped by :meth:`per_depth`,
+    runs once per depth.
+    """
 
     def __init__(self, D: DConnectionCoeffs, N: NonlinearConnection,
                  A: AlgebroidData, pt: EPoint):
-        self._args = (D, N, A, pt)
+        self.pt = pt
+        self.D = DConnectionCoeffs(D.p, D.m, *map(self.per_depth, (
+            D.hh_at, D.hv_at, D.vh_at, D.vv_at)))
+        self._args = (self.D, N, A, pt)
         self._torsion = None
         self._curvature = None
+
+    def per_depth(self, fn):
+        """``fn(xs, y)`` remembered per Jet nesting depth of ``y``.  A call
+        at another point raises ValueError; a call that raises stores
+        nothing.  Repeated calls return the same object: callers must not
+        mutate it."""
+        pt = self.pt
+        memo = {}
+
+        def at(xs, y):
+            depth, y0 = 0, y
+            while isinstance(y0, Jet):
+                depth, y0 = depth + 1, y0.value
+            if y0 != pt.y or tuple(map(primal, xs)) != pt.x:
+                raise ValueError(f"evaluation at {tuple(map(primal, xs))}, "
+                                 f"{y0} through the tables of {pt}")
+            if depth not in memo:
+                memo[depth] = fn(xs, y)
+            return memo[depth]
+
+        return at
 
     @property
     def torsion(self) -> TorsionComponents:
@@ -424,9 +429,9 @@ class OracleCheck:
     one point; ``finish()`` returns two CheckResults (torsion, curvature).
     """
 
-    def __init__(self, D: DConnectionCoeffs, N: NonlinearConnection,
-                 A: AlgebroidData, tol: float = 1e-8):
-        self._args = (D, N, A)
+    def __init__(self, N: NonlinearConnection, A: AlgebroidData,
+                 tol: float = 1e-8):
+        self._args = (N, A)
         self._t_tracker = ResidualTracker("oracle.torsion", tol)
         self._c_tracker = ResidualTracker("oracle.curvature", tol)
 
@@ -436,7 +441,7 @@ class OracleCheck:
     def step(self, pt: EPoint, tables: PointTables):
         tors = tables.torsion
         curv = tables.curvature
-        T, C = frame_definitions(*self._args, pt)
+        T, C = frame_definitions(tables.D, *self._args, pt)
         _oracle_point(tors, curv, T, C, pt, len(tors.Pv), self._t_tracker,
                       self._c_tracker)
 
@@ -503,7 +508,7 @@ def oracle_suite(D: DConnectionCoeffs, N: NonlinearConnection,
                  A: AlgebroidData, samples, tol: float = 1e-8):
     """:class:`OracleCheck` over the samples; returns two CheckResults
     (torsion, curvature)."""
-    return _run_points(OracleCheck(D, N, A, tol), D, N, A, samples)
+    return _run_points(OracleCheck(N, A, tol), D, N, A, samples)
 
 
 def default_test_vector(p: int, m: int) -> DVectorField:
@@ -543,9 +548,10 @@ class RicciCommutationCheck:
     field, in the order of ``fields``.
     """
 
-    def __init__(self, fields, D: DConnectionCoeffs, N: NonlinearConnection,
-                 A: AlgebroidData, tol: float = 1e-6):
-        self._fields = [(Z, _commutation_tensors(Z, D, N, A)) for Z in fields]
+    def __init__(self, fields, N: NonlinearConnection, A: AlgebroidData,
+                 tol: float = 1e-6):
+        self._fields = fields
+        self._args = (N, A)
         self._trackers = [ResidualTracker("ricci_commutation", tol)
                           for _ in fields]
 
@@ -555,7 +561,8 @@ class RicciCommutationCheck:
     def step(self, pt: EPoint, tables: PointTables):
         tors = tables.torsion
         curv = tables.curvature
-        for (Z, tensors), tracker in zip(self._fields, self._trackers):
+        for Z, tracker in zip(self._fields, self._trackers):
+            tensors = _commutation_tensors(Z, tables.D, *self._args)
             _commutation_point(Z, tensors, tors, curv, pt, tracker)
 
 
@@ -617,7 +624,7 @@ def check_ricci_commutation(Z: DVectorField, D: DConnectionCoeffs,
                             N: NonlinearConnection, A: AlgebroidData,
                             samples, tol: float = 1e-6) -> CheckResult:
     """:class:`RicciCommutationCheck` of one test field over the samples."""
-    check = RicciCommutationCheck([Z], D, N, A, tol)
+    check = RicciCommutationCheck([Z], N, A, tol)
     return _run_points(check, D, N, A, samples)[0]
 
 
@@ -631,27 +638,11 @@ class BianchiCheck:
     ``finish()`` returns the four CheckResults.
     """
 
-    def __init__(self, D: DConnectionCoeffs, N: NonlinearConnection,
-                 A: AlgebroidData, tol: float = 1e-5):
-        p, m = D.p, A.m
+    def __init__(self, N: NonlinearConnection, A: AlgebroidData,
+                 tol: float = 1e-5):
+        self._N, self._A = N, A
         self._trackers = [ResidualTracker(name, tol) for name in (
             "bianchi1_h", "bianchi1_v", "bianchi2_h", "bianchi2_v")]
-        # Thh and Tv (Rh and Rv) are differentiated at the same seeded
-        # point, so they read one remembered component evaluation.
-        tors_at = memo_point(
-            lambda xs, y: torsion_components_at(D, N, A, xs, y))
-        curv_at = memo_point(
-            lambda xs, y: curvature_components_at(D, N, A, xs, y))
-        Thh_T = DTensorField(p, m, 1, 2, 0, 0,
-                             lambda xs, y: tors_at(xs, y)["Thh"])
-        Tv_T = DTensorField(p, m, 0, 2, 1, 0,
-                            lambda xs, y: tors_at(xs, y)["Tv"])
-        Rh_T = DTensorField(p, m, 1, 3, 0, 0,
-                            lambda xs, y: curv_at(xs, y)["Rh"])
-        Rv_T = DTensorField(p, m, 0, 2, 1, 1,
-                            lambda xs, y: curv_at(xs, y)["Rv"])
-        self._derivs = [h_cov_deriv(T, A, N, D)
-                        for T in (Thh_T, Tv_T, Rh_T, Rv_T)]
 
     def finish(self):
         return [tracker.result() for tracker in self._trackers]
@@ -665,8 +656,24 @@ class BianchiCheck:
         Rh, Rv = curv.Rh, curv.Rv
         Pch, Pcv = curv.Ph, curv.Pv
         p = len(Pvt)
-        dThh, dTv, dRh, dRv = (_primal_tree(T.values_at(pt.x, pt.y))
-                               for T in self._derivs)
+        D, N, A = tables.D, self._N, self._A
+        # Thh and Tv (Rh and Rv) are differentiated at the same seeded
+        # point, so they read one component evaluation.
+        tors_at = tables.per_depth(
+            lambda xs, y: torsion_components_at(D, N, A, xs, y))
+        curv_at = tables.per_depth(
+            lambda xs, y: curvature_components_at(D, N, A, xs, y))
+        tensors = (DTensorField(p, A.m, 1, 2, 0, 0,
+                                lambda xs, y: tors_at(xs, y)["Thh"]),
+                   DTensorField(p, A.m, 0, 2, 1, 0,
+                                lambda xs, y: tors_at(xs, y)["Tv"]),
+                   DTensorField(p, A.m, 1, 3, 0, 0,
+                                lambda xs, y: curv_at(xs, y)["Rh"]),
+                   DTensorField(p, A.m, 0, 2, 1, 1,
+                                lambda xs, y: curv_at(xs, y)["Rv"]))
+        dThh, dTv, dRh, dRv = (
+            map_nested(primal, h_cov_deriv(T, A, N, D).values_at(pt.x, pt.y))
+            for T in tensors)
 
         for b in range(p):
             for c in range(p):
@@ -717,4 +724,4 @@ def check_bianchi(D: DConnectionCoeffs, N: NonlinearConnection,
                   A: AlgebroidData, samples, tol: float = 1e-5):
     """:class:`BianchiCheck` over the samples; returns the four
     CheckResults."""
-    return _run_points(BianchiCheck(D, N, A, tol), D, N, A, samples)
+    return _run_points(BianchiCheck(N, A, tol), D, N, A, samples)

@@ -17,17 +17,16 @@ so they nest to the third order exactly.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
 from .calculus import (
     EPoint,
-    Jet,
     SmoothField,
     jdx,
     jdy,
     jval,
+    map_nested,
     primal,
     seeded_point,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "frame_derivatives",
     "frame_contract",
     "cov_deriv_along",
-    "memo_point",
     "bracket_pairs",
     "bracket_d_vectors",
     "frame_h",
@@ -94,78 +92,6 @@ class DConnectionCoeffs:
     def all_at(self, xs, y):
         return [self.hh_at(xs, y), self.hv_at(xs, y),
                 self.vh_at(xs, y), self.vv_at(xs, y)]
-
-    def memoised(self) -> "DConnectionCoeffs":
-        """The same coefficients, each family remembering its results at
-        one base point.
-
-        For callers that evaluate the same point repeatedly: the identity
-        suites nest covariant derivatives, and every nested level asks
-        for the coefficients again at the same (possibly seeded) point.
-        A family's memo is keyed on the exact input: floats compare
-        bitwise (0.0 and -0.0 differ, NaN never hits) and Jets compare
-        recursively.  It holds entries for one base point (the primal
-        coordinates) and is emptied by a call at another; a call that
-        raises stores nothing.  The memo lives in the returned closures,
-        not on either object, so no reference cycle keeps them alive.
-
-        Repeated calls return the same nested lists: callers must not
-        mutate them.
-        """
-        return DConnectionCoeffs(
-            self.p, self.m, memo_point(self.hh_at), memo_point(self.hv_at),
-            memo_point(self.vh_at), memo_point(self.vv_at))
-
-
-class _Uncacheable(Exception):
-    """Raised while building a memo key that contains a NaN."""
-
-
-def _key(s):
-    """Hashable key equal for bitwise-equal floats and Jet trees."""
-    if isinstance(s, Jet):
-        return (_key(s.value), tuple(map(_key, s.dx)), _key(s.dy))
-    if s != s:
-        raise _Uncacheable
-    if s == 0.0 and math.copysign(1.0, s) < 0.0:
-        return "-0.0"
-    return s
-
-
-def _primal_key(k):
-    """The key of the primal value, from the key of a scalar."""
-    while type(k) is tuple:
-        k = k[0]
-    return k
-
-
-def memo_point(fn):
-    """``fn(xs, y)`` remembered for the latest base point.
-
-    Keys and lifetime are those of :meth:`DConnectionCoeffs.memoised`;
-    callers must not mutate the returned values."""
-    base = None
-    cache = {}
-
-    def at(xs, y):
-        nonlocal base
-        try:
-            key = (tuple(map(_key, xs)), _key(y))
-        except _Uncacheable:
-            return fn(xs, y)
-        here = (tuple(map(_primal_key, key[0])), _primal_key(key[1]))
-        if here != base:
-            cache.clear()
-            base = here
-        else:
-            out = cache.get(key)
-            if out is not None:
-                return out
-        out = fn(xs, y)
-        cache[key] = out
-        return out
-
-    return at
 
 
 def berwald(N: NonlinearConnection, m: int) -> DConnectionCoeffs:
@@ -213,25 +139,9 @@ class DTensorField:
     def from_fields(p, m, rh, sh, fields, rv=0, sv=0) -> "DTensorField":
         """``fields``: nested list of SmoothFields, depth rh+sh."""
 
-        def values_at(xs, y):
-            def build(node):
-                if isinstance(node, (list, tuple)):
-                    return [build(v) for v in node]
-                return node(xs, y)
-
-            return build(fields)
-
-        return DTensorField(p, m, rh, sh, rv, sv, values_at)
-
-    def value(self, xs, y, idx=()):
-        out = self.values_at(xs, y)
-        for k in idx:
-            out = out[k]
-        return out
-
-    def component(self, idx=()) -> SmoothField:
-        """One component as a SmoothField (evaluates the whole block)."""
-        return SmoothField(lambda xs, y: self.value(xs, y, idx), self.m)
+        return DTensorField(
+            p, m, rh, sh, rv, sv,
+            lambda xs, y: map_nested(lambda f: f(xs, y), fields))
 
 
 def _get(values, idx):
@@ -241,14 +151,13 @@ def _get(values, idx):
     return out
 
 
-def _nest(p, rank, fill):
-    if rank == 0:
-        return fill(())
-    def build(prefix):
-        if len(prefix) == rank:
-            return fill(prefix)
-        return [build(prefix + (k,)) for k in range(p)]
-    return build(())
+def _nest(p, rank, fill, prefix=()):
+    """``fill(idx)`` for every index tuple of length ``rank``, as nested
+    lists.  Module-level recursion, so no closure cycle keeps ``fill`` (and
+    what it holds) alive after the call."""
+    if len(prefix) == rank:
+        return fill(prefix)
+    return [_nest(p, rank, fill, prefix + (k,)) for k in range(p)]
 
 
 def h_cov_deriv(T: DTensorField, A: AlgebroidData, N: NonlinearConnection,
@@ -297,14 +206,8 @@ def v_cov_deriv(T: DTensorField, A: AlgebroidData,
     def values_at(xs, y):
         jxs, jy = seeded_point(xs, y)
         out = T.values_at(jxs, jy)
-
-        def mapv(node, fn):
-            if isinstance(node, list):
-                return [mapv(v, fn) for v in node]
-            return fn(node)
-
-        vals = mapv(out, jval)
-        ddy = mapv(out, jdy)
+        vals = map_nested(jval, out)
+        ddy = map_nested(jdy, out)
         Vh = D.vh_at(xs, y)
         Vv = D.vv_at(xs, y)
         vweight = T.rv - T.sv
@@ -573,15 +476,17 @@ def check_dconnection_transformation(D: DConnectionCoeffs,
                 for row in D_primed.vh_at(pushed.x, pushed.y)]
         Vv_p = primal(D_primed.vv_at(pushed.x, pushed.y))
 
+        # bracket[bp][a][g] does not depend on a' or g'.
+        bracket = [[[primal(inv_delta[g][a][bp]) + sum(
+                         Hh[a][b][g] * lam_inv[b][bp] for b in range(p))
+                     for g in range(p)] for a in range(p)] for bp in range(p)]
         for ap in range(p):
             for bp in range(p):
                 for gp in range(p):
                     rhs = 0.0
                     for a in range(p):
                         for g in range(p):
-                            bracket = primal(inv_delta[g][a][bp]) + sum(
-                                Hh[a][b][g] * lam_inv[b][bp] for b in range(p))
-                            rhs += lam[ap][a] * bracket * lam_inv[g][gp]
+                            rhs += lam[ap][a] * bracket[bp][a][g] * lam_inv[g][gp]
                     tracker.update(Hh_p[ap][bp][gp] - rhs, pt)
         for gp in range(p):
             rhs = 0.0

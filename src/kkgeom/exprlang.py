@@ -21,9 +21,8 @@ import re
 from dataclasses import dataclass
 
 from .calculus import (
-    EvaluationDomainError,
-    Jet,
     SmoothField,
+    _jdiv,
     fabs_,
     fcos,
     fexp,
@@ -331,23 +330,13 @@ def _codegen(node: Expr) -> str:
         if node.op == "^":
             return f"fpow({a}, {b})"
         if node.op == "/":
-            return f"_div({a}, {b})"
+            return f"_jdiv({a}, {b})"
         return f"({a}{node.op}{b})"
     raise TypeError(f"not an Expr node: {node!r}")
 
 
-def _div(a, b):
-    if isinstance(a, Jet) or isinstance(b, Jet):
-        if not isinstance(a, Jet):
-            a = Jet(a, (0.0,) * len(b.dx), 0.0)
-        return a / b
-    if b == 0.0:
-        raise EvaluationDomainError("division by zero")
-    return a / b
-
-
 _ENV = {"fsin": fsin, "fcos": fcos, "ftan": ftan, "fexp": fexp, "flog": flog,
-        "fsqrt": fsqrt, "fabs_": fabs_, "fpow": fpow, "_div": _div,
+        "fsqrt": fsqrt, "fabs_": fabs_, "fpow": fpow, "_jdiv": _jdiv,
         "__builtins__": {}}
 
 

@@ -233,23 +233,27 @@ def _metric_tensors(G: MetricStructure, m: int):
 class CompatibilityCheck:
     """The four covariant-constancy residual families: horizontal and
     vertical derivatives of both metric blocks.  ``step(pt, tables)``
-    checks one point (it needs no component tables); ``finish()`` returns
-    the one CheckResult, as a list."""
+    checks one point (it reads only the point's coefficients
+    ``tables.D``); ``finish()`` returns the one CheckResult, as a list."""
 
-    def __init__(self, G: MetricStructure, D: DConnectionCoeffs,
-                 A: AlgebroidData, N: NonlinearConnection, tol: float = 1e-9):
+    def __init__(self, G: MetricStructure, A: AlgebroidData,
+                 N: NonlinearConnection, tol: float = 1e-9):
         self._p = G.p
+        self._A, self._N = A, N
         self._tracker = ResidualTracker("compatibility", tol)
-        g_T, g00_T = _metric_tensors(G, A.m)
-        self._derivs = (h_cov_deriv(g_T, A, N, D), v_cov_deriv(g_T, A, D),
-                        h_cov_deriv(g00_T, A, N, D), v_cov_deriv(g00_T, A, D))
+        self._tensors = _metric_tensors(G, A.m)
 
     def finish(self):
         return [self._tracker.result()]
 
-    def step(self, pt: EPoint, tables=None):
+    def step(self, pt: EPoint, tables):
         tracker, p = self._tracker, self._p
-        vh, vv, v0h, v0v = (T.values_at(pt.x, pt.y) for T in self._derivs)
+        A, N, D = self._A, self._N, tables.D
+        g_T, g00_T = self._tensors
+        vh, vv, v0h, v0v = (
+            T.values_at(pt.x, pt.y) for T in (
+                h_cov_deriv(g_T, A, N, D), v_cov_deriv(g_T, A, D),
+                h_cov_deriv(g00_T, A, N, D), v_cov_deriv(g00_T, A, D)))
         for a in range(p):
             for b in range(p):
                 for c in range(p):
@@ -264,11 +268,8 @@ def compatibility_check(G: MetricStructure, D: DConnectionCoeffs,
                         A: AlgebroidData, N: NonlinearConnection, samples,
                         tol: float = 1e-9) -> CheckResult:
     """Max over samples of :class:`CompatibilityCheck`'s residuals."""
-    check = CompatibilityCheck(G, D, A, N, tol)
-    for pt in samples:
-        with at_point(pt):
-            check.step(pt)
-    return check.finish()[0]
+    from .curvature import _run_points
+    return _run_points(CompatibilityCheck(G, A, N, tol), D, N, A, samples)[0]
 
 
 def riemannian_flags(G: MetricStructure, samples, tol: float = 1e-12):

@@ -36,6 +36,7 @@ __all__ = [
     "h_derivative",
     "nlc_curvature",
     "nlc_curvature_at",
+    "bracket_curvature",
     "check_nlc_transformation",
     "bracket_residual",
 ]
@@ -110,12 +111,18 @@ def nlc_curvature_at(A: AlgebroidData, N: NonlinearConnection, xs, y):
     + L[g][alpha][beta] Gamma_g, antisymmetric; generic over Jets."""
     vals, delta, _ = adapted_derivatives(lambda jxs, jy: N.gamma_at(jxs, jy),
                                          xs, y, A, N)
-    Lv = A.L_at(xs)
-    p = A.p
+    return bracket_curvature(vals, delta, A.L_at(xs))
+
+
+def bracket_curvature(gam, gam_delta, Lv):
+    """The bracket curvature R[alpha][beta] from the Gamma values, their
+    adapted derivatives ``gam_delta[beta][alpha]`` and the bracket table,
+    for callers that already differentiated Gamma."""
+    p = len(gam)
     return [
         [
-            delta[b][a] - delta[a][b]
-            + sum(Lv[g][a][b] * vals[g] for g in range(p))
+            gam_delta[b][a] - gam_delta[a][b]
+            + sum(Lv[g][a][b] * gam[g] for g in range(p))
             for b in range(p)
         ]
         for a in range(p)
@@ -292,11 +299,10 @@ def check_nlc_transformation(N: NonlinearConnection, N_primed: NonlinearConnecti
         gam = [primal(v) for v in N.gamma_at(pt.x, pt.y)]
         pushed = C.push(pt)
         gam_p = [primal(v) for v in N_primed.gamma_at(pushed.x, pushed.y)]
+        rho_dphi = [sum(rho[g][k] * dphi[k] for k in range(A.m))
+                    for g in range(p)]
         for gp in range(p):
-            rhs = sum(
-                (-sum(rho[g][k] * dphi[k] for k in range(A.m)) * pt.y
-                 + phi * gam[g]) * lam_inv[g][gp]
-                for g in range(p)
-            )
+            rhs = sum((-rho_dphi[g] * pt.y + phi * gam[g]) * lam_inv[g][gp]
+                      for g in range(p))
             tracker.update(gam_p[gp] - rhs, pt)
     return tracker.result()

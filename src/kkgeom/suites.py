@@ -251,25 +251,23 @@ _NEEDS_METRIC = {
 
 
 def _point_checks(sc: Scenario, names, tols):
-    """The per-point check of each memo-sharing suite in ``names``, all on
-    one memoised coefficient set."""
-    D = sc.dconnection().memoised()
+    """The per-point check of each table-sharing suite in ``names``."""
     A, N = sc.algebroid, sc.connection
     checks = {}
     for name in names:
         if name == "oracle":
-            checks[name] = OracleCheck(D, N, A, tols[name])
+            checks[name] = OracleCheck(N, A, tols[name])
         elif name == "ricci-commutation":
             Z2 = DVectorField(sc.p,
                               lambda xs, y: [1.0] + [0.0] * (sc.p - 1),
                               lambda xs, y: 1.0)
             checks[name] = RicciCommutationCheck(
-                [default_test_vector(sc.p, sc.m), Z2], D, N, A, tols[name])
+                [default_test_vector(sc.p, sc.m), Z2], N, A, tols[name])
         elif name == "bianchi":
-            checks[name] = BianchiCheck(D, N, A, tols[name])
+            checks[name] = BianchiCheck(N, A, tols[name])
         elif name == "compatibility":
-            checks[name] = CompatibilityCheck(sc.metric, D, A, N, tols[name])
-    return D, checks
+            checks[name] = CompatibilityCheck(sc.metric, A, N, tols[name])
+    return checks
 
 
 def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
@@ -279,9 +277,9 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
     The identity suites (oracle, ricci-commutation, bianchi, compatibility)
     run point-major.  ``sample_points`` is prefix-stable, so one draw of the
     largest sample count gives every suite its points: at point k, each
-    suite whose sample count is above k runs its step there.  They share one
-    memoised coefficient set, whose memo holds the current point, and one
-    lazily computed float torsion/curvature table; ``seconds`` charges that
+    suite whose sample count is above k runs its step there.  They share the
+    point's :class:`PointTables` (coefficients once per derivative depth,
+    float torsion/curvature components once); ``seconds`` charges that
     shared work to the first suite that runs at a point.  The transformation
     suite builds its own connections and runs afterwards.
     """
@@ -301,8 +299,8 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
 
     shared = [name for name in names if name != "transformation"]
     if shared:
-        D, checks = _point_checks(sc, shared, tols)
-        A, N = sc.algebroid, sc.connection
+        checks = _point_checks(sc, shared, tols)
+        D, A, N = sc.dconnection(), sc.algebroid, sc.connection
         for k, pt in enumerate(pts):
             tables = PointTables(D, N, A, pt)
             for name, check in checks.items():

@@ -253,7 +253,7 @@ def test_transformation_fiber_scaling():
     assert res.max_residual <= 1e-12
 
 
-# -- memoised coefficient evaluators ------------------------------------------
+# -- per-point coefficient tables ---------------------------------------------
 
 
 def _metric_connection(make):
@@ -269,6 +269,12 @@ def _seeded(pt, depth):
     return xs, y
 
 
+def _point_coeffs(D, pt):
+    """``PointTables(...).D`` at pt; its torsion and curvature are not read."""
+    from kkgeom.curvature import PointTables
+    return PointTables(D, None, None, pt).D
+
+
 @pytest.mark.parametrize("build", [
     lambda: _metric_connection(make_d1),
     lambda: _metric_connection(make_vdep),
@@ -276,17 +282,14 @@ def _seeded(pt, depth):
 ], ids=["d1", "vdep", "explicit"])
 def test_memoised_values_bitwise_equal(build):
     D = build()
-    M = D.memoised()
-    assert (M.p, M.m) == (D.p, D.m)
-    # repeated calls at each depth, then interleaved points and depths
-    calls = [(pt, depth) for pt in PTS[:2] for depth in (0, 1, 2)
-             for _ in range(2)]
-    calls += [(PTS[k % 3], depth) for k, depth in
-              enumerate((0, 2, 1, 0, 1, 2, 2, 0, 1))]
-    for pt, depth in calls:
-        xs, y = _seeded(pt, depth)
-        # repr prints every float exactly (and -0.0 as such)
-        assert repr(M.all_at(xs, y)) == repr(D.all_at(xs, y))
+    orders = ((0, 1, 2, 0, 1, 2), (2, 0, 1, 1, 2, 0), (1, 2, 2, 0, 0, 1))
+    for pt, order in zip(PTS, orders):
+        M = _point_coeffs(D, pt)
+        assert (M.p, M.m) == (D.p, D.m)
+        for depth in order:
+            xs, y = _seeded(pt, depth)
+            # repr prints every float exactly (and -0.0 as such)
+            assert repr(M.all_at(xs, y)) == repr(D.all_at(xs, y))
 
 
 def _depth(s):
@@ -330,8 +333,9 @@ def test_memoised_suites_evaluate_each_point_and_depth_once(
 
 
 def test_check_all_evaluates_each_point_and_depth_once(monkeypatch, capsys):
-    """The four memo-sharing suites of ``check --suite all`` run point-major
-    on one memo: each family once per (point, depth) over all of them."""
+    """The four table-sharing suites of ``check --suite all`` run point-major
+    on one ``PointTables`` per point: each family once per (point, depth)
+    over all of them."""
     from conftest import SCENARIO_DIR
     from kkgeom.cli import main
     from kkgeom.scenario import Scenario
@@ -383,54 +387,112 @@ def _counting_coeffs(calls, fail=False):
 
 
 def test_memo_holds_one_base_point():
+    """The tables of a point evaluate each family once per depth there and
+    refuse every other point, whatever its depth."""
     calls = Counter()
-    M = _counting_coeffs(calls).memoised()
     a, b = PTS[0], PTS[1]
-    M.hh_at(a.x, a.y)
-    M.hh_at(*seeded_point(a.x, a.y))
-    M.hh_at(a.x, a.y)
-    M.hh_at(*seeded_point(a.x, a.y))
+    M = _point_coeffs(_counting_coeffs(calls), a)
+    for _ in range(2):
+        M.hh_at(a.x, a.y)
+        M.hh_at(*seeded_point(a.x, a.y))
     assert calls["hh"] == 2
-    M.hh_at(b.x, b.y)
-    M.hh_at(a.x, a.y)
-    assert calls["hh"] == 4
+    for xs, y in ((b.x, b.y), seeded_point(b.x, b.y), (a.x, b.y),
+                  ((a.x[0], b.x[1]), a.y)):
+        with pytest.raises(ValueError):
+            M.hh_at(xs, y)
+    assert calls["hh"] == 2
     assert calls["hv"] == calls["vh"] == calls["vv"] == 0
 
 
-def test_memo_keys_are_bitwise():
-    calls = Counter()
-    M = _counting_coeffs(calls).memoised()
-    M.vv_at((0.0, 0.3), 0.5)
-    M.vv_at((-0.0, 0.3), 0.5)
-    M.vv_at((0.0, 0.3), 0.5)
-    assert calls["vv"] == 3
-    nan = float("nan")
-    M.vv_at((nan, 0.3), 0.5)
-    M.vv_at((nan, 0.3), 0.5)
-    assert calls["vv"] == 5
+def test_point_tables_are_freed_by_refcount(d1):
+    """No closure cycle keeps a point's tables alive after the suites'
+    steps there, so one point's remembered evaluations are gone before the
+    next point's are made."""
+    from kkgeom.curvature import (BianchiCheck, OracleCheck, PointTables,
+                                  RicciCommutationCheck, default_test_vector)
+    from kkgeom.metric import CompatibilityCheck, canonical_metric_dconnection
+    A, N, G = d1
+    checks = (OracleCheck(N, A), BianchiCheck(N, A),
+              RicciCommutationCheck([default_test_vector(2, 2)], N, A),
+              CompatibilityCheck(G, A, N))
+    gc.disable()
+    try:
+        tables = PointTables(canonical_metric_dconnection(G, A, N), N, A,
+                             PTS[0])
+        for check in checks:
+            check.step(PTS[0], tables)
+        ref = weakref.ref(tables.D)
+        del tables
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_memo_does_not_cache_a_raise():
     calls = Counter()
-    M = _counting_coeffs(calls, fail=True).memoised()
     pt = PTS[0]
+    M = _point_coeffs(_counting_coeffs(calls, fail=True), pt)
     for _ in range(3):
         with pytest.raises(EvaluationDomainError):
             M.hh_at(pt.x, pt.y)
     assert calls["hh"] == 3
 
 
-def test_memoised_connection_is_freed_by_refcount(d1):
-    from kkgeom.metric import canonical_metric_dconnection
-    A, N, G = d1
-    gc.disable()
-    try:
-        M = canonical_metric_dconnection(G, A, N).memoised()
-        pt = PTS[0]
-        M.all_at(pt.x, pt.y)
-        M.all_at(*seeded_point(pt.x, pt.y))
-        ref = weakref.ref(M)
-        del M
-        assert ref() is None
-    finally:
-        gc.enable()
+@pytest.mark.parametrize("name", ["d1", "vdep", "berwald", "gen3_seed1"])
+def test_per_depth_serves_what_a_fresh_evaluation_gives(
+        monkeypatch, capsys, name):
+    """Under ``check --suite all`` each evaluator behind ``PointTables``
+    sees one input per depth, and every answer it serves from memory is
+    bitwise the answer of a fresh evaluation."""
+    from conftest import DATA_DIR, SCENARIO_DIR
+    from kkgeom.cli import main
+    from kkgeom.curvature import PointTables
+
+    served = []
+    original = PointTables.per_depth
+
+    def checked(self, fn):
+        at = original(self, fn)
+        inputs, calls = {}, Counter()
+
+        def check(xs, y):
+            out = at(xs, y)
+            depth = _depth(y)
+            inputs.setdefault(depth, set()).add(repr((tuple(xs), y)))
+            assert len(inputs[depth]) == 1
+            if calls[depth]:
+                served.append(depth)
+                assert repr(out) == repr(fn(xs, y))
+            calls[depth] += 1
+            return out
+        return check
+
+    monkeypatch.setattr(PointTables, "per_depth", checked)
+    path = (DATA_DIR if name.startswith("gen") else SCENARIO_DIR) / f"{name}.json"
+    assert main(["check", str(path), "--suite", "all", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert set(served) >= {0, 1, 2}
+
+
+def test_transformation_forms_each_bracket_once():
+    """The hh change law's bracket delta_g Laminv^a_{b'} + hh^a_{bg}
+    Laminv^b_{b'} depends on (a, g, b') only: at p = 2 one sample point
+    multiplies hh entries p^4 = 16 times (p^6 when it is formed inside the
+    loops over a' and g')."""
+    products = Counter()
+
+    class Counted(float):
+        def __mul__(self, other):
+            products["hh"] += 1
+            return float(self) * other
+
+    N = NonlinearConnection(2, (field("x2*y0"), field("0")))
+    D = _generic_connection()
+    D_c = DConnectionCoeffs(
+        2, 2, lambda xs, y: [[[Counted(primal(v)) for v in row] for row in hh]
+                             for hh in D.hh_at(xs, y)],
+        D.hv_at, D.vh_at, D.vv_at)
+    res = check_dconnection_transformation(D_c, D, CoordinateChange(2, 2),
+                                           A_ID, N, PTS[:3])
+    assert products["hh"] == 3 * 16
+    assert res.max_residual == 0.0

@@ -1,7 +1,10 @@
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint
+from kkgeom.calculus import EPoint, primal
 from kkgeom.nlconnection import (
     CoordinateChange,
     NonlinearConnection,
@@ -190,3 +193,24 @@ def test_adapted_derivatives_match_one_walk_per_output(case):
                 assert bits(adapted_derivatives(fn, xs, y, A, N)) == bits(
                     _walk_derivatives(fn, xs, y, A, N)), depth
             xs, y = seeded_point(xs, y)
+
+
+def test_transformation_sums_the_anchor_term_once_per_index():
+    """sum_k rho^k_g dphi/dx_k depends on g only: at p = m = 2 one sample
+    point multiplies anchor entries p m = 4 times (p^2 m when it is summed
+    again for every primed index)."""
+    products = Counter()
+
+    class Counted(float):
+        def __mul__(self, other):
+            products["rho"] += 1
+            return float(self) * other
+
+    A, N, _ = make_nonabelian()
+    A_c = SimpleNamespace(p=2, m=2, rho_at=lambda xs: [
+        [Counted(primal(v)) for v in row] for row in A.rho_at(xs)])
+    C = CoordinateChange(2, 2, fiber_scale=field("exp(0.5*x1)"))
+    res = check_nlc_transformation(N, N, C, A_c, PTS[:3])
+    assert products["rho"] == 3 * 4
+    assert res.max_residual == check_nlc_transformation(
+        N, N, C, A, PTS[:3]).max_residual
