@@ -26,7 +26,6 @@ from .algebroid import AlgebroidData
 from .calculus import EPoint, Jet, at_point, map_nested, primal
 from .dconnection import (
     DConnectionCoeffs,
-    DTensorField,
     DVectorField,
     bracket_d_vectors,
     bracket_pairs,
@@ -35,8 +34,8 @@ from .dconnection import (
     frame_derivatives,
     frame_h,
     frame_v,
-    h_cov_deriv,
-    v_cov_deriv,
+    h_cov_values,
+    v_cov_values,
 )
 from .metric import MetricStructure, inverse_h
 from .nlconnection import (
@@ -146,6 +145,41 @@ def torsion_components(D, N, A, pt: EPoint) -> TorsionComponents:
                                 for k, v in t.items()})
 
 
+def _rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
+    """The Rh and Rv families from the coefficients, the adapted
+    derivatives ``delta[g][0]`` of hh and ``delta[g][1]`` of hv, the
+    bracket curvature R and the bracket table."""
+    p = len(Hv)
+    Rh = [
+        [
+            [
+                [
+                    delta[e][0][a][b][c] - delta[c][0][a][b][e]
+                    + sum(Hh[a][t][e] * Hh[t][b][c] - Hh[a][t][c] * Hh[t][b][e]
+                          for t in range(p))
+                    + R[c][e] * Vh[a][b]
+                    + sum(Lv[t][c][e] * Hh[a][b][t] for t in range(p))
+                    for e in range(p)
+                ]
+                for c in range(p)
+            ]
+            for b in range(p)
+        ]
+        for a in range(p)
+    ]
+    Rv = [
+        [
+            delta[e][1][c] - delta[c][1][e]
+            + Hv[e] * Hv[c] - Hv[c] * Hv[e]
+            + R[c][e] * Vv
+            + sum(Lv[t][c][e] * Hv[t] for t in range(p))
+            for e in range(p)
+        ]
+        for c in range(p)
+    ]
+    return Rh, Rv
+
+
 def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
                             A: AlgebroidData, xs, y) -> dict:
     """All curvature family arrays at a point; generic over Jets.
@@ -161,44 +195,11 @@ def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
     Lv = A.L_at(xs)
     gam_vals, gam_delta, gam_dy = _gamma_derivs(A, N, xs, y)
     R = bracket_curvature(gam_vals, gam_delta, Lv)
-
-    def dlt(g, family, *idx):
-        node = delta[g][family]
-        for k in idx:
-            node = node[k]
-        return node
-
-    Rh = [
-        [
-            [
-                [
-                    dlt(e, 0, a, b, c) - dlt(c, 0, a, b, e)
-                    + sum(Hh[a][t][e] * Hh[t][b][c] - Hh[a][t][c] * Hh[t][b][e]
-                          for t in range(p))
-                    + R[c][e] * Vh[a][b]
-                    + sum(Lv[t][c][e] * Hh[a][b][t] for t in range(p))
-                    for e in range(p)
-                ]
-                for c in range(p)
-            ]
-            for b in range(p)
-        ]
-        for a in range(p)
-    ]
-    Rv = [
-        [
-            dlt(e, 1, c) - dlt(c, 1, e)
-            + Hv[e] * Hv[c] - Hv[c] * Hv[e]
-            + R[c][e] * Vv
-            + sum(Lv[t][c][e] * Hv[t] for t in range(p))
-            for e in range(p)
-        ]
-        for c in range(p)
-    ]
+    Rh, Rv = _rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv)
     Pc_h = [
         [
             [
-                dHh[a][eps][c] - dlt(c, 2, a, eps)
+                dHh[a][eps][c] - delta[c][2][a][eps]
                 + sum(Vh[a][t] * Hh[t][eps][c] - Hh[a][t][c] * Vh[t][eps]
                       for t in range(p))
                 + gam_dy[c] * Vh[a][eps]
@@ -209,7 +210,7 @@ def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
         for a in range(p)
     ]
     Pc_v = [
-        dHv[c] - dlt(c, 3) + Vv * Hv[c] - Hv[c] * Vv + gam_dy[c] * Vv
+        dHv[c] - delta[c][3] + Vv * Hv[c] - Hv[c] * Vv + gam_dy[c] * Vv
         for c in range(p)
     ]
     # The two families with a doubled vertical argument telescope to zero;
@@ -542,10 +543,10 @@ class RicciCommutationCheck:
         Z|c|b - Z|b|c         = Rh[.][.][c][b] Z + Thh[.][b][c] Z|. + Tv[b][c] Z|v
         (Z|c)|v - (Z|v)|c     = Pc_h[.][.][c] Z - Pv_t[c] Z|v - Ph_t[.][c] Z|.
 
-    with the left sides evaluated through nested covariant derivatives of
-    block tensors (full valence bookkeeping).  ``step(pt, tables)`` checks
-    every field at one point; ``finish()`` returns one CheckResult per
-    field, in the order of ``fields``.
+    with the left sides from nested differentiation of the coefficients and
+    the fields only (:func:`_commutation_values`).  ``step(pt, tables)``
+    checks every field at one point; ``finish()`` returns one CheckResult
+    per field, in the order of ``fields``.
     """
 
     def __init__(self, fields, N: NonlinearConnection, A: AlgebroidData,
@@ -561,27 +562,42 @@ class RicciCommutationCheck:
     def step(self, pt: EPoint, tables: PointTables):
         tors = tables.torsion
         curv = tables.curvature
-        for Z, tracker in zip(self._fields, self._trackers):
-            tensors = _commutation_tensors(Z, tables.D, *self._args)
+        values = _commutation_values(self._fields, tables.D, *self._args, pt)
+        for Z, tensors, tracker in zip(self._fields, values, self._trackers):
             _commutation_point(Z, tensors, tors, curv, pt, tracker)
 
 
-def _commutation_tensors(Z, D, N, A):
-    p, m = D.p, A.m
-    TZ = DTensorField(p, m, 1, 0, 0, 0, lambda xs, y: list(Z.h_at(xs, y)))
-    A1 = h_cov_deriv(TZ, A, N, D)
-    A2 = h_cov_deriv(A1, A, N, D)
-    B1 = v_cov_deriv(TZ, A, D)
-    A1v = v_cov_deriv(A1, A, D)
-    B1h = h_cov_deriv(B1, A, N, D)
+def _commutation_values(fields, D, N, A, pt):
+    """Per field Z = (h, v), at pt: ``[A2, A1, B1, A1v, B1h, C2, C1, D1,
+    C1v, D1h]`` with A1 = h(Z.h), A2 = h(A1), B1 = v(Z.h), A1v = v(A1),
+    B1h = h(B1), and C, D the same for Z.v (h/v: horizontal/vertical
+    covariant derivative).  An inner pass at the seeded point gives A1, B1,
+    C1 and D1 of every field; the outer pass their values and derivatives."""
+    def first_at(xs, y):
+        vals, delta, ddy = adapted_derivatives(
+            lambda jxs, jy: [[list(h), v] for h, v in
+                             (Z.hv_at(jxs, jy) for Z in fields)],
+            xs, y, A, N)
+        Hh, Hv, Vh, Vv = D.all_at(xs, y)
+        return [[h_cov_values(h, [d[k][0] for d in delta], 1, 0, 0, Hh, Hv),
+                 v_cov_values(h, ddy[k][0], 1, 0, 0, Vh, Vv),
+                 h_cov_values(v, [d[k][1] for d in delta], 0, 0, 1, Hh, Hv),
+                 v_cov_values(v, ddy[k][1], 0, 0, 1, Vh, Vv)]
+                for k, (h, v) in enumerate(vals)]
 
-    TY = DTensorField(p, m, 0, 0, 1, 0, lambda xs, y: Z.v_at(xs, y))
-    C1 = h_cov_deriv(TY, A, N, D)
-    C2 = h_cov_deriv(C1, A, N, D)
-    D1 = v_cov_deriv(TY, A, D)
-    C1v = v_cov_deriv(C1, A, D)
-    D1h = h_cov_deriv(D1, A, N, D)
-    return A2, A1, B1, A1v, B1h, C2, C1, D1, C1v, D1h
+    vals, delta, ddy = adapted_derivatives(first_at, pt.x, pt.y, A, N)
+    Hh, Hv, Vh, Vv = D.all_at(pt.x, pt.y)
+    out = []
+    for k, (a1, b1, c1, d1) in enumerate(vals):
+        dk = [d[k] for d in delta]
+        out.append([
+            h_cov_values(a1, [d[0] for d in dk], 1, 1, 0, Hh, Hv), a1, b1,
+            v_cov_values(a1, ddy[k][0], 1, 1, 0, Vh, Vv),
+            h_cov_values(b1, [d[1] for d in dk], 1, 0, -1, Hh, Hv),
+            h_cov_values(c1, [d[2] for d in dk], 0, 1, 1, Hh, Hv), c1, d1,
+            v_cov_values(c1, ddy[k][2], 0, 1, 1, Vh, Vv),
+            h_cov_values(d1, [d[3] for d in dk], 0, 0, 0, Hh, Hv)])
+    return out
 
 
 def _commutation_point(Z, tensors, tors, curv, pt, tracker):
@@ -589,8 +605,7 @@ def _commutation_point(Z, tensors, tors, curv, pt, tracker):
     zh_raw, yv_raw = Z.hv_at(pt.x, pt.y)
     Zh = [primal(v) for v in zh_raw]
     Yv = primal(yv_raw)
-    a2, a1, b1, a1v, b1h, c2, c1, d1, c1v, d1h = (
-        T.values_at(pt.x, pt.y) for T in tensors)
+    a2, a1, b1, a1v, b1h, c2, c1, d1, c1v, d1h = tensors
     for al in range(p):
         for c in range(p):
             for b in range(p):
@@ -656,24 +671,7 @@ class BianchiCheck:
         Rh, Rv = curv.Rh, curv.Rv
         Pch, Pcv = curv.Ph, curv.Pv
         p = len(Pvt)
-        D, N, A = tables.D, self._N, self._A
-        # Thh and Tv (Rh and Rv) are differentiated at the same seeded
-        # point, so they read one component evaluation.
-        tors_at = tables.per_depth(
-            lambda xs, y: torsion_components_at(D, N, A, xs, y))
-        curv_at = tables.per_depth(
-            lambda xs, y: curvature_components_at(D, N, A, xs, y))
-        tensors = (DTensorField(p, A.m, 1, 2, 0, 0,
-                                lambda xs, y: tors_at(xs, y)["Thh"]),
-                   DTensorField(p, A.m, 0, 2, 1, 0,
-                                lambda xs, y: tors_at(xs, y)["Tv"]),
-                   DTensorField(p, A.m, 1, 3, 0, 0,
-                                lambda xs, y: curv_at(xs, y)["Rh"]),
-                   DTensorField(p, A.m, 0, 2, 1, 1,
-                                lambda xs, y: curv_at(xs, y)["Rv"]))
-        dThh, dTv, dRh, dRv = (
-            map_nested(primal, h_cov_deriv(T, A, N, D).values_at(pt.x, pt.y))
-            for T in tensors)
+        dThh, dTv, dRh, dRv = _bianchi_values(tables.D, self._N, self._A, pt)
 
         for b in range(p):
             for c in range(p):
@@ -718,6 +716,27 @@ class BianchiCheck:
                         acc += sum(Thh[mu][yy][x] * Rv[z][mu] for mu in range(p))
                         acc += Tv[yy][x] * Pcv[z]
                     t2v.update(acc, pt)
+
+
+def _bianchi_values(D, N, A, pt):
+    """The horizontal covariant derivatives of Thh, Tv, Rh and Rv at pt,
+    from one derivative pass over the four.  At its seeded point, Rh and
+    Rv take the derivatives of hh and hv from one pass over those two, and
+    read vh, vv and R there."""
+    def tensors_at(xs, y):
+        (Hh, Hv), delta, _ = adapted_derivatives(
+            lambda jxs, jy: [D.hh_at(jxs, jy), D.hv_at(jxs, jy)], xs, y, A, N)
+        tors = torsion_components_at(D, N, A, xs, y)
+        Rh, Rv = _rh_rv(Hh, Hv, tors["Ph"], D.vv_at(xs, y), delta,
+                        tors["Tv"], A.L_at(xs))
+        return [tors["Thh"], tors["Tv"], Rh, Rv]
+
+    vals, delta, _ = adapted_derivatives(tensors_at, pt.x, pt.y, A, N)
+    Hh, Hv = D.hh_at(pt.x, pt.y), D.hv_at(pt.x, pt.y)
+    # valences (rh, sh, rv - sv) of Thh, Tv, Rh, Rv
+    return [h_cov_values(vals[k], [d[k] for d in delta], rh, sh, w, Hh, Hv)
+            for k, (rh, sh, w) in enumerate(
+                ((1, 2, 0), (0, 2, 1), (1, 3, 0), (0, 2, 0)))]
 
 
 def check_bianchi(D: DConnectionCoeffs, N: NonlinearConnection,

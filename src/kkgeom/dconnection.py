@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .algebroid import AlgebroidData
 from .calculus import (
@@ -44,6 +45,8 @@ __all__ = [
     "berwald",
     "h_cov_deriv",
     "v_cov_deriv",
+    "h_cov_values",
+    "v_cov_values",
     "tensor_product",
     "frame_derivatives",
     "frame_contract",
@@ -160,79 +163,93 @@ def _nest(p, rank, fill, prefix=()):
     return [_nest(p, rank, fill, prefix + (k,)) for k in range(p)]
 
 
+def _flat(node, rank):
+    """The leaves of a nested list of depth ``rank``, in index order."""
+    flat = [node]
+    for _ in range(rank):
+        flat = [v for sub in flat for v in sub]
+    return flat
+
+
+def _nested(flat, p, rank):
+    """Inverse of :func:`_flat`."""
+    for _ in range(rank):
+        flat = [flat[i:i + p] for i in range(0, len(flat), p)]
+    return flat[0]
+
+
+def _leibniz(base, flat, rh, rank, up, down, vweight, vcoeff):
+    """``base`` plus the Leibniz terms of the tensor T with leaves ``flat``
+    (both in index order), its first ``rh`` of ``rank`` slots
+    contravariant: per slot k, ``+ sum_th up[i_k][th] T[.., th, ..]`` or
+    ``- sum_th down[i_k][th] T[.., th, ..]``, then ``+ vweight * vcoeff *
+    T``.  T is read through strided slices of ``flat``."""
+    p = len(up)
+    out = []
+    for i, idx in enumerate(itertools.product(range(p), repeat=rank)):
+        acc = base[i]
+        for k, ik in enumerate(idx):
+            st = p ** (rank - 1 - k)
+            terms = flat[i - ik * st:i + (p - ik) * st:st]
+            if k < rh:
+                acc = acc + sum(map(mul, up[ik], terms))
+            else:
+                acc = acc - sum(map(mul, down[ik], terms))
+        if vweight:
+            acc = acc + vweight * vcoeff * flat[i]
+        out.append(acc)
+    return out
+
+
+def h_cov_values(vals, delta, rh, sh, vweight, Hh, Hv):
+    """The horizontal covariant derivative of a block tensor of horizontal
+    valence (rh, sh) and vertical weight ``rv - sv``, from its values and
+    adapted derivatives ``delta[g]``: delta_g T plus the hh and hv Leibniz
+    terms, the direction g appended last."""
+    p, rank = len(Hv), rh + sh
+    flat = _flat(vals, rank)
+    per_g = [_leibniz(_flat(delta[g], rank), flat, rh, rank,
+                      [[Hh[a][th][g] for th in range(p)] for a in range(p)],
+                      [[Hh[th][b][g] for th in range(p)] for b in range(p)],
+                      vweight, Hv[g]) for g in range(p)]
+    return _nested([v for row in zip(*per_g) for v in row], p, rank + 1)
+
+
+def v_cov_values(vals, ddy, rh, sh, vweight, Vh, Vv):
+    """The vertical covariant derivative, as :func:`h_cov_values`, from the
+    values and fiber derivatives ``ddy``: d/dy0 T plus the vh and vv
+    Leibniz terms."""
+    rank = rh + sh
+    return _nested(_leibniz(_flat(ddy, rank), _flat(vals, rank), rh, rank,
+                            Vh, list(zip(*Vh)), vweight, Vv), len(Vh), rank)
+
+
 def h_cov_deriv(T: DTensorField, A: AlgebroidData, N: NonlinearConnection,
                 D: DConnectionCoeffs) -> DTensorField:
     """Horizontal covariant derivative; the new covariant horizontal index
     (the direction) is appended last."""
-    p = T.p
 
     def values_at(xs, y):
-        vals, delta, _ = adapted_derivatives(
-            lambda jxs, jy: T.values_at(jxs, jy), xs, y, A, N)
-        Hh = D.hh_at(xs, y)
-        Hv = D.hv_at(xs, y)
-        vweight = T.rv - T.sv
+        vals, delta, _ = adapted_derivatives(T.values_at, xs, y, A, N)
+        return h_cov_values(vals, delta, T.rh, T.sh, T.rv - T.sv,
+                            D.hh_at(xs, y), D.hv_at(xs, y))
 
-        def fill(full_idx):
-            idx, g = full_idx[:-1], full_idx[-1]
-            out = _get(delta[g], idx)
-            for k in range(T.rh):
-                ak = idx[k]
-                out = out + sum(
-                    Hh[ak][th][g] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
-                    for th in range(p)
-                )
-            for k in range(T.rh, T.rh + T.sh):
-                bk = idx[k]
-                out = out - sum(
-                    Hh[th][bk][g] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
-                    for th in range(p)
-                )
-            if vweight:
-                out = out + vweight * Hv[g] * _get(vals, idx)
-            return out
-
-        return _nest(p, T.h_rank + 1, fill)
-
-    return DTensorField(p, T.m, T.rh, T.sh + 1, T.rv, T.sv, values_at)
+    return DTensorField(T.p, T.m, T.rh, T.sh + 1, T.rv, T.sv, values_at)
 
 
 def v_cov_deriv(T: DTensorField, A: AlgebroidData,
                 D: DConnectionCoeffs) -> DTensorField:
     """Vertical covariant derivative; adds one covariant vertical slot
     (no new array axis)."""
-    p = T.p
 
     def values_at(xs, y):
         jxs, jy = seeded_point(xs, y)
         out = T.values_at(jxs, jy)
-        vals = map_nested(jval, out)
-        ddy = map_nested(jdy, out)
-        Vh = D.vh_at(xs, y)
-        Vv = D.vv_at(xs, y)
-        vweight = T.rv - T.sv
+        return v_cov_values(map_nested(jval, out), map_nested(jdy, out),
+                            T.rh, T.sh, T.rv - T.sv,
+                            D.vh_at(xs, y), D.vv_at(xs, y))
 
-        def fill(idx):
-            acc = _get(ddy, idx)
-            for k in range(T.rh):
-                ak = idx[k]
-                acc = acc + sum(
-                    Vh[ak][th] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
-                    for th in range(p)
-                )
-            for k in range(T.rh, T.rh + T.sh):
-                bk = idx[k]
-                acc = acc - sum(
-                    Vh[th][bk] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
-                    for th in range(p)
-                )
-            if vweight:
-                acc = acc + vweight * Vv * _get(vals, idx)
-            return acc
-
-        return _nest(p, T.h_rank, fill)
-
-    return DTensorField(p, T.m, T.rh, T.sh, T.rv, T.sv + 1, values_at)
+    return DTensorField(T.p, T.m, T.rh, T.sh, T.rv, T.sv + 1, values_at)
 
 
 def tensor_product(S: DTensorField, T: DTensorField) -> DTensorField:

@@ -29,10 +29,9 @@ from .calculus import (
 )
 from .dconnection import (
     DConnectionCoeffs,
-    DTensorField,
     berwald,
-    h_cov_deriv,
-    v_cov_deriv,
+    h_cov_values,
+    v_cov_values,
 )
 from .nlconnection import NonlinearConnection, adapted_derivatives
 from .report import CheckResult, ResidualTracker
@@ -224,36 +223,40 @@ def canonical_metric_dconnection(G: MetricStructure, A: AlgebroidData,
     return metric_dconnection(G, berwald(N, A.m), A, N)
 
 
-def _metric_tensors(G: MetricStructure, m: int):
-    g_T = DTensorField(G.p, m, 0, 2, 0, 0, lambda xs, y: G.g_at(xs, y))
-    g00_T = DTensorField(G.p, m, 0, 0, 0, 2, lambda xs, y: G.g00_at(xs, y))
-    return g_T, g00_T
+def _compatibility_values(G: MetricStructure, D: DConnectionCoeffs,
+                          A: AlgebroidData, N: NonlinearConnection, pt):
+    """The horizontal and vertical covariant derivatives of g (valence
+    (0, 2)) and of g00 (vertical valence (0, 2)) at pt, from one derivative
+    pass over both blocks."""
+    (g, g00), delta, (g_dy, g00_dy) = adapted_derivatives(
+        lambda jxs, jy: [G.g_at(jxs, jy), G.g00_at(jxs, jy)],
+        pt.x, pt.y, A, N)
+    Hh, Hv, Vh, Vv = D.all_at(pt.x, pt.y)
+    return (h_cov_values(g, [d[0] for d in delta], 0, 2, 0, Hh, Hv),
+            v_cov_values(g, g_dy, 0, 2, 0, Vh, Vv),
+            h_cov_values(g00, [d[1] for d in delta], 0, 0, -2, Hh, Hv),
+            v_cov_values(g00, g00_dy, 0, 0, -2, Vh, Vv))
 
 
 class CompatibilityCheck:
     """The four covariant-constancy residual families: horizontal and
-    vertical derivatives of both metric blocks.  ``step(pt, tables)``
-    checks one point (it reads only the point's coefficients
-    ``tables.D``); ``finish()`` returns the one CheckResult, as a list."""
+    vertical derivatives of both metric blocks (:func:`_compatibility_values`).
+    ``step(pt, tables)`` checks one point (it reads only the point's
+    coefficients ``tables.D``); ``finish()`` returns the one CheckResult,
+    as a list."""
 
     def __init__(self, G: MetricStructure, A: AlgebroidData,
                  N: NonlinearConnection, tol: float = 1e-9):
-        self._p = G.p
-        self._A, self._N = A, N
+        self._args = (G, A, N)
         self._tracker = ResidualTracker("compatibility", tol)
-        self._tensors = _metric_tensors(G, A.m)
 
     def finish(self):
         return [self._tracker.result()]
 
     def step(self, pt: EPoint, tables):
-        tracker, p = self._tracker, self._p
-        A, N, D = self._A, self._N, tables.D
-        g_T, g00_T = self._tensors
-        vh, vv, v0h, v0v = (
-            T.values_at(pt.x, pt.y) for T in (
-                h_cov_deriv(g_T, A, N, D), v_cov_deriv(g_T, A, D),
-                h_cov_deriv(g00_T, A, N, D), v_cov_deriv(g00_T, A, D)))
+        G, A, N = self._args
+        tracker, p = self._tracker, G.p
+        vh, vv, v0h, v0v = _compatibility_values(G, tables.D, A, N, pt)
         for a in range(p):
             for b in range(p):
                 for c in range(p):

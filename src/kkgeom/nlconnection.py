@@ -76,27 +76,27 @@ def adapted_derivatives(array_fn, xs, y, A: AlgebroidData, N: NonlinearConnectio
     gam = N.gamma_at(xs, y)
     jxs, jy = seeded_point(xs, y)
     out = array_fn(jxs, jy)
-    pairs = tuple(zip(rho, gam))
-    zeros = (0.0,) * A.m
+    return _split(out, tuple(zip(rho, gam)), (0.0,) * A.m)
 
-    def split(node):
-        if isinstance(node, list):
-            vals, ddy = [], []
-            deltas = [[] for _ in pairs]
-            for sub in node:
-                v, d, dy = split(sub)
-                vals.append(v)
-                ddy.append(dy)
-                for acc, dg in zip(deltas, d):
-                    acc.append(dg)
-            return vals, deltas, ddy
-        if isinstance(node, Jet):
-            v, dx, dy = node.value, node.dx, node.dy
-        else:
-            v, dx, dy = node, zeros, 0.0
-        return v, [sum(map(mul, r, dx)) - g * dy for r, g in pairs], dy
 
-    return split(out)
+def _split(node, pairs, zeros):
+    """:func:`adapted_derivatives` of one node; module-level recursion, so
+    no closure cycle keeps the Jets alive after the call."""
+    if isinstance(node, list):
+        vals, ddy = [], []
+        deltas = [[] for _ in pairs]
+        for sub in node:
+            v, d, dy = _split(sub, pairs, zeros)
+            vals.append(v)
+            ddy.append(dy)
+            for acc, dg in zip(deltas, d):
+                acc.append(dg)
+        return vals, deltas, ddy
+    if isinstance(node, Jet):
+        v, dx, dy = node.value, node.dx, node.dy
+    else:
+        v, dx, dy = node, zeros, 0.0
+    return v, [sum(map(mul, r, dx)) - g * dy for r, g in pairs], dy
 
 
 def h_derivative(f: SmoothField, gamma: int, A: AlgebroidData,

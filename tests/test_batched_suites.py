@@ -1,0 +1,290 @@
+"""The nesting suites (ricci-commutation, bianchi, compatibility) take every
+covariant derivative from one shared derivative pass per point.  These
+tests pin their left sides to the generic ``h_cov_deriv``/``v_cov_deriv``
+compositions bit for bit, pin the Leibniz corrections to a per-index
+reference, count the passes, and show the left sides never read the float
+component tables they are compared with."""
+
+import random
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kkgeom import curvature
+from kkgeom.calculus import Jet
+from kkgeom.curvature import (
+    _bianchi_values,
+    _commutation_values,
+    curvature_components_at,
+    default_test_vector,
+    torsion_components_at,
+)
+from kkgeom.dconnection import (
+    DConnectionCoeffs,
+    DTensorField,
+    DVectorField,
+    h_cov_deriv,
+    h_cov_values,
+    v_cov_deriv,
+    v_cov_values,
+)
+from kkgeom.metric import _compatibility_values, canonical_metric_dconnection
+from kkgeom.nlconnection import adapted_derivatives
+from kkgeom.sampling import Box, sample_points
+from kkgeom.scenario import Scenario, load_scenario
+from kkgeom.suites import run_suite
+from conftest import (DATA_DIR, SCENARIO_DIR, bits, make_d1, make_dense3,
+                      make_nonabelian, make_vdep)
+
+
+def _case(name):
+    """(A, N, G, D) of a named scenario, D the metric connection."""
+    if name == "gen3_seed1":
+        sc = load_scenario(str(DATA_DIR / "gen3_seed1.json"))
+        return sc.algebroid, sc.connection, sc.metric, sc.dconnection()
+    make = {"d1": make_d1, "vdep": make_vdep, "nonabelian": make_nonabelian,
+            "dense3": make_dense3}[name]
+    A, N, G = make()
+    return A, N, G, canonical_metric_dconnection(G, A, N)
+
+
+def _test_fields(p, m):
+    """The two fields the ricci-commutation suite uses."""
+    return [default_test_vector(p, m),
+            DVectorField(p, lambda xs, y: [1.0] + [0.0] * (p - 1),
+                         lambda xs, y: 1.0)]
+
+
+def _composed_commutation(Z, D, N, A, pt):
+    p, m = D.p, A.m
+    TZ = DTensorField(p, m, 1, 0, 0, 0, lambda xs, y: list(Z.h_at(xs, y)))
+    A1 = h_cov_deriv(TZ, A, N, D)
+    B1 = v_cov_deriv(TZ, A, D)
+    TY = DTensorField(p, m, 0, 0, 1, 0, lambda xs, y: Z.v_at(xs, y))
+    C1 = h_cov_deriv(TY, A, N, D)
+    D1 = v_cov_deriv(TY, A, D)
+    tensors = (h_cov_deriv(A1, A, N, D), A1, B1, v_cov_deriv(A1, A, D),
+               h_cov_deriv(B1, A, N, D), h_cov_deriv(C1, A, N, D), C1, D1,
+               v_cov_deriv(C1, A, D), h_cov_deriv(D1, A, N, D))
+    return [T.values_at(pt.x, pt.y) for T in tensors]
+
+
+def _composed_bianchi(D, N, A, pt):
+    p, m = D.p, A.m
+
+    def family(components_at, key):
+        return lambda xs, y: components_at(D, N, A, xs, y)[key]
+
+    tensors = (
+        DTensorField(p, m, 1, 2, 0, 0, family(torsion_components_at, "Thh")),
+        DTensorField(p, m, 0, 2, 1, 0, family(torsion_components_at, "Tv")),
+        DTensorField(p, m, 1, 3, 0, 0, family(curvature_components_at, "Rh")),
+        DTensorField(p, m, 0, 2, 1, 1, family(curvature_components_at, "Rv")))
+    return [h_cov_deriv(T, A, N, D).values_at(pt.x, pt.y) for T in tensors]
+
+
+def _composed_compatibility(G, D, A, N, pt):
+    g_T = DTensorField(G.p, A.m, 0, 2, 0, 0, G.g_at)
+    g00_T = DTensorField(G.p, A.m, 0, 0, 0, 2, G.g00_at)
+    return [T.values_at(pt.x, pt.y) for T in (
+        h_cov_deriv(g_T, A, N, D), v_cov_deriv(g_T, A, D),
+        h_cov_deriv(g00_T, A, N, D), v_cov_deriv(g00_T, A, D))]
+
+
+@pytest.mark.parametrize("name", ["d1", "vdep", "nonabelian", "gen3_seed1",
+                                  "dense3"])
+def test_batched_left_sides_match_the_compositions_bitwise(name):
+    """Each batched suite gives, at every point, the bits of the nested
+    ``h_cov_deriv``/``v_cov_deriv`` compositions it replaces."""
+    A, N, G, D = _case(name)
+    fields = _test_fields(D.p, A.m)
+    for pt in sample_points(Box.default(A.m), 3, seed=11):
+        batched = _commutation_values(fields, D, N, A, pt)
+        for Z, values in zip(fields, batched):
+            assert bits(values) == bits(_composed_commutation(Z, D, N, A, pt))
+        assert bits(_bianchi_values(D, N, A, pt)) == bits(
+            _composed_bianchi(D, N, A, pt))
+        assert bits(_compatibility_values(G, D, A, N, pt)) == bits(
+            _composed_compatibility(G, D, A, N, pt))
+
+
+def _get(values, idx):
+    for k in idx:
+        values = values[k]
+    return values
+
+
+def _nest(p, rank, fill, prefix=()):
+    if len(prefix) == rank:
+        return fill(prefix)
+    return [_nest(p, rank, fill, prefix + (k,)) for k in range(p)]
+
+
+def _fill_h(vals, delta, rh, sh, vweight, Hh, Hv, p):
+    """The per-index Leibniz sums ``h_cov_deriv`` used to evaluate."""
+    def fill(full_idx):
+        idx, g = full_idx[:-1], full_idx[-1]
+        out = _get(delta[g], idx)
+        for k in range(rh):
+            ak = idx[k]
+            out = out + sum(
+                Hh[ak][th][g] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
+                for th in range(p))
+        for k in range(rh, rh + sh):
+            bk = idx[k]
+            out = out - sum(
+                Hh[th][bk][g] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
+                for th in range(p))
+        if vweight:
+            out = out + vweight * Hv[g] * _get(vals, idx)
+        return out
+    return _nest(p, rh + sh + 1, fill)
+
+
+def _fill_v(vals, ddy, rh, sh, vweight, Vh, Vv, p):
+    """The per-index Leibniz sums ``v_cov_deriv`` used to evaluate."""
+    def fill(idx):
+        acc = _get(ddy, idx)
+        for k in range(rh):
+            ak = idx[k]
+            acc = acc + sum(
+                Vh[ak][th] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
+                for th in range(p))
+        for k in range(rh, rh + sh):
+            bk = idx[k]
+            acc = acc - sum(
+                Vh[th][bk] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
+                for th in range(p))
+        if vweight:
+            acc = acc + vweight * Vv * _get(vals, idx)
+        return acc
+    return _nest(p, rh + sh, fill)
+
+
+@st.composite
+def _valences(draw):
+    rh = draw(st.integers(0, 4))
+    sh = draw(st.integers(0, 4 - rh))
+    return (draw(st.integers(1, 4)), rh, sh, draw(st.integers(0, 2)),
+            draw(st.integers(0, 2)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valences())
+def test_cov_values_match_the_per_index_fill(case):
+    """Both correction functions give the bits of the per-index reference
+    for every valence up to rank 4 and p = 1..4; signed zeros and exact
+    zeros in the data make a changed sum start or order visible."""
+    p, rh, sh, rv, sv, seed = case
+    rng = random.Random(seed)
+
+    def num():
+        return rng.choice((0.0, -0.0, 1.0, rng.uniform(-2.0, 2.0),
+                           rng.uniform(-1e-3, 1e-3)))
+
+    def tensor(rank):
+        return num() if rank == 0 else [tensor(rank - 1) for _ in range(p)]
+
+    rank = rh + sh
+    vals, ddy = tensor(rank), tensor(rank)
+    delta = [tensor(rank) for _ in range(p)]
+    Hh, Hv, Vh, Vv = tensor(3), tensor(1), tensor(2), num()
+    w = rv - sv
+    assert bits(h_cov_values(vals, delta, rh, sh, w, Hh, Hv)) == bits(
+        _fill_h(vals, delta, rh, sh, w, Hh, Hv, p))
+    assert bits(v_cov_values(vals, ddy, rh, sh, w, Vh, Vv)) == bits(
+        _fill_v(vals, ddy, rh, sh, w, Vh, Vv, p))
+
+
+def _passes_per_point(sc, suite, n):
+    code, calls = adapted_derivatives.__code__, Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls["passes"] += 1
+
+    sys.setprofile(profile)
+    try:
+        run_suite(sc, suite, samples=n, seed=1)
+    finally:
+        sys.setprofile(None)
+    return calls["passes"] / n
+
+
+@pytest.mark.parametrize("path", [SCENARIO_DIR / "d1.json",
+                                  DATA_DIR / "gen3_seed1.json"])
+@pytest.mark.parametrize("suite, passes", [("ricci-commutation", 9),
+                                           ("bianchi", 12),
+                                           ("compatibility", 3)])
+def test_derivative_passes_per_point(path, suite, passes):
+    """Derivative passes per sample point of one suite run alone, the
+    point's shared tables included: hh and hv at the point (2) and, for
+    the suites reading torsion and curvature, their components (5 more).
+    Ricci-commutation adds one nested pass over both test fields (2);
+    bianchi one over its four tensors (2), Gamma's at the seeded point (1)
+    and hh and hv at depth 2 (2); compatibility one over both metric
+    blocks (1)."""
+    assert _passes_per_point(load_scenario(str(path)), suite, 2) == passes
+
+
+def _depth(s):
+    depth = 0
+    while isinstance(s, Jet):
+        s, depth = s.value, depth + 1
+    return depth
+
+
+def test_bianchi_never_evaluates_vh_or_vv_at_depth_two(monkeypatch):
+    """Rh and Rv at the seeded point differentiate hh and hv only; vh and
+    vv are read there, at depth 1."""
+    depths = {name: set() for name in ("hh", "hv", "vh", "vv")}
+    original = Scenario.dconnection
+
+    def recorded(self):
+        D = original(self)
+
+        def wrap(name):
+            fn = getattr(D, name + "_at")
+
+            def at(xs, y):
+                depths[name].add(_depth(y))
+                return fn(xs, y)
+            return at
+
+        return DConnectionCoeffs(D.p, D.m, *map(wrap, depths))
+
+    monkeypatch.setattr(Scenario, "dconnection", recorded)
+    run_suite(load_scenario(str(DATA_DIR / "gen3_seed1.json")), "bianchi",
+              samples=2, seed=1)
+    assert depths["hh"] == depths["hv"] == {0, 1, 2}
+    assert depths["vh"] == depths["vv"] == {0, 1}
+
+
+def test_left_sides_do_not_read_the_component_tables(monkeypatch):
+    """Moving one Rh entry of the float component tables breaks the
+    identities that compare against it: the left sides come from nested
+    differentiation, not from those tables.  The bump exceeds both suites'
+    tolerances (1e-6 and 1e-5)."""
+    sc = load_scenario(str(SCENARIO_DIR / "d1.json"))
+
+    def names_failed():
+        return {res.name for suite in ("ricci-commutation", "bianchi")
+                for res in run_suite(sc, suite, samples=3, seed=1)
+                if not res.passed}
+
+    assert names_failed() == set()
+    original = curvature.curvature_components
+
+    def bumped(*args):
+        curv = original(*args)
+        curv.Rh[0][0][0][1] += 1e-3
+        return curv
+
+    monkeypatch.setattr(curvature, "curvature_components", bumped)
+    failed = names_failed()
+    # the second test field is the first frame field (vertical part 1), so
+    # its residual moves by the bump itself
+    assert {"bianchi1_h", "ricci_commutation_2"} <= failed

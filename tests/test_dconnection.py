@@ -471,7 +471,37 @@ def test_per_depth_serves_what_a_fresh_evaluation_gives(
     path = (DATA_DIR if name.startswith("gen") else SCENARIO_DIR) / f"{name}.json"
     assert main(["check", str(path), "--suite", "all", "--seed", "7"]) == 0
     capsys.readouterr()
-    assert set(served) >= {0, 1, 2}
+    # Depth 2 is evaluated by one suite only (bianchi), so nothing there is
+    # served twice; test_per_depth_serves_deep_inputs_from_memory covers it.
+    assert set(served) >= {0, 1}
+
+
+def test_per_depth_serves_deep_inputs_from_memory(d1):
+    """At depths 2 and 3 too, a second input at the point (seeded afresh)
+    is served from memory, bitwise the answer of a fresh evaluation."""
+    from conftest import bits
+    from kkgeom.curvature import PointTables
+    from kkgeom.metric import canonical_metric_dconnection
+    A, N, G = d1
+    D = canonical_metric_dconnection(G, A, N)
+    pt = PTS[0]
+    calls = Counter()
+
+    def counted(xs, y):
+        calls[_depth(y)] += 1
+        return D.hh_at(xs, y)
+
+    at = PointTables(D, N, A, pt).per_depth(counted)
+    xs, y = pt.x, pt.y
+    for depth in range(4):
+        first = at(xs, y)
+        xs2, y2 = pt.x, pt.y
+        for _ in range(depth):
+            xs2, y2 = seeded_point(xs2, y2)
+        assert at(xs2, y2) is first
+        assert bits(first) == bits(D.hh_at(xs2, y2))
+        xs, y = seeded_point(xs, y)
+    assert calls == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_transformation_forms_each_bracket_once():

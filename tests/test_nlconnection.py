@@ -214,3 +214,24 @@ def test_transformation_sums_the_anchor_term_once_per_index():
     assert products["rho"] == 3 * 4
     assert res.max_residual == check_nlc_transformation(
         N, N, C, A, PTS[:3]).max_residual
+
+
+def test_a_pass_leaves_no_reference_cycle():
+    """With the cyclic collector off, one pass on gen3 leaves nothing for
+    ``gc.collect()``: no closure cycle holds its Jets."""
+    import gc
+    sc = load_scenario(str(DATA_DIR / "gen3_seed1.json"))
+    D, A, N = sc.dconnection(), sc.algebroid, sc.connection
+    pt = sample_points(sc.box, 1, seed=1)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        out = adapted_derivatives(D.all_at, pt.x, pt.y, A, N)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert gc.collect() == 0
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert len(out[1]) == A.p

@@ -15,3 +15,42 @@ def test_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py"))
     assert found == []
+
+
+def _self_calling_nested_functions(tree):
+    """``outer.inner`` for every function defined inside another function
+    that calls itself by name: such a closure refers to its own cell, so
+    each call of ``outer`` leaves a reference cycle (and what the closure
+    holds) for the cyclic collector."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for outer in ast.walk(tree):
+        if not isinstance(outer, functions):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, functions):
+                continue
+            if any(isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == inner.name
+                   for node in ast.walk(inner)):
+                found.add(f"{outer.name}.{inner.name}")
+    return found
+
+
+def test_no_self_calling_nested_function():
+    """Recursion lives at module level (as ``dconnection._nest`` and
+    ``nlconnection._split`` do), never in a nested closure."""
+    found = {f"{path.name}:{name}"
+             for path in sorted(SRC.glob("*.py"))
+             for name in _self_calling_nested_functions(
+                 ast.parse(path.read_text(), str(path)))}
+    assert found == set()
+
+
+def test_the_self_call_guard_sees_a_recursive_closure():
+    tree = ast.parse("def outer(node):\n"
+                     "    def walk(n):\n"
+                     "        return [walk(s) for s in n]\n"
+                     "    return walk(node)\n")
+    assert _self_calling_nested_functions(tree) == {"outer.walk"}
