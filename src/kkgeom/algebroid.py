@@ -26,8 +26,7 @@ from .calculus import (
 from .report import CheckResult, ResidualTracker
 
 __all__ = ["AlgebroidData", "validate_antisymmetry",
-           "validate_anchor_compatibility", "validate_jacobi",
-           "frame_commutator_residual"]
+           "validate_anchor_compatibility", "validate_jacobi"]
 
 DEFAULT_VALIDATOR_TOL = 1e-8
 
@@ -145,31 +144,3 @@ def validate_jacobi(A: AlgebroidData, samples,
                         )
     return tracker.result()
 
-
-def frame_commutator_residual(A: AlgebroidData, samples,
-                              tol: float = DEFAULT_VALIDATOR_TOL) -> CheckResult:
-    """Direct check that [X_a, X_b] f = L^g_{ab} X_g f for f in {x1..xm},
-    with the commutator evaluated by nested differentiation (no use of the
-    compatibility identity)."""
-    tracker = ResidualTracker("frame_commutator", tol)
-    m, p = A.m, A.p
-
-    def apply_frame(c, field, xs):
-        # (X_c field)(xs), generic over Jet-valued xs
-        jxs, _ = seeded_point(xs, 0.0)
-        out = field(jxs, 0.0)
-        rho_c = [A.rho[c][i](xs, 0.0) for i in range(m)]
-        return sum(rho_c[i] * jdx(out, i) for i in range(m))
-
-    for pt in samples:
-        rho_pt = A.rho_at(pt.x)
-        Lv = A.L_at(pt.x)
-        for k in range(m):
-            for a in range(p):
-                for b in range(p):
-                    # f = x^k, so X_b f is the anchor entry rho[b][k]
-                    lhs = apply_frame(a, A.rho[b][k], pt.x) \
-                        - apply_frame(b, A.rho[a][k], pt.x)
-                    rhs = sum(Lv[g][a][b] * rho_pt[g][k] for g in range(p))
-                    tracker.update(lhs - rhs, pt)
-    return tracker.result()

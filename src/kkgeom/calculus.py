@@ -90,9 +90,6 @@ class EPoint:
     def m(self):
         return len(self.x)
 
-    def as_list(self):
-        return list(self.x) + [self.y]
-
 
 def primal(s):
     """Fully unwrap a (possibly nested) Jet down to its underlying float."""
@@ -254,23 +251,31 @@ def _recip(v):
 # -- scalar function dispatchers (float or Jet, any nesting depth) ----------
 
 
+def _trig(fn, u):
+    """``fn(u)`` for a float u; an infinite u is outside the domain."""
+    try:
+        return fn(u)
+    except ValueError as exc:
+        raise EvaluationDomainError(f"{fn.__name__} of {u!r}") from exc
+
+
 def fsin(u):
     if isinstance(u, Jet):
         return u.chain(fsin(u.value), fcos(u.value))
-    return math.sin(u)
+    return _trig(math.sin, u)
 
 
 def fcos(u):
     if isinstance(u, Jet):
         return u.chain(fcos(u.value), -fsin(u.value))
-    return math.cos(u)
+    return _trig(math.cos, u)
 
 
 def ftan(u):
     if isinstance(u, Jet):
         c = fcos(u.value)
         return u.chain(ftan(u.value), _recip(c * c))
-    return math.tan(u)
+    return _trig(math.tan, u)
 
 
 def fexp(u):
@@ -317,6 +322,8 @@ def fpow(base, expo):
     """
     if not isinstance(expo, Jet):
         e = float(expo)
+        if not math.isfinite(e):
+            raise EvaluationDomainError(f"non-finite exponent {e!r}")
         if e == int(e):
             return _ipow(base, int(e))
         if primal(base) <= 0.0:

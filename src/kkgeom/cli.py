@@ -26,12 +26,11 @@ from .curvature import (
     scalar_curvature,
     torsion_components,
 )
-from .lift import acceleration_lift, integrate_horizontal_parallel, \
-    integrate_parallel_lift, integrate_vertical_parallel
+from .lift import integrate_horizontal_parallel, integrate_parallel_lift, \
+    integrate_vertical_parallel
 from .metric import SingularMetricError
 from .nlconnection import nlc_curvature
 from .report import emit_json
-from .sampling import sample_points
 from .scenario import Scenario, ScenarioError, load_scenario
 from .suites import SUITE_DEFAULT_SAMPLES, SUITE_NAMES, applicable_suites, \
     run_suites, run_validate

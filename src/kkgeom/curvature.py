@@ -111,6 +111,18 @@ def _gamma_derivs(A, N, xs, y):
     return adapted_derivatives(lambda jxs, jy: N.gamma_at(jxs, jy), xs, y, A, N)
 
 
+def _thh(Hh, Lv):
+    """The Thh family from the hh coefficients and the bracket table."""
+    p = len(Hh)
+    return [
+        [
+            [Hh[a][b][c] - Hh[a][c][b] - Lv[a][c][b] for c in range(p)]
+            for b in range(p)
+        ]
+        for a in range(p)
+    ]
+
+
 def torsion_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
                           A: AlgebroidData, xs, y) -> dict:
     """All torsion family arrays at a point; generic over Jets."""
@@ -122,16 +134,9 @@ def torsion_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
     Lv = A.L_at(xs)
     gam_vals, gam_delta, gam_dy = _gamma_derivs(A, N, xs, y)
     R = bracket_curvature(gam_vals, gam_delta, Lv)
-    Thh = [
-        [
-            [Hh[a][b][c] - Hh[a][c][b] - Lv[a][c][b] for c in range(p)]
-            for b in range(p)
-        ]
-        for a in range(p)
-    ]
     Pv = [gam_dy[b] - Hv[b] for b in range(p)]
     return {
-        "Thh": Thh,
+        "Thh": _thh(Hh, Lv),
         "Tv": R,
         "Ph": Vh,
         "Pv": Pv,
@@ -720,16 +725,17 @@ class BianchiCheck:
 
 def _bianchi_values(D, N, A, pt):
     """The horizontal covariant derivatives of Thh, Tv, Rh and Rv at pt,
-    from one derivative pass over the four.  At its seeded point, Rh and
-    Rv take the derivatives of hh and hv from one pass over those two, and
-    read vh, vv and R there."""
+    from one derivative pass over the four.  At its seeded point, one pass
+    over hh, hv and Gamma gives Thh, Tv = R, Rh and Rv, which read vh and
+    vv there."""
     def tensors_at(xs, y):
-        (Hh, Hv), delta, _ = adapted_derivatives(
-            lambda jxs, jy: [D.hh_at(jxs, jy), D.hv_at(jxs, jy)], xs, y, A, N)
-        tors = torsion_components_at(D, N, A, xs, y)
-        Rh, Rv = _rh_rv(Hh, Hv, tors["Ph"], D.vv_at(xs, y), delta,
-                        tors["Tv"], A.L_at(xs))
-        return [tors["Thh"], tors["Tv"], Rh, Rv]
+        (Hh, Hv, gam), delta, _ = adapted_derivatives(
+            lambda jxs, jy: [D.hh_at(jxs, jy), D.hv_at(jxs, jy),
+                             N.gamma_at(jxs, jy)], xs, y, A, N)
+        Lv = A.L_at(xs)
+        R = bracket_curvature(gam, [d[2] for d in delta], Lv)
+        Rh, Rv = _rh_rv(Hh, Hv, D.vh_at(xs, y), D.vv_at(xs, y), delta, R, Lv)
+        return [_thh(Hh, Lv), R, Rh, Rv]
 
     vals, delta, _ = adapted_derivatives(tensors_at, pt.x, pt.y, A, N)
     Hh, Hv = D.hh_at(pt.x, pt.y), D.hv_at(pt.x, pt.y)

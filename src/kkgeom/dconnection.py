@@ -17,7 +17,6 @@ so they nest to the third order exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import mul
 
 from .algebroid import AlgebroidData
@@ -56,6 +55,7 @@ __all__ = [
     "frame_h",
     "frame_v",
     "check_dconnection_transformation",
+    "dconnection_transformation_point",
 ]
 
 
@@ -464,58 +464,64 @@ def check_dconnection_transformation(D: DConnectionCoeffs,
         vv': vv / phi
     """
     tracker = ResidualTracker("dconnection_transformation", tol)
-    p = D.p
     for pt in samples:
-        phi = primal(C.phi_at(pt.x))
-        if phi == 0.0:
-            tracker.update(float("inf"), pt)
-            continue
-        pushed = C.push(pt)
-        lam = [[primal(v) for v in row] for row in C.lambda_at(pt.x)]
-
-        # delta_g of the inverse frame entries and of phi, in the old chart
-        inv_tensor, inv_delta, _ = adapted_derivatives(
-            lambda jxs, jy: C.lambda_inv_at(jxs), pt.x, pt.y, A, N)
-        lam_inv = [[primal(v) for v in row] for row in inv_tensor]
-        phi_struct, phi_delta, _ = adapted_derivatives(
-            lambda jxs, jy: [C.phi_at(jxs)], pt.x, pt.y, A, N)
-
-        Hh = [[[primal(v) for v in r2] for r2 in r1]
-              for r1 in D.hh_at(pt.x, pt.y)]
-        Hv = [primal(v) for v in D.hv_at(pt.x, pt.y)]
-        Vh = [[primal(v) for v in row] for row in D.vh_at(pt.x, pt.y)]
-        Vv = primal(D.vv_at(pt.x, pt.y))
-
-        Hh_p = [[[primal(v) for v in r2] for r2 in r1]
-                for r1 in D_primed.hh_at(pushed.x, pushed.y)]
-        Hv_p = [primal(v) for v in D_primed.hv_at(pushed.x, pushed.y)]
-        Vh_p = [[primal(v) for v in row]
-                for row in D_primed.vh_at(pushed.x, pushed.y)]
-        Vv_p = primal(D_primed.vv_at(pushed.x, pushed.y))
-
-        # bracket[bp][a][g] does not depend on a' or g'.
-        bracket = [[[primal(inv_delta[g][a][bp]) + sum(
-                         Hh[a][b][g] * lam_inv[b][bp] for b in range(p))
-                     for g in range(p)] for a in range(p)] for bp in range(p)]
-        for ap in range(p):
-            for bp in range(p):
-                for gp in range(p):
-                    rhs = 0.0
-                    for a in range(p):
-                        for g in range(p):
-                            rhs += lam[ap][a] * bracket[bp][a][g] * lam_inv[g][gp]
-                    tracker.update(Hh_p[ap][bp][gp] - rhs, pt)
-        for gp in range(p):
-            rhs = 0.0
-            for g in range(p):
-                # delta_g(1/phi) = -delta_g(phi)/phi^2
-                dg_invphi = -primal(phi_delta[g][0]) / (phi * phi)
-                rhs += phi * (dg_invphi + Hv[g] / phi) * lam_inv[g][gp]
-            tracker.update(Hv_p[gp] - rhs, pt)
-        for ap in range(p):
-            for bp in range(p):
-                rhs = sum(lam[ap][a] * Vh[a][b] * lam_inv[b][bp] / phi
-                          for a in range(p) for b in range(p))
-                tracker.update(Vh_p[ap][bp] - rhs, pt)
-        tracker.update(Vv_p - Vv / phi, pt)
+        dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker)
     return tracker.result()
+
+
+def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
+    """:func:`check_dconnection_transformation` at one point, into
+    ``tracker``."""
+    p = D.p
+    phi = primal(C.phi_at(pt.x))
+    if phi == 0.0:
+        tracker.update(float("inf"), pt)
+        return
+    pushed = C.push(pt)
+    lam = [[primal(v) for v in row] for row in C.lambda_at(pt.x)]
+
+    # delta_g of the inverse frame entries and of phi, in the old chart
+    inv_tensor, inv_delta, _ = adapted_derivatives(
+        lambda jxs, jy: C.lambda_inv_at(jxs), pt.x, pt.y, A, N)
+    lam_inv = [[primal(v) for v in row] for row in inv_tensor]
+    _, phi_delta, _ = adapted_derivatives(
+        lambda jxs, jy: [C.phi_at(jxs)], pt.x, pt.y, A, N)
+
+    Hh = [[[primal(v) for v in r2] for r2 in r1]
+          for r1 in D.hh_at(pt.x, pt.y)]
+    Hv = [primal(v) for v in D.hv_at(pt.x, pt.y)]
+    Vh = [[primal(v) for v in row] for row in D.vh_at(pt.x, pt.y)]
+    Vv = primal(D.vv_at(pt.x, pt.y))
+
+    Hh_p = [[[primal(v) for v in r2] for r2 in r1]
+            for r1 in D_primed.hh_at(pushed.x, pushed.y)]
+    Hv_p = [primal(v) for v in D_primed.hv_at(pushed.x, pushed.y)]
+    Vh_p = [[primal(v) for v in row]
+            for row in D_primed.vh_at(pushed.x, pushed.y)]
+    Vv_p = primal(D_primed.vv_at(pushed.x, pushed.y))
+
+    # bracket[bp][a][g] does not depend on a' or g'.
+    bracket = [[[primal(inv_delta[g][a][bp]) + sum(
+                     Hh[a][b][g] * lam_inv[b][bp] for b in range(p))
+                 for g in range(p)] for a in range(p)] for bp in range(p)]
+    for ap in range(p):
+        for bp in range(p):
+            for gp in range(p):
+                rhs = 0.0
+                for a in range(p):
+                    for g in range(p):
+                        rhs += lam[ap][a] * bracket[bp][a][g] * lam_inv[g][gp]
+                tracker.update(Hh_p[ap][bp][gp] - rhs, pt)
+    for gp in range(p):
+        rhs = 0.0
+        for g in range(p):
+            # delta_g(1/phi) = -delta_g(phi)/phi^2
+            dg_invphi = -primal(phi_delta[g][0]) / (phi * phi)
+            rhs += phi * (dg_invphi + Hv[g] / phi) * lam_inv[g][gp]
+        tracker.update(Hv_p[gp] - rhs, pt)
+    for ap in range(p):
+        for bp in range(p):
+            rhs = sum(lam[ap][a] * Vh[a][b] * lam_inv[b][bp] / phi
+                      for a in range(p) for b in range(p))
+            tracker.update(Vh_p[ap][bp] - rhs, pt)
+    tracker.update(Vv_p - Vv / phi, pt)

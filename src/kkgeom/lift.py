@@ -17,10 +17,10 @@ the last valid time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
-from .calculus import EPoint, Jet, SmoothField, at_point, jdx, jval, primal
+from .calculus import Jet, at_point, jdx, primal
 from .dconnection import DConnectionCoeffs
 from .nlconnection import NonlinearConnection
 

@@ -23,7 +23,6 @@ from .calculus import (
     Jet,
     SmoothField,
     jdx,
-    jdy,
     primal,
     seeded_point,
 )
@@ -38,7 +37,7 @@ __all__ = [
     "nlc_curvature_at",
     "bracket_curvature",
     "check_nlc_transformation",
-    "bracket_residual",
+    "nlc_transformation_point",
 ]
 
 
@@ -142,68 +141,6 @@ def nlc_curvature(A: AlgebroidData, N: NonlinearConnection, pt: EPoint):
     return out
 
 
-def bracket_residual(A: AlgebroidData, N: NonlinearConnection, samples,
-                     tol: float = 1e-8) -> CheckResult:
-    """Certifies the adapted-frame bracket relations against direct operator
-    commutation on the test functions {x1..xm, y0}:
-
-        [delta_a, delta_b] f = L^g_{ab} delta_g f + R_ab df/dy0
-        [delta_a, d/dy0]  f = (dGamma_a/dy0) df/dy0
-
-    The left sides use nested differentiation only (no component formulas).
-    """
-    tracker = ResidualTracker("bracket", tol)
-    m, p = A.m, A.p
-
-    def delta_apply(g, field, xs, y):
-        jxs, jy = seeded_point(xs, y)
-        out = field(jxs, jy)
-        rho_g = [A.rho[g][i](xs, 0.0) for i in range(m)]
-        gam_g = N.gamma[g](xs, y)
-        return sum(rho_g[i] * jdx(out, i) for i in range(m)) - gam_g * jdy(out)
-
-    def ddy_apply(field, xs, y):
-        jxs, jy = seeded_point(xs, y)
-        return jdy(field(jxs, jy))
-
-    coord_fields = [
-        SmoothField(lambda xs, y, _k=k: xs[_k], m) for k in range(m)
-    ] + [SmoothField(lambda xs, y: y, m)]
-
-    for pt in samples:
-        Lv = A.L_at(pt.x)
-        R = nlc_curvature(A, N, pt)
-        dgam = [
-            primal(ddy_apply(N.gamma[g], pt.x, pt.y)) for g in range(p)
-        ]
-        for f in coord_fields:
-            df_dy = primal(ddy_apply(f, pt.x, pt.y))
-            delta_f = [
-                primal(delta_apply(g, f, pt.x, pt.y)) for g in range(p)
-            ]
-            for a in range(p):
-                for b in range(p):
-                    lhs = primal(
-                        delta_apply(a, lambda xs, y, _b=b, _f=f:
-                                    delta_apply(_b, _f, xs, y), pt.x, pt.y)
-                        - delta_apply(b, lambda xs, y, _a=a, _f=f:
-                                      delta_apply(_a, _f, xs, y), pt.x, pt.y)
-                    )
-                    rhs = sum(Lv[g][a][b] * delta_f[g] for g in range(p)) \
-                        + R[a][b] * df_dy
-                    tracker.update(lhs - rhs, pt)
-                # mixed bracket [delta_a, ddy] = +dGamma_a/dy0 . ddy
-                lhs = primal(
-                    delta_apply(a, lambda xs, y, _f=f: ddy_apply(_f, xs, y),
-                                pt.x, pt.y)
-                    - ddy_apply(lambda xs, y, _a=a, _f=f:
-                                delta_apply(_a, _f, xs, y), pt.x, pt.y)
-                )
-                rhs = dgam[a] * df_dy
-                tracker.update(lhs - rhs, pt)
-    return tracker.result()
-
-
 @dataclass(frozen=True)
 class CoordinateChange:
     """A fibred chart change: base map x -> x', linear fiber rescale
@@ -287,22 +224,27 @@ def check_nlc_transformation(N: NonlinearConnection, N_primed: NonlinearConnecti
     with all right-hand quantities evaluated in the unprimed chart and the
     left side at the pushed-forward point."""
     tracker = ResidualTracker("nlc_transformation", tol)
-    p = A.p
     for pt in samples:
-        phi = primal(C.phi_at(pt.x))
-        if phi == 0.0:
-            tracker.update(float("inf"), pt)
-            continue
-        dphi = [primal(v) for v in C.phi_grad_at(pt.x)]
-        lam_inv = [[primal(v) for v in row] for row in C.lambda_inv_at(pt.x)]
-        rho = [[primal(v) for v in row] for row in A.rho_at(pt.x)]
-        gam = [primal(v) for v in N.gamma_at(pt.x, pt.y)]
-        pushed = C.push(pt)
-        gam_p = [primal(v) for v in N_primed.gamma_at(pushed.x, pushed.y)]
-        rho_dphi = [sum(rho[g][k] * dphi[k] for k in range(A.m))
-                    for g in range(p)]
-        for gp in range(p):
-            rhs = sum((-rho_dphi[g] * pt.y + phi * gam[g]) * lam_inv[g][gp]
-                      for g in range(p))
-            tracker.update(gam_p[gp] - rhs, pt)
+        nlc_transformation_point(N, N_primed, C, A, pt, tracker)
     return tracker.result()
+
+
+def nlc_transformation_point(N, N_primed, C, A, pt, tracker):
+    """:func:`check_nlc_transformation` at one point, into ``tracker``."""
+    p = A.p
+    phi = primal(C.phi_at(pt.x))
+    if phi == 0.0:
+        tracker.update(float("inf"), pt)
+        return
+    dphi = [primal(v) for v in C.phi_grad_at(pt.x)]
+    lam_inv = [[primal(v) for v in row] for row in C.lambda_inv_at(pt.x)]
+    rho = [[primal(v) for v in row] for row in A.rho_at(pt.x)]
+    gam = [primal(v) for v in N.gamma_at(pt.x, pt.y)]
+    pushed = C.push(pt)
+    gam_p = [primal(v) for v in N_primed.gamma_at(pushed.x, pushed.y)]
+    rho_dphi = [sum(rho[g][k] * dphi[k] for k in range(A.m))
+                for g in range(p)]
+    for gp in range(p):
+        rhs = sum((-rho_dphi[g] * pt.y + phi * gam[g]) * lam_inv[g][gp]
+                  for g in range(p))
+        tracker.update(gam_p[gp] - rhs, pt)

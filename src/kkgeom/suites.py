@@ -17,7 +17,7 @@ from .algebroid import (
     validate_antisymmetry,
     validate_jacobi,
 )
-from .calculus import SmoothField, at_point, primal
+from .calculus import EPoint, SmoothField, at_point, primal
 from .curvature import (
     BianchiCheck,
     OracleCheck,
@@ -25,16 +25,12 @@ from .curvature import (
     RicciCommutationCheck,
     default_test_vector,
 )
-from .dconnection import DVectorField, check_dconnection_transformation
+from .dconnection import DVectorField, dconnection_transformation_point
 from .lift import local_invertibility_residual
-from .metric import CompatibilityCheck, MetricStructure, matrix_inverse, \
-    metric_dconnection, riemannian_flags
-from .nlconnection import (
-    CoordinateChange,
-    NonlinearConnection,
-    check_nlc_transformation,
-)
-from .report import CheckResult, ResidualTracker
+from .metric import CompatibilityCheck, matrix_inverse, metric_dconnection, \
+    riemannian_flags
+from .nlconnection import CoordinateChange, nlc_transformation_point
+from .report import ResidualTracker
 from .sampling import sample_points
 from .scenario import Scenario, ScenarioError
 
@@ -199,48 +195,52 @@ def _frame_change_data(sc: Scenario):
     return C, A_p, N_p, G_p
 
 
-def _frame_change_checks(sc: Scenario, pts, tol) -> list:
-    """Constant invertible frame change; primed data built tensorially and
-    the primed metric connection rebuilt from it."""
-    A, N, G = sc.algebroid, sc.connection, sc.metric
-    C, A_p, N_p, G_p = _frame_change_data(sc)
-    D = metric_dconnection(G, sc.baseline_for(N), A, N)
-    D_p = metric_dconnection(G_p, sc.baseline_for(N_p), A_p, N_p)
-    r1 = check_nlc_transformation(N, N_p, C, A, pts, tol)
-    r1.name = "transformation.nlc_frame"
-    r2 = check_dconnection_transformation(D, D_p, C, A, N, pts, tol)
-    r2.name = "transformation.dconnection_frame"
-    return [r1, r2]
-
-
-def _fiber_scaling_checks(sc: Scenario, pts, tol, factor: float = 2.0) -> list:
-    """Fiber rescale y0' = factor * y0; primed component functions are the
-    substituted originals and the primed metric connection is rebuilt."""
-    p, m = sc.p, sc.m
-    A, N, G = sc.algebroid, sc.connection, sc.metric
+def _fiber_change_data(sc: Scenario, factor: float = 2.0):
+    """The fiber rescale y0' = factor * y0 and the tables in the new chart,
+    each table evaluation substituting into one evaluation of the unprimed
+    table: ``(C, A, N', G')`` (the anchor and bracket do not change)."""
+    N, G = sc.connection, sc.metric
     inv = 1.0 / factor
-    gamma_p = tuple(
-        SmoothField(lambda xs, y, _g=g: factor * N.gamma[_g](xs, y * inv), m)
-        for g in range(p)
-    )
-    N_p = NonlinearConnection(p, gamma_p)
-    g_p = tuple(
-        tuple(
-            SmoothField(lambda xs, y, _a=a, _b=b: G.g[_a][_b](xs, y * inv), m)
-            for b in range(p)
-        )
-        for a in range(p)
-    )
-    g00_p = SmoothField(lambda xs, y: G.g00(xs, y * inv) * inv * inv, m)
-    G_p = MetricStructure(p, g_p, g00_p)
-    D = metric_dconnection(G, sc.baseline_for(N), A, N)
-    D_p = metric_dconnection(G_p, sc.baseline_for(N_p), A, N_p)
-    C = CoordinateChange(m, p, fiber_scale=SmoothField.constant(factor, m))
-    r1 = check_nlc_transformation(N, N_p, C, A, pts, tol)
-    r1.name = "transformation.nlc_fiber"
-    r2 = check_dconnection_transformation(D, D_p, C, A, N, pts, tol)
-    r2.name = "transformation.dconnection_fiber"
-    return [r1, r2]
+    C = CoordinateChange(sc.m, sc.p,
+                         fiber_scale=SmoothField.constant(factor, sc.m))
+    N_p = SimpleNamespace(p=sc.p, gamma_at=lambda xs, y: [
+        factor * v for v in N.gamma_at(xs, y * inv)])
+    G_p = SimpleNamespace(
+        p=sc.p, g_at=lambda xs, y: G.g_at(xs, y * inv),
+        g00_at=lambda xs, y: G.g00_at(xs, y * inv) * inv * inv)
+    return C, sc.algebroid, N_p, G_p
+
+
+class TransformationCheck:
+    """The coefficient change laws under the frame change and the fiber
+    rescale, each primed metric connection rebuilt once from its tables.
+    ``step(pt, tables)`` evaluates the unprimed metric connection once for
+    both changes (``tables.D`` may hold explicit tables, so it is not
+    read); ``finish()`` returns the four CheckResults, frame change first.
+    """
+
+    def __init__(self, sc: Scenario, tol: float = 1e-8):
+        A, N = sc.algebroid, sc.connection
+        self._args = (metric_dconnection(sc.metric, sc.baseline_for(N), A, N),
+                      N, A)
+        self._changes = []
+        for kind, (C, A_p, N_p, G_p) in (("frame", _frame_change_data(sc)),
+                                         ("fiber", _fiber_change_data(sc))):
+            self._changes.append((
+                C, N_p, metric_dconnection(G_p, sc.baseline_for(N_p), A_p, N_p),
+                ResidualTracker(f"transformation.nlc_{kind}", tol),
+                ResidualTracker(f"transformation.dconnection_{kind}", tol)))
+
+    def finish(self):
+        return [tracker.result() for *_, nlc, dcon in self._changes
+                for tracker in (nlc, dcon)]
+
+    def step(self, pt: EPoint, tables: PointTables):
+        D, N, A = self._args
+        D = PointTables(D, N, A, pt).D
+        for C, N_p, D_p, nlc, dcon in self._changes:
+            nlc_transformation_point(N, N_p, C, A, pt, nlc)
+            dconnection_transformation_point(D, D_p, C, A, N, pt, dcon)
 
 
 _NEEDS_METRIC = {
@@ -251,7 +251,7 @@ _NEEDS_METRIC = {
 
 
 def _point_checks(sc: Scenario, names, tols):
-    """The per-point check of each table-sharing suite in ``names``."""
+    """The per-point check of each suite in ``names``."""
     A, N = sc.algebroid, sc.connection
     checks = {}
     for name in names:
@@ -267,6 +267,8 @@ def _point_checks(sc: Scenario, names, tols):
             checks[name] = BianchiCheck(N, A, tols[name])
         elif name == "compatibility":
             checks[name] = CompatibilityCheck(sc.metric, A, N, tols[name])
+        elif name == "transformation":
+            checks[name] = TransformationCheck(sc, tols[name])
     return checks
 
 
@@ -274,14 +276,12 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
     """Run the named suites; returns ``[(name, results, seconds)]`` in the
     order of ``names``, ``results`` being a list of CheckResult.
 
-    The identity suites (oracle, ricci-commutation, bianchi, compatibility)
-    run point-major.  ``sample_points`` is prefix-stable, so one draw of the
-    largest sample count gives every suite its points: at point k, each
-    suite whose sample count is above k runs its step there.  They share the
+    Every suite runs point-major.  ``sample_points`` is prefix-stable, so
+    one draw of the largest sample count gives every suite its points: at
+    point k, each suite whose sample count is above k runs its step there.  They share the
     point's :class:`PointTables` (coefficients once per derivative depth,
     float torsion/curvature components once); ``seconds`` charges that
-    shared work to the first suite that runs at a point.  The transformation
-    suite builds its own connections and runs afterwards.
+    shared work to the first suite that runs at a point.
     """
     for name in names:
         if name not in SUITE_NAMES:
@@ -295,32 +295,19 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
     pts = sample_points(sc.box, max(counts.values(), default=0),
                         seed if seed is not None else sc.seed)
     seconds = dict.fromkeys(names, 0.0)
-    results = {}
-
-    shared = [name for name in names if name != "transformation"]
-    if shared:
-        checks = _point_checks(sc, shared, tols)
-        D, A, N = sc.dconnection(), sc.algebroid, sc.connection
-        for k, pt in enumerate(pts):
-            tables = PointTables(D, N, A, pt)
-            for name, check in checks.items():
-                if k < counts[name]:
-                    t0 = time.perf_counter()
-                    with at_point(pt):
-                        check.step(pt, tables)
-                    seconds[name] += time.perf_counter() - t0
+    checks = _point_checks(sc, names, tols)
+    D, A, N = sc.dconnection(), sc.algebroid, sc.connection
+    for k, pt in enumerate(pts):
+        tables = PointTables(D, N, A, pt)
         for name, check in checks.items():
-            results[name] = check.finish()
-        for k, res in enumerate(results.get("ricci-commutation", ()), 1):
-            res.name = f"ricci_commutation_{k}"
-
-    if "transformation" in names:
-        t0 = time.perf_counter()
-        trans_pts = pts[:counts["transformation"]]
-        results["transformation"] = (
-            _frame_change_checks(sc, trans_pts, tols["transformation"])
-            + _fiber_scaling_checks(sc, trans_pts, tols["transformation"]))
-        seconds["transformation"] = time.perf_counter() - t0
+            if k < counts[name]:
+                t0 = time.perf_counter()
+                with at_point(pt):
+                    check.step(pt, tables)
+                seconds[name] += time.perf_counter() - t0
+    results = {name: check.finish() for name, check in checks.items()}
+    for k, res in enumerate(results.get("ricci-commutation", ()), 1):
+        res.name = f"ricci_commutation_{k}"
     return [(name, results[name], seconds[name]) for name in names]
 
 

@@ -5,7 +5,6 @@ import pytest
 from kkgeom import algebroid
 from kkgeom.algebroid import (
     AlgebroidData,
-    frame_commutator_residual,
     validate_anchor_compatibility,
     validate_antisymmetry,
     validate_jacobi,
@@ -56,8 +55,6 @@ def test_anchor_compat_nonabelian():
     # frames d/dx1 and e^{x1} d/dx2: [X1, X2] = e^{x1} d/dx2 = X2
     A, _, _ = make_nonabelian()
     assert validate_anchor_compatibility(A, PTS).max_residual <= 1e-12
-    # and the direct nested-jet commutator agrees
-    assert frame_commutator_residual(A, PTS).max_residual <= 1e-12
 
 
 def test_anchor_compat_detects_missing_bracket():

@@ -217,16 +217,16 @@ def _passes_per_point(sc, suite, n):
 @pytest.mark.parametrize("path", [SCENARIO_DIR / "d1.json",
                                   DATA_DIR / "gen3_seed1.json"])
 @pytest.mark.parametrize("suite, passes", [("ricci-commutation", 9),
-                                           ("bianchi", 12),
+                                           ("bianchi", 11),
                                            ("compatibility", 3)])
 def test_derivative_passes_per_point(path, suite, passes):
     """Derivative passes per sample point of one suite run alone, the
     point's shared tables included: hh and hv at the point (2) and, for
     the suites reading torsion and curvature, their components (5 more).
     Ricci-commutation adds one nested pass over both test fields (2);
-    bianchi one over its four tensors (2), Gamma's at the seeded point (1)
-    and hh and hv at depth 2 (2); compatibility one over both metric
-    blocks (1)."""
+    bianchi one over its four tensors and, at its seeded point, one over
+    hh, hv and Gamma (2), and hh and hv at depth 2 (2); compatibility one
+    over both metric blocks (1)."""
     assert _passes_per_point(load_scenario(str(path)), suite, 2) == passes
 
 

@@ -361,6 +361,31 @@ def test_huge_integer_power_takes_bounded_time(tmp_path, gamma, code):
     _one_line_error(proc.stderr)
 
 
+@pytest.mark.parametrize("gamma,message", [
+    ("sin(x1*1e308*10)", "sin of inf"),
+    ("cos(y0*1e308*10)", "cos of inf"),
+    ("tan(-x2*1e308*10)", "tan of -inf"),
+    ("x1^(1e308*10)", "non-finite exponent inf"),
+    ("pow(x1+2, 0*(1e308*10))", "non-finite exponent nan"),
+])
+def test_nonfinite_function_argument_is_an_evaluation_error(
+        capsys, tmp_path, gamma, message):
+    """An infinite trigonometric argument or a non-finite exponent ends in
+    exit 1 and one error line, with and without ``python -O``."""
+    def edit(doc):
+        doc["connection"]["Gamma"][0] = gamma
+
+    argv = ("compute", _variant(tmp_path, "d1.json", edit), "--what",
+            "frame", "--at", "x1=0.5,x2=0.2,y0=0.5")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    _one_line_error(err)
+    assert err.startswith("kkgeom: error: ") and message in err
+    proc = _kkgeom(*argv, optimize=True)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.decode() == err
+
+
 @pytest.mark.parametrize("gamma", ["x1^1e400", "x1*1e400", "x1+.5e309"])
 def test_overflowing_literal_is_a_parse_error(capsys, tmp_path, gamma):
     """A literal beyond the float range is an input error (exit 2, one line

@@ -9,7 +9,6 @@ from kkgeom.nlconnection import (
     CoordinateChange,
     NonlinearConnection,
     adapted_derivatives,
-    bracket_residual,
     check_nlc_transformation,
     h_derivative,
     nlc_curvature,
@@ -76,12 +75,6 @@ def test_nlc_curvature_zero_connection():
     N = NonlinearConnection.zero(2, 2)
     R = nlc_curvature(A, N, PTS[0])
     assert all(v == 0.0 for row in R for v in row)
-
-
-def test_bracket_relations_on_scenarios():
-    for make in (make_nonabelian, make_vdep):
-        A, N, _ = make()
-        assert bracket_residual(A, N, PTS[:10]).max_residual <= 1e-8
 
 
 def test_transformation_identity_change():

@@ -54,3 +54,41 @@ def test_the_self_call_guard_sees_a_recursive_closure():
                      "        return [walk(s) for s in n]\n"
                      "    return walk(node)\n")
     assert _self_calling_nested_functions(tree) == {"outer.walk"}
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads, outside ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return {name for name in imported if name not in used}
+
+
+def test_no_unused_imports():
+    found = {f"{path.name}:{name}"
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"
+             for name in _unused_imports(ast.parse(path.read_text(),
+                                                   str(path)))}
+    assert found == set()
+
+
+def test_the_unused_import_guard_sees_an_unused_name():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "from math import pi, tau\n"
+                     "__all__ = ['tau']\n"
+                     "print(pi)\n")
+    assert _unused_imports(tree) == {"os"}

@@ -7,7 +7,11 @@ import pytest
 from kkgeom import suites
 from kkgeom.algebroid import AlgebroidData
 from kkgeom.calculus import SmoothField, jdx, seeded_point
-from kkgeom.dconnection import berwald, check_dconnection_transformation
+from kkgeom.dconnection import (
+    DConnectionCoeffs,
+    berwald,
+    check_dconnection_transformation,
+)
 from kkgeom.metric import MetricStructure, metric_dconnection
 from kkgeom.nlconnection import (
     CoordinateChange,
@@ -184,3 +188,31 @@ def test_primed_tables_evaluate_each_unprimed_entry_once():
     D_p.hh_at(pt.x, pt.y)
     assert counts == {(table, idx): 1
                       for table, idxs in entries.items() for idx in idxs}
+
+
+def test_transformation_evaluates_the_unprimed_connection_once_per_point(
+        monkeypatch):
+    """Both chart changes read one evaluation of each family of the
+    unprimed metric connection per sample point."""
+    sc = load_scenario(str(DATA_DIR / "gen3_seed1.json"))
+    counts = Counter()
+    build = suites.metric_dconnection
+
+    def counted(G, baseline, A, N):
+        D = build(G, baseline, A, N)
+        if G is not sc.metric:
+            return D
+
+        def wrap(name):
+            fn = getattr(D, name + "_at")
+
+            def at(xs, y):
+                counts[name] += 1
+                return fn(xs, y)
+            return at
+
+        return DConnectionCoeffs(D.p, D.m, *map(wrap, ("hh", "hv", "vh", "vv")))
+
+    monkeypatch.setattr(suites, "metric_dconnection", counted)
+    run_suite(sc, "transformation", samples=3)
+    assert counts == {name: 3 for name in ("hh", "hv", "vh", "vv")}
