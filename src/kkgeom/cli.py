@@ -14,11 +14,12 @@ human-readable summary, including wall times, goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
 
-from .calculus import EPoint, EvaluationDomainError, primal
+from .calculus import EPoint, EvaluationDomainError, at_point, primal
 from .curvature import (
     curvature_components,
     energy_momentum,
@@ -31,7 +32,7 @@ from .lift import integrate_horizontal_parallel, integrate_parallel_lift, \
 from .metric import SingularMetricError
 from .nlconnection import nlc_curvature
 from .report import emit_json
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, sample_count
 from .suites import SUITE_DEFAULT_SAMPLES, SUITE_NAMES, applicable_suites, \
     run_suites, run_validate
 
@@ -82,7 +83,13 @@ def _point_obj(pt: EPoint):
     return {"x": list(pt.x), "y0": pt.y}
 
 
+def _check_samples(args) -> None:
+    if args.samples is not None:
+        sample_count(args.samples, "--samples")
+
+
 def cmd_validate(args) -> int:
+    _check_samples(args)
     sc = load_scenario(args.scenario)
     t0 = time.perf_counter()
     checks = run_validate(sc, samples=args.samples, seed=args.seed,
@@ -116,12 +123,10 @@ def _all_finite(node) -> bool:
     return all(map(math.isfinite, node))
 
 
-def cmd_compute(args) -> int:
-    sc = load_scenario(args.scenario)
-    pt = _parse_at(args.at, sc)
+def _compute_values(sc: Scenario, what: str, pt: EPoint) -> dict:
+    """The ``compute --what`` blocks at ``pt``; a non-finite entry is an
+    evaluation error."""
     A, N = sc.algebroid, sc.connection
-    what = args.what
-    values: dict
     if what == "frame":
         rho = [[primal(v) for v in row] for row in A.rho_at(pt.x)]
         gam = [primal(v) for v in N.gamma_at(pt.x, pt.y)]
@@ -169,6 +174,15 @@ def cmd_compute(args) -> int:
         if key != "index_convention" and not _all_finite(block):
             raise EvaluationDomainError(
                 f"non-finite value in {what} block {key}", point=pt)
+    return values
+
+
+def cmd_compute(args) -> int:
+    sc = load_scenario(args.scenario)
+    pt = _parse_at(args.at, sc)
+    what = args.what
+    with at_point(pt):
+        values = _compute_values(sc, what, pt)
     doc = {"command": "compute", "scenario": args.scenario, "what": what,
            "at": _point_obj(pt), "values": values}
     print(emit_json(doc))
@@ -177,6 +191,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _check_samples(args)
     sc = load_scenario(args.scenario)
     if args.suite == "all":
         suites = applicable_suites(sc)
@@ -302,9 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call (not at import)
+    and reused: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -10,11 +10,17 @@ from dataclasses import dataclass
 
 from .calculus import EPoint
 
-__all__ = ["SplitMix64", "Box", "sample_points", "DEFAULT_SEED"]
+__all__ = ["SplitMix64", "Box", "sample_points", "DEFAULT_SEED",
+           "MAX_SAMPLES"]
 
 _M64 = (1 << 64) - 1
 
 DEFAULT_SEED = 0xA1B2
+
+# The largest sample count a scenario or ``--samples`` may ask for: far
+# above every shipped count (at most 64), and small enough that the point
+# list fits in a few tens of MB.
+MAX_SAMPLES = 100_000
 
 
 class SplitMix64:

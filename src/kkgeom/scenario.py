@@ -11,6 +11,7 @@ evaluated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
@@ -20,9 +21,10 @@ from .exprlang import ParseError, curve_function, eval_field, parse
 from .lift import BaseCurve, LiftMorphism
 from .metric import MetricStructure, metric_dconnection
 from .nlconnection import NonlinearConnection
-from .sampling import DEFAULT_SEED, Box
+from .sampling import DEFAULT_SEED, MAX_SAMPLES, Box
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "scenario_from_dict"]
+__all__ = ["Scenario", "ScenarioError", "load_scenario", "sample_count",
+           "scenario_from_dict"]
 
 
 class ScenarioError(ValueError):
@@ -33,26 +35,63 @@ class ScenarioError(ValueError):
         self.location = location
 
 
-def _field(src, m, location, on_base=False) -> SmoothField:
+def _field(src, m, location, memo, on_base=False) -> SmoothField:
+    """The field of expression ``src``.  ``memo`` maps ``(src, on_base)``
+    to the fields already built in this load, so each distinct source is
+    parsed and compiled once and its entries share one field."""
     if not isinstance(src, str):
         raise ScenarioError(location, f"expected an expression string, got {src!r}")
-    try:
-        node = parse(src, m, allow_y=not on_base)
-    except ParseError as exc:
-        raise ScenarioError(location, str(exc)) from exc
-    return eval_field(node, m, name=src)
+    key = (src, on_base)
+    if key not in memo:
+        try:
+            node = parse(src, m, allow_y=not on_base)
+        except ParseError as exc:
+            raise ScenarioError(location, str(exc)) from exc
+        memo[key] = eval_field(node, m, name=src)
+    return memo[key]
 
 
-def _table(src, shape, m, location, on_base=False):
+def _table(src, shape, m, location, memo, on_base=False):
     if not shape:
-        return _field(src, m, location, on_base)
+        return _field(src, m, location, memo, on_base)
     if not isinstance(src, list) or len(src) != shape[0]:
         raise ScenarioError(
             location, f"expected a list of length {shape[0]}, got {src!r}")
     return tuple(
-        _table(v, shape[1:], m, f"{location}[{i}]", on_base)
+        _table(v, shape[1:], m, f"{location}[{i}]", memo, on_base)
         for i, v in enumerate(src)
     )
+
+
+def _integer(value, location) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(location, "must be an integer")
+    return value
+
+
+def _finite(value, location) -> float:
+    """A JSON number that is finite as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(location, "must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(location, "must be finite")
+    return number
+
+
+def sample_count(value, location) -> int:
+    """A sample count (``samples``, ``--samples``): an integer in
+    1..MAX_SAMPLES, so a sampling loop never starts on a count it cannot
+    finish."""
+    _integer(value, location)
+    if value < 1:
+        raise ScenarioError(location, "must be >= 1")
+    if value > MAX_SAMPLES:
+        raise ScenarioError(location, f"must be <= {MAX_SAMPLES}")
+    return value
 
 
 @dataclass
@@ -78,15 +117,25 @@ class Scenario:
     seed: int
     samples: int
 
+    @property
+    def dconnection_is_metric(self) -> bool:
+        """Whether :meth:`dconnection` is :meth:`metric_dconnection`: there
+        is a metric and no explicit tables override it."""
+        return self.explicit_dconnection is None and self.metric is not None
+
+    def metric_dconnection(self) -> DConnectionCoeffs:
+        """The metric connection over the configured baseline."""
+        return metric_dconnection(self.metric,
+                                  self.baseline_for(self.connection),
+                                  self.algebroid, self.connection)
+
     def dconnection(self) -> DConnectionCoeffs:
         """Explicit tables win; otherwise the metric connection over the
         configured baseline."""
+        if self.dconnection_is_metric:
+            return self.metric_dconnection()
         if self.explicit_dconnection is not None:
             return self.explicit_dconnection
-        if self.metric is not None:
-            return metric_dconnection(self.metric,
-                                      self.baseline_for(self.connection),
-                                      self.algebroid, self.connection)
         raise ScenarioError("dconnection",
                             "scenario has neither a metric nor explicit tables")
 
@@ -102,16 +151,13 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("$", "top level must be a JSON object")
 
-    def need(key, typ, where="$"):
+    def need(key):
         if key not in doc:
-            raise ScenarioError(where, f"missing required key {key!r}")
-        value = doc[key]
-        if typ is int and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ScenarioError(f"{where}.{key}", "must be an integer")
-        return value
+            raise ScenarioError("$", f"missing required key {key!r}")
+        return _integer(doc[key], f"$.{key}")
 
-    m = need("m", int)
-    p = need("p", int)
+    m = need("m")
+    p = need("p")
     if m < 1 or p < 1:
         raise ScenarioError("$", "m and p must be positive")
 
@@ -130,12 +176,15 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
                 raise
             raise ScenarioError("box", f"malformed box: {exc}") from exc
 
+    memo = {}
     alg_doc = doc.get("algebroid")
     if not isinstance(alg_doc, dict) or "rho" not in alg_doc:
         raise ScenarioError("algebroid", "must be an object with a 'rho' table")
-    rho = _table(alg_doc["rho"], (p, m), m, "algebroid.rho", on_base=True)
+    rho = _table(alg_doc["rho"], (p, m), m, "algebroid.rho", memo,
+                 on_base=True)
     if "L" in alg_doc:
-        L = _table(alg_doc["L"], (p, p, p), m, "algebroid.L", on_base=True)
+        L = _table(alg_doc["L"], (p, p, p), m, "algebroid.L", memo,
+                   on_base=True)
     else:
         zero = SmoothField.constant(0.0, m)
         L = tuple(tuple((zero,) * p for _ in range(p)) for _ in range(p))
@@ -145,15 +194,16 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
     if conn_doc is None:
         connection = NonlinearConnection.zero(p, m)
     else:
-        gamma = _table(conn_doc.get("Gamma"), (p,), m, "connection.Gamma")
+        gamma = _table(conn_doc.get("Gamma"), (p,), m, "connection.Gamma",
+                       memo)
         connection = NonlinearConnection(p, gamma)
 
     metric = None
     baseline = "berwald"
     met_doc = doc.get("metric")
     if met_doc is not None:
-        g = _table(met_doc.get("g"), (p, p), m, "metric.g")
-        g00 = _field(met_doc.get("g00"), m, "metric.g00")
+        g = _table(met_doc.get("g"), (p, p), m, "metric.g", memo)
+        g00 = _field(met_doc.get("g00"), m, "metric.g00", memo)
         baseline = met_doc.get("baseline", "berwald")
         if baseline not in ("zero", "berwald"):
             raise ScenarioError("metric.baseline",
@@ -163,10 +213,11 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
     explicit = None
     dcon_doc = doc.get("dconnection")
     if dcon_doc is not None:
-        hh = _table(dcon_doc.get("Hh"), (p, p, p), m, "dconnection.Hh")
-        hv = _table(dcon_doc.get("Hv"), (p,), m, "dconnection.Hv")
-        vh = _table(dcon_doc.get("Vh"), (p, p), m, "dconnection.Vh")
-        vv = _field(dcon_doc.get("Vv"), m, "dconnection.Vv")
+        hh = _table(dcon_doc.get("Hh"), (p, p, p), m, "dconnection.Hh",
+                    memo)
+        hv = _table(dcon_doc.get("Hv"), (p,), m, "dconnection.Hv", memo)
+        vh = _table(dcon_doc.get("Vh"), (p, p), m, "dconnection.Vh", memo)
+        vv = _field(dcon_doc.get("Vv"), m, "dconnection.Vv", memo)
         explicit = DConnectionCoeffs.from_fields(p, m, hh, hv, vh, vv)
 
     lift = None
@@ -175,29 +226,33 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
         curve_src = lift_doc.get("curve")
         if not isinstance(curve_src, list) or len(curve_src) != m:
             raise ScenarioError("lift.curve", f"expected {m} expressions of t")
-        comps = []
+        curves = {}
         for i, src in enumerate(curve_src):
-            try:
-                comps.append(curve_function(
-                    parse(src, 0, allow_y=False, allow_t=True)))
-            except ParseError as exc:
-                raise ScenarioError(f"lift.curve[{i}]", str(exc)) from exc
-        g_lift = _table(lift_doc.get("g"), (p,), m, "lift.g", on_base=True)
+            if not isinstance(src, str):
+                raise ScenarioError(f"lift.curve[{i}]", "expected an "
+                                    f"expression string, got {src!r}")
+            if src not in curves:
+                try:
+                    node = parse(src, 0, allow_y=False, allow_t=True)
+                except ParseError as exc:
+                    raise ScenarioError(f"lift.curve[{i}]", str(exc)) from exc
+                curves[src] = curve_function(node)
+        comps = [curves[src] for src in curve_src]
+        g_lift = _table(lift_doc.get("g"), (p,), m, "lift.g", memo,
+                        on_base=True)
         gtilde = None
         if lift_doc.get("gtilde") is not None:
             gtilde = _table(lift_doc["gtilde"], (p,), m, "lift.gtilde",
-                            on_base=True)
-        y0 = float(lift_doc.get("y0", 1.0))
+                            memo, on_base=True)
+        y0 = _finite(lift_doc.get("y0", 1.0), "lift.y0")
         lift = LiftSection(BaseCurve(m, tuple(comps)),
                            LiftMorphism(p, g_lift, gtilde), y0)
 
-    kappa = float(doc.get("kappa", 1.0))
+    kappa = _finite(doc.get("kappa", 1.0), "kappa")
     if kappa == 0.0:
         raise ScenarioError("kappa", "must be nonzero")
-    seed = int(doc.get("seed", DEFAULT_SEED))
-    samples = int(doc.get("samples", 64))
-    if samples < 1:
-        raise ScenarioError("samples", "must be >= 1")
+    seed = _integer(doc.get("seed", DEFAULT_SEED), "seed")
+    samples = sample_count(doc.get("samples", 64), "samples")
 
     return Scenario(
         path=path, m=m, p=p, box=box, algebroid=algebroid,

@@ -214,15 +214,16 @@ def _fiber_change_data(sc: Scenario, factor: float = 2.0):
 class TransformationCheck:
     """The coefficient change laws under the frame change and the fiber
     rescale, each primed metric connection rebuilt once from its tables.
-    ``step(pt, tables)`` evaluates the unprimed metric connection once for
-    both changes (``tables.D`` may hold explicit tables, so it is not
-    read); ``finish()`` returns the four CheckResults, frame change first.
+    ``step(pt, tables)`` reads the unprimed metric connection once for both
+    changes: from ``tables.D`` when that is the metric connection, else
+    (explicit tables override it) from its own evaluation at the point;
+    ``finish()`` returns the four CheckResults, frame change first.
     """
 
     def __init__(self, sc: Scenario, tol: float = 1e-8):
         A, N = sc.algebroid, sc.connection
-        self._args = (metric_dconnection(sc.metric, sc.baseline_for(N), A, N),
-                      N, A)
+        own = None if sc.dconnection_is_metric else sc.metric_dconnection()
+        self._args = (own, N, A)
         self._changes = []
         for kind, (C, A_p, N_p, G_p) in (("frame", _frame_change_data(sc)),
                                          ("fiber", _fiber_change_data(sc))):
@@ -236,8 +237,8 @@ class TransformationCheck:
                 for tracker in (nlc, dcon)]
 
     def step(self, pt: EPoint, tables: PointTables):
-        D, N, A = self._args
-        D = PointTables(D, N, A, pt).D
+        own, N, A = self._args
+        D = tables.D if own is None else PointTables(own, N, A, pt).D
         for C, N_p, D_p, nlc, dcon in self._changes:
             nlc_transformation_point(N, N_p, C, A, pt, nlc)
             dconnection_transformation_point(D, D_p, C, A, N, pt, dcon)

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from kkgeom.cli import main
+from kkgeom.sampling import MAX_SAMPLES
 from conftest import SCENARIO_DIR
 
 
@@ -381,6 +382,7 @@ def test_nonfinite_function_argument_is_an_evaluation_error(
     assert code == 1 and out == ""
     _one_line_error(err)
     assert err.startswith("kkgeom: error: ") and message in err
+    assert err.endswith(" at EPoint(x=(0.5, 0.2), y=0.5)\n")
     proc = _kkgeom(*argv, optimize=True)
     assert proc.returncode == 1 and proc.stdout == b""
     assert proc.stderr.decode() == err
@@ -422,3 +424,64 @@ def test_check_all_gen3_matches_golden_output(capsys, monkeypatch):
     assert code == 0
     assert out == (GOLDEN_DIR
                    / "check_all_samples2_seed1_gen3_seed1.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--suite", "all", "--samples", "0"),
+    ("check", "--suite", "all", "--samples", "-3"),
+    ("check", "--suite", "oracle", "--samples", str(MAX_SAMPLES + 1)),
+    ("validate", "--samples", "0"),
+    ("validate", "--samples", str(MAX_SAMPLES + 1)),
+])
+def test_samples_flag_out_of_range_exits_2(capsys, argv):
+    """A count outside 1..MAX_SAMPLES is an input error before any point is
+    drawn, not a pass over zero points or a run that cannot end."""
+    code, out, err = run(capsys, argv[0], scen("d1.json"), *argv[1:])
+    assert code == 2 and out == ""
+    _one_line_error(err)
+    assert err.startswith("kkgeom: error: --samples: must be ")
+
+
+@pytest.mark.parametrize("key,value", [("samples", "abc"), ("samples", 2.7),
+                                       ("samples", MAX_SAMPLES + 1),
+                                       ("seed", "x"), ("kappa", "abc")])
+def test_bad_scenario_scalar_exits_2(capsys, tmp_path, key, value):
+    path = _variant(tmp_path, "d1.json",
+                    lambda doc: doc.__setitem__(key, value))
+    for argv in (("validate", path),
+                 ("check", path, "--suite", "oracle", "--samples", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        _one_line_error(err)
+        assert err.startswith(f"kkgeom: error: {key}: must be ")
+
+
+def _main_result(argv):
+    try:
+        return main(list(argv))
+    except SystemExit as exc:  # argparse errors
+        return exc.code
+
+
+def test_in_process_calls_match_a_fresh_process(capsys, monkeypatch):
+    """Repeated, interleaved ``main`` calls in one process, which share one
+    parser, print the bytes and exit codes of a fresh process each."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    calls = [
+        ("compute", "scenarios/vdep.json", "--what", "einstein",
+         "--at", "x1=0.3,x2=-0.2,y0=0.7"),
+        ("compute", GEN3, "--what", "curvature",
+         "--at", "x1=0.1,x2=0.2,x3=-0.3,y0=1.1"),
+        ("lift", "scenarios/d1.json", "--mode", "horizontal",
+         "--steps", "20"),
+        ("compute", "scenarios/vdep.json", "--what", "frame"),  # no --at
+    ]
+    fresh = [_kkgeom(*argv) for argv in calls]
+    assert [proc.returncode for proc in fresh] == [0, 0, 0, 2]
+    for _ in range(2):
+        for argv, proc in zip(calls, fresh):
+            code = _main_result(argv)
+            out, err = capsys.readouterr()
+            assert code == proc.returncode, argv
+            assert out == proc.stdout.decode(), argv
+            assert err == proc.stderr.decode(), argv

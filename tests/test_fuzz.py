@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kkgeom.cli import WHAT_CHOICES, main
+from kkgeom.sampling import MAX_SAMPLES
 from kkgeom.suites import SUITE_NAMES
 
 SECONDS_PER_CALL = 20
@@ -30,6 +31,14 @@ NUMBERS = ["0", "1", "2", "0.5", "10", "1e308", "1e-300"]
 EDGES = ["(1e308*10)", "(-1e308*10)", "(0*(1e308*10))"]
 FUNCTIONS = ["sin", "cos", "tan", "exp", "log", "sqrt", "abs"]
 MALFORMED = ["1+*2", "x9", "sin(", "", "y0)", "foo(x1)", "t", "1e400"]
+# Malformed values of the scenario's scalar keys (y0 is lift.y0).  A count
+# just above the maximum must be refused before any point is drawn.
+BAD_SCALARS = {
+    "samples": ["abc", 2.7, 0, -3, True, None, MAX_SAMPLES + 1],
+    "seed": ["x", 1.5, None, [1]],
+    "kappa": ["abc", 0, True, None, float("inf"), float("nan")],
+    "y0": ["1", None, float("-inf"), float("nan")],
+}
 
 
 def expressions(m, base=False):
@@ -65,7 +74,8 @@ def _plain(shape, diagonal):
 def scenarios(draw):
     """A valid scenario (identity-like anchor, zero bracket, a Gamma, a
     unit metric or explicit tables) with one to three entries replaced by
-    generated expressions, and now and then a structural defect."""
+    generated expressions, and now and then a structural defect or a
+    malformed scalar."""
     m, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     doc = {"m": m, "p": p,
            "algebroid": {"rho": _plain((p, m), "1"),
@@ -98,13 +108,19 @@ def scenarios(draw):
         for k in path[:-1]:
             node = node[k]
         node[path[-1]] = src
-    defect = draw(st.sampled_from([None] * 12 + ["m", "rho", "Gamma"]))
+    defect = draw(st.sampled_from([None] * 12 + ["m", "rho", "Gamma"]
+                                  + list(BAD_SCALARS)))
     if defect == "m":
         del doc["m"]
     elif defect == "rho":
         doc["algebroid"]["rho"] = doc["algebroid"]["rho"][:-1]
     elif defect == "Gamma":
         doc["connection"]["Gamma"].append("0")
+    elif defect == "y0":
+        doc["lift"] = {"curve": ["t"] * m, "g": ["1"] * p,
+                       "y0": draw(st.sampled_from(BAD_SCALARS["y0"]))}
+    elif defect is not None:
+        doc[defect] = draw(st.sampled_from(BAD_SCALARS[defect]))
     return doc
 
 

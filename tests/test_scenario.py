@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from kkgeom import exprlang
+from kkgeom.sampling import MAX_SAMPLES
 from kkgeom.scenario import ScenarioError, load_scenario, scenario_from_dict
-from conftest import SCENARIO_DIR
+from conftest import DATA_DIR, SCENARIO_DIR
 
 
 def minimal():
@@ -104,3 +106,115 @@ def test_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError):
         load_scenario(str(path))
+
+
+def _leaves(node):
+    if isinstance(node, (list, tuple)):
+        for child in node:
+            yield from _leaves(child)
+    elif node is not None:
+        yield node
+
+
+# (section, key, parsed on the base M, so without y0)
+TABLES = [("algebroid", "rho", True), ("algebroid", "L", True),
+          ("connection", "Gamma", False), ("metric", "g", False),
+          ("metric", "g00", False), ("dconnection", "Hh", False),
+          ("dconnection", "Hv", False), ("dconnection", "Vh", False),
+          ("dconnection", "Vv", False), ("lift", "g", True),
+          ("lift", "gtilde", True)]
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json"))
+                         + [DATA_DIR / "gen3_seed1.json"],
+                         ids=lambda path: path.stem)
+def test_a_load_compiles_each_distinct_expression_once(monkeypatch, path):
+    """One compile per distinct (source, parsed on the base) pair of the
+    tables, plus one per distinct curve component; entries with the same
+    source share one field."""
+    doc = json.loads(path.read_text())
+    pairs = {(src, on_base) for section, key, on_base in TABLES
+             for src in _leaves(doc.get(section, {}).get(key))}
+    curves = set(doc.get("lift", {}).get("curve", ()))
+    compiled = []
+    compile_expr = exprlang.compile_expr
+
+    def counted(node):
+        compiled.append(node)
+        return compile_expr(node)
+
+    monkeypatch.setattr(exprlang, "compile_expr", counted)
+    sc = load_scenario(str(path))
+    assert len(compiled) == len(pairs) + len(curves)
+    base = [sc.algebroid.rho] + ([sc.algebroid.L] if "L" in doc["algebroid"]
+                                 else [])
+    for fields in (base, sc.connection.gamma):
+        shared = {}
+        for f in _leaves(fields):
+            assert shared.setdefault(f.name, f) is f
+
+
+def test_repeated_bad_expression_reports_its_first_path():
+    doc = minimal()
+    doc["connection"] = {"Gamma": ["x1", "1+*2"]}
+    doc["metric"] = {"g": [["1+*2", "0"], ["0", "1"]], "g00": "1+*2"}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value).startswith("connection.Gamma[1]: ")
+
+
+def test_a_source_compiled_on_E_is_parsed_again_on_the_base():
+    """``y0`` is valid in Gamma but not in a base table: the memo keys by
+    where an expression is parsed, not by its source alone."""
+    doc = minimal()
+    doc["connection"] = {"Gamma": ["y0", "0"]}
+    doc["lift"] = {"curve": ["t", "t"], "g": ["1", "y0"]}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value).startswith("lift.g[1]: ")
+
+
+@pytest.mark.parametrize("curve", [[1, "t"], ["t", ["t"]]])
+def test_non_string_curve_component_rejected(curve):
+    doc = minimal()
+    doc["lift"] = {"curve": curve, "g": ["1", "0"]}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert "expected an expression string" in str(err.value)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("samples", "abc", "must be an integer"),
+    ("samples", 2.7, "must be an integer"),
+    ("samples", True, "must be an integer"),
+    ("samples", 0, "must be >= 1"),
+    ("samples", MAX_SAMPLES + 1, f"must be <= {MAX_SAMPLES}"),
+    ("seed", "x", "must be an integer"),
+    ("seed", 1.5, "must be an integer"),
+    ("kappa", "abc", "must be a number"),
+    ("kappa", True, "must be a number"),
+    ("kappa", float("inf"), "must be finite"),
+    pytest.param("kappa", 10 ** 400, "must be finite", id="kappa-10**400"),
+    ("lift.y0", "1", "must be a number"),
+    ("lift.y0", float("nan"), "must be finite"),
+])
+def test_scalar_fields_are_type_checked(key, value, message):
+    doc = minimal()
+    doc["lift"] = {"curve": ["t", "t"], "g": ["1", "0"]}
+    if key == "lift.y0":
+        doc["lift"]["y0"] = value
+    else:
+        doc[key] = value
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"{key}: {message}"
+
+
+def test_scalar_fields_accept_their_types():
+    doc = minimal()
+    doc.update(samples=MAX_SAMPLES, seed=-3, kappa=2)
+    doc["lift"] = {"curve": ["t", "t"], "g": ["1", "0"], "y0": -1}
+    sc = scenario_from_dict(doc)
+    assert (sc.samples, sc.seed, sc.kappa, sc.lift.y0) == (MAX_SAMPLES, -3,
+                                                           2.0, -1.0)
+    assert type(sc.kappa) is float and type(sc.lift.y0) is float

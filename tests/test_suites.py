@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from kkgeom import suites
+from kkgeom import scenario, suites
 from kkgeom.algebroid import AlgebroidData
 from kkgeom.calculus import SmoothField, jdx, seeded_point
 from kkgeom.dconnection import (
@@ -190,18 +190,15 @@ def test_primed_tables_evaluate_each_unprimed_entry_once():
                       for table, idxs in entries.items() for idx in idxs}
 
 
-def test_transformation_evaluates_the_unprimed_connection_once_per_point(
-        monkeypatch):
-    """Both chart changes read one evaluation of each family of the
-    unprimed metric connection per sample point."""
-    sc = load_scenario(str(DATA_DIR / "gen3_seed1.json"))
+def _unprimed_evaluations(monkeypatch, path):
+    """Evaluations of each family of the scenario's metric connection in
+    ``run_suite(sc, "transformation", samples=3)``."""
+    sc = load_scenario(str(path))
     counts = Counter()
-    build = suites.metric_dconnection
+    build = scenario.metric_dconnection
 
     def counted(G, baseline, A, N):
         D = build(G, baseline, A, N)
-        if G is not sc.metric:
-            return D
 
         def wrap(name):
             fn = getattr(D, name + "_at")
@@ -213,6 +210,48 @@ def test_transformation_evaluates_the_unprimed_connection_once_per_point(
 
         return DConnectionCoeffs(D.p, D.m, *map(wrap, ("hh", "hv", "vh", "vv")))
 
-    monkeypatch.setattr(suites, "metric_dconnection", counted)
+    monkeypatch.setattr(scenario, "metric_dconnection", counted)
     run_suite(sc, "transformation", samples=3)
+    return counts
+
+
+def test_transformation_evaluates_the_unprimed_connection_once_per_point(
+        monkeypatch):
+    """Both chart changes read one evaluation of each family of the
+    unprimed metric connection per sample point: the shared tables' one."""
+    counts = _unprimed_evaluations(monkeypatch, DATA_DIR / "gen3_seed1.json")
     assert counts == {name: 3 for name in ("hh", "hv", "vh", "vv")}
+
+
+def test_transformation_evaluates_its_own_connection_over_explicit_tables(
+        monkeypatch):
+    """Where explicit tables override the metric connection (d1_perturbed),
+    the suite evaluates the metric connection itself, once per point."""
+    counts = _unprimed_evaluations(monkeypatch,
+                                   SCENARIO_DIR / "d1_perturbed.json")
+    assert counts == {name: 3 for name in ("hh", "hv", "vh", "vv")}
+
+
+def test_suites_share_the_unprimed_metric_connection(monkeypatch):
+    """Over d1's five suites at 3 samples, the metric connection's hh runs
+    at depth 0 three times per point: once for the shared tables and once
+    per primed chart; the transformation suite reuses the shared one."""
+    sc = load_scenario(str(SCENARIO_DIR / "d1.json"))
+    calls = Counter()
+
+    def counting(build):
+        def counted(G, baseline, A, N):
+            D = build(G, baseline, A, N)
+
+            def hh_at(xs, y):
+                calls[isinstance(y, float)] += 1
+                return D.hh_at(xs, y)
+            return DConnectionCoeffs(D.p, D.m, hh_at, D.hv_at, D.vh_at,
+                                     D.vv_at)
+        return counted
+
+    for module in (scenario, suites):
+        monkeypatch.setattr(module, "metric_dconnection",
+                            counting(module.metric_dconnection))
+    suites.run_suites(sc, applicable_suites(sc), samples=3)
+    assert calls[True] == 9
