@@ -27,12 +27,13 @@ from .curvature import (
     scalar_curvature,
     torsion_components,
 )
-from .lift import integrate_horizontal_parallel, integrate_parallel_lift, \
-    integrate_vertical_parallel
+from .lift import MAX_STEPS, integrate_horizontal_parallel, \
+    integrate_parallel_lift, integrate_vertical_parallel
 from .metric import SingularMetricError
 from .nlconnection import nlc_curvature
 from .report import emit_json
-from .scenario import Scenario, ScenarioError, load_scenario, sample_count
+from .sampling import MAX_SAMPLES
+from .scenario import Scenario, ScenarioError, bounded_count, load_scenario
 from .suites import SUITE_DEFAULT_SAMPLES, SUITE_NAMES, applicable_suites, \
     run_suites, run_validate
 
@@ -85,7 +86,7 @@ def _point_obj(pt: EPoint):
 
 def _check_samples(args) -> None:
     if args.samples is not None:
-        sample_count(args.samples, "--samples")
+        bounded_count(args.samples, "--samples", MAX_SAMPLES)
 
 
 def cmd_validate(args) -> int:
@@ -236,6 +237,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    bounded_count(args.steps, "--steps", MAX_STEPS)
     sc = load_scenario(args.scenario)
     if sc.lift is None:
         raise ScenarioError("lift", "scenario has no lift section")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
-from .calculus import EPoint, Jet, at_point, map_nested, primal
+from .calculus import EPoint, Jet, at_point, primal
 from .dconnection import (
     DConnectionCoeffs,
     DVectorField,
@@ -73,6 +73,8 @@ __all__ = [
 
 @dataclass
 class TorsionComponents:
+    """Floats at a float point, Jets at a Jet point."""
+
     Thh: list   # [a][b][c]
     Tv: list    # [b][c]
     Ph: list    # [a][b]
@@ -82,6 +84,8 @@ class TorsionComponents:
 
 @dataclass
 class CurvatureComponents:
+    """Floats at a float point, Jets at a Jet point."""
+
     Rh: list    # [a][b][c][e]
     Rv: list    # [c][e]
     Ph: list    # [a][eps][c]
@@ -107,10 +111,6 @@ class EnergyMomentum:
     kappa: float
 
 
-def _gamma_derivs(A, N, xs, y):
-    return adapted_derivatives(lambda jxs, jy: N.gamma_at(jxs, jy), xs, y, A, N)
-
-
 def _thh(Hh, Lv):
     """The Thh family from the hh coefficients and the bracket table."""
     p = len(Hh)
@@ -123,31 +123,27 @@ def _thh(Hh, Lv):
     ]
 
 
+def _torsion(Hh, Hv, Vh, Vv, Lv, R, gam_dy) -> TorsionComponents:
+    """The torsion block from the coefficients, the bracket table, the
+    bracket curvature R and the fiber derivatives of Gamma."""
+    return TorsionComponents(
+        Thh=_thh(Hh, Lv), Tv=R, Ph=Vh,
+        Pv=[gam_dy[b] - Hv[b] for b in range(len(Hv))], S00=Vv - Vv)
+
+
 def torsion_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
-                          A: AlgebroidData, xs, y) -> dict:
-    """All torsion family arrays at a point; generic over Jets."""
-    p = D.p
-    Hh = D.hh_at(xs, y)
-    Hv = D.hv_at(xs, y)
-    Vh = D.vh_at(xs, y)
-    Vv = D.vv_at(xs, y)
+                          A: AlgebroidData, xs, y) -> TorsionComponents:
+    """The torsion block at a point, generic over Jets: the coefficients at
+    the point and one derivative pass over Gamma."""
+    coeffs = D.all_at(xs, y)
     Lv = A.L_at(xs)
-    gam_vals, gam_delta, gam_dy = _gamma_derivs(A, N, xs, y)
-    R = bracket_curvature(gam_vals, gam_delta, Lv)
-    Pv = [gam_dy[b] - Hv[b] for b in range(p)]
-    return {
-        "Thh": _thh(Hh, Lv),
-        "Tv": R,
-        "Ph": Vh,
-        "Pv": Pv,
-        "S00": Vv - Vv,
-    }
+    gam, gam_delta, gam_dy = adapted_derivatives(
+        lambda jxs, jy: N.gamma_at(jxs, jy), xs, y, A, N)
+    return _torsion(*coeffs, Lv, bracket_curvature(gam, gam_delta, Lv), gam_dy)
 
 
 def torsion_components(D, N, A, pt: EPoint) -> TorsionComponents:
-    t = torsion_components_at(D, N, A, pt.x, pt.y)
-    return TorsionComponents(**{k: map_nested(primal, v)
-                                for k, v in t.items()})
+    return torsion_components_at(D, N, A, pt.x, pt.y)
 
 
 def _rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
@@ -186,20 +182,21 @@ def _rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
 
 
 def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
-                            A: AlgebroidData, xs, y) -> dict:
-    """All curvature family arrays at a point; generic over Jets.
+                            A: AlgebroidData, xs, y):
+    """``(torsion, curvature)`` blocks at a point, generic over Jets.
 
-    One joint differentiation pass over the four coefficient families plus
-    one over the nonlinear coefficients supplies every derivative needed.
+    One joint differentiation pass over the four coefficient families and
+    Gamma supplies every value and derivative both blocks need; its values
+    are the coefficients at the point, bit for bit.
     """
     p = D.p
     vals, delta, ddy = adapted_derivatives(
-        lambda jxs, jy: D.all_at(jxs, jy), xs, y, A, N)
-    Hh, Hv, Vh, Vv = vals
-    dHh, dHv, dVh, dVv = ddy
+        lambda jxs, jy: D.all_at(jxs, jy) + [N.gamma_at(jxs, jy)],
+        xs, y, A, N)
+    Hh, Hv, Vh, Vv, gam = vals
+    dHh, dHv, dVh, dVv, gam_dy = ddy
     Lv = A.L_at(xs)
-    gam_vals, gam_delta, gam_dy = _gamma_derivs(A, N, xs, y)
-    R = bracket_curvature(gam_vals, gam_delta, Lv)
+    R = bracket_curvature(gam, [d[4] for d in delta], Lv)
     Rh, Rv = _rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv)
     Pc_h = [
         [
@@ -229,13 +226,12 @@ def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
         for a in range(p)
     ]
     Sv = dVv - dVv + Vv * Vv - Vv * Vv
-    return {"Rh": Rh, "Rv": Rv, "Ph": Pc_h, "Pv": Pc_v, "Sh": Sh, "Sv": Sv}
+    return (_torsion(Hh, Hv, Vh, Vv, Lv, R, gam_dy),
+            CurvatureComponents(Rh=Rh, Rv=Rv, Ph=Pc_h, Pv=Pc_v, Sh=Sh, Sv=Sv))
 
 
 def curvature_components(D, N, A, pt: EPoint) -> CurvatureComponents:
-    c = curvature_components_at(D, N, A, pt.x, pt.y)
-    return CurvatureComponents(**{k: map_nested(primal, v)
-                                  for k, v in c.items()})
+    return curvature_components_at(D, N, A, pt.x, pt.y)[1]
 
 
 def torsion_from_definition(X: DVectorField, Y: DVectorField,
@@ -364,8 +360,8 @@ def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
 
 class PointTables:
     """What the suites visiting one sample point share, each computed on
-    first use: the coefficient set ``D`` bound to the point, and the float
-    torsion and curvature components.
+    first use: the coefficient set ``D`` bound to the point, and the
+    torsion and curvature ``components``.
 
     The suites evaluate at the point and at its iterated ``seeded_point``
     seedings only, so one input per Jet depth reaches an evaluator here:
@@ -378,9 +374,8 @@ class PointTables:
         self.pt = pt
         self.D = DConnectionCoeffs(D.p, D.m, *map(self.per_depth, (
             D.hh_at, D.hv_at, D.vh_at, D.vv_at)))
-        self._args = (self.D, N, A, pt)
-        self._torsion = None
-        self._curvature = None
+        self._args = (self.D, N, A, pt.x, pt.y)
+        self._components = None
 
     def per_depth(self, fn):
         """``fn(xs, y)`` remembered per Jet nesting depth of ``y``.  A call
@@ -404,16 +399,12 @@ class PointTables:
         return at
 
     @property
-    def torsion(self) -> TorsionComponents:
-        if self._torsion is None:
-            self._torsion = torsion_components(*self._args)
-        return self._torsion
-
-    @property
-    def curvature(self) -> CurvatureComponents:
-        if self._curvature is None:
-            self._curvature = curvature_components(*self._args)
-        return self._curvature
+    def components(self):
+        """``(torsion, curvature)`` at the point, from one
+        :func:`curvature_components_at` pass over ``D``."""
+        if self._components is None:
+            self._components = curvature_components_at(*self._args)
+        return self._components
 
 
 def _run_points(check, D, N, A, samples):
@@ -445,8 +436,7 @@ class OracleCheck:
         return [self._t_tracker.result(), self._c_tracker.result()]
 
     def step(self, pt: EPoint, tables: PointTables):
-        tors = tables.torsion
-        curv = tables.curvature
+        tors, curv = tables.components
         T, C = frame_definitions(tables.D, *self._args, pt)
         _oracle_point(tors, curv, T, C, pt, len(tors.Pv), self._t_tracker,
                       self._c_tracker)
@@ -565,8 +555,7 @@ class RicciCommutationCheck:
         return [tracker.result() for tracker in self._trackers]
 
     def step(self, pt: EPoint, tables: PointTables):
-        tors = tables.torsion
-        curv = tables.curvature
+        tors, curv = tables.components
         values = _commutation_values(self._fields, tables.D, *self._args, pt)
         for Z, tensors, tracker in zip(self._fields, values, self._trackers):
             _commutation_point(Z, tensors, tors, curv, pt, tracker)
@@ -668,8 +657,7 @@ class BianchiCheck:
         return [tracker.result() for tracker in self._trackers]
 
     def step(self, pt: EPoint, tables: PointTables):
-        tors = tables.torsion
-        curv = tables.curvature
+        tors, curv = tables.components
         t1h, t1v, t2h, t2v = self._trackers
         Thh, Tv = tors.Thh, tors.Tv
         Pht, Pvt = tors.Ph, tors.Pv

@@ -36,9 +36,16 @@ __all__ = [
     "integrate_vertical_parallel",
     "acceleration_lift",
     "local_invertibility_residual",
+    "MAX_STEPS",
 ]
 
 BLOWUP_LIMIT = 1e12
+
+# The largest step count ``lift --steps`` may ask for: far above the
+# default (1000), and small enough that a lift on a shipped scenario ends
+# in about a minute at most (d1 horizontal, the slowest: 56 s on a shared
+# 2-vCPU host) in under 120 MB.
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)

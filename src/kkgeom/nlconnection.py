@@ -34,7 +34,6 @@ __all__ = [
     "adapted_derivatives",
     "h_derivative",
     "nlc_curvature",
-    "nlc_curvature_at",
     "bracket_curvature",
     "check_nlc_transformation",
     "nlc_transformation_point",
@@ -105,18 +104,11 @@ def h_derivative(f: SmoothField, gamma: int, A: AlgebroidData,
     return primal(delta[gamma][0])
 
 
-def nlc_curvature_at(A: AlgebroidData, N: NonlinearConnection, xs, y):
-    """R[alpha][beta] = delta_beta Gamma_alpha - delta_alpha Gamma_beta
-    + L[g][alpha][beta] Gamma_g, antisymmetric; generic over Jets."""
-    vals, delta, _ = adapted_derivatives(lambda jxs, jy: N.gamma_at(jxs, jy),
-                                         xs, y, A, N)
-    return bracket_curvature(vals, delta, A.L_at(xs))
-
-
 def bracket_curvature(gam, gam_delta, Lv):
-    """The bracket curvature R[alpha][beta] from the Gamma values, their
-    adapted derivatives ``gam_delta[beta][alpha]`` and the bracket table,
-    for callers that already differentiated Gamma."""
+    """The bracket curvature R[alpha][beta] = delta_beta Gamma_alpha
+    - delta_alpha Gamma_beta + L[g][alpha][beta] Gamma_g from the Gamma
+    values, their adapted derivatives ``gam_delta[beta][alpha]`` and the
+    bracket table; generic over Jets."""
     p = len(gam)
     return [
         [
@@ -130,8 +122,9 @@ def bracket_curvature(gam, gam_delta, Lv):
 
 def nlc_curvature(A: AlgebroidData, N: NonlinearConnection, pt: EPoint):
     """Bracket curvature matrix at a point, as plain floats."""
-    R = nlc_curvature_at(A, N, pt.x, pt.y)
-    out = [[primal(v) for v in row] for row in R]
+    gam, gam_delta, _ = adapted_derivatives(
+        lambda jxs, jy: N.gamma_at(jxs, jy), pt.x, pt.y, A, N)
+    out = bracket_curvature(gam, gam_delta, A.L_at(pt.x))
     # antisymmetric by construction whenever the bracket table is
     if not all(abs(out[a][b] + out[b][a]) <= 1e-12 * (1.0 + abs(out[a][b]))
                for a in range(A.p) for b in range(A.p)):

@@ -24,7 +24,6 @@ class CheckResult:
     tol: float
     worst_point: EPoint | None = None
     passed: bool = field(init=False)
-    wall_time: float = 0.0  # stderr-only; never serialized to stdout
 
     def __post_init__(self):
         self.passed = self.max_residual <= self.tol

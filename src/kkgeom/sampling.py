@@ -6,6 +6,7 @@ platforms: same seed, same scenario, byte-identical numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .calculus import EPoint
@@ -62,6 +63,8 @@ class Box:
         for lo, hi in self.x_ranges + (self.y_range,):
             if not lo < hi:
                 raise ValueError(f"empty sampling range [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"unbounded sampling range [{lo}, {hi}]")
 
     @property
     def m(self) -> int:

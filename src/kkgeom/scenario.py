@@ -23,7 +23,7 @@ from .metric import MetricStructure, metric_dconnection
 from .nlconnection import NonlinearConnection
 from .sampling import DEFAULT_SEED, MAX_SAMPLES, Box
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "sample_count",
+__all__ = ["Scenario", "ScenarioError", "bounded_count", "load_scenario",
            "scenario_from_dict"]
 
 
@@ -82,15 +82,14 @@ def _finite(value, location) -> float:
     return number
 
 
-def sample_count(value, location) -> int:
-    """A sample count (``samples``, ``--samples``): an integer in
-    1..MAX_SAMPLES, so a sampling loop never starts on a count it cannot
-    finish."""
+def bounded_count(value, location, maximum) -> int:
+    """A count (``samples``, ``--samples``, ``--steps``): an integer in
+    1..maximum, so a loop never starts on a count it cannot finish."""
     _integer(value, location)
     if value < 1:
         raise ScenarioError(location, "must be >= 1")
-    if value > MAX_SAMPLES:
-        raise ScenarioError(location, f"must be <= {MAX_SAMPLES}")
+    if value > maximum:
+        raise ScenarioError(location, f"must be <= {maximum}")
     return value
 
 
@@ -252,7 +251,7 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
     if kappa == 0.0:
         raise ScenarioError("kappa", "must be nonzero")
     seed = _integer(doc.get("seed", DEFAULT_SEED), "seed")
-    samples = sample_count(doc.get("samples", 64), "samples")
+    samples = bounded_count(doc.get("samples", 64), "samples", MAX_SAMPLES)
 
     return Scenario(
         path=path, m=m, p=p, box=box, algebroid=algebroid,

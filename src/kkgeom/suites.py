@@ -281,7 +281,7 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
     one draw of the largest sample count gives every suite its points: at
     point k, each suite whose sample count is above k runs its step there.  They share the
     point's :class:`PointTables` (coefficients once per derivative depth,
-    float torsion/curvature components once); ``seconds`` charges that
+    torsion and curvature components from one pass); ``seconds`` charges that
     shared work to the first suite that runs at a point.
     """
     for name in names:

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from kkgeom import lift
 from kkgeom.cli import main
+from kkgeom.lift import MAX_STEPS
 from kkgeom.sampling import MAX_SAMPLES
 from conftest import SCENARIO_DIR
 
@@ -440,6 +442,48 @@ def test_samples_flag_out_of_range_exits_2(capsys, argv):
     assert code == 2 and out == ""
     _one_line_error(err)
     assert err.startswith("kkgeom: error: --samples: must be ")
+
+
+def test_infinite_box_bound_exits_2(capsys, tmp_path):
+    path = _variant(tmp_path, "d1.json", lambda doc: doc.__setitem__(
+        "box", {"x": [[0, float("inf")], [0, 1]], "y": [0.1, 2]}))
+    code, out, err = run(capsys, "validate", path, "--samples", "2")
+    assert code == 2 and out == ""
+    _one_line_error(err)
+    assert err.startswith("kkgeom: error: box: ")
+
+
+@pytest.mark.parametrize("steps", [0, -5, MAX_STEPS + 1])
+def test_steps_flag_out_of_range_exits_2(capsys, monkeypatch, steps):
+    """A step count outside 1..MAX_STEPS is an input error before any
+    integration starts, not a traceback or a run that cannot end."""
+    def integrate(*args):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(lift, "rk4_integrate", integrate)
+    for mode in ("parallel", "horizontal", "vertical"):
+        code, out, err = run(capsys, "lift", scen("d1.json"), "--mode", mode,
+                             "--steps", str(steps))
+        assert code == 2 and out == ""
+        _one_line_error(err)
+        assert err.startswith("kkgeom: error: --steps: must be ")
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    """A reader that closes stdout before the document is written (as
+    ``| head -1`` can) gets exit 1 and a quiet stderr, not a
+    ``BrokenPipeError`` traceback."""
+    root = SCENARIO_DIR.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kkgeom", "compute", "scenarios/vdep.json",
+         "--what", "torsion", "--at", "x1=0.1,x2=0.2,y0=1"],
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipe" not in err, err
 
 
 @pytest.mark.parametrize("key,value", [("samples", "abc"), ("samples", 2.7),

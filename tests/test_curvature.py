@@ -10,6 +10,7 @@ from kkgeom.curvature import (
     check_bianchi,
     check_ricci_commutation,
     curvature_components,
+    curvature_components_at,
     curvature_from_definition,
     default_test_vector,
     energy_momentum,
@@ -18,6 +19,7 @@ from kkgeom.curvature import (
     ricci,
     scalar_curvature,
     torsion_components,
+    torsion_components_at,
     torsion_from_definition,
 )
 from kkgeom.dconnection import (
@@ -30,7 +32,9 @@ from kkgeom.dconnection import (
 from kkgeom.metric import MetricStructure, canonical_metric_dconnection
 from kkgeom.nlconnection import NonlinearConnection
 from kkgeom.sampling import Box, sample_points
-from conftest import field, make_d1, make_nonabelian, make_sphere, make_vdep
+from kkgeom.scenario import load_scenario
+from conftest import (DATA_DIR, SCENARIO_DIR, bits, field, make_d1,
+                      make_nonabelian, make_sphere, make_vdep)
 
 PTS = sample_points(Box.default(2), 10, seed=0xA1B2)
 SPHERE_PTS = sample_points(Box(((0.3, 2.8), (-1.0, 1.0)), (0.1, 2.0)), 10,
@@ -103,6 +107,35 @@ def test_torsion_flat_everything_zero():
     assert max(abs(t.Thh[a][b][c]) for a in range(2)
                for b in range(2) for c in range(2)) == 0.0
     assert max(abs(w) for row in t.Tv for w in row) == 0.0
+
+
+def _leaves(node):
+    if isinstance(node, list):
+        return [leaf for sub in node for leaf in _leaves(sub)]
+    return [node]
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json"))
+                         + [DATA_DIR / "gen3_seed1.json"],
+                         ids=lambda path: path.stem)
+def test_both_torsion_evaluators_agree_bitwise(path):
+    """``torsion_components_at`` (the coefficients at the point and a pass
+    over Gamma, for ``compute --what torsion``) gives the bits of the
+    torsion block of ``curvature_components_at`` (one pass over the
+    coefficients and Gamma, which the oracle certifies), and both blocks
+    hold plain floats at a float point."""
+    sc = load_scenario(str(path))
+    if sc.metric is None and sc.explicit_dconnection is None:
+        pytest.skip("no d-connection")
+    D, N, A = sc.dconnection(), sc.connection, sc.algebroid
+    for pt in sample_points(sc.box, 3, sc.seed):
+        tors, curv = curvature_components_at(D, N, A, pt.x, pt.y)
+        alone = torsion_components_at(D, N, A, pt.x, pt.y)
+        assert bits(list(vars(tors).values())) == bits(
+            list(vars(alone).values()))
+        for block in (tors, curv, alone):
+            assert all(type(leaf) is float
+                       for leaf in _leaves(list(vars(block).values())))
 
 
 # -- oracle equivalence (the load-bearing test) --------------------------------
@@ -211,15 +244,20 @@ def _bump_first_entry(node):
 ])
 def test_oracle_fails_on_perturbed_family(monkeypatch, target, family, check):
     """A 1e-6 error in one entry of any component family fails the
-    matching oracle check and leaves the other one passing."""
-    original = getattr(curvature, target)
+    matching oracle check and leaves the other one passing.  ``target``
+    names the block by the evaluator that returns it alone; the oracle
+    reads both blocks from one ``curvature_components_at`` pass, so the
+    family is perturbed there."""
+    block = {"torsion_components_at": 0, "curvature_components_at": 1}[target]
+    original = curvature.curvature_components_at
 
     def perturbed(*args):
         out = original(*args)
-        out[family] = _bump_first_entry(out[family])
+        setattr(out[block], family,
+                _bump_first_entry(getattr(out[block], family)))
         return out
 
-    monkeypatch.setattr(curvature, target, perturbed)
+    monkeypatch.setattr(curvature, "curvature_components_at", perturbed)
     A, N, _ = make_vdep()
     results = {r.name: r for r in oracle_suite(generic_connection(), N, A,
                                                PTS[:1])}

@@ -15,6 +15,28 @@ def minimal():
     }
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("x,y,message", [
+    ([[1, 0], [0, 1]], [0.1, 2], "empty sampling range [1.0, 0.0]"),
+    ([[0, 1], [0, 1]], [NAN, 2], "empty sampling range [nan, 2.0]"),
+    ([[0, INF], [0, 1]], [0.1, 2], "unbounded sampling range [0.0, inf]"),
+    ([[0, 1], [-INF, 1]], [0.1, 2], "unbounded sampling range [-inf, 1.0]"),
+    ([[0, 1], [0, 1]], [0.1, INF], "unbounded sampling range [0.1, inf]"),
+    ([[-1e308, 1e308], [0, 1]], [0.1, 2],
+     "unbounded sampling range [-1e+308, 1e+308]"),
+])
+def test_box_ranges_must_be_bounded_and_nonempty(x, y, message):
+    """A reversed, NaN or infinite range (or one whose width overflows) is
+    a ``box`` input error, before any point is drawn."""
+    doc = minimal()
+    doc["box"] = {"x": x, "y": y}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"box: malformed box: {message}"
+
+
 def test_minimal_scenario_defaults():
     sc = scenario_from_dict(minimal())
     assert sc.m == 2 and sc.p == 2
