@@ -1,14 +1,5 @@
-import os
 import sys
 
-from .cli import main
+from .cli import entry
 
-try:
-    code = main()
-    sys.stdout.flush()
-except BrokenPipeError:
-    # The reader closed stdout early (say, ``| head -1``).  Point stdout at
-    # devnull so the interpreter's final flush stays quiet.
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    code = 1
-sys.exit(code)
+sys.exit(entry())

@@ -13,7 +13,6 @@ suites downstream assume data that passes these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .calculus import (
@@ -31,22 +30,22 @@ __all__ = ["AlgebroidData", "validate_antisymmetry",
 DEFAULT_VALIDATOR_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class AlgebroidData:
     """Anchor and bracket tables, both pulled back to fields on M."""
 
-    m: int
-    p: int
-    rho: tuple          # rho[alpha][i] -> SmoothField, shape p x m
-    L: tuple            # L[gamma][alpha][beta] -> SmoothField, shape p x p x p
+    __slots__ = ("m", "p", "rho", "L")
 
-    def __post_init__(self):
-        if len(self.rho) != self.p or any(len(row) != self.m for row in self.rho):
-            raise ValueError(f"rho table must be {self.p}x{self.m}")
-        if (len(self.L) != self.p
-                or any(len(a) != self.p for a in self.L)
-                or any(len(b) != self.p for a in self.L for b in a)):
-            raise ValueError(f"L table must be {self.p}^3")
+    def __init__(self, m: int, p: int, rho: tuple, L: tuple):
+        if len(rho) != p or any(len(row) != m for row in rho):
+            raise ValueError(f"rho table must be {p}x{m}")
+        if (len(L) != p
+                or any(len(a) != p for a in L)
+                or any(len(b) != p for a in L for b in a)):
+            raise ValueError(f"L table must be {p}^3")
+        self.m = m
+        self.p = p
+        self.rho = rho      # rho[alpha][i] -> SmoothField, shape p x m
+        self.L = L          # L[gamma][alpha][beta] -> SmoothField, shape p x p x p
 
     def rho_at(self, xs):
         """Anchor values at base point xs (entries float or Jet)."""

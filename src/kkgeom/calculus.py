@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from operator import add, neg, sub
 from typing import Callable, Sequence
 
@@ -73,18 +72,29 @@ def at_point(point):
         raise
 
 
-@dataclass(frozen=True)
 class EPoint:
-    """A point of E: base coordinates ``x`` (length m) and fiber coordinate ``y``."""
+    """A point of E: base coordinates ``x`` (length m) and fiber coordinate ``y``.
 
-    x: tuple
-    y: float
+    Points compare and hash by value."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", float(self.y))
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        self.x = tuple(float(v) for v in x)
+        self.y = float(y)
         if not all(math.isfinite(v) for v in self.x) or not math.isfinite(self.y):
             raise ValueError(f"non-finite point coordinates: {self.x}, {self.y}")
+
+    def __repr__(self):
+        return f"EPoint(x={self.x!r}, y={self.y!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not EPoint:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     @property
     def m(self):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 
@@ -29,7 +30,7 @@ from .curvature import (
 )
 from .lift import MAX_STEPS, integrate_horizontal_parallel, \
     integrate_parallel_lift, integrate_vertical_parallel
-from .metric import SingularMetricError
+from .metric import SingularMetricError, inverse_h
 from .nlconnection import nlc_curvature
 from .report import emit_json
 from .sampling import MAX_SAMPLES
@@ -183,6 +184,9 @@ def cmd_compute(args) -> int:
     pt = _parse_at(args.at, sc)
     what = args.what
     with at_point(pt):
+        if sc.metric is not None:
+            # the metric connection inverts g unchecked
+            inverse_h(sc.metric, pt)
         values = _compute_values(sc, what, pt)
     doc = {"command": "compute", "scenario": args.scenario, "what": what,
            "at": _point_obj(pt), "values": values}
@@ -279,8 +283,16 @@ def cmd_lift(args) -> int:
     return 0 if traj.completed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and, through ``add_subparsers``, its
+    subparsers) that reports a bad command line in one stderr line."""
+
+    def error(self, message):
+        self.exit(2, f"kkgeom: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kkgeom",
         description="Adapted-frame geometry engine: validators, component "
                     "computations, identity suites and lift ODEs over "
@@ -340,5 +352,20 @@ def main(argv=None) -> int:
         return _fail(f"evaluation error: {exc}{where}", 1)
 
 
+def entry() -> int:
+    """:func:`main` on the process arguments: the ``kkgeom`` script,
+    ``python -m kkgeom`` and ``python -m kkgeom.cli``.  A reader that
+    closes stdout early (say, ``| head -1``) gets exit 1, not a
+    ``BrokenPipeError`` traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

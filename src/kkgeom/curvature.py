@@ -20,7 +20,6 @@ The definition side is the arbiter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
 from .calculus import EPoint, Jet, at_point, primal
@@ -71,44 +70,54 @@ __all__ = [
 ]
 
 
-@dataclass
 class TorsionComponents:
     """Floats at a float point, Jets at a Jet point."""
 
-    Thh: list   # [a][b][c]
-    Tv: list    # [b][c]
-    Ph: list    # [a][b]
-    Pv: list    # [b]
-    S00: float
+    __slots__ = ("Thh", "Tv", "Ph", "Pv", "S00")
+
+    def __init__(self, Thh: list, Tv: list, Ph: list, Pv: list, S00: float):
+        self.Thh = Thh      # [a][b][c]
+        self.Tv = Tv        # [b][c]
+        self.Ph = Ph        # [a][b]
+        self.Pv = Pv        # [b]
+        self.S00 = S00
 
 
-@dataclass
 class CurvatureComponents:
     """Floats at a float point, Jets at a Jet point."""
 
-    Rh: list    # [a][b][c][e]
-    Rv: list    # [c][e]
-    Ph: list    # [a][eps][c]
-    Pv: list    # [c]
-    Sh: list    # [a][b]
-    Sv: float
+    __slots__ = ("Rh", "Rv", "Ph", "Pv", "Sh", "Sv")
+
+    def __init__(self, Rh: list, Rv: list, Ph: list, Pv: list, Sh: list,
+                 Sv: float):
+        self.Rh = Rh        # [a][b][c][e]
+        self.Rv = Rv        # [c][e]
+        self.Ph = Ph        # [a][eps][c]
+        self.Pv = Pv        # [c]
+        self.Sh = Sh        # [a][b]
+        self.Sv = Sv
 
 
-@dataclass
 class RicciTensor:
-    Rab: list   # [a][b] = Rh[g][a][b][g]
-    Pa0: list   # [a] = Pc_h[b][a][b]
-    P0b: list   # [b] = Pc_v[b]
-    S00: float
+    __slots__ = ("Rab", "Pa0", "P0b", "S00")
+
+    def __init__(self, Rab: list, Pa0: list, P0b: list, S00: float):
+        self.Rab = Rab      # [a][b] = Rh[g][a][b][g]
+        self.Pa0 = Pa0      # [a] = Pc_h[b][a][b]
+        self.P0b = P0b      # [b] = Pc_v[b]
+        self.S00 = S00
 
 
-@dataclass
 class EnergyMomentum:
-    Tab: list
-    Ta0: list
-    T0b: list
-    T00: float
-    kappa: float
+    __slots__ = ("Tab", "Ta0", "T0b", "T00", "kappa")
+
+    def __init__(self, Tab: list, Ta0: list, T0b: list, T00: float,
+                 kappa: float):
+        self.Tab = Tab
+        self.Ta0 = Ta0
+        self.T0b = T0b
+        self.T00 = T00
+        self.kappa = kappa
 
 
 def _thh(Hh, Lv):

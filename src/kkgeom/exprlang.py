@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .calculus import (
     SmoothField,
@@ -51,36 +50,60 @@ class ParseError(ValueError):
 
 
 class Expr:
-    pass
+    """A node of a parsed expression.  Nodes compare and hash by value: by
+    class and by the attributes named in ``__slots__``."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    kind: str          # "x", "y" or "t"
-    index: int = 0     # 0-based base-coordinate index, only for kind "x"
+    __slots__ = ("kind", "index")
+
+    def __init__(self, kind: str, index: int = 0):
+        self.kind = kind      # "x", "y" or "t"
+        self.index = index    # 0-based base-coordinate index, only for kind "x"
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str            # one of + - * / ^
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op          # one of + - * / ^
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    child: Expr
+    __slots__ = ("child",)
+
+    def __init__(self, child: Expr):
+        self.child = child
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        self.func = func
+        self.arg = arg
 
 
 _TOKEN_RE = re.compile(

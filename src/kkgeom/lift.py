@@ -17,7 +17,6 @@ the last valid time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
 from .calculus import Jet, at_point, jdx, primal
@@ -43,17 +42,19 @@ BLOWUP_LIMIT = 1e12
 
 # The largest step count ``lift --steps`` may ask for: far above the
 # default (1000), and small enough that a lift on a shipped scenario ends
-# in about a minute at most (d1 horizontal, the slowest: 56 s on a shared
-# 2-vCPU host) in under 120 MB.
+# in about a minute at most (d1 horizontal, the slowest: 47 s and 101 MB
+# peak RSS on a shared 2-vCPU Intel Xeon host, Python 3.11).
 MAX_STEPS = 100_000
 
 
-@dataclass(frozen=True)
 class BaseCurve:
     """m coordinate functions of t, with velocities via jets in t."""
 
-    m: int
-    components: tuple  # callables t -> scalar
+    __slots__ = ("m", "components")
+
+    def __init__(self, m: int, components: tuple):
+        self.m = m
+        self.components = components  # callables t -> scalar
 
     def point_at(self, t: float):
         return tuple(primal(c(t)) for c in self.components)
@@ -63,14 +64,16 @@ class BaseCurve:
         return [primal(jdx(c(jt), 0)) for c in self.components]
 
 
-@dataclass(frozen=True)
 class LiftMorphism:
     """Fiber-to-frame column g[alpha](x), optionally with a stated left
     inverse gtilde[alpha](x)."""
 
-    p: int
-    g: tuple                  # p SmoothFields on M
-    gtilde: tuple | None = None
+    __slots__ = ("p", "g", "gtilde")
+
+    def __init__(self, p: int, g: tuple, gtilde: tuple | None = None):
+        self.p = p
+        self.g = g            # p SmoothFields on M
+        self.gtilde = gtilde
 
     def g_at(self, xs):
         return [f(xs, 0.0) for f in self.g]
@@ -81,20 +84,21 @@ class LiftMorphism:
         return [f(xs, 0.0) for f in self.gtilde]
 
 
-@dataclass(frozen=True)
 class LiftState:
-    t: float
-    state: tuple
+    __slots__ = ("t", "state")
 
-    def __post_init__(self):
-        object.__setattr__(self, "state", tuple(float(v) for v in self.state))
+    def __init__(self, t: float, state):
+        self.t = t
+        self.state = tuple(float(v) for v in state)
 
 
-@dataclass
 class Trajectory:
-    points: list                 # of LiftState
-    completed: bool
-    message: str = ""
+    __slots__ = ("points", "completed", "message")
+
+    def __init__(self, points: list, completed: bool, message: str = ""):
+        self.points = points          # of LiftState
+        self.completed = completed
+        self.message = message
 
     @property
     def last(self) -> LiftState:

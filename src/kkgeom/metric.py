@@ -14,8 +14,6 @@ second).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebroid import AlgebroidData
 from .calculus import (
     EPoint,
@@ -57,17 +55,17 @@ class SingularMetricError(EvaluationDomainError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
 class MetricStructure:
     """Horizontal block g (p x p SmoothFields, symmetric) and vertical g00."""
 
-    p: int
-    g: tuple       # g[alpha][beta] SmoothFields
-    g00: SmoothField
+    __slots__ = ("p", "g", "g00")
 
-    def __post_init__(self):
-        if len(self.g) != self.p or any(len(row) != self.p for row in self.g):
-            raise ValueError(f"g table must be {self.p}x{self.p}")
+    def __init__(self, p: int, g: tuple, g00: SmoothField):
+        if len(g) != p or any(len(row) != p for row in g):
+            raise ValueError(f"g table must be {p}x{p}")
+        self.p = p
+        self.g = g         # g[alpha][beta] SmoothFields
+        self.g00 = g00
 
     def g_at(self, xs, y):
         return [[self.g[a][b](xs, y) for b in range(self.p)]

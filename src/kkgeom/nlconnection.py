@@ -13,7 +13,6 @@ on floats or Jets alike, so the operators nest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .algebroid import AlgebroidData
@@ -40,16 +39,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class NonlinearConnection:
     """Coefficients Gamma[gamma](x, y0) of the horizontal/vertical split."""
 
-    p: int
-    gamma: tuple  # p SmoothFields on E
+    __slots__ = ("p", "gamma")
 
-    def __post_init__(self):
-        if len(self.gamma) != self.p:
-            raise ValueError(f"Gamma table must have {self.p} entries")
+    def __init__(self, p: int, gamma: tuple):
+        if len(gamma) != p:
+            raise ValueError(f"Gamma table must have {p} entries")
+        self.p = p
+        self.gamma = gamma  # p SmoothFields on E
 
     def gamma_at(self, xs, y):
         return [g(xs, y) for g in self.gamma]
@@ -134,7 +133,6 @@ def nlc_curvature(A: AlgebroidData, N: NonlinearConnection, pt: EPoint):
     return out
 
 
-@dataclass(frozen=True)
 class CoordinateChange:
     """A fibred chart change: base map x -> x', linear fiber rescale
     y0' = phi(x) * y0, and frame change Lambda (with pointwise inverse).
@@ -144,13 +142,21 @@ class CoordinateChange:
     pointwise inverse Lambda[a][a'].
     """
 
-    m: int
-    p: int
-    base: tuple | None = None
-    base_inverse: tuple | None = None
-    fiber_scale: SmoothField | None = None
-    frame: tuple | None = None
-    frame_inverse: tuple | None = None
+    __slots__ = ("m", "p", "base", "base_inverse", "fiber_scale", "frame",
+                 "frame_inverse")
+
+    def __init__(self, m: int, p: int, base: tuple | None = None,
+                 base_inverse: tuple | None = None,
+                 fiber_scale: SmoothField | None = None,
+                 frame: tuple | None = None,
+                 frame_inverse: tuple | None = None):
+        self.m = m
+        self.p = p
+        self.base = base
+        self.base_inverse = base_inverse
+        self.fiber_scale = fiber_scale
+        self.frame = frame
+        self.frame_inverse = frame_inverse
 
     def base_at(self, xs):
         if self.base is None:

@@ -8,25 +8,24 @@ times are kept out of the structured output (they go to stderr only).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .calculus import EPoint
 
 __all__ = ["CheckResult", "ResidualTracker", "emit_json", "fmt_float"]
 
 
-@dataclass
 class CheckResult:
     """One named residual check: max residual over samples vs a tolerance."""
 
-    name: str
-    max_residual: float
-    tol: float
-    worst_point: EPoint | None = None
-    passed: bool = field(init=False)
+    __slots__ = ("name", "max_residual", "tol", "worst_point", "passed")
 
-    def __post_init__(self):
-        self.passed = self.max_residual <= self.tol
+    def __init__(self, name: str, max_residual: float, tol: float,
+                 worst_point: EPoint | None = None):
+        self.name = name
+        self.max_residual = max_residual
+        self.tol = tol
+        self.worst_point = worst_point
+        self.passed = max_residual <= tol
 
     def to_json_obj(self):
         obj = {

@@ -7,7 +7,6 @@ platforms: same seed, same scenario, byte-identical numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .calculus import EPoint
 
@@ -42,7 +41,6 @@ class SplitMix64:
         return lo + (hi - lo) * u
 
 
-@dataclass(frozen=True)
 class Box:
     """Sampling ranges: one (lo, hi) per base coordinate plus one for y0.
 
@@ -50,16 +48,11 @@ class Box:
     (1/y0, log(y0), ...) stay evaluable.
     """
 
-    x_ranges: tuple
-    y_range: tuple
+    __slots__ = ("x_ranges", "y_range")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "x_ranges", tuple((float(a), float(b)) for a, b in self.x_ranges)
-        )
-        object.__setattr__(
-            self, "y_range", (float(self.y_range[0]), float(self.y_range[1]))
-        )
+    def __init__(self, x_ranges, y_range):
+        self.x_ranges = tuple((float(a), float(b)) for a, b in x_ranges)
+        self.y_range = (float(y_range[0]), float(y_range[1]))
         for lo, hi in self.x_ranges + (self.y_range,):
             if not lo < hi:
                 raise ValueError(f"empty sampling range [{lo}, {hi}]")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from .algebroid import AlgebroidData
 from .calculus import SmoothField
@@ -93,28 +92,39 @@ def bounded_count(value, location, maximum) -> int:
     return value
 
 
-@dataclass
 class LiftSection:
-    curve: BaseCurve
-    morphism: LiftMorphism
-    y0: float
+    __slots__ = ("curve", "morphism", "y0")
+
+    def __init__(self, curve: BaseCurve, morphism: LiftMorphism, y0: float):
+        self.curve = curve
+        self.morphism = morphism
+        self.y0 = y0
 
 
-@dataclass
 class Scenario:
-    path: str
-    m: int
-    p: int
-    box: Box
-    algebroid: AlgebroidData
-    connection: NonlinearConnection
-    metric: MetricStructure | None
-    baseline: str                       # "zero" | "berwald"
-    explicit_dconnection: DConnectionCoeffs | None
-    lift: LiftSection | None
-    kappa: float
-    seed: int
-    samples: int
+    __slots__ = ("path", "m", "p", "box", "algebroid", "connection",
+                 "metric", "baseline", "explicit_dconnection", "lift",
+                 "kappa", "seed", "samples")
+
+    def __init__(self, path: str, m: int, p: int, box: Box,
+                 algebroid: AlgebroidData, connection: NonlinearConnection,
+                 metric: MetricStructure | None, baseline: str,
+                 explicit_dconnection: DConnectionCoeffs | None,
+                 lift: LiftSection | None, kappa: float, seed: int,
+                 samples: int):
+        self.path = path
+        self.m = m
+        self.p = p
+        self.box = box
+        self.algebroid = algebroid
+        self.connection = connection
+        self.metric = metric
+        self.baseline = baseline            # "zero" | "berwald"
+        self.explicit_dconnection = explicit_dconnection
+        self.lift = lift
+        self.kappa = kappa
+        self.seed = seed
+        self.samples = samples
 
     @property
     def dconnection_is_metric(self) -> bool:

@@ -27,8 +27,8 @@ from .curvature import (
 )
 from .dconnection import DVectorField, dconnection_transformation_point
 from .lift import local_invertibility_residual
-from .metric import CompatibilityCheck, matrix_inverse, metric_dconnection, \
-    riemannian_flags
+from .metric import CompatibilityCheck, inverse_h, matrix_inverse, \
+    metric_dconnection, riemannian_flags
 from .nlconnection import CoordinateChange, nlc_transformation_point
 from .report import ResidualTracker
 from .sampling import sample_points
@@ -282,7 +282,9 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
     point k, each suite whose sample count is above k runs its step there.  They share the
     point's :class:`PointTables` (coefficients once per derivative depth,
     torsion and curvature components from one pass); ``seconds`` charges that
-    shared work to the first suite that runs at a point.
+    shared work to the first suite that runs at a point.  A metric's
+    horizontal block is checked for conditioning (:func:`inverse_h`) once
+    at each point, before any suite inverts it unchecked.
     """
     for name in names:
         if name not in SUITE_NAMES:
@@ -299,6 +301,9 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
     checks = _point_checks(sc, names, tols)
     D, A, N = sc.dconnection(), sc.algebroid, sc.connection
     for k, pt in enumerate(pts):
+        if sc.metric is not None:
+            with at_point(pt):
+                inverse_h(sc.metric, pt)
         tables = PointTables(D, N, A, pt)
         for name, check in checks.items():
             if k < counts[name]:

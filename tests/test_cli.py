@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tomllib
 
 import pytest
 
@@ -473,9 +474,15 @@ def test_closed_stdout_ends_without_a_traceback():
     """A reader that closes stdout before the document is written (as
     ``| head -1`` can) gets exit 1 and a quiet stderr, not a
     ``BrokenPipeError`` traceback."""
+    _quiet_on_closed_stdout(["-m", "kkgeom"])
+
+
+def _quiet_on_closed_stdout(launch):
+    """Run ``compute`` through ``launch`` (interpreter arguments before the
+    command line) with stdout closed at once: exit 1 and a quiet stderr."""
     root = SCENARIO_DIR.parent
     proc = subprocess.Popen(
-        [sys.executable, "-m", "kkgeom", "compute", "scenarios/vdep.json",
+        [sys.executable, *launch, "compute", "scenarios/vdep.json",
          "--what", "torsion", "--at", "x1=0.1,x2=0.2,y0=1"],
         cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -484,6 +491,62 @@ def test_closed_stdout_ends_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipe" not in err, err
+
+
+def _console_script():
+    """What the installed ``kkgeom`` script runs: ``sys.exit`` of the
+    function that ``[project.scripts]`` names."""
+    pyproject = SCENARIO_DIR.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, func = scripts["kkgeom"].partition(":")
+    return ["-c", f"import sys; from {module} import {func}; "
+                  f"sys.exit({func}())"]
+
+
+@pytest.mark.parametrize("launch", [["-m", "kkgeom.cli"], _console_script()],
+                         ids=["python -m kkgeom.cli", "console script"])
+def test_every_entry_is_quiet_on_closed_stdout(launch):
+    """``python -m kkgeom.cli`` and the ``kkgeom`` console script handle a
+    closed stdout as ``python -m kkgeom`` does."""
+    _quiet_on_closed_stdout(launch)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("lift", "scenarios/d1.json", "--mode", "parallel", "--steps", "abc"),
+     "argument --steps: invalid int value: 'abc'"),
+    (("check", "scenarios/d1.json", "--samples", "abc"),
+     "argument --samples: invalid int value: 'abc'"),
+    (("compute", "scenarios/vdep.json", "--what", "bogus",
+      "--at", "x1=0.1,x2=0.2,y0=1"),
+     "argument --what: invalid choice: 'bogus' "),
+], ids=["steps", "samples", "what"])
+def test_bad_command_line_is_one_line(capsys, monkeypatch, argv, message):
+    """A command line argparse refuses ends in exit 2 and one stderr line,
+    with no usage block."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    _one_line_error(err)
+    assert err.startswith(f"kkgeom: error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--suite", "compatibility", "--samples", "2"),
+    ("compute", "--what", "torsion", "--at", "x1=0.5,x2=0.2,y0=0.5"),
+], ids=["check", "compute"])
+def test_singular_metric_block_exits_1(capsys, tmp_path, argv):
+    """A horizontal metric block that is singular at a sample point (or at
+    the ``compute`` point) fails its conditioning check there, before the
+    metric connection inverts it unchecked."""
+    path = _variant(tmp_path, "d1.json", lambda doc: doc["metric"].__setitem__(
+        "g", [["1", "x1"], ["x1", "x1*x1"]]))
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 1 and out == ""
+    _one_line_error(err)
+    assert err == ("kkgeom: error: singular metric: singular matrix (pivot "
+                   "0.000e+00 in column 1) (condition inf)\n")
 
 
 @pytest.mark.parametrize("key,value", [("samples", "abc"), ("samples", 2.7),

@@ -1,6 +1,9 @@
 """Rules on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kkgeom"
@@ -92,3 +95,41 @@ def test_the_unused_import_guard_sees_an_unused_name():
                      "__all__ = ['tau']\n"
                      "print(pi)\n")
     assert _unused_imports(tree) == {"os"}
+
+
+def _imported_modules(tree):
+    """Top-level names of the modules a module imports (absolute imports)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_dataclasses_import():
+    """The records are plain classes: ``dataclasses`` (and the ``inspect``
+    it imports) would cost every ``kkgeom`` process its import, and each
+    decorated class its generated methods, at start-up."""
+    found = {path.name for path in sorted(SRC.glob("*.py"))
+             if "dataclasses" in _imported_modules(
+                 ast.parse(path.read_text(), str(path)))}
+    assert found == set()
+
+
+def test_the_import_guard_sees_dataclasses():
+    tree = ast.parse("from dataclasses import dataclass\nimport os.path\n"
+                     "from .calculus import EPoint\n")
+    assert _imported_modules(tree) == {"dataclasses", "os"}
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    """No module that a fresh ``import kkgeom.cli`` loads imports
+    ``dataclasses`` either."""
+    code = "import sys, kkgeom.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "False\n"

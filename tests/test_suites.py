@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -137,8 +136,8 @@ def test_sample_points_are_prefix_stable(box, seed):
 
 
 def _counting_scenario(sc, counts):
-    """``sc`` with every anchor, bracket, Gamma and g entry counting its
-    evaluations in ``counts[(table, index)]``."""
+    """``sc``, changed in place so that every anchor, bracket, Gamma and g
+    entry counts its evaluations in ``counts[(table, index)]``."""
     def wrap(table, fields, idx=()):
         if isinstance(fields, tuple):
             return tuple(wrap(table, f, idx + (k,))
@@ -150,12 +149,11 @@ def _counting_scenario(sc, counts):
         return SmoothField(fn, sc.m)
 
     A, N, G = sc.algebroid, sc.connection, sc.metric
-    return dataclasses.replace(
-        sc,
-        algebroid=AlgebroidData(sc.m, sc.p, wrap("rho", A.rho),
-                                wrap("L", A.L)),
-        connection=NonlinearConnection(sc.p, wrap("Gamma", N.gamma)),
-        metric=MetricStructure(sc.p, wrap("g", G.g), G.g00))
+    sc.algebroid = AlgebroidData(sc.m, sc.p, wrap("rho", A.rho),
+                                 wrap("L", A.L))
+    sc.connection = NonlinearConnection(sc.p, wrap("Gamma", N.gamma))
+    sc.metric = MetricStructure(sc.p, wrap("g", G.g), G.g00)
+    return sc
 
 
 def test_primed_tables_evaluate_each_unprimed_entry_once():
