@@ -50,7 +50,6 @@ from .metric import (
     MetricStructure,
     SingularMetricError,
     canonical_metric_dconnection,
-    compatibility_check,
     inverse_h,
     metric_dconnection,
     riemannian_flags,
@@ -58,7 +57,6 @@ from .metric import (
 from .nlconnection import (
     CoordinateChange,
     NonlinearConnection,
-    check_nlc_transformation,
     h_derivative,
     nlc_curvature,
 )

@@ -400,13 +400,6 @@ class SmoothField:
     def __call__(self, xs: Sequence, y) -> Scalar:
         return self._fn(xs, y)
 
-    def at(self, p: EPoint) -> float:
-        v = self._fn(p.x, p.y)
-        v = primal(v)
-        if not math.isfinite(v):
-            raise EvaluationDomainError(f"non-finite field value at {p}", point=p)
-        return v
-
     @staticmethod
     def constant(c: float, m: int) -> "SmoothField":
         return SmoothField(lambda xs, y: c, m, name=repr(c))

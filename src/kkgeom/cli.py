@@ -344,12 +344,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         return _fail(str(exc), 2)
-    except SingularMetricError as exc:
-        return _fail(f"singular metric: {exc} (condition "
-                     f"{getattr(exc, 'condition', None)})", 1)
     except EvaluationDomainError as exc:
         where = f" at {exc.point}" if exc.point is not None else ""
-        return _fail(f"evaluation error: {exc}{where}", 1)
+        if not isinstance(exc, SingularMetricError):
+            return _fail(f"evaluation error: {exc}{where}", 1)
+        if exc.condition is not None:
+            where = f" (condition {exc.condition}){where}"
+        return _fail(f"singular metric: {exc}{where}", 1)
 
 
 def entry() -> int:

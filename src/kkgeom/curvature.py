@@ -20,9 +20,8 @@ The definition side is the arbiter.
 
 from __future__ import annotations
 
-
 from .algebroid import AlgebroidData
-from .calculus import EPoint, Jet, at_point, primal
+from .calculus import EPoint, Jet, primal
 from .dconnection import (
     DConnectionCoeffs,
     DVectorField,
@@ -36,13 +35,14 @@ from .dconnection import (
     h_cov_values,
     v_cov_values,
 )
+from .exprlang import eval_field, parse
 from .metric import MetricStructure, inverse_h
 from .nlconnection import (
     NonlinearConnection,
     adapted_derivatives,
     bracket_curvature,
 )
-from .report import CheckResult, ResidualTracker
+from .report import ResidualTracker
 
 __all__ = [
     "TorsionComponents",
@@ -63,9 +63,6 @@ __all__ = [
     "OracleCheck",
     "RicciCommutationCheck",
     "BianchiCheck",
-    "oracle_suite",
-    "check_ricci_commutation",
-    "check_bianchi",
     "default_test_vector",
 ]
 
@@ -416,14 +413,6 @@ class PointTables:
         return self._components
 
 
-def _run_points(check, D, N, A, samples):
-    """``check.step`` at every sample point, then ``check.finish()``."""
-    for pt in samples:
-        with at_point(pt):
-            check.step(pt, PointTables(D, N, A, pt))
-    return check.finish()
-
-
 class OracleCheck:
     """Definition-vs-components equivalence over every frame pair/triple.
 
@@ -509,19 +498,10 @@ def _oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
     c_tracker.update(v - curv.Sv, pt)
 
 
-def oracle_suite(D: DConnectionCoeffs, N: NonlinearConnection,
-                 A: AlgebroidData, samples, tol: float = 1e-8):
-    """:class:`OracleCheck` over the samples; returns two CheckResults
-    (torsion, curvature)."""
-    return _run_points(OracleCheck(N, A, tol), D, N, A, samples)
-
-
 def default_test_vector(p: int, m: int) -> DVectorField:
     """Fixed test field for the commutation suite: h-components cycle
     through a small set of smooth expressions (restricted to the declared
     base dimension), vertical component x1*y0."""
-    from .exprlang import eval_field, parse
-
     def source(a):
         if a == 0 and m >= 2:
             return "x2"
@@ -533,10 +513,7 @@ def default_test_vector(p: int, m: int) -> DVectorField:
     fields = [eval_field(parse(source(a), m), m) for a in range(p)]
     vfield = eval_field(parse("x1*y0", m), m)
     return DVectorField(
-        p,
-        lambda xs, y: [f(xs, y) for f in fields],
-        lambda xs, y: vfield(xs, y),
-    )
+        p, lambda xs, y: ([f(xs, y) for f in fields], vfield(xs, y)))
 
 
 class RicciCommutationCheck:
@@ -550,15 +527,15 @@ class RicciCommutationCheck:
     with the left sides from nested differentiation of the coefficients and
     the fields only (:func:`_commutation_values`).  ``step(pt, tables)``
     checks every field at one point; ``finish()`` returns one CheckResult
-    per field, in the order of ``fields``.
+    per field, ``ricci_commutation_k`` for the k-th field (from 1).
     """
 
     def __init__(self, fields, N: NonlinearConnection, A: AlgebroidData,
                  tol: float = 1e-6):
         self._fields = fields
         self._args = (N, A)
-        self._trackers = [ResidualTracker("ricci_commutation", tol)
-                          for _ in fields]
+        self._trackers = [ResidualTracker(f"ricci_commutation_{k}", tol)
+                          for k in range(1, len(fields) + 1)]
 
     def finish(self):
         return [tracker.result() for tracker in self._trackers]
@@ -636,14 +613,6 @@ def _commutation_point(Z, tensors, tors, curv, pt, tracker):
         rhs -= tors.Pv[c] * primal(d1)
         rhs -= sum(tors.Ph[t][c] * primal(c1[t]) for t in range(p))
         tracker.update(lhs - rhs, pt)
-
-
-def check_ricci_commutation(Z: DVectorField, D: DConnectionCoeffs,
-                            N: NonlinearConnection, A: AlgebroidData,
-                            samples, tol: float = 1e-6) -> CheckResult:
-    """:class:`RicciCommutationCheck` of one test field over the samples."""
-    check = RicciCommutationCheck([Z], N, A, tol)
-    return _run_points(check, D, N, A, samples)[0]
 
 
 class BianchiCheck:
@@ -740,10 +709,3 @@ def _bianchi_values(D, N, A, pt):
     return [h_cov_values(vals[k], [d[k] for d in delta], rh, sh, w, Hh, Hv)
             for k, (rh, sh, w) in enumerate(
                 ((1, 2, 0), (0, 2, 1), (1, 3, 0), (0, 2, 0)))]
-
-
-def check_bianchi(D: DConnectionCoeffs, N: NonlinearConnection,
-                  A: AlgebroidData, samples, tol: float = 1e-5):
-    """:class:`BianchiCheck` over the samples; returns the four
-    CheckResults."""
-    return _run_points(BianchiCheck(N, A, tol), D, N, A, samples)

@@ -30,12 +30,7 @@ from .calculus import (
     primal,
     seeded_point,
 )
-from .nlconnection import (
-    CoordinateChange,
-    NonlinearConnection,
-    adapted_derivatives,
-)
-from .report import CheckResult, ResidualTracker
+from .nlconnection import NonlinearConnection, adapted_derivatives
 
 __all__ = [
     "DConnectionCoeffs",
@@ -54,7 +49,6 @@ __all__ = [
     "bracket_d_vectors",
     "frame_h",
     "frame_v",
-    "check_dconnection_transformation",
     "dconnection_transformation_point",
 ]
 
@@ -273,27 +267,15 @@ def tensor_product(S: DTensorField, T: DTensorField) -> DTensorField:
 
 
 class DVectorField:
-    """Vector field in adapted components: h (p entries) plus one vertical.
-
-    Construct either from separate component evaluators or, for derived
-    fields whose h and v parts share work, from a single combined evaluator
-    ``hv_at`` returning ``(h_list, v_scalar)`` (nested operators always call
-    the combined form, so shared subexpressions are evaluated once)."""
+    """Vector field in adapted components: h (p entries) plus one vertical,
+    from one evaluator ``hv_at(xs, y)`` returning ``(h_list, v_scalar)``,
+    so that the two parts share their work."""
 
     __slots__ = ("p", "hv_at")
 
-    def __init__(self, p, h_at=None, v_at=None, hv_at=None):
+    def __init__(self, p, hv_at):
         self.p = p
-        if hv_at is not None:
-            self.hv_at = hv_at
-        else:
-            self.hv_at = lambda xs, y: (list(h_at(xs, y)), v_at(xs, y))
-
-    def h_at(self, xs, y):
-        return self.hv_at(xs, y)[0]
-
-    def v_at(self, xs, y):
-        return self.hv_at(xs, y)[1]
+        self.hv_at = hv_at
 
     def at(self, pt: EPoint):
         h, v = self.hv_at(pt.x, pt.y)
@@ -303,15 +285,12 @@ class DVectorField:
 def frame_h(p: int, idx: int) -> DVectorField:
     """The idx-th horizontal frame field."""
     return DVectorField(
-        p,
-        hv_at=lambda xs, y: ([1.0 if a == idx else 0.0 for a in range(p)],
-                             0.0),
-    )
+        p, lambda xs, y: ([1.0 if a == idx else 0.0 for a in range(p)], 0.0))
 
 
 def frame_v(p: int) -> DVectorField:
     """The vertical frame field."""
-    return DVectorField(p, hv_at=lambda xs, y: ([0.0] * p, 1.0))
+    return DVectorField(p, lambda xs, y: ([0.0] * p, 1.0))
 
 
 def frame_derivatives(W_at, A: AlgebroidData, N: NonlinearConnection,
@@ -383,7 +362,7 @@ def cov_deriv_along(X: DVectorField, W: DVectorField, A: AlgebroidData,
         Xh, Xv = X.hv_at(xs, y)
         return frame_contract(list(Xh) + [Xv], [row[0] for row in derivs])
 
-    return DVectorField(X.p, hv_at=components)
+    return DVectorField(X.p, components)
 
 
 def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
@@ -446,32 +425,19 @@ def bracket_d_vectors(X: DVectorField, Y: DVectorField, A: AlgebroidData,
                       N: NonlinearConnection) -> DVectorField:
     """[X, Y] in adapted components: :func:`bracket_pairs` for one pair."""
     pair_at = bracket_pairs([X, Y], [(0, 1)], A, N)
-    return DVectorField(X.p, hv_at=lambda xs, y: pair_at(xs, y)[0])
+    return DVectorField(X.p, lambda xs, y: pair_at(xs, y)[0])
 
 
-def check_dconnection_transformation(D: DConnectionCoeffs,
-                                     D_primed: DConnectionCoeffs,
-                                     C: CoordinateChange,
-                                     A: AlgebroidData,
-                                     N: NonlinearConnection,
-                                     samples,
-                                     tol: float = 1e-8) -> CheckResult:
-    """Residuals of the four coefficient change laws under C:
+def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
+    """Residuals at pt, into ``tracker``, of the four coefficient change
+    laws under C:
 
         hh': Lam^{a'}_a [ delta_g(Laminv^a_{b'}) + hh^a_{bg} Laminv^b_{b'} ] Laminv^g_{g'}
         hv': phi [ delta_g(1/phi) + hv_g / phi ] Laminv^g_{g'}
         vh': Lam^{a'}_a vh^a_b Laminv^b_{b'} / phi
         vv': vv / phi
-    """
-    tracker = ResidualTracker("dconnection_transformation", tol)
-    for pt in samples:
-        dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker)
-    return tracker.result()
 
-
-def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
-    """:func:`check_dconnection_transformation` at one point, into
-    ``tracker``."""
+    with the primed coefficients read at the pushed-forward point."""
     p = D.p
     phi = primal(C.phi_at(pt.x))
     if phi == 0.0:

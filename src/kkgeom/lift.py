@@ -21,6 +21,7 @@ import math
 from .algebroid import AlgebroidData
 from .calculus import Jet, at_point, jdx, primal
 from .dconnection import DConnectionCoeffs
+from .metric import SingularMetricError
 from .nlconnection import NonlinearConnection
 
 __all__ = [
@@ -106,7 +107,8 @@ class Trajectory:
 
 
 def rk4_integrate(f, t0: float, t1: float, state0, steps: int) -> Trajectory:
-    """Classic fixed-step RK4 on dstate/dt = f(t, state); aborts on blow-up."""
+    """Classic fixed-step RK4 on dstate/dt = f(t, state); aborts on blow-up.
+    A SingularMetricError from ``f`` is not a blow-up: it propagates."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     h = (t1 - t0) / steps
@@ -123,6 +125,8 @@ def rk4_integrate(f, t0: float, t1: float, state0, steps: int) -> Trajectory:
             k2 = f(t + 0.5 * h, tuple(s + 0.5 * h * d for s, d in zip(state, k1)))
             k3 = f(t + 0.5 * h, tuple(s + 0.5 * h * d for s, d in zip(state, k2)))
             k4 = f(t + h, tuple(s + h * d for s, d in zip(state, k3)))
+        except SingularMetricError:
+            raise
         except (ArithmeticError, ValueError):
             return Trajectory(points, False,
                               f"state blew up after t={points[-1].t:.6g}")

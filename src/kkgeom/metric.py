@@ -32,7 +32,7 @@ from .dconnection import (
     v_cov_values,
 )
 from .nlconnection import NonlinearConnection, adapted_derivatives
-from .report import CheckResult, ResidualTracker
+from .report import ResidualTracker
 
 __all__ = [
     "MetricStructure",
@@ -42,9 +42,16 @@ __all__ = [
     "metric_dconnection",
     "canonical_metric_dconnection",
     "CompatibilityCheck",
-    "compatibility_check",
     "riemannian_flags",
 ]
+
+
+# Past this condition estimate of a horizontal block, fewer than about 4
+# of the 16 significant digits of its inverse are right, so the inverse and
+# everything built on it is refused.
+MAX_CONDITION = 1e12
+# The largest entry of g . g^-1 - I allowed, relative to max(1, condition).
+RESIDUAL_TOL = 1e-12
 
 
 class SingularMetricError(EvaluationDomainError):
@@ -113,9 +120,10 @@ def matrix_inverse(mat, point=None):
     return [row[n:] for row in aug]
 
 
-def inverse_h(G: MetricStructure, pt: EPoint, residual_tol: float = 1e-12):
+def inverse_h(G: MetricStructure, pt: EPoint):
     """Pointwise inverse of the horizontal block, self-checked by
-    multiplying back; raises SingularMetricError with a condition estimate."""
+    multiplying back; raises SingularMetricError with a condition estimate
+    when that is above MAX_CONDITION or the check fails."""
     g = [[primal(v) for v in row] for row in G.g_at(pt.x, pt.y)]
     try:
         ginv = matrix_inverse(g, point=pt)
@@ -129,7 +137,11 @@ def inverse_h(G: MetricStructure, pt: EPoint, residual_tol: float = 1e-12):
             acc = sum(g[a][c] * ginv[c][b] for c in range(p))
             worst = max(worst, abs(acc - (1.0 if a == b else 0.0)))
     cond = _norm1(g) * _norm1(ginv)
-    if worst > residual_tol * max(1.0, cond):
+    if cond > MAX_CONDITION:
+        raise SingularMetricError(
+            f"ill-conditioned metric block (condition above "
+            f"{MAX_CONDITION:g})", point=pt, condition=cond)
+    if worst > RESIDUAL_TOL * max(1.0, cond):
         raise SingularMetricError(
             f"ill-conditioned metric block (residual {worst:.3e})",
             point=pt, condition=cond,
@@ -263,14 +275,6 @@ class CompatibilityCheck:
         for c in range(p):
             tracker.update(primal(v0h[c]), pt)
         tracker.update(primal(v0v), pt)
-
-
-def compatibility_check(G: MetricStructure, D: DConnectionCoeffs,
-                        A: AlgebroidData, N: NonlinearConnection, samples,
-                        tol: float = 1e-9) -> CheckResult:
-    """Max over samples of :class:`CompatibilityCheck`'s residuals."""
-    from .curvature import _run_points
-    return _run_points(CompatibilityCheck(G, A, N, tol), D, N, A, samples)[0]
 
 
 def riemannian_flags(G: MetricStructure, samples, tol: float = 1e-12):

@@ -34,7 +34,6 @@ __all__ = [
     "h_derivative",
     "nlc_curvature",
     "bracket_curvature",
-    "check_nlc_transformation",
     "nlc_transformation_point",
 ]
 
@@ -213,23 +212,14 @@ class CoordinateChange:
         return tracker.result()
 
 
-def check_nlc_transformation(N: NonlinearConnection, N_primed: NonlinearConnection,
-                             C: CoordinateChange, A: AlgebroidData, samples,
-                             tol: float = 1e-8) -> CheckResult:
-    """Residual of the connection-coefficient change law
+def nlc_transformation_point(N, N_primed, C, A, pt, tracker):
+    """Residual at pt, into ``tracker``, of the connection-coefficient
+    change law
 
         Gamma'_{g'}(x', y0') = [ -rho^k_g y0 dphi/dx_k + phi Gamma_g ] Lam^g_{g'}
 
     with all right-hand quantities evaluated in the unprimed chart and the
     left side at the pushed-forward point."""
-    tracker = ResidualTracker("nlc_transformation", tol)
-    for pt in samples:
-        nlc_transformation_point(N, N_primed, C, A, pt, tracker)
-    return tracker.result()
-
-
-def nlc_transformation_point(N, N_primed, C, A, pt, tracker):
-    """:func:`check_nlc_transformation` at one point, into ``tracker``."""
     p = A.p
     phi = primal(C.phi_at(pt.x))
     if phi == 0.0:

@@ -59,10 +59,6 @@ class Box:
             if not math.isfinite(hi - lo):
                 raise ValueError(f"unbounded sampling range [{lo}, {hi}]")
 
-    @property
-    def m(self) -> int:
-        return len(self.x_ranges)
-
     @staticmethod
     def default(m: int) -> "Box":
         return Box(tuple((-1.0, 1.0) for _ in range(m)), (0.1, 2.0))

@@ -6,9 +6,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kkgeom.algebroid import AlgebroidData
+from kkgeom.calculus import at_point
+from kkgeom.curvature import PointTables
 from kkgeom.exprlang import eval_field, parse
 from kkgeom.metric import MetricStructure
 from kkgeom.nlconnection import NonlinearConnection
+from kkgeom.report import ResidualTracker
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # gen3_seed1.json: the p = m = 3 scenario that perfbench/scenarios.py
@@ -27,6 +30,26 @@ def bits(s):
     if hasattr(s, "dx"):
         return ("jet", bits(s.value), bits(s.dx), bits(s.dy))
     return float.hex(s)
+
+
+def run_check(check, D, N, A, pts):
+    """One check class over ``pts``, stepped as ``run_suites`` steps it:
+    ``check.step`` inside ``at_point`` at each point, on the coefficient
+    set ``D``; returns ``check.finish()``."""
+    for pt in pts:
+        with at_point(pt):
+            check.step(pt, PointTables(D, N, A, pt))
+    return check.finish()
+
+
+def run_law(point_fn, args, pts, tol=1e-8):
+    """The CheckResult of a change law over ``pts``: ``point_fn(*args, pt,
+    tracker)`` (a ``*_transformation_point`` function) at each point into
+    one tracker, named after the law."""
+    tracker = ResidualTracker(point_fn.__name__.removesuffix("_point"), tol)
+    for pt in pts:
+        point_fn(*args, pt, tracker)
+    return tracker.result()
 
 
 def field(src, m=2, **kw):

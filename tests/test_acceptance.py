@@ -15,18 +15,18 @@ import pytest
 from kkgeom.algebroid import AlgebroidData
 from kkgeom.calculus import EPoint, jdx, jdy, jval, primal, seeded_point
 from kkgeom.curvature import (
-    check_bianchi,
-    check_ricci_commutation,
+    BianchiCheck,
+    OracleCheck,
+    RicciCommutationCheck,
     curvature_components,
     energy_momentum,
-    oracle_suite,
     ricci,
     scalar_curvature,
     torsion_components,
 )
 from kkgeom.dconnection import DConnectionCoeffs, DVectorField, berwald
-from kkgeom.metric import MetricStructure, canonical_metric_dconnection, \
-    compatibility_check
+from kkgeom.metric import CompatibilityCheck, MetricStructure, \
+    canonical_metric_dconnection
 from kkgeom.nlconnection import NonlinearConnection, nlc_curvature
 from kkgeom.exprlang import curve_function, parse
 from kkgeom.lift import (
@@ -38,9 +38,9 @@ from kkgeom.lift import (
 )
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
-from kkgeom.suites import run_suite
+from kkgeom.suites import run_suites
 from conftest import SCENARIO_DIR, field, make_d1, make_nonabelian, \
-    make_sphere
+    make_sphere, run_check
 
 
 def report(num, desc, residual, tol):
@@ -76,8 +76,8 @@ def test_criterion_02_metric_compatibility():
         A, N, G = make()
         D = canonical_metric_dconnection(G, A, N)
         pts = sample_points(Box.default(2), 40, seed=0xA1B2)
-        worst = max(worst,
-                    compatibility_check(G, D, A, N, pts).max_residual)
+        res, = run_check(CompatibilityCheck(G, A, N), D, N, A, pts)
+        worst = max(worst, res.max_residual)
     report(2, "constructed metric connection is compatible on both desk "
               "scenarios", worst, 1e-9)
 
@@ -231,7 +231,7 @@ def test_criterion_04_oracle_equivalence():
         A, N, G = make()
         D = canonical_metric_dconnection(G, A, N)
         pts = sample_points(Box.default(2), 20, seed=0xA1B2)
-        for res in oracle_suite(D, N, A, pts):
+        for res in run_check(OracleCheck(N, A), D, N, A, pts):
             worst = max(worst, res.max_residual)
     report(4, "definition-based torsion/curvature equals component "
               "formulas (20 points, both desk scenarios)", worst, 1e-8)
@@ -241,12 +241,12 @@ def test_criterion_05_ricci_type_commutation():
     A, N, G = make_d1()
     D = canonical_metric_dconnection(G, A, N)
     pts = sample_points(Box.default(2), 20, seed=0xA1B2)
-    Z1 = DVectorField(2, lambda xs, y: [field("x2")(xs, y),
-                                        field("sin(x1)")(xs, y)],
-                      lambda xs, y: field("x1*y0")(xs, y))
-    Z2 = DVectorField(2, lambda xs, y: [1.0, 0.0], lambda xs, y: 1.0)
-    worst = max(check_ricci_commutation(Z1, D, N, A, pts).max_residual,
-                check_ricci_commutation(Z2, D, N, A, pts).max_residual)
+    Z1 = DVectorField(2, lambda xs, y: ([field("x2")(xs, y),
+                                         field("sin(x1)")(xs, y)],
+                                        field("x1*y0")(xs, y)))
+    Z2 = DVectorField(2, lambda xs, y: ([1.0, 0.0], 1.0))
+    worst = max(res.max_residual for res in run_check(
+        RicciCommutationCheck([Z1, Z2], N, A), D, N, A, pts))
     report(5, "second-derivative commutation formulas hold for two fixed "
               "test fields on d1", worst, 1e-6)
 
@@ -256,10 +256,10 @@ def test_criterion_06_bianchi_identities():
     pts = sample_points(Box.default(2), 6, seed=0xA1B2)
     worst = 0.0
     D_metric = canonical_metric_dconnection(G, A, N)
-    for res in check_bianchi(D_metric, N, A, pts):
+    for res in run_check(BianchiCheck(N, A), D_metric, N, A, pts):
         worst = max(worst, res.max_residual)
     D_berwald = berwald(N, 2)
-    for res in check_bianchi(D_berwald, N, A, pts):
+    for res in run_check(BianchiCheck(N, A), D_berwald, N, A, pts):
         worst = max(worst, res.max_residual)
     report(6, "cyclic component identities hold on d1 (metric and "
               "fiber-derivative connections)", worst, 1e-5)
@@ -295,10 +295,12 @@ def test_criterion_08_constant_curvature_surface():
 def test_criterion_09_transformation_laws():
     sc = load_scenario(str(SCENARIO_DIR / "d1.json"))
     worst = 0.0
-    for res in run_suite(sc, "transformation", samples=25, seed=0xA1B2):
+    for res in run_suites(sc, ["transformation"], samples=25,
+                          seed=0xA1B2)[0][1]:
         worst = max(worst, res.max_residual)
     sc2 = load_scenario(str(SCENARIO_DIR / "nonabelian.json"))
-    for res in run_suite(sc2, "transformation", samples=25, seed=0xA1B2):
+    for res in run_suites(sc2, ["transformation"], samples=25,
+                          seed=0xA1B2)[0][1]:
         worst = max(worst, res.max_residual)
     report(9, "coefficient change laws under constant frame change and "
               "fiber rescale", worst, 1e-8)

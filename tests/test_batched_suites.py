@@ -35,7 +35,7 @@ from kkgeom.metric import _compatibility_values, canonical_metric_dconnection
 from kkgeom.nlconnection import adapted_derivatives
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import Scenario, load_scenario
-from kkgeom.suites import run_suite
+from kkgeom.suites import run_suites
 from conftest import (DATA_DIR, SCENARIO_DIR, bits, make_d1, make_dense3,
                       make_nonabelian, make_vdep)
 
@@ -54,16 +54,15 @@ def _case(name):
 def _test_fields(p, m):
     """The two fields the ricci-commutation suite uses."""
     return [default_test_vector(p, m),
-            DVectorField(p, lambda xs, y: [1.0] + [0.0] * (p - 1),
-                         lambda xs, y: 1.0)]
+            DVectorField(p, lambda xs, y: ([1.0] + [0.0] * (p - 1), 1.0))]
 
 
 def _composed_commutation(Z, D, N, A, pt):
     p, m = D.p, A.m
-    TZ = DTensorField(p, m, 1, 0, 0, 0, lambda xs, y: list(Z.h_at(xs, y)))
+    TZ = DTensorField(p, m, 1, 0, 0, 0, lambda xs, y: list(Z.hv_at(xs, y)[0]))
     A1 = h_cov_deriv(TZ, A, N, D)
     B1 = v_cov_deriv(TZ, A, D)
-    TY = DTensorField(p, m, 0, 0, 1, 0, lambda xs, y: Z.v_at(xs, y))
+    TY = DTensorField(p, m, 0, 0, 1, 0, lambda xs, y: Z.hv_at(xs, y)[1])
     C1 = h_cov_deriv(TY, A, N, D)
     D1 = v_cov_deriv(TY, A, D)
     tensors = (h_cov_deriv(A1, A, N, D), A1, B1, v_cov_deriv(A1, A, D),
@@ -211,7 +210,7 @@ def _passes_per_point(sc, suite, n):
 
     sys.setprofile(profile)
     try:
-        run_suite(sc, suite, samples=n, seed=1)
+        run_suites(sc, [suite], samples=n, seed=1)
     finally:
         sys.setprofile(None)
     return calls["passes"] / n
@@ -264,8 +263,8 @@ def test_bianchi_never_evaluates_vh_or_vv_at_depth_two(monkeypatch):
         return DConnectionCoeffs(D.p, D.m, *map(wrap, depths))
 
     monkeypatch.setattr(Scenario, "dconnection", recorded)
-    run_suite(load_scenario(str(DATA_DIR / "gen3_seed1.json")), "bianchi",
-              samples=2, seed=1)
+    run_suites(load_scenario(str(DATA_DIR / "gen3_seed1.json")), ["bianchi"],
+               samples=2, seed=1)
     assert depths["hh"] == depths["hv"] == {0, 1, 2}
     assert depths["vh"] == depths["vv"] == {1}
 
@@ -279,7 +278,7 @@ def test_left_sides_do_not_read_the_component_tables(monkeypatch):
 
     def names_failed():
         return {res.name for suite in ("ricci-commutation", "bianchi")
-                for res in run_suite(sc, suite, samples=3, seed=1)
+                for res in run_suites(sc, [suite], samples=3, seed=1)[0][1]
                 if not res.passed}
 
     assert names_failed() == set()

@@ -532,21 +532,41 @@ def test_bad_command_line_is_one_line(capsys, monkeypatch, argv, message):
     assert err.startswith(f"kkgeom: error: {message}")
 
 
-@pytest.mark.parametrize("argv", [
-    ("check", "--suite", "compatibility", "--samples", "2"),
-    ("compute", "--what", "torsion", "--at", "x1=0.5,x2=0.2,y0=0.5"),
+def _singular_metric_variant(tmp_path):
+    return _variant(tmp_path, "d1.json", lambda doc: doc["metric"].__setitem__(
+        "g", [["1", "x1"], ["x1", "x1*x1"]]))
+
+
+@pytest.mark.parametrize("argv,where", [
+    (("check", "--suite", "compatibility", "--samples", "2"),
+     "EPoint(x=(0.4037995698960939, -0.5625283377982404), "
+     "y=0.3408166176045755)"),
+    (("compute", "--what", "torsion", "--at", "x1=0.5,x2=0.2,y0=0.5"),
+     "EPoint(x=(0.5, 0.2), y=0.5)"),
 ], ids=["check", "compute"])
-def test_singular_metric_block_exits_1(capsys, tmp_path, argv):
+def test_singular_metric_block_exits_1(capsys, tmp_path, argv, where):
     """A horizontal metric block that is singular at a sample point (or at
     the ``compute`` point) fails its conditioning check there, before the
-    metric connection inverts it unchecked."""
-    path = _variant(tmp_path, "d1.json", lambda doc: doc["metric"].__setitem__(
-        "g", [["1", "x1"], ["x1", "x1*x1"]]))
+    metric connection inverts it unchecked; the error names the point."""
+    path = _singular_metric_variant(tmp_path)
     code, out, err = run(capsys, argv[0], path, *argv[1:])
     assert code == 1 and out == ""
     _one_line_error(err)
     assert err == ("kkgeom: error: singular metric: singular matrix (pivot "
-                   "0.000e+00 in column 1) (condition inf)\n")
+                   f"0.000e+00 in column 1) (condition inf) at {where}\n")
+
+
+def test_singular_metric_in_a_lift_is_not_a_blow_up(capsys, tmp_path):
+    """The horizontal lift inverts the metric block at curve points that no
+    conditioning check has seen; a singular block there is reported as
+    such, with no point and no condition estimate, not as a blow-up."""
+    path = _singular_metric_variant(tmp_path)
+    code, out, err = run(capsys, "lift", path, "--mode", "horizontal",
+                         "--steps", "20")
+    assert code == 1 and out == ""
+    _one_line_error(err)
+    assert err == ("kkgeom: error: singular metric: singular matrix (pivot "
+                   "0.000e+00 in column 1)\n")
 
 
 @pytest.mark.parametrize("key,value", [("samples", "abc"), ("samples", 2.7),

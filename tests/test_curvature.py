@@ -7,15 +7,15 @@ from kkgeom import curvature
 from kkgeom.algebroid import AlgebroidData
 from kkgeom.calculus import EPoint, jdx, jdy, jval, primal, seeded_point
 from kkgeom.curvature import (
-    check_bianchi,
-    check_ricci_commutation,
+    BianchiCheck,
+    OracleCheck,
+    RicciCommutationCheck,
     curvature_components,
     curvature_components_at,
     curvature_from_definition,
     default_test_vector,
     energy_momentum,
     frame_definitions,
-    oracle_suite,
     ricci,
     scalar_curvature,
     torsion_components,
@@ -34,7 +34,7 @@ from kkgeom.nlconnection import NonlinearConnection
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 from conftest import (DATA_DIR, SCENARIO_DIR, bits, field, make_d1,
-                      make_nonabelian, make_sphere, make_vdep)
+                      make_nonabelian, make_sphere, make_vdep, run_check)
 
 PTS = sample_points(Box.default(2), 10, seed=0xA1B2)
 SPHERE_PTS = sample_points(Box(((0.3, 2.8), (-1.0, 1.0)), (0.1, 2.0)), 10,
@@ -148,21 +148,21 @@ def test_both_torsion_evaluators_agree_bitwise(path):
 def test_oracle_equivalence_metric_scenarios(make):
     A, N, G = make()
     D = canonical_metric_dconnection(G, A, N)
-    for res in oracle_suite(D, N, A, PTS[:5]):
+    for res in run_check(OracleCheck(N, A), D, N, A, PTS[:5]):
         assert res.max_residual <= 1e-8, res.name
 
 
 def test_oracle_equivalence_generic_connection():
     A, N, _ = make_nonabelian()
     D = generic_connection()
-    for res in oracle_suite(D, N, A, PTS[:5]):
+    for res in run_check(OracleCheck(N, A), D, N, A, PTS[:5]):
         assert res.max_residual <= 1e-8, res.name
 
 
 def test_oracle_equivalence_berwald():
     N = NonlinearConnection(2, (field("x2*y0^2"), field("0.3*x1*y0")))
     D = berwald(N, 2)
-    for res in oracle_suite(D, N, A_ID, PTS[:5]):
+    for res in run_check(OracleCheck(N, A_ID), D, N, A_ID, PTS[:5]):
         assert res.max_residual <= 1e-8, res.name
 
 
@@ -263,8 +263,8 @@ def test_oracle_fails_on_perturbed_family(monkeypatch, target, family, check):
 
     monkeypatch.setattr(curvature, "curvature_components_at", perturbed)
     A, N, _ = make_vdep()
-    results = {r.name: r for r in oracle_suite(generic_connection(), N, A,
-                                               PTS[:1])}
+    results = {r.name: r for r in run_check(
+        OracleCheck(N, A), generic_connection(), N, A, PTS[:1])}
     assert not results[check].passed
     assert results[check].max_residual >= 0.5e-6
     other = ({"oracle.torsion", "oracle.curvature"} - {check}).pop()
@@ -365,7 +365,7 @@ def test_curvature_matches_classical_oracle_on_surface():
                         assert abs(got.Rh[i][j][k][l]
                                    - expected[i][j][k][l]) <= 1e-8
     # definition-based path agrees too
-    for res in oracle_suite(D, N, A_ID, PTS[:3]):
+    for res in run_check(OracleCheck(N, A_ID), D, N, A_ID, PTS[:3]):
         assert res.max_residual <= 1e-8
 
 
@@ -414,31 +414,35 @@ def test_energy_momentum_signs_and_kappa():
 def test_ricci_commutation_flat():
     A, N, D = flat_setup()
     Z = default_test_vector(2, 2)
-    assert check_ricci_commutation(Z, D, N, A, PTS[:4]).max_residual <= 1e-12
+    res, = run_check(RicciCommutationCheck([Z], N, A), D, N, A, PTS[:4])
+    assert res.max_residual <= 1e-12
 
 
 @pytest.mark.parametrize("make", [make_d1, make_vdep])
 def test_ricci_commutation_metric_scenarios(make):
     A, N, G = make()
     D = canonical_metric_dconnection(G, A, N)
-    Z1 = DVectorField(2, lambda xs, y: [field("x2")(xs, y),
-                                        field("sin(x1)")(xs, y)],
-                      lambda xs, y: field("x1*y0")(xs, y))
-    Z2 = DVectorField(2, lambda xs, y: [1.0, 0.0], lambda xs, y: 1.0)
-    assert check_ricci_commutation(Z1, D, N, A, PTS[:5]).max_residual <= 1e-6
-    assert check_ricci_commutation(Z2, D, N, A, PTS[:5]).max_residual <= 1e-6
+    Z1 = DVectorField(2, lambda xs, y: ([field("x2")(xs, y),
+                                         field("sin(x1)")(xs, y)],
+                                        field("x1*y0")(xs, y)))
+    Z2 = DVectorField(2, lambda xs, y: ([1.0, 0.0], 1.0))
+    res1, res2 = run_check(RicciCommutationCheck([Z1, Z2], N, A), D, N, A,
+                           PTS[:5])
+    assert res1.max_residual <= 1e-6
+    assert res2.max_residual <= 1e-6
 
 
 def test_ricci_commutation_generic_connection():
     A, N, _ = make_vdep()
     D = generic_connection()
     Z = default_test_vector(2, 2)
-    assert check_ricci_commutation(Z, D, N, A, PTS[:5]).max_residual <= 1e-8
+    res, = run_check(RicciCommutationCheck([Z], N, A), D, N, A, PTS[:5])
+    assert res.max_residual <= 1e-8
 
 
 def test_bianchi_flat():
     A, N, D = flat_setup()
-    for res in check_bianchi(D, N, A, PTS[:3]):
+    for res in run_check(BianchiCheck(N, A), D, N, A, PTS[:3]):
         assert res.max_residual == 0.0
 
 
@@ -446,19 +450,19 @@ def test_bianchi_flat():
 def test_bianchi_metric_scenarios(make):
     A, N, G = make()
     D = canonical_metric_dconnection(G, A, N)
-    for res in check_bianchi(D, N, A, PTS[:4]):
+    for res in run_check(BianchiCheck(N, A), D, N, A, PTS[:4]):
         assert res.max_residual <= 1e-5, res.name
 
 
 def test_bianchi_berwald():
     N = NonlinearConnection(2, (field("0.7*y0"), field("-0.2*y0")))
     D = berwald(N, 2)
-    for res in check_bianchi(D, N, A_ID, PTS[:4]):
+    for res in run_check(BianchiCheck(N, A_ID), D, N, A_ID, PTS[:4]):
         assert res.max_residual <= 1e-6, res.name
 
 
 def test_bianchi_generic_connection():
     A, N, _ = make_vdep()
     D = generic_connection()
-    for res in check_bianchi(D, N, A, PTS[:4]):
+    for res in run_check(BianchiCheck(N, A), D, N, A, PTS[:4]):
         assert res.max_residual <= 1e-8, res.name

@@ -17,7 +17,7 @@ from kkgeom.dconnection import (
     DConnectionCoeffs,
     DTensorField,
     berwald,
-    check_dconnection_transformation,
+    dconnection_transformation_point,
     h_cov_deriv,
     tensor_product,
     v_cov_deriv,
@@ -25,7 +25,7 @@ from kkgeom.dconnection import (
 from kkgeom.nlconnection import CoordinateChange, NonlinearConnection
 from kkgeom.calculus import SmoothField
 from kkgeom.sampling import Box, sample_points
-from conftest import field, make_d1, make_vdep
+from conftest import field, make_d1, make_vdep, run_law
 
 PTS = sample_points(Box.default(2), 16, seed=0xA1B2)
 A_ID = AlgebroidData.identity(2)
@@ -183,7 +183,8 @@ def test_transformation_identity():
     N = NonlinearConnection(2, (field("x2*y0"), field("0")))
     D = _generic_connection()
     C = CoordinateChange(2, 2)
-    res = check_dconnection_transformation(D, D, C, A_ID, N, PTS[:8])
+    res = run_law(dconnection_transformation_point, (D, D, C, A_ID, N),
+                  PTS[:8])
     assert res.max_residual == 0.0
 
 
@@ -220,7 +221,8 @@ def test_transformation_constant_frame():
                     for row in lam),
         frame_inverse=tuple(tuple(SmoothField.constant(v, 2) for v in row)
                             for row in lam_inv))
-    res = check_dconnection_transformation(D, D_p, C, A_ID, N, PTS[:8])
+    res = run_law(dconnection_transformation_point, (D, D_p, C, A_ID, N),
+                  PTS[:8])
     assert res.max_residual <= 1e-12
 
 
@@ -249,7 +251,8 @@ def test_transformation_fiber_scaling():
         lambda xs, y: D.vv_at(xs, y / k) * (1.0 / k),
     )
     C = CoordinateChange(2, 2, fiber_scale=SmoothField.constant(k, 2))
-    res = check_dconnection_transformation(D, D_p, C, A_ID, N, PTS[:8])
+    res = run_law(dconnection_transformation_point, (D, D_p, C, A_ID, N),
+                  PTS[:8])
     assert res.max_residual <= 1e-12
 
 
@@ -306,7 +309,7 @@ def test_memoised_suites_evaluate_each_point_and_depth_once(
         monkeypatch, suite, times):
     from conftest import SCENARIO_DIR
     from kkgeom.scenario import Scenario, load_scenario
-    from kkgeom.suites import run_suite
+    from kkgeom.suites import run_suites
 
     calls = Counter()
     original = Scenario.dconnection
@@ -325,8 +328,8 @@ def test_memoised_suites_evaluate_each_point_and_depth_once(
         return DConnectionCoeffs(D.p, D.m, *map(wrap, ("hh", "hv", "vh", "vv")))
 
     monkeypatch.setattr(Scenario, "dconnection", counted)
-    run_suite(load_scenario(str(SCENARIO_DIR / "d1.json")), suite,
-              samples=3, seed=5)
+    run_suites(load_scenario(str(SCENARIO_DIR / "d1.json")), [suite],
+               samples=3, seed=5)
     assert {key[0] for key in calls} == {"hh", "hv", "vh", "vv"}
     assert len({key[1:3] for key in calls}) == 3
     assert set(calls.values()) == {times}
@@ -522,7 +525,7 @@ def test_transformation_forms_each_bracket_once():
         2, 2, lambda xs, y: [[[Counted(primal(v)) for v in row] for row in hh]
                              for hh in D.hh_at(xs, y)],
         D.hv_at, D.vh_at, D.vv_at)
-    res = check_dconnection_transformation(D_c, D, CoordinateChange(2, 2),
-                                           A_ID, N, PTS[:3])
+    res = run_law(dconnection_transformation_point,
+                  (D_c, D, CoordinateChange(2, 2), A_ID, N), PTS[:3])
     assert products["hh"] == 3 * 16
     assert res.max_residual == 0.0

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint, jdx, jdy, jval, primal, seeded_point
+from kkgeom.calculus import EPoint, SmoothField, jdx, jdy, jval, primal, \
+    seeded_point
 from kkgeom.dconnection import DConnectionCoeffs, berwald
 from kkgeom.metric import (
+    MAX_CONDITION,
+    CompatibilityCheck,
     MetricStructure,
     SingularMetricError,
     canonical_metric_dconnection,
-    compatibility_check,
     inverse_h,
     matrix_inverse,
     metric_dconnection,
@@ -20,7 +22,7 @@ from kkgeom.nlconnection import NonlinearConnection, adapted_derivatives
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 from conftest import (DATA_DIR, bits, field, make_d1, make_dense3,
-                      make_nonabelian, make_vdep)
+                      make_nonabelian, make_vdep, run_check)
 
 PTS = sample_points(Box.default(2), 40, seed=0xA1B2)
 A_ID = AlgebroidData.identity(2)
@@ -59,6 +61,27 @@ def test_inverse_singular_raises_with_condition():
                             (field("1"), field("1"))), field("1"))
     with pytest.raises(SingularMetricError):
         inverse_h(G, PTS[0])
+
+
+def _near_singular(eps):
+    one = SmoothField.constant(1.0, 2)
+    return MetricStructure(2, ((one, one),
+                               (one, SmoothField.constant(1.0 + eps, 2))), one)
+
+
+@pytest.mark.parametrize("eps", [2.0 ** -52, 1e-14])
+def test_inverse_refuses_a_block_singular_to_working_precision(eps):
+    """Past MAX_CONDITION the inverse has fewer than about 4 right digits:
+    it is refused with a finite condition estimate and the point."""
+    with pytest.raises(SingularMetricError) as exc:
+        inverse_h(_near_singular(eps), PTS[0])
+    assert MAX_CONDITION < exc.value.condition < math.inf
+    assert exc.value.point == PTS[0]
+
+
+def test_inverse_keeps_an_ill_conditioned_but_usable_block():
+    ginv = inverse_h(_near_singular(1e-10), PTS[0])
+    assert ginv[1][1] == pytest.approx(1e10, rel=1e-5)
 
 
 def test_metric_connection_flat_is_zero():
@@ -163,7 +186,8 @@ def test_compatibility_of_constructed_connection(make, baseline):
     base = berwald(N, 2) if baseline == "berwald" \
         else DConnectionCoeffs.zero(2, 2)
     D = metric_dconnection(G, base, A, N)
-    assert compatibility_check(G, D, A, N, PTS).max_residual <= 1e-9
+    res, = run_check(CompatibilityCheck(G, A, N), D, N, A, PTS)
+    assert res.max_residual <= 1e-9
 
 
 def test_compatibility_detects_perturbation():
@@ -176,7 +200,7 @@ def test_compatibility_detects_perturbation():
         return hh
 
     D_bad = DConnectionCoeffs(2, 2, hh_perturbed, D.hv_at, D.vh_at, D.vv_at)
-    res = compatibility_check(G, D_bad, A, N, PTS)
+    res, = run_check(CompatibilityCheck(G, A, N), D_bad, N, A, PTS)
     # g_{11|1} changes by -2*0.1*g_11 and |g_11| >= 1
     assert res.max_residual >= 0.2
 

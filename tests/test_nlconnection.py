@@ -9,15 +9,15 @@ from kkgeom.nlconnection import (
     CoordinateChange,
     NonlinearConnection,
     adapted_derivatives,
-    check_nlc_transformation,
     h_derivative,
     nlc_curvature,
+    nlc_transformation_point,
 )
 from kkgeom.calculus import SmoothField, jdx, jdy, jval, seeded_point
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 from conftest import (DATA_DIR, bits, field, make_dense3, make_nonabelian,
-                      make_vdep)
+                      make_vdep, run_law)
 
 PTS = sample_points(Box.default(2), 24, seed=0xA1B2)
 
@@ -80,7 +80,7 @@ def test_nlc_curvature_zero_connection():
 def test_transformation_identity_change():
     A, N, _ = make_nonabelian()
     C = CoordinateChange(2, 2)
-    res = check_nlc_transformation(N, N, C, A, PTS)
+    res = run_law(nlc_transformation_point, (N, N, C, A), PTS)
     assert res.max_residual == 0.0
 
 
@@ -101,7 +101,8 @@ def test_transformation_constant_frame_change():
         frame_inverse=tuple(tuple(SmoothField.constant(v, 2) for v in row)
                             for row in lam_inv))
     assert C.self_check(PTS).max_residual <= 1e-10
-    assert check_nlc_transformation(N, N_p, C, A, PTS).max_residual <= 1e-12
+    assert run_law(nlc_transformation_point, (N, N_p, C, A),
+                   PTS).max_residual <= 1e-12
 
 
 def test_transformation_fiber_scaling():
@@ -112,7 +113,8 @@ def test_transformation_fiber_scaling():
         for g in range(2))
     N_p = NonlinearConnection(2, gamma_p)
     C = CoordinateChange(2, 2, fiber_scale=SmoothField.constant(2.0, 2))
-    assert check_nlc_transformation(N, N_p, C, A, PTS).max_residual <= 1e-12
+    assert run_law(nlc_transformation_point, (N, N_p, C, A),
+                   PTS).max_residual <= 1e-12
 
 
 def test_transformation_base_dependent_fiber_scale():
@@ -137,7 +139,7 @@ def test_transformation_base_dependent_fiber_scale():
     # base chart is unchanged here so x' = x and only y rescales.
     N_p = NonlinearConnection(2, (gamma_p_fn(0), gamma_p_fn(1)))
     C = CoordinateChange(2, 2, fiber_scale=phi)
-    res = check_nlc_transformation(N, N_p, C, A, PTS)
+    res = run_law(nlc_transformation_point, (N, N_p, C, A), PTS)
     assert res.max_residual <= 1e-10
 
 
@@ -203,10 +205,10 @@ def test_transformation_sums_the_anchor_term_once_per_index():
     A_c = SimpleNamespace(p=2, m=2, rho_at=lambda xs: [
         [Counted(primal(v)) for v in row] for row in A.rho_at(xs)])
     C = CoordinateChange(2, 2, fiber_scale=field("exp(0.5*x1)"))
-    res = check_nlc_transformation(N, N, C, A_c, PTS[:3])
+    res = run_law(nlc_transformation_point, (N, N, C, A_c), PTS[:3])
     assert products["rho"] == 3 * 4
-    assert res.max_residual == check_nlc_transformation(
-        N, N, C, A, PTS[:3]).max_residual
+    assert res.max_residual == run_law(nlc_transformation_point,
+                                       (N, N, C, A), PTS[:3]).max_residual
 
 
 def test_a_pass_leaves_no_reference_cycle():

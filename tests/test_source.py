@@ -133,3 +133,32 @@ def test_cli_import_leaves_dataclasses_unloaded():
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == "False\n"
+
+
+def _function_local_imports(tree):
+    """The line of every ``import`` inside a function body."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return {node.lineno
+            for func in ast.walk(tree) if isinstance(func, functions)
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))}
+
+
+def test_no_function_local_imports():
+    """Every module states its imports at the top: an import inside a
+    function hides a dependency (or an import cycle) from the reader."""
+    found = {f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in _function_local_imports(
+                 ast.parse(path.read_text(), str(path)))}
+    assert found == set()
+
+
+def test_the_local_import_guard_sees_one():
+    tree = ast.parse("import os\n"
+                     "def outer():\n"
+                     "    def inner():\n"
+                     "        from .curvature import PointTables\n"
+                     "    import sys\n"
+                     "    return os.sep\n")
+    assert _function_local_imports(tree) == {4, 5}

@@ -9,18 +9,18 @@ from kkgeom.calculus import SmoothField, jdx, seeded_point
 from kkgeom.dconnection import (
     DConnectionCoeffs,
     berwald,
-    check_dconnection_transformation,
+    dconnection_transformation_point,
 )
 from kkgeom.metric import MetricStructure, metric_dconnection
 from kkgeom.nlconnection import (
     CoordinateChange,
     NonlinearConnection,
-    check_nlc_transformation,
+    nlc_transformation_point,
 )
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import ScenarioError, load_scenario
-from kkgeom.suites import applicable_suites, run_suite, run_validate
-from conftest import DATA_DIR, SCENARIO_DIR, field, make_vdep
+from kkgeom.suites import applicable_suites, run_suites, run_validate
+from conftest import DATA_DIR, SCENARIO_DIR, field, make_vdep, run_law
 
 PTS = sample_points(Box.default(2), 12, seed=0xA1B2)
 
@@ -48,12 +48,12 @@ def test_applicable_suites():
 def test_unknown_suite_rejected():
     sc = load_scenario(str(SCENARIO_DIR / "d1.json"))
     with pytest.raises(ScenarioError):
-        run_suite(sc, "frobnicate")
+        run_suites(sc, ["frobnicate"])
 
 
 def test_transformation_suite_machine_precision():
     sc = load_scenario(str(SCENARIO_DIR / "nonabelian.json"))
-    for res in run_suite(sc, "transformation", samples=10):
+    for res in run_suites(sc, ["transformation"], samples=10)[0][1]:
         assert res.max_residual <= 1e-12, res.name
 
 
@@ -100,9 +100,10 @@ def test_change_laws_under_base_dependent_fiber_rescale():
     D = metric_dconnection(G, berwald(N, 2), A, N)
     D_p = metric_dconnection(G_p, berwald(N_p, 2), A, N_p)
     C = CoordinateChange(2, 2, fiber_scale=phi)
-    assert check_nlc_transformation(N, N_p, C, A, PTS).max_residual <= 1e-10
-    assert check_dconnection_transformation(
-        D, D_p, C, A, N, PTS).max_residual <= 1e-10
+    assert run_law(nlc_transformation_point, (N, N_p, C, A),
+                   PTS).max_residual <= 1e-10
+    assert run_law(dconnection_transformation_point, (D, D_p, C, A, N),
+                   PTS).max_residual <= 1e-10
 
 
 def test_base_map_push_and_scalar_coefficients():
@@ -122,7 +123,8 @@ def test_base_map_push_and_scalar_coefficients():
                 tuple(f(xs, 0.0) for f in base_inv), y), 2)
 
     N_p = NonlinearConnection(2, (gamma_p(0), gamma_p(1)))
-    assert check_nlc_transformation(N, N_p, C, A, PTS).max_residual <= 1e-12
+    assert run_law(nlc_transformation_point, (N, N_p, C, A),
+                   PTS).max_residual <= 1e-12
 
 
 @pytest.mark.parametrize("box", [Box.default(2), Box(((0.0, 3.0),), (1.0, 2.0))])
@@ -190,7 +192,7 @@ def test_primed_tables_evaluate_each_unprimed_entry_once():
 
 def _unprimed_evaluations(monkeypatch, path):
     """Evaluations of each family of the scenario's metric connection in
-    ``run_suite(sc, "transformation", samples=3)``."""
+    ``run_suites(sc, ["transformation"], samples=3)``."""
     sc = load_scenario(str(path))
     counts = Counter()
     build = scenario.metric_dconnection
@@ -209,7 +211,7 @@ def _unprimed_evaluations(monkeypatch, path):
         return DConnectionCoeffs(D.p, D.m, *map(wrap, ("hh", "hv", "vh", "vv")))
 
     monkeypatch.setattr(scenario, "metric_dconnection", counted)
-    run_suite(sc, "transformation", samples=3)
+    run_suites(sc, ["transformation"], samples=3)
     return counts
 
 
