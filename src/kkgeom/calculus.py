@@ -24,15 +24,11 @@ __all__ = [
     "Jet",
     "SmoothField",
     "Scalar",
-    "partial",
-    "fd_partial",
-    "gradient",
     "seeded_point",
     "jval",
     "jdx",
     "jdy",
     "primal",
-    "map_nested",
     "fsin",
     "fcos",
     "ftan",
@@ -45,8 +41,6 @@ __all__ = [
 
 # A scalar is either a float or a Jet whose components are scalars.
 Scalar = object
-
-DEFAULT_FD_STEP = 1e-5
 
 
 class EvaluationDomainError(ValueError):
@@ -96,24 +90,12 @@ class EPoint:
     def __hash__(self):
         return hash((self.x, self.y))
 
-    @property
-    def m(self):
-        return len(self.x)
-
 
 def primal(s):
     """Fully unwrap a (possibly nested) Jet down to its underlying float."""
     while isinstance(s, Jet):
         s = s.value
     return s
-
-
-def map_nested(fn, node):
-    """``fn`` applied to every leaf of a nested list (or tuple), as nested
-    lists of the same shape."""
-    if isinstance(node, (list, tuple)):
-        return [map_nested(fn, v) for v in node]
-    return fn(node)
 
 
 def jval(s):
@@ -414,57 +396,3 @@ def seeded_point(xs, y):
     )
     jy = Jet(y, (0.0,) * m, 1.0)
     return jxs, jy
-
-
-def gradient(f, xs, y):
-    """(value, [df/dx1..df/dxm], df/dy) of f at possibly Jet-valued coordinates."""
-    jxs, jy = seeded_point(xs, y)
-    out = f(jxs, jy)
-    m = len(xs)
-    return jval(out), [jdx(out, i) for i in range(m)], jdy(out)
-
-
-def _dir_index(dir, m):
-    if dir == "v":
-        return m
-    i = int(dir)
-    if not 1 <= i <= m:
-        raise ValueError(f"direction must be 1..{m} or 'v', got {dir!r}")
-    return i - 1
-
-
-def partial(f: SmoothField, p: EPoint, dir) -> float:
-    """Exact partial d f/d x_i (dir = 1..m) or d f/d y0 (dir = 'v') at p."""
-    m = p.m
-    k = _dir_index(dir, m)
-    _, dxs, dy = gradient(f, p.x, p.y)
-    out = dy if k == m else dxs[k]
-    out = primal(out)
-    if not math.isfinite(out):
-        raise EvaluationDomainError(f"non-finite derivative at {p}", point=p)
-    return out
-
-
-def fd_partial(f: SmoothField, p: EPoint, dir, h: float = DEFAULT_FD_STEP) -> float:
-    """Central finite difference (f(p + h e) - f(p - h e)) / 2h: the slow,
-    independent cross-check for :func:`partial`."""
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    m = p.m
-    k = _dir_index(dir, m)
-
-    def shifted(sign):
-        if k == m:
-            return p.x, p.y + sign * h
-        xs = list(p.x)
-        xs[k] += sign * h
-        return tuple(xs), p.y
-
-    xa, ya = shifted(+1.0)
-    xb, yb = shifted(-1.0)
-    fa = primal(f(xa, ya))
-    fb = primal(f(xb, yb))
-    out = (fa - fb) / (2.0 * h)
-    if not math.isfinite(out):
-        raise EvaluationDomainError(f"non-finite finite difference at {p}", point=p)
-    return out

@@ -48,6 +48,25 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _finite(text: str) -> float:
+    """An argparse type: a finite float (NaN and infinities refused)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite float >= 0."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _parse_at(text: str, sc: Scenario) -> EPoint:
     values = {}
     for part in text.split(","):
@@ -57,8 +76,11 @@ def _parse_at(text: str, sc: Scenario) -> EPoint:
         if "=" not in part:
             raise ScenarioError("--at", f"expected name=value, got {part!r}")
         key, _, raw = part.partition("=")
+        key = key.strip()
+        if key in values:
+            raise ScenarioError("--at", f"coordinate {key!r} given twice")
         try:
-            values[key.strip()] = float(raw)
+            values[key] = float(raw)
         except ValueError:
             raise ScenarioError("--at", f"bad number {raw!r} for {key!r}")
     needed = [f"x{i + 1}" for i in range(sc.m)] + ["y0"]
@@ -303,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("scenario")
     pv.add_argument("--samples", type=int, default=None)
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--tol", type=float, default=1e-8)
+    pv.add_argument("--tol", type=_tolerance, default=1e-8)
     pv.set_defaults(func=cmd_validate)
 
     pc = sub.add_parser("compute", help="component blocks at a point")
@@ -316,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("check", help="identity suites")
     pk.add_argument("scenario")
     pk.add_argument("--suite", default="all", choices=SUITE_NAMES + ["all"])
-    pk.add_argument("--tol", type=float, default=None)
+    pk.add_argument("--tol", type=_tolerance, default=None)
     pk.add_argument("--samples", type=int, default=None)
     pk.add_argument("--seed", type=int, default=None)
     pk.set_defaults(func=cmd_check)
@@ -324,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("lift", help="parallelism ODE integration")
     pl.add_argument("scenario")
     pl.add_argument("--mode", required=True, choices=MODE_CHOICES)
-    pl.add_argument("--t0", type=float, default=0.0)
-    pl.add_argument("--t1", type=float, default=1.0)
+    pl.add_argument("--t0", type=_finite, default=0.0)
+    pl.add_argument("--t1", type=_finite, default=1.0)
     pl.add_argument("--steps", type=int, default=1000)
     pl.set_defaults(func=cmd_lift)
     return parser

@@ -12,10 +12,10 @@ Index conventions (all 0-based):
 
 The component formulas are fixed by the covariant-derivative/bracket
 definitions; every family is cross-checked at sample points against a
-direct evaluation of those definitions (``frame_definitions`` for all frame
-fields at once, ``*_from_definition`` for single fields), which uses only
-the frame coefficients, the raw bracket table and nested differentiation.
-The definition side is the arbiter.
+direct evaluation of those definitions for all frame fields at once
+(``frame_definitions``), which uses only the frame coefficients, the raw
+bracket table and nested differentiation.  The definition side is the
+arbiter.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from .calculus import EPoint, Jet, primal
 from .dconnection import (
     DConnectionCoeffs,
     DVectorField,
-    bracket_d_vectors,
     bracket_pairs,
-    cov_deriv_along,
     frame_contract,
     frame_derivatives,
     frame_h,
@@ -53,8 +51,6 @@ __all__ = [
     "torsion_components",
     "curvature_components_at",
     "curvature_components",
-    "torsion_from_definition",
-    "curvature_from_definition",
     "frame_definitions",
     "ricci",
     "scalar_curvature",
@@ -240,36 +236,6 @@ def curvature_components(D, N, A, pt: EPoint) -> CurvatureComponents:
     return curvature_components_at(D, N, A, pt.x, pt.y)[1]
 
 
-def torsion_from_definition(X: DVectorField, Y: DVectorField,
-                            D: DConnectionCoeffs, N: NonlinearConnection,
-                            A: AlgebroidData, pt: EPoint):
-    """D_X Y - D_Y X - [X, Y] at pt, straight from the definitions."""
-    dxy = cov_deriv_along(X, Y, A, N, D)
-    dyx = cov_deriv_along(Y, X, A, N, D)
-    br = bracket_d_vectors(X, Y, A, N)
-    h1, v1 = dxy.at(pt)
-    h2, v2 = dyx.at(pt)
-    h3, v3 = br.at(pt)
-    return ([h1[a] - h2[a] - h3[a] for a in range(X.p)], v1 - v2 - v3)
-
-
-def curvature_from_definition(X: DVectorField, Y: DVectorField, Z: DVectorField,
-                              D: DConnectionCoeffs, N: NonlinearConnection,
-                              A: AlgebroidData, pt: EPoint):
-    """D_Y(D_Z X) - D_Z(D_Y X) - D_{[Y,Z]} X at pt (the curvature acting on
-    X along the pair (Y, Z)), with the bracket from the oracle formula."""
-    dzx = cov_deriv_along(Z, X, A, N, D)
-    dyx = cov_deriv_along(Y, X, A, N, D)
-    t1 = cov_deriv_along(Y, dzx, A, N, D)
-    t2 = cov_deriv_along(Z, dyx, A, N, D)
-    br = bracket_d_vectors(Y, Z, A, N)
-    t3 = cov_deriv_along(br, X, A, N, D)
-    h1, v1 = t1.at(pt)
-    h2, v2 = t2.at(pt)
-    h3, v3 = t3.at(pt)
-    return ([h1[a] - h2[a] - h3[a] for a in range(X.p)], v1 - v2 - v3)
-
-
 def ricci(curv: CurvatureComponents) -> RicciTensor:
     """Contractions of the curvature families."""
     p = len(curv.Pv)
@@ -316,9 +282,7 @@ def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
     Frame index p is the vertical frame.  Returns ``(torsion, curvature)``
     with ``torsion[x][y] = D_{e_x} e_y - D_{e_y} e_x - [e_x, e_y]`` and
     ``curvature[x][y][z] = D_{e_y} D_{e_z} e_x - D_{e_z} D_{e_y} e_x
-    - D_{[e_y, e_z]} e_x`` as ``(h_list, v)`` pairs: the values of
-    :func:`torsion_from_definition` and :func:`curvature_from_definition`
-    for frame arguments.  Two nested
+    - D_{[e_y, e_z]} e_x`` as ``(h_list, v)`` pairs.  Two nested
     :func:`frame_derivatives` passes give D_{e_j} e_k and D_{e_i} D_{e_j}
     e_k for all indices; brackets come from one :func:`bracket_pairs`
     evaluation over every frame pair.

@@ -7,11 +7,13 @@ A coefficient set has four families, stored as array evaluators:
     vh[alpha][beta]          vertical derivative of horizontal frame
     vv                       vertical derivative of the vertical frame
 
-Block tensors (``DTensorField``) carry separate horizontal and vertical
-valences; vertical indices have dimension one but still matter, because each
-contravariant vertical slot adds +hv/+vv corrections and each covariant one
-subtracts them.  Covariant derivatives return new lazily evaluated tensors,
-so they nest to the third order exactly.
+A block tensor is given by its component values (nested lists, the
+contravariant horizontal slots first) and its horizontal valence (rh, sh)
+and vertical weight rv - sv; vertical indices have dimension one but still
+matter, because each contravariant vertical slot adds +hv/+vv corrections
+and each covariant one subtracts them.  ``h_cov_values`` and
+``v_cov_values`` add those corrections to the output of one
+``adapted_derivatives`` pass; the suites nest passes for higher orders.
 """
 
 from __future__ import annotations
@@ -20,28 +22,15 @@ import itertools
 from operator import mul
 
 from .algebroid import AlgebroidData
-from .calculus import (
-    EPoint,
-    SmoothField,
-    jdx,
-    jdy,
-    jval,
-    map_nested,
-    primal,
-    seeded_point,
-)
+from .calculus import jdx, jdy, jval, primal, seeded_point
 from .nlconnection import NonlinearConnection, adapted_derivatives
 
 __all__ = [
     "DConnectionCoeffs",
-    "DTensorField",
     "DVectorField",
     "berwald",
-    "h_cov_deriv",
-    "v_cov_deriv",
     "h_cov_values",
     "v_cov_values",
-    "tensor_product",
     "frame_derivatives",
     "frame_contract",
     "cov_deriv_along",
@@ -105,58 +94,6 @@ def berwald(N: NonlinearConnection, m: int) -> DConnectionCoeffs:
     return DConnectionCoeffs(p, m, zero.hh_at, hv_at, zero.vh_at, zero.vv_at)
 
 
-class DTensorField:
-    """Block tensor with horizontal valence (rh, sh) and vertical valence
-    (rv, sv).  Components are indexed by the horizontal multi-index only
-    (contravariant slots first); vertical slots are dimension one and carry
-    no array axis.  ``values_at`` returns the full nested component list in
-    one pass, which is what the derivative operators differentiate."""
-
-    def __init__(self, p, m, rh, sh, rv, sv, values_at):
-        self.p = p
-        self.m = m
-        self.rh = rh
-        self.sh = sh
-        self.rv = rv
-        self.sv = sv
-        self.values_at = values_at
-
-    @property
-    def h_rank(self):
-        return self.rh + self.sh
-
-    def indices(self):
-        return itertools.product(range(self.p), repeat=self.h_rank)
-
-    @staticmethod
-    def scalar(p, m, field: SmoothField, rv=0, sv=0) -> "DTensorField":
-        return DTensorField(p, m, 0, 0, rv, sv, lambda xs, y: field(xs, y))
-
-    @staticmethod
-    def from_fields(p, m, rh, sh, fields, rv=0, sv=0) -> "DTensorField":
-        """``fields``: nested list of SmoothFields, depth rh+sh."""
-
-        return DTensorField(
-            p, m, rh, sh, rv, sv,
-            lambda xs, y: map_nested(lambda f: f(xs, y), fields))
-
-
-def _get(values, idx):
-    out = values
-    for k in idx:
-        out = out[k]
-    return out
-
-
-def _nest(p, rank, fill, prefix=()):
-    """``fill(idx)`` for every index tuple of length ``rank``, as nested
-    lists.  Module-level recursion, so no closure cycle keeps ``fill`` (and
-    what it holds) alive after the call."""
-    if len(prefix) == rank:
-        return fill(prefix)
-    return [_nest(p, rank, fill, prefix + (k,)) for k in range(p)]
-
-
 def _flat(node, rank):
     """The leaves of a nested list of depth ``rank``, in index order."""
     flat = [node]
@@ -218,54 +155,6 @@ def v_cov_values(vals, ddy, rh, sh, vweight, Vh, Vv):
                             Vh, list(zip(*Vh)), vweight, Vv), len(Vh), rank)
 
 
-def h_cov_deriv(T: DTensorField, A: AlgebroidData, N: NonlinearConnection,
-                D: DConnectionCoeffs) -> DTensorField:
-    """Horizontal covariant derivative; the new covariant horizontal index
-    (the direction) is appended last."""
-
-    def values_at(xs, y):
-        vals, delta, _ = adapted_derivatives(T.values_at, xs, y, A, N)
-        return h_cov_values(vals, delta, T.rh, T.sh, T.rv - T.sv,
-                            D.hh_at(xs, y), D.hv_at(xs, y))
-
-    return DTensorField(T.p, T.m, T.rh, T.sh + 1, T.rv, T.sv, values_at)
-
-
-def v_cov_deriv(T: DTensorField, A: AlgebroidData,
-                D: DConnectionCoeffs) -> DTensorField:
-    """Vertical covariant derivative; adds one covariant vertical slot
-    (no new array axis)."""
-
-    def values_at(xs, y):
-        jxs, jy = seeded_point(xs, y)
-        out = T.values_at(jxs, jy)
-        return v_cov_values(map_nested(jval, out), map_nested(jdy, out),
-                            T.rh, T.sh, T.rv - T.sv,
-                            D.vh_at(xs, y), D.vv_at(xs, y))
-
-    return DTensorField(T.p, T.m, T.rh, T.sh, T.rv, T.sv + 1, values_at)
-
-
-def tensor_product(S: DTensorField, T: DTensorField) -> DTensorField:
-    """Outer product; contravariant horizontal slots of S then T, followed by
-    covariant slots of S then T.  Vertical valences add."""
-    p = S.p
-
-    def values_at(xs, y):
-        sv = S.values_at(xs, y)
-        tv = T.values_at(xs, y)
-
-        def fill(idx):
-            s_idx = idx[:S.rh] + idx[S.rh + T.rh:S.rh + T.rh + S.sh]
-            t_idx = idx[S.rh:S.rh + T.rh] + idx[S.rh + T.rh + S.sh:]
-            return _get(sv, s_idx) * _get(tv, t_idx)
-
-        return _nest(p, S.h_rank + T.h_rank, fill)
-
-    return DTensorField(p, S.m, S.rh + T.rh, S.sh + T.sh,
-                        S.rv + T.rv, S.sv + T.sv, values_at)
-
-
 class DVectorField:
     """Vector field in adapted components: h (p entries) plus one vertical,
     from one evaluator ``hv_at(xs, y)`` returning ``(h_list, v_scalar)``,
@@ -276,10 +165,6 @@ class DVectorField:
     def __init__(self, p, hv_at):
         self.p = p
         self.hv_at = hv_at
-
-    def at(self, pt: EPoint):
-        h, v = self.hv_at(pt.x, pt.y)
-        return [primal(w) for w in h], primal(v)
 
 
 def frame_h(p: int, idx: int) -> DVectorField:

@@ -14,6 +14,8 @@ second).
 
 from __future__ import annotations
 
+import math
+
 from .algebroid import AlgebroidData
 from .calculus import (
     EPoint,
@@ -25,12 +27,7 @@ from .calculus import (
     primal,
     seeded_point,
 )
-from .dconnection import (
-    DConnectionCoeffs,
-    berwald,
-    h_cov_values,
-    v_cov_values,
-)
+from .dconnection import DConnectionCoeffs, h_cov_values, v_cov_values
 from .nlconnection import NonlinearConnection, adapted_derivatives
 from .report import ResidualTracker
 
@@ -40,7 +37,6 @@ __all__ = [
     "matrix_inverse",
     "inverse_h",
     "metric_dconnection",
-    "canonical_metric_dconnection",
     "CompatibilityCheck",
     "riemannian_flags",
 ]
@@ -122,9 +118,13 @@ def matrix_inverse(mat, point=None):
 
 def inverse_h(G: MetricStructure, pt: EPoint):
     """Pointwise inverse of the horizontal block, self-checked by
-    multiplying back; raises SingularMetricError with a condition estimate
-    when that is above MAX_CONDITION or the check fails."""
+    multiplying back; raises EvaluationDomainError when an entry of the
+    block is not finite, and SingularMetricError with a condition estimate
+    when that is above MAX_CONDITION (or NaN) or the check fails."""
     g = [[primal(v) for v in row] for row in G.g_at(pt.x, pt.y)]
+    if not all(math.isfinite(v) for row in g for v in row):
+        raise EvaluationDomainError("non-finite value in metric block g",
+                                    point=pt)
     try:
         ginv = matrix_inverse(g, point=pt)
     except SingularMetricError as exc:
@@ -137,11 +137,14 @@ def inverse_h(G: MetricStructure, pt: EPoint):
             acc = sum(g[a][c] * ginv[c][b] for c in range(p))
             worst = max(worst, abs(acc - (1.0 if a == b else 0.0)))
     cond = _norm1(g) * _norm1(ginv)
-    if cond > MAX_CONDITION:
+    # Written as ``not x <= bound`` so that a NaN is refused too.  A NaN or
+    # infinite entry of ginv makes cond NaN or infinite, so past this test
+    # every product above was finite and ``worst`` cannot have lost a NaN.
+    if not cond <= MAX_CONDITION:
         raise SingularMetricError(
             f"ill-conditioned metric block (condition above "
             f"{MAX_CONDITION:g})", point=pt, condition=cond)
-    if worst > RESIDUAL_TOL * max(1.0, cond):
+    if not worst <= RESIDUAL_TOL * max(1.0, cond):
         raise SingularMetricError(
             f"ill-conditioned metric block (residual {worst:.3e})",
             point=pt, condition=cond,
@@ -225,12 +228,6 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
         return 0.5 * jdy(g00j) / g00
 
     return DConnectionCoeffs(p, m, hh_at, hv_at, vh_at, vv_at)
-
-
-def canonical_metric_dconnection(G: MetricStructure, A: AlgebroidData,
-                                 N: NonlinearConnection) -> DConnectionCoeffs:
-    """Metric connection over the fiber-derivative (Berwald-type) baseline."""
-    return metric_dconnection(G, berwald(N, A.m), A, N)
 
 
 def _compatibility_values(G: MetricStructure, D: DConnectionCoeffs,

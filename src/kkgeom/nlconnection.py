@@ -31,7 +31,6 @@ __all__ = [
     "NonlinearConnection",
     "CoordinateChange",
     "adapted_derivatives",
-    "h_derivative",
     "nlc_curvature",
     "bracket_curvature",
     "nlc_transformation_point",
@@ -93,13 +92,6 @@ def _split(node, pairs, zeros):
     else:
         v, dx, dy = node, zeros, 0.0
     return v, [sum(map(mul, r, dx)) - g * dy for r, g in pairs], dy
-
-
-def h_derivative(f: SmoothField, gamma: int, A: AlgebroidData,
-                 N: NonlinearConnection, p: EPoint) -> float:
-    """Adapted-frame derivative delta_gamma f at p (gamma is 0-based)."""
-    _, delta, _ = adapted_derivatives(lambda xs, y: [f(xs, y)], p.x, p.y, A, N)
-    return primal(delta[gamma][0])
 
 
 def bracket_curvature(gam, gam_delta, Lv):

@@ -8,8 +8,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from kkgeom.algebroid import AlgebroidData
 from kkgeom.calculus import at_point
 from kkgeom.curvature import PointTables
+from kkgeom.dconnection import berwald
 from kkgeom.exprlang import eval_field, parse
-from kkgeom.metric import MetricStructure
+from kkgeom.metric import MetricStructure, metric_dconnection
 from kkgeom.nlconnection import NonlinearConnection
 from kkgeom.report import ResidualTracker
 
@@ -50,6 +51,12 @@ def run_law(point_fn, args, pts, tol=1e-8):
     for pt in pts:
         point_fn(*args, pt, tracker)
     return tracker.result()
+
+
+def canonical_metric_dconnection(G, A, N):
+    """Metric connection over the fiber-derivative (Berwald-type) baseline,
+    as a scenario with a metric and ``baseline: berwald`` builds it."""
+    return metric_dconnection(G, berwald(N, A.m), A, N)
 
 
 def field(src, m=2, **kw):

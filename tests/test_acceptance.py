@@ -25,8 +25,7 @@ from kkgeom.curvature import (
     torsion_components,
 )
 from kkgeom.dconnection import DConnectionCoeffs, DVectorField, berwald
-from kkgeom.metric import CompatibilityCheck, MetricStructure, \
-    canonical_metric_dconnection
+from kkgeom.metric import CompatibilityCheck, MetricStructure
 from kkgeom.nlconnection import NonlinearConnection, nlc_curvature
 from kkgeom.exprlang import curve_function, parse
 from kkgeom.lift import (
@@ -39,8 +38,8 @@ from kkgeom.lift import (
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 from kkgeom.suites import run_suites
-from conftest import SCENARIO_DIR, field, make_d1, make_nonabelian, \
-    make_sphere, run_check
+from conftest import SCENARIO_DIR, canonical_metric_dconnection, field, \
+    make_d1, make_nonabelian, make_sphere, run_check
 
 
 def report(num, desc, residual, tol):

@@ -1,9 +1,9 @@
 """The nesting suites (ricci-commutation, bianchi, compatibility) take every
 covariant derivative from one shared derivative pass per point.  These
-tests pin their left sides to the generic ``h_cov_deriv``/``v_cov_deriv``
-compositions bit for bit, pin the Leibniz corrections to a per-index
-reference, count the passes, and show the left sides never read the
-component tables they are compared with."""
+tests pin their left sides bit for bit to the same derivatives nested one
+at a time (``reference.cov_deriv``), pin the Leibniz corrections to a
+per-index reference, count the passes, and show the left sides never read
+the component tables they are compared with."""
 
 import random
 import sys
@@ -24,20 +24,19 @@ from kkgeom.curvature import (
 )
 from kkgeom.dconnection import (
     DConnectionCoeffs,
-    DTensorField,
     DVectorField,
-    h_cov_deriv,
     h_cov_values,
-    v_cov_deriv,
     v_cov_values,
 )
-from kkgeom.metric import _compatibility_values, canonical_metric_dconnection
+from kkgeom.metric import _compatibility_values
 from kkgeom.nlconnection import adapted_derivatives
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import Scenario, load_scenario
 from kkgeom.suites import run_suites
-from conftest import (DATA_DIR, SCENARIO_DIR, bits, make_d1, make_dense3,
+from conftest import (DATA_DIR, SCENARIO_DIR, bits,
+                      canonical_metric_dconnection, make_d1, make_dense3,
                       make_nonabelian, make_vdep)
+from reference import cov_deriv
 
 
 def _case(name):
@@ -58,49 +57,41 @@ def _test_fields(p, m):
 
 
 def _composed_commutation(Z, D, N, A, pt):
-    p, m = D.p, A.m
-    TZ = DTensorField(p, m, 1, 0, 0, 0, lambda xs, y: list(Z.hv_at(xs, y)[0]))
-    A1 = h_cov_deriv(TZ, A, N, D)
-    B1 = v_cov_deriv(TZ, A, D)
-    TY = DTensorField(p, m, 0, 0, 1, 0, lambda xs, y: Z.hv_at(xs, y)[1])
-    C1 = h_cov_deriv(TY, A, N, D)
-    D1 = v_cov_deriv(TY, A, D)
-    tensors = (h_cov_deriv(A1, A, N, D), A1, B1, v_cov_deriv(A1, A, D),
-               h_cov_deriv(B1, A, N, D), h_cov_deriv(C1, A, N, D), C1, D1,
-               v_cov_deriv(C1, A, D), h_cov_deriv(D1, A, N, D))
-    return [T.values_at(pt.x, pt.y) for T in tensors]
+    """The vector part of Z (valence (1, 0, 0)) and its vertical part
+    (weight 1), each differentiated as hh, h, v, hv and vh."""
+    parts = ((lambda xs, y: list(Z.hv_at(xs, y)[0]), (1, 0, 0)),
+             (lambda xs, y: Z.hv_at(xs, y)[1], (0, 0, 1)))
+    return [cov_deriv(T, valence, steps, A, N, D)(pt.x, pt.y)
+            for T, valence in parts
+            for steps in ("hh", "h", "v", "hv", "vh")]
 
 
 def _composed_bianchi(D, N, A, pt):
-    p, m = D.p, A.m
-
     def family(block, key):
         return lambda xs, y: getattr(block(D, N, A, xs, y), key)
 
     def curvature_block(*args):
         return curvature_components_at(*args)[1]
 
-    tensors = (
-        DTensorField(p, m, 1, 2, 0, 0, family(torsion_components_at, "Thh")),
-        DTensorField(p, m, 0, 2, 1, 0, family(torsion_components_at, "Tv")),
-        DTensorField(p, m, 1, 3, 0, 0, family(curvature_block, "Rh")),
-        DTensorField(p, m, 0, 2, 1, 1, family(curvature_block, "Rv")))
-    return [h_cov_deriv(T, A, N, D).values_at(pt.x, pt.y) for T in tensors]
+    tensors = ((family(torsion_components_at, "Thh"), (1, 2, 0)),
+               (family(torsion_components_at, "Tv"), (0, 2, 1)),
+               (family(curvature_block, "Rh"), (1, 3, 0)),
+               (family(curvature_block, "Rv"), (0, 2, 0)))
+    return [cov_deriv(T, valence, "h", A, N, D)(pt.x, pt.y)
+            for T, valence in tensors]
 
 
 def _composed_compatibility(G, D, A, N, pt):
-    g_T = DTensorField(G.p, A.m, 0, 2, 0, 0, G.g_at)
-    g00_T = DTensorField(G.p, A.m, 0, 0, 0, 2, G.g00_at)
-    return [T.values_at(pt.x, pt.y) for T in (
-        h_cov_deriv(g_T, A, N, D), v_cov_deriv(g_T, A, D),
-        h_cov_deriv(g00_T, A, N, D), v_cov_deriv(g00_T, A, D))]
+    return [cov_deriv(T, valence, steps, A, N, D)(pt.x, pt.y)
+            for T, valence in ((G.g_at, (0, 2, 0)), (G.g00_at, (0, 0, -2)))
+            for steps in ("h", "v")]
 
 
 @pytest.mark.parametrize("name", ["d1", "vdep", "nonabelian", "gen3_seed1",
                                   "dense3"])
 def test_batched_left_sides_match_the_compositions_bitwise(name):
-    """Each batched suite gives, at every point, the bits of the nested
-    ``h_cov_deriv``/``v_cov_deriv`` compositions it replaces."""
+    """Each batched suite gives, at every point, the bits of the same
+    covariant derivatives nested one pass at a time."""
     A, N, G, D = _case(name)
     fields = _test_fields(D.p, A.m)
     for pt in sample_points(Box.default(A.m), 3, seed=11):
@@ -113,57 +104,57 @@ def test_batched_left_sides_match_the_compositions_bitwise(name):
             _composed_compatibility(G, D, A, N, pt))
 
 
-def _get(values, idx):
+def _entry(values, idx):
     for k in idx:
         values = values[k]
     return values
 
 
-def _nest(p, rank, fill, prefix=()):
+def _tabulate(p, rank, fill, prefix=()):
     if len(prefix) == rank:
         return fill(prefix)
-    return [_nest(p, rank, fill, prefix + (k,)) for k in range(p)]
+    return [_tabulate(p, rank, fill, prefix + (k,)) for k in range(p)]
 
 
 def _fill_h(vals, delta, rh, sh, vweight, Hh, Hv, p):
-    """The per-index Leibniz sums ``h_cov_deriv`` used to evaluate."""
+    """The horizontal Leibniz sums, one index tuple at a time."""
     def fill(full_idx):
         idx, g = full_idx[:-1], full_idx[-1]
-        out = _get(delta[g], idx)
+        out = _entry(delta[g], idx)
         for k in range(rh):
             ak = idx[k]
             out = out + sum(
-                Hh[ak][th][g] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
+                Hh[ak][th][g] * _entry(vals, idx[:k] + (th,) + idx[k + 1:])
                 for th in range(p))
         for k in range(rh, rh + sh):
             bk = idx[k]
             out = out - sum(
-                Hh[th][bk][g] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
+                Hh[th][bk][g] * _entry(vals, idx[:k] + (th,) + idx[k + 1:])
                 for th in range(p))
         if vweight:
-            out = out + vweight * Hv[g] * _get(vals, idx)
+            out = out + vweight * Hv[g] * _entry(vals, idx)
         return out
-    return _nest(p, rh + sh + 1, fill)
+    return _tabulate(p, rh + sh + 1, fill)
 
 
 def _fill_v(vals, ddy, rh, sh, vweight, Vh, Vv, p):
-    """The per-index Leibniz sums ``v_cov_deriv`` used to evaluate."""
+    """The vertical Leibniz sums, one index tuple at a time."""
     def fill(idx):
-        acc = _get(ddy, idx)
+        acc = _entry(ddy, idx)
         for k in range(rh):
             ak = idx[k]
             acc = acc + sum(
-                Vh[ak][th] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
+                Vh[ak][th] * _entry(vals, idx[:k] + (th,) + idx[k + 1:])
                 for th in range(p))
         for k in range(rh, rh + sh):
             bk = idx[k]
             acc = acc - sum(
-                Vh[th][bk] * _get(vals, idx[:k] + (th,) + idx[k + 1:])
+                Vh[th][bk] * _entry(vals, idx[:k] + (th,) + idx[k + 1:])
                 for th in range(p))
         if vweight:
-            acc = acc + vweight * Vv * _get(vals, idx)
+            acc = acc + vweight * Vv * _entry(vals, idx)
         return acc
-    return _nest(p, rh + sh, fill)
+    return _tabulate(p, rh + sh, fill)
 
 
 @st.composite

@@ -99,6 +99,15 @@ def test_compute_missing_coordinate_exits_2(capsys):
     assert code == 2
 
 
+def test_compute_repeated_coordinate_exits_2(capsys):
+    """A coordinate given twice in ``--at`` is refused, not read as its
+    last value."""
+    code, out, err = run(capsys, "compute", scen("d1.json"), "--what",
+                         "frame", "--at", "x1=0.1,x1=0.9,x2=0.2,y0=1")
+    assert code == 2 and out == ""
+    assert err == "kkgeom: error: --at: coordinate 'x1' given twice\n"
+
+
 def test_check_all_passes_d1(capsys):
     code, out, _ = run(capsys, "check", scen("d1.json"), "--suite", "all",
                        "--seed", "7")
@@ -519,10 +528,27 @@ def test_every_entry_is_quiet_on_closed_stdout(launch):
     (("compute", "scenarios/vdep.json", "--what", "bogus",
       "--at", "x1=0.1,x2=0.2,y0=1"),
      "argument --what: invalid choice: 'bogus' "),
-], ids=["steps", "samples", "what"])
+    # an infinite tolerance passes the compatibility check that
+    # d1_perturbed must fail
+    (("check", "scenarios/d1_perturbed.json", "--suite", "compatibility",
+      "--tol", "inf"), "argument --tol: must be finite, got 'inf'\n"),
+    (("check", "scenarios/d1.json", "--suite", "compatibility",
+      "--tol", "nan"), "argument --tol: must be finite, got 'nan'\n"),
+    (("validate", "scenarios/d1.json", "--tol", "-0.5"),
+     "argument --tol: must be >= 0, got '-0.5'\n"),
+    (("check", "scenarios/d1.json", "--tol", "abc"),
+     "argument --tol: invalid float value: 'abc'\n"),
+    (("lift", "scenarios/d1.json", "--mode", "parallel", "--t0", "nan"),
+     "argument --t0: must be finite, got 'nan'\n"),
+    (("lift", "scenarios/d1.json", "--mode", "parallel", "--t1", "inf"),
+     "argument --t1: must be finite, got 'inf'\n"),
+], ids=["steps", "samples", "what", "tol-inf", "tol-nan", "tol-negative",
+        "tol-abc", "t0-nan", "t1-inf"])
 def test_bad_command_line_is_one_line(capsys, monkeypatch, argv, message):
     """A command line argparse refuses ends in exit 2 and one stderr line,
-    with no usage block."""
+    with no usage block.  Float options take finite values only, so no
+    check passes or fails on a non-finite tolerance and no lift runs over
+    a non-finite time."""
     monkeypatch.chdir(SCENARIO_DIR.parent)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -554,6 +580,19 @@ def test_singular_metric_block_exits_1(capsys, tmp_path, argv, where):
     _one_line_error(err)
     assert err == ("kkgeom: error: singular metric: singular matrix (pivot "
                    f"0.000e+00 in column 1) (condition inf) at {where}\n")
+
+
+def test_nan_metric_entry_exits_1(capsys, tmp_path):
+    """A metric block entry that evaluates to NaN compares false against
+    every bound of the conditioning check; it is refused as a non-finite
+    value at the first sample point."""
+    path = _variant(tmp_path, "d1.json", lambda doc: doc["metric"]["g"][1]
+                    .__setitem__(1, "0*(1e308*10)"))
+    code, out, err = run(capsys, "check", path)
+    assert code == 1 and out == ""
+    assert err == ("kkgeom: error: evaluation error: non-finite value in "
+                   "metric block g at EPoint(x=(0.4037995698960939, "
+                   "-0.5625283377982404), y=0.3408166176045755)\n")
 
 
 def test_singular_metric_in_a_lift_is_not_a_blow_up(capsys, tmp_path):

@@ -12,7 +12,6 @@ from kkgeom.curvature import (
     RicciCommutationCheck,
     curvature_components,
     curvature_components_at,
-    curvature_from_definition,
     default_test_vector,
     energy_momentum,
     frame_definitions,
@@ -20,7 +19,6 @@ from kkgeom.curvature import (
     scalar_curvature,
     torsion_components,
     torsion_components_at,
-    torsion_from_definition,
 )
 from kkgeom.dconnection import (
     DConnectionCoeffs,
@@ -29,12 +27,14 @@ from kkgeom.dconnection import (
     frame_h,
     frame_v,
 )
-from kkgeom.metric import MetricStructure, canonical_metric_dconnection
+from kkgeom.metric import MetricStructure
 from kkgeom.nlconnection import NonlinearConnection
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
-from conftest import (DATA_DIR, SCENARIO_DIR, bits, field, make_d1,
+from conftest import (DATA_DIR, SCENARIO_DIR, bits,
+                      canonical_metric_dconnection, field, make_d1,
                       make_nonabelian, make_sphere, make_vdep, run_check)
+from reference import curvature_from_definition, torsion_from_definition
 
 PTS = sample_points(Box.default(2), 10, seed=0xA1B2)
 SPHERE_PTS = sample_points(Box(((0.3, 2.8), (-1.0, 1.0)), (0.1, 2.0)), 10,

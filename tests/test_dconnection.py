@@ -9,23 +9,24 @@ from kkgeom.calculus import (
     EPoint,
     EvaluationDomainError,
     Jet,
-    partial,
     primal,
     seeded_point,
 )
 from kkgeom.dconnection import (
     DConnectionCoeffs,
-    DTensorField,
     berwald,
     dconnection_transformation_point,
-    h_cov_deriv,
-    tensor_product,
-    v_cov_deriv,
 )
-from kkgeom.nlconnection import CoordinateChange, NonlinearConnection
+from kkgeom.nlconnection import (
+    CoordinateChange,
+    NonlinearConnection,
+    adapted_derivatives,
+)
 from kkgeom.calculus import SmoothField
 from kkgeom.sampling import Box, sample_points
-from conftest import field, make_d1, make_vdep, run_law
+from conftest import (canonical_metric_dconnection, field, make_d1,
+                      make_vdep, run_law)
+from reference import cov_deriv, partial
 
 PTS = sample_points(Box.default(2), 16, seed=0xA1B2)
 A_ID = AlgebroidData.identity(2)
@@ -59,17 +60,15 @@ def test_berwald_quadratic_gamma():
 
 
 def test_scalar_h_cov_deriv_is_h_derivative():
-    from kkgeom.nlconnection import h_derivative
     N = NonlinearConnection(2, (field("x2*y0"), field("0")))
     D = DConnectionCoeffs.zero(2, 2)
     f = field("sin(x1)*y0")
-    T = DTensorField.scalar(2, 2, f)
-    Td = h_cov_deriv(T, A_ID, N, D)
+    Td = cov_deriv(f, (0, 0, 0), "h", A_ID, N, D)
     for pt in PTS[:6]:
-        vals = Td.values_at(pt.x, pt.y)
+        vals = Td(pt.x, pt.y)
+        _, delta, _ = adapted_derivatives(f, pt.x, pt.y, A_ID, N)
         for g in range(2):
-            assert primal(vals[g]) == pytest.approx(
-                h_derivative(f, g, A_ID, N, pt), abs=1e-14)
+            assert primal(vals[g]) == pytest.approx(delta[g], abs=1e-14)
 
 
 def test_vector_h_cov_deriv_correction_term():
@@ -81,10 +80,11 @@ def test_vector_h_cov_deriv_correction_term():
     D = DConnectionCoeffs.from_fields(
         2, 2, hh, [field("0")] * 2,
         [[field("0")] * 2 for _ in range(2)], field("0"))
-    T = DTensorField.from_fields(2, 2, 1, 0, [field("1"), field("0")])
-    Td = h_cov_deriv(T, A_ID, N, D)
+    T = [field("1"), field("0")]
+    Td = cov_deriv(lambda xs, y: [f(xs, y) for f in T], (1, 0, 0), "h",
+                   A_ID, N, D)
     pt = PTS[0]
-    vals = Td.values_at(pt.x, pt.y)
+    vals = Td(pt.x, pt.y)
     assert primal(vals[0][0]) == pytest.approx(c)
     assert primal(vals[1][0]) == 0.0
     assert primal(vals[0][1]) == 0.0
@@ -96,12 +96,14 @@ def test_flat_reduction_both_derivatives():
     D = DConnectionCoeffs.zero(2, 2)
     comp = [[field("sin(x1)*x2"), field("y0^2")],
             [field("exp(0.3*x1)"), field("x2*y0")]]
-    T = DTensorField.from_fields(2, 2, 1, 1, comp)
-    Th = h_cov_deriv(T, A_ID, N, D)
-    Tv = v_cov_deriv(T, A_ID, D)
+    def T(xs, y):
+        return [[f(xs, y) for f in row] for row in comp]
+
+    Th = cov_deriv(T, (1, 1, 0), "h", A_ID, N, D)
+    Tv = cov_deriv(T, (1, 1, 0), "v", A_ID, N, D)
     for pt in PTS[:5]:
-        vh = Th.values_at(pt.x, pt.y)
-        vv = Tv.values_at(pt.x, pt.y)
+        vh = Th(pt.x, pt.y)
+        vv = Tv(pt.x, pt.y)
         for a in range(2):
             for b in range(2):
                 for g in range(2):
@@ -119,19 +121,18 @@ def test_v_cov_deriv_two_covariant_vertical_slots():
         2, 2,
         [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
         [field("0")] * 2, [[field("0")] * 2 for _ in range(2)], field("1"))
-    T = DTensorField.scalar(2, 2, field("exp(2*y0)"), rv=0, sv=2)
-    Tv = v_cov_deriv(T, A_ID, D)
+    Tv = cov_deriv(field("exp(2*y0)"), (0, 0, -2), "v", A_ID, N, D)
     for pt in PTS[:5]:
-        assert abs(primal(Tv.values_at(pt.x, pt.y))) <= 1e-12
+        assert abs(primal(Tv(pt.x, pt.y))) <= 1e-12
 
 
 def test_scalar_v_cov_deriv_is_fiber_partial():
+    N = NonlinearConnection.zero(2, 2)
     D = DConnectionCoeffs.zero(2, 2)
     f = field("x1*y0^3")
-    T = DTensorField.scalar(2, 2, f)
-    Tv = v_cov_deriv(T, A_ID, D)
+    Tv = cov_deriv(f, (0, 0, 0), "v", A_ID, N, D)
     pt = EPoint((0.4, 0.1), 0.7)
-    assert primal(Tv.values_at(pt.x, pt.y)) == pytest.approx(
+    assert primal(Tv(pt.x, pt.y)) == pytest.approx(
         partial(f, pt, "v"), abs=1e-14)
 
 
@@ -149,21 +150,31 @@ def _generic_connection():
 def test_leibniz_rule_for_tensor_product():
     N = NonlinearConnection(2, (field("x2*y0"), field("0.1*x1*y0")))
     D = _generic_connection()
-    S = DTensorField.from_fields(2, 2, 1, 0, [field("x2"), field("sin(x1)")],
-                                 rv=0, sv=1)
-    T = DTensorField.from_fields(2, 2, 0, 1, [field("y0"), field("x1*x2")],
-                                 rv=1, sv=0)
-    ST = tensor_product(S, T)
+    S_fields = [field("x2"), field("sin(x1)")]
+    T_fields = [field("y0"), field("x1*x2")]
 
-    for deriv, extra_axis in ((lambda X: h_cov_deriv(X, A_ID, N, D), True),
-                              (lambda X: v_cov_deriv(X, A_ID, D), False)):
-        dS, dT, dST = deriv(S), deriv(T), deriv(ST)
+    def S(xs, y):
+        return [f(xs, y) for f in S_fields]
+
+    def T(xs, y):
+        return [f(xs, y) for f in T_fields]
+
+    def ST(xs, y):
+        # the outer product: S's contravariant slot, then T's covariant one
+        return [[s * t for t in T(xs, y)] for s in S(xs, y)]
+
+    # valences (rh, sh, rv - sv): S has one covariant vertical slot, T one
+    # contravariant, so their weights add to 0
+    tensors = ((S, (1, 0, -1)), (T, (0, 1, 1)), (ST, (1, 1, 0)))
+    for steps, extra_axis in (("h", True), ("v", False)):
+        dS, dT, dST = (cov_deriv(X, valence, steps, A_ID, N, D)
+                       for X, valence in tensors)
         for pt in PTS[:5]:
-            s = S.values_at(pt.x, pt.y)
-            t = T.values_at(pt.x, pt.y)
-            ds = dS.values_at(pt.x, pt.y)
-            dt = dT.values_at(pt.x, pt.y)
-            dst = dST.values_at(pt.x, pt.y)
+            s = S(pt.x, pt.y)
+            t = T(pt.x, pt.y)
+            ds = dS(pt.x, pt.y)
+            dt = dT(pt.x, pt.y)
+            dst = dST(pt.x, pt.y)
             for a in range(2):
                 for b in range(2):
                     if extra_axis:
@@ -260,7 +271,6 @@ def test_transformation_fiber_scaling():
 
 
 def _metric_connection(make):
-    from kkgeom.metric import canonical_metric_dconnection
     A, N, G = make()
     return canonical_metric_dconnection(G, A, N)
 
@@ -413,7 +423,7 @@ def test_point_tables_are_freed_by_refcount(d1):
     next point's are made."""
     from kkgeom.curvature import (BianchiCheck, OracleCheck, PointTables,
                                   RicciCommutationCheck, default_test_vector)
-    from kkgeom.metric import CompatibilityCheck, canonical_metric_dconnection
+    from kkgeom.metric import CompatibilityCheck
     A, N, G = d1
     checks = (OracleCheck(N, A), BianchiCheck(N, A),
               RicciCommutationCheck([default_test_vector(2, 2)], N, A),
@@ -484,7 +494,6 @@ def test_per_depth_serves_deep_inputs_from_memory(d1):
     is served from memory, bitwise the answer of a fresh evaluation."""
     from conftest import bits
     from kkgeom.curvature import PointTables
-    from kkgeom.metric import canonical_metric_dconnection
     A, N, G = d1
     D = canonical_metric_dconnection(G, A, N)
     pt = PTS[0]

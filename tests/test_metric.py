@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint, SmoothField, jdx, jdy, jval, primal, \
-    seeded_point
+from kkgeom.calculus import EPoint, EvaluationDomainError, SmoothField, \
+    jdx, jdy, jval, primal, seeded_point
 from kkgeom.dconnection import DConnectionCoeffs, berwald
 from kkgeom.metric import (
     MAX_CONDITION,
     CompatibilityCheck,
     MetricStructure,
     SingularMetricError,
-    canonical_metric_dconnection,
     inverse_h,
     matrix_inverse,
     metric_dconnection,
@@ -21,8 +20,9 @@ from kkgeom.metric import (
 from kkgeom.nlconnection import NonlinearConnection, adapted_derivatives
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
-from conftest import (DATA_DIR, bits, field, make_d1, make_dense3,
-                      make_nonabelian, make_vdep, run_check)
+from conftest import (DATA_DIR, bits, canonical_metric_dconnection, field,
+                      make_d1, make_dense3, make_nonabelian, make_vdep,
+                      run_check)
 
 PTS = sample_points(Box.default(2), 40, seed=0xA1B2)
 A_ID = AlgebroidData.identity(2)
@@ -61,6 +61,19 @@ def test_inverse_singular_raises_with_condition():
                             (field("1"), field("1"))), field("1"))
     with pytest.raises(SingularMetricError):
         inverse_h(G, PTS[0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_inverse_refuses_a_non_finite_entry(bad):
+    """A NaN entry once passed both bounds (it compares false) and came
+    back as a NaN inverse; a non-finite entry is refused with the point."""
+    one, zero = SmoothField.constant(1.0, 2), SmoothField.constant(0.0, 2)
+    G = MetricStructure(2, ((one, zero), (zero, SmoothField.constant(bad, 2))),
+                        one)
+    with pytest.raises(EvaluationDomainError) as exc:
+        inverse_h(G, PTS[0])
+    assert str(exc.value) == "non-finite value in metric block g"
+    assert exc.value.point == PTS[0]
 
 
 def _near_singular(eps):

@@ -9,7 +9,6 @@ from kkgeom.nlconnection import (
     CoordinateChange,
     NonlinearConnection,
     adapted_derivatives,
-    h_derivative,
     nlc_curvature,
     nlc_transformation_point,
 )
@@ -27,8 +26,9 @@ def test_h_derivative_reduces_to_coordinate_derivative():
     N = NonlinearConnection.zero(2, 2)
     f = field("x1^2*x2")
     p = EPoint((0.5, -0.3), 1.0)
-    assert h_derivative(f, 0, A, N, p) == pytest.approx(2 * 0.5 * -0.3)
-    assert h_derivative(f, 1, A, N, p) == pytest.approx(0.25)
+    _, delta, _ = adapted_derivatives(f, p.x, p.y, A, N)
+    assert delta[0] == pytest.approx(2 * 0.5 * -0.3)
+    assert delta[1] == pytest.approx(0.25)
 
 
 def test_h_derivative_of_fiber_coordinate():
@@ -36,9 +36,10 @@ def test_h_derivative_of_fiber_coordinate():
     N = NonlinearConnection(2, (field("x2*y0"), field("0")))
     f = field("y0")
     p = EPoint((0.5, -0.3), 1.2)
+    _, delta, _ = adapted_derivatives(f, p.x, p.y, A, N)
     # delta_g y0 = -Gamma_g
-    assert h_derivative(f, 0, A, N, p) == pytest.approx(-(-0.3 * 1.2))
-    assert h_derivative(f, 1, A, N, p) == 0.0
+    assert delta[0] == pytest.approx(-(-0.3 * 1.2))
+    assert delta[1] == 0.0
 
 
 def test_h_derivative_hand_value():
@@ -46,8 +47,9 @@ def test_h_derivative_hand_value():
     N = NonlinearConnection(2, (field("x2*y0"), field("0")))
     f = field("x1*y0")
     p = EPoint((1.0, 2.0), 3.0)
+    _, delta, _ = adapted_derivatives(f, p.x, p.y, A, N)
     # d1(x1 y0) - Gamma_1 * d(x1 y0)/dy0 = 3 - 6*1 = -3
-    assert h_derivative(f, 0, A, N, p) == pytest.approx(-3.0)
+    assert delta[0] == pytest.approx(-3.0)
 
 
 def test_nlc_curvature_linear_constant_coefficients():
