@@ -12,6 +12,7 @@ evaluated concurrently and results are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from operator import add, neg, sub
@@ -387,12 +388,15 @@ class SmoothField:
         return SmoothField(lambda xs, y: c, m, name=repr(c))
 
 
+@functools.cache
+def _unit_directions(m):
+    """The m unit dx tuples and the zero one, built once per m."""
+    return (tuple(tuple(1.0 if j == i else 0.0 for j in range(m))
+                  for i in range(m)), (0.0,) * m)
+
+
 def seeded_point(xs, y):
     """Coordinates seeded for all m+1 first-derivative directions at once."""
-    m = len(xs)
-    jxs = tuple(
-        Jet(xs[i], tuple(1.0 if j == i else 0.0 for j in range(m)), 0.0)
-        for i in range(m)
-    )
-    jy = Jet(y, (0.0,) * m, 1.0)
-    return jxs, jy
+    units, zeros = _unit_directions(len(xs))
+    jxs = tuple([Jet(x, u, 0.0) for x, u in zip(xs, units)])
+    return jxs, Jet(y, zeros, 1.0)

@@ -307,10 +307,19 @@ def cmd_lift(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser (and, through ``add_subparsers``, its
-    subparsers) that reports a bad command line in one stderr line."""
+    subparsers) that reports a bad command line in one stderr line and
+    reads every token that parses as a float (``-1e-8``, ``-inf``) as a
+    value, where argparse alone takes ``-1e-8`` for an option."""
 
     def error(self, message):
         self.exit(2, f"kkgeom: error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

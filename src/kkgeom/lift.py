@@ -11,15 +11,15 @@ reproducible step counts):
 
 Quadratic systems can blow up in finite time; integration stops when the
 state leaves [-1e12, 1e12] or turns non-finite, and the trajectory records
-the last valid time.
+the last valid time.  A coefficient evaluated outside its domain (say the
+log of a non-positive value) also stops it, reported as an evaluation
+error rather than a blow-up.
 """
 
 from __future__ import annotations
 
-import math
-
 from .algebroid import AlgebroidData
-from .calculus import Jet, at_point, jdx, primal
+from .calculus import EvaluationDomainError, Jet, at_point, jdx, primal
 from .dconnection import DConnectionCoeffs
 from .metric import SingularMetricError
 from .nlconnection import NonlinearConnection
@@ -43,8 +43,9 @@ BLOWUP_LIMIT = 1e12
 
 # The largest step count ``lift --steps`` may ask for: far above the
 # default (1000), and small enough that a lift on a shipped scenario ends
-# in about a minute at most (d1 horizontal, the slowest: 47 s and 101 MB
-# peak RSS on a shared 2-vCPU Intel Xeon host, Python 3.11).
+# in about a minute at most (d1 horizontal, the slowest: 38 s and 100 MB
+# peak RSS in a fresh process on a shared 2-vCPU Intel Xeon host, Python
+# 3.11).
 MAX_STEPS = 100_000
 
 
@@ -90,7 +91,7 @@ class LiftState:
 
     def __init__(self, t: float, state):
         self.t = t
-        self.state = tuple(float(v) for v in state)
+        self.state = tuple(map(float, state))
 
 
 class Trajectory:
@@ -108,36 +109,39 @@ class Trajectory:
 
 def rk4_integrate(f, t0: float, t1: float, state0, steps: int) -> Trajectory:
     """Classic fixed-step RK4 on dstate/dt = f(t, state); aborts on blow-up.
-    A SingularMetricError from ``f`` is not a blow-up: it propagates."""
+    A coefficient evaluated outside its domain (an EvaluationDomainError
+    from ``f``) also ends the trajectory, reported as an evaluation error.
+    A SingularMetricError from ``f`` propagates."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     h = (t1 - t0) / steps
+    # ``0.5 * h * d`` is ``(0.5 * h) * d``, so hoisting keeps the bits.
+    half = 0.5 * h
+    sixth = h / 6.0
     state = tuple(float(v) for v in state0)
     points = [LiftState(t0, state)]
-
-    def ok(vec):
-        return all(math.isfinite(v) and abs(v) <= BLOWUP_LIMIT for v in vec)
-
     for k in range(steps):
         t = t0 + k * h
         try:
             k1 = f(t, state)
-            k2 = f(t + 0.5 * h, tuple(s + 0.5 * h * d for s, d in zip(state, k1)))
-            k3 = f(t + 0.5 * h, tuple(s + 0.5 * h * d for s, d in zip(state, k2)))
-            k4 = f(t + h, tuple(s + h * d for s, d in zip(state, k3)))
+            k2 = f(t + half, tuple([s + half * d for s, d in zip(state, k1)]))
+            k3 = f(t + half, tuple([s + half * d for s, d in zip(state, k2)]))
+            k4 = f(t + h, tuple([s + h * d for s, d in zip(state, k3)]))
         except SingularMetricError:
             raise
+        except EvaluationDomainError as exc:
+            return Trajectory(points, False, f"evaluation error after "
+                                             f"t={points[-1].t:.6g}: {exc}")
         except (ArithmeticError, ValueError):
             return Trajectory(points, False,
                               f"state blew up after t={points[-1].t:.6g}")
-        new_state = tuple(
-            s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-        if not ok(new_state):
-            return Trajectory(points, False,
-                              f"state blew up after t={points[-1].t:.6g}")
-        state = new_state
+        state = tuple([s + sixth * (a + 2.0 * b + 2.0 * c + d)
+                       for s, a, b, c, d in zip(state, k1, k2, k3, k4)])
+        for v in state:
+            # false for NaN too
+            if not -BLOWUP_LIMIT <= v <= BLOWUP_LIMIT:
+                return Trajectory(points, False,
+                                  f"state blew up after t={points[-1].t:.6g}")
         points.append(LiftState(t0 + (k + 1) * h, state))
     return Trajectory(points, True)
 
@@ -174,17 +178,23 @@ def local_invertibility_residual(L: LiftMorphism, points):
     return worst
 
 
+# The right-hand sides below run on float states at float curve points,
+# where every field returns a float, so they read the fields directly and
+# copy nothing through ``primal``.
+
+
 def integrate_parallel_lift(c: BaseCurve, L: LiftMorphism, A: AlgebroidData,
                             N: NonlinearConnection, y0: float, steps: int,
                             t0: float = 0.0, t1: float = 1.0) -> Trajectory:
     """du/dt = -Gamma_a(c(t), u) g^a(c(t)) u; state = (u,)."""
+    comps, gamma, gfields, rp = c.components, N.gamma, L.g, range(A.p)
 
     def f(t, state):
         u = state[0]
-        xs = c.point_at(t)
-        gam = [primal(v) for v in N.gamma_at(xs, u)]
-        g = [primal(v) for v in L.g_at(xs)]
-        return (-sum(gam[a] * g[a] for a in range(A.p)) * u,)
+        xs = tuple([x(t) for x in comps])
+        gam = [G(xs, u) for G in gamma]
+        g = [G(xs, 0.0) for G in gfields]
+        return (-sum(gam[a] * g[a] for a in rp) * u,)
 
     return rk4_integrate(f, t0, t1, (y0,), steps)
 
@@ -197,21 +207,20 @@ def integrate_horizontal_parallel(c: BaseCurve, L: LiftMorphism,
     """dz^a/dt = -hh^a_{bc}(c(t), u) z^b z^c, with the fiber coordinate u
     co-integrated along the parallel-lift equation (the coefficients are
     evaluated on the lifted point).  State = (z_1..z_p, u)."""
-    p = A.p
+    p, rp = A.p, range(A.p)
+    comps, gamma, gfields, hh_at = c.components, N.gamma, L.g, D.hh_at
 
     def f(t, state):
         z = state[:p]
         u = state[p]
-        xs = c.point_at(t)
-        Hh = [[[primal(v) for v in r2] for r2 in r1] for r1 in D.hh_at(xs, u)]
-        gam = [primal(v) for v in N.gamma_at(xs, u)]
-        g = [primal(v) for v in L.g_at(xs)]
-        dz = [
-            -sum(Hh[a][b][cc] * z[b] * z[cc] for b in range(p) for cc in range(p))
-            for a in range(p)
-        ]
-        du = -sum(gam[a] * g[a] for a in range(p)) * u
-        return tuple(dz) + (du,)
+        xs = tuple([x(t) for x in comps])
+        Hh = hh_at(xs, u)
+        gam = [G(xs, u) for G in gamma]
+        g = [G(xs, 0.0) for G in gfields]
+        dz = [-sum(Ha[b][cc] * z[b] * z[cc] for b in rp for cc in rp)
+              for Ha in Hh]
+        dz.append(-sum(gam[a] * g[a] for a in rp) * u)
+        return dz
 
     return rk4_integrate(f, t0, t1, tuple(z0) + (y0,), steps)
 
@@ -221,12 +230,11 @@ def integrate_vertical_parallel(c: BaseCurve, A: AlgebroidData,
                                 y0: float, steps: int,
                                 t0: float = 0.0, t1: float = 1.0) -> Trajectory:
     """du/dt = -vv(c(t), u) u^2; state = (u,)."""
+    comps, vv_at = c.components, D.vv_at
 
     def f(t, state):
         u = state[0]
-        xs = c.point_at(t)
-        vv = primal(D.vv_at(xs, u))
-        return (-vv * u * u,)
+        return (-vv_at(tuple([x(t) for x in comps]), u) * u * u,)
 
     return rk4_integrate(f, t0, t1, (y0,), steps)
 

@@ -169,19 +169,21 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
             lambda jxs, jy: G.g_at(jxs, jy), xs, y, A, N)
         ginv = matrix_inverse(g_vals)
         Lv = A.L_at(xs)
-        # The Koszul terms do not depend on the upper index a.
-        terms = [[[g_delta[c][e][b] + g_delta[b][e][c] - g_delta[e][b][c]
-                   + sum(g_vals[th][e] * Lv[th][c][b]
-                         - g_vals[b][th] * Lv[th][c][e]
-                         - g_vals[th][c] * Lv[th][b][e]
-                         for th in range(p))
-                   for e in range(p)] for c in range(p)] for b in range(p)]
-        out = [[[None] * p for _ in range(p)] for _ in range(p)]
-        for a in range(p):
-            for b in range(p):
-                for c in range(p):
+        rp = range(p)
+        out = [[[None] * p for _ in rp] for _ in rp]
+        for b in rp:
+            for c in rp:
+                # The Koszul terms of (b, c) do not depend on the upper
+                # index a: build them once, contract with every row of ginv.
+                terms = [g_delta[c][e][b] + g_delta[b][e][c] - g_delta[e][b][c]
+                         + sum(g_vals[th][e] * Lv[th][c][b]
+                               - g_vals[b][th] * Lv[th][c][e]
+                               - g_vals[th][c] * Lv[th][b][e]
+                               for th in rp)
+                         for e in rp]
+                for a in rp:
                     acc = 0.0
-                    for gi, term in zip(ginv[a], terms[b][c]):
+                    for gi, term in zip(ginv[a], terms):
                         acc = acc + gi * term
                     out[a][b][c] = 0.5 * acc
         return out

@@ -8,6 +8,8 @@ times are kept out of the structured output (they go to stderr only).
 from __future__ import annotations
 
 import json
+import math
+from itertools import repeat
 
 from .calculus import EPoint
 
@@ -64,18 +66,33 @@ class ResidualTracker:
 
 
 def fmt_float(x: float) -> str:
+    if math.isfinite(x):
+        return "%.17g" % x
     if x != x:
         return '"nan"'
-    if x == float("inf"):
-        return '"inf"'
-    if x == float("-inf"):
-        return '"-inf"'
-    return format(float(x), ".17g")
+    return '"inf"' if x > 0 else '"-inf"'
+
+
+_SCALARS = (int, float, bool, type(None))
+
+
+def _scalar(obj) -> str:
+    """JSON text of a number, a bool or None."""
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    return str(obj)
 
 
 def emit_json(obj, indent: int = 0) -> str:
     """Recursive JSON emitter with pinned float formatting and key order
-    as built (insertion order), so output is reproducible byte-for-byte."""
+    as built (insertion order), so output is reproducible byte-for-byte.
+    A list of scalars is printed on one line."""
+    if isinstance(obj, _SCALARS):
+        return _scalar(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -87,20 +104,10 @@ def emit_json(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        flat = all(isinstance(v, (int, float, bool)) or v is None for v in seq)
-        if flat:
-            return "[" + ", ".join(emit_json(v, 0) for v in seq) + "]"
-        items = [f"{inner}{emit_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt_float(obj)
+        if all(map(isinstance, obj, repeat(_SCALARS))):
+            return "[" + ", ".join(map(_scalar, obj)) + "]"
+        items = [emit_json(v, indent + 1) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return json.dumps(str(obj))

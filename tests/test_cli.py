@@ -651,3 +651,64 @@ def test_in_process_calls_match_a_fresh_process(capsys, monkeypatch):
             assert code == proc.returncode, argv
             assert out == proc.stdout.decode(), argv
             assert err == proc.stderr.decode(), argv
+
+
+@pytest.mark.parametrize("name", ["d1", "berwald", "riccati", "flat"])
+@pytest.mark.parametrize("mode", ["parallel", "horizontal", "vertical"])
+def test_lift_matches_golden_output(capsys, monkeypatch, name, mode):
+    """``lift`` on a shipped scenario prints the recorded bytes: a faster
+    integrator or right-hand side must not change any digit."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    code, out, _ = run(capsys, "lift", f"scenarios/{name}.json", "--mode",
+                       mode, "--t0", "0", "--t1", "0.9", "--steps", "40")
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"lift_{name}_{mode}.json").read_text()
+
+
+def test_lift_blow_up_matches_golden_output(capsys, monkeypatch):
+    """A genuine blow-up keeps its message and the partial trajectory."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    code, out, err = run(capsys, "lift", "scenarios/riccati.json", "--mode",
+                         "vertical", "--t1", "2", "--steps", "100")
+    assert code == 1
+    assert out == (GOLDEN_DIR / "lift_riccati_vertical_t1_2.json").read_text()
+    assert err.endswith("  [state blew up after t=1]\n")
+
+
+def test_exponent_form_negative_values_are_values(capsys, monkeypatch):
+    """A negative number in exponent form is an option's value, not an
+    option: ``--t0 -1e-3`` prints the bytes of ``--t0=-1e-3``, and
+    ``--tol -1e-8`` meets the same refusal as ``--tol -0.5``."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    lift_argv = ("lift", "scenarios/d1.json", "--mode", "parallel")
+    rest = ("--t1", "0.5", "--steps", "10")
+    joined = run(capsys, *lift_argv, "--t0=-1e-3", *rest)
+    assert joined[0] == 0
+    assert run(capsys, *lift_argv, "--t0", "-1e-3", *rest) == joined
+    for tol in ("-1e-8", "-0.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "scenarios/d1.json", "--tol", tol])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        _one_line_error(err)
+        assert err == f"kkgeom: error: argument --tol: must be >= 0, " \
+                      f"got '{tol}'\n"
+
+
+def test_domain_error_in_a_lift_is_not_a_blow_up(capsys, tmp_path):
+    """A coefficient evaluated outside its domain ends the lift with exit 1,
+    the partial trajectory and an evaluation-error message, where a state
+    that grows past the limit is a blow-up (see the golden test above)."""
+    path = _variant(tmp_path, "d1.json", lambda doc: doc["connection"][
+        "Gamma"].__setitem__(0, "log(x1-0.3)*y0"))
+    code, out, err = run(capsys, "lift", path, "--mode", "parallel",
+                         "--t0", "0.5", "--t1", "0", "--steps", "10")
+    assert code == 1
+    doc = json.loads(out)
+    message = "evaluation error after t=0.35: log of non-positive value 0.0"
+    assert doc["completed"] is False and doc["error"] == message
+    assert [t for t, _ in doc["trajectory"]] == pytest.approx(
+        [0.5, 0.45, 0.4, 0.35])
+    assert doc["final"]["state"] == doc["trajectory"][-1][1]
+    _one_line_error(err)
+    assert err.endswith(f"  [{message}]\n")

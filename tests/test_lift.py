@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from kkgeom import lift
 from kkgeom.algebroid import AlgebroidData
 from kkgeom.dconnection import DConnectionCoeffs
 from kkgeom.exprlang import curve_function, parse
@@ -178,3 +179,46 @@ def test_horizontality_equivalence_along_parallel_lift():
 def test_rk4_rejects_bad_steps():
     with pytest.raises(ValueError):
         rk4_integrate(lambda t, s: s, 0.0, 1.0, (1.0,), 0)
+
+
+@pytest.mark.parametrize("z0,steps,completed", [(2.0, 7, True),
+                                                (-2.0, 40, False)])
+@pytest.mark.parametrize("mode", ["parallel", "horizontal", "vertical"])
+def test_rk4_takes_four_stages_per_step(monkeypatch, mode, z0, steps,
+                                        completed):
+    """Every integrator evaluates its right side 4 times per step, and the
+    horizontal one evaluates hh once per stage, so no stage can be dropped
+    unnoticed.  A step that blows up has taken its 4 stages too."""
+    calls = {"rhs": 0, "hh": 0}
+    integrate = lift.rk4_integrate
+
+    def counting_rk4(f, *args):
+        def rhs(t, state):
+            calls["rhs"] += 1
+            return f(t, state)
+        return integrate(rhs, *args)
+
+    def hh_at(xs, y):
+        calls["hh"] += 1
+        return [[[0.7]]]
+
+    monkeypatch.setattr(lift, "rk4_integrate", counting_rk4)
+    # dz/dt = -0.7 z^2, du/dt = -u^2 and du/dt = -0.7 u: with z0 = -2 the
+    # first two have a pole before t = 2.
+    D = DConnectionCoeffs(1, 1, hh_at, lambda xs, y: [0.0],
+                          lambda xs, y: [[0.0]], lambda xs, y: 1.0)
+    N = NonlinearConnection(1, (field1("0.7"),))
+    c1, L1 = curve("t"), LiftMorphism(1, (field1("1"),))
+    if mode == "parallel":
+        traj = integrate_parallel_lift(c1, L1, A1, N, z0, steps, 0.0, 2.0)
+    elif mode == "horizontal":
+        traj = integrate_horizontal_parallel(c1, L1, A1, N, D, (z0,), steps,
+                                             0.0, 2.0)
+    else:
+        traj = integrate_vertical_parallel(c1, A1, N, D, z0, steps, 0.0, 2.0)
+    assert traj.completed is (completed or mode == "parallel")
+    # the points after t0, plus the step that blew up
+    taken = len(traj.points) - 1 + (not traj.completed)
+    assert taken == steps or not traj.completed
+    assert calls["rhs"] == 4 * taken
+    assert calls["hh"] == (calls["rhs"] if mode == "horizontal" else 0)
