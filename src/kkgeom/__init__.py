@@ -10,7 +10,7 @@ the scenario/CLI surface (``scenario``, ``suites``, ``cli``).
 """
 
 from .algebroid import AlgebroidData
-from .calculus import EPoint, EvaluationDomainError, Jet, SmoothField
+from .calculus import EPoint, EvaluationDomainError, Jet, constant
 from .curvature import (
     CurvatureComponents,
     EnergyMomentum,
@@ -22,8 +22,8 @@ from .curvature import (
     scalar_curvature,
     torsion_components,
 )
-from .dconnection import DConnectionCoeffs, DVectorField, berwald
-from .exprlang import ParseError, eval_field, parse, pretty
+from .dconnection import DConnectionCoeffs, berwald
+from .exprlang import ParseError, curve_function, eval_field, parse
 from .lift import (
     BaseCurve,
     LiftMorphism,

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .calculus import (
-    SmoothField,
-    at_point,
-    jdx,
-    jval,
-    seeded_point,
-)
+from .calculus import at_point, constant, jdx, jval, seeded_point
 from .report import CheckResult, ResidualTracker
 
 __all__ = ["AlgebroidData", "validate_antisymmetry",
@@ -44,8 +38,8 @@ class AlgebroidData:
             raise ValueError(f"L table must be {p}^3")
         self.m = m
         self.p = p
-        self.rho = rho      # rho[alpha][i] -> SmoothField, shape p x m
-        self.L = L          # L[gamma][alpha][beta] -> SmoothField, shape p x p x p
+        self.rho = rho      # rho[alpha][i] -> field, shape p x m
+        self.L = L          # L[gamma][alpha][beta] -> field, shape p x p x p
 
     def rho_at(self, xs):
         """Anchor values at base point xs (entries float or Jet)."""
@@ -60,10 +54,10 @@ class AlgebroidData:
     def identity(m: int) -> "AlgebroidData":
         """Coordinate frame: rho = Id (p = m), L = 0."""
         rho = tuple(
-            tuple(SmoothField.constant(1.0 if i == a else 0.0, m) for i in range(m))
+            tuple(constant(1.0 if i == a else 0.0) for i in range(m))
             for a in range(m)
         )
-        zero = SmoothField.constant(0.0, m)
+        zero = constant(0.0)
         L = tuple(tuple((zero,) * m for _ in range(m)) for _ in range(m))
         return AlgebroidData(m, m, rho, L)
 

@@ -6,8 +6,11 @@ a Jet carries a value together with all first partials (d/dx1..d/dxm,
 d/dy0).  Nesting Jets inside Jets yields exact second and third partials,
 which is all the downstream identity suites ever need.
 
-Everything here is immutable and evaluation is pure, so fields can be
-evaluated concurrently and results are bit-reproducible.
+A field is a plain function of ``(xs, y)``, ``xs`` a length-m sequence.
+It runs the same arithmetic path on floats and Jets, so the value component
+of a Jet evaluation is bit-identical to a float evaluation.  Everything here
+is immutable and evaluation is pure, so fields can be evaluated
+concurrently and results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -16,15 +19,13 @@ import functools
 import math
 from contextlib import contextmanager
 from operator import add, neg, sub
-from typing import Callable, Sequence
 
 __all__ = [
     "EvaluationDomainError",
     "at_point",
     "EPoint",
     "Jet",
-    "SmoothField",
-    "Scalar",
+    "constant",
     "seeded_point",
     "jval",
     "jdx",
@@ -39,9 +40,6 @@ __all__ = [
     "fabs_",
     "fpow",
 ]
-
-# A scalar is either a float or a Jet whose components are scalars.
-Scalar = object
 
 
 class EvaluationDomainError(ValueError):
@@ -365,27 +363,9 @@ def _ipow(base, n):
     return result
 
 
-class SmoothField:
-    """A scalar field on E, evaluatable on float or Jet coordinates.
-
-    Wraps a function of ``(xs, y)`` where ``xs`` is a length-m sequence.
-    The same arithmetic path is used for floats and Jets, so the value
-    component of a Jet evaluation is bit-identical to a float evaluation.
-    """
-
-    __slots__ = ("_fn", "m", "name")
-
-    def __init__(self, fn: Callable, m: int, name: str = ""):
-        self._fn = fn
-        self.m = m
-        self.name = name
-
-    def __call__(self, xs: Sequence, y) -> Scalar:
-        return self._fn(xs, y)
-
-    @staticmethod
-    def constant(c: float, m: int) -> "SmoothField":
-        return SmoothField(lambda xs, y: c, m, name=repr(c))
+def constant(c):
+    """The field on E with the constant value ``c``."""
+    return lambda xs, y: c
 
 
 @functools.cache

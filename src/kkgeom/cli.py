@@ -264,6 +264,9 @@ def cmd_check(args) -> int:
 
 def cmd_lift(args) -> int:
     bounded_count(args.steps, "--steps", MAX_STEPS)
+    if not math.isfinite(args.t1 - args.t0):
+        raise ScenarioError("--t1", f"t1 - t0 overflows (t0={args.t0!r}, "
+                                    f"t1={args.t1!r})")
     sc = load_scenario(args.scenario)
     if sc.lift is None:
         raise ScenarioError("lift", "scenario has no lift section")

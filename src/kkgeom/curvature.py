@@ -24,7 +24,6 @@ from .algebroid import AlgebroidData
 from .calculus import EPoint, Jet, primal
 from .dconnection import (
     DConnectionCoeffs,
-    DVectorField,
     bracket_pairs,
     frame_contract,
     frame_derivatives,
@@ -34,7 +33,7 @@ from .dconnection import (
     v_cov_values,
 )
 from .exprlang import eval_field, parse
-from .metric import MetricStructure, inverse_h
+from .metric import MetricStructure, SingularMetricError, inverse_h
 from .nlconnection import (
     NonlinearConnection,
     adapted_derivatives,
@@ -252,6 +251,8 @@ def scalar_curvature(ric: RicciTensor, G: MetricStructure, pt: EPoint) -> float:
     p = G.p
     out = sum(ric.Rab[a][b] * ginv[a][b] for a in range(p) for b in range(p))
     g00 = primal(G.g00_at(pt.x, pt.y))
+    if g00 == 0.0:
+        raise SingularMetricError("g00 vanishes", point=pt)
     return out + ric.S00 / g00
 
 
@@ -342,7 +343,7 @@ class PointTables:
     def __init__(self, D: DConnectionCoeffs, N: NonlinearConnection,
                  A: AlgebroidData, pt: EPoint):
         self.pt = pt
-        self.D = DConnectionCoeffs(D.p, D.m, *map(self.per_depth, (
+        self.D = DConnectionCoeffs(D.p, *map(self.per_depth, (
             D.hh_at, D.hv_at, D.vh_at, D.vv_at)))
         self._args = (self.D, N, A, pt.x, pt.y)
         self._components = None
@@ -462,7 +463,7 @@ def _oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
     c_tracker.update(v - curv.Sv, pt)
 
 
-def default_test_vector(p: int, m: int) -> DVectorField:
+def default_test_vector(p: int, m: int):
     """Fixed test field for the commutation suite: h-components cycle
     through a small set of smooth expressions (restricted to the declared
     base dimension), vertical component x1*y0."""
@@ -474,10 +475,9 @@ def default_test_vector(p: int, m: int) -> DVectorField:
         i = (a % m) + 1
         return f"x{i}*y0" if a % 2 == 0 else f"cos(x{i})"
 
-    fields = [eval_field(parse(source(a), m), m) for a in range(p)]
-    vfield = eval_field(parse("x1*y0", m), m)
-    return DVectorField(
-        p, lambda xs, y: ([f(xs, y) for f in fields], vfield(xs, y)))
+    fields = [eval_field(parse(source(a), m)) for a in range(p)]
+    vfield = eval_field(parse("x1*y0", m))
+    return lambda xs, y: ([f(xs, y) for f in fields], vfield(xs, y))
 
 
 class RicciCommutationCheck:
@@ -520,7 +520,7 @@ def _commutation_values(fields, D, N, A, pt):
     def first_at(xs, y):
         vals, delta, ddy = adapted_derivatives(
             lambda jxs, jy: [[list(h), v] for h, v in
-                             (Z.hv_at(jxs, jy) for Z in fields)],
+                             (Z(jxs, jy) for Z in fields)],
             xs, y, A, N)
         Hh, Hv, Vh, Vv = D.all_at(xs, y)
         return [[h_cov_values(h, [d[k][0] for d in delta], 1, 0, 0, Hh, Hv),
@@ -546,7 +546,7 @@ def _commutation_values(fields, D, N, A, pt):
 
 def _commutation_point(Z, tensors, tors, curv, pt, tracker):
     p = len(tors.Pv)
-    zh_raw, yv_raw = Z.hv_at(pt.x, pt.y)
+    zh_raw, yv_raw = Z(pt.x, pt.y)
     Zh = [primal(v) for v in zh_raw]
     Yv = primal(yv_raw)
     a2, a1, b1, a1v, b1h, c2, c1, d1, c1v, d1h = tensors

@@ -14,6 +14,10 @@ matter, because each contravariant vertical slot adds +hv/+vv corrections
 and each covariant one subtracts them.  ``h_cov_values`` and
 ``v_cov_values`` add those corrections to the output of one
 ``adapted_derivatives`` pass; the suites nest passes for higher orders.
+
+A vector field is a function ``(xs, y) -> (h_list, v)``: its p horizontal
+components and its vertical one, from one evaluation so that the two parts
+share their work.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .nlconnection import NonlinearConnection, adapted_derivatives
 
 __all__ = [
     "DConnectionCoeffs",
-    "DVectorField",
     "berwald",
     "h_cov_values",
     "v_cov_values",
@@ -45,18 +48,17 @@ __all__ = [
 class DConnectionCoeffs:
     """The four coefficient families, as point evaluators (Jet-friendly)."""
 
-    def __init__(self, p, m, hh_at, hv_at, vh_at, vv_at):
+    def __init__(self, p, hh_at, hv_at, vh_at, vv_at):
         self.p = p
-        self.m = m
         self.hh_at = hh_at
         self.hv_at = hv_at
         self.vh_at = vh_at
         self.vv_at = vv_at
 
     @staticmethod
-    def zero(p: int, m: int) -> "DConnectionCoeffs":
+    def zero(p: int) -> "DConnectionCoeffs":
         return DConnectionCoeffs(
-            p, m,
+            p,
             lambda xs, y: [[[0.0] * p for _ in range(p)] for _ in range(p)],
             lambda xs, y: [0.0] * p,
             lambda xs, y: [[0.0] * p for _ in range(p)],
@@ -64,10 +66,10 @@ class DConnectionCoeffs:
         )
 
     @staticmethod
-    def from_fields(p, m, hh, hv, vh, vv) -> "DConnectionCoeffs":
-        """Explicit tables of SmoothFields: hh p^3, hv p, vh p^2, vv scalar."""
+    def from_fields(p, hh, hv, vh, vv) -> "DConnectionCoeffs":
+        """Explicit tables of fields: hh p^3, hv p, vh p^2, vv scalar."""
         return DConnectionCoeffs(
-            p, m,
+            p,
             lambda xs, y: [[[hh[a][b][c](xs, y) for c in range(p)]
                             for b in range(p)] for a in range(p)],
             lambda xs, y: [hv[c](xs, y) for c in range(p)],
@@ -80,7 +82,7 @@ class DConnectionCoeffs:
                 self.vh_at(xs, y), self.vv_at(xs, y)]
 
 
-def berwald(N: NonlinearConnection, m: int) -> DConnectionCoeffs:
+def berwald(N: NonlinearConnection) -> DConnectionCoeffs:
     """Connection induced by the fiber derivative of the nonlinear
     coefficients: hv[gamma] = dGamma_gamma/dy0, all other families zero."""
     p = N.p
@@ -90,8 +92,8 @@ def berwald(N: NonlinearConnection, m: int) -> DConnectionCoeffs:
         out = N.gamma_at(jxs, jy)
         return [jdy(o) for o in out]
 
-    zero = DConnectionCoeffs.zero(p, m)
-    return DConnectionCoeffs(p, m, zero.hh_at, hv_at, zero.vh_at, zero.vv_at)
+    zero = DConnectionCoeffs.zero(p)
+    return DConnectionCoeffs(p, zero.hh_at, hv_at, zero.vh_at, zero.vv_at)
 
 
 def _flat(node, rank):
@@ -155,27 +157,14 @@ def v_cov_values(vals, ddy, rh, sh, vweight, Vh, Vv):
                             Vh, list(zip(*Vh)), vweight, Vv), len(Vh), rank)
 
 
-class DVectorField:
-    """Vector field in adapted components: h (p entries) plus one vertical,
-    from one evaluator ``hv_at(xs, y)`` returning ``(h_list, v_scalar)``,
-    so that the two parts share their work."""
-
-    __slots__ = ("p", "hv_at")
-
-    def __init__(self, p, hv_at):
-        self.p = p
-        self.hv_at = hv_at
-
-
-def frame_h(p: int, idx: int) -> DVectorField:
+def frame_h(p: int, idx: int):
     """The idx-th horizontal frame field."""
-    return DVectorField(
-        p, lambda xs, y: ([1.0 if a == idx else 0.0 for a in range(p)], 0.0))
+    return lambda xs, y: ([1.0 if a == idx else 0.0 for a in range(p)], 0.0)
 
 
-def frame_v(p: int) -> DVectorField:
+def frame_v(p: int):
     """The vertical frame field."""
-    return DVectorField(p, lambda xs, y: ([0.0] * p, 1.0))
+    return lambda xs, y: ([0.0] * p, 1.0)
 
 
 def frame_derivatives(W_at, A: AlgebroidData, N: NonlinearConnection,
@@ -231,23 +220,23 @@ def frame_contract(Xc, derivs):
     return out_h, out_v
 
 
-def cov_deriv_along(X: DVectorField, W: DVectorField, A: AlgebroidData,
-                    N: NonlinearConnection, D: DConnectionCoeffs) -> DVectorField:
+def cov_deriv_along(X, W, A: AlgebroidData, N: NonlinearConnection,
+                    D: DConnectionCoeffs):
     """D_X W for vector fields: the contraction X^j D_{e_j} W over
-    :func:`frame_derivatives`.  Returns closures, so results can be
+    :func:`frame_derivatives`.  Returns a vector field, so results can be
     differentiated again."""
     def W_at(xs, y):
-        h, v = W.hv_at(xs, y)
+        h, v = W(xs, y)
         return [[list(h), v]]
 
     derivs_at = frame_derivatives(W_at, A, N, D)
 
     def components(xs, y):
         derivs = derivs_at(xs, y)
-        Xh, Xv = X.hv_at(xs, y)
+        Xh, Xv = X(xs, y)
         return frame_contract(list(Xh) + [Xv], [row[0] for row in derivs])
 
-    return DVectorField(X.p, components)
+    return components
 
 
 def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
@@ -260,8 +249,7 @@ def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
     the order of ``pairs``.  It seeds the point and evaluates rho, L and
     Gamma once for all pairs, and each field once.
     """
-    p = fields[0].p
-    m = A.m
+    p, m = A.p, A.m
 
     def rho_apply(rho, Zh, Zv, dF, yF):
         # anchor(Z) applied to a function with gradient dF, fiber yF
@@ -271,7 +259,7 @@ def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
     def natural(Z, jxs, jy, jgam):
         # adapted (h, v) -> natural (A^gamma = h, A^0 = v - Gamma.h),
         # unpacked into values, base gradients and fiber derivatives
-        h, v = Z.hv_at(jxs, jy)
+        h, v = Z(jxs, jy)
         v = v - sum(jgam[g] * h[g] for g in range(p))
         return ([jval(s) for s in h], jval(v),
                 [[jdx(s, i) for i in range(m)] for s in h],
@@ -306,11 +294,10 @@ def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
     return at
 
 
-def bracket_d_vectors(X: DVectorField, Y: DVectorField, A: AlgebroidData,
-                      N: NonlinearConnection) -> DVectorField:
+def bracket_d_vectors(X, Y, A: AlgebroidData, N: NonlinearConnection):
     """[X, Y] in adapted components: :func:`bracket_pairs` for one pair."""
     pair_at = bracket_pairs([X, Y], [(0, 1)], A, N)
-    return DVectorField(X.p, lambda xs, y: pair_at(xs, y)[0])
+    return lambda xs, y: pair_at(xs, y)[0]
 
 
 def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):

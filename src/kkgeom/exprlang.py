@@ -10,8 +10,9 @@ Grammar (whitespace insignificant, ASCII only):
 
 Identifiers: variables x1..xm, y0, t (where permitted); functions sin, cos,
 tan, exp, log, sqrt, abs, pow; constants pi, e.  ``pow(a, b)`` parses to the
-same node as ``a ^ b``.  Parsed trees compile once into closures that run the
-same arithmetic path on float and Jet coordinates.
+same node as ``a ^ b``.  A parsed tree compiles once into a plain function,
+of ``(xs, y)`` for a field and of ``t`` for a curve component, that runs
+the same arithmetic path on float and Jet coordinates.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import re
 
 from .calculus import (
-    SmoothField,
     _jdiv,
     fabs_,
     fcos,
@@ -33,7 +33,7 @@ from .calculus import (
 )
 
 __all__ = ["ParseError", "Expr", "Num", "Var", "BinOp", "Neg", "Call",
-           "parse", "pretty", "eval_field", "compile_expr", "curve_function"]
+           "parse", "eval_field", "compile_expr", "curve_function"]
 
 UNARY_FUNCS = {"sin": fsin, "cos": fcos, "tan": ftan, "exp": fexp,
                "log": flog, "sqrt": fsqrt, "abs": fabs_}
@@ -296,48 +296,6 @@ def parse(src: str, m: int, *, allow_y: bool = True, allow_t: bool = False) -> E
     return node
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _prec(node):
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return 9
-
-
-def pretty(node: Expr) -> str:
-    """Render with just enough parentheses that re-parsing rebuilds the tree."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return {"x": f"x{node.index + 1}", "y": "y0", "t": "t"}[node.kind]
-    if isinstance(node, Neg):
-        inner = pretty(node.child)
-        if _prec(node.child) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({pretty(node.arg)})"
-    if isinstance(node, BinOp):
-        p = _PREC[node.op]
-        left = pretty(node.left)
-        right = pretty(node.right)
-        if node.op == "^":
-            if _prec(node.left) <= p:
-                left = f"({left})"
-            if _prec(node.right) < p:
-                right = f"({right})"
-        else:
-            if _prec(node.left) < p:
-                left = f"({left})"
-            if _prec(node.right) <= p:
-                right = f"({right})"
-        return f"{left}{node.op}{right}"
-    raise TypeError(f"not an Expr node: {node!r}")
-
-
 def _codegen(node: Expr) -> str:
     if isinstance(node, Num):
         return repr(node.value)
@@ -363,19 +321,17 @@ _ENV = {"fsin": fsin, "fcos": fcos, "ftan": ftan, "fexp": fexp, "flog": flog,
         "__builtins__": {}}
 
 
-def compile_expr(node: Expr):
-    """Compile to a closure (X, Y, T) -> scalar; X indexable, Y/T scalars."""
-    src = f"lambda X, Y, T: {_codegen(node)}"
-    return eval(src, dict(_ENV))
+def compile_expr(node: Expr, params: str):
+    """Compile to ``lambda <params>: <node>``, the one compile site: params
+    "X, Y" (X indexable, Y scalar) for a field, "T" for a curve component."""
+    return eval(f"lambda {params}: {_codegen(node)}", dict(_ENV))
 
 
-def eval_field(node: Expr, m: int, name: str = "") -> SmoothField:
-    """Wrap a parsed expression as a field on E (the t variable stays unbound)."""
-    fn = compile_expr(node)
-    return SmoothField(lambda xs, y: fn(xs, y, 0.0), m, name=name or pretty(node))
+def eval_field(node: Expr):
+    """A parsed expression as a field on E: a function of ``(xs, y)``."""
+    return compile_expr(node, "X, Y")
 
 
 def curve_function(node: Expr):
-    """Compile a curve-component expression of t into a scalar function of t."""
-    fn = compile_expr(node)
-    return lambda t: fn((), 0.0, t)
+    """A parsed curve-component expression as a function of ``t``."""
+    return compile_expr(node, "T")

@@ -52,11 +52,10 @@ MAX_STEPS = 100_000
 class BaseCurve:
     """m coordinate functions of t, with velocities via jets in t."""
 
-    __slots__ = ("m", "components")
+    __slots__ = ("components",)
 
-    def __init__(self, m: int, components: tuple):
-        self.m = m
-        self.components = components  # callables t -> scalar
+    def __init__(self, components: tuple):
+        self.components = components  # functions t -> scalar
 
     def point_at(self, t: float):
         return tuple(primal(c(t)) for c in self.components)
@@ -74,7 +73,7 @@ class LiftMorphism:
 
     def __init__(self, p: int, g: tuple, gtilde: tuple | None = None):
         self.p = p
-        self.g = g            # p SmoothFields on M
+        self.g = g            # p fields on M
         self.gtilde = gtilde
 
     def g_at(self, xs):

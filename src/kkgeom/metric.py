@@ -20,8 +20,8 @@ from .algebroid import AlgebroidData
 from .calculus import (
     EPoint,
     EvaluationDomainError,
-    SmoothField,
     at_point,
+    constant,
     jdy,
     jval,
     primal,
@@ -59,15 +59,15 @@ class SingularMetricError(EvaluationDomainError):
 
 
 class MetricStructure:
-    """Horizontal block g (p x p SmoothFields, symmetric) and vertical g00."""
+    """Horizontal block g (p x p fields, symmetric) and vertical g00."""
 
     __slots__ = ("p", "g", "g00")
 
-    def __init__(self, p: int, g: tuple, g00: SmoothField):
+    def __init__(self, p: int, g: tuple, g00):
         if len(g) != p or any(len(row) != p for row in g):
             raise ValueError(f"g table must be {p}x{p}")
         self.p = p
-        self.g = g         # g[alpha][beta] SmoothFields
+        self.g = g         # g[alpha][beta] fields
         self.g00 = g00
 
     def g_at(self, xs, y):
@@ -78,9 +78,8 @@ class MetricStructure:
         return self.g00(xs, y)
 
     @staticmethod
-    def flat(p: int, m: int) -> "MetricStructure":
-        one = SmoothField.constant(1.0, m)
-        zero = SmoothField.constant(0.0, m)
+    def flat(p: int) -> "MetricStructure":
+        one, zero = constant(1.0), constant(0.0)
         g = tuple(tuple(one if a == b else zero for b in range(p))
                   for a in range(p))
         return MetricStructure(p, g, one)
@@ -162,7 +161,6 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
     fiber derivative of g00.
     """
     p = G.p
-    m = A.m
 
     def hh_at(xs, y):
         g_vals, g_delta, _ = adapted_derivatives(
@@ -229,7 +227,7 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
             raise SingularMetricError("g00 vanishes", point=EPoint(tuple(map(primal, xs)), primal(y)))
         return 0.5 * jdy(g00j) / g00
 
-    return DConnectionCoeffs(p, m, hh_at, hv_at, vh_at, vv_at)
+    return DConnectionCoeffs(p, hh_at, hv_at, vh_at, vv_at)
 
 
 def _compatibility_values(G: MetricStructure, D: DConnectionCoeffs,

@@ -20,7 +20,7 @@ from .calculus import (
     EPoint,
     EvaluationDomainError,
     Jet,
-    SmoothField,
+    constant,
     jdx,
     primal,
     seeded_point,
@@ -46,15 +46,14 @@ class NonlinearConnection:
         if len(gamma) != p:
             raise ValueError(f"Gamma table must have {p} entries")
         self.p = p
-        self.gamma = gamma  # p SmoothFields on E
+        self.gamma = gamma  # p fields on E
 
     def gamma_at(self, xs, y):
         return [g(xs, y) for g in self.gamma]
 
     @staticmethod
-    def zero(p: int, m: int) -> "NonlinearConnection":
-        return NonlinearConnection(p, tuple(SmoothField.constant(0.0, m)
-                                            for _ in range(p)))
+    def zero(p: int) -> "NonlinearConnection":
+        return NonlinearConnection(p, (constant(0.0),) * p)
 
 
 def adapted_derivatives(array_fn, xs, y, A: AlgebroidData, N: NonlinearConnection):
@@ -138,7 +137,7 @@ class CoordinateChange:
 
     def __init__(self, m: int, p: int, base: tuple | None = None,
                  base_inverse: tuple | None = None,
-                 fiber_scale: SmoothField | None = None,
+                 fiber_scale=None,
                  frame: tuple | None = None,
                  frame_inverse: tuple | None = None):
         self.m = m

@@ -14,7 +14,7 @@ import json
 import math
 
 from .algebroid import AlgebroidData
-from .calculus import SmoothField
+from .calculus import constant
 from .dconnection import DConnectionCoeffs, berwald
 from .exprlang import ParseError, curve_function, eval_field, parse
 from .lift import BaseCurve, LiftMorphism
@@ -34,7 +34,7 @@ class ScenarioError(ValueError):
         self.location = location
 
 
-def _field(src, m, location, memo, on_base=False) -> SmoothField:
+def _field(src, m, location, memo, on_base=False):
     """The field of expression ``src``.  ``memo`` maps ``(src, on_base)``
     to the fields already built in this load, so each distinct source is
     parsed and compiled once and its entries share one field."""
@@ -46,7 +46,7 @@ def _field(src, m, location, memo, on_base=False) -> SmoothField:
             node = parse(src, m, allow_y=not on_base)
         except ParseError as exc:
             raise ScenarioError(location, str(exc)) from exc
-        memo[key] = eval_field(node, m, name=src)
+        memo[key] = eval_field(node)
     return memo[key]
 
 
@@ -152,8 +152,8 @@ class Scenario:
         """The configured baseline (ring) connection over ``N``: the
         fiber-derivative (Berwald-type) one, or zero."""
         if self.baseline == "berwald":
-            return berwald(N, self.m)
-        return DConnectionCoeffs.zero(self.p, self.m)
+            return berwald(N)
+        return DConnectionCoeffs.zero(self.p)
 
 
 def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
@@ -195,13 +195,13 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
         L = _table(alg_doc["L"], (p, p, p), m, "algebroid.L", memo,
                    on_base=True)
     else:
-        zero = SmoothField.constant(0.0, m)
+        zero = constant(0.0)
         L = tuple(tuple((zero,) * p for _ in range(p)) for _ in range(p))
     algebroid = AlgebroidData(m, p, rho, L)
 
     conn_doc = doc.get("connection")
     if conn_doc is None:
-        connection = NonlinearConnection.zero(p, m)
+        connection = NonlinearConnection.zero(p)
     else:
         gamma = _table(conn_doc.get("Gamma"), (p,), m, "connection.Gamma",
                        memo)
@@ -227,7 +227,7 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
         hv = _table(dcon_doc.get("Hv"), (p,), m, "dconnection.Hv", memo)
         vh = _table(dcon_doc.get("Vh"), (p, p), m, "dconnection.Vh", memo)
         vv = _field(dcon_doc.get("Vv"), m, "dconnection.Vv", memo)
-        explicit = DConnectionCoeffs.from_fields(p, m, hh, hv, vh, vv)
+        explicit = DConnectionCoeffs.from_fields(p, hh, hv, vh, vv)
 
     lift = None
     lift_doc = doc.get("lift")
@@ -254,7 +254,7 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
             gtilde = _table(lift_doc["gtilde"], (p,), m, "lift.gtilde",
                             memo, on_base=True)
         y0 = _finite(lift_doc.get("y0", 1.0), "lift.y0")
-        lift = LiftSection(BaseCurve(m, tuple(comps)),
+        lift = LiftSection(BaseCurve(tuple(comps)),
                            LiftMorphism(p, g_lift, gtilde), y0)
 
     kappa = _finite(doc.get("kappa", 1.0), "kappa")

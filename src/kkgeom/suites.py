@@ -17,7 +17,7 @@ from .algebroid import (
     validate_antisymmetry,
     validate_jacobi,
 )
-from .calculus import EPoint, SmoothField, at_point, primal
+from .calculus import EPoint, at_point, constant, primal
 from .curvature import (
     BianchiCheck,
     OracleCheck,
@@ -25,7 +25,7 @@ from .curvature import (
     RicciCommutationCheck,
     default_test_vector,
 )
-from .dconnection import DVectorField, dconnection_transformation_point
+from .dconnection import dconnection_transformation_point
 from .lift import local_invertibility_residual
 from .metric import CompatibilityCheck, inverse_h, matrix_inverse, \
     metric_dconnection, riemannian_flags
@@ -139,8 +139,8 @@ def applicable_suites(sc: Scenario):
     return names
 
 
-def _constant_matrix_fields(mat, m):
-    return tuple(tuple(SmoothField.constant(v, m) for v in row) for row in mat)
+def _constant_matrix_fields(mat):
+    return tuple(tuple(constant(v) for v in row) for row in mat)
 
 
 def _frame_change_data(sc: Scenario):
@@ -163,8 +163,8 @@ def _frame_change_data(sc: Scenario):
     lam_inv = matrix_inverse(lam)
     C = CoordinateChange(
         m, p,
-        frame=_constant_matrix_fields(lam, m),
-        frame_inverse=_constant_matrix_fields(lam_inv, m),
+        frame=_constant_matrix_fields(lam),
+        frame_inverse=_constant_matrix_fields(lam_inv),
     )
     A, N, G = sc.algebroid, sc.connection, sc.metric
     P = range(p)
@@ -201,8 +201,7 @@ def _fiber_change_data(sc: Scenario, factor: float = 2.0):
     table: ``(C, A, N', G')`` (the anchor and bracket do not change)."""
     N, G = sc.connection, sc.metric
     inv = 1.0 / factor
-    C = CoordinateChange(sc.m, sc.p,
-                         fiber_scale=SmoothField.constant(factor, sc.m))
+    C = CoordinateChange(sc.m, sc.p, fiber_scale=constant(factor))
     N_p = SimpleNamespace(p=sc.p, gamma_at=lambda xs, y: [
         factor * v for v in N.gamma_at(xs, y * inv)])
     G_p = SimpleNamespace(
@@ -259,8 +258,9 @@ def _point_checks(sc: Scenario, names, tols):
         if name == "oracle":
             checks[name] = OracleCheck(N, A, tols[name])
         elif name == "ricci-commutation":
-            Z2 = DVectorField(
-                sc.p, lambda xs, y: ([1.0] + [0.0] * (sc.p - 1), 1.0))
+            def Z2(xs, y):
+                return [1.0] + [0.0] * (sc.p - 1), 1.0
+
             checks[name] = RicciCommutationCheck(
                 [default_test_vector(sc.p, sc.m), Z2], N, A, tols[name])
         elif name == "bianchi":

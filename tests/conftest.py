@@ -56,11 +56,11 @@ def run_law(point_fn, args, pts, tol=1e-8):
 def canonical_metric_dconnection(G, A, N):
     """Metric connection over the fiber-derivative (Berwald-type) baseline,
     as a scenario with a metric and ``baseline: berwald`` builds it."""
-    return metric_dconnection(G, berwald(N, A.m), A, N)
+    return metric_dconnection(G, berwald(N), A, N)
 
 
 def field(src, m=2, **kw):
-    return eval_field(parse(src, m, **kw), m)
+    return eval_field(parse(src, m, **kw))
 
 
 def make_d1():
@@ -104,7 +104,7 @@ def make_vdep():
 def make_sphere():
     """Constant-curvature surface block: g = diag(1, sin(x1)^2), flat fiber."""
     A = AlgebroidData.identity(2)
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     G = MetricStructure(2, ((field("1"), field("0")),
                             (field("0"), field("sin(x1)^2"))), field("1"))
     return A, N, G

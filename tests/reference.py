@@ -1,8 +1,9 @@
-"""Reference calculus for the tests, kept out of the package because no
+"""Reference code for the tests, kept out of the package because no
 command runs it: nested covariant derivatives of a block tensor, exact and
-finite-difference partials of one field, and the torsion and curvature of
-single vector fields straight from their definitions.  The engine's batched
-kernels are compared against these."""
+finite-difference partials of one field, the torsion and curvature of
+single vector fields straight from their definitions, and a printer for
+parsed expressions.  The engine's batched kernels are compared against
+these, and the parser against the printer."""
 
 from kkgeom.calculus import jdx, jdy, primal, seeded_point
 from kkgeom.dconnection import (
@@ -11,6 +12,7 @@ from kkgeom.dconnection import (
     h_cov_values,
     v_cov_values,
 )
+from kkgeom.exprlang import BinOp, Call, Neg, Num, Var
 from kkgeom.nlconnection import adapted_derivatives
 
 
@@ -65,7 +67,7 @@ def fd_partial(f, pt, direction, h=1e-5):
 
 
 def _floats(W, pt):
-    h, v = W.hv_at(pt.x, pt.y)
+    h, v = W(pt.x, pt.y)
     return [primal(w) for w in h], primal(v)
 
 
@@ -88,3 +90,45 @@ def curvature_from_definition(X, Y, Z, D, N, A, pt):
         cov_deriv_along(Y, cov_deriv_along(Z, X, A, N, D), A, N, D),
         cov_deriv_along(Z, cov_deriv_along(Y, X, A, N, D), A, N, D),
         cov_deriv_along(bracket_d_vectors(Y, Z, A, N), X, A, N, D), pt)
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _prec(node):
+    if isinstance(node, BinOp):
+        return _PREC[node.op]
+    if isinstance(node, Neg):
+        return _PREC["neg"]
+    return 9
+
+
+def pretty(node):
+    """Render with just enough parentheses that re-parsing rebuilds the tree."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return {"x": f"x{node.index + 1}", "y": "y0", "t": "t"}[node.kind]
+    if isinstance(node, Neg):
+        inner = pretty(node.child)
+        if _prec(node.child) < _PREC["neg"]:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, Call):
+        return f"{node.func}({pretty(node.arg)})"
+    if isinstance(node, BinOp):
+        p = _PREC[node.op]
+        left = pretty(node.left)
+        right = pretty(node.right)
+        if node.op == "^":
+            if _prec(node.left) <= p:
+                left = f"({left})"
+            if _prec(node.right) < p:
+                right = f"({right})"
+        else:
+            if _prec(node.left) < p:
+                left = f"({left})"
+            if _prec(node.right) <= p:
+                right = f"({right})"
+        return f"{left}{node.op}{right}"
+    raise TypeError(f"not an Expr node: {node!r}")

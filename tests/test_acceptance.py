@@ -24,7 +24,7 @@ from kkgeom.curvature import (
     scalar_curvature,
     torsion_components,
 )
-from kkgeom.dconnection import DConnectionCoeffs, DVectorField, berwald
+from kkgeom.dconnection import DConnectionCoeffs, berwald
 from kkgeom.metric import CompatibilityCheck, MetricStructure
 from kkgeom.nlconnection import NonlinearConnection, nlc_curvature
 from kkgeom.exprlang import curve_function, parse
@@ -240,10 +240,13 @@ def test_criterion_05_ricci_type_commutation():
     A, N, G = make_d1()
     D = canonical_metric_dconnection(G, A, N)
     pts = sample_points(Box.default(2), 20, seed=0xA1B2)
-    Z1 = DVectorField(2, lambda xs, y: ([field("x2")(xs, y),
-                                         field("sin(x1)")(xs, y)],
-                                        field("x1*y0")(xs, y)))
-    Z2 = DVectorField(2, lambda xs, y: ([1.0, 0.0], 1.0))
+    def Z1(xs, y):
+        return ([field("x2")(xs, y), field("sin(x1)")(xs, y)],
+                field("x1*y0")(xs, y))
+
+    def Z2(xs, y):
+        return [1.0, 0.0], 1.0
+
     worst = max(res.max_residual for res in run_check(
         RicciCommutationCheck([Z1, Z2], N, A), D, N, A, pts))
     report(5, "second-derivative commutation formulas hold for two fixed "
@@ -257,7 +260,7 @@ def test_criterion_06_bianchi_identities():
     D_metric = canonical_metric_dconnection(G, A, N)
     for res in run_check(BianchiCheck(N, A), D_metric, N, A, pts):
         worst = max(worst, res.max_residual)
-    D_berwald = berwald(N, 2)
+    D_berwald = berwald(N)
     for res in run_check(BianchiCheck(N, A), D_berwald, N, A, pts):
         worst = max(worst, res.max_residual)
     report(6, "cyclic component identities hold on d1 (metric and "
@@ -307,14 +310,14 @@ def test_criterion_09_transformation_laws():
 
 def test_criterion_10_lift_odes():
     A = AlgebroidData.identity(2)
-    c = BaseCurve(2, tuple(
+    c = BaseCurve(tuple(
         curve_function(parse(s, 0, allow_y=False, allow_t=True))
         for s in ("t", "2*t")))
     L = LiftMorphism(2, (field("1"), field("0")))
     worst_const = max(
         abs(s.state[0] - 1.5)
         for s in integrate_parallel_lift(
-            c, L, A, NonlinearConnection.zero(2, 2), 1.5, 1000).points)
+            c, L, A, NonlinearConnection.zero(2), 1.5, 1000).points)
     report(10, "zero-coefficient parallel lift stays constant",
            worst_const, 1e-12)
 
@@ -326,12 +329,12 @@ def test_criterion_10_lift_odes():
            worst_lin, 1e-8)
 
     D = DConnectionCoeffs.from_fields(
-        2, 2, [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
+        2, [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
         [field("0")] * 2, [[field("0")] * 2 for _ in range(2)], field("1"))
     worst_ric = max(
         abs(s.state[0] - 1.0 / (1.0 + s.t))
         for s in integrate_vertical_parallel(
-            c, A, NonlinearConnection.zero(2, 2), D, 1.0, 1000).points)
+            c, A, NonlinearConnection.zero(2), D, 1.0, 1000).points)
     report(10, "quadratic vertical lift matches Riccati closed form",
            worst_ric, 1e-8)
 

@@ -9,7 +9,7 @@ from kkgeom.algebroid import (
     validate_antisymmetry,
     validate_jacobi,
 )
-from kkgeom.calculus import (EvaluationDomainError, SmoothField, jdx, jval,
+from kkgeom.calculus import (EvaluationDomainError, jdx, jval,
                              seeded_point)
 from kkgeom.report import ResidualTracker
 from kkgeom.sampling import Box, sample_points
@@ -166,7 +166,7 @@ def test_jacobi_evaluates_each_term_once():
         __rmul__ = __mul__
 
     p, m = VARYING.p, VARYING.m
-    rho = tuple(tuple(SmoothField(lambda xs, y, _f=f: Counting(_f(xs, y)), m)
+    rho = tuple(tuple(lambda xs, y, _f=f: Counting(_f(xs, y))
                       for f in row) for row in VARYING.rho)
     validate_jacobi(AlgebroidData(m, p, rho, VARYING.L), PTS[:2])
     assert products[0] == 2 * p ** 4 * m

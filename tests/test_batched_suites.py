@@ -24,7 +24,6 @@ from kkgeom.curvature import (
 )
 from kkgeom.dconnection import (
     DConnectionCoeffs,
-    DVectorField,
     h_cov_values,
     v_cov_values,
 )
@@ -53,14 +52,14 @@ def _case(name):
 def _test_fields(p, m):
     """The two fields the ricci-commutation suite uses."""
     return [default_test_vector(p, m),
-            DVectorField(p, lambda xs, y: ([1.0] + [0.0] * (p - 1), 1.0))]
+            lambda xs, y: ([1.0] + [0.0] * (p - 1), 1.0)]
 
 
 def _composed_commutation(Z, D, N, A, pt):
     """The vector part of Z (valence (1, 0, 0)) and its vertical part
     (weight 1), each differentiated as hh, h, v, hv and vh."""
-    parts = ((lambda xs, y: list(Z.hv_at(xs, y)[0]), (1, 0, 0)),
-             (lambda xs, y: Z.hv_at(xs, y)[1], (0, 0, 1)))
+    parts = ((lambda xs, y: list(Z(xs, y)[0]), (1, 0, 0)),
+             (lambda xs, y: Z(xs, y)[1], (0, 0, 1)))
     return [cov_deriv(T, valence, steps, A, N, D)(pt.x, pt.y)
             for T, valence in parts
             for steps in ("hh", "h", "v", "hv", "vh")]
@@ -251,7 +250,7 @@ def test_bianchi_never_evaluates_vh_or_vv_at_depth_two(monkeypatch):
                 return fn(xs, y)
             return at
 
-        return DConnectionCoeffs(D.p, D.m, *map(wrap, depths))
+        return DConnectionCoeffs(D.p, *map(wrap, depths))
 
     monkeypatch.setattr(Scenario, "dconnection", recorded)
     run_suites(load_scenario(str(DATA_DIR / "gen3_seed1.json")), ["bianchi"],

@@ -8,7 +8,7 @@ from kkgeom.calculus import (
     EPoint,
     EvaluationDomainError,
     Jet,
-    SmoothField,
+    constant,
     jdx,
     seeded_point,
 )
@@ -19,7 +19,7 @@ from kkgeom.sampling import Box, sample_points
 
 
 def test_partial_of_constant_is_zero():
-    f = SmoothField.constant(5.0, 2)
+    f = constant(5.0)
     p = EPoint((0.3, -0.8), 1.1)
     assert partial(f, p, 1) == 0.0
     assert partial(f, p, 2) == 0.0
@@ -50,7 +50,7 @@ def test_fd_partial_exp():
 
 
 def test_fd_partial_constant():
-    f = SmoothField.constant(3.5, 2)
+    f = constant(3.5)
     assert fd_partial(f, EPoint((0.2, 0.4), 0.6), 2) == 0.0
 
 

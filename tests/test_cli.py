@@ -542,18 +542,21 @@ def test_every_entry_is_quiet_on_closed_stdout(launch):
      "argument --t0: must be finite, got 'nan'\n"),
     (("lift", "scenarios/d1.json", "--mode", "parallel", "--t1", "inf"),
      "argument --t1: must be finite, got 'inf'\n"),
+    # both ends finite, but the step (t1 - t0) / steps would be infinite
+    (("lift", "scenarios/d1.json", "--mode", "parallel", "--t0", "-1e308",
+      "--t1", "1e308", "--steps", "10"),
+     "--t1: t1 - t0 overflows (t0=-1e+308, t1=1e+308)\n"),
 ], ids=["steps", "samples", "what", "tol-inf", "tol-nan", "tol-negative",
-        "tol-abc", "t0-nan", "t1-inf"])
+        "tol-abc", "t0-nan", "t1-inf", "t1-t0-overflow"])
 def test_bad_command_line_is_one_line(capsys, monkeypatch, argv, message):
-    """A command line argparse refuses ends in exit 2 and one stderr line,
-    with no usage block.  Float options take finite values only, so no
-    check passes or fails on a non-finite tolerance and no lift runs over
-    a non-finite time."""
+    """A command line argparse refuses, or whose lift interval overflows,
+    ends in exit 2 and one stderr line, with no usage block.  Float options
+    take finite values only, so no check passes or fails on a non-finite
+    tolerance and no lift runs over a non-finite time."""
     monkeypatch.chdir(SCENARIO_DIR.parent)
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+    code = _main_result(argv)
     out, err = capsys.readouterr()
-    assert exc.value.code == 2 and out == ""
+    assert code == 2 and out == ""
     _one_line_error(err)
     assert err.startswith(f"kkgeom: error: {message}")
 
@@ -580,6 +583,21 @@ def test_singular_metric_block_exits_1(capsys, tmp_path, argv, where):
     _one_line_error(err)
     assert err == ("kkgeom: error: singular metric: singular matrix (pivot "
                    f"0.000e+00 in column 1) (condition inf) at {where}\n")
+
+
+@pytest.mark.parametrize("what", ["scalar", "einstein"])
+def test_vanishing_g00_under_explicit_tables_exits_1(capsys, tmp_path, what):
+    """When explicit tables replace the metric connection, nothing before
+    the scalar curvature divides by g00; a g00 that vanishes at the point
+    is a singular metric there, in one line, not a ZeroDivisionError."""
+    path = _variant(tmp_path, "d1_perturbed.json",
+                    lambda doc: doc["metric"].__setitem__("g00", "x1"))
+    code, out, err = run(capsys, "compute", path, "--what", what,
+                         "--at", "x1=0,x2=0.1,y0=1")
+    assert code == 1 and out == ""
+    _one_line_error(err)
+    assert err == ("kkgeom: error: singular metric: g00 vanishes at "
+                   "EPoint(x=(0.0, 0.1), y=1.0)\n")
 
 
 def test_nan_metric_entry_exits_1(capsys, tmp_path):

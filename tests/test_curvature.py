@@ -22,7 +22,6 @@ from kkgeom.curvature import (
 )
 from kkgeom.dconnection import (
     DConnectionCoeffs,
-    DVectorField,
     berwald,
     frame_h,
     frame_v,
@@ -52,13 +51,13 @@ def generic_connection():
     vh = [[field("0.2*sin(x2)+0.1*y0"), field("0.15*x1")],
           [field("0.25*y0"), field("0.1*exp(0.2*x1)")]]
     vv = field("0.3*x1+0.2*y0")
-    return DConnectionCoeffs.from_fields(2, 2, hh, hv, vh, vv)
+    return DConnectionCoeffs.from_fields(2, hh, hv, vh, vv)
 
 
 def flat_setup():
     A = AlgebroidData.identity(2)
-    N = NonlinearConnection.zero(2, 2)
-    D = DConnectionCoeffs.zero(2, 2)
+    N = NonlinearConnection.zero(2)
+    D = DConnectionCoeffs.zero(2)
     return A, N, D
 
 
@@ -87,7 +86,7 @@ def test_torsion_s_block_always_zero():
 
 def test_torsion_berwald_vertical_deflection_zero():
     N = NonlinearConnection(2, (field("x2*y0^2"), field("0.3*x1*y0")))
-    D = berwald(N, 2)
+    D = berwald(N)
     for pt in PTS[:4]:
         t = torsion_components(D, N, A_ID, pt)
         assert max(abs(v) for v in t.Pv) <= 1e-15
@@ -161,7 +160,7 @@ def test_oracle_equivalence_generic_connection():
 
 def test_oracle_equivalence_berwald():
     N = NonlinearConnection(2, (field("x2*y0^2"), field("0.3*x1*y0")))
-    D = berwald(N, 2)
+    D = berwald(N)
     for res in run_check(OracleCheck(N, A_ID), D, N, A_ID, PTS[:5]):
         assert res.max_residual <= 1e-8, res.name
 
@@ -353,7 +352,7 @@ def test_curvature_matches_classical_oracle_on_surface():
     # metric connection of g = diag(e^{2 x2}, 1): R^1_{2 12} is nonzero
     G = MetricStructure(2, ((field("exp(2*x2)"), field("0")),
                             (field("0"), field("1"))), field("1"))
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     D = canonical_metric_dconnection(G, A_ID, N)
     for pt in PTS:
         expected = classical_curvature_blocks(G.g, pt)
@@ -395,7 +394,7 @@ def test_sphere_ricci_scalar_einstein():
 def test_energy_momentum_signs_and_kappa():
     A, N, _ = make_vdep()
     D = generic_connection()
-    G = MetricStructure.flat(2, 2)
+    G = MetricStructure.flat(2)
     pt = PTS[0]
     r = ricci(curvature_components(D, N, A, pt))
     scal = scalar_curvature(r, G, pt)
@@ -422,10 +421,13 @@ def test_ricci_commutation_flat():
 def test_ricci_commutation_metric_scenarios(make):
     A, N, G = make()
     D = canonical_metric_dconnection(G, A, N)
-    Z1 = DVectorField(2, lambda xs, y: ([field("x2")(xs, y),
-                                         field("sin(x1)")(xs, y)],
-                                        field("x1*y0")(xs, y)))
-    Z2 = DVectorField(2, lambda xs, y: ([1.0, 0.0], 1.0))
+    def Z1(xs, y):
+        return ([field("x2")(xs, y), field("sin(x1)")(xs, y)],
+                field("x1*y0")(xs, y))
+
+    def Z2(xs, y):
+        return [1.0, 0.0], 1.0
+
     res1, res2 = run_check(RicciCommutationCheck([Z1, Z2], N, A), D, N, A,
                            PTS[:5])
     assert res1.max_residual <= 1e-6
@@ -456,7 +458,7 @@ def test_bianchi_metric_scenarios(make):
 
 def test_bianchi_berwald():
     N = NonlinearConnection(2, (field("0.7*y0"), field("-0.2*y0")))
-    D = berwald(N, 2)
+    D = berwald(N)
     for res in run_check(BianchiCheck(N, A_ID), D, N, A_ID, PTS[:4]):
         assert res.max_residual <= 1e-6, res.name
 

@@ -22,7 +22,7 @@ from kkgeom.nlconnection import (
     NonlinearConnection,
     adapted_derivatives,
 )
-from kkgeom.calculus import SmoothField
+from kkgeom.calculus import constant
 from kkgeom.sampling import Box, sample_points
 from conftest import (canonical_metric_dconnection, field, make_d1,
                       make_vdep, run_law)
@@ -34,7 +34,7 @@ A_ID = AlgebroidData.identity(2)
 
 def test_berwald_linear_gamma():
     N = NonlinearConnection(2, (field("0.7*y0"), field("-0.3*y0")))
-    D = berwald(N, 2)
+    D = berwald(N)
     for pt in PTS[:4]:
         hv = [primal(v) for v in D.hv_at(pt.x, pt.y)]
         assert hv == pytest.approx([0.7, -0.3])
@@ -45,14 +45,14 @@ def test_berwald_linear_gamma():
 
 
 def test_berwald_zero_gamma():
-    D = berwald(NonlinearConnection.zero(2, 2), 2)
+    D = berwald(NonlinearConnection.zero(2))
     pt = PTS[0]
     assert [primal(v) for v in D.hv_at(pt.x, pt.y)] == [0.0, 0.0]
 
 
 def test_berwald_quadratic_gamma():
     N = NonlinearConnection(2, (field("x2*y0^2"), field("0")))
-    D = berwald(N, 2)
+    D = berwald(N)
     pt = EPoint((0.5, 0.8), 3.0)
     hv = [primal(v) for v in D.hv_at(pt.x, pt.y)]
     assert hv[0] == pytest.approx(2 * 0.8 * 3.0)  # d(x2 y0^2)/dy0 = 2 x2 y0
@@ -61,7 +61,7 @@ def test_berwald_quadratic_gamma():
 
 def test_scalar_h_cov_deriv_is_h_derivative():
     N = NonlinearConnection(2, (field("x2*y0"), field("0")))
-    D = DConnectionCoeffs.zero(2, 2)
+    D = DConnectionCoeffs.zero(2)
     f = field("sin(x1)*y0")
     Td = cov_deriv(f, (0, 0, 0), "h", A_ID, N, D)
     for pt in PTS[:6]:
@@ -73,12 +73,12 @@ def test_scalar_h_cov_deriv_is_h_derivative():
 
 def test_vector_h_cov_deriv_correction_term():
     # constant vector e1, flat frame, only hh[0][0][0] = c nonzero
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     c = 0.37
     hh = [[[field("0.37") if (a, b, g) == (0, 0, 0) else field("0")
             for g in range(2)] for b in range(2)] for a in range(2)]
     D = DConnectionCoeffs.from_fields(
-        2, 2, hh, [field("0")] * 2,
+        2, hh, [field("0")] * 2,
         [[field("0")] * 2 for _ in range(2)], field("0"))
     T = [field("1"), field("0")]
     Td = cov_deriv(lambda xs, y: [f(xs, y) for f in T], (1, 0, 0), "h",
@@ -92,8 +92,8 @@ def test_vector_h_cov_deriv_correction_term():
 
 def test_flat_reduction_both_derivatives():
     # everything zero: covariant derivatives are plain partials
-    N = NonlinearConnection.zero(2, 2)
-    D = DConnectionCoeffs.zero(2, 2)
+    N = NonlinearConnection.zero(2)
+    D = DConnectionCoeffs.zero(2)
     comp = [[field("sin(x1)*x2"), field("y0^2")],
             [field("exp(0.3*x1)"), field("x2*y0")]]
     def T(xs, y):
@@ -116,9 +116,9 @@ def test_flat_reduction_both_derivatives():
 def test_v_cov_deriv_two_covariant_vertical_slots():
     # g00 = exp(2 y0) with vv = 1: the two covariant vertical slots cancel
     # the plain derivative exactly
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     D = DConnectionCoeffs.from_fields(
-        2, 2,
+        2,
         [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
         [field("0")] * 2, [[field("0")] * 2 for _ in range(2)], field("1"))
     Tv = cov_deriv(field("exp(2*y0)"), (0, 0, -2), "v", A_ID, N, D)
@@ -127,8 +127,8 @@ def test_v_cov_deriv_two_covariant_vertical_slots():
 
 
 def test_scalar_v_cov_deriv_is_fiber_partial():
-    N = NonlinearConnection.zero(2, 2)
-    D = DConnectionCoeffs.zero(2, 2)
+    N = NonlinearConnection.zero(2)
+    D = DConnectionCoeffs.zero(2)
     f = field("x1*y0^3")
     Tv = cov_deriv(f, (0, 0, 0), "v", A_ID, N, D)
     pt = EPoint((0.4, 0.1), 0.7)
@@ -144,7 +144,7 @@ def _generic_connection():
     vh = [[field("0.2*sin(x2)+0.1*y0"), field("0.15*x1")],
           [field("0.25*y0"), field("0.1*exp(0.2*x1)")]]
     vv = field("0.3*x1+0.2*y0")
-    return DConnectionCoeffs.from_fields(2, 2, hh, hv, vh, vv)
+    return DConnectionCoeffs.from_fields(2, hh, hv, vh, vv)
 
 
 def test_leibniz_rule_for_tensor_product():
@@ -225,12 +225,12 @@ def test_transformation_constant_frame():
                      for a in range(p) for b in range(p))
                  for bp in range(p)] for ap in range(p)]
 
-    D_p = DConnectionCoeffs(2, 2, hh_p, hv_p, vh_p, D.vv_at)
+    D_p = DConnectionCoeffs(2, hh_p, hv_p, vh_p, D.vv_at)
     C = CoordinateChange(
         2, 2,
-        frame=tuple(tuple(SmoothField.constant(v, 2) for v in row)
+        frame=tuple(tuple(constant(v) for v in row)
                     for row in lam),
-        frame_inverse=tuple(tuple(SmoothField.constant(v, 2) for v in row)
+        frame_inverse=tuple(tuple(constant(v) for v in row)
                             for row in lam_inv))
     res = run_law(dconnection_transformation_point, (D, D_p, C, A_ID, N),
                   PTS[:8])
@@ -255,13 +255,13 @@ def test_transformation_fiber_scaling():
         return out
 
     D_p = DConnectionCoeffs(
-        2, 2,
+        2,
         sub(D.hh_at),                  # hh unchanged under fiber scaling
         sub(D.hv_at),                  # hv unchanged (constant phi)
         scale_list(D.vh_at, 1.0 / k),  # vh picks up 1/phi
         lambda xs, y: D.vv_at(xs, y / k) * (1.0 / k),
     )
-    C = CoordinateChange(2, 2, fiber_scale=SmoothField.constant(k, 2))
+    C = CoordinateChange(2, 2, fiber_scale=constant(k))
     res = run_law(dconnection_transformation_point, (D, D_p, C, A_ID, N),
                   PTS[:8])
     assert res.max_residual <= 1e-12
@@ -298,7 +298,7 @@ def test_memoised_values_bitwise_equal(build):
     orders = ((0, 1, 2, 0, 1, 2), (2, 0, 1, 1, 2, 0), (1, 2, 2, 0, 0, 1))
     for pt, order in zip(PTS, orders):
         M = _point_coeffs(D, pt)
-        assert (M.p, M.m) == (D.p, D.m)
+        assert M.p == D.p
         for depth in order:
             xs, y = _seeded(pt, depth)
             # repr prints every float exactly (and -0.0 as such)
@@ -335,7 +335,7 @@ def test_memoised_suites_evaluate_each_point_and_depth_once(
                 return fn(xs, y)
             return at
 
-        return DConnectionCoeffs(D.p, D.m, *map(wrap, ("hh", "hv", "vh", "vv")))
+        return DConnectionCoeffs(D.p, *map(wrap, ("hh", "hv", "vh", "vv")))
 
     monkeypatch.setattr(Scenario, "dconnection", counted)
     run_suites(load_scenario(str(SCENARIO_DIR / "d1.json")), [suite],
@@ -368,7 +368,7 @@ def test_check_all_evaluates_each_point_and_depth_once(monkeypatch, capsys):
                 return fn(xs, y)
             return at
 
-        return DConnectionCoeffs(D.p, D.m, *map(wrap, ("hh", "hv", "vh", "vv")))
+        return DConnectionCoeffs(D.p, *map(wrap, ("hh", "hv", "vh", "vv")))
 
     monkeypatch.setattr(Scenario, "dconnection", counted)
     assert main(["check", str(SCENARIO_DIR / "d1.json"), "--suite", "all",
@@ -395,7 +395,7 @@ def _counting_coeffs(calls, fail=False):
         return at
 
     return DConnectionCoeffs(
-        2, 2, family("hh", [[[0.5] * 2] * 2] * 2), family("hv", [0.5] * 2),
+        2, family("hh", [[[0.5] * 2] * 2] * 2), family("hv", [0.5] * 2),
         family("vh", [[0.5] * 2] * 2), family("vv", 0.5))
 
 
@@ -531,7 +531,7 @@ def test_transformation_forms_each_bracket_once():
     N = NonlinearConnection(2, (field("x2*y0"), field("0")))
     D = _generic_connection()
     D_c = DConnectionCoeffs(
-        2, 2, lambda xs, y: [[[Counted(primal(v)) for v in row] for row in hh]
+        2, lambda xs, y: [[[Counted(primal(v)) for v in row] for row in hh]
                              for hh in D.hh_at(xs, y)],
         D.hv_at, D.vh_at, D.vv_at)
     res = run_law(dconnection_transformation_point,

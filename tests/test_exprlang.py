@@ -12,12 +12,13 @@ from kkgeom.exprlang import (
     Num,
     ParseError,
     Var,
+    curve_function,
     eval_field,
     parse,
-    pretty,
 )
 from kkgeom.sampling import Box, sample_points
 from conftest import field
+from reference import pretty
 
 
 def test_basic_eval():
@@ -79,6 +80,19 @@ def test_chain_rule_with_fd():
 def test_x2_partial_is_one():
     from reference import partial
     assert partial(field("x2"), EPoint((0.7, -0.3), 0.9), 2) == 1.0
+
+
+def test_fields_and_curves_are_the_compiled_lambdas():
+    """``eval_field`` and ``curve_function`` return the compiled expression
+    itself, a ``<lambda>`` of ``(xs, y)`` or of ``t`` from ``<string>``, not
+    a function that forwards to it."""
+    f = eval_field(parse("x1*y0 + x2", 2))
+    c = curve_function(parse("2*t", 0, allow_y=False, allow_t=True))
+    for fn, nargs in ((f, 2), (c, 1)):
+        code = fn.__code__
+        assert (code.co_name, code.co_filename, code.co_argcount) \
+            == ("<lambda>", "<string>", nargs)
+    assert f((3.0, 1.0), 2.0) == 7.0 and c(1.5) == 3.0
 
 
 def test_division_by_zero_raises():

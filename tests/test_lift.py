@@ -24,7 +24,7 @@ from conftest import field
 def curve(*exprs):
     comps = tuple(curve_function(parse(s, 0, allow_y=False, allow_t=True))
                   for s in exprs)
-    return BaseCurve(len(exprs), comps)
+    return BaseCurve(comps)
 
 
 A2 = AlgebroidData.identity(2)
@@ -35,11 +35,11 @@ E1 = LiftMorphism(2, (field("1"), field("0")))
 
 def field1(s):
     from kkgeom.exprlang import eval_field
-    return eval_field(parse(s, 1), 1)
+    return eval_field(parse(s, 1))
 
 
 def zero_d(p, m):
-    return DConnectionCoeffs.zero(p, m)
+    return DConnectionCoeffs.zero(p)
 
 
 def test_lift_condition_straight_line():
@@ -69,7 +69,7 @@ def test_local_invertibility_single_column():
 
 
 def test_parallel_zero_connection_constant():
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     traj = integrate_parallel_lift(C2, E1, A2, N, 1.5, 1000)
     assert traj.completed
     assert max(abs(s.state[0] - 1.5) for s in traj.points) <= 1e-12
@@ -95,15 +95,15 @@ def test_parallel_rk4_order():
 
 
 def test_vertical_zero_coefficient_constant():
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     traj = integrate_vertical_parallel(C2, A2, N, zero_d(2, 2), 0.8, 500)
     assert max(abs(s.state[0] - 0.8) for s in traj.points) == 0.0
 
 
 def test_vertical_riccati_closed_form_and_order():
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     D = DConnectionCoeffs.from_fields(
-        2, 2, [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
+        2, [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
         [field("0")] * 2, [[field("0")] * 2 for _ in range(2)], field("1"))
     traj = integrate_vertical_parallel(C2, A2, N, D, 1.0, 1000)
     worst = max(abs(s.state[0] - 1.0 / (1.0 + s.t)) for s in traj.points)
@@ -117,9 +117,9 @@ def test_vertical_riccati_closed_form_and_order():
 
 
 def test_vertical_riccati_blowup_detected():
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     D = DConnectionCoeffs.from_fields(
-        2, 2, [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
+        2, [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
         [field("0")] * 2, [[field("0")] * 2 for _ in range(2)], field("1"))
     traj = integrate_vertical_parallel(C2, A2, N, D, -1.0, 1000, 0.0, 2.0)
     assert not traj.completed
@@ -128,7 +128,7 @@ def test_vertical_riccati_blowup_detected():
 
 
 def test_horizontal_zero_connection_constant():
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     traj = integrate_horizontal_parallel(C2, E1, A2, N, zero_d(2, 2),
                                          (0.4, -1.1), 200)
     assert max(abs(s.state[0] - 0.4) for s in traj.points) == 0.0
@@ -138,9 +138,9 @@ def test_horizontal_zero_connection_constant():
 def test_horizontal_riccati_closed_form():
     # single-column case with constant hh = k: dz/dt = -k z^2
     k, z0 = 0.7, 2.0
-    N1 = NonlinearConnection.zero(1, 1)
+    N1 = NonlinearConnection.zero(1)
     D1 = DConnectionCoeffs.from_fields(
-        1, 1, [[[field1("0.7")]]], [field1("0")], [[field1("0")]],
+        1, [[[field1("0.7")]]], [field1("0")], [[field1("0")]],
         field1("0"))
     c1 = curve("t")
     L1 = LiftMorphism(1, (field1("1"),))
@@ -151,7 +151,7 @@ def test_horizontal_riccati_closed_form():
 
 
 def test_acceleration_lift_trivial_cases():
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     z, v = acceleration_lift(C2, E1, A2, N, 1.3, 0.0, 0.5)
     assert v == 0.0 and z == pytest.approx([1.3, 0.0])
     _, v = acceleration_lift(C2, E1, A2, N, 0.5, 1.0, 0.5)
@@ -205,7 +205,7 @@ def test_rk4_takes_four_stages_per_step(monkeypatch, mode, z0, steps,
     monkeypatch.setattr(lift, "rk4_integrate", counting_rk4)
     # dz/dt = -0.7 z^2, du/dt = -u^2 and du/dt = -0.7 u: with z0 = -2 the
     # first two have a pole before t = 2.
-    D = DConnectionCoeffs(1, 1, hh_at, lambda xs, y: [0.0],
+    D = DConnectionCoeffs(1, hh_at, lambda xs, y: [0.0],
                           lambda xs, y: [[0.0]], lambda xs, y: 1.0)
     N = NonlinearConnection(1, (field1("0.7"),))
     c1, L1 = curve("t"), LiftMorphism(1, (field1("1"),))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint, EvaluationDomainError, SmoothField, \
+from kkgeom.calculus import EPoint, EvaluationDomainError, constant, \
     jdx, jdy, jval, primal, seeded_point
 from kkgeom.dconnection import DConnectionCoeffs, berwald
 from kkgeom.metric import (
@@ -29,7 +29,7 @@ A_ID = AlgebroidData.identity(2)
 
 
 def test_inverse_identity():
-    G = MetricStructure.flat(2, 2)
+    G = MetricStructure.flat(2)
     ginv = inverse_h(G, PTS[0])
     assert ginv == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -67,8 +67,8 @@ def test_inverse_singular_raises_with_condition():
 def test_inverse_refuses_a_non_finite_entry(bad):
     """A NaN entry once passed both bounds (it compares false) and came
     back as a NaN inverse; a non-finite entry is refused with the point."""
-    one, zero = SmoothField.constant(1.0, 2), SmoothField.constant(0.0, 2)
-    G = MetricStructure(2, ((one, zero), (zero, SmoothField.constant(bad, 2))),
+    one, zero = constant(1.0), constant(0.0)
+    G = MetricStructure(2, ((one, zero), (zero, constant(bad))),
                         one)
     with pytest.raises(EvaluationDomainError) as exc:
         inverse_h(G, PTS[0])
@@ -77,9 +77,9 @@ def test_inverse_refuses_a_non_finite_entry(bad):
 
 
 def _near_singular(eps):
-    one = SmoothField.constant(1.0, 2)
+    one = constant(1.0)
     return MetricStructure(2, ((one, one),
-                               (one, SmoothField.constant(1.0 + eps, 2))), one)
+                               (one, constant(1.0 + eps))), one)
 
 
 @pytest.mark.parametrize("eps", [2.0 ** -52, 1e-14])
@@ -98,9 +98,9 @@ def test_inverse_keeps_an_ill_conditioned_but_usable_block():
 
 
 def test_metric_connection_flat_is_zero():
-    G = MetricStructure.flat(2, 2)
-    N = NonlinearConnection.zero(2, 2)
-    D = metric_dconnection(G, DConnectionCoeffs.zero(2, 2), A_ID, N)
+    G = MetricStructure.flat(2)
+    N = NonlinearConnection.zero(2)
+    D = metric_dconnection(G, DConnectionCoeffs.zero(2), A_ID, N)
     pt = PTS[0]
     assert all(abs(primal(v)) == 0.0
                for r1 in D.hh_at(pt.x, pt.y) for r2 in r1 for v in r2)
@@ -133,8 +133,8 @@ def test_metric_connection_matches_classical_christoffel():
     G = MetricStructure(2, ((field("1+x1^2"), field("0.3*x1*x2")),
                             (field("0.3*x1*x2"), field("2+x2^2"))),
                         field("1"))
-    N = NonlinearConnection.zero(2, 2)
-    D = metric_dconnection(G, DConnectionCoeffs.zero(2, 2), A_ID, N)
+    N = NonlinearConnection.zero(2)
+    D = metric_dconnection(G, DConnectionCoeffs.zero(2), A_ID, N)
     for pt in PTS[:10]:
         expected = classical_christoffel(G.g, pt)
         hh = D.hh_at(pt.x, pt.y)
@@ -148,7 +148,7 @@ def test_metric_connection_hand_value():
     # g = diag(e^{2x1}, 1): Christoffels H^1_11 = 1, H^1_22 = 0, H^2_12 = 0
     G = MetricStructure(2, ((field("exp(2*x1)"), field("0")),
                             (field("0"), field("1"))), field("1"))
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     D = canonical_metric_dconnection(G, A_ID, N)
     pt = EPoint((0.3, -0.2), 1.0)
     hh = D.hh_at(pt.x, pt.y)
@@ -170,7 +170,7 @@ def test_canonical_hv_from_vertical_metric():
     # g = I, g00 = e^{2 x2}, Gamma = 0: hv = (0, 1)
     G = MetricStructure(2, ((field("1"), field("0")),
                             (field("0"), field("1"))), field("exp(2*x2)"))
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     D = canonical_metric_dconnection(G, A_ID, N)
     pt = PTS[0]
     hv = [primal(v) for v in D.hv_at(pt.x, pt.y)]
@@ -181,7 +181,7 @@ def test_canonical_hv_from_vertical_metric():
 def test_canonical_hv_linear_gamma_flat_metric():
     # Gamma = a y0, flat metric: the fiber derivative of Gamma cancels the
     # correction term exactly and hv = 0
-    G = MetricStructure.flat(2, 2)
+    G = MetricStructure.flat(2)
     N = NonlinearConnection(2, (field("0.7*y0"), field("-0.2*y0")))
     D = canonical_metric_dconnection(G, A_ID, N)
     pt = PTS[1]
@@ -196,8 +196,8 @@ def test_canonical_hv_linear_gamma_flat_metric():
 ])
 def test_compatibility_of_constructed_connection(make, baseline):
     A, N, G = make()
-    base = berwald(N, 2) if baseline == "berwald" \
-        else DConnectionCoeffs.zero(2, 2)
+    base = berwald(N) if baseline == "berwald" \
+        else DConnectionCoeffs.zero(2)
     D = metric_dconnection(G, base, A, N)
     res, = run_check(CompatibilityCheck(G, A, N), D, N, A, PTS)
     assert res.max_residual <= 1e-9
@@ -212,7 +212,7 @@ def test_compatibility_detects_perturbation():
         hh[0][0][0] = hh[0][0][0] + 0.1
         return hh
 
-    D_bad = DConnectionCoeffs(2, 2, hh_perturbed, D.hv_at, D.vh_at, D.vv_at)
+    D_bad = DConnectionCoeffs(2, hh_perturbed, D.hv_at, D.vh_at, D.vv_at)
     res, = run_check(CompatibilityCheck(G, A, N), D_bad, N, A, PTS)
     # g_{11|1} changes by -2*0.1*g_11 and |g_11| >= 1
     assert res.max_residual >= 0.2
@@ -316,7 +316,7 @@ def _explicit_baseline(p, m):
     """A baseline whose vh family is nonzero, so the ring sums carry it."""
     f = lambda s: field(s, m)  # noqa: E731
     return DConnectionCoeffs.from_fields(
-        p, m,
+        p,
         [[[f(f"0.1*x1*y0 + {a - b + c}") for c in range(p)]
           for b in range(p)] for a in range(p)],
         [f(f"{c}*y0") for c in range(p)],
@@ -332,8 +332,8 @@ def _metric_cases():
     Av, Nv, Gv = make_vdep()
     Ad, Nd, Gd = make_dense3()
     return {
-        "d1": (G1, berwald(N1, 2), A1, N1),
-        "vdep": (Gv, berwald(Nv, 2), Av, Nv),
+        "d1": (G1, berwald(N1), A1, N1),
+        "vdep": (Gv, berwald(Nv), Av, Nv),
         "vdep-explicit-baseline": (Gv, _explicit_baseline(2, 2), Av, Nv),
         "gen3": (G3, gen3.baseline_for(N3), A3, N3),
         "gen3-explicit-baseline": (G3, _explicit_baseline(3, 3), A3, N3),

@@ -12,7 +12,7 @@ from kkgeom.nlconnection import (
     nlc_curvature,
     nlc_transformation_point,
 )
-from kkgeom.calculus import SmoothField, jdx, jdy, jval, seeded_point
+from kkgeom.calculus import constant, jdx, jdy, jval, seeded_point
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 from conftest import (DATA_DIR, bits, field, make_dense3, make_nonabelian,
@@ -23,7 +23,7 @@ PTS = sample_points(Box.default(2), 24, seed=0xA1B2)
 
 def test_h_derivative_reduces_to_coordinate_derivative():
     A = AlgebroidData.identity(2)
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     f = field("x1^2*x2")
     p = EPoint((0.5, -0.3), 1.0)
     _, delta, _ = adapted_derivatives(f, p.x, p.y, A, N)
@@ -74,7 +74,7 @@ def test_nlc_curvature_hand_value():
 
 def test_nlc_curvature_zero_connection():
     A = AlgebroidData.identity(2)
-    N = NonlinearConnection.zero(2, 2)
+    N = NonlinearConnection.zero(2)
     R = nlc_curvature(A, N, PTS[0])
     assert all(v == 0.0 for row in R for v in row)
 
@@ -92,15 +92,15 @@ def test_transformation_constant_frame_change():
     lam_inv = [[1.0, -1.0], [-1.0, 2.0]]
     # primed coefficients by hand: Gamma'_{g'} = Gamma_g lam_inv[g][g']
     gamma_p = tuple(
-        SmoothField(lambda xs, y, gp=gp: sum(
-            N.gamma[g](xs, y) * lam_inv[g][gp] for g in range(2)), 2)
+        lambda xs, y, gp=gp: sum(
+            N.gamma[g](xs, y) * lam_inv[g][gp] for g in range(2))
         for gp in range(2))
     N_p = NonlinearConnection(2, gamma_p)
     C = CoordinateChange(
         2, 2,
-        frame=tuple(tuple(SmoothField.constant(v, 2) for v in row)
+        frame=tuple(tuple(constant(v) for v in row)
                     for row in lam),
-        frame_inverse=tuple(tuple(SmoothField.constant(v, 2) for v in row)
+        frame_inverse=tuple(tuple(constant(v) for v in row)
                             for row in lam_inv))
     assert C.self_check(PTS).max_residual <= 1e-10
     assert run_law(nlc_transformation_point, (N, N_p, C, A),
@@ -111,10 +111,10 @@ def test_transformation_fiber_scaling():
     A, N, _ = make_nonabelian()
     # y0' = 2 y0 and Gamma'(x, y0') = 2 Gamma(x, y0'/2)
     gamma_p = tuple(
-        SmoothField(lambda xs, y, g=g: 2.0 * N.gamma[g](xs, 0.5 * y), 2)
+        lambda xs, y, g=g: 2.0 * N.gamma[g](xs, 0.5 * y)
         for g in range(2))
     N_p = NonlinearConnection(2, gamma_p)
-    C = CoordinateChange(2, 2, fiber_scale=SmoothField.constant(2.0, 2))
+    C = CoordinateChange(2, 2, fiber_scale=constant(2.0))
     assert run_law(nlc_transformation_point, (N, N_p, C, A),
                    PTS).max_residual <= 1e-12
 
@@ -135,7 +135,7 @@ def test_transformation_base_dependent_fiber_scale():
             dphi = [jdx(phi(jxs, 0.0), i) for i in range(2)]
             return (-sum(rho[g][k] * dphi[k] for k in range(2)) * y_old
                     + ph * N.gamma[g](xs, y_old))
-        return SmoothField(fn, 2)
+        return fn
 
     # NOTE: the primed coefficients must be functions of the primed chart;
     # base chart is unchanged here so x' = x and only y rescales.

@@ -161,19 +161,38 @@ def test_a_load_compiles_each_distinct_expression_once(monkeypatch, path):
     compiled = []
     compile_expr = exprlang.compile_expr
 
-    def counted(node):
+    def counted(node, params):
         compiled.append(node)
-        return compile_expr(node)
+        return compile_expr(node, params)
 
     monkeypatch.setattr(exprlang, "compile_expr", counted)
     sc = load_scenario(str(path))
     assert len(compiled) == len(pairs) + len(curves)
-    base = [sc.algebroid.rho] + ([sc.algebroid.L] if "L" in doc["algebroid"]
-                                 else [])
-    for fields in (base, sc.connection.gamma):
+    alg = doc["algebroid"]
+    base = [(alg["rho"], sc.algebroid.rho)] + (
+        [(alg["L"], sc.algebroid.L)] if "L" in alg else [])
+    gamma = [(doc["connection"]["Gamma"], sc.connection.gamma)]
+    for tables in (base, gamma):
         shared = {}
-        for f in _leaves(fields):
-            assert shared.setdefault(f.name, f) is f
+        for sources, fields in tables:
+            for src, f in zip(_leaves(sources), _leaves(fields), strict=True):
+                assert shared.setdefault(src, f) is f
+
+
+def _is_compiled(fn):
+    """Whether ``fn`` is an expression as compiled, with no wrapper."""
+    return (fn.__code__.co_name, fn.__code__.co_filename) \
+        == ("<lambda>", "<string>")
+
+
+def test_scenario_fields_are_the_compiled_functions():
+    """A field of a loaded scenario is the function its expression compiled
+    to, and so is a curve component: no wrapper sits between them and the
+    code that calls them."""
+    sc = load_scenario(str(SCENARIO_DIR / "d1.json"))
+    gamma, comp = sc.connection.gamma[0], sc.lift.curve.components[0]
+    assert _is_compiled(gamma) and _is_compiled(comp)
+    assert (gamma.__code__.co_argcount, comp.__code__.co_argcount) == (2, 1)
 
 
 def test_repeated_bad_expression_reports_its_first_path():

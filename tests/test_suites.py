@@ -5,7 +5,7 @@ import pytest
 
 from kkgeom import scenario, suites
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import SmoothField, jdx, seeded_point
+from kkgeom.calculus import jdx, seeded_point
 from kkgeom.dconnection import (
     DConnectionCoeffs,
     berwald,
@@ -85,20 +85,21 @@ def test_change_laws_under_base_dependent_fiber_rescale():
             rho = A.rho_at(xs)
             return (-sum(rho[g][k] * dph[k] for k in range(2)) * y
                     + ph * N.gamma[g](xs, y))
-        return SmoothField(fn, 2)
+        return fn
 
     N_p = NonlinearConnection(2, (gamma_p(0), gamma_p(1)))
     g_p = tuple(
-        tuple(SmoothField(
-            lambda xs, yp, a=a, b=b: G.g[a][b](xs, yp / phi_val(xs)), 2)
-            for b in range(2))
+        tuple(lambda xs, yp, a=a, b=b: G.g[a][b](xs, yp / phi_val(xs))
+              for b in range(2))
         for a in range(2))
-    g00_p = SmoothField(
-        lambda xs, yp: G.g00(xs, yp / phi_val(xs)) / (phi_val(xs) ** 2), 2)
+
+    def g00_p(xs, yp):
+        return G.g00(xs, yp / phi_val(xs)) / (phi_val(xs) ** 2)
+
     G_p = MetricStructure(2, g_p, g00_p)
 
-    D = metric_dconnection(G, berwald(N, 2), A, N)
-    D_p = metric_dconnection(G_p, berwald(N_p, 2), A, N_p)
+    D = metric_dconnection(G, berwald(N), A, N)
+    D_p = metric_dconnection(G_p, berwald(N_p), A, N_p)
     C = CoordinateChange(2, 2, fiber_scale=phi)
     assert run_law(nlc_transformation_point, (N, N_p, C, A),
                    PTS).max_residual <= 1e-10
@@ -118,9 +119,8 @@ def test_base_map_push_and_scalar_coefficients():
     assert C.self_check(PTS).max_residual <= 1e-12
 
     def gamma_p(g):
-        return SmoothField(
-            lambda xs, y, g=g: N.gamma[g](
-                tuple(f(xs, 0.0) for f in base_inv), y), 2)
+        return lambda xs, y, g=g: N.gamma[g](
+            tuple(f(xs, 0.0) for f in base_inv), y)
 
     N_p = NonlinearConnection(2, (gamma_p(0), gamma_p(1)))
     assert run_law(nlc_transformation_point, (N, N_p, C, A),
@@ -148,7 +148,7 @@ def _counting_scenario(sc, counts):
         def fn(xs, y):
             counts[table, idx] += 1
             return fields(xs, y)
-        return SmoothField(fn, sc.m)
+        return fn
 
     A, N, G = sc.algebroid, sc.connection, sc.metric
     sc.algebroid = AlgebroidData(sc.m, sc.p, wrap("rho", A.rho),
@@ -208,7 +208,7 @@ def _unprimed_evaluations(monkeypatch, path):
                 return fn(xs, y)
             return at
 
-        return DConnectionCoeffs(D.p, D.m, *map(wrap, ("hh", "hv", "vh", "vv")))
+        return DConnectionCoeffs(D.p, *map(wrap, ("hh", "hv", "vh", "vv")))
 
     monkeypatch.setattr(scenario, "metric_dconnection", counted)
     run_suites(sc, ["transformation"], samples=3)
@@ -246,7 +246,7 @@ def test_suites_share_the_unprimed_metric_connection(monkeypatch):
             def hh_at(xs, y):
                 calls[isinstance(y, float)] += 1
                 return D.hh_at(xs, y)
-            return DConnectionCoeffs(D.p, D.m, hh_at, D.hv_at, D.vh_at,
+            return DConnectionCoeffs(D.p, hh_at, D.hv_at, D.vh_at,
                                      D.vv_at)
         return counted
 
