@@ -11,6 +11,11 @@ It runs the same arithmetic path on floats and Jets, so the value component
 of a Jet evaluation is bit-identical to a float evaluation.  Everything here
 is immutable and evaluation is pure, so fields can be evaluated
 concurrently and results are bit-reproducible.
+
+Jets exist only inside a derivative pass (``seeded_point`` and
+``nlconnection.adapted_derivatives``): at a float point every field, and
+every evaluator built on fields, returns exact floats.  Callers read those
+results as they are; ``primal`` is only for code a Jet can reach.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from .calculus import EPoint, EvaluationDomainError, at_point, primal
+from .calculus import EPoint, EvaluationDomainError, at_point
 from .curvature import (
     curvature_components,
     energy_momentum,
@@ -152,9 +152,7 @@ def _compute_values(sc: Scenario, what: str, pt: EPoint) -> dict:
     evaluation error."""
     A, N = sc.algebroid, sc.connection
     if what == "frame":
-        rho = [[primal(v) for v in row] for row in A.rho_at(pt.x)]
-        gam = [primal(v) for v in N.gamma_at(pt.x, pt.y)]
-        values = {"rho": rho, "Gamma": gam,
+        values = {"rho": A.rho_at(pt.x), "Gamma": N.gamma_at(pt.x, pt.y),
                   "index_convention": "rho[alpha][i]; Gamma[alpha]"}
     elif what == "nlc-curvature":
         values = {"R": nlc_curvature(A, N, pt),
@@ -277,7 +275,7 @@ def cmd_lift(args) -> int:
                                        args.t0, args.t1)
     elif args.mode == "horizontal":
         xs0 = c.point_at(args.t0)
-        g0 = [primal(v) for v in L.g_at(xs0)]
+        g0 = L.g_at(xs0)
         z0 = tuple(g0[a] * y0 for a in range(sc.p))
         traj = integrate_horizontal_parallel(c, L, A, N, sc.dconnection(),
                                              z0, args.steps, args.t0,

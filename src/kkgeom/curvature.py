@@ -250,7 +250,7 @@ def scalar_curvature(ric: RicciTensor, G: MetricStructure, pt: EPoint) -> float:
     ginv = inverse_h(G, pt)
     p = G.p
     out = sum(ric.Rab[a][b] * ginv[a][b] for a in range(p) for b in range(p))
-    g00 = primal(G.g00_at(pt.x, pt.y))
+    g00 = G.g00_at(pt.x, pt.y)
     if g00 == 0.0:
         raise SingularMetricError("g00 vanishes", point=pt)
     return out + ric.S00 / g00
@@ -265,8 +265,8 @@ def energy_momentum(ric: RicciTensor, scalar: float, G: MetricStructure,
     if kappa == 0.0:
         raise ValueError("kappa must be nonzero")
     p = G.p
-    g = [[primal(v) for v in row] for row in G.g_at(pt.x, pt.y)]
-    g00 = primal(G.g00_at(pt.x, pt.y))
+    g = G.g_at(pt.x, pt.y)
+    g00 = G.g00_at(pt.x, pt.y)
     Tab = [[(ric.Rab[a][b] - 0.5 * scalar * g[a][b]) / kappa for b in range(p)]
            for a in range(p)]
     Ta0 = [-ric.Pa0[a] / kappa for a in range(p)]
@@ -301,9 +301,7 @@ def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
     fields = [frame_h(p, a) for a in range(p)] + [frame_v(p)]
     pairs = [(x, y) for x in range(n) for y in range(n)]
     flat = bracket_pairs(fields, pairs, A, N)(pt.x, pt.y)
-    br = [[([primal(w) for w in flat[n * x + y][0]],
-            primal(flat[n * x + y][1])) for y in range(n)]
-          for x in range(n)]
+    br = [flat[n * x:n * x + n] for x in range(n)]
 
     def dd(i, j, k):
         return second[i][n + n * j + k]
@@ -546,36 +544,33 @@ def _commutation_values(fields, D, N, A, pt):
 
 def _commutation_point(Z, tensors, tors, curv, pt, tracker):
     p = len(tors.Pv)
-    zh_raw, yv_raw = Z(pt.x, pt.y)
-    Zh = [primal(v) for v in zh_raw]
-    Yv = primal(yv_raw)
+    Zh, Yv = Z(pt.x, pt.y)
     a2, a1, b1, a1v, b1h, c2, c1, d1, c1v, d1h = tensors
     for al in range(p):
         for c in range(p):
             for b in range(p):
-                lhs = primal(a2[al][c][b]) - primal(a2[al][b][c])
+                lhs = a2[al][c][b] - a2[al][b][c]
                 rhs = sum(curv.Rh[al][t][c][b] * Zh[t] for t in range(p))
-                rhs += sum(tors.Thh[t][b][c] * primal(a1[al][t])
-                           for t in range(p))
-                rhs += tors.Tv[b][c] * primal(b1[al])
+                rhs += sum(tors.Thh[t][b][c] * a1[al][t] for t in range(p))
+                rhs += tors.Tv[b][c] * b1[al]
                 tracker.update(lhs - rhs, pt)
         for c in range(p):
-            lhs = primal(a1v[al][c]) - primal(b1h[al][c])
+            lhs = a1v[al][c] - b1h[al][c]
             rhs = sum(curv.Ph[al][t][c] * Zh[t] for t in range(p))
-            rhs -= tors.Pv[c] * primal(b1[al])
-            rhs -= sum(tors.Ph[t][c] * primal(a1[al][t]) for t in range(p))
+            rhs -= tors.Pv[c] * b1[al]
+            rhs -= sum(tors.Ph[t][c] * a1[al][t] for t in range(p))
             tracker.update(lhs - rhs, pt)
     for c in range(p):
         for b in range(p):
-            lhs = primal(c2[c][b]) - primal(c2[b][c])
+            lhs = c2[c][b] - c2[b][c]
             rhs = curv.Rv[c][b] * Yv
-            rhs += sum(tors.Thh[t][b][c] * primal(c1[t]) for t in range(p))
-            rhs += tors.Tv[b][c] * primal(d1)
+            rhs += sum(tors.Thh[t][b][c] * c1[t] for t in range(p))
+            rhs += tors.Tv[b][c] * d1
             tracker.update(lhs - rhs, pt)
-        lhs = primal(c1v[c]) - primal(d1h[c])
+        lhs = c1v[c] - d1h[c]
         rhs = curv.Pv[c] * Yv
-        rhs -= tors.Pv[c] * primal(d1)
-        rhs -= sum(tors.Ph[t][c] * primal(c1[t]) for t in range(p))
+        rhs -= tors.Pv[c] * d1
+        rhs -= sum(tors.Ph[t][c] * c1[t] for t in range(p))
         tracker.update(lhs - rhs, pt)
 
 

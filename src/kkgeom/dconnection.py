@@ -26,7 +26,7 @@ import itertools
 from operator import mul
 
 from .algebroid import AlgebroidData
-from .calculus import jdx, jdy, jval, primal, seeded_point
+from .calculus import jdx, jdy, jval, seeded_point
 from .nlconnection import NonlinearConnection, adapted_derivatives
 
 __all__ = [
@@ -311,35 +311,24 @@ def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
 
     with the primed coefficients read at the pushed-forward point."""
     p = D.p
-    phi = primal(C.phi_at(pt.x))
+    phi = C.phi_at(pt.x)
     if phi == 0.0:
         tracker.update(float("inf"), pt)
         return
     pushed = C.push(pt)
-    lam = [[primal(v) for v in row] for row in C.lambda_at(pt.x)]
+    lam = C.lambda_at(pt.x)
 
     # delta_g of the inverse frame entries and of phi, in the old chart
-    inv_tensor, inv_delta, _ = adapted_derivatives(
+    lam_inv, inv_delta, _ = adapted_derivatives(
         lambda jxs, jy: C.lambda_inv_at(jxs), pt.x, pt.y, A, N)
-    lam_inv = [[primal(v) for v in row] for row in inv_tensor]
     _, phi_delta, _ = adapted_derivatives(
         lambda jxs, jy: [C.phi_at(jxs)], pt.x, pt.y, A, N)
 
-    Hh = [[[primal(v) for v in r2] for r2 in r1]
-          for r1 in D.hh_at(pt.x, pt.y)]
-    Hv = [primal(v) for v in D.hv_at(pt.x, pt.y)]
-    Vh = [[primal(v) for v in row] for row in D.vh_at(pt.x, pt.y)]
-    Vv = primal(D.vv_at(pt.x, pt.y))
-
-    Hh_p = [[[primal(v) for v in r2] for r2 in r1]
-            for r1 in D_primed.hh_at(pushed.x, pushed.y)]
-    Hv_p = [primal(v) for v in D_primed.hv_at(pushed.x, pushed.y)]
-    Vh_p = [[primal(v) for v in row]
-            for row in D_primed.vh_at(pushed.x, pushed.y)]
-    Vv_p = primal(D_primed.vv_at(pushed.x, pushed.y))
+    Hh, Hv, Vh, Vv = D.all_at(pt.x, pt.y)
+    Hh_p, Hv_p, Vh_p, Vv_p = D_primed.all_at(pushed.x, pushed.y)
 
     # bracket[bp][a][g] does not depend on a' or g'.
-    bracket = [[[primal(inv_delta[g][a][bp]) + sum(
+    bracket = [[[inv_delta[g][a][bp] + sum(
                      Hh[a][b][g] * lam_inv[b][bp] for b in range(p))
                  for g in range(p)] for a in range(p)] for bp in range(p)]
     for ap in range(p):
@@ -354,7 +343,7 @@ def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
         rhs = 0.0
         for g in range(p):
             # delta_g(1/phi) = -delta_g(phi)/phi^2
-            dg_invphi = -primal(phi_delta[g][0]) / (phi * phi)
+            dg_invphi = -phi_delta[g][0] / (phi * phi)
             rhs += phi * (dg_invphi + Hv[g] / phi) * lam_inv[g][gp]
         tracker.update(Hv_p[gp] - rhs, pt)
     for ap in range(p):

@@ -19,7 +19,7 @@ error rather than a blow-up.
 from __future__ import annotations
 
 from .algebroid import AlgebroidData
-from .calculus import EvaluationDomainError, Jet, at_point, jdx, primal
+from .calculus import EvaluationDomainError, Jet, at_point, jdx
 from .dconnection import DConnectionCoeffs
 from .metric import SingularMetricError
 from .nlconnection import NonlinearConnection
@@ -58,11 +58,11 @@ class BaseCurve:
         self.components = components  # functions t -> scalar
 
     def point_at(self, t: float):
-        return tuple(primal(c(t)) for c in self.components)
+        return tuple([c(t) for c in self.components])
 
     def velocity_at(self, t: float):
         jt = Jet(t, (1.0,), 0.0)
-        return [primal(jdx(c(jt), 0)) for c in self.components]
+        return [jdx(c(jt), 0) for c in self.components]
 
 
 class LiftMorphism:
@@ -90,7 +90,7 @@ class LiftState:
 
     def __init__(self, t: float, state):
         self.t = t
-        self.state = tuple(map(float, state))
+        self.state = state
 
 
 class Trajectory:
@@ -151,8 +151,8 @@ def lift_condition_residual(c: BaseCurve, L: LiftMorphism, y: float,
     pair (g, y) reproduces the base velocity through the anchor."""
     xs = c.point_at(t)
     vel = c.velocity_at(t)
-    rho = [[primal(v) for v in row] for row in A.rho_at(xs)]
-    g = [primal(v) for v in L.g_at(xs)]
+    rho = A.rho_at(xs)
+    g = L.g_at(xs)
     return [
         sum(rho[a][i] * g[a] for a in range(A.p)) * y - vel[i]
         for i in range(A.m)
@@ -166,8 +166,8 @@ def local_invertibility_residual(L: LiftMorphism, points):
     worst = 0.0
     for pt in points:
         with at_point(pt):
-            g = [primal(v) for v in L.g_at(pt.x)]
-            gt = [primal(v) for v in L.gtilde_at(pt.x)]
+            g = L.g_at(pt.x)
+            gt = L.gtilde_at(pt.x)
         for a in range(L.p):
             for b in range(L.p):
                 r = abs(gt[b] * g[a] - (1.0 if a == b else 0.0))
@@ -175,11 +175,6 @@ def local_invertibility_residual(L: LiftMorphism, points):
                 if r > worst or r != r:
                     worst = r
     return worst
-
-
-# The right-hand sides below run on float states at float curve points,
-# where every field returns a float, so they read the fields directly and
-# copy nothing through ``primal``.
 
 
 def integrate_parallel_lift(c: BaseCurve, L: LiftMorphism, A: AlgebroidData,
@@ -245,8 +240,8 @@ def acceleration_lift(c: BaseCurve, L: LiftMorphism, A: AlgebroidData,
     horizontal part z^a = g^a(c) y, vertical part dy/dt + Gamma_a z^a.
     The lift is horizontal exactly when the vertical part vanishes."""
     xs = c.point_at(t)
-    g = [primal(v) for v in L.g_at(xs)]
+    g = L.g_at(xs)
     z = [g[a] * y for a in range(A.p)]
-    gam = [primal(v) for v in N.gamma_at(xs, y)]
+    gam = N.gamma_at(xs, y)
     v_comp = dy_dt + sum(gam[a] * z[a] for a in range(A.p))
     return z, v_comp

@@ -86,7 +86,7 @@ class MetricStructure:
 
 
 def _norm1(mat):
-    return max(sum(abs(primal(mat[a][b])) for a in range(len(mat)))
+    return max(sum(abs(mat[a][b]) for a in range(len(mat)))
                for b in range(len(mat)))
 
 
@@ -120,7 +120,7 @@ def inverse_h(G: MetricStructure, pt: EPoint):
     multiplying back; raises EvaluationDomainError when an entry of the
     block is not finite, and SingularMetricError with a condition estimate
     when that is above MAX_CONDITION (or NaN) or the check fails."""
-    g = [[primal(v) for v in row] for row in G.g_at(pt.x, pt.y)]
+    g = G.g_at(pt.x, pt.y)
     if not all(math.isfinite(v) for row in g for v in row):
         raise EvaluationDomainError("non-finite value in metric block g",
                                     point=pt)
@@ -267,11 +267,11 @@ class CompatibilityCheck:
         for a in range(p):
             for b in range(p):
                 for c in range(p):
-                    tracker.update(primal(vh[a][b][c]), pt)
-                tracker.update(primal(vv[a][b]), pt)
+                    tracker.update(vh[a][b][c], pt)
+                tracker.update(vv[a][b], pt)
         for c in range(p):
-            tracker.update(primal(v0h[c]), pt)
-        tracker.update(primal(v0v), pt)
+            tracker.update(v0h[c], pt)
+        tracker.update(v0v, pt)
 
 
 def riemannian_flags(G: MetricStructure, samples, tol: float = 1e-12):
@@ -285,6 +285,6 @@ def riemannian_flags(G: MetricStructure, samples, tol: float = 1e-12):
             g00j = G.g00_at(jxs, jy)
         for row in gj:
             for v in row:
-                max_h = max(max_h, abs(primal(jdy(v))))
-        max_v = max(max_v, abs(primal(jdy(g00j))))
+                max_h = max(max_h, abs(jdy(v)))
+        max_v = max(max_v, abs(jdy(g00j)))
     return max_h <= tol, max_v <= tol

@@ -22,7 +22,6 @@ from .calculus import (
     Jet,
     constant,
     jdx,
-    primal,
     seeded_point,
 )
 from .report import CheckResult, ResidualTracker
@@ -181,15 +180,13 @@ class CoordinateChange:
         return [[f(xs, 0.0) for f in row] for row in self.frame_inverse]
 
     def push(self, pt: EPoint) -> EPoint:
-        xs_p = [primal(v) for v in self.base_at(pt.x)]
-        return EPoint(tuple(xs_p), primal(self.phi_at(pt.x)) * pt.y)
+        return EPoint(self.base_at(pt.x), self.phi_at(pt.x) * pt.y)
 
     def self_check(self, samples, tol: float = 1e-10) -> CheckResult:
         """base o inverse = id and Lambda . Lambda^-1 = I on samples."""
         tracker = ResidualTracker("chart_change", tol)
         for pt in samples:
-            xs_p = [primal(v) for v in self.base_at(pt.x)]
-            back = [primal(v) for v in self.base_inverse_at(tuple(xs_p))]
+            back = self.base_inverse_at(tuple(self.base_at(pt.x)))
             for i in range(self.m):
                 tracker.update(back[i] - pt.x[i], pt)
             lam = self.lambda_at(pt.x)
@@ -198,7 +195,7 @@ class CoordinateChange:
                 for b in range(self.p):
                     acc = sum(lam[a][c] * inv[c][b] for c in range(self.p))
                     tracker.update(acc - (1.0 if a == b else 0.0), pt)
-            if abs(primal(self.phi_at(pt.x))) < 1e-15:
+            if abs(self.phi_at(pt.x)) < 1e-15:
                 tracker.update(float("inf"), pt)
         return tracker.result()
 
@@ -212,16 +209,16 @@ def nlc_transformation_point(N, N_primed, C, A, pt, tracker):
     with all right-hand quantities evaluated in the unprimed chart and the
     left side at the pushed-forward point."""
     p = A.p
-    phi = primal(C.phi_at(pt.x))
+    phi = C.phi_at(pt.x)
     if phi == 0.0:
         tracker.update(float("inf"), pt)
         return
-    dphi = [primal(v) for v in C.phi_grad_at(pt.x)]
-    lam_inv = [[primal(v) for v in row] for row in C.lambda_inv_at(pt.x)]
-    rho = [[primal(v) for v in row] for row in A.rho_at(pt.x)]
-    gam = [primal(v) for v in N.gamma_at(pt.x, pt.y)]
+    dphi = C.phi_grad_at(pt.x)
+    lam_inv = C.lambda_inv_at(pt.x)
+    rho = A.rho_at(pt.x)
+    gam = N.gamma_at(pt.x, pt.y)
     pushed = C.push(pt)
-    gam_p = [primal(v) for v in N_primed.gamma_at(pushed.x, pushed.y)]
+    gam_p = N_primed.gamma_at(pushed.x, pushed.y)
     rho_dphi = [sum(rho[g][k] * dphi[k] for k in range(A.m))
                 for g in range(p)]
     for gp in range(p):

@@ -171,16 +171,20 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
         raise ScenarioError("$", "m and p must be positive")
 
     box_doc = doc.get("box")
-    if box_doc is None:
-        box = Box.default(m)
-    else:
+    if box_doc is not None:
         try:
             xr = box_doc["x"]
             yr = box_doc["y"]
             if len(xr) != m:
                 raise ScenarioError("box.x", f"expected {m} ranges")
-            box = Box(tuple((r[0], r[1]) for r in xr), (yr[0], yr[1]))
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            ranges = [(r[0], r[1]) for r in xr] + [(yr[0], yr[1])]
+            for bound in (b for r in ranges for b in r):
+                if (isinstance(bound, bool)
+                        or not isinstance(bound, (int, float))):
+                    raise TypeError(f"bound {bound!r} is not a number")
+            box = Box(ranges[:-1], ranges[-1])
+        except (KeyError, TypeError, IndexError, ValueError,
+                OverflowError) as exc:
             if isinstance(exc, ScenarioError):
                 raise
             raise ScenarioError("box", f"malformed box: {exc}") from exc
@@ -191,6 +195,9 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
         raise ScenarioError("algebroid", "must be an object with a 'rho' table")
     rho = _table(alg_doc["rho"], (p, m), m, "algebroid.rho", memo,
                  on_base=True)
+    if box_doc is None:
+        # Only now, with p x m entries of rho in the document, is m bounded.
+        box = Box.default(m)
     if "L" in alg_doc:
         L = _table(alg_doc["L"], (p, p, p), m, "algebroid.L", memo,
                    on_base=True)

@@ -17,7 +17,7 @@ from .algebroid import (
     validate_antisymmetry,
     validate_jacobi,
 )
-from .calculus import EPoint, at_point, constant, primal
+from .calculus import EPoint, at_point, constant
 from .curvature import (
     BianchiCheck,
     OracleCheck,
@@ -94,9 +94,8 @@ def run_validate(sc: Scenario, samples=None, seed=None, tol: float = 1e-8):
         min_g00 = float("inf")
         for pt in pts:
             with at_point(pt):
-                g = [[primal(v) for v in row]
-                     for row in sc.metric.g_at(pt.x, pt.y)]
-                g00 = abs(primal(sc.metric.g00_at(pt.x, pt.y)))
+                g = sc.metric.g_at(pt.x, pt.y)
+                g00 = abs(sc.metric.g00_at(pt.x, pt.y))
             for a in range(sc.p):
                 for b in range(sc.p):
                     sym.update(g[a][b] - g[b][a], pt)

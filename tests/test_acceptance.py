@@ -10,10 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint, jdx, jdy, jval, primal, seeded_point
+from kkgeom.calculus import jdx, jdy, jval, primal, seeded_point
 from kkgeom.curvature import (
     BianchiCheck,
     OracleCheck,

@@ -463,6 +463,19 @@ def test_infinite_box_bound_exits_2(capsys, tmp_path):
     assert err.startswith("kkgeom: error: box: ")
 
 
+@pytest.mark.parametrize("x_range", [[0, 10 ** 400], [0, True], [False, 1]],
+                         ids=["400-digit", "true", "false"])
+def test_non_float_box_bound_exits_2(capsys, tmp_path, x_range):
+    """A bound too large for a float, or a JSON boolean, is a malformed
+    box: one line and exit 2, never a traceback or a bound of 1.0/0.0."""
+    path = _variant(tmp_path, "d1.json", lambda doc: doc.__setitem__(
+        "box", {"x": [x_range, [0, 1]], "y": [0.1, 2]}))
+    code, out, err = run(capsys, "validate", path, "--samples", "2")
+    assert code == 2 and out == ""
+    _one_line_error(err)
+    assert err.startswith("kkgeom: error: box: malformed box: ")
+
+
 @pytest.mark.parametrize("steps", [0, -5, MAX_STEPS + 1])
 def test_steps_flag_out_of_range_exits_2(capsys, monkeypatch, steps):
     """A step count outside 1..MAX_STEPS is an input error before any

@@ -1,11 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from kkgeom import curvature
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint, jdx, jdy, jval, primal, seeded_point
+from kkgeom.calculus import jdx, jval, seeded_point
 from kkgeom.curvature import (
     BianchiCheck,
     OracleCheck,
@@ -317,8 +316,8 @@ def test_curvature_doubled_vertical_argument_zero():
 
 def classical_curvature_blocks(g_fields, pt):
     """Independent classical oracle for a flat frame, zero bracket and zero
-    nonlinear connection with fiber-independent metric: Christoffels by
-    numpy, then R^i_{j kl} = d_l G^i_{jk} - d_k G^i_{jl} + G G - G G via a
+    nonlinear connection with fiber-independent metric: Christoffels from
+    the closed-form 2x2 inverse, then R^i_{j kl} = d_l G^i_{jk} - d_k G^i_{jl} + G G - G G via a
     second jet pass through an independently coded Christoffel evaluator."""
 
     def christoffel_at(xs, y):

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from kkgeom import exprlang
-from kkgeom.sampling import MAX_SAMPLES
+from kkgeom.curvature import curvature_components_at, torsion_components_at
+from kkgeom.sampling import MAX_SAMPLES, Box, sample_points
 from kkgeom.scenario import ScenarioError, load_scenario, scenario_from_dict
 from conftest import DATA_DIR, SCENARIO_DIR
 
@@ -35,6 +36,37 @@ def test_box_ranges_must_be_bounded_and_nonempty(x, y, message):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert str(err.value) == f"box: malformed box: {message}"
+
+
+@pytest.mark.parametrize("x,y,message", [
+    ([[0, 10 ** 400], [0, 1]], [0.1, 2], "int too large to convert to float"),
+    ([[0, True], [0, 1]], [0.1, 2], "bound True is not a number"),
+    ([[0, 1], [0, 1]], [False, 2], "bound False is not a number"),
+    ([[0, 1], ["0", 1]], [0.1, 2], "bound '0' is not a number"),
+])
+def test_box_bounds_must_be_float_numbers(x, y, message):
+    """A bound is a JSON number that converts to a float: an integer too
+    large for one, a boolean or a string is a ``box`` input error."""
+    doc = minimal()
+    doc["box"] = {"x": x, "y": y}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"box: malformed box: {message}"
+
+
+def test_default_box_waits_for_the_rho_shape(monkeypatch):
+    """``m`` is bounded only by the p x m entries of rho, so a huge ``m``
+    with a short rho is refused before the default box of m ranges is
+    built."""
+    def build(m):
+        pytest.fail(f"Box.default({m}) built before the rho shape check")
+
+    monkeypatch.setattr(Box, "default", staticmethod(build))
+    doc = {"m": 10 ** 9, "p": 1, "algebroid": {"rho": [["1"]]}}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == ("algebroid.rho[0]: expected a list of length "
+                              "1000000000, got ['1']")
 
 
 def test_minimal_scenario_defaults():
@@ -193,6 +225,38 @@ def test_scenario_fields_are_the_compiled_functions():
     gamma, comp = sc.connection.gamma[0], sc.lift.curve.components[0]
     assert _is_compiled(gamma) and _is_compiled(comp)
     assert (gamma.__code__.co_argcount, comp.__code__.co_argcount) == (2, 1)
+
+
+def _blocks(record):
+    """The blocks of a torsion or curvature record, as a list."""
+    return [getattr(record, name) for name in record.__slots__]
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json"))
+                         + [DATA_DIR / "gen3_seed1.json"],
+                         ids=lambda path: path.stem)
+def test_evaluators_return_floats_at_float_points(path):
+    """Jets exist only inside a derivative pass: at a float point every
+    evaluator returns exact floats, so no caller needs to unwrap one."""
+    sc = load_scenario(str(path))
+    A, N = sc.algebroid, sc.connection
+    D = (sc.dconnection() if sc.metric is not None
+         or sc.explicit_dconnection is not None else None)
+    for k, pt in enumerate(sample_points(sc.box, 3, sc.seed)):
+        blocks = [A.rho_at(pt.x), A.L_at(pt.x), N.gamma_at(pt.x, pt.y)]
+        if sc.metric is not None:
+            blocks += [sc.metric.g_at(pt.x, pt.y),
+                       sc.metric.g00_at(pt.x, pt.y)]
+        if D is not None:
+            records = [torsion_components_at(D, N, A, pt.x, pt.y),
+                       *curvature_components_at(D, N, A, pt.x, pt.y)]
+            blocks += [D.all_at(pt.x, pt.y), *map(_blocks, records)]
+        if sc.lift is not None:
+            curve, t = sc.lift.curve, k / 2
+            blocks += [sc.lift.morphism.g_at(pt.x), curve.point_at(t),
+                       curve.velocity_at(t)]
+        leaves = list(_leaves(blocks))
+        assert leaves and all(type(v) is float for v in leaves), path.stem
 
 
 def test_repeated_bad_expression_reports_its_first_path():

@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kkgeom"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "kkgeom"
 
 
 def test_no_assert_statements():
@@ -80,9 +81,12 @@ def _unused_imports(tree):
 
 
 def test_no_unused_imports():
-    found = {f"{path.name}:{name}"
-             for path in sorted(SRC.glob("*.py"))
-             if path.name != "__init__.py"
+    """In the package (whose ``__init__.py`` only re-exports) and in the
+    tests."""
+    paths = [path for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
+    found = {f"{path.parent.name}/{path.name}:{name}"
+             for path in paths
              for name in _unused_imports(ast.parse(path.read_text(),
                                                    str(path)))}
     assert found == set()
@@ -95,6 +99,59 @@ def test_the_unused_import_guard_sees_an_unused_name():
                      "__all__ = ['tau']\n"
                      "print(pi)\n")
     assert _unused_imports(tree) == {"os"}
+
+
+def _scopes_reading(node, name, scope=()):
+    """The qualified name (``Class.method.inner``, ``""`` at module level)
+    of the def or class around every read of ``name`` under ``node``."""
+    if isinstance(node, ast.Name) and node.id == name:
+        return {".".join(scope)}
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope += (node.name,)
+    return set().union(*(_scopes_reading(child, name, scope)
+                         for child in ast.iter_child_nodes(node)))
+
+
+def _primal_reads(trees):
+    """``module:scope`` for every read of ``primal`` in ``trees`` (module
+    name -> parsed source) outside ``calculus.py``, the Jet arithmetic."""
+    return {f"{module}:{scope}" for module, tree in trees.items()
+            if module != "calculus.py"
+            for scope in _scopes_reading(tree, "primal")}
+
+
+# Jets exist only inside a derivative pass, so ``primal`` is read only where
+# one can arrive: pivoting in a matrix of Jets, the g00 test (and its error
+# point) of the two metric coefficients that run inside derivative passes,
+# and the depth check of the per-point tables.
+PRIMAL_ALLOWED = {
+    "metric.py:matrix_inverse",
+    "metric.py:metric_dconnection.hv_at",
+    "metric.py:metric_dconnection.vv_at",
+    "curvature.py:PointTables.per_depth.at",
+}
+
+
+def test_primal_only_where_a_jet_can_arrive():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _primal_reads(trees) == PRIMAL_ALLOWED
+
+
+def test_the_primal_guard_sees_an_unwrap_of_a_float():
+    trees = {"calculus.py": ast.parse("def flog(u):\n"
+                                      "    return primal(u)\n"),
+             "metric.py": ast.parse("from .calculus import primal\n"
+                                    "def matrix_inverse(m):\n"
+                                    "    return primal(m)\n"
+                                    "def inverse_h(g):\n"
+                                    "    return [primal(v) for v in g]\n"),
+             "lift.py": ast.parse("class BaseCurve:\n"
+                                  "    def point_at(self, t):\n"
+                                  "        return tuple(map(primal, t))\n"
+                                  "g0 = primal(1.0)\n")}
+    assert _primal_reads(trees) - PRIMAL_ALLOWED == {
+        "metric.py:inverse_h", "lift.py:BaseCurve.point_at", "lift.py:"}
 
 
 def _imported_modules(tree):
