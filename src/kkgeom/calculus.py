@@ -16,14 +16,22 @@ Jets exist only inside a derivative pass (``seeded_point`` and
 ``nlconnection.adapted_derivatives``): at a float point every field, and
 every evaluator built on fields, returns exact floats.  Callers read those
 results as they are; ``primal`` is only for code a Jet can reach.
+
+Jet arithmetic is straight-line code generated per dimension m: the first
+Jet with m partials compiles ``_KERNELS`` for that m into a subclass of
+``Jet``, which every later Jet of that m (and every Jet its operations
+build) belongs to.  Each kernel writes one expression per component, with
+the operands and their order of a per-component loop, so it computes the
+loop's bits; that loop is kept as the reference in ``tests/test_calculus.py``
+(``_LoopJet``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from contextlib import contextmanager
-from operator import add, neg, sub
 
 __all__ = [
     "EvaluationDomainError",
@@ -120,85 +128,23 @@ class Jet:
     Components may themselves be Jets, which is how higher derivatives are
     taken.  Arithmetic follows the product/chain rules exactly (to IEEE
     rounding); mixed float/Jet arithmetic promotes the float to a constant.
-    The component loops use ``map`` and list comprehensions for speed; each
-    keeps the operands and their order of a plain per-component loop, so
-    signed zeros and NaNs come out as they would there.
+
+    ``Jet(value, dx, dy)`` builds an instance of ``_jet_class(len(dx))``,
+    the subclass that holds the generated arithmetic for that m; this class
+    holds only what does not depend on m.  Every construction, direct or by
+    a kernel, runs ``__init__``.  A direct one takes any sequence dx; the
+    kernels, and the other callers of a subclass, pass a tuple.
     """
 
     __slots__ = ("value", "dx", "dy")
 
     def __init__(self, value, dx, dy):
+        if type(self) is Jet:
+            dx = tuple(dx)
+            self.__class__ = _jet_class(len(dx))
         self.value = value
-        self.dx = tuple(dx)
+        self.dx = dx
         self.dy = dy
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(
-                self.value + other.value,
-                map(add, self.dx, other.dx),
-                self.dy + other.dy,
-            )
-        return Jet(self.value + other, self.dx, self.dy)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(
-                self.value - other.value,
-                map(sub, self.dx, other.dx),
-                self.dy - other.dy,
-            )
-        return Jet(self.value - other, self.dx, self.dy)
-
-    def __rsub__(self, other):
-        return Jet(other - self.value, map(neg, self.dx), -self.dy)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            u, v = self.value, other.value
-            return Jet(
-                u * v,
-                [a * v + u * b for a, b in zip(self.dx, other.dx)],
-                self.dy * v + u * other.dy,
-            )
-        return Jet(self.value * other, [a * other for a in self.dx], self.dy * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # Values divide directly so Jet evaluation matches float evaluation
-        # bit-for-bit; only derivative coefficients go through _recip.
-        if isinstance(other, Jet):
-            if primal(other.value) == 0.0:
-                raise EvaluationDomainError("division by zero")
-            u, v = self.value, other.value
-            inv2 = _recip(v * v)
-            return Jet(
-                _jdiv(u, v),
-                [(a * v - u * b) * inv2 for a, b in zip(self.dx, other.dx)],
-                (self.dy * v - u * other.dy) * inv2,
-            )
-        if primal(other) == 0.0:
-            raise EvaluationDomainError("division by zero")
-        return Jet(
-            _jdiv(self.value, other),
-            [_jdiv(a, other) for a in self.dx],
-            _jdiv(self.dy, other),
-        )
-
-    def __rtruediv__(self, other):
-        if primal(self.value) == 0.0:
-            raise EvaluationDomainError("division by zero")
-        u = self.value
-        factor = (-other) * _recip(u * u)
-        return Jet(_jdiv(other, u), [a * factor for a in self.dx], self.dy * factor)
-
-    def __neg__(self):
-        return Jet(-self.value, map(neg, self.dx), -self.dy)
 
     def __pos__(self):
         return self
@@ -215,17 +161,123 @@ class Jet:
     def __repr__(self):
         return f"Jet({self.value!r}, dx={self.dx!r}, dy={self.dy!r})"
 
+
+# The arithmetic of a Jet with m partials dx.  ``{J}`` is the class, ``{A}``
+# and ``{B}`` unpack the dx of ``self`` and ``other`` into a0.. and b0..,
+# and every other field is a tuple display of one ``_COMPONENT`` expression
+# per component.  Values divide directly so Jet evaluation matches float
+# evaluation bit for bit; only derivative coefficients go through _recip.
+# The generated code keeps the template's line numbers in this file, so a
+# traceback or a profile of a kernel points at its line here.
+_KERNELS_LINE = sys._getframe().f_lineno + 2
+_KERNELS = '''\
+class {J}(Jet):
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            {A} = self.dx
+            {B} = other.dx
+            return {J}(self.value + other.value, {add}, self.dy + other.dy)
+        return {J}(self.value + other, self.dx, self.dy)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Jet):
+            {A} = self.dx
+            {B} = other.dx
+            return {J}(self.value - other.value, {sub}, self.dy - other.dy)
+        return {J}(self.value - other, self.dx, self.dy)
+
+    def __rsub__(self, other):
+        {A} = self.dx
+        return {J}(other - self.value, {neg}, -self.dy)
+
+    def __neg__(self):
+        {A} = self.dx
+        return {J}(-self.value, {neg}, -self.dy)
+
+    def __mul__(self, other):
+        {A} = self.dx
+        if isinstance(other, Jet):
+            {B} = other.dx
+            u, v = self.value, other.value
+            return {J}(u * v, {mul}, self.dy * v + u * other.dy)
+        return {J}(self.value * other, {mul_float}, self.dy * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        {A} = self.dx
+        if isinstance(other, Jet):
+            if primal(other.value) == 0.0:
+                raise EvaluationDomainError("division by zero")
+            {B} = other.dx
+            u, v = self.value, other.value
+            inv2 = _recip(v * v)
+            return {J}(_jdiv(u, v), {div},
+                       (self.dy * v - u * other.dy) * inv2)
+        if primal(other) == 0.0:
+            raise EvaluationDomainError("division by zero")
+        return {J}(_jdiv(self.value, other), {div_float},
+                   _jdiv(self.dy, other))
+
+    def __rtruediv__(self, other):
+        if primal(self.value) == 0.0:
+            raise EvaluationDomainError("division by zero")
+        u = self.value
+        factor = (-other) * _recip(u * u)
+        return self.scaled(_jdiv(other, u), factor)
+
+    def scaled(self, value, factor):
+        """The Jet with value ``value`` and partials ``a * factor``."""
+        {A} = self.dx
+        return {J}(value, {scale}, self.dy * factor)
+
     def chain(self, fv, dfv):
-        """Apply a scalar function with value fv and derivative dfv at self.value."""
-        return Jet(fv, [dfv * a for a in self.dx], dfv * self.dy)
+        """Apply a scalar function with value fv and derivative dfv at
+        self.value."""
+        {A} = self.dx
+        return {J}(fv, {chain}, dfv * self.dy)
+'''
+
+# Component i of each kernel field, in the i-th partials ``{a}`` of self
+# and ``{b}`` of other.
+_COMPONENT = {
+    "A": "{a}",
+    "B": "{b}",
+    "add": "{a} + {b}",
+    "sub": "{a} - {b}",
+    "neg": "-{a}",
+    "mul": "{a} * v + u * {b}",
+    "mul_float": "{a} * other",
+    "div": "({a} * v - u * {b}) * inv2",
+    "div_float": "_jdiv({a}, other)",
+    "scale": "{a} * factor",
+    "chain": "dfv * {a}",
+}
+
+
+@functools.cache
+def _jet_class(m):
+    """The Jet subclass for m partials, its kernels compiled once per m."""
+    fields = {name: "(" + "".join(expr.format(a=f"a{i}", b=f"b{i}") + ", "
+                                  for i in range(m)) + ")"
+              for name, expr in _COMPONENT.items()}
+    source = "\n" * (_KERNELS_LINE - 1) + _KERNELS.format(J=f"Jet{m}",
+                                                          **fields)
+    namespace = {"Jet": Jet, "EvaluationDomainError": EvaluationDomainError,
+                 "primal": primal, "_jdiv": _jdiv, "_recip": _recip}
+    exec(compile(source, __file__, "exec"), namespace)
+    return namespace[f"Jet{m}"]
 
 
 def _jdiv(a, b):
     """a / b for floats or Jets, delegating to Jet division where needed."""
     if isinstance(a, Jet) or isinstance(b, Jet):
         if not isinstance(a, Jet):
-            m = len(b.dx)
-            a = Jet(a, (0.0,) * m, 0.0)
+            a = type(b)(a, (0.0,) * len(b.dx), 0.0)
         return a / b
     if b == 0.0:
         raise EvaluationDomainError("division by zero")
@@ -237,8 +289,7 @@ def _recip(v):
         if primal(v.value) == 0.0:
             raise EvaluationDomainError("division by zero")
         inv = _recip(v.value)
-        factor = -(inv * inv)
-        return Jet(inv, [a * factor for a in v.dx], v.dy * factor)
+        return v.scaled(inv, -(inv * inv))
     if v == 0.0:
         raise EvaluationDomainError("division by zero")
     return 1.0 / v
@@ -383,5 +434,6 @@ def _unit_directions(m):
 def seeded_point(xs, y):
     """Coordinates seeded for all m+1 first-derivative directions at once."""
     units, zeros = _unit_directions(len(xs))
-    jxs = tuple([Jet(x, u, 0.0) for x, u in zip(xs, units)])
-    return jxs, Jet(y, zeros, 1.0)
+    jet = _jet_class(len(xs))
+    jxs = tuple([jet(x, u, 0.0) for x, u in zip(xs, units)])
+    return jxs, jet(y, zeros, 1.0)

@@ -322,8 +322,10 @@ _ENV = {"fsin": fsin, "fcos": fcos, "ftan": ftan, "fexp": fexp, "flog": flog,
 
 
 def compile_expr(node: Expr, params: str):
-    """Compile to ``lambda <params>: <node>``, the one compile site: params
-    "X, Y" (X indexable, Y scalar) for a field, "T" for a curve component."""
+    """Compile to ``lambda <params>: <node>``: params "X, Y" (X indexable,
+    Y scalar) for a field, "T" for a curve component.  One of the two
+    compile sites; the other, ``calculus._jet_class``, generates the Jet
+    kernels of each dimension m."""
     return eval(f"lambda {params}: {_codegen(node)}", dict(_ENV))
 
 

@@ -177,7 +177,10 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
             yr = box_doc["y"]
             if len(xr) != m:
                 raise ScenarioError("box.x", f"expected {m} ranges")
-            ranges = [(r[0], r[1]) for r in xr] + [(yr[0], yr[1])]
+            ranges = [*xr, yr]
+            for r in ranges:
+                if not isinstance(r, (list, tuple)) or len(r) != 2:
+                    raise TypeError(f"range {r!r} is not a [lo, hi] pair")
             for bound in (b for r in ranges for b in r):
                 if (isinstance(bound, bool)
                         or not isinstance(bound, (int, float))):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +12,16 @@ from kkgeom.calculus import (
     EPoint,
     EvaluationDomainError,
     Jet,
+    _jet_class,
+    _recip,
     constant,
     jdx,
     seeded_point,
 )
-from conftest import bits, field
+from conftest import DATA_DIR, SCENARIO_DIR, bits, field
 from reference import fd_partial, partial
 
+from kkgeom.cli import main
 from kkgeom.sampling import Box, sample_points
 
 
@@ -153,9 +160,42 @@ def test_epoint_rejects_nonfinite():
         EPoint((float("nan"), 0.0), 1.0)
 
 
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
+
+
+def _loop_primal(s):
+    while isinstance(s, _LoopJet):
+        s = s.value
+    return s
+
+
+def _loop_jdiv(a, b):
+    if isinstance(a, _LoopJet) or isinstance(b, _LoopJet):
+        if not isinstance(a, _LoopJet):
+            m = len(b.dx)
+            a = _LoopJet(a, (0.0,) * m, 0.0)
+        return a / b
+    if b == 0.0:
+        raise EvaluationDomainError("division by zero")
+    return a / b
+
+
+def _loop_recip(v):
+    if isinstance(v, _LoopJet):
+        if _loop_primal(v.value) == 0.0:
+            raise EvaluationDomainError("division by zero")
+        inv = _loop_recip(v.value)
+        factor = -(inv * inv)
+        return _LoopJet(inv, tuple(a * factor for a in v.dx), v.dy * factor)
+    if v == 0.0:
+        raise EvaluationDomainError("division by zero")
+    return 1.0 / v
+
+
 class _LoopJet:
     """Reference Jet arithmetic written as one generator expression per
-    component: the bitwise standard for :class:`Jet`'s component loops."""
+    component: the bitwise standard for the generated kernels of
+    :class:`Jet`."""
 
     __slots__ = ("value", "dx", "dy")
 
@@ -196,6 +236,31 @@ class _LoopJet:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if isinstance(other, _LoopJet):
+            if _loop_primal(other.value) == 0.0:
+                raise EvaluationDomainError("division by zero")
+            u, v = self.value, other.value
+            inv2 = _loop_recip(v * v)
+            return _LoopJet(
+                _loop_jdiv(u, v),
+                tuple((a * v - u * b) * inv2
+                      for a, b in zip(self.dx, other.dx)),
+                (self.dy * v - u * other.dy) * inv2)
+        if _loop_primal(other) == 0.0:
+            raise EvaluationDomainError("division by zero")
+        return _LoopJet(_loop_jdiv(self.value, other),
+                        tuple(_loop_jdiv(a, other) for a in self.dx),
+                        _loop_jdiv(self.dy, other))
+
+    def __rtruediv__(self, other):
+        if _loop_primal(self.value) == 0.0:
+            raise EvaluationDomainError("division by zero")
+        u = self.value
+        factor = (-other) * _loop_recip(u * u)
+        return _LoopJet(_loop_jdiv(other, u), tuple(a * factor for a in self.dx),
+                        self.dy * factor)
+
     def __neg__(self):
         return _LoopJet(-self.value, tuple(-a for a in self.dx), -self.dy)
 
@@ -203,22 +268,21 @@ class _LoopJet:
         return _LoopJet(fv, tuple(dfv * a for a in self.dx), dfv * self.dy)
 
 
-JET_M = 2
 # Every float, with signed zeros, infinities and NaN given extra weight.
 any_float = st.one_of(st.floats(), st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -5e-324]))
 
 
-def _tree(depth):
-    """A nested (value, dx, dy) tree of uniform depth; depth 0 is a float."""
+def _tree(m, depth):
+    """A nested (value, dx, dy) tree with m partials per node and a value
+    of depth ``depth - 1``; depth 0 is a float.  A partial is a tree of the
+    value's depth or a float, as ``seeded_point`` puts float partials under
+    Jet values from depth 2 on."""
     if depth == 0:
         return any_float
-    sub = _tree(depth - 1)
-    return st.tuples(sub, st.lists(sub, min_size=JET_M, max_size=JET_M), sub)
-
-
-trees = st.integers(0, 3).flatmap(_tree)
-shallow_trees = st.integers(0, 1).flatmap(_tree)
+    sub = _tree(m, depth - 1)
+    part = st.one_of(sub, any_float) if depth > 1 else sub
+    return st.tuples(sub, st.lists(part, min_size=m, max_size=m), part)
 
 
 def _build(tree, cls):
@@ -228,17 +292,93 @@ def _build(tree, cls):
     return tree
 
 
-@given(x=trees, y=trees, c=any_float, fv=shallow_trees, dfv=shallow_trees)
-@settings(max_examples=200, deadline=None)
-def test_jet_kernels_match_per_component_loops(x, y, c, fv, dfv):
-    """+ - * neg, float - Jet and chain give the reference's bits, signed
-    zeros and NaN included, on nested Jets of depth 0-3."""
-    def ops(cls):
-        a, b = _build(x, cls), _build(y, cls)
-        out = [a + b, b + a, a - b, b - a, a * b, b * a, -a, c - a, a + c,
-               a * c, c * a]
-        if isinstance(a, cls):
-            out.append(a.chain(_build(fv, cls), _build(dfv, cls)))
-        return out
+def _outcome(op):
+    """``bits`` of ``op()``, or the domain error it raises."""
+    try:
+        return bits(op())
+    except (EvaluationDomainError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
 
-    assert bits(ops(Jet)) == bits(ops(_LoopJet))
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_jet_kernels_match_per_component_loops(data):
+    """Every generated kernel (+ - * / neg, float - Jet, float / Jet,
+    _recip and chain) gives the reference's bits, signed zeros and NaN
+    included, or raises the same domain error, on nested Jets of depth 0-3
+    with m = 1-4 partials and float partials under Jet values."""
+    m = data.draw(st.integers(1, 4), label="m")
+    trees = st.integers(0, 3).flatmap(lambda depth: _tree(m, depth))
+    shallow_trees = st.integers(0, 1).flatmap(lambda depth: _tree(m, depth))
+    x, y = data.draw(trees, label="x"), data.draw(trees, label="y")
+    c = data.draw(any_float, label="c")
+    fv = data.draw(shallow_trees, label="fv")
+    dfv = data.draw(shallow_trees, label="dfv")
+
+    def ops(cls, recip):
+        a, b = _build(x, cls), _build(y, cls)
+        out = [lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a,
+               lambda: a * b, lambda: b * a, lambda: -a, lambda: c - a,
+               lambda: a + c, lambda: a * c, lambda: c * a]
+        if isinstance(a, cls) or isinstance(b, cls):
+            out += [lambda: a / b, lambda: b / a]
+        if isinstance(a, cls):
+            out += [lambda: a / c, lambda: c / a, lambda: 1.0 / a,
+                    lambda: recip(a),
+                    lambda: a.chain(_build(fv, cls), _build(dfv, cls))]
+        return [_outcome(op) for op in out]
+
+    assert ops(Jet, _recip) == ops(_LoopJet, _loop_recip)
+
+
+def test_a_jet_gets_the_kernels_of_its_m():
+    """``Jet(v, dx, dy)`` is an instance of the subclass generated for
+    m = len(dx), whose arithmetic is its own; each m's class is generated
+    once per process."""
+    for _ in range(2):
+        for m in range(1, 5):
+            jet = Jet(0.5, [1.0] * m, 0.0)
+            assert isinstance(jet, Jet) and type(jet) is _jet_class(m)
+            assert jet.dx == (1.0,) * m
+            assert type(jet) is type(jet * jet) is type(jet.chain(1.0, 2.0))
+            assert "__mul__" in vars(type(jet))
+    assert not {"__add__", "__mul__", "__truediv__", "chain"} & set(vars(Jet))
+    names = [cls.__name__ for cls in Jet.__subclasses__()]
+    assert sorted(set(names)) == sorted(names)
+    assert {"Jet1", "Jet2", "Jet3", "Jet4"} <= set(names)
+
+
+def test_a_load_builds_no_jet_class():
+    """Kernels are generated on the first Jet of an m, so a fresh process
+    that loads scenarios generates none."""
+    code = ("import sys, kkgeom.cli\n"
+            "from kkgeom.calculus import Jet\n"
+            "from kkgeom.scenario import load_scenario\n"
+            "for path in sys.argv[1:]:\n"
+            "    load_scenario(path)\n"
+            "print(Jet.__subclasses__())\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SCENARIO_DIR / "d1.json"),
+         str(DATA_DIR / "gen3_seed1.json")], capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC_ROOT)))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "[]\n"
+
+
+def test_jet_traffic_of_a_gen3_check(monkeypatch, capsys):
+    """Every Jet runs ``Jet.__init__``: one ``check --suite all`` on the
+    generated p = m = 3 scenario builds as many Jets as it did with the
+    comprehension loops that the generated kernels replaced."""
+    built = 0
+    init = Jet.__init__
+
+    def counting_init(self, value, dx, dy):
+        nonlocal built
+        built += 1
+        init(self, value, dx, dy)
+
+    monkeypatch.setattr(Jet, "__init__", counting_init)
+    code = main(["check", str(DATA_DIR / "gen3_seed1.json"), "--suite", "all",
+                 "--samples", "1", "--seed", "1"])
+    assert code == 0
+    assert built == 12950

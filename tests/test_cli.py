@@ -476,6 +476,20 @@ def test_non_float_box_bound_exits_2(capsys, tmp_path, x_range):
     assert err.startswith("kkgeom: error: box: malformed box: ")
 
 
+@pytest.mark.parametrize("x_range,y_range", [([0, 1, "junk"], [0.1, 2]),
+                                              ([0, 1], [0.1, 2, 7])],
+                         ids=["x-triple", "y-triple"])
+def test_box_range_not_a_pair_exits_2(capsys, tmp_path, x_range, y_range):
+    """A range with more than two entries is a malformed box, never a box
+    built from its first two."""
+    path = _variant(tmp_path, "d1.json", lambda doc: doc.__setitem__(
+        "box", {"x": [x_range, [0, 1]], "y": y_range}))
+    code, out, err = run(capsys, "validate", path, "--samples", "2")
+    assert code == 2 and out == ""
+    _one_line_error(err)
+    assert err.startswith("kkgeom: error: box: malformed box: range ")
+
+
 @pytest.mark.parametrize("steps", [0, -5, MAX_STEPS + 1])
 def test_steps_flag_out_of_range_exits_2(capsys, monkeypatch, steps):
     """A step count outside 1..MAX_STEPS is an input error before any

@@ -54,6 +54,25 @@ def test_box_bounds_must_be_float_numbers(x, y, message):
     assert str(err.value) == f"box: malformed box: {message}"
 
 
+@pytest.mark.parametrize("x,y,message", [
+    ([[0, 1, "junk"], [0, 1]], [0.1, 2],
+     "range [0, 1, 'junk'] is not a [lo, hi] pair"),
+    ([[0, 1], [0, 1]], [0.1, 2, 7], "range [0.1, 2, 7] is not a [lo, hi] pair"),
+    ([[0], [0, 1]], [0.1, 2], "range [0] is not a [lo, hi] pair"),
+    ([[0, 1], [0, 1]], 0.5, "range 0.5 is not a [lo, hi] pair"),
+    ([[0, 1], {"0": 0, "1": 1}], [0.1, 2],
+     "range {'0': 0, '1': 1} is not a [lo, hi] pair"),
+])
+def test_box_ranges_must_be_pairs(x, y, message):
+    """Each range is a list of exactly two bounds: extra entries are an
+    input error, not silently dropped."""
+    doc = minimal()
+    doc["box"] = {"x": x, "y": y}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"box: malformed box: {message}"
+
+
 def test_default_box_waits_for_the_rho_shape(monkeypatch):
     """``m`` is bounded only by the p x m entries of rho, so a huge ``m``
     with a short rho is refused before the default box of m ranges is

@@ -154,6 +154,37 @@ def test_the_primal_guard_sees_an_unwrap_of_a_float():
         "metric.py:inverse_h", "lift.py:BaseCurve.point_at", "lift.py:"}
 
 
+def _dynamic_code_sites(trees):
+    """``module:scope`` for every read of ``eval``, ``exec`` or ``compile``
+    in ``trees`` (module name -> parsed source)."""
+    return {f"{module}:{scope}" for module, tree in trees.items()
+            for name in ("eval", "exec", "compile")
+            for scope in _scopes_reading(tree, name)}
+
+
+# Source compiled at run time: a scenario's expressions, and the Jet
+# kernels of each dimension m.
+DYNAMIC_CODE_ALLOWED = {"exprlang.py:compile_expr", "calculus.py:_jet_class"}
+
+
+def test_code_is_compiled_only_at_the_two_compile_sites():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _dynamic_code_sites(trees) == DYNAMIC_CODE_ALLOWED
+
+
+def test_the_compile_guard_sees_a_stray_eval():
+    trees = {"exprlang.py": ast.parse("import re\n"
+                                      "NUM = re.compile('[0-9]+')\n"
+                                      "def compile_expr(node, params):\n"
+                                      "    return eval(node)\n"
+                                      "def parse(text):\n"
+                                      "    return eval(text)\n"),
+             "cli.py": ast.parse("run = exec\n")}
+    assert _dynamic_code_sites(trees) - DYNAMIC_CODE_ALLOWED == {
+        "exprlang.py:parse", "cli.py:"}
+
+
 def _imported_modules(tree):
     """Top-level names of the modules a module imports (absolute imports)."""
     found = set()
