@@ -10,7 +10,7 @@ the scenario/CLI surface (``scenario``, ``suites``, ``cli``).
 """
 
 from .algebroid import AlgebroidData
-from .calculus import EPoint, EvaluationDomainError, Jet, constant
+from .calculus import EPoint, EvaluationDomainError, Jet
 from .curvature import (
     CurvatureComponents,
     EnergyMomentum,
@@ -23,7 +23,7 @@ from .curvature import (
     torsion_components,
 )
 from .dconnection import DConnectionCoeffs, berwald
-from .exprlang import ParseError, curve_function, eval_field, parse
+from .exprlang import ParseError, compile_expr, parse
 from .lift import (
     BaseCurve,
     LiftMorphism,

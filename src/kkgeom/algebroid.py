@@ -1,7 +1,8 @@
 """Anchored frame data on the base manifold and its consistency checks.
 
-The data is a p-column anchor table rho[alpha][i] (each entry a field on M)
-and a bracket-coefficient table L[gamma][alpha][beta], so that the frame
+The data is a p-column anchor table rho[alpha][i] and a bracket-coefficient
+table L[gamma][alpha][beta] on M, each given by the one function that
+evaluates the whole table at a base point, so that the frame
 vector fields X_alpha = rho[alpha][i] d/dx_i close under commutator:
 
     [X_alpha, X_beta] = L[gamma][alpha][beta] X_gamma.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .calculus import at_point, constant, jdx, jval, seeded_point
+from .calculus import at_point, jdx, jval, seeded_point
 from .report import CheckResult, ResidualTracker
 
 __all__ = ["AlgebroidData", "validate_antisymmetry",
@@ -25,41 +26,17 @@ DEFAULT_VALIDATOR_TOL = 1e-8
 
 
 class AlgebroidData:
-    """Anchor and bracket tables, both pulled back to fields on M."""
+    """The anchor and bracket tables as evaluators on M: ``rho_at(xs)``
+    returns rho[alpha][i] (p x m), ``L_at(xs)`` returns
+    L[gamma][alpha][beta] (p x p x p), entries float or Jet."""
 
-    __slots__ = ("m", "p", "rho", "L")
+    __slots__ = ("m", "p", "rho_at", "L_at")
 
-    def __init__(self, m: int, p: int, rho: tuple, L: tuple):
-        if len(rho) != p or any(len(row) != m for row in rho):
-            raise ValueError(f"rho table must be {p}x{m}")
-        if (len(L) != p
-                or any(len(a) != p for a in L)
-                or any(len(b) != p for a in L for b in a)):
-            raise ValueError(f"L table must be {p}^3")
+    def __init__(self, m: int, p: int, rho_at, L_at):
         self.m = m
         self.p = p
-        self.rho = rho      # rho[alpha][i] -> field, shape p x m
-        self.L = L          # L[gamma][alpha][beta] -> field, shape p x p x p
-
-    def rho_at(self, xs):
-        """Anchor values at base point xs (entries float or Jet)."""
-        return [[self.rho[a][i](xs, 0.0) for i in range(self.m)]
-                for a in range(self.p)]
-
-    def L_at(self, xs):
-        return [[[self.L[g][a][b](xs, 0.0) for b in range(self.p)]
-                 for a in range(self.p)] for g in range(self.p)]
-
-    @staticmethod
-    def identity(m: int) -> "AlgebroidData":
-        """Coordinate frame: rho = Id (p = m), L = 0."""
-        rho = tuple(
-            tuple(constant(1.0 if i == a else 0.0) for i in range(m))
-            for a in range(m)
-        )
-        zero = constant(0.0)
-        L = tuple(tuple((zero,) * m for _ in range(m)) for _ in range(m))
-        return AlgebroidData(m, m, rho, L)
+        self.rho_at = rho_at
+        self.L_at = L_at
 
 
 def validate_antisymmetry(A: AlgebroidData, samples,
@@ -83,8 +60,7 @@ def validate_anchor_compatibility(A: AlgebroidData, samples,
     m, p = A.m, A.p
     for pt in samples:
         with at_point(pt):
-            jxs, _ = seeded_point(pt.x, pt.y)
-            jrho = [[A.rho[a][i](jxs, 0.0) for i in range(m)] for a in range(p)]
+            jrho = A.rho_at(seeded_point(pt.x, pt.y)[0])
             rho = [[jval(jrho[a][i]) for i in range(m)] for a in range(p)]
             drho = [[[jdx(jrho[a][i], k) for k in range(m)] for i in range(m)]
                     for a in range(p)]
@@ -107,9 +83,7 @@ def validate_jacobi(A: AlgebroidData, samples,
     for pt in samples:
         with at_point(pt):
             rho = A.rho_at(pt.x)
-            jxs, _ = seeded_point(pt.x, pt.y)
-            jL = [[[A.L[g][a][b](jxs, 0.0) for b in range(p)] for a in range(p)]
-                  for g in range(p)]
+            jL = A.L_at(seeded_point(pt.x, pt.y)[0])
             Lv = [[[jval(jL[g][a][b]) for b in range(p)] for a in range(p)]
                   for g in range(p)]
             dL = [[[[jdx(jL[g][a][b], k) for k in range(m)] for b in range(p)]

@@ -6,9 +6,10 @@ a Jet carries a value together with all first partials (d/dx1..d/dxm,
 d/dy0).  Nesting Jets inside Jets yields exact second and third partials,
 which is all the downstream identity suites ever need.
 
-A field is a plain function of ``(xs, y)``, ``xs`` a length-m sequence.
-It runs the same arithmetic path on floats and Jets, so the value component
-of a Jet evaluation is bit-identical to a float evaluation.  Everything here
+A field, or a whole table of them, is a plain function of ``(xs, y)``,
+``xs`` a length-m sequence (of ``xs`` alone on the base M).  It runs the
+same arithmetic path on floats and Jets, so the value component of a Jet
+evaluation is bit-identical to a float evaluation.  Everything here
 is immutable and evaluation is pure, so fields can be evaluated
 concurrently and results are bit-reproducible.
 
@@ -38,7 +39,6 @@ __all__ = [
     "at_point",
     "EPoint",
     "Jet",
-    "constant",
     "seeded_point",
     "jval",
     "jdx",
@@ -417,11 +417,6 @@ def _ipow(base, n):
     for _ in range(n - 1):
         result = result * base
     return result
-
-
-def constant(c):
-    """The field on E with the constant value ``c``."""
-    return lambda xs, y: c
 
 
 @functools.cache

@@ -32,7 +32,7 @@ from .dconnection import (
     h_cov_values,
     v_cov_values,
 )
-from .exprlang import eval_field, parse
+from .exprlang import compile_expr, parse
 from .metric import MetricStructure, SingularMetricError, inverse_h
 from .nlconnection import (
     NonlinearConnection,
@@ -473,9 +473,8 @@ def default_test_vector(p: int, m: int):
         i = (a % m) + 1
         return f"x{i}*y0" if a % 2 == 0 else f"cos(x{i})"
 
-    fields = [eval_field(parse(source(a), m)) for a in range(p)]
-    vfield = eval_field(parse("x1*y0", m))
-    return lambda xs, y: ([f(xs, y) for f in fields], vfield(xs, y))
+    return compile_expr(([parse(source(a), m) for a in range(p)],
+                         parse("x1*y0", m)), "X, Y")
 
 
 class RicciCommutationCheck:

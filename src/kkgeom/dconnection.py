@@ -1,6 +1,6 @@
 """Linear connection coefficients on the split bundle and covariant calculus.
 
-A coefficient set has four families, stored as array evaluators:
+A coefficient set has four families, stored as table evaluators on E:
 
     hh[alpha][beta][gamma]   horizontal derivative of horizontal frame
     hv[gamma]                horizontal derivative of the vertical frame
@@ -63,18 +63,6 @@ class DConnectionCoeffs:
             lambda xs, y: [0.0] * p,
             lambda xs, y: [[0.0] * p for _ in range(p)],
             lambda xs, y: 0.0,
-        )
-
-    @staticmethod
-    def from_fields(p, hh, hv, vh, vv) -> "DConnectionCoeffs":
-        """Explicit tables of fields: hh p^3, hv p, vh p^2, vv scalar."""
-        return DConnectionCoeffs(
-            p,
-            lambda xs, y: [[[hh[a][b][c](xs, y) for c in range(p)]
-                            for b in range(p)] for a in range(p)],
-            lambda xs, y: [hv[c](xs, y) for c in range(p)],
-            lambda xs, y: [[vh[a][b](xs, y) for b in range(p)] for a in range(p)],
-            lambda xs, y: vv(xs, y),
         )
 
     def all_at(self, xs, y):

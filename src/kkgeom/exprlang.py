@@ -10,9 +10,10 @@ Grammar (whitespace insignificant, ASCII only):
 
 Identifiers: variables x1..xm, y0, t (where permitted); functions sin, cos,
 tan, exp, log, sqrt, abs, pow; constants pi, e.  ``pow(a, b)`` parses to the
-same node as ``a ^ b``.  A parsed tree compiles once into a plain function,
-of ``(xs, y)`` for a field and of ``t`` for a curve component, that runs
-the same arithmetic path on float and Jet coordinates.
+same node as ``a ^ b``.  A parsed tree, or a whole table of them, compiles
+once into a plain function of ``(X, Y)`` on E, of ``X`` on the base, or of
+``T`` for a curve, that runs the same arithmetic path on float and Jet
+coordinates.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .calculus import (
 )
 
 __all__ = ["ParseError", "Expr", "Num", "Var", "BinOp", "Neg", "Call",
-           "parse", "eval_field", "compile_expr", "curve_function"]
+           "parse", "compile_expr"]
 
 UNARY_FUNCS = {"sin": fsin, "cos": fcos, "tan": ftan, "exp": fexp,
                "log": flog, "sqrt": fsqrt, "abs": fabs_}
@@ -252,9 +253,10 @@ class _Parser:
         raise ParseError(offset, f"a known function (got {name!r})")
 
 
-# Compiled closures wrap every operation in one level of parentheses, and
-# CPython's tokenizer refuses 200 nested levels.
-_MAX_DEPTH = 199
+# Compiled code wraps every operation in one level of parentheses, and
+# CPython's tokenizer refuses 200 nested levels; an entry sits inside up to
+# three brackets of its table's display (L, Hh).
+_MAX_DEPTH = 196
 
 
 def _depth(node: Expr) -> int:
@@ -296,7 +298,11 @@ def parse(src: str, m: int, *, allow_y: bool = True, allow_t: bool = False) -> E
     return node
 
 
-def _codegen(node: Expr) -> str:
+def _codegen(node) -> str:
+    if isinstance(node, list):
+        return f"[{', '.join(map(_codegen, node))}]"
+    if isinstance(node, tuple):
+        return f"({''.join(_codegen(n) + ', ' for n in node)})"
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -321,19 +327,11 @@ _ENV = {"fsin": fsin, "fcos": fcos, "ftan": ftan, "fexp": fexp, "flog": flog,
         "__builtins__": {}}
 
 
-def compile_expr(node: Expr, params: str):
-    """Compile to ``lambda <params>: <node>``: params "X, Y" (X indexable,
-    Y scalar) for a field, "T" for a curve component.  One of the two
-    compile sites; the other, ``calculus._jet_class``, generates the Jet
-    kernels of each dimension m."""
+def compile_expr(node, params: str):
+    """Compile to ``lambda <params>: <node>``, where ``node`` is an Expr or
+    a table of them: a nested list compiles to a list display, a tuple to a
+    tuple display, each entry in index order.  Params are "X, Y" (X
+    indexable, Y scalar) on E, "X" on the base, "T" for a curve.  One of
+    the two compile sites; the other, ``calculus._jet_class``, generates
+    the Jet kernels of each dimension m."""
     return eval(f"lambda {params}: {_codegen(node)}", dict(_ENV))
-
-
-def eval_field(node: Expr):
-    """A parsed expression as a field on E: a function of ``(xs, y)``."""
-    return compile_expr(node, "X, Y")
-
-
-def curve_function(node: Expr):
-    """A parsed curve-component expression as a function of ``t``."""
-    return compile_expr(node, "T")

@@ -18,6 +18,8 @@ error rather than a blow-up.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .algebroid import AlgebroidData
 from .calculus import EvaluationDomainError, Jet, at_point, jdx
 from .dconnection import DConnectionCoeffs
@@ -50,39 +52,29 @@ MAX_STEPS = 100_000
 
 
 class BaseCurve:
-    """m coordinate functions of t, with velocities via jets in t."""
+    """The curve ``point_at(t)`` (a tuple of its m coordinates), with
+    velocities via jets in t."""
 
-    __slots__ = ("components",)
+    __slots__ = ("point_at",)
 
-    def __init__(self, components: tuple):
-        self.components = components  # functions t -> scalar
-
-    def point_at(self, t: float):
-        return tuple([c(t) for c in self.components])
+    def __init__(self, point_at):
+        self.point_at = point_at
 
     def velocity_at(self, t: float):
-        jt = Jet(t, (1.0,), 0.0)
-        return [jdx(c(jt), 0) for c in self.components]
+        return [jdx(x, 0) for x in self.point_at(Jet(t, (1.0,), 0.0))]
 
 
 class LiftMorphism:
-    """Fiber-to-frame column g[alpha](x), optionally with a stated left
-    inverse gtilde[alpha](x)."""
+    """Fiber-to-frame column ``g_at(xs)`` (g[alpha] on M), optionally with
+    a stated left inverse ``gtilde_at(xs)`` (gtilde_alpha, so that
+    gtilde_alpha g^alpha = 1)."""
 
-    __slots__ = ("p", "g", "gtilde")
+    __slots__ = ("p", "g_at", "gtilde_at")
 
-    def __init__(self, p: int, g: tuple, gtilde: tuple | None = None):
+    def __init__(self, p: int, g_at, gtilde_at=None):
         self.p = p
-        self.g = g            # p fields on M
-        self.gtilde = gtilde
-
-    def g_at(self, xs):
-        return [f(xs, 0.0) for f in self.g]
-
-    def gtilde_at(self, xs):
-        if self.gtilde is None:
-            return None
-        return [f(xs, 0.0) for f in self.gtilde]
+        self.g_at = g_at
+        self.gtilde_at = gtilde_at
 
 
 class LiftState:
@@ -160,20 +152,17 @@ def lift_condition_residual(c: BaseCurve, L: LiftMorphism, y: float,
 
 
 def local_invertibility_residual(L: LiftMorphism, points):
-    """max |gtilde_b g^a - delta^a_b| over base points (needs gtilde)."""
-    if L.gtilde is None:
+    """max |gtilde_a g^a - 1| over base points: how far the stated left
+    inverse is from one (needs gtilde)."""
+    if L.gtilde_at is None:
         raise ValueError("lift morphism has no stated inverse")
     worst = 0.0
     for pt in points:
         with at_point(pt):
-            g = L.g_at(pt.x)
-            gt = L.gtilde_at(pt.x)
-        for a in range(L.p):
-            for b in range(L.p):
-                r = abs(gt[b] * g[a] - (1.0 if a == b else 0.0))
-                # a NaN becomes the worst and stays (``max`` would drop it)
-                if r > worst or r != r:
-                    worst = r
+            r = abs(sum(map(mul, L.gtilde_at(pt.x), L.g_at(pt.x))) - 1.0)
+        # a NaN becomes the worst and stays (``max`` would drop it)
+        if r > worst or r != r:
+            worst = r
     return worst
 
 
@@ -181,13 +170,13 @@ def integrate_parallel_lift(c: BaseCurve, L: LiftMorphism, A: AlgebroidData,
                             N: NonlinearConnection, y0: float, steps: int,
                             t0: float = 0.0, t1: float = 1.0) -> Trajectory:
     """du/dt = -Gamma_a(c(t), u) g^a(c(t)) u; state = (u,)."""
-    comps, gamma, gfields, rp = c.components, N.gamma, L.g, range(A.p)
+    point_at, gamma_at, g_at, rp = c.point_at, N.gamma_at, L.g_at, range(A.p)
 
     def f(t, state):
         u = state[0]
-        xs = tuple([x(t) for x in comps])
-        gam = [G(xs, u) for G in gamma]
-        g = [G(xs, 0.0) for G in gfields]
+        xs = point_at(t)
+        gam = gamma_at(xs, u)
+        g = g_at(xs)
         return (-sum(gam[a] * g[a] for a in rp) * u,)
 
     return rk4_integrate(f, t0, t1, (y0,), steps)
@@ -202,15 +191,15 @@ def integrate_horizontal_parallel(c: BaseCurve, L: LiftMorphism,
     co-integrated along the parallel-lift equation (the coefficients are
     evaluated on the lifted point).  State = (z_1..z_p, u)."""
     p, rp = A.p, range(A.p)
-    comps, gamma, gfields, hh_at = c.components, N.gamma, L.g, D.hh_at
+    point_at, gamma_at, g_at, hh_at = c.point_at, N.gamma_at, L.g_at, D.hh_at
 
     def f(t, state):
         z = state[:p]
         u = state[p]
-        xs = tuple([x(t) for x in comps])
+        xs = point_at(t)
         Hh = hh_at(xs, u)
-        gam = [G(xs, u) for G in gamma]
-        g = [G(xs, 0.0) for G in gfields]
+        gam = gamma_at(xs, u)
+        g = g_at(xs)
         dz = [-sum(Ha[b][cc] * z[b] * z[cc] for b in rp for cc in rp)
               for Ha in Hh]
         dz.append(-sum(gam[a] * g[a] for a in rp) * u)
@@ -224,11 +213,11 @@ def integrate_vertical_parallel(c: BaseCurve, A: AlgebroidData,
                                 y0: float, steps: int,
                                 t0: float = 0.0, t1: float = 1.0) -> Trajectory:
     """du/dt = -vv(c(t), u) u^2; state = (u,)."""
-    comps, vv_at = c.components, D.vv_at
+    point_at, vv_at = c.point_at, D.vv_at
 
     def f(t, state):
         u = state[0]
-        return (-vv_at(tuple([x(t) for x in comps]), u) * u * u,)
+        return (-vv_at(point_at(t), u) * u * u,)
 
     return rk4_integrate(f, t0, t1, (y0,), steps)
 

@@ -21,7 +21,6 @@ from .calculus import (
     EPoint,
     EvaluationDomainError,
     at_point,
-    constant,
     jdy,
     jval,
     primal,
@@ -59,30 +58,16 @@ class SingularMetricError(EvaluationDomainError):
 
 
 class MetricStructure:
-    """Horizontal block g (p x p fields, symmetric) and vertical g00."""
+    """The horizontal block ``g_at(xs, y)`` (g[alpha][beta], p x p,
+    symmetric) and the vertical coefficient ``g00_at(xs, y)``, as
+    evaluators on E."""
 
-    __slots__ = ("p", "g", "g00")
+    __slots__ = ("p", "g_at", "g00_at")
 
-    def __init__(self, p: int, g: tuple, g00):
-        if len(g) != p or any(len(row) != p for row in g):
-            raise ValueError(f"g table must be {p}x{p}")
+    def __init__(self, p: int, g_at, g00_at):
         self.p = p
-        self.g = g         # g[alpha][beta] fields
-        self.g00 = g00
-
-    def g_at(self, xs, y):
-        return [[self.g[a][b](xs, y) for b in range(self.p)]
-                for a in range(self.p)]
-
-    def g00_at(self, xs, y):
-        return self.g00(xs, y)
-
-    @staticmethod
-    def flat(p: int) -> "MetricStructure":
-        one, zero = constant(1.0), constant(0.0)
-        g = tuple(tuple(one if a == b else zero for b in range(p))
-                  for a in range(p))
-        return MetricStructure(p, g, one)
+        self.g_at = g_at
+        self.g00_at = g00_at
 
 
 def _norm1(mat):
@@ -163,8 +148,7 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
     p = G.p
 
     def hh_at(xs, y):
-        g_vals, g_delta, _ = adapted_derivatives(
-            lambda jxs, jy: G.g_at(jxs, jy), xs, y, A, N)
+        g_vals, g_delta, _ = adapted_derivatives(G.g_at, xs, y, A, N)
         ginv = matrix_inverse(g_vals)
         Lv = A.L_at(xs)
         rp = range(p)

@@ -1,7 +1,8 @@
 """Nonlinear fiber connection: adapted-frame derivative and its curvature.
 
-The connection is a p-tuple of coefficient fields Gamma[gamma](x, y0); the
-adapted frame operators act on scalar fields as
+The connection is a table of p coefficients Gamma[gamma](x, y0), given by
+the one function that evaluates it on E; the adapted frame operators act
+on scalar fields as
 
     delta_gamma f = rho[gamma][i] df/dx_i - Gamma[gamma] df/dy0,
 
@@ -20,11 +21,9 @@ from .calculus import (
     EPoint,
     EvaluationDomainError,
     Jet,
-    constant,
     jdx,
     seeded_point,
 )
-from .report import CheckResult, ResidualTracker
 
 __all__ = [
     "NonlinearConnection",
@@ -37,22 +36,18 @@ __all__ = [
 
 
 class NonlinearConnection:
-    """Coefficients Gamma[gamma](x, y0) of the horizontal/vertical split."""
+    """Coefficients of the horizontal/vertical split: ``gamma_at(xs, y)``
+    returns Gamma[gamma] (p entries)."""
 
-    __slots__ = ("p", "gamma")
+    __slots__ = ("p", "gamma_at")
 
-    def __init__(self, p: int, gamma: tuple):
-        if len(gamma) != p:
-            raise ValueError(f"Gamma table must have {p} entries")
+    def __init__(self, p: int, gamma_at):
         self.p = p
-        self.gamma = gamma  # p fields on E
-
-    def gamma_at(self, xs, y):
-        return [g(xs, y) for g in self.gamma]
+        self.gamma_at = gamma_at
 
     @staticmethod
     def zero(p: int) -> "NonlinearConnection":
-        return NonlinearConnection(p, (constant(0.0),) * p)
+        return NonlinearConnection(p, lambda xs, y: [0.0] * p)
 
 
 def adapted_derivatives(array_fn, xs, y, A: AlgebroidData, N: NonlinearConnection):
@@ -110,8 +105,7 @@ def bracket_curvature(gam, gam_delta, Lv):
 
 def nlc_curvature(A: AlgebroidData, N: NonlinearConnection, pt: EPoint):
     """Bracket curvature matrix at a point, as plain floats."""
-    gam, gam_delta, _ = adapted_derivatives(
-        lambda jxs, jy: N.gamma_at(jxs, jy), pt.x, pt.y, A, N)
+    gam, gam_delta, _ = adapted_derivatives(N.gamma_at, pt.x, pt.y, A, N)
     out = bracket_curvature(gam, gam_delta, A.L_at(pt.x))
     # antisymmetric by construction whenever the bracket table is
     if not all(abs(out[a][b] + out[b][a]) <= 1e-12 * (1.0 + abs(out[a][b]))
@@ -122,82 +116,41 @@ def nlc_curvature(A: AlgebroidData, N: NonlinearConnection, pt: EPoint):
     return out
 
 
-class CoordinateChange:
-    """A fibred chart change: base map x -> x', linear fiber rescale
-    y0' = phi(x) * y0, and frame change Lambda (with pointwise inverse).
+def _unit_scale(xs):
+    return 1.0
 
-    ``base``/``base_inverse`` are m-tuples of fields on M (None = identity).
-    ``frame`` is Lambda[a'][a] (row = new index), ``frame_inverse`` its
-    pointwise inverse Lambda[a][a'].
+
+def _identity_at(p):
+    return lambda xs: [[1.0 if a == b else 0.0 for b in range(p)]
+                       for a in range(p)]
+
+
+class CoordinateChange:
+    """A fibred chart change, as evaluators on M: the base map
+    ``base_at(xs)`` (x -> x'), the fiber rescale ``phi_at(xs)`` (y0' =
+    phi(x) y0), and the frame change ``lambda_at(xs)`` (Lambda[a'][a], row
+    = new index) with its pointwise inverse ``lambda_inv_at(xs)``
+    (Lambda[a][a']).  Each one left out is the identity.
     """
 
-    __slots__ = ("m", "p", "base", "base_inverse", "fiber_scale", "frame",
-                 "frame_inverse")
+    __slots__ = ("m", "base_at", "phi_at", "lambda_at", "lambda_inv_at")
 
-    def __init__(self, m: int, p: int, base: tuple | None = None,
-                 base_inverse: tuple | None = None,
-                 fiber_scale=None,
-                 frame: tuple | None = None,
-                 frame_inverse: tuple | None = None):
+    def __init__(self, m: int, p: int, base_at=list, phi_at=None,
+                 lambda_at=None, lambda_inv_at=None):
         self.m = m
-        self.p = p
-        self.base = base
-        self.base_inverse = base_inverse
-        self.fiber_scale = fiber_scale
-        self.frame = frame
-        self.frame_inverse = frame_inverse
-
-    def base_at(self, xs):
-        if self.base is None:
-            return list(xs)
-        return [f(xs, 0.0) for f in self.base]
-
-    def base_inverse_at(self, xs_p):
-        if self.base_inverse is None:
-            return list(xs_p)
-        return [f(xs_p, 0.0) for f in self.base_inverse]
-
-    def phi_at(self, xs):
-        return 1.0 if self.fiber_scale is None else self.fiber_scale(xs, 0.0)
+        self.base_at = base_at
+        self.phi_at = phi_at or _unit_scale
+        self.lambda_at = lambda_at or _identity_at(p)
+        self.lambda_inv_at = lambda_inv_at or _identity_at(p)
 
     def phi_grad_at(self, xs):
-        if self.fiber_scale is None:
+        if self.phi_at is _unit_scale:
             return [0.0] * self.m
-        jxs, _ = seeded_point(xs, 0.0)
-        out = self.fiber_scale(jxs, 0.0)
+        out = self.phi_at(seeded_point(xs, 0.0)[0])
         return [jdx(out, i) for i in range(self.m)]
-
-    def lambda_at(self, xs):
-        if self.frame is None:
-            return [[1.0 if a == b else 0.0 for b in range(self.p)]
-                    for a in range(self.p)]
-        return [[f(xs, 0.0) for f in row] for row in self.frame]
-
-    def lambda_inv_at(self, xs):
-        if self.frame_inverse is None:
-            return [[1.0 if a == b else 0.0 for b in range(self.p)]
-                    for a in range(self.p)]
-        return [[f(xs, 0.0) for f in row] for row in self.frame_inverse]
 
     def push(self, pt: EPoint) -> EPoint:
         return EPoint(self.base_at(pt.x), self.phi_at(pt.x) * pt.y)
-
-    def self_check(self, samples, tol: float = 1e-10) -> CheckResult:
-        """base o inverse = id and Lambda . Lambda^-1 = I on samples."""
-        tracker = ResidualTracker("chart_change", tol)
-        for pt in samples:
-            back = self.base_inverse_at(tuple(self.base_at(pt.x)))
-            for i in range(self.m):
-                tracker.update(back[i] - pt.x[i], pt)
-            lam = self.lambda_at(pt.x)
-            inv = self.lambda_inv_at(pt.x)
-            for a in range(self.p):
-                for b in range(self.p):
-                    acc = sum(lam[a][c] * inv[c][b] for c in range(self.p))
-                    tracker.update(acc - (1.0 if a == b else 0.0), pt)
-            if abs(self.phi_at(pt.x)) < 1e-15:
-                tracker.update(float("inf"), pt)
-        return tracker.result()
 
 
 def nlc_transformation_point(N, N_primed, C, A, pt, tracker):

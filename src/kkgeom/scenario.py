@@ -5,7 +5,8 @@ bracket tables, the nonlinear connection, and optionally a metric (with a
 baseline choice), explicit connection tables, a lift section, kappa, the
 sampling seed and sample count.  Shape errors and expression parse errors
 are reported with their JSON path and byte offset before anything is
-evaluated.
+evaluated.  Each table then compiles once, as a whole, into the one
+function that evaluates it (the lift curve likewise, as a tuple of t).
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import json
 import math
 
 from .algebroid import AlgebroidData
-from .calculus import constant
 from .dconnection import DConnectionCoeffs, berwald
-from .exprlang import ParseError, curve_function, eval_field, parse
+from .exprlang import ParseError, compile_expr, parse
 from .lift import BaseCurve, LiftMorphism
 from .metric import MetricStructure, metric_dconnection
 from .nlconnection import NonlinearConnection
@@ -34,32 +34,45 @@ class ScenarioError(ValueError):
         self.location = location
 
 
-def _field(src, m, location, memo, on_base=False):
-    """The field of expression ``src``.  ``memo`` maps ``(src, on_base)``
-    to the fields already built in this load, so each distinct source is
-    parsed and compiled once and its entries share one field."""
+def _parsed(src, m, location, memo, on_base=False):
+    """The parsed expression ``src``.  ``memo`` maps ``(src, on_base)`` to
+    the trees already parsed in this load, so each distinct source is
+    parsed once."""
     if not isinstance(src, str):
         raise ScenarioError(location, f"expected an expression string, got {src!r}")
     key = (src, on_base)
     if key not in memo:
         try:
-            node = parse(src, m, allow_y=not on_base)
+            memo[key] = parse(src, m, allow_y=not on_base)
         except ParseError as exc:
             raise ScenarioError(location, str(exc)) from exc
-        memo[key] = eval_field(node)
     return memo[key]
 
 
-def _table(src, shape, m, location, memo, on_base=False):
+def _nodes(src, shape, m, location, memo, on_base):
     if not shape:
-        return _field(src, m, location, memo, on_base)
+        return _parsed(src, m, location, memo, on_base)
     if not isinstance(src, list) or len(src) != shape[0]:
         raise ScenarioError(
             location, f"expected a list of length {shape[0]}, got {src!r}")
-    return tuple(
-        _table(v, shape[1:], m, f"{location}[{i}]", memo, on_base)
-        for i, v in enumerate(src)
-    )
+    return [_nodes(v, shape[1:], m, f"{location}[{i}]", memo, on_base)
+            for i, v in enumerate(src)]
+
+
+def _table(src, shape, m, location, memo, on_base=False):
+    """The evaluator of a whole table of the given shape (``()`` for one
+    expression): one compiled function of ``X`` on the base or of ``X, Y``
+    on E that returns the table as nested lists."""
+    return compile_expr(_nodes(src, shape, m, location, memo, on_base),
+                        "X" if on_base else "X, Y")
+
+
+def _section(doc, key):
+    """The optional section ``doc[key]``: an object, or None if absent."""
+    section = doc.get(key)
+    if section is not None and not isinstance(section, dict):
+        raise ScenarioError(key, "must be an object")
+    return section
 
 
 def _integer(value, location) -> int:
@@ -196,67 +209,62 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
     alg_doc = doc.get("algebroid")
     if not isinstance(alg_doc, dict) or "rho" not in alg_doc:
         raise ScenarioError("algebroid", "must be an object with a 'rho' table")
-    rho = _table(alg_doc["rho"], (p, m), m, "algebroid.rho", memo,
-                 on_base=True)
+    rho_at = _table(alg_doc["rho"], (p, m), m, "algebroid.rho", memo,
+                    on_base=True)
     if box_doc is None:
         # Only now, with p x m entries of rho in the document, is m bounded.
         box = Box.default(m)
     if "L" in alg_doc:
-        L = _table(alg_doc["L"], (p, p, p), m, "algebroid.L", memo,
-                   on_base=True)
+        L_at = _table(alg_doc["L"], (p, p, p), m, "algebroid.L", memo,
+                      on_base=True)
     else:
-        zero = constant(0.0)
-        L = tuple(tuple((zero,) * p for _ in range(p)) for _ in range(p))
-    algebroid = AlgebroidData(m, p, rho, L)
+        def L_at(xs):
+            return [[[0.0] * p for _ in range(p)] for _ in range(p)]
+    algebroid = AlgebroidData(m, p, rho_at, L_at)
 
-    conn_doc = doc.get("connection")
+    conn_doc = _section(doc, "connection")
     if conn_doc is None:
         connection = NonlinearConnection.zero(p)
     else:
-        gamma = _table(conn_doc.get("Gamma"), (p,), m, "connection.Gamma",
-                       memo)
-        connection = NonlinearConnection(p, gamma)
+        connection = NonlinearConnection(p, _table(
+            conn_doc.get("Gamma"), (p,), m, "connection.Gamma", memo))
 
     metric = None
     baseline = "berwald"
-    met_doc = doc.get("metric")
+    met_doc = _section(doc, "metric")
     if met_doc is not None:
-        g = _table(met_doc.get("g"), (p, p), m, "metric.g", memo)
-        g00 = _field(met_doc.get("g00"), m, "metric.g00", memo)
+        g_at = _table(met_doc.get("g"), (p, p), m, "metric.g", memo)
+        g00_at = _table(met_doc.get("g00"), (), m, "metric.g00", memo)
         baseline = met_doc.get("baseline", "berwald")
         if baseline not in ("zero", "berwald"):
             raise ScenarioError("metric.baseline",
                                 f"must be 'zero' or 'berwald', got {baseline!r}")
-        metric = MetricStructure(p, g, g00)
+        metric = MetricStructure(p, g_at, g00_at)
 
     explicit = None
-    dcon_doc = doc.get("dconnection")
+    dcon_doc = _section(doc, "dconnection")
     if dcon_doc is not None:
-        hh = _table(dcon_doc.get("Hh"), (p, p, p), m, "dconnection.Hh",
-                    memo)
-        hv = _table(dcon_doc.get("Hv"), (p,), m, "dconnection.Hv", memo)
-        vh = _table(dcon_doc.get("Vh"), (p, p), m, "dconnection.Vh", memo)
-        vv = _field(dcon_doc.get("Vv"), m, "dconnection.Vv", memo)
-        explicit = DConnectionCoeffs.from_fields(p, hh, hv, vh, vv)
+        explicit = DConnectionCoeffs(p, *[
+            _table(dcon_doc.get(key), shape, m, f"dconnection.{key}", memo)
+            for key, shape in (("Hh", (p, p, p)), ("Hv", (p,)),
+                               ("Vh", (p, p)), ("Vv", ()))])
 
     lift = None
-    lift_doc = doc.get("lift")
+    lift_doc = _section(doc, "lift")
     if lift_doc is not None:
         curve_src = lift_doc.get("curve")
         if not isinstance(curve_src, list) or len(curve_src) != m:
             raise ScenarioError("lift.curve", f"expected {m} expressions of t")
-        curves = {}
+        comps = []
         for i, src in enumerate(curve_src):
+            location = f"lift.curve[{i}]"
             if not isinstance(src, str):
-                raise ScenarioError(f"lift.curve[{i}]", "expected an "
-                                    f"expression string, got {src!r}")
-            if src not in curves:
-                try:
-                    node = parse(src, 0, allow_y=False, allow_t=True)
-                except ParseError as exc:
-                    raise ScenarioError(f"lift.curve[{i}]", str(exc)) from exc
-                curves[src] = curve_function(node)
-        comps = [curves[src] for src in curve_src]
+                raise ScenarioError(location, "expected an expression "
+                                    f"string, got {src!r}")
+            try:
+                comps.append(parse(src, 0, allow_y=False, allow_t=True))
+            except ParseError as exc:
+                raise ScenarioError(location, str(exc)) from exc
         g_lift = _table(lift_doc.get("g"), (p,), m, "lift.g", memo,
                         on_base=True)
         gtilde = None
@@ -264,7 +272,7 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
             gtilde = _table(lift_doc["gtilde"], (p,), m, "lift.gtilde",
                             memo, on_base=True)
         y0 = _finite(lift_doc.get("y0", 1.0), "lift.y0")
-        lift = LiftSection(BaseCurve(tuple(comps)),
+        lift = LiftSection(BaseCurve(compile_expr(tuple(comps), "T")),
                            LiftMorphism(p, g_lift, gtilde), y0)
 
     kappa = _finite(doc.get("kappa", 1.0), "kappa")

@@ -10,14 +10,14 @@ of the coefficient change laws, so the law is tested, not restated.
 from __future__ import annotations
 
 import time
-from types import SimpleNamespace
 
 from .algebroid import (
+    AlgebroidData,
     validate_anchor_compatibility,
     validate_antisymmetry,
     validate_jacobi,
 )
-from .calculus import EPoint, at_point, constant
+from .calculus import EPoint, at_point
 from .curvature import (
     BianchiCheck,
     OracleCheck,
@@ -27,9 +27,10 @@ from .curvature import (
 )
 from .dconnection import dconnection_transformation_point
 from .lift import local_invertibility_residual
-from .metric import CompatibilityCheck, inverse_h, matrix_inverse, \
-    metric_dconnection, riemannian_flags
-from .nlconnection import CoordinateChange, nlc_transformation_point
+from .metric import CompatibilityCheck, MetricStructure, inverse_h, \
+    matrix_inverse, metric_dconnection, riemannian_flags
+from .nlconnection import CoordinateChange, NonlinearConnection, \
+    nlc_transformation_point
 from .report import ResidualTracker
 from .sampling import sample_points
 from .scenario import Scenario, ScenarioError
@@ -120,7 +121,7 @@ def run_validate(sc: Scenario, samples=None, seed=None, tol: float = 1e-8):
             "v_independent_of_y0": v_flag,
             "passed": True,  # informational: fiber dependence is allowed
         })
-    if sc.lift is not None and sc.lift.morphism.gtilde is not None:
+    if sc.lift is not None and sc.lift.morphism.gtilde_at is not None:
         worst = local_invertibility_residual(sc.lift.morphism, pts)
         checks.append({
             "name": "lift_local_invertibility",
@@ -138,20 +139,13 @@ def applicable_suites(sc: Scenario):
     return names
 
 
-def _constant_matrix_fields(mat):
-    return tuple(tuple(constant(v) for v in row) for row in mat)
-
-
 def _frame_change_data(sc: Scenario):
     """A constant invertible frame change C and the anchor, bracket,
     nonlinear-connection and metric tables in the new frame, built
     tensorially from the unprimed tables: ``(C, A', N', G')``.
 
-    A', N' and G' carry what the metric connection and the change laws
-    read, the dimensions and the table evaluators (``rho_at``, ``L_at``,
-    ``gamma_at``, ``g_at``, ``g00_at``), and no per-entry fields: each
-    table evaluation transforms one evaluation of the unprimed table, with
-    the summation order of the per-entry law.
+    Each primed table evaluation transforms one evaluation of the unprimed
+    table, with the summation order of the per-entry law.
     """
     p, m = sc.p, sc.m
     lam = [[1.0 if a == b else 0.0 for b in range(p)] for a in range(p)]
@@ -160,11 +154,8 @@ def _frame_change_data(sc: Scenario):
     else:
         lam[0][1] = 1.0  # unitriangular, det 1
     lam_inv = matrix_inverse(lam)
-    C = CoordinateChange(
-        m, p,
-        frame=_constant_matrix_fields(lam),
-        frame_inverse=_constant_matrix_fields(lam_inv),
-    )
+    C = CoordinateChange(m, p, lambda_at=lambda xs: lam,
+                         lambda_inv_at=lambda xs: lam_inv)
     A, N, G = sc.algebroid, sc.connection, sc.metric
     P = range(p)
 
@@ -188,10 +179,9 @@ def _frame_change_data(sc: Scenario):
         return [[sum(gv[a][b] * lam_inv[a][ap] * lam_inv[b][bp]
                      for a in P for b in P) for bp in P] for ap in P]
 
-    A_p = SimpleNamespace(m=m, p=p, rho_at=rho_at, L_at=L_at)
-    N_p = SimpleNamespace(p=p, gamma_at=gamma_at)
-    G_p = SimpleNamespace(p=p, g_at=g_at, g00_at=G.g00_at)
-    return C, A_p, N_p, G_p
+    return (C, AlgebroidData(m, p, rho_at, L_at),
+            NonlinearConnection(p, gamma_at),
+            MetricStructure(p, g_at, G.g00_at))
 
 
 def _fiber_change_data(sc: Scenario, factor: float = 2.0):
@@ -200,12 +190,12 @@ def _fiber_change_data(sc: Scenario, factor: float = 2.0):
     table: ``(C, A, N', G')`` (the anchor and bracket do not change)."""
     N, G = sc.connection, sc.metric
     inv = 1.0 / factor
-    C = CoordinateChange(sc.m, sc.p, fiber_scale=constant(factor))
-    N_p = SimpleNamespace(p=sc.p, gamma_at=lambda xs, y: [
+    C = CoordinateChange(sc.m, sc.p, phi_at=lambda xs: factor)
+    N_p = NonlinearConnection(sc.p, lambda xs, y: [
         factor * v for v in N.gamma_at(xs, y * inv)])
-    G_p = SimpleNamespace(
-        p=sc.p, g_at=lambda xs, y: G.g_at(xs, y * inv),
-        g00_at=lambda xs, y: G.g00_at(xs, y * inv) * inv * inv)
+    G_p = MetricStructure(
+        sc.p, lambda xs, y: G.g_at(xs, y * inv),
+        lambda xs, y: G.g00_at(xs, y * inv) * inv * inv)
     return C, sc.algebroid, N_p, G_p
 
 

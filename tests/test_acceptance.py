@@ -10,7 +10,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from kkgeom.algebroid import AlgebroidData
 from kkgeom.calculus import jdx, jdy, jval, primal, seeded_point
 from kkgeom.curvature import (
     BianchiCheck,
@@ -25,9 +24,7 @@ from kkgeom.curvature import (
 from kkgeom.dconnection import DConnectionCoeffs, berwald
 from kkgeom.metric import CompatibilityCheck, MetricStructure
 from kkgeom.nlconnection import NonlinearConnection, nlc_curvature
-from kkgeom.exprlang import curve_function, parse
 from kkgeom.lift import (
-    BaseCurve,
     LiftMorphism,
     acceleration_lift,
     integrate_parallel_lift,
@@ -36,8 +33,9 @@ from kkgeom.lift import (
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 from kkgeom.suites import run_suites
-from conftest import SCENARIO_DIR, canonical_metric_dconnection, field, \
-    make_d1, make_nonabelian, make_sphere, run_check
+from conftest import SCENARIO_DIR, canonical_metric_dconnection, curve, \
+    identity_algebroid, make_d1, make_nonabelian, make_sphere, run_check, \
+    table
 
 
 def report(num, desc, residual, tol):
@@ -91,7 +89,7 @@ def _classical_blocks(G, N, pt):
         def out(xs, y):
             jxs, jy = seeded_point(xs, y)
             arr = array_fn(jxs, jy)
-            gam = [N.gamma[g](xs, y) for g in range(p)]
+            gam = N.gamma_at(xs, y)
 
             def walk(node, fn):
                 if isinstance(node, list):
@@ -122,11 +120,11 @@ def _classical_blocks(G, N, pt):
 
     def hv_vv(xs, y):
         jxs, jy = seeded_point(xs, y)
-        gam_j = [N.gamma[g](jxs, jy) for g in range(p)]
+        gam_j = N.gamma_at(jxs, jy)
         dgam = [jdy(v) for v in gam_j]
         g00_j = G.g00_at(jxs, jy)
         g00 = jval(g00_j)
-        gam = [N.gamma[g](xs, y) for g in range(p)]
+        gam = N.gamma_at(xs, y)
         dg00 = [jdx(g00_j, k) - gam[k] * jdy(g00_j) for k in range(p)]
         hv = [dgam[k] + 0.5 * (dg00[k] - 2.0 * dgam[k] * g00) / g00
               for k in range(p)]
@@ -138,7 +136,7 @@ def _classical_blocks(G, N, pt):
 
     # torsion displays
     jxs, jy = seeded_point(pt.x, pt.y)
-    gam_j = [N.gamma[g](jxs, jy) for g in range(p)]
+    gam_j = N.gamma_at(jxs, jy)
     gam = [jval(v) for v in gam_j]
     dgam_dx = [[jdx(gam_j[g], k) for k in range(p)] for g in range(p)]
     dgam_dy = [jdy(v) for v in gam_j]
@@ -179,13 +177,12 @@ def test_criterion_03_classical_reduction():
     # displays; checked on the d1 data and on a fiber-dependent metric so
     # the vertical families are nonzero
     scenarios = []
-    A = AlgebroidData.identity(2)
+    A = identity_algebroid(2)
     scenarios.append(make_d1())
-    Nv = NonlinearConnection(2, (field("x2*y0 + 0.3*sin(x1)*y0^2"),
-                                 field("0.2*x1*y0")))
-    Gv = MetricStructure(2, ((field("1+x1^2+0.5*y0^2"), field("0")),
-                             (field("0"), field("1"))),
-                         field("exp(2*x1)*(1+0.25*y0^2)"))
+    Nv = NonlinearConnection(2, table(["x2*y0 + 0.3*sin(x1)*y0^2",
+                                       "0.2*x1*y0"]))
+    Gv = MetricStructure(2, table([["1+x1^2+0.5*y0^2", "0"], ["0", "1"]]),
+                         table("exp(2*x1)*(1+0.25*y0^2)"))
     scenarios.append((A, Nv, Gv))
     worst = 0.0
     pts = sample_points(Box.default(2), 50, seed=0xA1B2)
@@ -238,9 +235,7 @@ def test_criterion_05_ricci_type_commutation():
     A, N, G = make_d1()
     D = canonical_metric_dconnection(G, A, N)
     pts = sample_points(Box.default(2), 20, seed=0xA1B2)
-    def Z1(xs, y):
-        return ([field("x2")(xs, y), field("sin(x1)")(xs, y)],
-                field("x1*y0")(xs, y))
+    Z1 = table([["x2", "sin(x1)"], "x1*y0"])
 
     def Z2(xs, y):
         return [1.0, 0.0], 1.0
@@ -266,8 +261,8 @@ def test_criterion_06_bianchi_identities():
 
 
 def test_criterion_07_nlc_curvature_value():
-    A = AlgebroidData.identity(2)
-    N = NonlinearConnection(2, (field("x2*y0"), field("0")))
+    A = identity_algebroid(2)
+    N = NonlinearConnection(2, table(["x2*y0", "0"]))
     pts = sample_points(Box.default(2), 25, seed=0xA1B2)
     worst = 0.0
     for pt in pts:
@@ -307,11 +302,9 @@ def test_criterion_09_transformation_laws():
 
 
 def test_criterion_10_lift_odes():
-    A = AlgebroidData.identity(2)
-    c = BaseCurve(tuple(
-        curve_function(parse(s, 0, allow_y=False, allow_t=True))
-        for s in ("t", "2*t")))
-    L = LiftMorphism(2, (field("1"), field("0")))
+    A = identity_algebroid(2)
+    c = curve("t", "2*t")
+    L = LiftMorphism(2, table(["1", "0"], on_base=True))
     worst_const = max(
         abs(s.state[0] - 1.5)
         for s in integrate_parallel_lift(
@@ -319,16 +312,16 @@ def test_criterion_10_lift_odes():
     report(10, "zero-coefficient parallel lift stays constant",
            worst_const, 1e-12)
 
-    Nk = NonlinearConnection(2, (field("2"), field("0")))
+    Nk = NonlinearConnection(2, table(["2", "0"]))
     worst_lin = max(abs(s.state[0] - math.exp(-2.0 * s.t))
                     for s in integrate_parallel_lift(c, L, A, Nk, 1.0,
                                                      1000).points)
     report(10, "constant-coefficient linear lift matches exp closed form",
            worst_lin, 1e-8)
 
-    D = DConnectionCoeffs.from_fields(
-        2, [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
-        [field("0")] * 2, [[field("0")] * 2 for _ in range(2)], field("1"))
+    D = DConnectionCoeffs(
+        2, table([[["0"] * 2 for _ in range(2)] for _ in range(2)]),
+        table(["0"] * 2), table([["0"] * 2 for _ in range(2)]), table("1"))
     worst_ric = max(
         abs(s.state[0] - 1.0 / (1.0 + s.t))
         for s in integrate_vertical_parallel(
@@ -345,7 +338,7 @@ def test_criterion_10_lift_odes():
     print(f"     criterion 10: observed integrator order {order:.3f}")
     assert 3.7 <= order <= 4.3
 
-    Ng = NonlinearConnection(2, (field("x2*y0"), field("0.3*x1")))
+    Ng = NonlinearConnection(2, table(["x2*y0", "0.3*x1"]))
     traj = integrate_parallel_lift(c, L, A, Ng, 1.0, 1000, 0.0, 1.0)
     h = 1.0 / 1000
     pts = traj.points

@@ -14,7 +14,6 @@ from kkgeom.calculus import (
     Jet,
     _jet_class,
     _recip,
-    constant,
     jdx,
     seeded_point,
 )
@@ -26,7 +25,7 @@ from kkgeom.sampling import Box, sample_points
 
 
 def test_partial_of_constant_is_zero():
-    f = constant(5.0)
+    f = field("5")
     p = EPoint((0.3, -0.8), 1.1)
     assert partial(f, p, 1) == 0.0
     assert partial(f, p, 2) == 0.0
@@ -57,7 +56,7 @@ def test_fd_partial_exp():
 
 
 def test_fd_partial_constant():
-    f = constant(3.5)
+    f = field("3.5")
     assert fd_partial(f, EPoint((0.2, 0.4), 0.6), 2) == 0.0
 
 

@@ -8,9 +8,11 @@ import tomllib
 import pytest
 
 from kkgeom import lift
+from kkgeom.calculus import seeded_point
 from kkgeom.cli import main
 from kkgeom.lift import MAX_STEPS
 from kkgeom.sampling import MAX_SAMPLES
+from kkgeom.scenario import load_scenario
 from conftest import SCENARIO_DIR
 
 
@@ -249,6 +251,23 @@ def _one_line_error(err):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("section", ["connection", "metric", "dconnection",
+                                     "lift"])
+@pytest.mark.parametrize("value", [["oops"], "oops", 3])
+def test_a_section_that_is_not_an_object_is_an_input_error(
+        capsys, tmp_path, section, value):
+    """An optional section holding a list, a string or a number is refused
+    in one line, as ``algebroid`` is, not with a traceback."""
+    def replace(doc):
+        doc[section] = value
+
+    path = _variant(tmp_path, "d1.json", replace)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2 and out == ""
+    _one_line_error(err)
+    assert err == f"kkgeom: error: {section}: must be an object\n"
+
+
 def test_compute_rejects_nonfinite_values(capsys, tmp_path):
     def overflow(doc):
         doc["connection"]["Gamma"][0] = "x1*1e308*10*y0"
@@ -312,6 +331,63 @@ def test_deeply_nested_expression_exit_code(capsys, tmp_path, levels, code):
     if code:
         _one_line_error(err)
         assert "nested" in err
+
+
+# The most nested operations an entry may hold (``exprlang._MAX_DEPTH``),
+# and where a deepest entry goes: (section, key, index path into the table).
+DEEPEST = 196
+DEEP_SLOTS = [("metric", "g00", ()), ("connection", "Gamma", (0,)),
+              ("metric", "g", (0, 1)), ("algebroid", "L", (1, 0, 1)),
+              ("dconnection", "Hh", (0, 0, 0)), ("lift", "curve", (0,))]
+
+
+def _deep_d1(tmp_path, deeper=None):
+    """d1 with explicit L and dconnection tables and, in each table of
+    DEEP_SLOTS, one entry of DEEPEST nested operations (one more in the
+    table ``deeper``)."""
+    def deepen(doc):
+        zeros = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+        doc["algebroid"]["L"] = json.loads(json.dumps(zeros))
+        doc["dconnection"] = {"Hh": json.loads(json.dumps(zeros)),
+                              "Hv": ["0", "0"], "Vh": [["0", "0"], ["0", "0"]],
+                              "Vv": "0"}
+        for section, key, index in DEEP_SLOTS:
+            # a sum of n terms compiles to n - 1 nested parentheses
+            terms = DEEPEST + 1 + (key == deeper)
+            src = "+".join(["t" if key == "curve" else "x1"] * terms)
+            if not index:
+                doc[section][key] = src
+                continue
+            node = doc[section][key]
+            for k in index[:-1]:
+                node = node[k]
+            node[index[-1]] = src
+
+    return _variant(tmp_path, "d1.json", deepen)
+
+
+def test_the_deepest_accepted_entry_compiles_in_every_table(capsys, tmp_path):
+    """An entry at the accepted nesting depth loads and evaluates inside
+    every table display, three brackets deep in L and Hh; one operation
+    more is an input error in one line, never a compile traceback."""
+    sc = load_scenario(_deep_d1(tmp_path))
+    xs, y = (0.5, 0.2), 0.7
+    deep = 0.5 * (DEEPEST + 1)
+    assert sc.metric.g00_at(xs, y) == deep
+    assert sc.connection.gamma_at(xs, y)[0] == deep
+    assert sc.metric.g_at(xs, y)[0][1] == deep
+    assert sc.algebroid.L_at(xs)[1][0][1] == deep
+    assert sc.explicit_dconnection.hh_at(xs, y)[0][0][0] == deep
+    assert sc.lift.curve.point_at(xs[0])[0] == deep
+    assert sc.algebroid.L_at(seeded_point(xs, y)[0])[1][0][1].value == deep
+    for section, key, index in DEEP_SLOTS:
+        code, out, err = run(capsys, "validate", _deep_d1(tmp_path, key))
+        assert code == 2 and out == "", key
+        _one_line_error(err)
+        where = "".join(f"[{k}]" for k in index)
+        assert err == (f"kkgeom: error: {section}.{key}{where}: parse error "
+                       f"at offset 0: expected at most {DEEPEST} nested "
+                       f"operations\n"), key
 
 
 GOLDEN_DIR = SCENARIO_DIR.parent / "tests" / "golden"

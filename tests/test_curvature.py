@@ -30,31 +30,32 @@ from kkgeom.nlconnection import NonlinearConnection
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 from conftest import (DATA_DIR, SCENARIO_DIR, bits,
-                      canonical_metric_dconnection, field, make_d1,
-                      make_nonabelian, make_sphere, make_vdep, run_check)
+                      canonical_metric_dconnection, flat_metric,
+                      identity_algebroid, make_d1, make_nonabelian,
+                      make_sphere, make_vdep, run_check, table)
 from reference import curvature_from_definition, torsion_from_definition
 
 PTS = sample_points(Box.default(2), 10, seed=0xA1B2)
 SPHERE_PTS = sample_points(Box(((0.3, 2.8), (-1.0, 1.0)), (0.1, 2.0)), 10,
                            seed=0xA1B2)
-A_ID = AlgebroidData.identity(2)
+A_ID = identity_algebroid(2)
 
 
 def generic_connection():
     """Arbitrary smooth coefficient tables: every torsion/curvature family is
     nonzero, which makes this the most sign-sensitive configuration."""
-    hh = [[[field("0.2*sin(x1)+0.1*x2*y0") if (a + b + c) % 2 == 0
-            else field("0.1*cos(x2)+0.05*y0^2")
+    hh = [[["0.2*sin(x1)+0.1*x2*y0" if (a + b + c) % 2 == 0
+            else "0.1*cos(x2)+0.05*y0^2"
             for c in range(2)] for b in range(2)] for a in range(2)]
-    hv = [field("0.4*x1*y0"), field("0.3*cos(x2)")]
-    vh = [[field("0.2*sin(x2)+0.1*y0"), field("0.15*x1")],
-          [field("0.25*y0"), field("0.1*exp(0.2*x1)")]]
-    vv = field("0.3*x1+0.2*y0")
-    return DConnectionCoeffs.from_fields(2, hh, hv, vh, vv)
+    hv = ["0.4*x1*y0", "0.3*cos(x2)"]
+    vh = [["0.2*sin(x2)+0.1*y0", "0.15*x1"],
+          ["0.25*y0", "0.1*exp(0.2*x1)"]]
+    return DConnectionCoeffs(2, table(hh), table(hv), table(vh),
+                             table("0.3*x1+0.2*y0"))
 
 
 def flat_setup():
-    A = AlgebroidData.identity(2)
+    A = identity_algebroid(2)
     N = NonlinearConnection.zero(2)
     D = DConnectionCoeffs.zero(2)
     return A, N, D
@@ -75,7 +76,7 @@ def test_torsion_s_block_always_zero():
     flat_A, flat_N, flat_D = flat_setup()
     cases = [
         (generic_connection(),
-         NonlinearConnection(2, (field("x2*y0"), field("0"))), A_ID),
+         NonlinearConnection(2, table(["x2*y0", "0"])), A_ID),
         (flat_D, flat_N, flat_A),
     ]
     for D, N, A in cases:
@@ -84,7 +85,7 @@ def test_torsion_s_block_always_zero():
 
 
 def test_torsion_berwald_vertical_deflection_zero():
-    N = NonlinearConnection(2, (field("x2*y0^2"), field("0.3*x1*y0")))
+    N = NonlinearConnection(2, table(["x2*y0^2", "0.3*x1*y0"]))
     D = berwald(N)
     for pt in PTS[:4]:
         t = torsion_components(D, N, A_ID, pt)
@@ -158,7 +159,7 @@ def test_oracle_equivalence_generic_connection():
 
 
 def test_oracle_equivalence_berwald():
-    N = NonlinearConnection(2, (field("x2*y0^2"), field("0.3*x1*y0")))
+    N = NonlinearConnection(2, table(["x2*y0^2", "0.3*x1*y0"]))
     D = berwald(N)
     for res in run_check(OracleCheck(N, A_ID), D, N, A_ID, PTS[:5]):
         assert res.max_residual <= 1e-8, res.name
@@ -167,25 +168,21 @@ def test_oracle_equivalence_berwald():
 def rank3_setup():
     """p = m = 3: exponential anchor closing under a constant bracket,
     fiber-dependent Gamma and metric, canonical metric connection."""
-    def f3(src):
-        return field(src, m=3)
-
-    zero = f3("0")
-    rho = ((f3("1"), zero, zero),
-           (zero, f3("exp(0.3*x1)"), zero),
-           (zero, zero, f3("exp(0.5*x1)")))
-    L = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    rho = [["1", "0", "0"], ["0", "exp(0.3*x1)", "0"],
+           ["0", "0", "exp(0.5*x1)"]]
+    L = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
     for a, c in ((1, "0.3"), (2, "0.5")):
-        L[a][0][a] = f3(c)
-        L[a][a][0] = f3("-" + c)
-    A = AlgebroidData(3, 3, rho, tuple(tuple(map(tuple, t)) for t in L))
-    N = NonlinearConnection(3, (f3("0.4*x2*y0 + 0.2*sin(x1)*y0^2"),
-                                f3("0.6*x3*y0"),
-                                f3("0.3*x1*y0 + 0.1*sin(x3)*y0^2")))
-    G = MetricStructure(3, tuple(
-        tuple(f3(f"1 + 0.5*x{a + 1}^2 + 0.2*y0^2") if a == b else zero
-              for b in range(3)) for a in range(3)),
-        f3("exp(x1)*(1 + 0.3*y0^2)"))
+        L[a][0][a] = c
+        L[a][a][0] = "-" + c
+    A = AlgebroidData(3, 3, table(rho, 3, on_base=True),
+                      table(L, 3, on_base=True))
+    N = NonlinearConnection(3, table(["0.4*x2*y0 + 0.2*sin(x1)*y0^2",
+                                      "0.6*x3*y0",
+                                      "0.3*x1*y0 + 0.1*sin(x3)*y0^2"], 3))
+    G = MetricStructure(3, table([
+        [f"1 + 0.5*x{a + 1}^2 + 0.2*y0^2" if a == b else "0"
+         for b in range(3)] for a in range(3)], 3),
+        table("exp(x1)*(1 + 0.3*y0^2)", 3))
     return A, N, canonical_metric_dconnection(G, A, N)
 
 
@@ -314,7 +311,7 @@ def test_curvature_doubled_vertical_argument_zero():
     assert max(abs(w) for w in h) <= 1e-15 and abs(v) <= 1e-15
 
 
-def classical_curvature_blocks(g_fields, pt):
+def classical_curvature_blocks(g_at, pt):
     """Independent classical oracle for a flat frame, zero bracket and zero
     nonlinear connection with fiber-independent metric: Christoffels from
     the closed-form 2x2 inverse, then R^i_{j kl} = d_l G^i_{jk} - d_k G^i_{jl} + G G - G G via a
@@ -322,7 +319,7 @@ def classical_curvature_blocks(g_fields, pt):
 
     def christoffel_at(xs, y):
         jxs, jy = seeded_point(xs, y)
-        gj = [[g_fields[a][b](jxs, jy) for b in range(2)] for a in range(2)]
+        gj = g_at(jxs, jy)
         g = [[jval(v) for v in row] for row in gj]
         dg = [[[jdx(gj[a][b], k) for k in range(2)] for b in range(2)]
               for a in range(2)]
@@ -349,12 +346,12 @@ def classical_curvature_blocks(g_fields, pt):
 
 def test_curvature_matches_classical_oracle_on_surface():
     # metric connection of g = diag(e^{2 x2}, 1): R^1_{2 12} is nonzero
-    G = MetricStructure(2, ((field("exp(2*x2)"), field("0")),
-                            (field("0"), field("1"))), field("1"))
+    G = MetricStructure(2, table([["exp(2*x2)", "0"], ["0", "1"]]),
+                        table("1"))
     N = NonlinearConnection.zero(2)
     D = canonical_metric_dconnection(G, A_ID, N)
     for pt in PTS:
-        expected = classical_curvature_blocks(G.g, pt)
+        expected = classical_curvature_blocks(G.g_at, pt)
         got = curvature_components(D, N, A_ID, pt)
         for i in range(2):
             for j in range(2):
@@ -393,7 +390,7 @@ def test_sphere_ricci_scalar_einstein():
 def test_energy_momentum_signs_and_kappa():
     A, N, _ = make_vdep()
     D = generic_connection()
-    G = MetricStructure.flat(2)
+    G = flat_metric(2)
     pt = PTS[0]
     r = ricci(curvature_components(D, N, A, pt))
     scal = scalar_curvature(r, G, pt)
@@ -420,9 +417,7 @@ def test_ricci_commutation_flat():
 def test_ricci_commutation_metric_scenarios(make):
     A, N, G = make()
     D = canonical_metric_dconnection(G, A, N)
-    def Z1(xs, y):
-        return ([field("x2")(xs, y), field("sin(x1)")(xs, y)],
-                field("x1*y0")(xs, y))
+    Z1 = table([["x2", "sin(x1)"], "x1*y0"])
 
     def Z2(xs, y):
         return [1.0, 0.0], 1.0
@@ -456,7 +451,7 @@ def test_bianchi_metric_scenarios(make):
 
 
 def test_bianchi_berwald():
-    N = NonlinearConnection(2, (field("0.7*y0"), field("-0.2*y0")))
+    N = NonlinearConnection(2, table(["0.7*y0", "-0.2*y0"]))
     D = berwald(N)
     for res in run_check(BianchiCheck(N, A_ID), D, N, A_ID, PTS[:4]):
         assert res.max_residual <= 1e-6, res.name

@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from kkgeom.algebroid import AlgebroidData
 from kkgeom.calculus import (
     EPoint,
     EvaluationDomainError,
@@ -22,18 +21,17 @@ from kkgeom.nlconnection import (
     NonlinearConnection,
     adapted_derivatives,
 )
-from kkgeom.calculus import constant
 from kkgeom.sampling import Box, sample_points
-from conftest import (canonical_metric_dconnection, field, make_d1,
-                      make_vdep, run_law)
+from conftest import (canonical_metric_dconnection, field,
+                      identity_algebroid, make_d1, make_vdep, run_law, table)
 from reference import cov_deriv, partial
 
 PTS = sample_points(Box.default(2), 16, seed=0xA1B2)
-A_ID = AlgebroidData.identity(2)
+A_ID = identity_algebroid(2)
 
 
 def test_berwald_linear_gamma():
-    N = NonlinearConnection(2, (field("0.7*y0"), field("-0.3*y0")))
+    N = NonlinearConnection(2, table(["0.7*y0", "-0.3*y0"]))
     D = berwald(N)
     for pt in PTS[:4]:
         hv = [primal(v) for v in D.hv_at(pt.x, pt.y)]
@@ -51,7 +49,7 @@ def test_berwald_zero_gamma():
 
 
 def test_berwald_quadratic_gamma():
-    N = NonlinearConnection(2, (field("x2*y0^2"), field("0")))
+    N = NonlinearConnection(2, table(["x2*y0^2", "0"]))
     D = berwald(N)
     pt = EPoint((0.5, 0.8), 3.0)
     hv = [primal(v) for v in D.hv_at(pt.x, pt.y)]
@@ -60,7 +58,7 @@ def test_berwald_quadratic_gamma():
 
 
 def test_scalar_h_cov_deriv_is_h_derivative():
-    N = NonlinearConnection(2, (field("x2*y0"), field("0")))
+    N = NonlinearConnection(2, table(["x2*y0", "0"]))
     D = DConnectionCoeffs.zero(2)
     f = field("sin(x1)*y0")
     Td = cov_deriv(f, (0, 0, 0), "h", A_ID, N, D)
@@ -75,14 +73,11 @@ def test_vector_h_cov_deriv_correction_term():
     # constant vector e1, flat frame, only hh[0][0][0] = c nonzero
     N = NonlinearConnection.zero(2)
     c = 0.37
-    hh = [[[field("0.37") if (a, b, g) == (0, 0, 0) else field("0")
+    hh = [[["0.37" if (a, b, g) == (0, 0, 0) else "0"
             for g in range(2)] for b in range(2)] for a in range(2)]
-    D = DConnectionCoeffs.from_fields(
-        2, hh, [field("0")] * 2,
-        [[field("0")] * 2 for _ in range(2)], field("0"))
-    T = [field("1"), field("0")]
-    Td = cov_deriv(lambda xs, y: [f(xs, y) for f in T], (1, 0, 0), "h",
-                   A_ID, N, D)
+    D = DConnectionCoeffs(2, table(hh), table(["0"] * 2),
+                          table([["0"] * 2 for _ in range(2)]), table("0"))
+    Td = cov_deriv(table(["1", "0"]), (1, 0, 0), "h", A_ID, N, D)
     pt = PTS[0]
     vals = Td(pt.x, pt.y)
     assert primal(vals[0][0]) == pytest.approx(c)
@@ -96,9 +91,7 @@ def test_flat_reduction_both_derivatives():
     D = DConnectionCoeffs.zero(2)
     comp = [[field("sin(x1)*x2"), field("y0^2")],
             [field("exp(0.3*x1)"), field("x2*y0")]]
-    def T(xs, y):
-        return [[f(xs, y) for f in row] for row in comp]
-
+    T = table([["sin(x1)*x2", "y0^2"], ["exp(0.3*x1)", "x2*y0"]])
     Th = cov_deriv(T, (1, 1, 0), "h", A_ID, N, D)
     Tv = cov_deriv(T, (1, 1, 0), "v", A_ID, N, D)
     for pt in PTS[:5]:
@@ -117,10 +110,9 @@ def test_v_cov_deriv_two_covariant_vertical_slots():
     # g00 = exp(2 y0) with vv = 1: the two covariant vertical slots cancel
     # the plain derivative exactly
     N = NonlinearConnection.zero(2)
-    D = DConnectionCoeffs.from_fields(
-        2,
-        [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
-        [field("0")] * 2, [[field("0")] * 2 for _ in range(2)], field("1"))
+    D = DConnectionCoeffs(
+        2, table([[["0"] * 2 for _ in range(2)] for _ in range(2)]),
+        table(["0"] * 2), table([["0"] * 2 for _ in range(2)]), table("1"))
     Tv = cov_deriv(field("exp(2*y0)"), (0, 0, -2), "v", A_ID, N, D)
     for pt in PTS[:5]:
         assert abs(primal(Tv(pt.x, pt.y))) <= 1e-12
@@ -137,27 +129,21 @@ def test_scalar_v_cov_deriv_is_fiber_partial():
 
 
 def _generic_connection():
-    hh = [[[field("0.2*sin(x1)+0.1*x2*y0") if (a + b + c) % 2 == 0
-            else field("0.1*cos(x2)+0.05*y0")
+    hh = [[["0.2*sin(x1)+0.1*x2*y0" if (a + b + c) % 2 == 0
+            else "0.1*cos(x2)+0.05*y0"
             for c in range(2)] for b in range(2)] for a in range(2)]
-    hv = [field("0.4*x1*y0"), field("0.3*cos(x2)")]
-    vh = [[field("0.2*sin(x2)+0.1*y0"), field("0.15*x1")],
-          [field("0.25*y0"), field("0.1*exp(0.2*x1)")]]
-    vv = field("0.3*x1+0.2*y0")
-    return DConnectionCoeffs.from_fields(2, hh, hv, vh, vv)
+    hv = ["0.4*x1*y0", "0.3*cos(x2)"]
+    vh = [["0.2*sin(x2)+0.1*y0", "0.15*x1"],
+          ["0.25*y0", "0.1*exp(0.2*x1)"]]
+    return DConnectionCoeffs(2, table(hh), table(hv), table(vh),
+                             table("0.3*x1+0.2*y0"))
 
 
 def test_leibniz_rule_for_tensor_product():
-    N = NonlinearConnection(2, (field("x2*y0"), field("0.1*x1*y0")))
+    N = NonlinearConnection(2, table(["x2*y0", "0.1*x1*y0"]))
     D = _generic_connection()
-    S_fields = [field("x2"), field("sin(x1)")]
-    T_fields = [field("y0"), field("x1*x2")]
-
-    def S(xs, y):
-        return [f(xs, y) for f in S_fields]
-
-    def T(xs, y):
-        return [f(xs, y) for f in T_fields]
+    S = table(["x2", "sin(x1)"])
+    T = table(["y0", "x1*x2"])
 
     def ST(xs, y):
         # the outer product: S's contravariant slot, then T's covariant one
@@ -191,7 +177,7 @@ def test_leibniz_rule_for_tensor_product():
 
 
 def test_transformation_identity():
-    N = NonlinearConnection(2, (field("x2*y0"), field("0")))
+    N = NonlinearConnection(2, table(["x2*y0", "0"]))
     D = _generic_connection()
     C = CoordinateChange(2, 2)
     res = run_law(dconnection_transformation_point, (D, D, C, A_ID, N),
@@ -202,7 +188,7 @@ def test_transformation_identity():
 def test_transformation_constant_frame():
     # constant frame change: no derivative terms; primed coefficients are the
     # sandwich products
-    N = NonlinearConnection(2, (field("x2*y0"), field("0")))
+    N = NonlinearConnection(2, table(["x2*y0", "0"]))
     D = _generic_connection()
     lam = [[2.0, 1.0], [1.0, 1.0]]
     lam_inv = [[1.0, -1.0], [-1.0, 2.0]]
@@ -226,19 +212,15 @@ def test_transformation_constant_frame():
                  for bp in range(p)] for ap in range(p)]
 
     D_p = DConnectionCoeffs(2, hh_p, hv_p, vh_p, D.vv_at)
-    C = CoordinateChange(
-        2, 2,
-        frame=tuple(tuple(constant(v) for v in row)
-                    for row in lam),
-        frame_inverse=tuple(tuple(constant(v) for v in row)
-                            for row in lam_inv))
+    C = CoordinateChange(2, 2, lambda_at=lambda xs: lam,
+                         lambda_inv_at=lambda xs: lam_inv)
     res = run_law(dconnection_transformation_point, (D, D_p, C, A_ID, N),
                   PTS[:8])
     assert res.max_residual <= 1e-12
 
 
 def test_transformation_fiber_scaling():
-    N = NonlinearConnection(2, (field("x2*y0"), field("0")))
+    N = NonlinearConnection(2, table(["x2*y0", "0"]))
     D = _generic_connection()
     k = 2.0
 
@@ -261,7 +243,7 @@ def test_transformation_fiber_scaling():
         scale_list(D.vh_at, 1.0 / k),  # vh picks up 1/phi
         lambda xs, y: D.vv_at(xs, y / k) * (1.0 / k),
     )
-    C = CoordinateChange(2, 2, fiber_scale=constant(k))
+    C = CoordinateChange(2, 2, phi_at=lambda xs: k)
     res = run_law(dconnection_transformation_point, (D, D_p, C, A_ID, N),
                   PTS[:8])
     assert res.max_residual <= 1e-12
@@ -528,7 +510,7 @@ def test_transformation_forms_each_bracket_once():
             products["hh"] += 1
             return float(self) * other
 
-    N = NonlinearConnection(2, (field("x2*y0"), field("0")))
+    N = NonlinearConnection(2, table(["x2*y0", "0"]))
     D = _generic_connection()
     D_c = DConnectionCoeffs(
         2, lambda xs, y: [[[Counted(primal(v)) for v in row] for row in hh]

@@ -12,8 +12,7 @@ from kkgeom.exprlang import (
     Num,
     ParseError,
     Var,
-    curve_function,
-    eval_field,
+    compile_expr,
     parse,
 )
 from kkgeom.sampling import Box, sample_points
@@ -83,16 +82,26 @@ def test_x2_partial_is_one():
 
 
 def test_fields_and_curves_are_the_compiled_lambdas():
-    """``eval_field`` and ``curve_function`` return the compiled expression
-    itself, a ``<lambda>`` of ``(xs, y)`` or of ``t`` from ``<string>``, not
-    a function that forwards to it."""
-    f = eval_field(parse("x1*y0 + x2", 2))
-    c = curve_function(parse("2*t", 0, allow_y=False, allow_t=True))
-    for fn, nargs in ((f, 2), (c, 1)):
+    """``compile_expr`` returns the compiled code itself, a ``<lambda>``
+    from ``<string>``, not a function that forwards to it: of ``(X, Y)``
+    for a table on E, of ``X`` for one on the base and of ``T`` for a
+    curve.  A nested list of trees compiles to one function returning the
+    nested lists, a tuple of them to one returning a tuple."""
+    def nodes(srcs, **kw):
+        return [parse(s, 2, **kw) for s in srcs]
+
+    f = compile_expr(parse("x1*y0 + x2", 2), "X, Y")
+    g = compile_expr([nodes(["x1*y0", "x2"]), nodes(["1", "-y0"])], "X, Y")
+    r = compile_expr([nodes(["x1", "2*x2"], allow_y=False)], "X")
+    c = compile_expr(tuple(parse(s, 0, allow_y=False, allow_t=True)
+                           for s in ("2*t", "t^2")), "T")
+    for fn, nargs in ((f, 2), (g, 2), (r, 1), (c, 1)):
         code = fn.__code__
         assert (code.co_name, code.co_filename, code.co_argcount) \
             == ("<lambda>", "<string>", nargs)
-    assert f((3.0, 1.0), 2.0) == 7.0 and c(1.5) == 3.0
+    assert f((3.0, 1.0), 2.0) == 7.0
+    assert g((3.0, 1.0), 2.0) == [[6.0, 1.0], [1.0, -2.0]]
+    assert r((3.0, 1.0)) == [[3.0, 2.0]] and c(1.5) == (3.0, 2.25)
 
 
 def test_division_by_zero_raises():
@@ -151,9 +160,11 @@ def test_nested_parentheses():
 
 
 def test_deep_operation_chains_are_parse_errors():
-    # compiled closures nest one level per operation
-    assert field("+".join(["x1"] * 199))((1.0, 0.0), 0.0) == 199.0
-    for src in ("+".join(["x1"] * 250), "-" * 250 + "x1",
+    # compiled code nests one level per operation, and up to three more in
+    # a table's display
+    assert field("+".join(["x1"] * 197))((1.0, 0.0), 0.0) == 197.0
+    for src in ("+".join(["x1"] * 198), "+".join(["x1"] * 250),
+                "-" * 250 + "x1",
                 "sin(" * 250 + "x1" + ")" * 250, "^".join(["1"] * 3000)):
         with pytest.raises(ParseError):
             parse(src, 2)

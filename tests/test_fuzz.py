@@ -39,6 +39,9 @@ BAD_SCALARS = {
     "kappa": ["abc", 0, True, None, float("inf"), float("nan")],
     "y0": ["1", None, float("-inf"), float("nan")],
 }
+# Optional sections, and values of them that are not JSON objects.
+SECTIONS = ["connection", "metric", "dconnection", "lift"]
+NOT_OBJECTS = [["oops"], "oops", 3, True]
 
 
 def expressions(m, base=False):
@@ -75,7 +78,7 @@ def scenarios(draw):
     """A valid scenario (identity-like anchor, zero bracket, a Gamma, a
     unit metric or explicit tables) with one to three entries replaced by
     generated expressions, and now and then a structural defect or a
-    malformed scalar."""
+    malformed scalar, or an optional section that is not an object."""
     m, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     doc = {"m": m, "p": p,
            "algebroid": {"rho": _plain((p, m), "1"),
@@ -108,7 +111,8 @@ def scenarios(draw):
         for k in path[:-1]:
             node = node[k]
         node[path[-1]] = src
-    defect = draw(st.sampled_from([None] * 12 + ["m", "rho", "Gamma"]
+    defect = draw(st.sampled_from([None] * 12 + ["m", "rho", "Gamma",
+                                                 "section"]
                                   + list(BAD_SCALARS)))
     if defect == "m":
         del doc["m"]
@@ -116,6 +120,9 @@ def scenarios(draw):
         doc["algebroid"]["rho"] = doc["algebroid"]["rho"][:-1]
     elif defect == "Gamma":
         doc["connection"]["Gamma"].append("0")
+    elif defect == "section":
+        doc[draw(st.sampled_from(SECTIONS))] = draw(
+            st.sampled_from(NOT_OBJECTS))
     elif defect == "y0":
         doc["lift"] = {"curve": ["t"] * m, "g": ["1"] * p,
                        "y0": draw(st.sampled_from(BAD_SCALARS["y0"]))}

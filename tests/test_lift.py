@@ -3,11 +3,9 @@ import math
 import pytest
 
 from kkgeom import lift
-from kkgeom.algebroid import AlgebroidData
+from kkgeom.calculus import EPoint
 from kkgeom.dconnection import DConnectionCoeffs
-from kkgeom.exprlang import curve_function, parse
 from kkgeom.lift import (
-    BaseCurve,
     LiftMorphism,
     acceleration_lift,
     integrate_horizontal_parallel,
@@ -18,24 +16,18 @@ from kkgeom.lift import (
     rk4_integrate,
 )
 from kkgeom.nlconnection import NonlinearConnection
-from conftest import field
+from conftest import curve, identity_algebroid, table
 
 
-def curve(*exprs):
-    comps = tuple(curve_function(parse(s, 0, allow_y=False, allow_t=True))
-                  for s in exprs)
-    return BaseCurve(comps)
-
-
-A2 = AlgebroidData.identity(2)
-A1 = AlgebroidData.identity(1)
+A2 = identity_algebroid(2)
+A1 = identity_algebroid(1)
 C2 = curve("t", "2*t")
-E1 = LiftMorphism(2, (field("1"), field("0")))
+E1 = LiftMorphism(2, table(["1", "0"], on_base=True))
 
 
-def field1(s):
-    from kkgeom.exprlang import eval_field
-    return eval_field(parse(s, 1))
+def column(*srcs):
+    """A lift column on the base, with m = len(srcs)."""
+    return table(list(srcs), len(srcs), on_base=True)
 
 
 def zero_d(p, m):
@@ -44,7 +36,7 @@ def zero_d(p, m):
 
 def test_lift_condition_straight_line():
     c = curve("0.7*t", "-0.2*t")
-    L = LiftMorphism(2, (field("0.7"), field("-0.2")))
+    L = LiftMorphism(2, column("0.7", "-0.2"))
     res = lift_condition_residual(c, L, 1.0, A2, 0.4)
     assert max(abs(v) for v in res) <= 1e-14
 
@@ -56,16 +48,32 @@ def test_lift_condition_zero_fiber():
 
 def test_lift_condition_stationary_curve():
     c = curve("0.5", "1.5")
-    L = LiftMorphism(2, (field("0"), field("0")))
+    L = LiftMorphism(2, column("0", "0"))
     res = lift_condition_residual(c, L, 3.7, A2, 0.3)
     assert max(abs(v) for v in res) == 0.0
 
 
 def test_local_invertibility_single_column():
-    L = LiftMorphism(1, (field1("2"),), gtilde=(field1("0.5"),))
-    from kkgeom.calculus import EPoint
+    L = LiftMorphism(1, column("2"), column("0.5"))
     pts = [EPoint((0.1,), 1.0)]
     assert local_invertibility_residual(L, pts) == 0.0
+
+
+@pytest.mark.parametrize("g,gtilde,residual", [
+    (["1", "0"], ["1", "0"], 0.0),
+    (["1", "0"], ["1", "7"], 0.0),
+    (["1+x1^2", "x2"], ["1/(1+x1^2)", "0"], 0.0),
+    (["1", "0"], ["0", "1"], 1.0),
+    (["1", "0"], ["2", "0"], 1.0),
+])
+def test_local_invertibility_of_a_two_column(g, gtilde, residual):
+    """With p = 2 the stated left inverse is a row with gtilde_a g^a = 1:
+    g = (1, 0) has the left inverses (1, c) for every c, while (0, 1) and
+    (2, 0) are none."""
+    L = LiftMorphism(2, column(*g), column(*gtilde))
+    pts = [EPoint((0.1, -0.3), 1.0), EPoint((0.6, 0.2), 0.5)]
+    assert local_invertibility_residual(L, pts) == pytest.approx(
+        residual, abs=1e-15)
 
 
 def test_parallel_zero_connection_constant():
@@ -77,14 +85,14 @@ def test_parallel_zero_connection_constant():
 
 def test_parallel_constant_coefficient_closed_form():
     # Gamma_1 = 2 constant with g = e1: du/dt = -2u, u = y0 e^{-2t}
-    N = NonlinearConnection(2, (field("2"), field("0")))
+    N = NonlinearConnection(2, table(["2", "0"]))
     traj = integrate_parallel_lift(C2, E1, A2, N, 1.0, 1000)
     worst = max(abs(s.state[0] - math.exp(-2.0 * s.t)) for s in traj.points)
     assert worst <= 1e-9
 
 
 def test_parallel_rk4_order():
-    N = NonlinearConnection(2, (field("2"), field("0")))
+    N = NonlinearConnection(2, table(["2", "0"]))
     exact = math.exp(-2.0)
     e1 = abs(integrate_parallel_lift(C2, E1, A2, N, 1.0, 8).last.state[0]
              - exact)
@@ -102,9 +110,9 @@ def test_vertical_zero_coefficient_constant():
 
 def test_vertical_riccati_closed_form_and_order():
     N = NonlinearConnection.zero(2)
-    D = DConnectionCoeffs.from_fields(
-        2, [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
-        [field("0")] * 2, [[field("0")] * 2 for _ in range(2)], field("1"))
+    D = DConnectionCoeffs(
+        2, table([[["0"] * 2 for _ in range(2)] for _ in range(2)]),
+        table(["0"] * 2), table([["0"] * 2 for _ in range(2)]), table("1"))
     traj = integrate_vertical_parallel(C2, A2, N, D, 1.0, 1000)
     worst = max(abs(s.state[0] - 1.0 / (1.0 + s.t)) for s in traj.points)
     assert worst <= 1e-8
@@ -118,9 +126,9 @@ def test_vertical_riccati_closed_form_and_order():
 
 def test_vertical_riccati_blowup_detected():
     N = NonlinearConnection.zero(2)
-    D = DConnectionCoeffs.from_fields(
-        2, [[[field("0")] * 2 for _ in range(2)] for _ in range(2)],
-        [field("0")] * 2, [[field("0")] * 2 for _ in range(2)], field("1"))
+    D = DConnectionCoeffs(
+        2, table([[["0"] * 2 for _ in range(2)] for _ in range(2)]),
+        table(["0"] * 2), table([["0"] * 2 for _ in range(2)]), table("1"))
     traj = integrate_vertical_parallel(C2, A2, N, D, -1.0, 1000, 0.0, 2.0)
     assert not traj.completed
     # pole of -1/(1-t) is at t = 1
@@ -139,11 +147,10 @@ def test_horizontal_riccati_closed_form():
     # single-column case with constant hh = k: dz/dt = -k z^2
     k, z0 = 0.7, 2.0
     N1 = NonlinearConnection.zero(1)
-    D1 = DConnectionCoeffs.from_fields(
-        1, [[[field1("0.7")]]], [field1("0")], [[field1("0")]],
-        field1("0"))
+    D1 = DConnectionCoeffs(1, table([[["0.7"]]], 1), table(["0"], 1),
+                           table([["0"]], 1), table("0", 1))
     c1 = curve("t")
-    L1 = LiftMorphism(1, (field1("1"),))
+    L1 = LiftMorphism(1, column("1"))
     traj = integrate_horizontal_parallel(c1, L1, A1, N1, D1, (z0,), 1000)
     worst = max(abs(s.state[0] - z0 / (1.0 + k * z0 * s.t))
                 for s in traj.points if 1.0 + k * z0 * s.t > 0.1)
@@ -162,7 +169,7 @@ def test_horizontality_equivalence_along_parallel_lift():
     # the parallel lift makes the acceleration purely horizontal; the fiber
     # velocity is recovered from the trajectory itself by a fourth-order
     # stencil so the check does not reuse the ODE right-hand side
-    N = NonlinearConnection(2, (field("x2*y0"), field("0.3*x1")))
+    N = NonlinearConnection(2, table(["x2*y0", "0.3*x1"]))
     steps = 1000
     traj = integrate_parallel_lift(C2, E1, A2, N, 1.0, steps, 0.0, 1.0)
     h = 1.0 / steps
@@ -207,8 +214,8 @@ def test_rk4_takes_four_stages_per_step(monkeypatch, mode, z0, steps,
     # first two have a pole before t = 2.
     D = DConnectionCoeffs(1, hh_at, lambda xs, y: [0.0],
                           lambda xs, y: [[0.0]], lambda xs, y: 1.0)
-    N = NonlinearConnection(1, (field1("0.7"),))
-    c1, L1 = curve("t"), LiftMorphism(1, (field1("1"),))
+    N = NonlinearConnection(1, table(["0.7"], 1))
+    c1, L1 = curve("t"), LiftMorphism(1, column("1"))
     if mode == "parallel":
         traj = integrate_parallel_lift(c1, L1, A1, N, z0, steps, 0.0, 2.0)
     elif mode == "horizontal":

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint, EvaluationDomainError, constant, \
-    jdx, jdy, jval, primal, seeded_point
+from kkgeom.calculus import EPoint, EvaluationDomainError, jdx, jdy, \
+    jval, primal, seeded_point
 from kkgeom.dconnection import DConnectionCoeffs, berwald
 from kkgeom.metric import (
     MAX_CONDITION,
@@ -20,23 +19,23 @@ from kkgeom.metric import (
 from kkgeom.nlconnection import NonlinearConnection, adapted_derivatives
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
-from conftest import (DATA_DIR, bits, canonical_metric_dconnection, field,
-                      make_d1, make_dense3, make_nonabelian, make_vdep,
-                      run_check)
+from conftest import (DATA_DIR, bits, canonical_metric_dconnection,
+                      flat_metric, identity_algebroid, make_d1, make_dense3,
+                      make_nonabelian, make_vdep, run_check, table)
 
 PTS = sample_points(Box.default(2), 40, seed=0xA1B2)
-A_ID = AlgebroidData.identity(2)
+A_ID = identity_algebroid(2)
 
 
 def test_inverse_identity():
-    G = MetricStructure.flat(2)
+    G = flat_metric(2)
     ginv = inverse_h(G, PTS[0])
     assert ginv == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_inverse_diag_at_origin():
-    G = MetricStructure(2, ((field("exp(2*x1)"), field("0")),
-                            (field("0"), field("1"))), field("1"))
+    G = MetricStructure(2, table([["exp(2*x1)", "0"], ["0", "1"]]),
+                        table("1"))
     ginv = inverse_h(G, EPoint((0.0, 0.0), 1.0))
     assert np.allclose(ginv, np.eye(2), atol=1e-15)
 
@@ -46,19 +45,16 @@ def test_inverse_random_spd_self_check():
     for _ in range(10):
         root = rng.normal(size=(2, 2))
         spd = root @ root.T + 2.0 * np.eye(2)
-        G = MetricStructure(
-            2,
-            tuple(tuple(field(repr(float(spd[a][b]))) for b in range(2))
-                  for a in range(2)),
-            field("1"))
+        G = MetricStructure(2, table(
+            [[repr(float(spd[a][b])) for b in range(2)] for a in range(2)]),
+            table("1"))
         pt = PTS[0]
         ginv = inverse_h(G, pt)
         assert np.max(np.abs(spd @ np.array(ginv) - np.eye(2))) <= 1e-12
 
 
 def test_inverse_singular_raises_with_condition():
-    G = MetricStructure(2, ((field("1"), field("1")),
-                            (field("1"), field("1"))), field("1"))
+    G = MetricStructure(2, table([["1", "1"], ["1", "1"]]), table("1"))
     with pytest.raises(SingularMetricError):
         inverse_h(G, PTS[0])
 
@@ -67,9 +63,8 @@ def test_inverse_singular_raises_with_condition():
 def test_inverse_refuses_a_non_finite_entry(bad):
     """A NaN entry once passed both bounds (it compares false) and came
     back as a NaN inverse; a non-finite entry is refused with the point."""
-    one, zero = constant(1.0), constant(0.0)
-    G = MetricStructure(2, ((one, zero), (zero, constant(bad))),
-                        one)
+    G = MetricStructure(2, lambda xs, y: [[1.0, 0.0], [0.0, bad]],
+                        lambda xs, y: 1.0)
     with pytest.raises(EvaluationDomainError) as exc:
         inverse_h(G, PTS[0])
     assert str(exc.value) == "non-finite value in metric block g"
@@ -77,9 +72,8 @@ def test_inverse_refuses_a_non_finite_entry(bad):
 
 
 def _near_singular(eps):
-    one = constant(1.0)
-    return MetricStructure(2, ((one, one),
-                               (one, constant(1.0 + eps))), one)
+    return MetricStructure(2, lambda xs, y: [[1.0, 1.0], [1.0, 1.0 + eps]],
+                           lambda xs, y: 1.0)
 
 
 @pytest.mark.parametrize("eps", [2.0 ** -52, 1e-14])
@@ -98,7 +92,7 @@ def test_inverse_keeps_an_ill_conditioned_but_usable_block():
 
 
 def test_metric_connection_flat_is_zero():
-    G = MetricStructure.flat(2)
+    G = flat_metric(2)
     N = NonlinearConnection.zero(2)
     D = metric_dconnection(G, DConnectionCoeffs.zero(2), A_ID, N)
     pt = PTS[0]
@@ -108,11 +102,11 @@ def test_metric_connection_flat_is_zero():
     assert primal(D.vv_at(pt.x, pt.y)) == 0.0
 
 
-def classical_christoffel(g_fields, pt):
+def classical_christoffel(g_at, pt):
     """Independent oracle: 0.5 g^{ih} (d_k g_hj + d_j g_hk - d_h g_jk),
     all plain coordinate derivatives via one jet pass and numpy inverse."""
     jxs, jy = seeded_point(pt.x, pt.y)
-    gj = [[g_fields[a][b](jxs, jy) for b in range(2)] for a in range(2)]
+    gj = g_at(jxs, jy)
     g = np.array([[primal(v) for v in row] for row in gj])
     dg = np.array([[[jdx(gj[a][b], k) for k in range(2)]
                     for b in range(2)] for a in range(2)])
@@ -130,13 +124,12 @@ def classical_christoffel(g_fields, pt):
 def test_metric_connection_matches_classical_christoffel():
     # flat-frame, fiber-independent metric: hh must equal the Christoffel
     # symbols of the 2d metric, computed by an independent numpy path
-    G = MetricStructure(2, ((field("1+x1^2"), field("0.3*x1*x2")),
-                            (field("0.3*x1*x2"), field("2+x2^2"))),
-                        field("1"))
+    G = MetricStructure(2, table([["1+x1^2", "0.3*x1*x2"],
+                                  ["0.3*x1*x2", "2+x2^2"]]), table("1"))
     N = NonlinearConnection.zero(2)
     D = metric_dconnection(G, DConnectionCoeffs.zero(2), A_ID, N)
     for pt in PTS[:10]:
-        expected = classical_christoffel(G.g, pt)
+        expected = classical_christoffel(G.g_at, pt)
         hh = D.hh_at(pt.x, pt.y)
         for a in range(2):
             for b in range(2):
@@ -146,8 +139,8 @@ def test_metric_connection_matches_classical_christoffel():
 
 def test_metric_connection_hand_value():
     # g = diag(e^{2x1}, 1): Christoffels H^1_11 = 1, H^1_22 = 0, H^2_12 = 0
-    G = MetricStructure(2, ((field("exp(2*x1)"), field("0")),
-                            (field("0"), field("1"))), field("1"))
+    G = MetricStructure(2, table([["exp(2*x1)", "0"], ["0", "1"]]),
+                        table("1"))
     N = NonlinearConnection.zero(2)
     D = canonical_metric_dconnection(G, A_ID, N)
     pt = EPoint((0.3, -0.2), 1.0)
@@ -168,8 +161,8 @@ def test_canonical_riemannian_vertical_coefficients_vanish():
 
 def test_canonical_hv_from_vertical_metric():
     # g = I, g00 = e^{2 x2}, Gamma = 0: hv = (0, 1)
-    G = MetricStructure(2, ((field("1"), field("0")),
-                            (field("0"), field("1"))), field("exp(2*x2)"))
+    G = MetricStructure(2, table([["1", "0"], ["0", "1"]]),
+                        table("exp(2*x2)"))
     N = NonlinearConnection.zero(2)
     D = canonical_metric_dconnection(G, A_ID, N)
     pt = PTS[0]
@@ -181,8 +174,8 @@ def test_canonical_hv_from_vertical_metric():
 def test_canonical_hv_linear_gamma_flat_metric():
     # Gamma = a y0, flat metric: the fiber derivative of Gamma cancels the
     # correction term exactly and hv = 0
-    G = MetricStructure.flat(2)
-    N = NonlinearConnection(2, (field("0.7*y0"), field("-0.2*y0")))
+    G = flat_metric(2)
+    N = NonlinearConnection(2, table(["0.7*y0", "-0.2*y0"]))
     D = canonical_metric_dconnection(G, A_ID, N)
     pt = PTS[1]
     hv = [primal(v) for v in D.hv_at(pt.x, pt.y)]
@@ -250,15 +243,13 @@ def test_lowered_index_h_compatibility():
 
 
 def test_riemannian_flags():
-    g_h = MetricStructure(2, ((field("1+x1^2"), field("0")),
-                              (field("0"), field("1"))), field("exp(2*y0)"))
+    g_h = MetricStructure(2, table([["1+x1^2", "0"], ["0", "1"]]),
+                          table("exp(2*y0)"))
     flags = riemannian_flags(g_h, PTS)
     assert flags == (True, False)
-    g_v = MetricStructure(2, ((field("1+y0^2"), field("0")),
-                              (field("0"), field("1"))), field("1"))
+    g_v = MetricStructure(2, table([["1+y0^2", "0"], ["0", "1"]]), table("1"))
     assert riemannian_flags(g_v, PTS) == (False, True)
-    g_r = MetricStructure(2, ((field("1+x1^2"), field("0")),
-                              (field("0"), field("1"))), field("1"))
+    g_r = MetricStructure(2, table([["1+x1^2", "0"], ["0", "1"]]), table("1"))
     assert riemannian_flags(g_r, PTS) == (True, True)
 
 
@@ -314,15 +305,14 @@ def _loop_hh_vh(G, baseline, A, N):
 
 def _explicit_baseline(p, m):
     """A baseline whose vh family is nonzero, so the ring sums carry it."""
-    f = lambda s: field(s, m)  # noqa: E731
-    return DConnectionCoeffs.from_fields(
+    return DConnectionCoeffs(
         p,
-        [[[f(f"0.1*x1*y0 + {a - b + c}") for c in range(p)]
-          for b in range(p)] for a in range(p)],
-        [f(f"{c}*y0") for c in range(p)],
-        [[f(f"0.3*x{1 + (a + b) % m} - 0.2*y0^2 + {a * b}")
-          for b in range(p)] for a in range(p)],
-        f("0.5*y0"))
+        table([[[f"0.1*x1*y0 + {a - b + c}" for c in range(p)]
+                for b in range(p)] for a in range(p)], m),
+        table([f"{c}*y0" for c in range(p)], m),
+        table([[f"0.3*x{1 + (a + b) % m} - 0.2*y0^2 + {a * b}"
+                for b in range(p)] for a in range(p)], m),
+        table("0.5*y0", m))
 
 
 def _metric_cases():

@@ -1,5 +1,4 @@
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -12,17 +11,18 @@ from kkgeom.nlconnection import (
     nlc_curvature,
     nlc_transformation_point,
 )
-from kkgeom.calculus import constant, jdx, jdy, jval, seeded_point
+from kkgeom.calculus import jdx, jdy, jval, seeded_point
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
-from conftest import (DATA_DIR, bits, field, make_dense3, make_nonabelian,
-                      make_vdep, run_law)
+from conftest import (DATA_DIR, bits, chart_change_residual, field,
+                      identity_algebroid, make_dense3, make_nonabelian,
+                      make_vdep, run_law, table)
 
 PTS = sample_points(Box.default(2), 24, seed=0xA1B2)
 
 
 def test_h_derivative_reduces_to_coordinate_derivative():
-    A = AlgebroidData.identity(2)
+    A = identity_algebroid(2)
     N = NonlinearConnection.zero(2)
     f = field("x1^2*x2")
     p = EPoint((0.5, -0.3), 1.0)
@@ -32,8 +32,8 @@ def test_h_derivative_reduces_to_coordinate_derivative():
 
 
 def test_h_derivative_of_fiber_coordinate():
-    A = AlgebroidData.identity(2)
-    N = NonlinearConnection(2, (field("x2*y0"), field("0")))
+    A = identity_algebroid(2)
+    N = NonlinearConnection(2, table(["x2*y0", "0"]))
     f = field("y0")
     p = EPoint((0.5, -0.3), 1.2)
     _, delta, _ = adapted_derivatives(f, p.x, p.y, A, N)
@@ -43,8 +43,8 @@ def test_h_derivative_of_fiber_coordinate():
 
 
 def test_h_derivative_hand_value():
-    A = AlgebroidData.identity(2)
-    N = NonlinearConnection(2, (field("x2*y0"), field("0")))
+    A = identity_algebroid(2)
+    N = NonlinearConnection(2, table(["x2*y0", "0"]))
     f = field("x1*y0")
     p = EPoint((1.0, 2.0), 3.0)
     _, delta, _ = adapted_derivatives(f, p.x, p.y, A, N)
@@ -53,8 +53,8 @@ def test_h_derivative_hand_value():
 
 
 def test_nlc_curvature_linear_constant_coefficients():
-    A = AlgebroidData.identity(2)
-    N = NonlinearConnection(2, (field("0.7*y0"), field("-0.4*y0")))
+    A = identity_algebroid(2)
+    N = NonlinearConnection(2, table(["0.7*y0", "-0.4*y0"]))
     for pt in PTS[:8]:
         R = nlc_curvature(A, N, pt)
         for a in range(2):
@@ -63,8 +63,8 @@ def test_nlc_curvature_linear_constant_coefficients():
 
 
 def test_nlc_curvature_hand_value():
-    A = AlgebroidData.identity(2)
-    N = NonlinearConnection(2, (field("x2*y0"), field("0")))
+    A = identity_algebroid(2)
+    N = NonlinearConnection(2, table(["x2*y0", "0"]))
     pt = EPoint((0.4, -0.7), 1.3)
     R = nlc_curvature(A, N, pt)
     assert R[0][1] == pytest.approx(pt.y, abs=1e-12)
@@ -73,7 +73,7 @@ def test_nlc_curvature_hand_value():
 
 
 def test_nlc_curvature_zero_connection():
-    A = AlgebroidData.identity(2)
+    A = identity_algebroid(2)
     N = NonlinearConnection.zero(2)
     R = nlc_curvature(A, N, PTS[0])
     assert all(v == 0.0 for row in R for v in row)
@@ -91,18 +91,15 @@ def test_transformation_constant_frame_change():
     lam = [[2.0, 1.0], [1.0, 1.0]]
     lam_inv = [[1.0, -1.0], [-1.0, 2.0]]
     # primed coefficients by hand: Gamma'_{g'} = Gamma_g lam_inv[g][g']
-    gamma_p = tuple(
-        lambda xs, y, gp=gp: sum(
-            N.gamma[g](xs, y) * lam_inv[g][gp] for g in range(2))
-        for gp in range(2))
+    def gamma_p(xs, y):
+        gam = N.gamma_at(xs, y)
+        return [sum(gam[g] * lam_inv[g][gp] for g in range(2))
+                for gp in range(2)]
+
     N_p = NonlinearConnection(2, gamma_p)
-    C = CoordinateChange(
-        2, 2,
-        frame=tuple(tuple(constant(v) for v in row)
-                    for row in lam),
-        frame_inverse=tuple(tuple(constant(v) for v in row)
-                            for row in lam_inv))
-    assert C.self_check(PTS).max_residual <= 1e-10
+    C = CoordinateChange(2, 2, lambda_at=lambda xs: lam,
+                         lambda_inv_at=lambda xs: lam_inv)
+    assert chart_change_residual(C, list, PTS).max_residual <= 1e-10
     assert run_law(nlc_transformation_point, (N, N_p, C, A),
                    PTS).max_residual <= 1e-12
 
@@ -110,11 +107,9 @@ def test_transformation_constant_frame_change():
 def test_transformation_fiber_scaling():
     A, N, _ = make_nonabelian()
     # y0' = 2 y0 and Gamma'(x, y0') = 2 Gamma(x, y0'/2)
-    gamma_p = tuple(
-        lambda xs, y, g=g: 2.0 * N.gamma[g](xs, 0.5 * y)
-        for g in range(2))
-    N_p = NonlinearConnection(2, gamma_p)
-    C = CoordinateChange(2, 2, fiber_scale=constant(2.0))
+    N_p = NonlinearConnection(2, lambda xs, y: [
+        2.0 * v for v in N.gamma_at(xs, 0.5 * y)])
+    C = CoordinateChange(2, 2, phi_at=lambda xs: 2.0)
     assert run_law(nlc_transformation_point, (N, N_p, C, A),
                    PTS).max_residual <= 1e-12
 
@@ -122,25 +117,23 @@ def test_transformation_fiber_scaling():
 def test_transformation_base_dependent_fiber_scale():
     # phi(x) = exp(x1) exercises the inhomogeneous dphi term of the law
     A, N, _ = make_nonabelian()
-    phi = field("exp(0.5*x1)")
+    phi = table("exp(0.5*x1)", on_base=True)
 
-    def gamma_p_fn(g):
-        def fn(xs, y):
-            # Gamma'_{g'}(x, y') = -rho^k_g y dphi_k + phi Gamma_g at y = y'/phi
-            ph = phi(xs, 0.0)
-            y_old = y / ph
-            rho = A.rho_at(xs)
-            from kkgeom.calculus import jdx, seeded_point
-            jxs, _ = seeded_point(xs, 0.0)
-            dphi = [jdx(phi(jxs, 0.0), i) for i in range(2)]
-            return (-sum(rho[g][k] * dphi[k] for k in range(2)) * y_old
-                    + ph * N.gamma[g](xs, y_old))
-        return fn
+    def gamma_p(xs, y):
+        # Gamma'_{g'}(x, y') = -rho^k_g y dphi_k + phi Gamma_g at y = y'/phi
+        ph = phi(xs)
+        y_old = y / ph
+        rho = A.rho_at(xs)
+        jxs, _ = seeded_point(xs, 0.0)
+        dphi = [jdx(phi(jxs), i) for i in range(2)]
+        gam = N.gamma_at(xs, y_old)
+        return [-sum(rho[g][k] * dphi[k] for k in range(2)) * y_old
+                + ph * gam[g] for g in range(2)]
 
     # NOTE: the primed coefficients must be functions of the primed chart;
     # base chart is unchanged here so x' = x and only y rescales.
-    N_p = NonlinearConnection(2, (gamma_p_fn(0), gamma_p_fn(1)))
-    C = CoordinateChange(2, 2, fiber_scale=phi)
+    N_p = NonlinearConnection(2, gamma_p)
+    C = CoordinateChange(2, 2, phi_at=phi)
     res = run_law(nlc_transformation_point, (N, N_p, C, A), PTS)
     assert res.max_residual <= 1e-10
 
@@ -204,9 +197,9 @@ def test_transformation_sums_the_anchor_term_once_per_index():
             return float(self) * other
 
     A, N, _ = make_nonabelian()
-    A_c = SimpleNamespace(p=2, m=2, rho_at=lambda xs: [
-        [Counted(primal(v)) for v in row] for row in A.rho_at(xs)])
-    C = CoordinateChange(2, 2, fiber_scale=field("exp(0.5*x1)"))
+    A_c = AlgebroidData(2, 2, lambda xs: [
+        [Counted(primal(v)) for v in row] for row in A.rho_at(xs)], A.L_at)
+    C = CoordinateChange(2, 2, phi_at=table("exp(0.5*x1)", on_base=True))
     res = run_law(nlc_transformation_point, (N, N, C, A_c), PTS[:3])
     assert products["rho"] == 3 * 4
     assert res.max_residual == run_law(nlc_transformation_point,

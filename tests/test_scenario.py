@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from kkgeom import exprlang
+from kkgeom import scenario
+from kkgeom.calculus import seeded_point
 from kkgeom.curvature import curvature_components_at, torsion_components_at
+from kkgeom.exprlang import compile_expr, parse
 from kkgeom.sampling import MAX_SAMPLES, Box, sample_points
 from kkgeom.scenario import ScenarioError, load_scenario, scenario_from_dict
-from conftest import DATA_DIR, SCENARIO_DIR
+from conftest import DATA_DIR, SCENARIO_DIR, bits
 
 
 def minimal():
@@ -96,7 +98,8 @@ def test_minimal_scenario_defaults():
     assert sc.box.x_ranges == ((-1.0, 1.0), (-1.0, 1.0))
     assert sc.box.y_range == (0.1, 2.0)
     # Gamma defaults to zero, bracket table defaults to zero
-    assert sc.connection.gamma[0]((0.5, 0.5), 1.0) == 0.0
+    assert sc.connection.gamma_at((0.5, 0.5), 1.0) == [0.0, 0.0]
+    assert sc.algebroid.L_at((0.5, 0.5)) == [[[0.0] * 2] * 2] * 2
     with pytest.raises(ScenarioError):
         sc.dconnection()  # neither metric nor explicit tables
 
@@ -113,6 +116,21 @@ def test_shape_error_rho():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert "algebroid.rho[0]" in str(err.value)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("rho", [["1"]],
+     "algebroid.rho: expected a list of length 2, got [['1']]"),
+    ("L", [], "algebroid.L: expected a list of length 2, got []"),
+])
+def test_short_tables_are_refused_with_their_path(key, value, message):
+    """A rho of one entry and an empty L at p = m = 2 are refused by the
+    load, with the path of the short table, before any evaluator exists."""
+    doc = minimal()
+    doc["algebroid"][key] = value
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == message
 
 
 def test_shape_error_L():
@@ -189,61 +207,124 @@ def _leaves(node):
         yield node
 
 
-# (section, key, parsed on the base M, so without y0)
-TABLES = [("algebroid", "rho", True), ("algebroid", "L", True),
-          ("connection", "Gamma", False), ("metric", "g", False),
-          ("metric", "g00", False), ("dconnection", "Hh", False),
-          ("dconnection", "Hv", False), ("dconnection", "Vh", False),
-          ("dconnection", "Vv", False), ("lift", "g", True),
-          ("lift", "gtilde", True)]
+# (section, key, parsed on the base M, so without y0, evaluator)
+TABLES = [
+    ("algebroid", "rho", True, lambda sc: sc.algebroid.rho_at),
+    ("algebroid", "L", True, lambda sc: sc.algebroid.L_at),
+    ("connection", "Gamma", False, lambda sc: sc.connection.gamma_at),
+    ("metric", "g", False, lambda sc: sc.metric.g_at),
+    ("metric", "g00", False, lambda sc: sc.metric.g00_at),
+    ("dconnection", "Hh", False, lambda sc: sc.explicit_dconnection.hh_at),
+    ("dconnection", "Hv", False, lambda sc: sc.explicit_dconnection.hv_at),
+    ("dconnection", "Vh", False, lambda sc: sc.explicit_dconnection.vh_at),
+    ("dconnection", "Vv", False, lambda sc: sc.explicit_dconnection.vv_at),
+    ("lift", "g", True, lambda sc: sc.lift.morphism.g_at),
+    ("lift", "gtilde", True, lambda sc: sc.lift.morphism.gtilde_at),
+]
+
+LOADABLE = sorted(SCENARIO_DIR.glob("*.json")) + [DATA_DIR / "gen3_seed1.json"]
 
 
-@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json"))
-                         + [DATA_DIR / "gen3_seed1.json"],
-                         ids=lambda path: path.stem)
+def _tables_present(doc):
+    """``(key, sources, on_base, evaluator getter)`` of each table in
+    ``doc``, then the lift curve (its getter reads ``point_at``)."""
+    found = [(key, doc[section][key], on_base, get)
+             for section, key, on_base, get in TABLES
+             if doc.get(section, {}).get(key) is not None]
+    if "lift" in doc:
+        found.append(("curve", tuple(doc["lift"]["curve"]), None,
+                      lambda sc: sc.lift.curve.point_at))
+    return found
+
+
+@pytest.mark.parametrize("path", LOADABLE, ids=lambda path: path.stem)
 def test_a_load_compiles_each_distinct_expression_once(monkeypatch, path):
-    """One compile per distinct (source, parsed on the base) pair of the
-    tables, plus one per distinct curve component; entries with the same
-    source share one field."""
+    """A load parses each distinct (source, parsed on the base) pair of the
+    tables once, plus each curve component, and calls ``compile_expr`` once
+    per table present plus once for the curve."""
     doc = json.loads(path.read_text())
-    pairs = {(src, on_base) for section, key, on_base in TABLES
+    pairs = {(src, on_base) for section, key, on_base, _ in TABLES
              for src in _leaves(doc.get(section, {}).get(key))}
-    curves = set(doc.get("lift", {}).get("curve", ()))
-    compiled = []
-    compile_expr = exprlang.compile_expr
+    curve = list(doc.get("lift", {}).get("curve", ()))
+    calls = {"parse": [], "compile_expr": []}
+    for name in calls:
+        original = getattr(scenario, name)
 
-    def counted(node, params):
-        compiled.append(node)
-        return compile_expr(node, params)
+        def counted(*args, _name=name, _original=original, **kw):
+            calls[_name].append(args[0])
+            return _original(*args, **kw)
 
-    monkeypatch.setattr(exprlang, "compile_expr", counted)
-    sc = load_scenario(str(path))
-    assert len(compiled) == len(pairs) + len(curves)
-    alg = doc["algebroid"]
-    base = [(alg["rho"], sc.algebroid.rho)] + (
-        [(alg["L"], sc.algebroid.L)] if "L" in alg else [])
-    gamma = [(doc["connection"]["Gamma"], sc.connection.gamma)]
-    for tables in (base, gamma):
-        shared = {}
-        for sources, fields in tables:
-            for src, f in zip(_leaves(sources), _leaves(fields), strict=True):
-                assert shared.setdefault(src, f) is f
+        monkeypatch.setattr(scenario, name, counted)
+    load_scenario(str(path))
+    assert len(calls["parse"]) == len(pairs) + len(curve)
+    assert len(calls["compile_expr"]) == len(_tables_present(doc))
 
 
 def _is_compiled(fn):
-    """Whether ``fn`` is an expression as compiled, with no wrapper."""
+    """Whether ``fn`` is code as compiled, with no wrapper."""
     return (fn.__code__.co_name, fn.__code__.co_filename) \
         == ("<lambda>", "<string>")
 
 
 def test_scenario_fields_are_the_compiled_functions():
-    """A field of a loaded scenario is the function its expression compiled
-    to, and so is a curve component: no wrapper sits between them and the
-    code that calls them."""
-    sc = load_scenario(str(SCENARIO_DIR / "d1.json"))
-    gamma, comp = sc.connection.gamma[0], sc.lift.curve.components[0]
-    assert _is_compiled(gamma) and _is_compiled(comp)
-    assert (gamma.__code__.co_argcount, comp.__code__.co_argcount) == (2, 1)
+    """Each table evaluator of a loaded scenario, and the curve, is the one
+    function the table compiled to, of ``(X, Y)`` on E, of ``X`` on the
+    base and of ``T`` for the curve: no wrapper sits between it and the
+    code that calls it."""
+    for path in LOADABLE:
+        doc = json.loads(path.read_text())
+        sc = load_scenario(str(path))
+        for key, _, on_base, get in _tables_present(doc):
+            fn = get(sc)
+            assert _is_compiled(fn), (path.stem, key)
+            assert fn.__code__.co_argcount \
+                == (2 if on_base is False else 1), (path.stem, key)
+
+
+def _entrywise(sources, on_base, m):
+    """The per-entry reference for a table: every entry compiled on its
+    own, as a field of ``(xs, y)``, evaluated one by one in index order
+    (``y`` is 0.0 on the base), with the curve's components as functions
+    of ``t``."""
+    if on_base is None:
+        comps = [compile_expr(parse(s, 0, allow_y=False, allow_t=True), "T")
+                 for s in sources]
+        return lambda t: tuple([c(t) for c in comps])
+
+    def fields(node):
+        if isinstance(node, list):
+            return [fields(v) for v in node]
+        return compile_expr(parse(node, m, allow_y=not on_base), "X, Y")
+
+    def walk(node, xs, y):
+        if isinstance(node, list):
+            return [walk(v, xs, y) for v in node]
+        return node(xs, y)
+
+    table = fields(sources)
+    if on_base:
+        return lambda xs: walk(table, xs, 0.0)
+    return lambda xs, y: walk(table, xs, y)
+
+
+@pytest.mark.parametrize("path", LOADABLE, ids=lambda path: path.stem)
+def test_table_evaluators_equal_the_entrywise_fields_bitwise(path):
+    """Each table evaluator gives the bits of its entries compiled and
+    evaluated one at a time (the representation it replaced), at float,
+    depth-1 and depth-2 Jet points; the curve likewise in t."""
+    doc = json.loads(path.read_text())
+    sc = load_scenario(str(path))
+    m = sc.m
+    for k, pt in enumerate(sample_points(sc.box, 2, sc.seed)):
+        xs, y, t = pt.x, pt.y, 0.3 + 0.4 * k
+        for depth in range(3):
+            for key, sources, on_base, get in _tables_present(doc):
+                want = _entrywise(sources, on_base, m)
+                args = ((t,) if on_base is None else (xs,) if on_base
+                        else (xs, y))
+                assert bits(get(sc)(*args)) == bits(want(*args)), (key, depth)
+            xs, y = seeded_point(xs, y)
+            t = seeded_point((t,), 0.0)[0][0]
 
 
 def _blocks(record):

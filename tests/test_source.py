@@ -252,26 +252,56 @@ def test_the_local_import_guard_sees_one():
     assert _function_local_imports(tree) == {4, 5}
 
 
+def _definitions(tree):
+    """``(qualified name, node)`` for every module-level function and class
+    of ``tree`` and every method (static methods and properties too) of a
+    module-level class, dunders apart: Python calls those itself."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for top in tree.body:
+        if isinstance(top, functions + (ast.ClassDef,)):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, functions) and not (
+                        node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    yield f"{top.name}.{node.name}", node
+
+
+def _reads(node, around=(), found=None):
+    """Name -> the tuples of definitions around each read of it (as a
+    ``Name`` or as an attribute) under ``node``."""
+    found = {} if found is None else found
+    if isinstance(node, ast.Name):
+        found.setdefault(node.id, []).append(around)
+    elif isinstance(node, ast.Attribute):
+        found.setdefault(node.attr, []).append(around)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        around += (node,)
+    for child in ast.iter_child_nodes(node):
+        _reads(child, around, found)
+    return found
+
+
 def _uncalled_definitions(trees):
-    """``module:name`` for every module-level function and class of
-    ``trees`` (module name -> parsed source) that no code of these modules
+    """``module:name`` for every definition of ``trees`` (module name ->
+    parsed source; see :func:`_definitions`) that no code of these modules
     reads outside the definition's own body.  ``__all__`` lists strings,
     and imports bind names without reading them, so neither counts."""
-    read = {}
-    for module, tree in trees.items():
-        for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    read.setdefault(node.id, set()).add((module, top))
-                elif isinstance(node, ast.Attribute):
-                    read.setdefault(node.attr, set()).add((module, top))
-    return {f"{module}:{top.name}"
-            for module, tree in trees.items() for top in tree.body
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-            and not read.get(top.name, set()) - {(module, top)}}
+    reads = {}
+    for tree in trees.values():
+        for name, arounds in _reads(tree).items():
+            reads.setdefault(name, []).extend(arounds)
+    return {f"{module}:{qualified}"
+            for module, tree in trees.items()
+            for qualified, node in _definitions(tree)
+            if all(node in around
+                   for around in reads.get(node.name, ()))}
 
 
-# Names the package keeps without a caller in it, each for a reason:
+# Names the package keeps without a caller in it, each for a reason
+# (``module:name``, or ``module:Class.method`` for a method):
 UNCALLED_ALLOWED = {
     # perfbench/layers.py resolves these two by name to count oracle
     # builds; they leave once that count moves to bracket_pairs and
@@ -282,6 +312,9 @@ UNCALLED_ALLOWED = {
     # certifies (ROADMAP item 2); only tests call them today.
     "lift.py:acceleration_lift",
     "lift.py:lift_condition_residual",
+    # argparse calls these overrides of ArgumentParser methods.
+    "cli.py:_Parser.error",
+    "cli.py:_Parser._parse_optional",
 }
 
 
@@ -309,3 +342,26 @@ def test_the_caller_guard_sees_an_unreferenced_def():
                                "    return Kept()\n")}
     assert _uncalled_definitions(trees) == {"a.py:walk", "a.py:unused",
                                             "b.py:run"}
+
+
+def test_the_caller_guard_sees_an_unread_method():
+    """A method or static method that only its own body reads is reported,
+    one that another method reads is not, and a dunder never is."""
+    trees = {"a.py": ast.parse("class Change:\n"
+                               "    def __init__(self, m):\n"
+                               "        self.m = m\n"
+                               "    def push(self, pt):\n"
+                               "        return self.phi_at(pt) * pt\n"
+                               "    def phi_at(self, pt):\n"
+                               "        return 1.0\n"
+                               "    def self_check(self, pts):\n"
+                               "        return [self.self_check(p)\n"
+                               "                for p in pts]\n"
+                               "    @staticmethod\n"
+                               "    def identity(m):\n"
+                               "        return Change(m)\n"),
+             "b.py": ast.parse("from .a import Change\n"
+                               "def run(pt):\n"
+                               "    return Change(2).push(pt)\n")}
+    assert _uncalled_definitions(trees) == {
+        "a.py:Change.self_check", "a.py:Change.identity", "b.py:run"}

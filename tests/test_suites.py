@@ -1,4 +1,3 @@
-import itertools
 from collections import Counter
 
 import pytest
@@ -20,7 +19,8 @@ from kkgeom.nlconnection import (
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import ScenarioError, load_scenario
 from kkgeom.suites import applicable_suites, run_suites, run_validate
-from conftest import DATA_DIR, SCENARIO_DIR, field, make_vdep, run_law
+from conftest import DATA_DIR, SCENARIO_DIR, chart_change_residual, \
+    identity_algebroid, make_vdep, run_law, table
 
 PTS = sample_points(Box.default(2), 12, seed=0xA1B2)
 
@@ -63,44 +63,38 @@ def test_change_laws_under_base_dependent_fiber_rescale():
     transformed metric data, so the coefficient laws are genuinely tested,
     not restated."""
     A, _, _ = make_vdep()
-    N = NonlinearConnection(2, (field("x2*y0"), field("0.1*x1*y0")))
-    G = MetricStructure(2, ((field("1+x1^2+0.3*y0^2"), field("0")),
-                            (field("0"), field("1"))),
-                        field("exp(2*x1)*(1+0.2*y0^2)"))
-    phi = field("exp(0.5*x1)")
-
-    def phi_val(xs):
-        return phi(xs, 0.0)
+    N = NonlinearConnection(2, table(["x2*y0", "0.1*x1*y0"]))
+    G = MetricStructure(2, table([["1+x1^2+0.3*y0^2", "0"], ["0", "1"]]),
+                        table("exp(2*x1)*(1+0.2*y0^2)"))
+    phi = table("exp(0.5*x1)", on_base=True)
 
     def phi_grad(xs):
         jxs, _ = seeded_point(xs, 0.0)
-        out = phi(jxs, 0.0)
+        out = phi(jxs)
         return [jdx(out, i) for i in range(2)]
 
-    def gamma_p(g):
-        def fn(xs, yp):
-            ph = phi_val(xs)
-            y = yp / ph
-            dph = phi_grad(xs)
-            rho = A.rho_at(xs)
-            return (-sum(rho[g][k] * dph[k] for k in range(2)) * y
-                    + ph * N.gamma[g](xs, y))
-        return fn
+    def gamma_p(xs, yp):
+        ph = phi(xs)
+        y = yp / ph
+        dph = phi_grad(xs)
+        rho = A.rho_at(xs)
+        gam = N.gamma_at(xs, y)
+        return [-sum(rho[g][k] * dph[k] for k in range(2)) * y + ph * gam[g]
+                for g in range(2)]
 
-    N_p = NonlinearConnection(2, (gamma_p(0), gamma_p(1)))
-    g_p = tuple(
-        tuple(lambda xs, yp, a=a, b=b: G.g[a][b](xs, yp / phi_val(xs))
-              for b in range(2))
-        for a in range(2))
+    N_p = NonlinearConnection(2, gamma_p)
+
+    def g_p(xs, yp):
+        return G.g_at(xs, yp / phi(xs))
 
     def g00_p(xs, yp):
-        return G.g00(xs, yp / phi_val(xs)) / (phi_val(xs) ** 2)
+        return G.g00_at(xs, yp / phi(xs)) / (phi(xs) ** 2)
 
     G_p = MetricStructure(2, g_p, g00_p)
 
     D = metric_dconnection(G, berwald(N), A, N)
     D_p = metric_dconnection(G_p, berwald(N_p), A, N_p)
-    C = CoordinateChange(2, 2, fiber_scale=phi)
+    C = CoordinateChange(2, 2, phi_at=phi)
     assert run_law(nlc_transformation_point, (N, N_p, C, A),
                    PTS).max_residual <= 1e-10
     assert run_law(dconnection_transformation_point, (D, D_p, C, A, N),
@@ -111,18 +105,13 @@ def test_base_map_push_and_scalar_coefficients():
     """Pure base reparametrization (frame and fiber fixed): the connection
     coefficients are scalars, so the primed coefficients are the originals
     composed with the inverse base map."""
-    A = AlgebroidData.identity(2)
-    N = NonlinearConnection(2, (field("x2*y0"), field("0.3*x1*y0")))
-    base = (field("x1+x2"), field("x1-x2"))
-    base_inv = (field("0.5*x1+0.5*x2"), field("0.5*x1-0.5*x2"))
-    C = CoordinateChange(2, 2, base=base, base_inverse=base_inv)
-    assert C.self_check(PTS).max_residual <= 1e-12
-
-    def gamma_p(g):
-        return lambda xs, y, g=g: N.gamma[g](
-            tuple(f(xs, 0.0) for f in base_inv), y)
-
-    N_p = NonlinearConnection(2, (gamma_p(0), gamma_p(1)))
+    A = identity_algebroid(2)
+    N = NonlinearConnection(2, table(["x2*y0", "0.3*x1*y0"]))
+    base_at = table(["x1+x2", "x1-x2"], on_base=True)
+    base_inv_at = table(["0.5*x1+0.5*x2", "0.5*x1-0.5*x2"], on_base=True)
+    C = CoordinateChange(2, 2, base_at=base_at)
+    assert chart_change_residual(C, base_inv_at, PTS).max_residual <= 1e-12
+    N_p = NonlinearConnection(2, lambda xs, y: N.gamma_at(base_inv_at(xs), y))
     assert run_law(nlc_transformation_point, (N, N_p, C, A),
                    PTS).max_residual <= 1e-12
 
@@ -138,56 +127,45 @@ def test_sample_points_are_prefix_stable(box, seed):
 
 
 def _counting_scenario(sc, counts):
-    """``sc``, changed in place so that every anchor, bracket, Gamma and g
-    entry counts its evaluations in ``counts[(table, index)]``."""
-    def wrap(table, fields, idx=()):
-        if isinstance(fields, tuple):
-            return tuple(wrap(table, f, idx + (k,))
-                         for k, f in enumerate(fields))
-
-        def fn(xs, y):
-            counts[table, idx] += 1
-            return fields(xs, y)
-        return fn
+    """``sc``, changed in place so that the anchor, bracket, Gamma and g
+    tables count their evaluations in ``counts[table]``."""
+    def wrap(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
 
     A, N, G = sc.algebroid, sc.connection, sc.metric
-    sc.algebroid = AlgebroidData(sc.m, sc.p, wrap("rho", A.rho),
-                                 wrap("L", A.L))
-    sc.connection = NonlinearConnection(sc.p, wrap("Gamma", N.gamma))
-    sc.metric = MetricStructure(sc.p, wrap("g", G.g), G.g00)
+    sc.algebroid = AlgebroidData(sc.m, sc.p, wrap("rho", A.rho_at),
+                                 wrap("L", A.L_at))
+    sc.connection = NonlinearConnection(sc.p, wrap("Gamma", N.gamma_at))
+    sc.metric = MetricStructure(sc.p, wrap("g", G.g_at), G.g00_at)
     return sc
 
 
 def test_primed_tables_evaluate_each_unprimed_entry_once():
     """One primed table evaluation, and one primed metric-connection hh
-    evaluation, read each unprimed anchor, bracket, Gamma and g entry
-    exactly once (not once per primed entry: p^3 times for L at p = 3)."""
+    evaluation, read each unprimed anchor, bracket, Gamma and g table
+    exactly once, so each entry once (not once per primed entry: p^3 times
+    for L at p = 3)."""
     counts = Counter()
     sc = _counting_scenario(load_scenario(str(DATA_DIR / "gen3_seed1.json")),
                             counts)
-    p, m = sc.p, sc.m
-    entries = {
-        "rho": list(itertools.product(range(p), range(m))),
-        "L": list(itertools.product(range(p), repeat=3)),
-        "Gamma": [(g,) for g in range(p)],
-        "g": list(itertools.product(range(p), repeat=2)),
-    }
     _, A_p, N_p, G_p = suites._frame_change_data(sc)
-    pt = sample_points(Box.default(m), 1, seed=3)[0]
+    pt = sample_points(Box.default(sc.m), 1, seed=3)[0]
     jxs, jy = seeded_point(pt.x, pt.y)
-    for table, evaluate in (("rho", lambda: A_p.rho_at(jxs)),
-                            ("L", lambda: A_p.L_at(jxs)),
-                            ("Gamma", lambda: N_p.gamma_at(jxs, jy)),
-                            ("g", lambda: G_p.g_at(jxs, jy))):
+    for name, evaluate in (("rho", lambda: A_p.rho_at(jxs)),
+                           ("L", lambda: A_p.L_at(jxs)),
+                           ("Gamma", lambda: N_p.gamma_at(jxs, jy)),
+                           ("g", lambda: G_p.g_at(jxs, jy))):
         counts.clear()
         evaluate()
-        assert counts == {(table, idx): 1 for idx in entries[table]}, table
+        assert counts == {name: 1}, name
 
     D_p = metric_dconnection(G_p, sc.baseline_for(N_p), A_p, N_p)
     counts.clear()
     D_p.hh_at(pt.x, pt.y)
-    assert counts == {(table, idx): 1
-                      for table, idxs in entries.items() for idx in idxs}
+    assert counts == dict.fromkeys(("rho", "L", "Gamma", "g"), 1)
 
 
 def _unprimed_evaluations(monkeypatch, path):
