@@ -24,7 +24,9 @@ Jet with m partials compiles ``_KERNELS`` for that m into a subclass of
 build) belongs to.  Each kernel writes one expression per component, with
 the operands and their order of a per-component loop, so it computes the
 loop's bits; that loop is kept as the reference in ``tests/test_calculus.py``
-(``_LoopJet``).
+(``_LoopJet``).  ``compile_kernel`` compiles these and the other
+generated kernels of the package (the adapted-derivative split, the
+Leibniz rule, the Koszul formula), each under its own module's file.
 """
 
 from __future__ import annotations
@@ -265,12 +267,21 @@ def _jet_class(m):
     fields = {name: "(" + "".join(expr.format(a=f"a{i}", b=f"b{i}") + ", "
                                   for i in range(m)) + ")"
               for name, expr in _COMPONENT.items()}
-    source = "\n" * (_KERNELS_LINE - 1) + _KERNELS.format(J=f"Jet{m}",
-                                                          **fields)
-    namespace = {"Jet": Jet, "EvaluationDomainError": EvaluationDomainError,
-                 "primal": primal, "_jdiv": _jdiv, "_recip": _recip}
-    exec(compile(source, __file__, "exec"), namespace)
-    return namespace[f"Jet{m}"]
+    return compile_kernel(
+        _KERNELS.format(J=f"Jet{m}", **fields), f"Jet{m}", __file__,
+        _KERNELS_LINE, {"Jet": Jet, "EvaluationDomainError":
+                        EvaluationDomainError, "primal": primal,
+                        "_jdiv": _jdiv, "_recip": _recip})
+
+
+def compile_kernel(source, name, filename, line, namespace):
+    """The definition ``name`` of generated ``source``, run in
+    ``namespace``.  The code is compiled under ``filename``, the file of
+    the module that generates it, with its first line at ``line`` there:
+    a traceback points into that module, and a profile charges the
+    kernel's time to it.  The one compile site of generated kernels."""
+    exec(compile("\n" * (line - 1) + source, filename, "exec"), namespace)
+    return namespace[name]
 
 
 def _jdiv(a, b):

@@ -14,6 +14,9 @@ matter, because each contravariant vertical slot adds +hv/+vv corrections
 and each covariant one subtracts them.  ``h_cov_values`` and
 ``v_cov_values`` add those corrections to the output of one
 ``adapted_derivatives`` pass; the suites nest passes for higher orders.
+Both run one Leibniz kernel, straight-line code generated per (p, rank,
+contravariant slots, non-zero weight) on first use; the loop it replaced
+is the bitwise reference in ``tests/reference.py`` (``loop_leibniz``).
 
 A vector field is a function ``(xs, y) -> (h_list, v)``: its p horizontal
 components and its vertical one, from one evaluation so that the two parts
@@ -22,11 +25,12 @@ share their work.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from operator import mul
+import sys
 
 from .algebroid import AlgebroidData
-from .calculus import jdx, jdy, jval, seeded_point
+from .calculus import compile_kernel, jdx, jdy, jval, seeded_point
 from .nlconnection import NonlinearConnection, adapted_derivatives
 
 __all__ = [
@@ -99,27 +103,62 @@ def _nested(flat, p, rank):
     return flat[0]
 
 
-def _leibniz(base, flat, rh, rank, up, down, vweight, vcoeff):
-    """``base`` plus the Leibniz terms of the tensor T with leaves ``flat``
-    (both in index order), its first ``rh`` of ``rank`` slots
-    contravariant: per slot k, ``+ sum_th up[i_k][th] T[.., th, ..]`` or
-    ``- sum_th down[i_k][th] T[.., th, ..]``, then ``+ vweight * vcoeff *
-    T``.  T is read through strided slices of ``flat``."""
-    p = len(up)
+# The Leibniz rule for a tensor T of rank r over p values per slot, its
+# first rh slots contravariant, along the directions G.  The kernel reads T
+# and, per direction g, the base B[g] by flat index i, runs over the index
+# tuple (i0, .., i<r-1>), and appends per direction g
+#
+#     B[g][i] + (0 + U<k>_0[g] * t<k>_0 + ...) - (0 + ...) ...
+#             + vweight * Cv[g] * T[i]
+#
+# with one ``(0 + ...)`` per slot k in slot order: added for a
+# contravariant slot, subtracted for a covariant one.  t<k>_th is T with
+# slot k set to th (a slice of stride p^(r-1-k)), and U<k>_th[g] the
+# coefficient C[i<k>][th][g] (contravariant) or C[th][i<k>][g] (covariant).
+# ``{rows}`` unpacks C into C<th>, ``{fetch}`` binds U and t for the index
+# tuple; the last term is written only for a non-zero weight.
+_LEIBNIZ_LINE = sys._getframe().f_lineno + 2
+_LEIBNIZ = '''\
+def leibniz(T, B, C, Cv, vweight, G):
+    {rows}, = C
     out = []
-    for i, idx in enumerate(itertools.product(range(p), repeat=rank)):
-        acc = base[i]
-        for k, ik in enumerate(idx):
-            st = p ** (rank - 1 - k)
-            terms = flat[i - ik * st:i + (p - ik) * st:st]
-            if k < rh:
-                acc = acc + sum(map(mul, up[ik], terms))
-            else:
-                acc = acc - sum(map(mul, down[ik], terms))
-        if vweight:
-            acc = acc + vweight * vcoeff * flat[i]
-        out.append(acc)
+    for {idx} in _product({R}, repeat={rank}):
+        i = {index}
+        {fetch}
+        for g in G: out.append({acc})
     return out
+'''
+
+
+@functools.cache
+def _leibniz_kernel(p, rank, rh, vterm):
+    """The kernel of ``_LEIBNIZ`` for p, rank and rh, with the ``vweight``
+    term when ``vterm``, generated on first use."""
+    fetch, sums = [], []
+    for k in range(rank):
+        st = p ** (rank - 1 - k)
+        if k < rh:
+            fetch.append(", ".join(f"U{k}_{th}" for th in range(p))
+                         + f", = C[i{k}]")
+        else:
+            fetch.extend(f"U{k}_{th} = C{th}[i{k}]" for th in range(p))
+        fetch.append(f"o{k} = i - i{k}" + (f" * {st}" if st > 1 else ""))
+        fetch.append(", ".join(f"t{k}_{th}" for th in range(p))
+                     + f", = T[o{k}:o{k} + {p * st}"
+                     + (f":{st}]" if st > 1 else "]"))
+        sums.append(("+" if k < rh else "-") + " (0" + "".join(
+            f" + U{k}_{th}[g] * t{k}_{th}" for th in range(p)) + ")")
+    source = _LEIBNIZ.format(
+        rows=", ".join(f"C{th}" for th in range(p)),
+        idx=", ".join(f"i{k}" for k in range(rank)) + "," if rank else "_",
+        R=repr(tuple(range(p))), rank=rank,
+        index=" + ".join(f"i{k} * {p ** (rank - 1 - k)}" if k < rank - 1
+                         else f"i{k}" for k in range(rank)) or "0",
+        fetch="; ".join(fetch) or "pass",
+        acc=" ".join(["B[g][i]"] + sums
+                     + (["+ vweight * Cv[g] * T[i]"] if vterm else [])))
+    return compile_kernel(source, "leibniz", __file__, _LEIBNIZ_LINE,
+                          {"_product": itertools.product})
 
 
 def h_cov_values(vals, delta, rh, sh, vweight, Hh, Hv):
@@ -128,21 +167,22 @@ def h_cov_values(vals, delta, rh, sh, vweight, Hh, Hv):
     adapted derivatives ``delta[g]``: delta_g T plus the hh and hv Leibniz
     terms, the direction g appended last."""
     p, rank = len(Hv), rh + sh
-    flat = _flat(vals, rank)
-    per_g = [_leibniz(_flat(delta[g], rank), flat, rh, rank,
-                      [[Hh[a][th][g] for th in range(p)] for a in range(p)],
-                      [[Hh[th][b][g] for th in range(p)] for b in range(p)],
-                      vweight, Hv[g]) for g in range(p)]
-    return _nested([v for row in zip(*per_g) for v in row], p, rank + 1)
+    leibniz = _leibniz_kernel(p, rank, rh, bool(vweight))
+    return _nested(leibniz(_flat(vals, rank),
+                           [_flat(d, rank) for d in delta], Hh, Hv, vweight,
+                           range(p)), p, rank + 1)
 
 
 def v_cov_values(vals, ddy, rh, sh, vweight, Vh, Vv):
     """The vertical covariant derivative, as :func:`h_cov_values`, from the
     values and fiber derivatives ``ddy``: d/dy0 T plus the vh and vv
-    Leibniz terms."""
-    rank = rh + sh
-    return _nested(_leibniz(_flat(ddy, rank), _flat(vals, rank), rh, rank,
-                            Vh, list(zip(*Vh)), vweight, Vv), len(Vh), rank)
+    Leibniz terms.  It is the rule along the one vertical direction, so vh
+    enters as the table vh[a][b][0] and vv as [vv]."""
+    p, rank = len(Vh), rh + sh
+    leibniz = _leibniz_kernel(p, rank, rh, bool(vweight))
+    return _nested(leibniz(_flat(vals, rank), [_flat(ddy, rank)],
+                           [[[c] for c in row] for row in Vh], [Vv], vweight,
+                           (0,)), p, rank)
 
 
 def frame_h(p: int, idx: int):

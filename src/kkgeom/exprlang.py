@@ -163,57 +163,97 @@ class _Parser:
             raise ParseError(offset, expected)
         return self.advance()
 
-    def parse_expr(self):
-        node = self.parse_term()
+    def parse_expr(self, depth=0):
+        """An expr inside ``depth`` levels of parentheses (a call's
+        included).  Its terms, factors, signs and powers are loops in this
+        one frame; only an operand in parentheses and a call's arguments
+        recurse, through :meth:`parse_atom`, two frames a level, and a
+        level past ``_MAX_NESTING`` is refused before recursing."""
+        tokens = self.tokens
+        expr = add_op = None
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinOp(value, node, self.parse_term())
-            else:
-                return node
+            term = mul_op = None
+            while True:
+                # factor := '-' factor | atom ('^' factor)?: the signs and
+                # atoms of a power chain, nested from the right; each sign
+                # and each '^' nests one operation deeper
+                chain, nested = [], 0
+                while True:
+                    signs = 0
+                    kind, value, _ = tokens[self.i]
+                    while kind == "op" and value == "-":
+                        self.i += 1
+                        signs += 1
+                        kind, value, _ = tokens[self.i]
+                    nested += signs
+                    if nested > _MAX_DEPTH:
+                        raise ParseError(0, f"at most {_MAX_DEPTH} nested "
+                                         f"operations")
+                    factor = self.parse_atom(depth)
+                    kind, value, _ = tokens[self.i]
+                    if kind != "op" or value != "^":
+                        break
+                    self.i += 1
+                    nested += 1
+                    chain.append((signs, factor))
+                while True:
+                    for _ in range(signs):
+                        factor = Neg(factor)
+                    if not chain:
+                        break
+                    signs, base = chain.pop()
+                    factor = BinOp("^", base, factor)
+                term = factor if term is None else BinOp(mul_op, term,
+                                                         factor)
+                if kind != "op" or value not in "*/":
+                    break
+                self.i += 1
+                mul_op = value
+            expr = term if expr is None else BinOp(add_op, expr, term)
+            if kind != "op" or value not in "+-":
+                return expr
+            self.i += 1
+            add_op = value
 
-    def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinOp(value, node, self.parse_factor())
-            else:
-                return node
-
-    def parse_factor(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self):
-        node = self.parse_atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            return BinOp("^", node, self.parse_factor())
-        return node
-
-    def parse_atom(self):
+    def parse_atom(self, depth):
         kind, value, offset = self.advance()
         if kind == "num":
             return Num(value)
         if kind == "op" and value == "(":
-            node = self.parse_expr()
+            self.check_nesting(depth, offset)
+            node = self.parse_expr(depth + 1)
             self.expect_op(")", "')'")
             return node
-        if kind == "ident":
+        if kind != "ident":
+            raise ParseError(offset, "an operand")
+        if self.peek()[:2] != ("op", "("):
             return self.parse_ident(value, offset)
-        raise ParseError(offset, "an operand")
+        # a call: its arguments, then its name and their number
+        self.check_nesting(depth, self.advance()[2])
+        args = [self.parse_expr(depth + 1)]
+        while self.peek()[:2] == ("op", ","):
+            self.advance()
+            args.append(self.parse_expr(depth + 1))
+        self.expect_op(")", "')' or ','")
+        if value == "pow":
+            if len(args) != 2:
+                raise ParseError(offset, "pow with exactly two arguments")
+            return BinOp("^", args[0], args[1])
+        if value in UNARY_FUNCS:
+            if len(args) != 1:
+                raise ParseError(offset, f"{value} with exactly one argument")
+            return Call(value, args[0])
+        raise ParseError(offset, f"a known function (got {value!r})")
+
+    @staticmethod
+    def check_nesting(depth, offset):
+        """Refuse the parenthesis at ``offset`` that would open level
+        ``depth + 1``."""
+        if depth >= _MAX_NESTING:
+            raise ParseError(offset,
+                             f"at most {_MAX_NESTING} nested parentheses")
 
     def parse_ident(self, name, offset):
-        nkind, nvalue, _ = self.peek()
-        if nkind == "op" and nvalue == "(":
-            return self.parse_call(name, offset)
         if name in CONSTANTS:
             return Num(CONSTANTS[name])
         if name == "y0":
@@ -231,32 +271,16 @@ class _Parser:
             return Var("x", index - 1)
         raise ParseError(offset, f"a known identifier (got {name!r})")
 
-    def parse_call(self, name, offset):
-        self.expect_op("(", "'('")
-        args = [self.parse_expr()]
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == ",":
-                self.advance()
-                args.append(self.parse_expr())
-            else:
-                break
-        self.expect_op(")", "')' or ','")
-        if name == "pow":
-            if len(args) != 2:
-                raise ParseError(offset, "pow with exactly two arguments")
-            return BinOp("^", args[0], args[1])
-        if name in UNARY_FUNCS:
-            if len(args) != 1:
-                raise ParseError(offset, f"{name} with exactly one argument")
-            return Call(name, args[0])
-        raise ParseError(offset, f"a known function (got {name!r})")
-
 
 # Compiled code wraps every operation in one level of parentheses, and
 # CPython's tokenizer refuses 200 nested levels; an entry sits inside up to
 # three brackets of its table's display (L, Hh).
 _MAX_DEPTH = 196
+# The parser recurses, two frames a level, only into parentheses (a call's
+# included), and refuses a level past this one before it recurses: the
+# limit is this number whatever the caller's stack.  196 nested calls are
+# 196 operations, which compile (above) and evaluate on Jets of any depth.
+_MAX_NESTING = 196
 
 
 def _depth(node: Expr) -> int:
@@ -284,11 +308,7 @@ def parse(src: str, m: int, *, allow_y: bool = True, allow_t: bool = False) -> E
     input, including nesting too deep to parse or compile."""
     tokens = _tokenize(src)
     parser = _Parser(tokens, m, allow_y, allow_t)
-    try:
-        node = parser.parse_expr()
-    except RecursionError:
-        raise ParseError(parser.peek()[2],
-                         "a less deeply nested expression") from None
+    node = parser.parse_expr()
     kind, _, offset = parser.peek()
     if kind != "end":
         raise ParseError(offset, "end of input or an operator")
@@ -332,6 +352,6 @@ def compile_expr(node, params: str):
     a table of them: a nested list compiles to a list display, a tuple to a
     tuple display, each entry in index order.  Params are "X, Y" (X
     indexable, Y scalar) on E, "X" on the base, "T" for a curve.  One of
-    the two compile sites; the other, ``calculus._jet_class``, generates
-    the Jet kernels of each dimension m."""
+    the two compile sites; the other, ``calculus.compile_kernel``, compiles
+    the generated kernels."""
     return eval(f"lambda {params}: {_codegen(node)}", dict(_ENV))

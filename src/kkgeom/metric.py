@@ -5,6 +5,9 @@ vertical coefficient g00(x, y0); both must be nondegenerate on the sampling
 box.  ``metric_dconnection`` builds, from any baseline coefficient set, a
 connection whose covariant derivatives annihilate the metric; with the
 fiber-derivative (Berwald-type) baseline this is the canonical connection.
+Its hh is the Koszul formula, straight-line code generated per p on first
+use; the sums it replaced are the bitwise reference in
+``tests/reference.py`` (``loop_koszul``).
 
 Matrix inversion is a plain Gauss-Jordan written to run on Jet entries, so
 the constructed coefficients can be differentiated again (curvature needs
@@ -14,13 +17,16 @@ second).
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 
 from .algebroid import AlgebroidData
 from .calculus import (
     EPoint,
     EvaluationDomainError,
     at_point,
+    compile_kernel,
     jdy,
     jval,
     primal,
@@ -136,6 +142,80 @@ def inverse_h(G: MetricStructure, pt: EPoint):
     return ginv
 
 
+def _float_point(xs, y):
+    """The point of floats under a point that may carry Jets, to name in an
+    error."""
+    return EPoint(tuple(map(primal, xs)), primal(y))
+
+
+def _inverse_at(mat, xs, y):
+    """:func:`matrix_inverse` of a metric block evaluated at (xs, y); a
+    singular block names the point."""
+    try:
+        return matrix_inverse(mat)
+    except SingularMetricError as exc:
+        exc.point = _float_point(xs, y)
+        raise
+
+
+# The Koszul formula of the metric connection's hh at p, from the values
+# gv and adapted derivatives gd (gd[c][e][b] = delta_c g[e][b]) of the
+# horizontal metric block, its inverse gi and the bracket table Lv:
+#
+#     t_e = gd[c][e][b] + gd[b][e][c] - gd[e][b][c] + (0 + (th = 0) + ...)
+#     hh[a][b][c] = 0.5 * (0.0 + gi[a][0] * t_0 + ...)
+#
+# with the bracket terms gv[th][e] * Lv[th][c][b] - gv[b][th] * Lv[th][c][e]
+# - gv[th][c] * Lv[th][b][e] for each th.  The kernel runs over (b, c);
+# ``{terms}`` writes out every t_e and ``{outs}`` every hh[a][b][c].
+_KOSZUL_LINE = sys._getframe().f_lineno + 2
+_KOSZUL = '''\
+def koszul(gv, gd, gi, Lv):
+    {gv_rows}, = gv
+    {gd_rows}, = gd
+    {L_rows}, = Lv
+    {gi}, = gi
+    out = [[[None] * {p} for _ in {R}] for _ in {R}]
+    {out_rows}, = out
+    for b in {R}:
+        gvb = gv[b]; gdb = gd[b]; {per_b}
+        for c in {R}:
+            gdc = gd[c]; {per_c}
+            {terms}
+            {outs}
+    return out
+'''
+
+
+@functools.cache
+def _koszul_kernel(p):
+    """The kernel of ``_KOSZUL`` for p, generated on first use."""
+    rp = range(p)
+
+    def names(fmt):
+        return ", ".join(fmt.format(th) for th in rp)
+
+    def theta(e, th):
+        return (f"(gv{th}[{e}] * L{th}c[b] - gvb[{th}] * L{th}c[{e}]"
+                f" - gv{th}[c] * L{th}b[{e}])")
+
+    source = _KOSZUL.format(
+        p=p, R=repr(tuple(rp)),
+        gv_rows=names("gv{}"), gd_rows=names("gd{}"), L_rows=names("L{}"),
+        gi=", ".join("(" + ", ".join(f"gi{a}_{e}" for e in rp) + ",)"
+                     for a in rp),
+        out_rows=names("O{}"),
+        per_b="; ".join(f"L{th}b = L{th}[b]; O{th}b = O{th}[b]" for th in rp),
+        per_c="; ".join(f"L{th}c = L{th}[c]" for th in rp),
+        terms="; ".join(
+            f"t{e} = gdc[{e}][b] + gdb[{e}][c] - gd{e}[b][c] + (0"
+            + "".join(f" + {theta(e, th)}" for th in rp) + ")" for e in rp),
+        outs="; ".join(
+            f"O{a}b[c] = 0.5 * (0.0"
+            + "".join(f" + gi{a}_{e} * t{e}" for e in rp) + ")" for a in rp))
+    return compile_kernel(source, "koszul", __file__, _KOSZUL_LINE, {})
+
+
 def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
                        A: AlgebroidData, N: NonlinearConnection) -> DConnectionCoeffs:
     """Metric-compatible coefficients built over a baseline (ring) set.
@@ -149,33 +229,16 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
 
     def hh_at(xs, y):
         g_vals, g_delta, _ = adapted_derivatives(G.g_at, xs, y, A, N)
-        ginv = matrix_inverse(g_vals)
-        Lv = A.L_at(xs)
-        rp = range(p)
-        out = [[[None] * p for _ in rp] for _ in rp]
-        for b in rp:
-            for c in rp:
-                # The Koszul terms of (b, c) do not depend on the upper
-                # index a: build them once, contract with every row of ginv.
-                terms = [g_delta[c][e][b] + g_delta[b][e][c] - g_delta[e][b][c]
-                         + sum(g_vals[th][e] * Lv[th][c][b]
-                               - g_vals[b][th] * Lv[th][c][e]
-                               - g_vals[th][c] * Lv[th][b][e]
-                               for th in rp)
-                         for e in rp]
-                for a in rp:
-                    acc = 0.0
-                    for gi, term in zip(ginv[a], terms):
-                        acc = acc + gi * term
-                    out[a][b][c] = 0.5 * acc
-        return out
+        ginv = _inverse_at(g_vals, xs, y)
+        return _koszul_kernel(p)(g_vals, g_delta, ginv, A.L_at(xs))
 
     def hv_at(xs, y):
         vals, delta, _ = adapted_derivatives(
             lambda jxs, jy: [G.g00_at(jxs, jy)], xs, y, A, N)
         g00 = vals[0]
         if primal(g00) == 0.0:
-            raise SingularMetricError("g00 vanishes", point=EPoint(tuple(map(primal, xs)), primal(y)))
+            raise SingularMetricError("g00 vanishes",
+                                      point=_float_point(xs, y))
         hv0 = baseline.hv_at(xs, y)
         return [
             hv0[c] + 0.5 * (delta[c][0] - 2.0 * hv0[c] * g00) / g00
@@ -187,7 +250,7 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
         gj = G.g_at(jxs, jy)
         g_vals = [[jval(v) for v in row] for row in gj]
         g_dy = [[jdy(v) for v in row] for row in gj]
-        ginv = matrix_inverse(g_vals)
+        ginv = _inverse_at(g_vals, xs, y)
         vh0 = baseline.vh_at(xs, y)
         # The ring terms do not depend on the upper index a.
         rings = [[g_dy[b][e] - sum(
@@ -208,7 +271,8 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
         g00j = G.g00_at(jxs, jy)
         g00 = jval(g00j)
         if primal(g00) == 0.0:
-            raise SingularMetricError("g00 vanishes", point=EPoint(tuple(map(primal, xs)), primal(y)))
+            raise SingularMetricError("g00 vanishes",
+                                      point=_float_point(xs, y))
         return 0.5 * jdy(g00j) / g00
 
     return DConnectionCoeffs(p, hh_at, hv_at, vh_at, vv_at)

@@ -9,18 +9,23 @@ on scalar fields as
 and the vertical operator is plain d/dy0.  Tensor components everywhere in
 this package are stored with respect to this frame.  The frame's bracket
 defect is the antisymmetric matrix ``nlc_curvature``.  Everything evaluates
-on floats or Jets alike, so the operators nest.
+on floats or Jets alike, so the operators nest.  The walk of one
+derivative pass is straight-line code, generated per (p, m) on first use;
+the per-leaf loop it replaced is the bitwise reference in
+``tests/reference.py`` (``loop_split``).
 """
 
 from __future__ import annotations
 
-from operator import mul
+import functools
+import sys
 
 from .algebroid import AlgebroidData
 from .calculus import (
     EPoint,
     EvaluationDomainError,
     Jet,
+    compile_kernel,
     jdx,
     seeded_point,
 )
@@ -57,34 +62,73 @@ def adapted_derivatives(array_fn, xs, y, A: AlgebroidData, N: NonlinearConnectio
     This is the workhorse: one evaluation of the underlying fields yields the
     adapted derivatives of every component at once, and it nests (callers may
     pass Jet-valued xs, y).  One walk over the output gives all three; each
-    delta is ``sum(rho[gamma][i] * d_i s) - Gamma[gamma] * d_y s`` with the
-    sum taken in the order of i, from 0.
+    delta is ``(0 + rho[gamma][0] * d_0 s + ... + rho[gamma][m-1] *
+    d_{m-1} s) - Gamma[gamma] * d_y s``, the sum taken in the order of i
+    from the integer 0, as ``sum`` takes it.
     """
     rho = A.rho_at(xs)
     gam = N.gamma_at(xs, y)
     jxs, jy = seeded_point(xs, y)
     out = array_fn(jxs, jy)
-    return _split(out, tuple(zip(rho, gam)), (0.0,) * A.m)
+    split = _split_kernel(A.p, A.m)
+    if isinstance(out, list):
+        return split(out, rho, gam)
+    vals, deltas, ddy = split([out], rho, gam)
+    return vals[0], [d[0] for d in deltas], ddy[0]
 
 
-def _split(node, pairs, zeros):
-    """:func:`adapted_derivatives` of one node; module-level recursion, so
-    no closure cycle keeps the Jets alive after the call."""
-    if isinstance(node, list):
-        vals, ddy = [], []
-        deltas = [[] for _ in pairs]
-        for sub in node:
-            v, d, dy = _split(sub, pairs, zeros)
-            vals.append(v)
-            ddy.append(dy)
-            for acc, dg in zip(deltas, d):
-                acc.append(dg)
-        return vals, deltas, ddy
-    if isinstance(node, Jet):
-        v, dx, dy = node.value, node.dx, node.dy
-    else:
-        v, dx, dy = node, zeros, 0.0
-    return v, [sum(map(mul, r, dx)) - g * dy for r, g in pairs], dy
+# The walk of :func:`adapted_derivatives` over one list, for p directions
+# and m base coordinates: ``{r}`` unpacks rho into r<g>_<i>, ``{G}`` Gamma
+# into G<g>, ``{D}`` names the p delta lists D<g>, ``{d}`` a leaf's m
+# partials d<i>, and ``{append}`` appends one delta per direction, each in
+# the operand order of :func:`adapted_derivatives`.  A float leaf has zero
+# partials; an entry that is a list is walked by the same kernel, and
+# ``{append_sub}`` appends its deltas.  The recursion is a call of a
+# module-level function, so no closure cycle keeps the Jets alive.
+_SPLIT_LINE = sys._getframe().f_lineno + 2
+_SPLIT = '''\
+def split(row, rho, gam):
+    {r} = rho
+    {G} = gam
+    vals, ddy = [], []
+    {D}, = {empty}
+    for s in row:
+        if isinstance(s, Jet):
+            vals.append(s.value)
+            {d}, = s.dx
+            dy = s.dy
+        elif isinstance(s, list):
+            v, d, dy = split(s, rho, gam)
+            vals.append(v); ddy.append(dy); {append_sub}
+            continue
+        else:
+            vals.append(s)
+            {d_zero} = dy = 0.0
+        ddy.append(dy)
+        {append}
+    return vals, [{D}], ddy
+'''
+
+
+@functools.cache
+def _split_kernel(p, m):
+    """The kernel of ``_SPLIT`` for p directions and m base coordinates,
+    generated on first use."""
+    rm, rp = range(m), range(p)
+    d = [f"d{i}" for i in rm]
+    source = _SPLIT.format(
+        r=", ".join("(" + ", ".join(f"r{g}_{i}" for i in rm) + ",)"
+                    for g in rp) + ",",
+        G=", ".join(f"G{g}" for g in rp) + ",",
+        D=", ".join(f"D{g}" for g in rp),
+        empty=", ".join("[]" for g in rp) + ",",
+        d=", ".join(d), d_zero=" = ".join(d),
+        append_sub="; ".join(f"D{g}.append(d[{g}])" for g in rp),
+        append="; ".join(f"D{g}.append((0"
+                         + "".join(f" + r{g}_{i} * d{i}" for i in rm)
+                         + f") - G{g} * dy)" for g in rp))
+    return compile_kernel(source, "split", __file__, _SPLIT_LINE,
+                          {"Jet": Jet})
 
 
 def bracket_curvature(gam, gam_delta, Lv):

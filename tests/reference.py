@@ -1,12 +1,18 @@
 """Reference code for the tests, kept out of the package because no
 command runs it: nested covariant derivatives of a block tensor, exact and
 finite-difference partials of one field, the torsion and curvature of
-single vector fields straight from their definitions, and a printer for
-parsed expressions.  The engine's batched kernels are compared against
+single vector fields straight from their definitions, a printer for
+parsed expressions, and the per-entry loops that the generated kernels of
+the adapted-derivative split, the Leibniz rule and the Koszul formula
+replaced.  The engine's batched and generated kernels are compared against
 these, and the parser against the printer."""
 
-from kkgeom.calculus import jdx, jdy, primal, seeded_point
+import itertools
+
+from kkgeom.calculus import Jet, jdx, jdy, primal, seeded_point
 from kkgeom.dconnection import (
+    _flat,
+    _nested,
     bracket_d_vectors,
     cov_deriv_along,
     h_cov_values,
@@ -90,6 +96,118 @@ def curvature_from_definition(X, Y, Z, D, N, A, pt):
         cov_deriv_along(Y, cov_deriv_along(Z, X, A, N, D), A, N, D),
         cov_deriv_along(Z, cov_deriv_along(Y, X, A, N, D), A, N, D),
         cov_deriv_along(bracket_d_vectors(Y, Z, A, N), X, A, N, D), pt)
+
+
+def _dot(row, col):
+    """``sum(map(mul, row, col))`` written out as Python 3.11's ``sum``
+    adds: from the integer 0, left to right (3.12's compensates float
+    sums, so the references do not call it)."""
+    acc = 0
+    for a, b in zip(row, col):
+        acc = acc + a * b
+    return acc
+
+
+def loop_split(node, pairs, zeros):
+    """The per-leaf walk that the generated split of
+    ``nlconnection.adapted_derivatives`` replaced: (values, [delta_g structure for each g], ddy) of ``node``,
+    with ``pairs`` the (rho[g], Gamma[g]) pairs and ``zeros`` the m
+    partials of a float leaf; each delta is ``dot(rho[g], dx) - Gamma[g] *
+    dy``."""
+    if isinstance(node, list):
+        vals, ddy = [], []
+        deltas = [[] for _ in pairs]
+        for sub in node:
+            v, d, dy = loop_split(sub, pairs, zeros)
+            vals.append(v)
+            ddy.append(dy)
+            for acc, dg in zip(deltas, d):
+                acc.append(dg)
+        return vals, deltas, ddy
+    if isinstance(node, Jet):
+        v, dx, dy = node.value, node.dx, node.dy
+    else:
+        v, dx, dy = node, zeros, 0.0
+    return v, [_dot(r, dx) - g * dy for r, g in pairs], dy
+
+
+def loop_adapted_derivatives(array_fn, xs, y, A, N):
+    """``nlconnection.adapted_derivatives`` through :func:`loop_split`."""
+    rho = A.rho_at(xs)
+    gam = N.gamma_at(xs, y)
+    out = array_fn(*seeded_point(xs, y))
+    return loop_split(out, tuple(zip(rho, gam)), (0.0,) * A.m)
+
+
+def loop_leibniz(base, flat, rh, rank, up, down, vweight, vcoeff):
+    """The product-and-slice loop that the Leibniz kernels of
+    ``dconnection`` replaced: ``base`` plus, per slot k of the tensor with
+    leaves ``flat``, ``+ dot(up[i_k], T[.., :, ..])`` (the first ``rh``
+    slots) or ``- dot(down[i_k], T[.., :, ..])``, then ``+ vweight *
+    vcoeff * T``."""
+    p = len(up)
+    out = []
+    for i, idx in enumerate(itertools.product(range(p), repeat=rank)):
+        acc = base[i]
+        for k, ik in enumerate(idx):
+            st = p ** (rank - 1 - k)
+            terms = flat[i - ik * st:i + (p - ik) * st:st]
+            if k < rh:
+                acc = acc + _dot(up[ik], terms)
+            else:
+                acc = acc - _dot(down[ik], terms)
+        if vweight:
+            acc = acc + vweight * vcoeff * flat[i]
+        out.append(acc)
+    return out
+
+
+def loop_h_cov_values(vals, delta, rh, sh, vweight, Hh, Hv):
+    """``dconnection.h_cov_values`` as it was: one :func:`loop_leibniz`
+    per direction g, over the coefficient matrices Hh[a][th][g] and
+    Hh[th][b][g] built for it."""
+    p, rank = len(Hv), rh + sh
+    flat = _flat(vals, rank)
+    rp = range(p)
+    per_g = [loop_leibniz(_flat(delta[g], rank), flat, rh, rank,
+                          [[Hh[a][th][g] for th in rp] for a in rp],
+                          [[Hh[th][b][g] for th in rp] for b in rp],
+                          vweight, Hv[g]) for g in rp]
+    return _nested([v for row in zip(*per_g) for v in row], p, rank + 1)
+
+
+def loop_v_cov_values(vals, ddy, rh, sh, vweight, Vh, Vv):
+    """``dconnection.v_cov_values`` as it was, through
+    :func:`loop_leibniz`."""
+    rank = rh + sh
+    return _nested(loop_leibniz(_flat(ddy, rank), _flat(vals, rank), rh,
+                                rank, Vh, list(zip(*Vh)), vweight, Vv),
+                   len(Vh), rank)
+
+
+def loop_koszul(g_vals, g_delta, ginv, Lv):
+    """The sums of ``metric_dconnection``'s hh that the Koszul kernel
+    replaced: per (b, c) the terms t_e, each with its bracket sum over th,
+    then hh[a][b][c] = 0.5 * dot(ginv[a], t) from 0.0."""
+    rp = range(len(g_vals))
+    out = [[[None] * len(rp) for _ in rp] for _ in rp]
+    for b in rp:
+        for c in rp:
+            terms = []
+            for e in rp:
+                bracket = 0
+                for th in rp:
+                    bracket = bracket + (g_vals[th][e] * Lv[th][c][b]
+                                         - g_vals[b][th] * Lv[th][c][e]
+                                         - g_vals[th][c] * Lv[th][b][e])
+                terms.append(g_delta[c][e][b] + g_delta[b][e][c]
+                             - g_delta[e][b][c] + bracket)
+            for a in rp:
+                acc = 0.0
+                for gi, term in zip(ginv[a], terms):
+                    acc = acc + gi * term
+                out[a][b][c] = 0.5 * acc
+    return out
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

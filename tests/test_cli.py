@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -390,6 +391,67 @@ def test_the_deepest_accepted_entry_compiles_in_every_table(capsys, tmp_path):
                        f"operations\n"), key
 
 
+# The most nested parentheses (a call's included) an entry may hold
+# (``exprlang._MAX_NESTING``).
+NESTING = 196
+
+
+def _deep_calls(tmp_path, levels, keys=("g00", "Gamma")):
+    """d1 with g00 and Gamma[0] (those of them in ``keys``) each
+    ``levels`` nested calls deep."""
+    def deepen(doc):
+        if "g00" in keys:
+            doc["metric"]["g00"] = ("exp(" + "sin(" * (levels - 1) + "x1"
+                                    + ")" * levels)
+        if "Gamma" in keys:
+            doc["connection"]["Gamma"][0] = ("sin(" * levels + "x1"
+                                             + ")" * levels)
+
+    return _variant(tmp_path, "d1.json", deepen)
+
+
+def test_the_deepest_accepted_nesting_loads_and_evaluates(capsys, tmp_path):
+    """Nested calls at the nesting limit load, evaluate on floats and on
+    Jets of depth 1-3, and pass ``validate`` in process and in a
+    subprocess alike: the limit does not depend on the caller's stack."""
+    path = _deep_calls(tmp_path, NESTING)
+    sc = load_scenario(path)
+    inner = 0.5
+    for _ in range(NESTING - 1):
+        inner = math.sin(inner)
+    xs, y = (0.5, 0.2), 0.7
+    for depth in range(4):
+        g00 = sc.metric.g00_at(xs, y)
+        gamma = sc.connection.gamma_at(xs, y)[0]
+        for _ in range(depth):
+            g00, gamma = g00.value, gamma.value
+        assert g00 == math.exp(inner), depth
+        assert gamma == math.sin(inner), depth
+        xs, y = seeded_point(xs, y)
+    code, out, err = run(capsys, "validate", path)
+    proc = _kkgeom("validate", path)
+    assert code == proc.returncode == 0, err
+    assert proc.stdout.decode() == out
+
+
+@pytest.mark.parametrize("key", ["g00", "Gamma"])
+def test_one_level_deeper_is_refused_alike_in_a_subprocess(capsys, tmp_path,
+                                                           key):
+    """One parenthesis past the limit is an input error in one line that
+    names the limit and the offset of that parenthesis, the same in
+    process and in a fresh process."""
+    path = _deep_calls(tmp_path, NESTING + 1, (key,))
+    code, out, err = run(capsys, "validate", path)
+    proc = _kkgeom("validate", path)
+    where = "metric.g00" if key == "g00" else "connection.Gamma[0]"
+    offset = 4 * NESTING + 3
+    assert err == (f"kkgeom: error: {where}: parse error at offset "
+                   f"{offset}: expected at most {NESTING} nested "
+                   f"parentheses\n")
+    assert code == proc.returncode == 2 and out == ""
+    assert proc.stdout.decode() == "" and proc.stderr.decode() == err
+
+
 GOLDEN_DIR = SCENARIO_DIR.parent / "tests" / "golden"
 
 
@@ -719,14 +781,35 @@ def test_nan_metric_entry_exits_1(capsys, tmp_path):
 def test_singular_metric_in_a_lift_is_not_a_blow_up(capsys, tmp_path):
     """The horizontal lift inverts the metric block at curve points that no
     conditioning check has seen; a singular block there is reported as
-    such, with no point and no condition estimate, not as a blow-up."""
+    such, at the lifted point and with no condition estimate, not as a
+    blow-up."""
     path = _singular_metric_variant(tmp_path)
     code, out, err = run(capsys, "lift", path, "--mode", "horizontal",
                          "--steps", "20")
     assert code == 1 and out == ""
     _one_line_error(err)
     assert err == ("kkgeom: error: singular metric: singular matrix (pivot "
-                   "0.000e+00 in column 1)\n")
+                   "0.000e+00 in column 1) at EPoint(x=(0.0, 0.0), "
+                   "y=1.0)\n")
+
+
+@pytest.mark.parametrize("mode", ["horizontal", "vertical"])
+def test_a_singular_metric_in_a_lift_names_the_point(capsys, tmp_path, mode):
+    """A vanishing g00 entry of the horizontal block (``hh_at``) and a
+    vanishing g00 (``vv_at``) stop a lift with the same kind of line: the
+    singular metric and the point where it is singular."""
+    def degenerate(doc):
+        doc["metric"]["g"] = [["0*x1", "0"], ["0", "1"]]
+        doc["metric"]["g00"] = "x1"
+
+    path = _variant(tmp_path, "d1.json", degenerate)
+    code, out, err = run(capsys, "lift", path, "--mode", mode, "--steps", "5")
+    assert code == 1 and out == ""
+    _one_line_error(err)
+    what = ("singular matrix (pivot 0.000e+00 in column 0)"
+            if mode == "horizontal" else "g00 vanishes")
+    assert err == (f"kkgeom: error: singular metric: {what} at "
+                   "EPoint(x=(0.0, 0.0), y=1.0)\n")
 
 
 @pytest.mark.parametrize("key,value", [("samples", "abc"), ("samples", 2.7),

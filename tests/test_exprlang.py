@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kkgeom.calculus import EPoint, EvaluationDomainError, jval, seeded_point
 from kkgeom.exprlang import (
+    _MAX_NESTING,
     BinOp,
     Call,
     Neg,
@@ -157,6 +158,27 @@ def test_nested_parentheses():
     for levels in (250, 3000):
         with pytest.raises(ParseError):
             parse("(" * levels + "x1" + ")" * levels, 2)
+
+
+def test_the_nesting_limit_does_not_depend_on_the_stack():
+    """Parentheses and calls nest up to one fixed depth, also when the
+    caller is deep in its own stack; one level more is refused at the
+    parenthesis that opens it."""
+    deepest = "sin(" * _MAX_NESTING + "x1" + ")" * _MAX_NESTING
+
+    def parse_below(frames):
+        return parse_below(frames - 1) if frames else parse(deepest, 2)
+
+    assert parse(deepest, 2) == parse_below(200)
+    assert parse("(" * _MAX_NESTING + "x1" + ")" * _MAX_NESTING, 2) == \
+        Var("x", 0)
+    for src, offset in (("(" * 197 + "x1" + ")" * 197, 196),
+                        ("sin(" * 197 + "x1" + ")" * 197, 4 * 197 - 1),
+                        ("pow(x1, " * 197 + "x1" + ")" * 197, 8 * 196 + 3)):
+        with pytest.raises(ParseError) as exc:
+            parse(src, 2)
+        assert (exc.value.offset, exc.value.expected) == (
+            offset, f"at most {_MAX_NESTING} nested parentheses")
 
 
 def test_deep_operation_chains_are_parse_errors():

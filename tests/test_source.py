@@ -43,8 +43,9 @@ def _self_calling_nested_functions(tree):
 
 
 def test_no_self_calling_nested_function():
-    """Recursion lives at module level (as ``nlconnection._split`` does),
-    never in a nested closure."""
+    """Recursion lives at module level (as the generated walk of
+    ``nlconnection.adapted_derivatives`` does), never in a nested
+    closure."""
     found = {f"{path.name}:{name}"
              for path in sorted(SRC.glob("*.py"))
              for name in _self_calling_nested_functions(
@@ -121,13 +122,15 @@ def _primal_reads(trees):
 
 
 # Jets exist only inside a derivative pass, so ``primal`` is read only where
-# one can arrive: pivoting in a matrix of Jets, the g00 test (and its error
-# point) of the two metric coefficients that run inside derivative passes,
-# and the depth check of the per-point tables.
+# one can arrive: pivoting in a matrix of Jets, the g00 test of the two
+# metric coefficients that run inside derivative passes, the float point
+# that the metric coefficients name in an error, and the depth check of the
+# per-point tables.
 PRIMAL_ALLOWED = {
     "metric.py:matrix_inverse",
     "metric.py:metric_dconnection.hv_at",
     "metric.py:metric_dconnection.vv_at",
+    "metric.py:_float_point",
     "curvature.py:PointTables.per_depth.at",
 }
 
@@ -162,9 +165,12 @@ def _dynamic_code_sites(trees):
             for scope in _scopes_reading(tree, name)}
 
 
-# Source compiled at run time: a scenario's expressions, and the Jet
-# kernels of each dimension m.
-DYNAMIC_CODE_ALLOWED = {"exprlang.py:compile_expr", "calculus.py:_jet_class"}
+# Source compiled at run time: a scenario's expressions, and the generated
+# kernels (the Jet arithmetic of each dimension m, the adapted-derivative
+# split, the Leibniz rule and the Koszul formula), which all go through the
+# one helper that compiles them under their own module's file.
+DYNAMIC_CODE_ALLOWED = {"exprlang.py:compile_expr",
+                        "calculus.py:compile_kernel"}
 
 
 def test_code_is_compiled_only_at_the_two_compile_sites():
