@@ -17,12 +17,10 @@ from __future__ import annotations
 from operator import mul
 
 from .calculus import at_point, jdx, jval, seeded_point
-from .report import CheckResult, ResidualTracker
+from .report import ResidualTracker
 
 __all__ = ["AlgebroidData", "validate_antisymmetry",
            "validate_anchor_compatibility", "validate_jacobi"]
-
-DEFAULT_VALIDATOR_TOL = 1e-8
 
 
 class AlgebroidData:
@@ -40,7 +38,7 @@ class AlgebroidData:
 
 
 def validate_antisymmetry(A: AlgebroidData, samples,
-                          tol: float = DEFAULT_VALIDATOR_TOL) -> CheckResult:
+                          tol: float) -> ResidualTracker:
     """max |L^g_{ab} + L^g_{ba}| over samples and indices."""
     tracker = ResidualTracker("antisymmetry", tol)
     for pt in samples:
@@ -50,11 +48,11 @@ def validate_antisymmetry(A: AlgebroidData, samples,
             for a in range(A.p):
                 for b in range(A.p):
                     tracker.update(Lv[g][a][b] + Lv[g][b][a], pt)
-    return tracker.result()
+    return tracker
 
 
 def validate_anchor_compatibility(A: AlgebroidData, samples,
-                                  tol: float = DEFAULT_VALIDATOR_TOL) -> CheckResult:
+                                  tol: float) -> ResidualTracker:
     """max |L^g_{ab} rho^k_g - (rho^i_a d_i rho^k_b - rho^j_b d_j rho^k_a)|."""
     tracker = ResidualTracker("anchor_compatibility", tol)
     m, p = A.m, A.p
@@ -72,11 +70,11 @@ def validate_anchor_compatibility(A: AlgebroidData, samples,
                     rhs = sum(map(mul, rho[a], drho[b][k])) \
                         - sum(map(mul, rho[b], drho[a][k]))
                     tracker.update(lhs - rhs, pt)
-    return tracker.result()
+    return tracker
 
 
 def validate_jacobi(A: AlgebroidData, samples,
-                    tol: float = DEFAULT_VALIDATOR_TOL) -> CheckResult:
+                    tol: float) -> ResidualTracker:
     """Cyclic sum of rho^i_a d_i L^d_{bc} + L^d_{ae} L^e_{bc} must vanish."""
     tracker = ResidualTracker("jacobi", tol)
     m, p = A.m, A.p
@@ -109,5 +107,5 @@ def validate_jacobi(A: AlgebroidData, samples,
                             T[a][b][c][d] + T[b][c][a][d] + T[c][a][b][d],
                             pt,
                         )
-    return tracker.result()
+    return tracker
 

@@ -35,8 +35,8 @@ from .nlconnection import nlc_curvature
 from .report import emit_json
 from .sampling import MAX_SAMPLES
 from .scenario import Scenario, ScenarioError, bounded_count, load_scenario
-from .suites import SUITE_DEFAULT_SAMPLES, SUITE_NAMES, applicable_suites, \
-    run_suites, run_validate
+from .suites import SUITES, VALIDATE_TOL, applicable_suites, run_suites, \
+    run_validate
 
 WHAT_CHOICES = ["frame", "nlc-curvature", "torsion", "curvature", "ricci",
                 "scalar", "einstein"]
@@ -218,21 +218,16 @@ def cmd_compute(args) -> int:
 def cmd_check(args) -> int:
     _check_samples(args)
     sc = load_scenario(args.scenario)
-    if args.suite == "all":
-        suites = applicable_suites(sc)
-    else:
-        if args.suite not in SUITE_NAMES:
-            raise ScenarioError("--suite", f"unknown suite {args.suite!r}")
-        suites = [args.suite]
+    suites = applicable_suites(sc) if args.suite == "all" else [args.suite]
     checks = []
     timings = []
-    for suite, results, seconds in run_suites(
+    for suite, trackers, seconds in run_suites(
             sc, suites, tol=args.tol, samples=args.samples, seed=args.seed):
         effective = args.samples if args.samples is not None \
-            else SUITE_DEFAULT_SAMPLES[suite]
+            else SUITES[suite].samples
         timings.append((suite, seconds))
-        for r in results:
-            obj = r.to_json_obj()
+        for tracker in trackers:
+            obj = tracker.to_json_obj()
             obj["suite"] = suite
             obj["samples"] = effective
             checks.append(obj)
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("scenario")
     pv.add_argument("--samples", type=int, default=None)
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--tol", type=_tolerance, default=1e-8)
+    pv.add_argument("--tol", type=_tolerance, default=VALIDATE_TOL)
     pv.set_defaults(func=cmd_validate)
 
     pc = sub.add_parser("compute", help="component blocks at a point")
@@ -347,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("check", help="identity suites")
     pk.add_argument("scenario")
-    pk.add_argument("--suite", default="all", choices=SUITE_NAMES + ["all"])
+    pk.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     pk.add_argument("--tol", type=_tolerance, default=None)
     pk.add_argument("--samples", type=int, default=None)
     pk.add_argument("--seed", type=int, default=None)

@@ -384,23 +384,18 @@ class OracleCheck:
     which never uses the component formulas; each torsion and curvature
     family is compared with it entry by entry.  This is the load-bearing
     certification of the component formulas.  ``step(pt, tables)`` checks
-    one point; ``finish()`` returns two CheckResults (torsion, curvature).
+    one point; ``trackers`` are its two checks (torsion, curvature).
     """
 
-    def __init__(self, N: NonlinearConnection, A: AlgebroidData,
-                 tol: float = 1e-8):
+    def __init__(self, N: NonlinearConnection, A: AlgebroidData, tol: float):
         self._args = (N, A)
-        self._t_tracker = ResidualTracker("oracle.torsion", tol)
-        self._c_tracker = ResidualTracker("oracle.curvature", tol)
-
-    def finish(self):
-        return [self._t_tracker.result(), self._c_tracker.result()]
+        self.trackers = [ResidualTracker("oracle.torsion", tol),
+                         ResidualTracker("oracle.curvature", tol)]
 
     def step(self, pt: EPoint, tables: PointTables):
         tors, curv = tables.components
         T, C = frame_definitions(tables.D, *self._args, pt)
-        _oracle_point(tors, curv, T, C, pt, len(tors.Pv), self._t_tracker,
-                      self._c_tracker)
+        _oracle_point(tors, curv, T, C, pt, len(tors.Pv), *self.trackers)
 
 
 def _oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
@@ -487,24 +482,21 @@ class RicciCommutationCheck:
 
     with the left sides from nested differentiation of the coefficients and
     the fields only (:func:`_commutation_values`).  ``step(pt, tables)``
-    checks every field at one point; ``finish()`` returns one CheckResult
-    per field, ``ricci_commutation_k`` for the k-th field (from 1).
+    checks every field at one point; ``trackers`` has one check per
+    field, ``ricci_commutation_k`` for the k-th field (from 1).
     """
 
     def __init__(self, fields, N: NonlinearConnection, A: AlgebroidData,
-                 tol: float = 1e-6):
+                 tol: float):
         self._fields = fields
         self._args = (N, A)
-        self._trackers = [ResidualTracker(f"ricci_commutation_{k}", tol)
-                          for k in range(1, len(fields) + 1)]
-
-    def finish(self):
-        return [tracker.result() for tracker in self._trackers]
+        self.trackers = [ResidualTracker(f"ricci_commutation_{k}", tol)
+                         for k in range(1, len(fields) + 1)]
 
     def step(self, pt: EPoint, tables: PointTables):
         tors, curv = tables.components
         values = _commutation_values(self._fields, tables.D, *self._args, pt)
-        for Z, tensors, tracker in zip(self._fields, values, self._trackers):
+        for Z, tensors, tracker in zip(self._fields, values, self.trackers):
             _commutation_point(Z, tensors, tors, curv, pt, tracker)
 
 
@@ -580,21 +572,17 @@ class BianchiCheck:
     direction slots with the vector slot fixed).  Valid data makes all four
     residuals vanish; any persistent nonzero indicates a formula error and
     is reported, never absorbed.  ``step(pt, tables)`` checks one point;
-    ``finish()`` returns the four CheckResults.
+    ``trackers`` are its four checks.
     """
 
-    def __init__(self, N: NonlinearConnection, A: AlgebroidData,
-                 tol: float = 1e-5):
+    def __init__(self, N: NonlinearConnection, A: AlgebroidData, tol: float):
         self._N, self._A = N, A
-        self._trackers = [ResidualTracker(name, tol) for name in (
+        self.trackers = [ResidualTracker(name, tol) for name in (
             "bianchi1_h", "bianchi1_v", "bianchi2_h", "bianchi2_v")]
-
-    def finish(self):
-        return [tracker.result() for tracker in self._trackers]
 
     def step(self, pt: EPoint, tables: PointTables):
         tors, curv = tables.components
-        t1h, t1v, t2h, t2v = self._trackers
+        t1h, t1v, t2h, t2v = self.trackers
         Thh, Tv = tors.Thh, tors.Tv
         Pht, Pvt = tors.Ph, tors.Pv
         Rh, Rv = curv.Rh, curv.Rv

@@ -297,20 +297,17 @@ class CompatibilityCheck:
     """The four covariant-constancy residual families: horizontal and
     vertical derivatives of both metric blocks (:func:`_compatibility_values`).
     ``step(pt, tables)`` checks one point (it reads only the point's
-    coefficients ``tables.D``); ``finish()`` returns the one CheckResult,
-    as a list."""
+    coefficients ``tables.D``); ``trackers`` is its one check, as a
+    list."""
 
     def __init__(self, G: MetricStructure, A: AlgebroidData,
-                 N: NonlinearConnection, tol: float = 1e-9):
+                 N: NonlinearConnection, tol: float):
         self._args = (G, A, N)
-        self._tracker = ResidualTracker("compatibility", tol)
-
-    def finish(self):
-        return [self._tracker.result()]
+        self.trackers = [ResidualTracker("compatibility", tol)]
 
     def step(self, pt: EPoint, tables):
         G, A, N = self._args
-        tracker, p = self._tracker, G.p
+        tracker, p = self.trackers[0], G.p
         vh, vv, v0h, v0v = _compatibility_values(G, tables.D, A, N, pt)
         for a in range(p):
             for b in range(p):
@@ -322,8 +319,9 @@ class CompatibilityCheck:
         tracker.update(v0v, pt)
 
 
-def riemannian_flags(G: MetricStructure, samples, tol: float = 1e-12):
-    """(h-block independent of y0, vertical coefficient independent of y0)."""
+def riemannian_flags(G: MetricStructure, samples):
+    """(h-block independent of y0, vertical coefficient independent of y0):
+    each block's largest |d/dy0| over ``samples`` at most 1e-12."""
     max_h = 0.0
     max_v = 0.0
     for pt in samples:
@@ -335,4 +333,4 @@ def riemannian_flags(G: MetricStructure, samples, tol: float = 1e-12):
             for v in row:
                 max_h = max(max_h, abs(jdy(v)))
         max_v = max(max_v, abs(jdy(g00j)))
-    return max_h <= tol, max_v <= tol
+    return max_h <= 1e-12, max_v <= 1e-12

@@ -13,21 +13,30 @@ from itertools import repeat
 
 from .calculus import EPoint
 
-__all__ = ["CheckResult", "ResidualTracker", "emit_json", "fmt_float"]
+__all__ = ["ResidualTracker", "emit_json", "fmt_float"]
 
 
-class CheckResult:
-    """One named residual check: max residual over samples vs a tolerance."""
+class ResidualTracker:
+    """One named residual check: the largest |residual| over the samples,
+    the sample it came from, and the tolerance it must stay within."""
 
-    __slots__ = ("name", "max_residual", "tol", "worst_point", "passed")
-
-    def __init__(self, name: str, max_residual: float, tol: float,
-                 worst_point: EPoint | None = None):
+    def __init__(self, name: str, tol: float):
         self.name = name
-        self.max_residual = max_residual
         self.tol = tol
-        self.worst_point = worst_point
-        self.passed = max_residual <= tol
+        self.max_residual = 0.0
+        self.worst_point = None
+
+    def update(self, value: float, point: EPoint):
+        # NaN compares false with everything; ``value != value`` keeps it
+        # from being dropped, and once it is the max no number replaces it.
+        value = abs(value)
+        if value >= self.max_residual or value != value:
+            self.max_residual = value
+            self.worst_point = point
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
 
     def to_json_obj(self):
         obj = {
@@ -42,27 +51,6 @@ class CheckResult:
                 "y0": self.worst_point.y,
             }
         return obj
-
-
-class ResidualTracker:
-    """Accumulates |residual| values tagged with the sample they came from."""
-
-    def __init__(self, name: str, tol: float):
-        self.name = name
-        self.tol = tol
-        self.max_residual = 0.0
-        self.worst_point = None
-
-    def update(self, value: float, point: EPoint | None = None):
-        # NaN compares false with everything; ``value != value`` keeps it
-        # from being dropped, and once it is the max no number replaces it.
-        value = abs(value)
-        if value >= self.max_residual or value != value:
-            self.max_residual = value
-            self.worst_point = point
-
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, self.max_residual, self.tol, self.worst_point)
 
 
 def fmt_float(x: float) -> str:

@@ -15,6 +15,7 @@ __all__ = ["SplitMix64", "Box", "sample_points", "DEFAULT_SEED",
 
 _M64 = (1 << 64) - 1
 
+# The seed of a scenario that names none.
 DEFAULT_SEED = 0xA1B2
 
 # The largest sample count a scenario or ``--samples`` may ask for: far
@@ -64,7 +65,7 @@ class Box:
         return Box(tuple((-1.0, 1.0) for _ in range(m)), (0.1, 2.0))
 
 
-def sample_points(box: Box, n: int, seed: int = DEFAULT_SEED) -> list:
+def sample_points(box: Box, n: int, seed: int) -> list:
     """n quasi-random points in the box, deterministic in (box, n, seed)."""
     rng = SplitMix64(seed)
     points = []

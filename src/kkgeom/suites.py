@@ -35,27 +35,11 @@ from .report import ResidualTracker
 from .sampling import sample_points
 from .scenario import Scenario, ScenarioError
 
-__all__ = ["SUITE_NAMES", "SUITE_DEFAULT_SAMPLES", "SUITE_DEFAULT_TOLS",
-           "run_validate", "run_suites", "applicable_suites"]
+__all__ = ["SUITES", "VALIDATE_TOL", "run_validate", "run_suites",
+           "applicable_suites"]
 
-SUITE_NAMES = ["oracle", "ricci-commutation", "bianchi", "compatibility",
-               "transformation"]
-
-SUITE_DEFAULT_SAMPLES = {
-    "oracle": 20,
-    "ricci-commutation": 20,
-    "bianchi": 6,
-    "compatibility": 40,
-    "transformation": 25,
-}
-
-SUITE_DEFAULT_TOLS = {
-    "oracle": 1e-8,
-    "ricci-commutation": 1e-6,
-    "bianchi": 1e-5,
-    "compatibility": 1e-9,
-    "transformation": 1e-8,
-}
+# The tolerance of the ``validate`` checks that have one.
+VALIDATE_TOL = 1e-8
 
 
 def _det(mat):
@@ -77,7 +61,8 @@ def _det(mat):
     return det
 
 
-def run_validate(sc: Scenario, samples=None, seed=None, tol: float = 1e-8):
+def run_validate(sc: Scenario, samples=None, seed=None,
+                 tol: float = VALIDATE_TOL):
     """Structure validators plus metric and lift-morphism sanity checks.
     Returns a list of JSON-ready check dicts."""
     n = samples if samples is not None else sc.samples
@@ -107,7 +92,7 @@ def run_validate(sc: Scenario, samples=None, seed=None, tol: float = 1e-8):
                 min_det = det
             if g00 < min_g00 or g00 != g00:
                 min_g00 = g00
-        checks.append(sym.result().to_json_obj())
+        checks.append(sym.to_json_obj())
         checks.append({
             "name": "metric_nondegeneracy",
             "min_abs_det_g": min_det,
@@ -130,13 +115,6 @@ def run_validate(sc: Scenario, samples=None, seed=None, tol: float = 1e-8):
             "passed": worst <= tol,
         })
     return checks
-
-
-def applicable_suites(sc: Scenario):
-    names = ["oracle", "ricci-commutation", "bianchi"]
-    if sc.metric is not None:
-        names += ["compatibility", "transformation"]
-    return names
 
 
 def _frame_change_data(sc: Scenario):
@@ -184,11 +162,12 @@ def _frame_change_data(sc: Scenario):
             MetricStructure(p, g_at, G.g00_at))
 
 
-def _fiber_change_data(sc: Scenario, factor: float = 2.0):
-    """The fiber rescale y0' = factor * y0 and the tables in the new chart,
-    each table evaluation substituting into one evaluation of the unprimed
+def _fiber_change_data(sc: Scenario):
+    """The fiber rescale y0' = 2 y0 and the tables in the new chart, each
+    table evaluation substituting into one evaluation of the unprimed
     table: ``(C, A, N', G')`` (the anchor and bracket do not change)."""
     N, G = sc.connection, sc.metric
+    factor = 2.0
     inv = 1.0 / factor
     C = CoordinateChange(sc.m, sc.p, phi_at=lambda xs: factor)
     N_p = NonlinearConnection(sc.p, lambda xs, y: [
@@ -204,11 +183,11 @@ class TransformationCheck:
     rescale, each primed metric connection rebuilt once from its tables.
     ``step(pt, tables)`` reads the unprimed metric connection once for both
     changes: from ``tables.D`` when that is the metric connection, else
-    (explicit tables override it) from its own evaluation at the point;
-    ``finish()`` returns the four CheckResults, frame change first.
+    (explicit tables override it) from its own evaluation at the point.
+    ``trackers`` are its four checks, frame change first.
     """
 
-    def __init__(self, sc: Scenario, tol: float = 1e-8):
+    def __init__(self, sc: Scenario, tol: float):
         A, N = sc.algebroid, sc.connection
         own = None if sc.dconnection_is_metric else sc.metric_dconnection()
         self._args = (own, N, A)
@@ -219,10 +198,8 @@ class TransformationCheck:
                 C, N_p, metric_dconnection(G_p, sc.baseline_for(N_p), A_p, N_p),
                 ResidualTracker(f"transformation.nlc_{kind}", tol),
                 ResidualTracker(f"transformation.dconnection_{kind}", tol)))
-
-    def finish(self):
-        return [tracker.result() for *_, nlc, dcon in self._changes
-                for tracker in (nlc, dcon)]
+        self.trackers = [tracker for *_, nlc, dcon in self._changes
+                         for tracker in (nlc, dcon)]
 
     def step(self, pt: EPoint, tables: PointTables):
         own, N, A = self._args
@@ -232,38 +209,58 @@ class TransformationCheck:
             dconnection_transformation_point(D, D_p, C, A, N, pt, dcon)
 
 
-_NEEDS_METRIC = {
-    "compatibility": "compatibility suite requires a metric",
-    "transformation": "transformation suite requires a metric (the primed "
-                      "connection is rebuilt from the transformed metric)",
+class Suite:
+    """One row of :data:`SUITES`: the default sample count and tolerance,
+    the message refusing a scenario without a metric (``None`` when the
+    suite needs none), and ``check(sc, tol)``, which builds the suite's
+    per-point check on scenario ``sc``."""
+
+    __slots__ = ("samples", "tol", "needs_metric", "check")
+
+    def __init__(self, samples: int, tol: float, needs_metric, check):
+        self.samples = samples
+        self.tol = tol
+        self.needs_metric = needs_metric
+        self.check = check
+
+
+def _ricci_commutation_check(sc: Scenario, tol: float):
+    def Z2(xs, y):
+        return [1.0] + [0.0] * (sc.p - 1), 1.0
+
+    return RicciCommutationCheck([default_test_vector(sc.p, sc.m), Z2],
+                                 sc.connection, sc.algebroid, tol)
+
+
+# The suites of ``check --suite``, in the order ``--suite all`` runs and
+# reports them.
+SUITES = {
+    "oracle": Suite(20, 1e-8, None, lambda sc, tol: OracleCheck(
+        sc.connection, sc.algebroid, tol)),
+    "ricci-commutation": Suite(20, 1e-6, None, _ricci_commutation_check),
+    "bianchi": Suite(6, 1e-5, None, lambda sc, tol: BianchiCheck(
+        sc.connection, sc.algebroid, tol)),
+    "compatibility": Suite(
+        40, 1e-9, "compatibility suite requires a metric",
+        lambda sc, tol: CompatibilityCheck(sc.metric, sc.algebroid,
+                                           sc.connection, tol)),
+    "transformation": Suite(
+        25, 1e-8, "transformation suite requires a metric (the primed "
+                  "connection is rebuilt from the transformed metric)",
+        TransformationCheck),
 }
 
 
-def _point_checks(sc: Scenario, names, tols):
-    """The per-point check of each suite in ``names``."""
-    A, N = sc.algebroid, sc.connection
-    checks = {}
-    for name in names:
-        if name == "oracle":
-            checks[name] = OracleCheck(N, A, tols[name])
-        elif name == "ricci-commutation":
-            def Z2(xs, y):
-                return [1.0] + [0.0] * (sc.p - 1), 1.0
-
-            checks[name] = RicciCommutationCheck(
-                [default_test_vector(sc.p, sc.m), Z2], N, A, tols[name])
-        elif name == "bianchi":
-            checks[name] = BianchiCheck(N, A, tols[name])
-        elif name == "compatibility":
-            checks[name] = CompatibilityCheck(sc.metric, A, N, tols[name])
-        elif name == "transformation":
-            checks[name] = TransformationCheck(sc, tols[name])
-    return checks
+def applicable_suites(sc: Scenario):
+    """The suites that ``check --suite all`` runs on ``sc``."""
+    return [name for name, suite in SUITES.items()
+            if suite.needs_metric is None or sc.metric is not None]
 
 
 def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
-    """Run the named suites; returns ``[(name, results, seconds)]`` in the
-    order of ``names``, ``results`` being a list of CheckResult.
+    """Run the named suites; returns ``[(name, trackers, seconds)]`` in the
+    order of ``names``, ``trackers`` being the suite check's
+    :class:`ResidualTracker` list.
 
     Every suite runs point-major.  ``sample_points`` is prefix-stable, so
     one draw of the largest sample count gives every suite its points: at
@@ -275,18 +272,17 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
     at each point, before any suite inverts it unchecked.
     """
     for name in names:
-        if name not in SUITE_NAMES:
+        if name not in SUITES:
             raise ScenarioError("suite", f"unknown suite {name!r}")
-        if name in _NEEDS_METRIC and sc.metric is None:
-            raise ScenarioError("metric", _NEEDS_METRIC[name])
-    counts = {name: samples if samples is not None
-              else SUITE_DEFAULT_SAMPLES[name] for name in names}
-    tols = {name: tol if tol is not None else SUITE_DEFAULT_TOLS[name]
-            for name in names}
+        if SUITES[name].needs_metric is not None and sc.metric is None:
+            raise ScenarioError("metric", SUITES[name].needs_metric)
+    counts = {name: samples if samples is not None else SUITES[name].samples
+              for name in names}
     pts = sample_points(sc.box, max(counts.values(), default=0),
                         seed if seed is not None else sc.seed)
     seconds = dict.fromkeys(names, 0.0)
-    checks = _point_checks(sc, names, tols)
+    checks = {name: SUITES[name].check(
+        sc, tol if tol is not None else SUITES[name].tol) for name in names}
     D, A, N = sc.dconnection(), sc.algebroid, sc.connection
     for k, pt in enumerate(pts):
         if sc.metric is not None:
@@ -299,4 +295,4 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
                 with at_point(pt):
                     check.step(pt, tables)
                 seconds[name] += time.perf_counter() - t0
-    return [(name, checks[name].finish(), seconds[name]) for name in names]
+    return [(name, checks[name].trackers, seconds[name]) for name in names]

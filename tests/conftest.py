@@ -37,27 +37,27 @@ def bits(s):
 def run_check(check, D, N, A, pts):
     """One check class over ``pts``, stepped as ``run_suites`` steps it:
     ``check.step`` inside ``at_point`` at each point, on the coefficient
-    set ``D``; returns ``check.finish()``."""
+    set ``D``; returns ``check.trackers``."""
     for pt in pts:
         with at_point(pt):
             check.step(pt, PointTables(D, N, A, pt))
-    return check.finish()
+    return check.trackers
 
 
 def run_law(point_fn, args, pts, tol=1e-8):
-    """The CheckResult of a change law over ``pts``: ``point_fn(*args, pt,
+    """The tracker of a change law over ``pts``: ``point_fn(*args, pt,
     tracker)`` (a ``*_transformation_point`` function) at each point into
     one tracker, named after the law."""
     tracker = ResidualTracker(point_fn.__name__.removesuffix("_point"), tol)
     for pt in pts:
         point_fn(*args, pt, tracker)
-    return tracker.result()
+    return tracker
 
 
 def chart_change_residual(C, base_inverse_at, samples):
     """The self-check of a chart change C: base_inverse o base = id,
     Lambda . Lambda^-1 = I and phi != 0 (an infinite residual where phi
-    vanishes) on ``samples``, as one CheckResult."""
+    vanishes) on ``samples``, as one tracker."""
     tracker = ResidualTracker("chart_change", 1e-10)
     for pt in samples:
         back = base_inverse_at(tuple(C.base_at(pt.x)))
@@ -72,7 +72,7 @@ def chart_change_residual(C, base_inverse_at, samples):
                 tracker.update(acc - (1.0 if a == b else 0.0), pt)
         if abs(C.phi_at(pt.x)) < 1e-15:
             tracker.update(float("inf"), pt)
-    return tracker.result()
+    return tracker
 
 
 def canonical_metric_dconnection(G, A, N):

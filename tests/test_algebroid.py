@@ -29,62 +29,63 @@ IDENT_RHO = [["1", "0"], ["0", "1"]]
 
 def test_antisymmetry_zero_bracket():
     A = build(IDENT_RHO, ZERO_L)
-    assert validate_antisymmetry(A, PTS).max_residual == 0.0
+    assert validate_antisymmetry(A, PTS, 1e-8).max_residual == 0.0
 
 
 def test_antisymmetry_explicit_pair():
     A = build(IDENT_RHO, [[["0", "0"], ["0", "0"]],
                           [["0", "1"], ["-1", "0"]]])
-    assert validate_antisymmetry(A, PTS).max_residual == 0.0
+    assert validate_antisymmetry(A, PTS, 1e-8).max_residual == 0.0
 
 
 def test_antisymmetry_violation_detected():
     A = build(IDENT_RHO, [[["0", "0"], ["0", "0"]],
                           [["0", "1"], ["0", "0"]]])
-    assert validate_antisymmetry(A, PTS).max_residual == pytest.approx(1.0)
+    res = validate_antisymmetry(A, PTS, 1e-8)
+    assert res.max_residual == pytest.approx(1.0)
 
 
 def test_anchor_compat_coordinate_frame():
     A = build(IDENT_RHO, ZERO_L)
-    assert validate_anchor_compatibility(A, PTS).max_residual == 0.0
+    assert validate_anchor_compatibility(A, PTS, 1e-8).max_residual == 0.0
 
 
 def test_anchor_compat_nonabelian():
     # frames d/dx1 and e^{x1} d/dx2: [X1, X2] = e^{x1} d/dx2 = X2
     A, _, _ = make_nonabelian()
-    assert validate_anchor_compatibility(A, PTS).max_residual <= 1e-12
+    assert validate_anchor_compatibility(A, PTS, 1e-8).max_residual <= 1e-12
 
 
 def test_anchor_compat_detects_missing_bracket():
     # same anchor but L = 0: the residual equals e^{x1} at each sample
     A = build([["1", "0"], ["0", "exp(x1)"]], ZERO_L)
     expected = max(math.exp(pt.x[0]) for pt in PTS)
-    res = validate_anchor_compatibility(A, PTS)
+    res = validate_anchor_compatibility(A, PTS, 1e-8)
     assert res.max_residual == pytest.approx(expected, rel=1e-12)
 
 
 def test_jacobi_zero():
     A = build(IDENT_RHO, ZERO_L)
-    assert validate_jacobi(A, PTS).max_residual == 0.0
+    assert validate_jacobi(A, PTS, 1e-8).max_residual == 0.0
 
 
 def test_jacobi_nonabelian_frame():
     A, _, _ = make_nonabelian()
-    assert validate_jacobi(A, PTS).max_residual <= 1e-12
+    assert validate_jacobi(A, PTS, 1e-8).max_residual <= 1e-12
 
 
 def test_jacobi_solvable_constant_algebra():
     # two-dimensional nonabelian Lie algebra, zero anchor
     A = build([["0", "0"], ["0", "0"]],
               [[["0", "0"], ["0", "0"]], [["0", "1"], ["-1", "0"]]])
-    assert validate_jacobi(A, PTS).max_residual == 0.0
+    assert validate_jacobi(A, PTS, 1e-8).max_residual == 0.0
 
 
 def test_domain_error_carries_point():
     # box spans negative x1, so log(x1) fails and the sample is attached
     A = build([["log(x1)", "0"], ["0", "1"]], ZERO_L)
     with pytest.raises(EvaluationDomainError) as err:
-        validate_anchor_compatibility(A, PTS)
+        validate_anchor_compatibility(A, PTS, 1e-8)
     assert err.value.point is not None
 
 
@@ -131,12 +132,12 @@ def test_jacobi_residuals_match_the_cyclic_loop(monkeypatch, case):
     seen = []
 
     class Recording(ResidualTracker):
-        def update(self, value, point=None):
+        def update(self, value, point):
             seen.append((value, point))
             super().update(value, point)
 
     monkeypatch.setattr(algebroid, "ResidualTracker", Recording)
-    validate_jacobi(A, PTS[:8])
+    validate_jacobi(A, PTS[:8], 1e-8)
     want = _jacobi_residuals_loop(A, PTS[:8])
     assert [(bits(v), pt) for v, pt in seen] == [(bits(v), pt)
                                                  for v, pt in want]
@@ -159,5 +160,6 @@ def test_jacobi_evaluates_each_term_once():
     def rho_at(xs):
         return [[Counting(v) for v in row] for row in VARYING.rho_at(xs)]
 
-    validate_jacobi(AlgebroidData(m, p, rho_at, VARYING.L_at), PTS[:2])
+    validate_jacobi(AlgebroidData(m, p, rho_at, VARYING.L_at), PTS[:2],
+                    1e-8)
     assert products[0] == 2 * p ** 4 * m

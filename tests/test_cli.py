@@ -140,10 +140,20 @@ def test_check_deterministic_output(capsys):
 
 
 def test_check_transformation_requires_metric(capsys):
-    code, _, err = run(capsys, "check", scen("berwald.json"),
-                       "--suite", "transformation")
-    assert code == 2
-    assert "metric" in err
+    code, out, err = run(capsys, "check", scen("berwald.json"),
+                         "--suite", "transformation")
+    assert (code, out) == (2, "")
+    assert err == ("kkgeom: error: metric: transformation suite requires a "
+                   "metric (the primed connection is rebuilt from the "
+                   "transformed metric)\n")
+
+
+def test_check_compatibility_requires_metric(capsys):
+    code, out, err = run(capsys, "check", scen("berwald.json"),
+                         "--suite", "compatibility")
+    assert (code, out) == (2, "")
+    assert err == "kkgeom: error: metric: compatibility suite requires a " \
+                  "metric\n"
 
 
 def test_lift_parallel_flat_constant(capsys):

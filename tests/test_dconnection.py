@@ -334,7 +334,7 @@ def test_check_all_evaluates_each_point_and_depth_once(monkeypatch, capsys):
     from conftest import SCENARIO_DIR
     from kkgeom.cli import main
     from kkgeom.scenario import Scenario
-    from kkgeom.suites import SUITE_DEFAULT_SAMPLES
+    from kkgeom.suites import SUITES
 
     calls = Counter()
     original = Scenario.dconnection
@@ -359,7 +359,7 @@ def test_check_all_evaluates_each_point_and_depth_once(monkeypatch, capsys):
     assert {key[0] for key in calls} == {"hh", "hv", "vh", "vv"}
     # the default sample counts differ per suite; the largest sets the points
     assert len({key[1:3] for key in calls}) == max(
-        SUITE_DEFAULT_SAMPLES[s] for s in
+        SUITES[s].samples for s in
         ("oracle", "ricci-commutation", "bianchi", "compatibility"))
     assert set(calls.values()) == {1}
 
@@ -407,9 +407,9 @@ def test_point_tables_are_freed_by_refcount(d1):
                                   RicciCommutationCheck, default_test_vector)
     from kkgeom.metric import CompatibilityCheck
     A, N, G = d1
-    checks = (OracleCheck(N, A), BianchiCheck(N, A),
-              RicciCommutationCheck([default_test_vector(2, 2)], N, A),
-              CompatibilityCheck(G, A, N))
+    checks = (OracleCheck(N, A, 1e-8), BianchiCheck(N, A, 1e-5),
+              RicciCommutationCheck([default_test_vector(2, 2)], N, A, 1e-6),
+              CompatibilityCheck(G, A, N, 1e-9))
     gc.disable()
     try:
         tables = PointTables(canonical_metric_dconnection(G, A, N), N, A,

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from kkgeom.cli import WHAT_CHOICES, main
 from kkgeom.sampling import MAX_SAMPLES
-from kkgeom.suites import SUITE_NAMES
+from kkgeom.suites import SUITES
 
 SECONDS_PER_CALL = 20
 
@@ -163,7 +163,7 @@ def workdir(tmp_path_factory):
 @settings(max_examples=40, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=scenarios(), what=st.sampled_from(WHAT_CHOICES),
-       suite=st.sampled_from(SUITE_NAMES + ["all"]))
+       suite=st.sampled_from([*SUITES, "all"]))
 def test_every_input_ends_in_an_exit_code_and_one_line(workdir, doc, what,
                                                        suite):
     path = workdir / "scenario.json"

@@ -315,7 +315,7 @@ UNCALLED_ALLOWED = {
     "dconnection.py:cov_deriv_along",
     "dconnection.py:bracket_d_vectors",
     # the characterisation of the (g,h)-lift that a future lift suite
-    # certifies (ROADMAP item 2); only tests call them today.
+    # certifies (ROADMAP item 5); only tests call them today.
     "lift.py:acceleration_lift",
     "lift.py:lift_condition_residual",
     # argparse calls these overrides of ArgumentParser methods.

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import dropwhile, takewhile
 
 import pytest
 
@@ -18,7 +19,8 @@ from kkgeom.nlconnection import (
 )
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import ScenarioError, load_scenario
-from kkgeom.suites import applicable_suites, run_suites, run_validate
+from kkgeom.suites import SUITES, applicable_suites, run_suites, \
+    run_validate
 from conftest import DATA_DIR, SCENARIO_DIR, chart_change_residual, \
     identity_algebroid, make_vdep, run_law, table
 
@@ -43,6 +45,36 @@ def test_applicable_suites():
     berw = load_scenario(str(SCENARIO_DIR / "berwald.json"))
     assert applicable_suites(berw) == ["oracle", "ricci-commutation",
                                        "bianchi"]
+
+
+@pytest.mark.parametrize("name,message", [
+    ("compatibility", "compatibility suite requires a metric"),
+    ("transformation", "transformation suite requires a metric (the primed "
+                       "connection is rebuilt from the transformed metric)"),
+])
+def test_suite_needing_a_metric_refuses_a_scenario_without_one(name,
+                                                               message):
+    berw = load_scenario(str(SCENARIO_DIR / "berwald.json"))
+    with pytest.raises(ScenarioError) as exc:
+        run_suites(berw, ["oracle", name], samples=1)
+    assert exc.value.location == "metric"
+    assert str(exc.value) == f"metric: {message}"
+
+
+def test_readme_suite_defaults_table_is_the_suites_table():
+    """README's "Suite defaults" table lists ``suites.SUITES``: the names,
+    default sample counts and tolerances, in order."""
+    text = (SCENARIO_DIR.parent / "README.md").read_text()
+    lines = text.split("Suite defaults", 1)[1].splitlines()
+    table = list(takewhile(lambda line: line.startswith("|"),
+                           dropwhile(lambda line: not line.startswith("|"),
+                                     lines)))
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table]
+    assert rows[0] == ["suite", "samples", "tolerance"]
+    assert [(name, int(samples), float(tol)) for name, samples, tol
+            in rows[2:]] == [(name, suite.samples, suite.tol)
+                             for name, suite in SUITES.items()]
 
 
 def test_unknown_suite_rejected():
