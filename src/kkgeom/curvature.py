@@ -14,8 +14,10 @@ The component formulas are fixed by the covariant-derivative/bracket
 definitions; every family is cross-checked at sample points against a
 direct evaluation of those definitions for all frame fields at once
 (``frame_definitions``), which uses only the frame coefficients, the raw
-bracket table and nested differentiation.  The definition side is the
-arbiter.
+bracket table and nested differentiation.  The comparison is one table:
+a row per frame pair (torsion) or triple (curvature) that a family
+covers, each holding the definition's pair and the family's entries.
+The definition side is the arbiter.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .dconnection import (
     bracket_pairs,
     frame_contract,
     frame_derivatives,
-    frame_h,
-    frame_v,
     h_cov_values,
     v_cov_values,
 )
@@ -298,7 +298,8 @@ def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
     second = frame_derivatives(
         lambda xs, y: frames + [w for row in first_at(xs, y) for w in row],
         A, N, D)(pt.x, pt.y)
-    fields = [frame_h(p, a) for a in range(p)] + [frame_v(p)]
+    # the frames as vector fields, for every bracket pair
+    fields = [lambda xs, y, f=f: f for f in frames]
     pairs = [(x, y) for x in range(n) for y in range(n)]
     flat = bracket_pairs(fields, pairs, A, N)(pt.x, pt.y)
     br = [flat[n * x:n * x + n] for x in range(n)]
@@ -399,61 +400,31 @@ class OracleCheck:
 
 
 def _oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
-    vert = p  # the vertical frame index
-    # torsion: horizontal frame pairs
-    for b in range(p):
-        for c in range(p):
-            h, v = T[c][b]
-            for a in range(p):
-                t_tracker.update(h[a] - tors.Thh[a][b][c], pt)
-            t_tracker.update(v - tors.Tv[b][c], pt)
-    # torsion: mixed and doubled-vertical pairs
-    for b in range(p):
-        h, v = T[vert][b]
-        for a in range(p):
-            t_tracker.update(h[a] - tors.Ph[a][b], pt)
-        t_tracker.update(v - tors.Pv[b], pt)
-    h, v = T[vert][vert]
-    for a in range(p):
-        t_tracker.update(h[a], pt)
-    t_tracker.update(v - tors.S00, pt)
-    # curvature: [Rh] X=frame b, (Y,Z)=(frame e, frame c)
-    for b in range(p):
-        for c in range(p):
-            for e in range(p):
-                h, v = C[b][e][c]
-                for a in range(p):
-                    c_tracker.update(h[a] - curv.Rh[a][b][c][e], pt)
-                c_tracker.update(v, pt)
-    # [Rv] X vertical
-    for c in range(p):
-        for e in range(p):
-            h, v = C[vert][e][c]
-            for a in range(p):
-                c_tracker.update(h[a], pt)
-            c_tracker.update(v - curv.Rv[c][e], pt)
-    # [P-blocks] Y vertical
-    for eps in range(p):
-        for c in range(p):
-            h, v = C[eps][vert][c]
-            for a in range(p):
-                c_tracker.update(h[a] - curv.Ph[a][eps][c], pt)
-            c_tracker.update(v, pt)
-    for c in range(p):
-        h, v = C[vert][vert][c]
-        for a in range(p):
-            c_tracker.update(h[a], pt)
-        c_tracker.update(v - curv.Pv[c], pt)
-    # [S-blocks] doubled vertical pair
-    for b in range(p):
-        h, v = C[b][vert][vert]
-        for a in range(p):
-            c_tracker.update(h[a] - curv.Sh[a][b], pt)
-        c_tracker.update(v, pt)
-    h, v = C[vert][vert][vert]
-    for a in range(p):
-        c_tracker.update(h[a], pt)
-    c_tracker.update(v - curv.Sv, pt)
+    """Compare each family with the definitions at pt.  A row is (the
+    definition's ``(h, v)`` pair, the component h entries, the component v
+    entry), with zeros for a part that must vanish; z is the vertical
+    frame."""
+    r, z, zeros = range(p), p, [0.0] * p
+    torsion = (
+        [(T[c][b], [tors.Thh[a][b][c] for a in r], tors.Tv[b][c])
+         for b in r for c in r]
+        + [(T[z][b], [tors.Ph[a][b] for a in r], tors.Pv[b]) for b in r]
+        + [(T[z][z], zeros, tors.S00)])
+    # (X, Y, Z) = (frame b, frame e, frame c) for Rh
+    curvature = (
+        [(C[b][e][c], [curv.Rh[a][b][c][e] for a in r], 0.0)
+         for b in r for c in r for e in r]
+        + [(C[z][e][c], zeros, curv.Rv[c][e]) for c in r for e in r]
+        + [(C[eps][z][c], [curv.Ph[a][eps][c] for a in r], 0.0)
+           for eps in r for c in r]
+        + [(C[z][z][c], zeros, curv.Pv[c]) for c in r]
+        + [(C[b][z][z], [curv.Sh[a][b] for a in r], 0.0) for b in r]
+        + [(C[z][z][z], zeros, curv.Sv)])
+    for tracker, rows in ((t_tracker, torsion), (c_tracker, curvature)):
+        for (h, v), comp_h, comp_v in rows:
+            for a in r:
+                tracker.update(h[a] - comp_h[a], pt)
+            tracker.update(v - comp_v, pt)
 
 
 def default_test_vector(p: int, m: int):

@@ -43,8 +43,6 @@ __all__ = [
     "cov_deriv_along",
     "bracket_pairs",
     "bracket_d_vectors",
-    "frame_h",
-    "frame_v",
     "dconnection_transformation_point",
 ]
 
@@ -183,16 +181,6 @@ def v_cov_values(vals, ddy, rh, sh, vweight, Vh, Vv):
     return _nested(leibniz(_flat(vals, rank), [_flat(ddy, rank)],
                            [[[c] for c in row] for row in Vh], [Vv], vweight,
                            (0,)), p, rank)
-
-
-def frame_h(p: int, idx: int):
-    """The idx-th horizontal frame field."""
-    return lambda xs, y: ([1.0 if a == idx else 0.0 for a in range(p)], 0.0)
-
-
-def frame_v(p: int):
-    """The vertical frame field."""
-    return lambda xs, y: ([0.0] * p, 1.0)
 
 
 def frame_derivatives(W_at, A: AlgebroidData, N: NonlinearConnection,

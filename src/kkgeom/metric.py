@@ -32,7 +32,7 @@ from .calculus import (
     primal,
     seeded_point,
 )
-from .dconnection import DConnectionCoeffs, h_cov_values, v_cov_values
+from .dconnection import DConnectionCoeffs, _flat, h_cov_values, v_cov_values
 from .nlconnection import NonlinearConnection, adapted_derivatives
 from .report import ResidualTracker
 
@@ -81,7 +81,7 @@ def _norm1(mat):
                for b in range(len(mat)))
 
 
-def matrix_inverse(mat, point=None):
+def matrix_inverse(mat):
     """Gauss-Jordan with partial pivoting; entries may be floats or Jets.
     Pivot selection uses the underlying float values."""
     n = len(mat)
@@ -92,9 +92,7 @@ def matrix_inverse(mat, point=None):
         pivot = aug[pivot_row][col]
         if abs(primal(pivot)) < 1e-300:
             raise SingularMetricError(
-                f"singular matrix (pivot {primal(pivot):.3e} in column {col})",
-                point=point,
-            )
+                f"singular matrix (pivot {primal(pivot):.3e} in column {col})")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         pivot = aug[col][col]
         aug[col] = [v / pivot for v in aug[col]]
@@ -116,9 +114,9 @@ def inverse_h(G: MetricStructure, pt: EPoint):
         raise EvaluationDomainError("non-finite value in metric block g",
                                     point=pt)
     try:
-        ginv = matrix_inverse(g, point=pt)
+        ginv = matrix_inverse(g)
     except SingularMetricError as exc:
-        exc.condition = float("inf")
+        exc.point, exc.condition = pt, float("inf")
         raise
     p = G.p
     worst = 0.0
@@ -307,30 +305,24 @@ class CompatibilityCheck:
 
     def step(self, pt: EPoint, tables):
         G, A, N = self._args
-        tracker, p = self.trackers[0], G.p
-        vh, vv, v0h, v0v = _compatibility_values(G, tables.D, A, N, pt)
-        for a in range(p):
-            for b in range(p):
-                for c in range(p):
-                    tracker.update(vh[a][b][c], pt)
-                tracker.update(vv[a][b], pt)
-        for c in range(p):
-            tracker.update(v0h[c], pt)
-        tracker.update(v0v, pt)
+        tracker = self.trackers[0]
+        blocks = _compatibility_values(G, tables.D, A, N, pt)
+        for block, rank in zip(blocks, (3, 2, 1, 0)):
+            for value in _flat(block, rank):
+                tracker.update(value, pt)
 
 
 def riemannian_flags(G: MetricStructure, samples):
     """(h-block independent of y0, vertical coefficient independent of y0):
-    each block's largest |d/dy0| over ``samples`` at most 1e-12."""
-    max_h = 0.0
-    max_v = 0.0
+    every |d/dy0| of the block over ``samples`` at most 1e-12, so a NaN
+    derivative makes its flag false."""
+    h_dy, v_dy = [], []
     for pt in samples:
         with at_point(pt):
             jxs, jy = seeded_point(pt.x, pt.y)
             gj = G.g_at(jxs, jy)
             g00j = G.g00_at(jxs, jy)
-        for row in gj:
-            for v in row:
-                max_h = max(max_h, abs(jdy(v)))
-        max_v = max(max_v, abs(jdy(g00j)))
-    return max_h <= 1e-12, max_v <= 1e-12
+        h_dy += [jdy(v) for row in gj for v in row]
+        v_dy.append(jdy(g00j))
+    return (all(abs(d) <= 1e-12 for d in h_dy),
+            all(abs(d) <= 1e-12 for d in v_dy))

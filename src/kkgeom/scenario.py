@@ -34,16 +34,17 @@ class ScenarioError(ValueError):
         self.location = location
 
 
-def _parsed(src, m, location, memo, on_base=False):
+def _parsed(src, m, location, memo, on_base=False, allow_t=False):
     """The parsed expression ``src``.  ``memo`` maps ``(src, on_base)`` to
     the trees already parsed in this load, so each distinct source is
-    parsed once."""
+    parsed once; an expression of t (``allow_t``) keeps a memo of its
+    own."""
     if not isinstance(src, str):
         raise ScenarioError(location, f"expected an expression string, got {src!r}")
     key = (src, on_base)
     if key not in memo:
         try:
-            memo[key] = parse(src, m, allow_y=not on_base)
+            memo[key] = parse(src, m, allow_y=not on_base, allow_t=allow_t)
         except ParseError as exc:
             raise ScenarioError(location, str(exc)) from exc
     return memo[key]
@@ -255,16 +256,10 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
         curve_src = lift_doc.get("curve")
         if not isinstance(curve_src, list) or len(curve_src) != m:
             raise ScenarioError("lift.curve", f"expected {m} expressions of t")
-        comps = []
-        for i, src in enumerate(curve_src):
-            location = f"lift.curve[{i}]"
-            if not isinstance(src, str):
-                raise ScenarioError(location, "expected an expression "
-                                    f"string, got {src!r}")
-            try:
-                comps.append(parse(src, 0, allow_y=False, allow_t=True))
-            except ParseError as exc:
-                raise ScenarioError(location, str(exc)) from exc
+        curve_memo = {}
+        comps = [_parsed(src, 0, f"lift.curve[{i}]", curve_memo,
+                         on_base=True, allow_t=True)
+                 for i, src in enumerate(curve_src)]
         g_lift = _table(lift_doc.get("g"), (p,), m, "lift.g", memo,
                         on_base=True)
         gtilde = None

@@ -104,6 +104,16 @@ def curve(*srcs):
         tuple(parse(s, 0, allow_y=False, allow_t=True) for s in srcs), "T"))
 
 
+def frame_h(p, idx):
+    """The idx-th horizontal frame field."""
+    return lambda xs, y: ([1.0 if a == idx else 0.0 for a in range(p)], 0.0)
+
+
+def frame_v(p):
+    """The vertical frame field."""
+    return lambda xs, y: ([0.0] * p, 1.0)
+
+
 def identity_algebroid(m):
     """Coordinate frame: rho = Id (p = m), L = 0."""
     return AlgebroidData(m, m, table(

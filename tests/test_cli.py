@@ -318,6 +318,24 @@ def test_validate_nan_lift_inverse_fails_invertibility(capsys, tmp_path):
     assert check["max_residual"] == "nan"
 
 
+def test_validate_nan_fiber_derivative_clears_riemannian_flags(capsys,
+                                                                tmp_path):
+    """g = g00 = 1 + 0*exp(707*y0) is finite on the box, but its d/dy0 is
+    0 * inf = NaN there: neither block is shown independent of y0."""
+    nan_dy = "1 + 0*exp(707*y0)"
+    path = tmp_path / "nan_dy.json"
+    path.write_text(json.dumps({
+        "m": 1, "p": 1, "box": {"x": [[-1.0, 1.0]], "y": [1.0, 1.0039]},
+        "algebroid": {"rho": [["1"]]},
+        "metric": {"g": [[nan_dy]], "g00": nan_dy}}))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["name"] == "riemannian_flags")
+    assert check["h_independent_of_y0"] is False
+    assert check["v_independent_of_y0"] is False
+
+
 def test_power_overflow_is_an_evaluation_error(capsys, tmp_path):
     def overflow(doc):
         doc["metric"]["g"][1][1] = "(1e200+x1)^2.5"

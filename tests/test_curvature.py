@@ -19,19 +19,14 @@ from kkgeom.curvature import (
     torsion_components,
     torsion_components_at,
 )
-from kkgeom.dconnection import (
-    DConnectionCoeffs,
-    berwald,
-    frame_h,
-    frame_v,
-)
+from kkgeom.dconnection import DConnectionCoeffs, berwald
 from kkgeom.metric import MetricStructure
 from kkgeom.nlconnection import NonlinearConnection
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 from conftest import (DATA_DIR, SCENARIO_DIR, bits,
-                      canonical_metric_dconnection, flat_metric,
-                      identity_algebroid, make_d1, make_nonabelian,
+                      canonical_metric_dconnection, flat_metric, frame_h,
+                      frame_v, identity_algebroid, make_d1, make_nonabelian,
                       make_sphere, make_vdep, run_check, table)
 from reference import curvature_from_definition, torsion_from_definition
 
@@ -222,13 +217,17 @@ def test_frame_definitions_match_per_field_definitions(name):
                     X, Y, Z, D, N, A, pt)), (x, y, z)
 
 
-def _bump_first_entry(node):
+def _bump_entry(node, at):
+    """``node`` with 1e-6 added to its entry at index ``at`` (0 or -1) of
+    every nesting level: its first or its last entry."""
     if isinstance(node, list):
-        return [_bump_first_entry(node[0])] + node[1:]
+        node = list(node)
+        node[at] = _bump_entry(node[at], at)
+        return node
     return node + 1e-6
 
 
-@pytest.mark.parametrize("target, family, check", [
+FAMILIES = [
     ("torsion_components_at", "Thh", "oracle.torsion"),
     ("torsion_components_at", "Tv", "oracle.torsion"),
     ("torsion_components_at", "Ph", "oracle.torsion"),
@@ -240,10 +239,17 @@ def _bump_first_entry(node):
     ("curvature_components_at", "Pv", "oracle.curvature"),
     ("curvature_components_at", "Sh", "oracle.curvature"),
     ("curvature_components_at", "Sv", "oracle.curvature"),
-])
-def test_oracle_fails_on_perturbed_family(monkeypatch, target, family, check):
-    """A 1e-6 error in one entry of any component family fails the
-    matching oracle check and leaves the other one passing.  ``target``
+]
+
+
+@pytest.mark.parametrize("target, family, check, at", [
+    pytest.param(*row, at, id="-".join(row) + suffix)
+    for at, suffix in ((0, ""), (-1, "-last")) for row in FAMILIES])
+def test_oracle_fails_on_perturbed_family(monkeypatch, target, family, check,
+                                          at):
+    """A 1e-6 error in the first or the last entry of any component family
+    fails the matching oracle check and leaves the other one passing, so
+    every row of the family reaches both ends of its index range.  ``target``
     names the block by the evaluator that returns it alone; the oracle
     reads both blocks from one ``curvature_components_at`` pass, so the
     family is perturbed there."""
@@ -253,7 +259,7 @@ def test_oracle_fails_on_perturbed_family(monkeypatch, target, family, check):
     def perturbed(*args):
         out = original(*args)
         setattr(out[block], family,
-                _bump_first_entry(getattr(out[block], family)))
+                _bump_entry(getattr(out[block], family), at))
         return out
 
     monkeypatch.setattr(curvature, "curvature_components_at", perturbed)

@@ -39,3 +39,13 @@ def test_cli_digest_strips_wall_times():
                "ok  compatibility  max 2.220e-16 tol 1e-09\n") == (
         "check: pass (oracle <t>, bianchi <t>; total <t>)\n"
         "ok  compatibility  max 2.220e-16 tol 1e-09\n")
+
+
+def test_cli_digest_equals_the_golden_digest(monkeypatch, capsys):
+    """Every listed call prints the stdout, the timing-stripped stderr and
+    the exit code recorded in ``tests/golden/cli_digest.txt``."""
+    cli_digest = _tool("cli_digest")
+    monkeypatch.chdir(ROOT)
+    assert cli_digest.run() == 0
+    golden = (ROOT / "tests" / "golden" / "cli_digest.txt").read_text()
+    assert capsys.readouterr().out == golden

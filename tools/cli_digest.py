@@ -10,8 +10,13 @@ two trees:
 
     python3 tools/cli_digest.py > after.txt
 
+``tests/golden/cli_digest.txt`` holds the recorded digest, and
+``tests/test_tools.py`` checks that the tree still prints it; a change
+that alters an output on purpose records it again.
+
 The calls: ``validate`` and ``check --suite all --samples 2 --seed 1`` on
-every shipped scenario and ``tests/data/gen3_seed1.json``, every
+every shipped scenario and the generated p = 3 and p = 4 scenarios
+``tests/data/gen3_seed1.json`` and ``tests/data/gen4_seed1.json``, every
 ``compute --what`` at two fixed points of each one's sampling box, and
 every ``lift`` mode at ``--steps 50`` on the scenarios with a lift section.
 Standard library only.
@@ -36,7 +41,7 @@ from kkgeom.scenario import load_scenario
 
 SCENARIOS = [f"scenarios/{name}.json" for name in (
     "berwald", "d1", "d1_perturbed", "flat", "nonabelian", "riccati",
-    "sphere", "vdep")] + ["tests/data/gen3_seed1.json"]
+    "sphere", "vdep")] + [f"tests/data/gen{P}_seed1.json" for P in (3, 4)]
 LIFT_SCENARIOS = [f"scenarios/{name}.json"
                   for name in ("berwald", "d1", "flat", "riccati")]
 # Where each coordinate of the two compute points sits in its box range.
