@@ -18,16 +18,24 @@ bracket table and nested differentiation.  The comparison is one table:
 a row per frame pair (torsion) or triple (curvature) that a family
 covers, each holding the definition's pair and the family's entries.
 The definition side is the arbiter.
+
+The per-entry sums are straight-line code generated per p on first use,
+each performing the float and Jet operations of the loop it replaced in
+the same order: the differences of ``frame_definitions``, the Rh/Rv
+formula and the contractions of the commutation and Bianchi checks.  The
+loops are the bitwise references in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
+
 from .algebroid import AlgebroidData
-from .calculus import EPoint, Jet, primal
+from .calculus import EPoint, Jet, compile_kernel, primal
 from .dconnection import (
     DConnectionCoeffs,
     bracket_pairs,
-    frame_contract,
     frame_derivatives,
     h_cov_values,
     v_cov_values,
@@ -147,39 +155,102 @@ def torsion_components(D, N, A, pt: EPoint) -> TorsionComponents:
     return torsion_components_at(D, N, A, pt.x, pt.y)
 
 
+# Rh and Rv for p, from the arguments of :func:`_rh_rv`: loops over (a, b,
+# c) for Rh and over c for Rv, with the entries e of each row and the sums
+# over t written out in the operand order of the comprehensions that the
+# kernel replaced (the reference ``loop_rh_rv`` in ``tests/reference.py``):
+#
+#     Rh[a][b][c][e] = dH<e>[a][b][c] - dH<c>[a][b][e]
+#         + (0 + (Hh[a][t][e] * Hh[t][b][c] - Hh[a][t][c] * Hh[t][b][e]) + ..)
+#         + R[c][e] * Vh[a][b] + (0 + Lv[t][c][e] * Hh[a][b][t] + ..)
+#     Rv[c][e] = dv<e>[c] - dv<c>[e] + Hv[e] * Hv[c] - Hv[c] * Hv[e]
+#         + R[c][e] * Vv + (0 + Lv[t][c][e] * Hv[t] + ..)
+#
+# with dH<g> = delta[g][0] and dv<g> = delta[g][1].  Per (a, b, c) the
+# names bound are A<t>_<e> = Hh[a][t][e], B<t> = Hh[a][b][t], C<t>_<e> =
+# Hh[t][b][e], ac<t> = Hh[a][t][c], hc<t> = Hh[t][b][c], dab<e> =
+# dH<e>[a][b], dc<e> = dH<c>[a][b][e], Rc<e> = R[c][e] and Lc<t>_<e> =
+# Lv[t][c][e].
+_RH_RV_LINE = sys._getframe().f_lineno + 2
+_RH_RV = '''\
+def rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
+    {H}, = Hh
+    {L}, = Lv
+    {hv}, = Hv
+    dH = [d[0] for d in delta]
+    {dv}, = dvs = [d[1] for d in delta]
+    Rh = []
+    for a in {R}:
+        {Ha}, = Ha = Hh[a]
+        {A}
+        dHa = [d[a] for d in dH]
+        Vha = Vh[a]
+        Rha = []
+        for b in {R}:
+            {B}, = Ha[b]
+            {C}
+            {dab}, = dabs = [d[b] for d in dHa]
+            vab = Vha[b]
+            Rhab = []
+            for c in {R}:
+                {dc}, = dabs[c]
+                {ac}
+                {hc}
+                {Rc}, = R[c]
+                {Lc}
+                Rhab.append([{rh}])
+            Rha.append(Rhab)
+        Rh.append(Rha)
+    Rv = []
+    for c in {R}:
+        hvc = Hv[c]
+        {dc}, = dvs[c]
+        {Rc}, = R[c]
+        {Lc}
+        Rv.append([{rv}])
+    return Rh, Rv
+'''
+
+
+@functools.cache
+def _rh_rv_kernel(p):
+    """The kernel of ``_RH_RV`` for p, generated on first use."""
+    rp = range(p)
+
+    def names(fmt):
+        return ", ".join(fmt.format(t) for t in rp)
+
+    def row(name, t):
+        return "(" + ", ".join(f"{name}{t}_{e}" for e in rp) + ",)"
+
+    source = _RH_RV.format(
+        R=repr(tuple(rp)), H=names("H{}"), L=names("L{}"), hv=names("hv{}"),
+        dv=names("dv{}"), Ha=names("Ha{}"), B=names("B{}"),
+        dab=names("dab{}"), dc=names("dc{}"), Rc=names("Rc{}"),
+        A="; ".join(f"{row('A', t)} = Ha{t}" for t in rp),
+        C="; ".join(f"T{t} = H{t}[b]; {row('C', t)} = T{t}" for t in rp),
+        Lc="; ".join(f"{row('Lc', t)} = L{t}[c]" for t in rp),
+        ac="; ".join(f"ac{t} = Ha{t}[c]" for t in rp),
+        hc="; ".join(f"hc{t} = T{t}[c]" for t in rp),
+        rh=", ".join(
+            f"dab{e}[c] - dc{e} + (0" + "".join(
+                f" + (A{t}_{e} * hc{t} - ac{t} * C{t}_{e})" for t in rp)
+            + f") + Rc{e} * vab + (0"
+            + "".join(f" + Lc{t}_{e} * B{t}" for t in rp) + ")"
+            for e in rp),
+        rv=", ".join(
+            f"dv{e}[c] - dc{e} + hv{e} * hvc - hvc * hv{e} + Rc{e} * Vv + (0"
+            + "".join(f" + Lc{t}_{e} * hv{t}" for t in rp) + ")"
+            for e in rp))
+    return compile_kernel(source, "rh_rv", __file__, _RH_RV_LINE, {})
+
+
 def _rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
     """The Rh and Rv families from the coefficients, the adapted
     derivatives ``delta[g][0]`` of hh and ``delta[g][1]`` of hv, the
-    bracket curvature R and the bracket table."""
-    p = len(Hv)
-    Rh = [
-        [
-            [
-                [
-                    delta[e][0][a][b][c] - delta[c][0][a][b][e]
-                    + sum(Hh[a][t][e] * Hh[t][b][c] - Hh[a][t][c] * Hh[t][b][e]
-                          for t in range(p))
-                    + R[c][e] * Vh[a][b]
-                    + sum(Lv[t][c][e] * Hh[a][b][t] for t in range(p))
-                    for e in range(p)
-                ]
-                for c in range(p)
-            ]
-            for b in range(p)
-        ]
-        for a in range(p)
-    ]
-    Rv = [
-        [
-            delta[e][1][c] - delta[c][1][e]
-            + Hv[e] * Hv[c] - Hv[c] * Hv[e]
-            + R[c][e] * Vv
-            + sum(Lv[t][c][e] * Hv[t] for t in range(p))
-            for e in range(p)
-        ]
-        for c in range(p)
-    ]
-    return Rh, Rv
+    bracket curvature R and the bracket table, through one generated
+    kernel per p."""
+    return _rh_rv_kernel(len(Hv))(Hh, Hv, Vh, Vv, delta, R, Lv)
 
 
 def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
@@ -275,6 +346,63 @@ def energy_momentum(ric: RicciTensor, scalar: float, G: MetricStructure,
     return EnergyMomentum(Tab=Tab, Ta0=Ta0, T0b=T0b, T00=T00, kappa=kappa)
 
 
+# The definitions of :func:`frame_definitions` for p, from ``second[i][k]``
+# = D_{e_i} e_k, ``second[i][n + n * j + k]`` = D_{e_i} D_{e_j} e_k (n =
+# p + 1 frames) and the brackets ``br[x][y]``: the torsion u - w - z of
+# every frame pair and the curvature u - w - z of every triple, with the
+# components of each difference written out.  For curvature z is the
+# contraction X^l D_{e_l} e_x along X = [e_y, e_z] (the loop of
+# :func:`~kkgeom.dconnection.frame_contract`), (0.0 + b0 * e0_a + ... +
+# bv * e<p>_a), e<l>_a being component a of D_{e_l} e_x.  The reference
+# is ``loop_frames`` in ``tests/reference.py``.
+_FRAMES_LINE = sys._getframe().f_lineno + 2
+_FRAMES = '''\
+def frames(second, br):
+    torsion = []
+    for x, (brx, sx) in enumerate(zip(br, second)):
+        row = []
+        for ({z}, zv), ({u}, uv), ({w}, wv) in zip(
+                brx, sx, [s[x] for s in second]):
+            row.append(([{torsion}], uv - wv - zv))
+        torsion.append(row)
+    curvature = []
+    for x in {RN}:
+        {e}
+        plane = []
+        for y, (sy, bry) in enumerate(zip(second, br)):
+            row = []
+            for z, ({b}, bv) in enumerate(bry):
+                {u}, uv = sy[{n} + {n} * z + x]
+                {w}, wv = second[z][{n} + {n} * y + x]
+                row.append(([{curvature}], uv - wv - (0.0{contract_v})))
+            plane.append(row)
+        curvature.append(plane)
+    return torsion, curvature
+'''
+
+
+@functools.cache
+def _frames_kernel(p):
+    """The kernel of ``_FRAMES`` for p, generated on first use."""
+    rp, rn = range(p), range(p + 1)
+
+    def vec(name):
+        return "(" + ", ".join(f"{name}{a}" for a in rp) + ",)"
+
+    def contract(a):
+        return "".join(f" + b{l} * e{l}_{a}" for l in rp) + f" + bv * e{p}_{a}"
+
+    source = _FRAMES.format(
+        RN=repr(tuple(rn)), n=p + 1, z=vec("z"), u=vec("u"), w=vec("w"),
+        b=vec("b"),
+        torsion=", ".join(f"u{a} - w{a} - z{a}" for a in rp),
+        e="; ".join("(" + ", ".join(f"e{l}_{a}" for a in rp)
+                    + f",), e{l}_v = second[{l}][x]" for l in rn),
+        curvature=", ".join(f"u{a} - w{a} - (0.0{contract(a)})" for a in rp),
+        contract_v=contract("v"))
+    return compile_kernel(source, "frames", __file__, _FRAMES_LINE, {})
+
+
 def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
                       A: AlgebroidData, pt: EPoint):
     """Torsion and curvature of every frame pair and triple at pt, straight
@@ -286,7 +414,8 @@ def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
     - D_{[e_y, e_z]} e_x`` as ``(h_list, v)`` pairs.  Two nested
     :func:`frame_derivatives` passes give D_{e_j} e_k and D_{e_i} D_{e_j}
     e_k for all indices; brackets come from one :func:`bracket_pairs`
-    evaluation over every frame pair.
+    evaluation over every frame pair; one generated kernel per p takes
+    the differences.
     """
     p = D.p
     n = p + 1
@@ -302,30 +431,8 @@ def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
     fields = [lambda xs, y, f=f: f for f in frames]
     pairs = [(x, y) for x in range(n) for y in range(n)]
     flat = bracket_pairs(fields, pairs, A, N)(pt.x, pt.y)
-    br = [flat[n * x:n * x + n] for x in range(n)]
-
-    def dd(i, j, k):
-        return second[i][n + n * j + k]
-
-    def diff3(u, w, z):
-        return ([u[0][a] - w[0][a] - z[0][a] for a in range(p)],
-                u[1] - w[1] - z[1])
-
-    torsion = [[diff3(second[x][y], second[y][x], br[x][y])
-                for y in range(n)] for x in range(n)]
-    curvature = [
-        [
-            [
-                diff3(dd(y, z, x), dd(z, y, x),
-                      frame_contract(list(br[y][z][0]) + [br[y][z][1]],
-                                     [second[l][x] for l in range(n)]))
-                for z in range(n)
-            ]
-            for y in range(n)
-        ]
-        for x in range(n)
-    ]
-    return torsion, curvature
+    return _frames_kernel(p)(second, [flat[n * x:n * x + n]
+                                      for x in range(n)])
 
 
 class PointTables:
@@ -467,8 +574,10 @@ class RicciCommutationCheck:
     def step(self, pt: EPoint, tables: PointTables):
         tors, curv = tables.components
         values = _commutation_values(self._fields, tables.D, *self._args, pt)
+        commutation = _commutation_kernel(len(tors.Pv))
         for Z, tensors, tracker in zip(self._fields, values, self.trackers):
-            _commutation_point(Z, tensors, tors, curv, pt, tracker)
+            commutation(tracker.update, pt, *Z(pt.x, pt.y), tensors, tors,
+                        curv)
 
 
 def _commutation_values(fields, D, N, A, pt):
@@ -504,36 +613,71 @@ def _commutation_values(fields, D, N, A, pt):
     return out
 
 
-def _commutation_point(Z, tensors, tors, curv, pt, tracker):
-    p = len(tors.Pv)
-    Zh, Yv = Z(pt.x, pt.y)
+# The residuals of one field Z = (Zh, Yv) at pt, fed to ``update`` in the
+# order of the loops that the kernel replaced (the reference
+# ``loop_commutation`` in ``tests/reference.py``): per (al, c, b)
+#
+#     a2[al][c][b] - a2[al][b][c] - ((0 + Rh[al][t][c][b] * Zh[t] + ..)
+#         + (0 + Thh[t][b][c] * a1[al][t] + ..) + Tv[b][c] * b1[al])
+#
+# then per (al, c), (c, b) and c the other three, with the sums over t
+# written out.  The names bound are Z<t> = Zh[t], T<t> = Thh[t], P<t> =
+# tors.Ph[t], A<t> = a1[al][t], C<t> = c1[t], Rh<t> = Rh[al][t], Rhc<t> =
+# Rh[al][t][c] and Ph<t> = curv.Ph[al][t].
+_COMMUTATION_LINE = sys._getframe().f_lineno + 2
+_COMMUTATION = '''\
+def commutation(update, pt, Zh, Yv, tensors, tors, curv):
     a2, a1, b1, a1v, b1h, c2, c1, d1, c1v, d1h = tensors
-    for al in range(p):
-        for c in range(p):
-            for b in range(p):
-                lhs = a2[al][c][b] - a2[al][b][c]
-                rhs = sum(curv.Rh[al][t][c][b] * Zh[t] for t in range(p))
-                rhs += sum(tors.Thh[t][b][c] * a1[al][t] for t in range(p))
-                rhs += tors.Tv[b][c] * b1[al]
-                tracker.update(lhs - rhs, pt)
-        for c in range(p):
-            lhs = a1v[al][c] - b1h[al][c]
-            rhs = sum(curv.Ph[al][t][c] * Zh[t] for t in range(p))
-            rhs -= tors.Pv[c] * b1[al]
-            rhs -= sum(tors.Ph[t][c] * a1[al][t] for t in range(p))
-            tracker.update(lhs - rhs, pt)
-    for c in range(p):
-        for b in range(p):
-            lhs = c2[c][b] - c2[b][c]
-            rhs = curv.Rv[c][b] * Yv
-            rhs += sum(tors.Thh[t][b][c] * c1[t] for t in range(p))
-            rhs += tors.Tv[b][c] * d1
-            tracker.update(lhs - rhs, pt)
+    Tv, Pvt = tors.Tv, tors.Pv
+    {Z}, = Zh
+    {T}, = tors.Thh
+    {P}, = tors.Ph
+    for al in {R}:
+        a2al = a2[al]; b1al = b1[al]
+        {A}, = a1[al]
+        {Rh}, = curv.Rh[al]
+        {Ph}, = curv.Ph[al]
+        for c in {R}:
+            a2alc = a2al[c]; {Rhc}
+            for b in {R}:
+                lhs = a2alc[b] - a2al[b][c]
+                update(lhs - ((0{rz}) + (0{ta}) + Tv[b][c] * b1al), pt)
+        a1val = a1v[al]; b1hal = b1h[al]
+        for c in {R}:
+            lhs = a1val[c] - b1hal[c]
+            update(lhs - ((0{pz}) - Pvt[c] * b1al - (0{pa})), pt)
+    {C}, = c1
+    Rv, Pcv = curv.Rv, curv.Pv
+    for c in {R}:
+        c2c = c2[c]; Rvc = Rv[c]
+        for b in {R}:
+            lhs = c2c[b] - c2[b][c]
+            update(lhs - (Rvc[b] * Yv + (0{tc}) + Tv[b][c] * d1), pt)
         lhs = c1v[c] - d1h[c]
-        rhs = curv.Pv[c] * Yv
-        rhs -= tors.Pv[c] * d1
-        rhs -= sum(tors.Ph[t][c] * c1[t] for t in range(p))
-        tracker.update(lhs - rhs, pt)
+        update(lhs - (Pcv[c] * Yv - Pvt[c] * d1 - (0{pc})), pt)
+'''
+
+
+@functools.cache
+def _commutation_kernel(p):
+    """The kernel of ``_COMMUTATION`` for p, generated on first use."""
+    rp = range(p)
+
+    def names(fmt):
+        return ", ".join(fmt.format(t) for t in rp)
+
+    def terms(fmt):
+        return "".join(" + " + fmt.format(t) for t in rp)
+
+    source = _COMMUTATION.format(
+        R=repr(tuple(rp)), Z=names("Z{}"), T=names("T{}"), P=names("P{}"),
+        A=names("A{}"), Rh=names("Rh{}"), Ph=names("Ph{}"), C=names("C{}"),
+        Rhc="; ".join(f"Rhc{t} = Rh{t}[c]" for t in rp),
+        rz=terms("Rhc{0}[b] * Z{0}"), ta=terms("T{0}[b][c] * A{0}"),
+        pz=terms("Ph{0}[c] * Z{0}"), pa=terms("P{0}[c] * A{0}"),
+        tc=terms("T{0}[b][c] * C{0}"), pc=terms("P{0}[c] * C{0}"))
+    return compile_kernel(source, "commutation", __file__, _COMMUTATION_LINE,
+                          {})
 
 
 class BianchiCheck:
@@ -553,57 +697,90 @@ class BianchiCheck:
 
     def step(self, pt: EPoint, tables: PointTables):
         tors, curv = tables.components
-        t1h, t1v, t2h, t2v = self.trackers
-        Thh, Tv = tors.Thh, tors.Tv
-        Pht, Pvt = tors.Ph, tors.Pv
-        Rh, Rv = curv.Rh, curv.Rv
-        Pch, Pcv = curv.Ph, curv.Pv
-        p = len(Pvt)
-        dThh, dTv, dRh, dRv = _bianchi_values(tables.D, self._N, self._A, pt)
+        _bianchi_kernel(len(tors.Pv))(
+            *(tracker.update for tracker in self.trackers), pt, tors, curv,
+            *_bianchi_values(tables.D, self._N, self._A, pt))
 
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    cyc = [(b, c, d), (c, d, b), (d, b, c)]
-                    for al in range(p):
-                        acc = 0.0
-                        for (x, yy, z) in cyc:
-                            acc += Rh[al][z][yy][x] - dThh[al][z][yy][x]
-                            acc -= sum(Thh[lam][yy][x] * Thh[al][z][lam]
-                                       for lam in range(p))
-                            acc -= Tv[yy][x] * Pht[al][z]
-                        t1h.update(acc, pt)
-                    acc = 0.0
-                    for (x, yy, z) in cyc:
-                        acc -= dTv[z][yy][x]
-                        acc -= sum(Thh[lam][yy][x] * Tv[z][lam]
-                                   for lam in range(p))
-                        acc -= Tv[yy][x] * Pvt[z]
-                    t1v.update(acc, pt)
 
-        for be in range(p):
-            for c in range(p):
-                for t in range(p):
-                    for l in range(p):
-                        cyc = [(l, t, c), (t, c, l), (c, l, t)]
-                        for al in range(p):
-                            acc = 0.0
-                            for (x, yy, z) in cyc:
-                                acc += dRh[al][be][z][yy][x]
-                                acc += sum(Thh[mu][yy][x] * Rh[al][be][z][mu]
-                                           for mu in range(p))
-                                acc += Tv[yy][x] * Pch[al][be][z]
-                            t2h.update(acc, pt)
-        for c in range(p):
-            for t in range(p):
-                for l in range(p):
-                    cyc = [(l, t, c), (t, c, l), (c, l, t)]
-                    acc = 0.0
-                    for (x, yy, z) in cyc:
-                        acc += dRv[z][yy][x]
-                        acc += sum(Thh[mu][yy][x] * Rv[z][mu] for mu in range(p))
-                        acc += Tv[yy][x] * Pcv[z]
-                    t2v.update(acc, pt)
+# The four cyclic sums at pt, fed to u1h, u1v, u2h and u2v in the order of
+# the loops that the kernel replaced (the reference ``loop_bianchi``
+# in ``tests/reference.py``).  Each sum is written out over its three
+# cyclic terms (x, yy, z), each term in the order of the accumulating loop
+# from 0.0; the first family, per (b, c, d) and then al,
+#
+#     0.0 + (Rh[al][z][yy][x] - dThh[al][z][yy][x])
+#         - (0 + Thh[0][yy][x] * Thh[al][z][0] + ..) - Tv[yy][x] * Ph[al][z]
+#         + ...   (the next two cyclic terms)
+#
+# and the second the same way with + and dRh, Rh[al][be], Pc_h[al][be].
+# s<k>_<t> = Thh[t][yy][x] and tv<k> = Tv[yy][x] for the k-th cyclic term
+# do not depend on al (or be).
+_BIANCHI_LINE = sys._getframe().f_lineno + 2
+_BIANCHI = '''\
+def bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
+    Thh, Tv, Pvt = tors.Thh, tors.Tv, tors.Pv
+    Rv, Pcv = curv.Rv, curv.Pv
+    {T}, = Thh
+    first = list(zip(curv.Rh, dThh, Thh, tors.Ph))
+    for b in {R}:
+        for c in {R}:
+            for d in {R}:
+                {s1}
+                tv0 = Tv[c][b]; tv1 = Tv[d][c]; tv2 = Tv[b][d]
+                for Ral, dal, Tal, Pal in first:
+                    u1h(0.0 + (Ral[d][c][b] - dal[d][c][b]) - (0{t0})
+                        - tv0 * Pal[d] + (Ral[b][d][c] - dal[b][d][c])
+                        - (0{t1}) - tv1 * Pal[b]
+                        + (Ral[c][b][d] - dal[c][b][d]) - (0{t2})
+                        - tv2 * Pal[c], pt)
+                u1v(0.0 - dTv[d][c][b] - (0{v0}) - tv0 * Pvt[d]
+                    - dTv[b][d][c] - (0{v1}) - tv1 * Pvt[b]
+                    - dTv[c][b][d] - (0{v2}) - tv2 * Pvt[c], pt)
+    for be in {R}:
+        second = [(dR[be], Rr[be], Pc[be])
+                  for dR, Rr, Pc in zip(dRh, curv.Rh, curv.Ph)]
+        for c in {R}:
+            for t in {R}:
+                for l in {R}:
+                    {s2}
+                    tv0 = Tv[t][l]; tv1 = Tv[c][t]; tv2 = Tv[l][c]
+                    for dR, Rr, Pc in second:
+                        u2h(0.0 + dR[c][t][l] + (0{r0}) + tv0 * Pc[c]
+                            + dR[l][c][t] + (0{r1}) + tv1 * Pc[l]
+                            + dR[t][l][c] + (0{r2}) + tv2 * Pc[t], pt)
+    for c in {R}:
+        for t in {R}:
+            for l in {R}:
+                {s2}
+                tv0 = Tv[t][l]; tv1 = Tv[c][t]; tv2 = Tv[l][c]
+                u2v(0.0 + dRv[c][t][l] + (0{w0}) + tv0 * Pcv[c]
+                    + dRv[l][c][t] + (0{w1}) + tv1 * Pcv[l]
+                    + dRv[t][l][c] + (0{w2}) + tv2 * Pcv[t], pt)
+'''
+
+
+@functools.cache
+def _bianchi_kernel(p):
+    """The kernel of ``_BIANCHI`` for p, generated on first use."""
+    rp = range(p)
+
+    def bind(pairs):
+        # s<k>_<t> = Thh[t][yy][x] for the cyclic terms' (yy, x) pairs
+        return "; ".join(f"s{k}_{t} = T{t}[{yy}][{x}]"
+                         for k, (yy, x) in enumerate(pairs) for t in rp)
+
+    def terms(k, row):
+        return "".join(f" + s{k}_{t} * {row}[{t}]" for t in rp)
+
+    source = _BIANCHI.format(
+        R=repr(tuple(rp)), T=", ".join(f"T{t}" for t in rp),
+        s1=bind([("c", "b"), ("d", "c"), ("b", "d")]),
+        s2=bind([("t", "l"), ("c", "t"), ("l", "c")]),
+        t0=terms(0, "Tal[d]"), t1=terms(1, "Tal[b]"), t2=terms(2, "Tal[c]"),
+        v0=terms(0, "Tv[d]"), v1=terms(1, "Tv[b]"), v2=terms(2, "Tv[c]"),
+        r0=terms(0, "Rr[c]"), r1=terms(1, "Rr[l]"), r2=terms(2, "Rr[t]"),
+        w0=terms(0, "Rv[c]"), w1=terms(1, "Rv[l]"), w2=terms(2, "Rv[t]"))
+    return compile_kernel(source, "bianchi", __file__, _BIANCHI_LINE, {})
 
 
 def _bianchi_values(D, N, A, pt):

@@ -17,6 +17,9 @@ and each covariant one subtracts them.  ``h_cov_values`` and
 Both run one Leibniz kernel, straight-line code generated per (p, rank,
 contravariant slots, non-zero weight) on first use; the loop it replaced
 is the bitwise reference in ``tests/reference.py`` (``loop_leibniz``).
+The oracle's ``frame_derivatives`` (per p) and ``bracket_pairs`` (per p
+and m) run generated kernels the same way, with references
+``loop_frame_derivatives`` and ``loop_bracket``.
 
 A vector field is a function ``(xs, y) -> (h_list, v)``: its p horizontal
 components and its vertical one, from one evaluation so that the two parts
@@ -183,6 +186,51 @@ def v_cov_values(vals, ddy, rh, sh, vweight, Vh, Vv):
                            (0,)), p, rank)
 
 
+# D along every frame field of every vector field W_k = [(w0, ..), Wv]:
+# one pass per direction (the p horizontal frames, then the vertical one)
+# with its p x p coefficients c<a>_<b> (hh[a][b][g], or vh[a][b]), the
+# coefficient cv of W^v (hv[g], or vv) and the derivatives of every W_k
+# along it.  ``{h}`` writes out the horizontal components
+#
+#     d<a> + (0 + c<a>_0 * w0 + ... + c<a>_<p-1> * w<p-1>)
+#
+# in the operand order of the comprehensions that the kernel replaced
+# (the reference ``loop_frame_derivatives`` in ``tests/reference.py``).
+_FRAME_DERIVATIVES_LINE = sys._getframe().f_lineno + 2
+_FRAME_DERIVATIVES = '''\
+def along_frames(vals, delta, ddy, Hh, Hv, Vh, Vv):
+    {H}, = Hh
+    {V}, = Vh
+    out = []
+    for ({c},), cv, D in zip([({Hg},) for g in {R}] + [({Vc},)],
+                              [*Hv, Vv], [*delta, ddy]):
+        row = []
+        for (({w},), Wv), (({d},), dv) in zip(vals, D):
+            row.append([[{h}], dv + cv * Wv])
+        out.append(row)
+    return out
+'''
+
+
+@functools.cache
+def _frame_derivatives_kernel(p):
+    """The kernel of ``_FRAME_DERIVATIVES`` for p, generated on first
+    use."""
+    rp = range(p)
+    pairs = [(a, b) for a in rp for b in rp]
+    source = _FRAME_DERIVATIVES.format(
+        H=", ".join(f"H{a}" for a in rp), V=", ".join(f"V{a}" for a in rp),
+        R=repr(tuple(rp)),
+        c=", ".join(f"c{a}_{b}" for a, b in pairs),
+        Hg=", ".join(f"H{a}[{b}][g]" for a, b in pairs),
+        Vc=", ".join(f"V{a}[{b}]" for a, b in pairs),
+        w=", ".join(f"w{b}" for b in rp), d=", ".join(f"d{a}" for a in rp),
+        h=", ".join(f"d{a} + (0" + "".join(f" + c{a}_{b} * w{b}" for b in rp)
+                    + ")" for a in rp))
+    return compile_kernel(source, "along_frames", __file__,
+                          _FRAME_DERIVATIVES_LINE, {})
+
+
 def frame_derivatives(W_at, A: AlgebroidData, N: NonlinearConnection,
                       D: DConnectionCoeffs):
     """D_{e_j} W_k for every frame field e_j and every vector field W_k.
@@ -196,27 +244,14 @@ def frame_derivatives(W_at, A: AlgebroidData, N: NonlinearConnection,
         D_{e_v} W = (d/dy0 W^a + vh[a][b] W^b,       d/dy0 W^v + vv W^v)
 
     One ``adapted_derivatives`` pass and one coefficient evaluation serve
-    every (j, k).  The output is in the input's format, so passes nest.
+    every (j, k), through one generated kernel per p.  The output is in
+    the input's format, so passes nest.
     """
-    p = D.p
+    kernel = _frame_derivatives_kernel(D.p)
 
     def at(xs, y):
         vals, delta, ddy = adapted_derivatives(W_at, xs, y, A, N)
-        Hh, Hv, Vh, Vv = D.all_at(xs, y)
-        out = [
-            [[[delta[g][k][0][a]
-               + sum(Hh[a][b][g] * Wh[b] for b in range(p))
-               for a in range(p)],
-              delta[g][k][1] + Hv[g] * Wv]
-             for k, (Wh, Wv) in enumerate(vals)]
-            for g in range(p)
-        ]
-        out.append(
-            [[[ddy[k][0][a] + sum(Vh[a][b] * Wh[b] for b in range(p))
-               for a in range(p)],
-              ddy[k][1] + Vv * Wv]
-             for k, (Wh, Wv) in enumerate(vals)])
-        return out
+        return kernel(vals, delta, ddy, *D.all_at(xs, y))
 
     return at
 
@@ -255,6 +290,77 @@ def cov_deriv_along(X, W, A: AlgebroidData, N: NonlinearConnection,
     return components
 
 
+# The pair loop of :func:`bracket_pairs` for p frames and m base
+# coordinates.  Per field, ``{anchor}`` writes out once the anchor sums
+# (0 + r<a>_0 * d0 + ... + r<a>_<m-1> * d<m-1>) over the gradient of each
+# of its p + 1 natural components (the fiber one last), for each a.  Per
+# pair (X, Y) and component g, with a<a> and b<a> the sums of Y's and X's
+# component g and yy and xy their fiber derivatives, the bracket is
+#
+#     ((0 + X0 * a0 + ...) + Xv * yy) - ((0 + Y0 * b0 + ...) + Yv * xy)
+#
+# plus, for a horizontal g, ``{table}``: (0 + X0 * Y0 * l0_0 + ...) over
+# (a, b), l<a>_<b> = L[g][a][b].  The fiber component then adds (0 + G0 *
+# h0 + ...), back in adapted components.  The horizontal loop zips the p
+# rows of L with the p + 1 components, so it stops before the fiber one.
+# Each sum is the one of the loop that the kernel replaced (the reference
+# ``loop_bracket`` in ``tests/reference.py``), which summed the anchor
+# again for every pair.
+_BRACKET_LINE = sys._getframe().f_lineno + 2
+_BRACKET = '''\
+def bracket(rho, Lv, gam, nat, pairs):
+    {r}, = rho
+    {G}, = gam
+    rows = []
+    for h, v, dh, dv, yh, yv in nat:
+        anchor = []
+        for {d} in [*dh, dv]:
+            anchor.append(({anchor},))
+        rows.append((h, v, anchor, [*yh, yv]))
+    out = []
+    for i, j in pairs:
+        ({X},), Xv, XA, Xy = rows[i]
+        ({Y},), Yv, YA, Yy = rows[j]
+        out_h = []
+        for ({a},), ({b},), xy, yy, ({l},) in zip(YA, XA, Xy, Yy, Lv):
+            out_h.append({rho_terms} + {table})
+        {h}, = out_h
+        ({a},), ({b},), xy, yy = YA[{p}], XA[{p}], Xy[{p}], Yy[{p}]
+        out.append((out_h, {rho_terms} + (0{gam})))
+    return out
+'''
+
+
+@functools.cache
+def _bracket_kernel(p, m):
+    """The kernel of ``_BRACKET`` for p and m, generated on first use."""
+    rp, rm = range(p), range(m)
+
+    def names(fmt):
+        return ", ".join(fmt.format(a) for a in rp)
+
+    def rho_apply(Z, A, y):
+        return ("((0" + "".join(f" + {Z}{a} * {A}{a}" for a in rp)
+                + f") + {Z}v * {y})")
+
+    source = _BRACKET.format(
+        r=", ".join("(" + ", ".join(f"r{a}_{i}" for i in rm) + ",)"
+                    for a in rp),
+        G=names("G{}"), d="(" + ", ".join(f"d{i}" for i in rm) + ",)",
+        anchor=", ".join("(0" + "".join(f" + r{a}_{i} * d{i}" for i in rm)
+                         + ")" for a in rp),
+        X=names("X{}"), Y=names("Y{}"), a=names("a{}"), b=names("b{}"),
+        l=", ".join("(" + ", ".join(f"l{a}_{b}" for b in rp) + ",)"
+                    for a in rp),
+        rho_terms=(rho_apply("X", "a", "yy") + " - "
+                   + rho_apply("Y", "b", "xy")),
+        table="(0" + "".join(f" + X{a} * Y{b} * l{a}_{b}"
+                             for a in rp for b in rp) + ")",
+        h=names("h{}"), p=p,
+        gam="".join(f" + G{g} * h{g}" for g in rp))
+    return compile_kernel(source, "bracket", __file__, _BRACKET_LINE, {})
+
+
 def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
     """[fields[i], fields[j]] in adapted components for each ``(i, j)`` in
     ``pairs``, computed through the natural frame so that only the raw
@@ -263,14 +369,12 @@ def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
 
     The returned evaluator gives the brackets as ``(h_list, v)`` pairs in
     the order of ``pairs``.  It seeds the point and evaluates rho, L and
-    Gamma once for all pairs, and each field once.
+    Gamma once for all pairs, and each field once; the anchor applied to
+    each component of a field is summed once, and the pairs run through
+    one generated kernel per (p, m).
     """
     p, m = A.p, A.m
-
-    def rho_apply(rho, Zh, Zv, dF, yF):
-        # anchor(Z) applied to a function with gradient dF, fiber yF
-        return sum(Zh[a] * sum(rho[a][i] * dF[i] for i in range(m))
-                   for a in range(p)) + Zv * yF
+    bracket = _bracket_kernel(p, m)
 
     def natural(Z, jxs, jy, jgam):
         # adapted (h, v) -> natural (A^gamma = h, A^0 = v - Gamma.h),
@@ -287,25 +391,8 @@ def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
         Lv = A.L_at(xs)
         jxs, jy = seeded_point(xs, y)
         jgam = N.gamma_at(jxs, jy)
-        gam = [jval(s) for s in jgam]
-        nat = [natural(Z, jxs, jy, jgam) for Z in fields]
-        out = []
-        for i, j in pairs:
-            Xh, Xv, dXh, dXv, yXh, yXv = nat[i]
-            Yh, Yv, dYh, dYv, yYh, yYv = nat[j]
-            out_h = []
-            for g in range(p):
-                acc = rho_apply(rho, Xh, Xv, dYh[g], yYh[g]) \
-                    - rho_apply(rho, Yh, Yv, dXh[g], yXh[g])
-                acc = acc + sum(Xh[a] * Yh[b] * Lv[g][a][b]
-                                for a in range(p) for b in range(p))
-                out_h.append(acc)
-            out_v = rho_apply(rho, Xh, Xv, dYv, yYv) \
-                - rho_apply(rho, Yh, Yv, dXv, yXv)
-            # back to adapted components
-            out.append((out_h,
-                        out_v + sum(gam[g] * out_h[g] for g in range(p))))
-        return out
+        return bracket(rho, Lv, [jval(s) for s in jgam],
+                       [natural(Z, jxs, jy, jgam) for Z in fields], pairs)
 
     return at
 

@@ -2,10 +2,12 @@
 command runs it: nested covariant derivatives of a block tensor, exact and
 finite-difference partials of one field, the torsion and curvature of
 single vector fields straight from their definitions, a printer for
-parsed expressions, and the per-entry loops that the generated kernels of
-the adapted-derivative split, the Leibniz rule and the Koszul formula
-replaced.  The engine's batched and generated kernels are compared against
-these, and the parser against the printer."""
+parsed expressions, and the per-entry loops that the generated kernels
+replaced: the adapted-derivative split, the Leibniz rule, the Koszul
+formula, the oracle's brackets, frame derivatives and differences, the
+Rh/Rv formula, the commutation and Bianchi contractions and the anchor and
+Jacobi sums of the validators.  The engine's batched and generated kernels
+are compared against these, and the parser against the printer."""
 
 import itertools
 
@@ -15,6 +17,7 @@ from kkgeom.dconnection import (
     _nested,
     bracket_d_vectors,
     cov_deriv_along,
+    frame_contract,
     h_cov_values,
     v_cov_values,
 )
@@ -98,14 +101,19 @@ def curvature_from_definition(X, Y, Z, D, N, A, pt):
         cov_deriv_along(bracket_d_vectors(Y, Z, A, N), X, A, N, D), pt)
 
 
-def _dot(row, col):
-    """``sum(map(mul, row, col))`` written out as Python 3.11's ``sum``
-    adds: from the integer 0, left to right (3.12's compensates float
-    sums, so the references do not call it)."""
+def _sum(terms):
+    """``sum(terms)`` written out as Python 3.11's ``sum`` adds: from the
+    integer 0, left to right (3.12's compensates float sums, so the
+    references do not call it)."""
     acc = 0
-    for a, b in zip(row, col):
-        acc = acc + a * b
+    for term in terms:
+        acc = acc + term
     return acc
+
+
+def _dot(row, col):
+    """``sum(map(mul, row, col))``, through :func:`_sum`."""
+    return _sum(a * b for a, b in zip(row, col))
 
 
 def loop_split(node, pairs, zeros):
@@ -208,6 +216,231 @@ def loop_koszul(g_vals, g_delta, ginv, Lv):
                     acc = acc + gi * term
                 out[a][b][c] = 0.5 * acc
     return out
+
+
+
+def loop_bracket(rho, Lv, gam, nat, pairs):
+    """The pair loop of ``dconnection.bracket_pairs`` that the bracket
+    kernel replaced, from rho, L, the Gamma values and each field's
+    natural components ``(h, v, dh, dv, yh, yv)``: ``rho_apply`` sums the
+    anchor over a gradient again for every pair."""
+    p, m = len(rho), len(rho[0])
+
+    def rho_apply(Zh, Zv, dF, yF):
+        return _sum(Zh[a] * _sum(rho[a][i] * dF[i] for i in range(m))
+                    for a in range(p)) + Zv * yF
+
+    out = []
+    for i, j in pairs:
+        Xh, Xv, dXh, dXv, yXh, yXv = nat[i]
+        Yh, Yv, dYh, dYv, yYh, yYv = nat[j]
+        out_h = []
+        for g in range(p):
+            acc = rho_apply(Xh, Xv, dYh[g], yYh[g]) \
+                - rho_apply(Yh, Yv, dXh[g], yXh[g])
+            acc = acc + _sum(Xh[a] * Yh[b] * Lv[g][a][b]
+                             for a in range(p) for b in range(p))
+            out_h.append(acc)
+        out_v = rho_apply(Xh, Xv, dYv, yYv) - rho_apply(Yh, Yv, dXv, yXv)
+        out.append((out_h, out_v + _sum(gam[g] * out_h[g] for g in range(p))))
+    return out
+
+
+def loop_frame_derivatives(vals, delta, ddy, Hh, Hv, Vh, Vv):
+    """The two Leibniz comprehensions of ``dconnection.frame_derivatives``
+    that its kernel replaced."""
+    p = len(Hv)
+    out = [
+        [[[delta[g][k][0][a] + _sum(Hh[a][b][g] * Wh[b] for b in range(p))
+           for a in range(p)],
+          delta[g][k][1] + Hv[g] * Wv]
+         for k, (Wh, Wv) in enumerate(vals)]
+        for g in range(p)
+    ]
+    out.append(
+        [[[ddy[k][0][a] + _sum(Vh[a][b] * Wh[b] for b in range(p))
+           for a in range(p)],
+          ddy[k][1] + Vv * Wv]
+         for k, (Wh, Wv) in enumerate(vals)])
+    return out
+
+
+def loop_frames(second, br):
+    """The differences of ``curvature.frame_definitions`` that its kernel
+    replaced: one ``diff3`` per frame pair and one ``diff3`` over a
+    ``frame_contract`` per frame triple."""
+    n = len(second)
+    p = n - 1
+
+    def dd(i, j, k):
+        return second[i][n + n * j + k]
+
+    def diff3(u, w, z):
+        return ([u[0][a] - w[0][a] - z[0][a] for a in range(p)],
+                u[1] - w[1] - z[1])
+
+    torsion = [[diff3(second[x][y], second[y][x], br[x][y])
+                for y in range(n)] for x in range(n)]
+    curvature = [
+        [
+            [
+                diff3(dd(y, z, x), dd(z, y, x),
+                      frame_contract(list(br[y][z][0]) + [br[y][z][1]],
+                                     [second[l][x] for l in range(n)]))
+                for z in range(n)
+            ]
+            for y in range(n)
+        ]
+        for x in range(n)
+    ]
+    return torsion, curvature
+
+
+def loop_rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
+    """The comprehensions of ``curvature._rh_rv`` that its kernel
+    replaced."""
+    p = len(Hv)
+    Rh = [
+        [
+            [
+                [
+                    delta[e][0][a][b][c] - delta[c][0][a][b][e]
+                    + _sum(Hh[a][t][e] * Hh[t][b][c]
+                           - Hh[a][t][c] * Hh[t][b][e] for t in range(p))
+                    + R[c][e] * Vh[a][b]
+                    + _sum(Lv[t][c][e] * Hh[a][b][t] for t in range(p))
+                    for e in range(p)
+                ]
+                for c in range(p)
+            ]
+            for b in range(p)
+        ]
+        for a in range(p)
+    ]
+    Rv = [
+        [
+            delta[e][1][c] - delta[c][1][e]
+            + Hv[e] * Hv[c] - Hv[c] * Hv[e]
+            + R[c][e] * Vv
+            + _sum(Lv[t][c][e] * Hv[t] for t in range(p))
+            for e in range(p)
+        ]
+        for c in range(p)
+    ]
+    return Rh, Rv
+
+
+def loop_commutation(update, pt, Zh, Yv, tensors, tors, curv):
+    """The loops of ``curvature._commutation_point`` that the commutation
+    kernel replaced, for the field Z = (Zh, Yv)."""
+    p = len(tors.Pv)
+    a2, a1, b1, a1v, b1h, c2, c1, d1, c1v, d1h = tensors
+    for al in range(p):
+        for c in range(p):
+            for b in range(p):
+                lhs = a2[al][c][b] - a2[al][b][c]
+                rhs = _sum(curv.Rh[al][t][c][b] * Zh[t] for t in range(p))
+                rhs += _sum(tors.Thh[t][b][c] * a1[al][t] for t in range(p))
+                rhs += tors.Tv[b][c] * b1[al]
+                update(lhs - rhs, pt)
+        for c in range(p):
+            lhs = a1v[al][c] - b1h[al][c]
+            rhs = _sum(curv.Ph[al][t][c] * Zh[t] for t in range(p))
+            rhs -= tors.Pv[c] * b1[al]
+            rhs -= _sum(tors.Ph[t][c] * a1[al][t] for t in range(p))
+            update(lhs - rhs, pt)
+    for c in range(p):
+        for b in range(p):
+            lhs = c2[c][b] - c2[b][c]
+            rhs = curv.Rv[c][b] * Yv
+            rhs += _sum(tors.Thh[t][b][c] * c1[t] for t in range(p))
+            rhs += tors.Tv[b][c] * d1
+            update(lhs - rhs, pt)
+        lhs = c1v[c] - d1h[c]
+        rhs = curv.Pv[c] * Yv
+        rhs -= tors.Pv[c] * d1
+        rhs -= _sum(tors.Ph[t][c] * c1[t] for t in range(p))
+        update(lhs - rhs, pt)
+
+
+def loop_bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
+    """The loops of ``curvature.BianchiCheck.step`` that the Bianchi
+    kernel replaced, feeding the four checks' ``update``."""
+    Thh, Tv = tors.Thh, tors.Tv
+    Pht, Pvt = tors.Ph, tors.Pv
+    Rh, Rv = curv.Rh, curv.Rv
+    Pch, Pcv = curv.Ph, curv.Pv
+    p = len(Pvt)
+    for b in range(p):
+        for c in range(p):
+            for d in range(p):
+                cyc = [(b, c, d), (c, d, b), (d, b, c)]
+                for al in range(p):
+                    acc = 0.0
+                    for (x, yy, z) in cyc:
+                        acc += Rh[al][z][yy][x] - dThh[al][z][yy][x]
+                        acc -= _sum(Thh[lam][yy][x] * Thh[al][z][lam]
+                                    for lam in range(p))
+                        acc -= Tv[yy][x] * Pht[al][z]
+                    u1h(acc, pt)
+                acc = 0.0
+                for (x, yy, z) in cyc:
+                    acc -= dTv[z][yy][x]
+                    acc -= _sum(Thh[lam][yy][x] * Tv[z][lam]
+                                for lam in range(p))
+                    acc -= Tv[yy][x] * Pvt[z]
+                u1v(acc, pt)
+    for be in range(p):
+        for c in range(p):
+            for t in range(p):
+                for l in range(p):
+                    cyc = [(l, t, c), (t, c, l), (c, l, t)]
+                    for al in range(p):
+                        acc = 0.0
+                        for (x, yy, z) in cyc:
+                            acc += dRh[al][be][z][yy][x]
+                            acc += _sum(Thh[mu][yy][x] * Rh[al][be][z][mu]
+                                        for mu in range(p))
+                            acc += Tv[yy][x] * Pch[al][be][z]
+                        u2h(acc, pt)
+    for c in range(p):
+        for t in range(p):
+            for l in range(p):
+                cyc = [(l, t, c), (t, c, l), (c, l, t)]
+                acc = 0.0
+                for (x, yy, z) in cyc:
+                    acc += dRv[z][yy][x]
+                    acc += _sum(Thh[mu][yy][x] * Rv[z][mu] for mu in range(p))
+                    acc += Tv[yy][x] * Pcv[z]
+                u2v(acc, pt)
+
+
+def loop_anchor_compatibility(update, pt, rho, drho, Lv):
+    """The loops of ``algebroid.validate_anchor_compatibility`` at one
+    point that its kernel replaced."""
+    p, m = len(rho), len(rho[0])
+    for a in range(p):
+        for b in range(p):
+            for k in range(m):
+                lhs = _sum(Lv[g][a][b] * rho[g][k] for g in range(p))
+                rhs = _dot(rho[a], drho[b][k]) - _dot(rho[b], drho[a][k])
+                update(lhs - rhs, pt)
+
+
+def loop_jacobi(rho, Lv, dL):
+    """The Jacobi terms T[a][b][c][d] of ``algebroid.validate_jacobi`` at
+    one point, as the loop that its kernel replaced computed them."""
+    p = len(Lv)
+    Lcol = [[[Lv[e][b][c] for e in range(p)] for c in range(p)]
+            for b in range(p)]
+
+    def term(a, b, c, d):
+        out = _dot(rho[a], dL[d][b][c])
+        out += _dot(Lv[d][a], Lcol[b][c])
+        return out
+
+    return [[[[term(a, b, c, d) for d in range(p)] for c in range(p)]
+             for b in range(p)] for a in range(p)]
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

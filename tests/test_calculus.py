@@ -1,3 +1,4 @@
+import cProfile
 import math
 import os
 import subprocess
@@ -21,6 +22,7 @@ from conftest import DATA_DIR, SCENARIO_DIR, bits, field
 from reference import fd_partial, partial
 
 from kkgeom.cli import main
+from kkgeom.nlconnection import adapted_derivatives
 from kkgeom.sampling import Box, sample_points
 
 
@@ -381,3 +383,30 @@ def test_jet_traffic_of_a_gen3_check(monkeypatch, capsys):
                  "--samples", "1", "--seed", "1"])
     assert code == 0
     assert built == 12950
+
+
+def test_jet_traffic_and_passes_of_a_d1_check(monkeypatch, capsys):
+    """The p = 2 shape of the desk: one ``check --suite all`` on d1 at the
+    default sample counts builds as many Jets, in as many derivative
+    passes, as it did with the per-entry loops that the generated oracle,
+    Rh/Rv and contraction kernels replaced."""
+    built = 0
+    init = Jet.__init__
+
+    def counting_init(self, value, dx, dy):
+        nonlocal built
+        built += 1
+        init(self, value, dx, dy)
+
+    monkeypatch.setattr(Jet, "__init__", counting_init)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        code = main(["check", str(SCENARIO_DIR / "d1.json"), "--suite",
+                     "all", "--seed", "1"])
+    finally:
+        profile.disable()
+    assert code == 0
+    passes = sum(entry.callcount for entry in profile.getstats()
+                 if entry.code is adapted_derivatives.__code__)
+    assert (built, passes) == (23117, 484)

@@ -1,12 +1,17 @@
-"""The generated kernels of the adapted-derivative split
-(``nlconnection``), the Leibniz rule (``dconnection``) and the Koszul
-formula (``metric``) against the per-entry loops they replaced, which
-``tests/reference.py`` keeps: the same bits, signed zeros included, and
-the same number of Jets built.  The data mix exact and signed zeros with
-floats of several scales, so a dropped ``0 +`` (the start of the loops'
-sums), a reordered sum or a wrong stride shows."""
+"""The generated kernels against the per-entry loops they replaced, which
+``tests/reference.py`` keeps: the adapted-derivative split
+(``nlconnection``), the Leibniz rule, the oracle's brackets and frame
+derivatives (``dconnection``), the Koszul formula (``metric``), the
+oracle's differences, the Rh/Rv formula and the commutation and Bianchi
+contractions (``curvature``) and the anchor and Jacobi sums of the
+validators (``algebroid``): the same bits, signed zeros included, and the
+same number of Jets built.  The data mix exact and signed zeros with
+floats of several scales (and, where asked, infinities and NaNs), so a
+dropped ``0 +`` (the start of the loops' sums), a reordered sum or a wrong
+stride shows."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -17,14 +22,31 @@ import pytest
 from conftest import DATA_DIR, SCENARIO_DIR, bits
 from reference import (
     loop_adapted_derivatives,
+    loop_anchor_compatibility,
+    loop_bianchi,
+    loop_bracket,
+    loop_commutation,
+    loop_frame_derivatives,
+    loop_frames,
     loop_h_cov_values,
+    loop_jacobi,
     loop_koszul,
+    loop_rh_rv,
     loop_split,
     loop_v_cov_values,
 )
 
-from kkgeom import calculus, dconnection, metric, nlconnection
-from kkgeom.calculus import Jet, seeded_point
+from kkgeom import (
+    algebroid,
+    calculus,
+    curvature,
+    dconnection,
+    metric,
+    nlconnection,
+)
+from kkgeom.calculus import EPoint, Jet, seeded_point
+from kkgeom.cli import main
+from kkgeom.curvature import CurvatureComponents, TorsionComponents
 from kkgeom.dconnection import h_cov_values, v_cov_values
 from kkgeom.metric import matrix_inverse, metric_dconnection
 from kkgeom.nlconnection import _split_kernel, adapted_derivatives
@@ -59,24 +81,30 @@ def _same(monkeypatch, kernel, reference):
     assert got_jets == want_jets
 
 
-def _num(rng):
+def _num(rng, special=0.0):
+    """A float: an exact or signed zero, +-1 or a float of one of three
+    scales; with probability ``special`` an infinity or a NaN instead."""
+    if special and rng.random() < special:
+        return rng.choice((math.inf, -math.inf, math.nan))
     return rng.choice((0.0, -0.0, 0.0, -0.0, 1.0, -1.0,
                        rng.uniform(-2.0, 2.0), rng.uniform(-1e-3, 1e-3),
                        rng.uniform(-1e3, 1e3)))
 
 
-def _scalar(rng, m, depth, float_partials=False):
+def _scalar(rng, m, depth, float_partials=False, special=0.0):
     """A float (depth 0) or a Jet of that depth with m partials; with
     ``float_partials`` its partials are floats under a Jet value, as
     ``seeded_point`` builds them at a Jet point."""
     if depth == 0:
-        return _num(rng)
+        return _num(rng, special)
     if float_partials:
-        return Jet(_scalar(rng, m, depth - 1), [_num(rng) for _ in range(m)],
-                   _num(rng))
-    return Jet(_scalar(rng, m, depth - 1),
-               [_scalar(rng, m, depth - 1) for _ in range(m)],
-               _scalar(rng, m, depth - 1))
+        return Jet(_scalar(rng, m, depth - 1, special=special),
+                   [_num(rng, special) for _ in range(m)],
+                   _num(rng, special))
+    return Jet(_scalar(rng, m, depth - 1, special=special),
+               [_scalar(rng, m, depth - 1, special=special)
+                for _ in range(m)],
+               _scalar(rng, m, depth - 1, special=special))
 
 
 def _leaf(rng, m, kind):
@@ -233,6 +261,228 @@ def test_metric_hh_matches_the_koszul_loop(monkeypatch, name):
             xs, y = seeded_point(xs, y)
 
 
+# The operands of the kernel-versus-loop tests below: floats, depth-1 Jets
+# and depth-2 Jets (some with float partials under a Jet value), each kind
+# also with infinities and NaNs among the floats.
+OPERANDS = [(kind, special) for kind in ("floats", "depth1", "depth2")
+            for special in (0.0, 0.05)]
+
+
+def _operands(rng, kind, special, m=2):
+    """A function that draws one operand of ``kind`` with m partials."""
+    def draw():
+        if kind == "floats":
+            return _num(rng, special)
+        if kind == "depth1":
+            return _scalar(rng, m, 1, special=special)
+        return _scalar(rng, m, 2, float_partials=rng.random() < 0.3,
+                       special=special)
+    return draw
+
+
+def _array(draw, *shape):
+    """Nested lists of the given shape, each leaf from ``draw()``."""
+    if not shape:
+        return draw()
+    return [_array(draw, *shape[1:]) for _ in range(shape[0])]
+
+
+def _updates(monkeypatch, checks, kernel, reference, *args):
+    """Both functions, called as ``fn(*updates, *args)`` with one recording
+    ``update`` function per check, feed the same bits to the same check at
+    the same point in the same order, and build as many Jets."""
+    def run(fn):
+        seen = []
+        updates = [lambda v, pt, k=k: seen.append((k, bits(v), pt))
+                   for k in range(checks)]
+        _, built = _traffic(monkeypatch, fn, *updates, *args)
+        return seen, built
+
+    assert run(kernel) == run(reference)
+
+
+def _ids(cases):
+    return [f"{kind}-{special}" for kind, special in cases]
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p,m", list(itertools.product(range(1, 5),
+                                                       range(1, 5))))
+def test_bracket_kernel_matches_the_pair_loop(monkeypatch, p, m, kind,
+                                              special):
+    """One pair of two fields, then every pair of three fields and a
+    repeated pair.  The kernel sums the anchor over each field component
+    once, the loop once per pair and side: for one pair that is the same
+    work, for more pairs the kernel builds fewer Jets."""
+    rng = random.Random(f"bracket:{p}:{m}:{kind}:{special}")
+    draw = _operands(rng, kind, special, m)
+    kernel = dconnection._bracket_kernel(p, m)
+
+    def args(fields, pairs):
+        nat = [(_array(draw, p), draw(), _array(draw, p, m), _array(draw, m),
+                _array(draw, p), draw()) for _ in range(fields)]
+        return (_array(draw, p, m), _array(draw, p, p, p), _array(draw, p),
+                nat, pairs)
+
+    one = args(2, [(0, 1)])
+    _same(monkeypatch, (kernel, *one), (loop_bracket, *one))
+    many = args(3, [(x, y) for x in range(3) for y in range(3)] + [(1, 2)])
+    got, got_jets = _traffic(monkeypatch, kernel, *many)
+    want, want_jets = _traffic(monkeypatch, loop_bracket, *many)
+    assert bits(got) == bits(want)
+    assert got_jets <= want_jets
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_frame_derivatives_kernel_matches_the_loop(monkeypatch, p, kind,
+                                                   special):
+    rng = random.Random(f"frames:{p}:{kind}:{special}")
+    draw = _operands(rng, kind, special)
+
+    def fields(k):
+        return [[_array(draw, p), draw()] for _ in range(k)]
+
+    for k in (1, p + 2):
+        args = (fields(k), [fields(k) for _ in range(p)], fields(k),
+                _array(draw, p, p, p), _array(draw, p), _array(draw, p, p),
+                draw())
+        _same(monkeypatch, (dconnection._frame_derivatives_kernel(p), *args),
+              (loop_frame_derivatives, *args))
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_frames_kernel_matches_the_differences(monkeypatch, p, kind,
+                                               special):
+    rng = random.Random(f"definitions:{p}:{kind}:{special}")
+    draw = _operands(rng, kind, special)
+    n = p + 1
+    second = [[[_array(draw, p), draw()] for _ in range(n + n * n)]
+              for _ in range(n)]
+    br = [[(_array(draw, p), draw()) for _ in range(n)] for _ in range(n)]
+    _same(monkeypatch, (curvature._frames_kernel(p), second, br),
+          (loop_frames, second, br))
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_rh_rv_kernel_matches_the_loop(monkeypatch, p, kind, special):
+    """With delta[g] as the torsion pass of the Bianchi suite builds it
+    (hh, hv, Gamma) and as the curvature pass does (five families)."""
+    rng = random.Random(f"rh_rv:{p}:{kind}:{special}")
+    draw = _operands(rng, kind, special)
+    for extra in ([(p,)], [(p, p), (), (p,)]):
+        delta = [[_array(draw, p, p, p), _array(draw, p)]
+                 + [_array(draw, *shape) for shape in extra]
+                 for _ in range(p)]
+        args = (_array(draw, p, p, p), _array(draw, p), _array(draw, p, p),
+                draw(), delta, _array(draw, p, p), _array(draw, p, p, p))
+        _same(monkeypatch, (curvature._rh_rv_kernel(p), *args),
+              (loop_rh_rv, *args))
+
+
+def _blocks(draw, p):
+    """Random torsion and curvature blocks of rank p."""
+    tors = TorsionComponents(
+        Thh=_array(draw, p, p, p), Tv=_array(draw, p, p),
+        Ph=_array(draw, p, p), Pv=_array(draw, p), S00=draw())
+    curv = CurvatureComponents(
+        Rh=_array(draw, p, p, p, p), Rv=_array(draw, p, p),
+        Ph=_array(draw, p, p, p), Pv=_array(draw, p), Sh=_array(draw, p, p),
+        Sv=draw())
+    return tors, curv
+
+
+PT = EPoint((0.5, -0.25), 1.5)
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_commutation_kernel_matches_the_loop(monkeypatch, p, kind, special):
+    rng = random.Random(f"commutation:{p}:{kind}:{special}")
+    draw = _operands(rng, kind, special)
+    tensors = [_array(draw, *shape) for shape in (
+        (p, p, p), (p, p), (p,), (p, p), (p, p), (p, p), (p,), (), (p,),
+        (p,))]
+    _updates(monkeypatch, 1, curvature._commutation_kernel(p),
+             loop_commutation, PT, _array(draw, p), draw(), tensors,
+             *_blocks(draw, p))
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_bianchi_kernel_matches_the_loop(monkeypatch, p, kind, special):
+    rng = random.Random(f"bianchi:{p}:{kind}:{special}")
+    draw = _operands(rng, kind, special)
+    _updates(monkeypatch, 4, curvature._bianchi_kernel(p), loop_bianchi, PT,
+             *_blocks(draw, p), _array(draw, p, p, p, p),
+             _array(draw, p, p, p), _array(draw, p, p, p, p, p),
+             _array(draw, p, p, p))
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p,m", list(itertools.product(range(1, 5),
+                                                       range(1, 5))))
+def test_anchor_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
+    rng = random.Random(f"anchor:{p}:{m}:{kind}:{special}")
+    draw = _operands(rng, kind, special, m)
+    _updates(monkeypatch, 1, algebroid._anchor_kernel(p, m),
+             loop_anchor_compatibility, PT, _array(draw, p, m),
+             _array(draw, p, m, m), _array(draw, p, p, p))
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p,m", list(itertools.product(range(1, 5),
+                                                       range(1, 5))))
+def test_jacobi_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
+    rng = random.Random(f"jacobi:{p}:{m}:{kind}:{special}")
+    draw = _operands(rng, kind, special, m)
+    args = (_array(draw, p, m), _array(draw, p, p, p),
+            _array(draw, p, p, p, m))
+    _same(monkeypatch, (algebroid._jacobi_kernel(p, m), *args),
+          (loop_jacobi, *args))
+
+
+# Each factory of the kernels above, with the reference loop it replaced.
+SWAPS = [
+    (dconnection, "_bracket_kernel", loop_bracket),
+    (dconnection, "_frame_derivatives_kernel", loop_frame_derivatives),
+    (curvature, "_frames_kernel", loop_frames),
+    (curvature, "_rh_rv_kernel", loop_rh_rv),
+    (curvature, "_commutation_kernel", loop_commutation),
+    (curvature, "_bianchi_kernel", loop_bianchi),
+    (algebroid, "_anchor_kernel", loop_anchor_compatibility),
+    (algebroid, "_jacobi_kernel", loop_jacobi),
+]
+
+
+@pytest.mark.parametrize("path", [SCENARIO_DIR / "d1.json",
+                                  DATA_DIR / "gen3_seed1.json",
+                                  DATA_DIR / "p2_m3.json",
+                                  DATA_DIR / "p3_m2.json"],
+                         ids=lambda path: path.stem)
+def test_the_cli_prints_what_the_reference_loops_print(monkeypatch, capsys,
+                                                       path):
+    """``validate`` and ``check --suite all`` print the same bytes, with
+    the same exit code and as many Jets built, when every kernel above is
+    swapped for the loop it replaced; the m != p scenarios reach the
+    (p, m) kernels with m != p."""
+    def run():
+        out = []
+        for argv in (["validate", str(path)],
+                     ["check", str(path), "--suite", "all", "--samples", "2",
+                      "--seed", "1"]):
+            code, built = _traffic(monkeypatch, main, argv)
+            out.append((code, built, capsys.readouterr().out))
+        return out
+
+    kernels = run()
+    for module, name, loop in SWAPS:
+        monkeypatch.setattr(module, name, lambda *key, loop=loop: loop)
+    assert run() == kernels
+
+
 # Each kernel factory, keys to generate with it, and the module it belongs
 # to.
 FACTORIES = [
@@ -242,6 +492,14 @@ FACTORIES = [
                                    (3, 3, 1, False),
                                    (4, 4, 2, True)], dconnection),
     (metric._koszul_kernel, [(1,), (4,)], metric),
+    (dconnection._bracket_kernel, [(1, 1), (2, 3), (4, 4)], dconnection),
+    (dconnection._frame_derivatives_kernel, [(1,), (4,)], dconnection),
+    (curvature._frames_kernel, [(1,), (4,)], curvature),
+    (curvature._rh_rv_kernel, [(1,), (4,)], curvature),
+    (curvature._commutation_kernel, [(1,), (4,)], curvature),
+    (curvature._bianchi_kernel, [(1,), (4,)], curvature),
+    (algebroid._anchor_kernel, [(1, 1), (3, 2), (4, 4)], algebroid),
+    (algebroid._jacobi_kernel, [(1, 1), (2, 3), (4, 4)], algebroid),
 ]
 
 
@@ -276,17 +534,24 @@ def test_a_load_generates_no_kernel():
     """Kernels are generated on first use: a fresh process that imports
     the CLI and loads scenarios has generated none."""
     code = ("import sys, kkgeom.cli\n"
-            "from kkgeom import calculus, dconnection, metric, nlconnection\n"
+            "from kkgeom import algebroid, calculus, curvature, dconnection\n"
+            "from kkgeom import metric, nlconnection\n"
             "from kkgeom.scenario import load_scenario\n"
             "for path in sys.argv[1:]:\n"
             "    load_scenario(path)\n"
             "print([f.cache_info().currsize for f in (\n"
             "    calculus._jet_class, nlconnection._split_kernel,\n"
-            "    dconnection._leibniz_kernel, metric._koszul_kernel)])\n")
+            "    dconnection._leibniz_kernel, metric._koszul_kernel,\n"
+            "    dconnection._bracket_kernel,\n"
+            "    dconnection._frame_derivatives_kernel,\n"
+            "    curvature._frames_kernel, curvature._rh_rv_kernel,\n"
+            "    curvature._commutation_kernel, curvature._bianchi_kernel,\n"
+            "    algebroid._anchor_kernel, algebroid._jacobi_kernel)])\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(SCENARIO_DIR / "d1.json"),
-         str(SCENARIO_DIR / "vdep.json"), str(DATA_DIR / "gen3_seed1.json")],
+         str(SCENARIO_DIR / "vdep.json"), str(DATA_DIR / "gen3_seed1.json"),
+         str(DATA_DIR / "p2_m3.json")],
         capture_output=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(SRC_ROOT)))
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode() == "[0, 0, 0, 0]\n"
+    assert proc.stdout.decode() == "[" + ", ".join(["0"] * 12) + "]\n"

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,8 +168,9 @@ def _dynamic_code_sites(trees):
 
 # Source compiled at run time: a scenario's expressions, and the generated
 # kernels (the Jet arithmetic of each dimension m, the adapted-derivative
-# split, the Leibniz rule and the Koszul formula), which all go through the
-# one helper that compiles them under their own module's file.
+# split, the Leibniz rule, the Koszul formula and the per-entry sums of
+# the oracle, the curvature checks and the validators), which all go
+# through the one helper that compiles them under their own module's file.
 DYNAMIC_CODE_ALLOWED = {"exprlang.py:compile_expr",
                         "calculus.py:compile_kernel"}
 
@@ -189,6 +191,109 @@ def test_the_compile_guard_sees_a_stray_eval():
              "cli.py": ast.parse("run = exec\n")}
     assert _dynamic_code_sites(trees) - DYNAMIC_CODE_ALLOWED == {
         "exprlang.py:parse", "cli.py:"}
+
+
+# The definition side of the oracle, the arbiter of the component formulas:
+# it must compute torsion and curvature from the definitions alone, so
+# neither its code nor the kernels it generates may name a formula it
+# certifies (``components`` is the ``PointTables`` property that holds
+# them).
+ORACLE_SIDE = [("curvature.py", "frame_definitions"),
+               ("dconnection.py", "bracket_pairs"),
+               ("dconnection.py", "frame_derivatives"),
+               ("dconnection.py", "frame_contract")]
+COMPONENT_FORMULAS = {"_thh", "_torsion", "_rh_rv", "bracket_curvature",
+                      "torsion_components_at", "curvature_components_at",
+                      "PointTables", "components"}
+
+
+def _texts(node):
+    """The string constants under ``node``, its docstrings apart."""
+    docs = {id(sub.body[0].value) for sub in ast.walk(node)
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef, ast.Module))
+            and sub.body and isinstance(sub.body[0], ast.Expr)}
+    return [sub.value for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            and id(sub) not in docs]
+
+
+def _oracle_side_reads(trees):
+    """``module:scope:name`` for every component formula that the oracle
+    side names, in ``trees`` (module name -> parsed source).  The side is
+    :data:`ORACLE_SIDE` and every package function that it reads, followed
+    through the package's own imports; a name counts in code and in string
+    text, the text of a module-level string (a kernel template) included
+    where a function reads it."""
+    defs, assigned, imports = {}, {}, {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[module, node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned[module, target.id] = node.value
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imports[module, alias.asname or alias.name] = (
+                        f"{node.module}.py", alias.name)
+    found, seen, stack = set(), set(), list(ORACLE_SIDE)
+    while stack:
+        key = stack.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        node = defs[key] if key in defs else assigned[key]
+        names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                 for sub in ast.walk(node)
+                 if isinstance(sub, (ast.Name, ast.Attribute))}
+        names |= {word for text in _texts(node)
+                  for word in re.findall(r"[A-Za-z_]\w*", text)}
+        module, scope = key
+        found |= {f"{module}:{scope}:{name}"
+                  for name in names & COMPONENT_FORMULAS}
+        for name in names:
+            target = imports.get((module, name), (module, name))
+            if target in defs or target in assigned:
+                stack.append(target)
+    return found
+
+
+def test_the_oracle_side_names_no_component_formula():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _oracle_side_reads(trees) == set()
+
+
+def test_the_oracle_guard_sees_a_planted_formula():
+    """A formula read by an oracle function, by a helper it calls in
+    another module, or named in the template of a kernel it generates is
+    reported; one that only a docstring mentions is not."""
+    trees = {"curvature.py": ast.parse(
+                 "from .dconnection import bracket_pairs\n"
+                 "_T = '''def k(H):\n    return _rh_rv(H)\n'''\n"
+                 "def _kernel():\n"
+                 "    return _T\n"
+                 "def frame_definitions(D, tables):\n"
+                 "    '''Never calls _thh.'''\n"
+                 "    return (_kernel(), bracket_pairs(D),\n"
+                 "            tables.components)\n"),
+             "dconnection.py": ast.parse(
+                 "from .nlconnection import helper\n"
+                 "def bracket_pairs(A):\n"
+                 "    return helper(A)\n"
+                 "def frame_derivatives(A):\n"
+                 "    return f\"{A}: _thh\"\n"
+                 "def frame_contract(X):\n"
+                 "    return X\n"),
+             "nlconnection.py": ast.parse(
+                 "def helper(A):\n"
+                 "    return bracket_curvature(A)\n")}
+    assert _oracle_side_reads(trees) == {
+        "curvature.py:_T:_rh_rv", "curvature.py:frame_definitions:components",
+        "dconnection.py:frame_derivatives:_thh",
+        "nlconnection.py:helper:bracket_curvature"}
 
 
 def _imported_modules(tree):
