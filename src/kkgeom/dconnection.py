@@ -19,7 +19,8 @@ contravariant slots, non-zero weight) on first use; the loop it replaced
 is the bitwise reference in ``tests/reference.py`` (``loop_leibniz``).
 The oracle's ``frame_derivatives`` (per p) and ``bracket_pairs`` (per p
 and m) run generated kernels the same way, with references
-``loop_frame_derivatives`` and ``loop_bracket``.
+``loop_frame_derivatives`` and ``loop_bracket``, and so do the change laws
+of ``dconnection_transformation_point`` (per p, ``loop_change_laws``).
 
 A vector field is a function ``(xs, y) -> (h_list, v)``: its p horizontal
 components and its vertical one, from one evaluation so that the two parts
@@ -403,6 +404,86 @@ def bracket_d_vectors(X, Y, A: AlgebroidData, N: NonlinearConnection):
     return lambda xs, y: pair_at(xs, y)[0]
 
 
+# The four change laws of :func:`dconnection_transformation_point` at p,
+# fed to ``update`` in the order of the loops that the kernel replaced (the
+# reference ``loop_change_laws`` in ``tests/reference.py``), each sum
+# written out in their operand order.  With l<a> = Lam^{a'}_a, c<b> and
+# d<g> the entries of columns b' and g' of Laminv, and the bracket
+#
+#     B<a>_<g> = delta_g(Laminv^a_{b'}) + (0 + hh^a_{0g} c0 + ...)
+#
+# formed once per (b', a, g), the laws read
+#
+#     hh': Hh'[a'][b'][g'] - (0.0 + l0 * B0_0 * d0 + l0 * B0_1 * d1 + ...)
+#     hv': Hv'[g'] - (0.0 + phi * (-delta_0(phi) / (phi * phi)
+#                                  + hv_0 / phi) * d0 + ...)
+#     vh': Vh'[a'][b'] - (0 + l0 * vh[0][0] * c0 / phi + ...)
+#     vv': Vv' - vv / phi
+_CHANGE_LAWS_LINE = sys._getframe().f_lineno + 2
+_CHANGE_LAWS = '''\
+def change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta, coeffs,
+                primed):
+    Hh, Hv, Vh, Vv = coeffs
+    Hh_p, Hv_p, Vh_p, Vv_p = primed
+    {li}, = lam_inv
+    {Hv}, = Hv
+    {V}, = Vh
+    {pd}, = phi_delta
+    bracket = []
+    for bp in {R}:
+        {c}
+        rows = []
+        for a in {R}:
+            {Ha}, = Hh[a]
+            rows.append([inv_delta[g][a][bp] + (0{hh_terms}) for g in {R}])
+        bracket.append(rows)
+    for ap in {R}:
+        {l}, = lam[ap]
+        for bp in {R}:
+            {B}, = bracket[bp]
+            h = Hh_p[ap][bp]
+            for gp in {R}:
+                {d}
+                update(h[gp] - (0.0{law_hh}), pt)
+    for gp in {R}:
+        {d}
+        update(Hv_p[gp] - (0.0{law_hv}), pt)
+    for ap in {R}:
+        {l}, = lam[ap]
+        for bp in {R}:
+            {c}
+            update(Vh_p[ap][bp] - (0{law_vh}), pt)
+    update(Vv_p - Vv / phi, pt)
+'''
+
+
+@functools.cache
+def _change_laws_kernel(p):
+    """The kernel of ``_CHANGE_LAWS`` for p, generated on first use."""
+    rp = range(p)
+
+    def names(fmt):
+        return ", ".join(fmt.format(a) for a in rp)
+
+    source = _CHANGE_LAWS.format(
+        R=repr(tuple(rp)), li=names("li{}"), Hv=names("Hv{}"),
+        V=names("V{}"), pd=names("(pd{},)"), Ha=names("Ha{}"),
+        l=names("l{}"),
+        B=", ".join("(" + ", ".join(f"B{a}_{g}" for g in rp) + ",)"
+                    for a in rp),
+        c="; ".join(f"c{b} = li{b}[bp]" for b in rp),
+        d="; ".join(f"d{g} = li{g}[gp]" for g in rp),
+        hh_terms="".join(f" + Ha{b}[g] * c{b}" for b in rp),
+        law_hh="".join(f" + l{a} * B{a}_{g} * d{g}"
+                       for a in rp for g in rp),
+        law_hv="".join(f" + phi * (-pd{g} / (phi * phi) + Hv{g} / phi)"
+                       f" * d{g}" for g in rp),
+        law_vh="".join(f" + l{a} * V{a}[{b}] * c{b} / phi"
+                       for a in rp for b in rp))
+    return compile_kernel(source, "change_laws", __file__,
+                          _CHANGE_LAWS_LINE, {})
+
+
 def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
     """Residuals at pt, into ``tracker``, of the four coefficient change
     laws under C:
@@ -412,8 +493,9 @@ def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
         vh': Lam^{a'}_a vh^a_b Laminv^b_{b'} / phi
         vv': vv / phi
 
-    with the primed coefficients read at the pushed-forward point."""
-    p = D.p
+    with the primed coefficients read at the pushed-forward point, and
+    delta_g(1/phi) = -delta_g(phi) / phi^2.  The sums run in one kernel
+    generated per p (``_CHANGE_LAWS``)."""
     phi = C.phi_at(pt.x)
     if phi == 0.0:
         tracker.update(float("inf"), pt)
@@ -427,31 +509,6 @@ def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
     _, phi_delta, _ = adapted_derivatives(
         lambda jxs, jy: [C.phi_at(jxs)], pt.x, pt.y, A, N)
 
-    Hh, Hv, Vh, Vv = D.all_at(pt.x, pt.y)
-    Hh_p, Hv_p, Vh_p, Vv_p = D_primed.all_at(pushed.x, pushed.y)
-
-    # bracket[bp][a][g] does not depend on a' or g'.
-    bracket = [[[inv_delta[g][a][bp] + sum(
-                     Hh[a][b][g] * lam_inv[b][bp] for b in range(p))
-                 for g in range(p)] for a in range(p)] for bp in range(p)]
-    for ap in range(p):
-        for bp in range(p):
-            for gp in range(p):
-                rhs = 0.0
-                for a in range(p):
-                    for g in range(p):
-                        rhs += lam[ap][a] * bracket[bp][a][g] * lam_inv[g][gp]
-                tracker.update(Hh_p[ap][bp][gp] - rhs, pt)
-    for gp in range(p):
-        rhs = 0.0
-        for g in range(p):
-            # delta_g(1/phi) = -delta_g(phi)/phi^2
-            dg_invphi = -phi_delta[g][0] / (phi * phi)
-            rhs += phi * (dg_invphi + Hv[g] / phi) * lam_inv[g][gp]
-        tracker.update(Hv_p[gp] - rhs, pt)
-    for ap in range(p):
-        for bp in range(p):
-            rhs = sum(lam[ap][a] * Vh[a][b] * lam_inv[b][bp] / phi
-                      for a in range(p) for b in range(p))
-            tracker.update(Vh_p[ap][bp] - rhs, pt)
-    tracker.update(Vv_p - Vv / phi, pt)
+    _change_laws_kernel(D.p)(
+        tracker.update, pt, lam, lam_inv, inv_delta, phi, phi_delta,
+        D.all_at(pt.x, pt.y), D_primed.all_at(pushed.x, pushed.y))

@@ -5,14 +5,18 @@ vertical coefficient g00(x, y0); both must be nondegenerate on the sampling
 box.  ``metric_dconnection`` builds, from any baseline coefficient set, a
 connection whose covariant derivatives annihilate the metric; with the
 fiber-derivative (Berwald-type) baseline this is the canonical connection.
-Its hh is the Koszul formula, straight-line code generated per p on first
-use; the sums it replaced are the bitwise reference in
-``tests/reference.py`` (``loop_koszul``).
+Its hh is the Koszul formula and its vh the ring terms, each straight-line
+code generated per p on first use; the sums they replaced are the bitwise
+references in ``tests/reference.py`` (``loop_koszul``, ``loop_vh``).  Each
+metric block is evaluated once per point: vh reads the pass over g that hh
+makes, and vv the pass over g00 that hv makes, when asked at the same
+point objects.
 
 Matrix inversion is a plain Gauss-Jordan written to run on Jet entries, so
 the constructed coefficients can be differentiated again (curvature needs
 first derivatives of the inverse metric, the cyclic identity suites need
-second).
+second).  It is straight-line code generated per n on first use, with the
+operations of the loop that it replaced (``loop_matrix_inverse``).
 """
 
 from __future__ import annotations
@@ -81,27 +85,84 @@ def _norm1(mat):
                for b in range(len(mat)))
 
 
+# Gauss-Jordan with partial pivoting on the n x 2n matrix [mat | I], for n:
+# the entries are the locals a<r>_<j>, and ``{columns}`` writes out each
+# column c in turn with ``_INVERSE_COLUMN``.  The pivot is the first row
+# r >= c whose |primal| is largest (``max``'s choice, a NaN included:
+# ``_INVERSE_PICK`` tests each row below c), its row is swapped into row
+# c, a pivot below 1e-300 in size raises, row c is divided by the pivot
+# and every other row whose factor a<r>_<c> has a non-zero primal loses
+# factor times row c (``_INVERSE_ELIMINATE``), each over all 2n columns,
+# as the loop of the reference ``loop_matrix_inverse`` in
+# ``tests/reference.py`` does.  Only the lines of ``_INVERSE`` keep their
+# line numbers here; a column's lines follow its own.
+_INVERSE_LINE = sys._getframe().f_lineno + 2
+_INVERSE = '''\
+def inverse(mat):
+    {rows}, = mat
+    {identity}
+{columns}    return [{out}]
+'''
+_INVERSE_COLUMN = '''\
+    k = abs(primal(a{c}_{c})); r = {c}
+{pick}{swap}    if k < 1e-300: raise _singular_pivot(a{c}_{c}, {c})
+    pivot = a{c}_{c}
+    {divide}
+{eliminate}'''
+_INVERSE_PICK = '''\
+    kk = abs(primal(a{r}_{c}))
+    if kk > k: k = kk; r = {r}
+'''
+_INVERSE_ELIMINATE = '''\
+    f = a{r}_{c}
+    if primal(f) != 0.0: {subtract}
+'''
+
+
+def _singular_pivot(pivot, col):
+    """The error of a pivot below 1e-300 in size in column ``col``."""
+    return SingularMetricError(
+        f"singular matrix (pivot {primal(pivot):.3e} in column {col})")
+
+
+@functools.cache
+def _inverse_kernel(n):
+    """The kernel of ``_INVERSE`` for n, generated on first use."""
+    rn, r2n = range(n), range(2 * n)
+
+    def row(r):
+        return ", ".join(f"a{r}_{j}" for j in r2n)
+
+    columns = "".join(_INVERSE_COLUMN.format(
+        c=c,
+        pick="".join(_INVERSE_PICK.format(r=r, c=c)
+                     for r in range(c + 1, n)),
+        swap="".join(f"    {'el' if r > c + 1 else ''}if r == {r}: "
+                     f"{row(c)}, {row(r)} = {row(r)}, {row(c)}\n"
+                     for r in range(c + 1, n)),
+        divide="; ".join(f"a{c}_{j} = a{c}_{j} / pivot" for j in r2n),
+        eliminate="".join(_INVERSE_ELIMINATE.format(
+            r=r, c=c, subtract="; ".join(
+                f"a{r}_{j} = a{r}_{j} - f * a{c}_{j}" for j in r2n))
+            for r in rn if r != c)) for c in rn)
+    source = _INVERSE.format(
+        rows=", ".join("(" + ", ".join(f"a{r}_{j}" for j in rn) + ",)"
+                       for r in rn),
+        identity="; ".join(f"a{r}_{n + j} = {1.0 if r == j else 0.0}"
+                           for r in rn for j in rn),
+        columns=columns,
+        out=", ".join("[" + ", ".join(f"a{r}_{n + j}" for j in rn) + "]"
+                      for r in rn))
+    return compile_kernel(source, "inverse", __file__, _INVERSE_LINE,
+                          {"primal": primal,
+                           "_singular_pivot": _singular_pivot})
+
+
 def matrix_inverse(mat):
     """Gauss-Jordan with partial pivoting; entries may be floats or Jets.
-    Pivot selection uses the underlying float values."""
-    n = len(mat)
-    aug = [list(row) + [1.0 if i == j else 0.0 for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(primal(aug[r][col])))
-        pivot = aug[pivot_row][col]
-        if abs(primal(pivot)) < 1e-300:
-            raise SingularMetricError(
-                f"singular matrix (pivot {primal(pivot):.3e} in column {col})")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for r in range(n):
-            if r != col:
-                factor = aug[r][col]
-                if primal(factor) != 0.0:
-                    aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    Pivot selection uses the underlying float values.  Runs the kernel of
+    ``_INVERSE`` for ``len(mat)``."""
+    return _inverse_kernel(len(mat))(mat)
 
 
 def inverse_h(G: MetricStructure, pt: EPoint):
@@ -214,6 +275,58 @@ def _koszul_kernel(p):
     return compile_kernel(source, "koszul", __file__, _KOSZUL_LINE, {})
 
 
+# vh of the metric connection at p, from the values gv and fiber
+# derivatives g_dy of the horizontal metric block, its inverse gi and the
+# baseline's vh0: per b, the ring terms (which do not depend on the upper
+# index a)
+#
+#     r_e = g_dy[b][e] - (0 + (vh0[0][b] * gv[0][e] + vh0[0][e] * gv[b][0])
+#                          + ...)
+#     vh[a][b] = vh0[a][b] + 0.5 * (0.0 + gi[a][0] * r_0 + ...)
+#
+# as the loop of the reference ``loop_vh`` in ``tests/reference.py`` sums
+# them.  The kernel runs over b; ``{rings}`` writes out every r_e and
+# ``{outs}`` every vh[a][b].
+_VH_LINE = sys._getframe().f_lineno + 2
+_VH = '''\
+def vh(gv, g_dy, gi, vh0):
+    {gv_rows}, = gv
+    {V_rows}, = vh0
+    {gi}, = gi
+    out = [[None] * {p} for _ in {R}]
+    {out_rows}, = out
+    for b in {R}:
+        gvb = gv[b]; dyb = g_dy[b]; {per_b}
+        {rings}
+        {outs}
+    return out
+'''
+
+
+@functools.cache
+def _vh_kernel(p):
+    """The kernel of ``_VH`` for p, generated on first use."""
+    rp = range(p)
+
+    def names(fmt):
+        return ", ".join(fmt.format(th) for th in rp)
+
+    source = _VH.format(
+        p=p, R=repr(tuple(rp)), gv_rows=names("gv{}"), V_rows=names("V{}"),
+        gi=", ".join("(" + ", ".join(f"gi{a}_{e}" for e in rp) + ",)"
+                     for a in rp),
+        out_rows=names("O{}"), per_b="; ".join(f"V{th}b = V{th}[b]"
+                                               for th in rp),
+        rings="; ".join(
+            f"r{e} = dyb[{e}] - (0" + "".join(
+                f" + (V{th}b * gv{th}[{e}] + V{th}[{e}] * gvb[{th}])"
+                for th in rp) + ")" for e in rp),
+        outs="; ".join(
+            f"O{a}[b] = V{a}[b] + 0.5 * (0.0"
+            + "".join(f" + gi{a}_{e} * r{e}" for e in rp) + ")" for a in rp))
+    return compile_kernel(source, "vh", __file__, _VH_LINE, {})
+
+
 def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
                        A: AlgebroidData, N: NonlinearConnection) -> DConnectionCoeffs:
     """Metric-compatible coefficients built over a baseline (ring) set.
@@ -222,21 +335,37 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
     bracket table; hv and vh correct the baseline by half the baseline
     covariant derivative of the metric blocks; vv is half the logarithmic
     fiber derivative of g00.
+
+    Each block is evaluated once per point: hh's derivative pass over g
+    gives its values, fiber derivatives and (once inverted) inverse, which
+    vh reads; hv's pass over g00 gives its value and fiber derivative,
+    which vv reads.  The suites ask for one family at a time (bianchi asks
+    for hh and hv alone at depth two), so each pass leaves its block in a
+    one-entry memo with the point objects it was asked at, and vh or vv
+    asked at the very same objects reads it, in one read of the entry.
+    Only a tuple ``xs`` is left: with a float or Jet ``y``, the point
+    cannot change under the objects compared.  A family asked alone
+    evaluates its own block: vh and vv at the seeded point only (a lift's
+    vv reads neither rho, Gamma nor g).
     """
     p = G.p
+    g_last, g00_last = [(None, None, None)], [(None, None, None)]
 
     def hh_at(xs, y):
-        g_vals, g_delta, _ = adapted_derivatives(G.g_at, xs, y, A, N)
+        g_vals, g_delta, g_dy = adapted_derivatives(G.g_at, xs, y, A, N)
         ginv = _inverse_at(g_vals, xs, y)
+        if type(xs) is tuple:
+            g_last[0] = (xs, y, (g_vals, g_dy, ginv))
         return _koszul_kernel(p)(g_vals, g_delta, ginv, A.L_at(xs))
 
     def hv_at(xs, y):
-        vals, delta, _ = adapted_derivatives(
+        (g00,), delta, (g00_dy,) = adapted_derivatives(
             lambda jxs, jy: [G.g00_at(jxs, jy)], xs, y, A, N)
-        g00 = vals[0]
         if primal(g00) == 0.0:
             raise SingularMetricError("g00 vanishes",
                                       point=_float_point(xs, y))
+        if type(xs) is tuple:
+            g00_last[0] = (xs, y, (g00, g00_dy))
         hv0 = baseline.hv_at(xs, y)
         return [
             hv0[c] + 0.5 * (delta[c][0] - 2.0 * hv0[c] * g00) / g00
@@ -244,34 +373,25 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
         ]
 
     def vh_at(xs, y):
-        jxs, jy = seeded_point(xs, y)
-        gj = G.g_at(jxs, jy)
-        g_vals = [[jval(v) for v in row] for row in gj]
-        g_dy = [[jdy(v) for v in row] for row in gj]
-        ginv = _inverse_at(g_vals, xs, y)
-        vh0 = baseline.vh_at(xs, y)
-        # The ring terms do not depend on the upper index a.
-        rings = [[g_dy[b][e] - sum(
-                      vh0[th][b] * g_vals[th][e] + vh0[th][e] * g_vals[b][th]
-                      for th in range(p))
-                  for e in range(p)] for b in range(p)]
-        out = [[None] * p for _ in range(p)]
-        for a in range(p):
-            for b in range(p):
-                acc = 0.0
-                for gi, ring in zip(ginv[a], rings[b]):
-                    acc = acc + gi * ring
-                out[a][b] = vh0[a][b] + 0.5 * acc
-        return out
+        xs0, y0, block = g_last[0]
+        if xs0 is not xs or y0 is not y:
+            gj = G.g_at(*seeded_point(xs, y))
+            g_vals = [[jval(v) for v in row] for row in gj]
+            block = (g_vals, [[jdy(v) for v in row] for row in gj],
+                     _inverse_at(g_vals, xs, y))
+        return _vh_kernel(p)(*block, baseline.vh_at(xs, y))
 
     def vv_at(xs, y):
-        jxs, jy = seeded_point(xs, y)
-        g00j = G.g00_at(jxs, jy)
-        g00 = jval(g00j)
-        if primal(g00) == 0.0:
-            raise SingularMetricError("g00 vanishes",
-                                      point=_float_point(xs, y))
-        return 0.5 * jdy(g00j) / g00
+        xs0, y0, block = g00_last[0]
+        if xs0 is xs and y0 is y:
+            g00, g00_dy = block
+        else:
+            g00j = G.g00_at(*seeded_point(xs, y))
+            g00, g00_dy = jval(g00j), jdy(g00j)
+            if primal(g00) == 0.0:
+                raise SingularMetricError("g00 vanishes",
+                                          point=_float_point(xs, y))
+        return 0.5 * g00_dy / g00
 
     return DConnectionCoeffs(p, hh_at, hv_at, vh_at, vv_at)
 

@@ -12,7 +12,8 @@ defect is the antisymmetric matrix ``nlc_curvature``.  Everything evaluates
 on floats or Jets alike, so the operators nest.  The walk of one
 derivative pass is straight-line code, generated per (p, m) on first use;
 the per-leaf loop it replaced is the bitwise reference in
-``tests/reference.py`` (``loop_split``).
+``tests/reference.py`` (``loop_split``).  So are the sums of the Gamma
+change law (``loop_gamma_law``).
 """
 
 from __future__ import annotations
@@ -197,6 +198,44 @@ class CoordinateChange:
         return EPoint(self.base_at(pt.x), self.phi_at(pt.x) * pt.y)
 
 
+# The Gamma change law of :func:`nlc_transformation_point` for p and m,
+# fed to ``update`` per g' in the order of the loop that the kernel
+# replaced (the reference ``loop_gamma_law`` in ``tests/reference.py``):
+# with s<g> = (0 + rho[g][0] * dphi[0] + ...) and c<g> the entries of
+# column g' of Laminv,
+#
+#     Gamma'[g'] - (0 + (-s0 * y0 + phi * Gamma[0]) * c0 + ...)
+_GAMMA_LAW_LINE = sys._getframe().f_lineno + 2
+_GAMMA_LAW = '''\
+def gamma_law(update, pt, phi, dphi, rho, gam, gam_p, lam_inv):
+    {d}, = dphi
+    {r}, = rho
+    {G}, = gam
+    {li}, = lam_inv
+    {s}
+    y = pt.y
+    for gp in {R}:
+        {c}
+        update(gam_p[gp] - (0{terms}), pt)
+'''
+
+
+@functools.cache
+def _gamma_law_kernel(p, m):
+    """The kernel of ``_GAMMA_LAW`` for p and m, generated on first use."""
+    rp, rm = range(p), range(m)
+    source = _GAMMA_LAW.format(
+        R=repr(tuple(rp)), d=", ".join(f"d{k}" for k in rm),
+        r=", ".join("(" + ", ".join(f"r{g}_{k}" for k in rm) + ",)"
+                    for g in rp),
+        G=", ".join(f"G{g}" for g in rp), li=", ".join(f"li{g}" for g in rp),
+        s="; ".join(f"s{g} = (0" + "".join(f" + r{g}_{k} * d{k}" for k in rm)
+                    + ")" for g in rp),
+        c="; ".join(f"c{g} = li{g}[gp]" for g in rp),
+        terms="".join(f" + (-s{g} * y + phi * G{g}) * c{g}" for g in rp))
+    return compile_kernel(source, "gamma_law", __file__, _GAMMA_LAW_LINE, {})
+
+
 def nlc_transformation_point(N, N_primed, C, A, pt, tracker):
     """Residual at pt, into ``tracker``, of the connection-coefficient
     change law
@@ -204,8 +243,8 @@ def nlc_transformation_point(N, N_primed, C, A, pt, tracker):
         Gamma'_{g'}(x', y0') = [ -rho^k_g y0 dphi/dx_k + phi Gamma_g ] Lam^g_{g'}
 
     with all right-hand quantities evaluated in the unprimed chart and the
-    left side at the pushed-forward point."""
-    p = A.p
+    left side at the pushed-forward point.  The sums run in one kernel
+    generated per (p, m) (``_GAMMA_LAW``)."""
     phi = C.phi_at(pt.x)
     if phi == 0.0:
         tracker.update(float("inf"), pt)
@@ -215,10 +254,6 @@ def nlc_transformation_point(N, N_primed, C, A, pt, tracker):
     rho = A.rho_at(pt.x)
     gam = N.gamma_at(pt.x, pt.y)
     pushed = C.push(pt)
-    gam_p = N_primed.gamma_at(pushed.x, pushed.y)
-    rho_dphi = [sum(rho[g][k] * dphi[k] for k in range(A.m))
-                for g in range(p)]
-    for gp in range(p):
-        rhs = sum((-rho_dphi[g] * pt.y + phi * gam[g]) * lam_inv[g][gp]
-                  for g in range(p))
-        tracker.update(gam_p[gp] - rhs, pt)
+    _gamma_law_kernel(A.p, A.m)(tracker.update, pt, phi, dphi, rho, gam,
+                                N_primed.gamma_at(pushed.x, pushed.y),
+                                lam_inv)

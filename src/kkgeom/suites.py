@@ -9,6 +9,8 @@ of the coefficient change laws, so the law is tested, not restated.
 
 from __future__ import annotations
 
+import functools
+import sys
 import time
 
 from .algebroid import (
@@ -17,7 +19,7 @@ from .algebroid import (
     validate_antisymmetry,
     validate_jacobi,
 )
-from .calculus import EPoint, at_point
+from .calculus import EPoint, at_point, compile_kernel
 from .curvature import (
     BianchiCheck,
     OracleCheck,
@@ -117,13 +119,80 @@ def run_validate(sc: Scenario, samples=None, seed=None,
     return checks
 
 
+# The primed-chart tables of :func:`_frame_change_data` for p, under the
+# constant frame change lam with inverse lam_inv: ``frame_change`` returns
+# the evaluators of rho', L', Gamma' and g', each transforming one
+# evaluation of the unprimed table in the operand order of the
+# comprehensions that the kernel replaced (the reference
+# ``loop_frame_change`` in ``tests/reference.py``).  With l<g> = lam[g'][g]
+# and c<a>, d<b> the entries of columns a' and b' of lam_inv, the entries
+# are
+#
+#     rho'[a'][i]     = 0 + c0 * rho[0][i] + ...
+#     L'[g'][a'][b']  = 0 + l0 * L[0][0][0] * c0 * d0 + ...   (g, a, b)
+#     Gamma'[g']      = 0 + Gamma[0] * c0 + ...
+#     g'[a'][b']      = 0 + g[0][0] * c0 * d0 + ...           (a, b)
+_FRAME_CHANGE_LINE = sys._getframe().f_lineno + 2
+_FRAME_CHANGE = '''\
+def frame_change(lam, lam_inv, A, N, G):
+    cols = list(zip(*lam_inv))
+    M = range(A.m)
+
+    def rho_at(xs):
+        {r}, = A.rho_at(xs)
+        return [[0{rho} for i in M] for {c}, in cols]
+
+    def L_at(xs):
+        {L}, = A.L_at(xs)
+        return [[[0{Lt} for {d}, in cols] for {c}, in cols] for {l}, in lam]
+
+    def gamma_at(xs, y):
+        {G}, = N.gamma_at(xs, y)
+        return [0{gamma} for {c}, in cols]
+
+    def g_at(xs, y):
+        {g}, = G.g_at(xs, y)
+        return [[0{gt} for {d}, in cols] for {c}, in cols]
+
+    return rho_at, L_at, gamma_at, g_at
+'''
+
+
+@functools.cache
+def _frame_change_kernel(p):
+    """The kernel of ``_FRAME_CHANGE`` for p, generated on first use."""
+    rp = range(p)
+
+    def names(fmt):
+        return ", ".join(fmt.format(a) for a in rp)
+
+    def rows(fmt):
+        return ", ".join("(" + ", ".join(fmt.format(a, b) for b in rp) + ",)"
+                         for a in rp)
+
+    source = _FRAME_CHANGE.format(
+        r=names("r{}"), c=names("c{}"), d=names("d{}"), l=names("l{}"),
+        G=names("G{}"), g=rows("g{}_{}"),
+        L=", ".join("(" + ", ".join(
+            "(" + ", ".join(f"L{g}_{a}_{b}" for b in rp) + ",)" for a in rp)
+            + ",)" for g in rp),
+        rho="".join(f" + c{a} * r{a}[i]" for a in rp),
+        Lt="".join(f" + l{g} * L{g}_{a}_{b} * c{a} * d{b}"
+                   for g in rp for a in rp for b in rp),
+        gamma="".join(f" + G{g} * c{g}" for g in rp),
+        gt="".join(f" + g{a}_{b} * c{a} * d{b}" for a in rp for b in rp))
+    return compile_kernel(source, "frame_change", __file__,
+                          _FRAME_CHANGE_LINE, {})
+
+
 def _frame_change_data(sc: Scenario):
     """A constant invertible frame change C and the anchor, bracket,
     nonlinear-connection and metric tables in the new frame, built
     tensorially from the unprimed tables: ``(C, A', N', G')``.
 
     Each primed table evaluation transforms one evaluation of the unprimed
-    table, with the summation order of the per-entry law.
+    table, with the summation order of the per-entry law
+    (``_FRAME_CHANGE``).
     """
     p, m = sc.p, sc.m
     lam = [[1.0 if a == b else 0.0 for b in range(p)] for a in range(p)]
@@ -134,29 +203,9 @@ def _frame_change_data(sc: Scenario):
     lam_inv = matrix_inverse(lam)
     C = CoordinateChange(m, p, lambda_at=lambda xs: lam,
                          lambda_inv_at=lambda xs: lam_inv)
-    A, N, G = sc.algebroid, sc.connection, sc.metric
-    P = range(p)
-
-    def rho_at(xs):
-        rho = A.rho_at(xs)
-        return [[sum(lam_inv[a][ap] * rho[a][i] for a in P) for i in range(m)]
-                for ap in P]
-
-    def L_at(xs):
-        Lv = A.L_at(xs)
-        return [[[sum(lam[gp][g] * Lv[g][a][b] * lam_inv[a][ap] * lam_inv[b][bp]
-                      for g in P for a in P for b in P)
-                  for bp in P] for ap in P] for gp in P]
-
-    def gamma_at(xs, y):
-        gam = N.gamma_at(xs, y)
-        return [sum(gam[g] * lam_inv[g][gp] for g in P) for gp in P]
-
-    def g_at(xs, y):
-        gv = G.g_at(xs, y)
-        return [[sum(gv[a][b] * lam_inv[a][ap] * lam_inv[b][bp]
-                     for a in P for b in P) for bp in P] for ap in P]
-
+    G = sc.metric
+    rho_at, L_at, gamma_at, g_at = _frame_change_kernel(p)(
+        lam, lam_inv, sc.algebroid, sc.connection, G)
     return (C, AlgebroidData(m, p, rho_at, L_at),
             NonlinearConnection(p, gamma_at),
             MetricStructure(p, g_at, G.g00_at))

@@ -3,10 +3,12 @@ command runs it: nested covariant derivatives of a block tensor, exact and
 finite-difference partials of one field, the torsion and curvature of
 single vector fields straight from their definitions, a printer for
 parsed expressions, and the per-entry loops that the generated kernels
-replaced: the adapted-derivative split, the Leibniz rule, the Koszul
-formula, the oracle's brackets, frame derivatives and differences, the
-Rh/Rv formula, the commutation and Bianchi contractions and the anchor and
-Jacobi sums of the validators.  The engine's batched and generated kernels
+replaced: the adapted-derivative split, the Leibniz rule, the matrix
+inverse, the Koszul formula and the vh rings of the metric connection, the
+oracle's brackets, frame derivatives and differences, the Rh/Rv formula,
+the commutation and Bianchi contractions, the anchor and Jacobi sums of
+the validators and the transformation suite's primed-chart tables and
+change laws.  The engine's batched and generated kernels
 are compared against these, and the parser against the printer."""
 
 import itertools
@@ -22,6 +24,7 @@ from kkgeom.dconnection import (
     v_cov_values,
 )
 from kkgeom.exprlang import BinOp, Call, Neg, Num, Var
+from kkgeom.metric import SingularMetricError
 from kkgeom.nlconnection import adapted_derivatives
 
 
@@ -191,6 +194,48 @@ def loop_v_cov_values(vals, ddy, rh, sh, vweight, Vh, Vv):
     return _nested(loop_leibniz(_flat(ddy, rank), _flat(vals, rank), rh,
                                 rank, Vh, list(zip(*Vh)), vweight, Vv),
                    len(Vh), rank)
+
+
+def loop_matrix_inverse(mat):
+    """The Gauss-Jordan loop that ``metric``'s inverse kernel replaced:
+    partial pivoting on the underlying float values, every division and
+    elimination over all 2n columns of [mat | I]."""
+    n = len(mat)
+    aug = [list(row) + [1.0 if i == j else 0.0 for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(primal(aug[r][col])))
+        pivot = aug[pivot_row][col]
+        if abs(primal(pivot)) < 1e-300:
+            raise SingularMetricError(
+                f"singular matrix (pivot {primal(pivot):.3e} in column {col})")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        aug[col] = [v / pivot for v in aug[col]]
+        for r in range(n):
+            if r != col:
+                factor = aug[r][col]
+                if primal(factor) != 0.0:
+                    aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def loop_vh(g_vals, g_dy, ginv, vh0):
+    """The ring sums and contraction of ``metric_dconnection``'s vh that
+    the vh kernel replaced."""
+    p = len(g_vals)
+    rings = [[g_dy[b][e] - _sum(
+                  vh0[th][b] * g_vals[th][e] + vh0[th][e] * g_vals[b][th]
+                  for th in range(p))
+              for e in range(p)] for b in range(p)]
+    out = [[None] * p for _ in range(p)]
+    for a in range(p):
+        for b in range(p):
+            acc = 0.0
+            for gi, ring in zip(ginv[a], rings[b]):
+                acc = acc + gi * ring
+            out[a][b] = vh0[a][b] + 0.5 * acc
+    return out
 
 
 def loop_koszul(g_vals, g_delta, ginv, Lv):
@@ -441,6 +486,80 @@ def loop_jacobi(rho, Lv, dL):
 
     return [[[[term(a, b, c, d) for d in range(p)] for c in range(p)]
              for b in range(p)] for a in range(p)]
+
+
+def loop_change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta,
+                     coeffs, primed):
+    """The loops of ``dconnection.dconnection_transformation_point`` that
+    the change-law kernel replaced."""
+    Hh, Hv, Vh, Vv = coeffs
+    Hh_p, Hv_p, Vh_p, Vv_p = primed
+    p = len(Hv)
+    bracket = [[[inv_delta[g][a][bp] + _sum(
+                     Hh[a][b][g] * lam_inv[b][bp] for b in range(p))
+                 for g in range(p)] for a in range(p)] for bp in range(p)]
+    for ap in range(p):
+        for bp in range(p):
+            for gp in range(p):
+                rhs = 0.0
+                for a in range(p):
+                    for g in range(p):
+                        rhs += lam[ap][a] * bracket[bp][a][g] * lam_inv[g][gp]
+                update(Hh_p[ap][bp][gp] - rhs, pt)
+    for gp in range(p):
+        rhs = 0.0
+        for g in range(p):
+            dg_invphi = -phi_delta[g][0] / (phi * phi)
+            rhs += phi * (dg_invphi + Hv[g] / phi) * lam_inv[g][gp]
+        update(Hv_p[gp] - rhs, pt)
+    for ap in range(p):
+        for bp in range(p):
+            rhs = _sum(lam[ap][a] * Vh[a][b] * lam_inv[b][bp] / phi
+                       for a in range(p) for b in range(p))
+            update(Vh_p[ap][bp] - rhs, pt)
+    update(Vv_p - Vv / phi, pt)
+
+
+def loop_gamma_law(update, pt, phi, dphi, rho, gam, gam_p, lam_inv):
+    """The sums of ``nlconnection.nlc_transformation_point`` that the
+    Gamma-law kernel replaced."""
+    p, m = len(gam), len(dphi)
+    rho_dphi = [_sum(rho[g][k] * dphi[k] for k in range(m))
+                for g in range(p)]
+    for gp in range(p):
+        rhs = _sum((-rho_dphi[g] * pt.y + phi * gam[g]) * lam_inv[g][gp]
+                   for g in range(p))
+        update(gam_p[gp] - rhs, pt)
+
+
+def loop_frame_change(lam, lam_inv, A, N, G):
+    """The primed-chart tables of ``suites._frame_change_data`` as the
+    comprehensions that the frame-change kernel replaced built them:
+    ``(rho_at, L_at, gamma_at, g_at)``."""
+    P, m = range(len(lam)), A.m
+
+    def rho_at(xs):
+        rho = A.rho_at(xs)
+        return [[_sum(lam_inv[a][ap] * rho[a][i] for a in P)
+                 for i in range(m)] for ap in P]
+
+    def L_at(xs):
+        Lv = A.L_at(xs)
+        return [[[_sum(lam[gp][g] * Lv[g][a][b] * lam_inv[a][ap]
+                       * lam_inv[b][bp]
+                       for g in P for a in P for b in P)
+                  for bp in P] for ap in P] for gp in P]
+
+    def gamma_at(xs, y):
+        gam = N.gamma_at(xs, y)
+        return [_sum(gam[g] * lam_inv[g][gp] for g in P) for gp in P]
+
+    def g_at(xs, y):
+        gv = G.g_at(xs, y)
+        return [[_sum(gv[a][b] * lam_inv[a][ap] * lam_inv[b][bp]
+                      for a in P for b in P) for bp in P] for ap in P]
+
+    return rho_at, L_at, gamma_at, g_at
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -1,12 +1,14 @@
 """The generated kernels against the per-entry loops they replaced, which
-``tests/reference.py`` keeps: the adapted-derivative split
-(``nlconnection``), the Leibniz rule, the oracle's brackets and frame
-derivatives (``dconnection``), the Koszul formula (``metric``), the
+``tests/reference.py`` keeps: the adapted-derivative split and the Gamma
+change law (``nlconnection``), the Leibniz rule, the oracle's brackets
+and frame derivatives and the coefficient change laws (``dconnection``),
+the matrix inverse, the Koszul formula and the vh rings (``metric``), the
 oracle's differences, the Rh/Rv formula and the commutation and Bianchi
-contractions (``curvature``) and the anchor and Jacobi sums of the
-validators (``algebroid``): the same bits, signed zeros included, and the
-same number of Jets built.  The data mix exact and signed zeros with
-floats of several scales (and, where asked, infinities and NaNs), so a
+contractions (``curvature``), the anchor and Jacobi sums of the
+validators (``algebroid``) and the primed-chart tables of the
+transformation suite (``suites``): the same bits, signed zeros included,
+and the same number of Jets built.  The data mix exact and signed zeros
+with floats of several scales (and, where asked, infinities and NaNs), so a
 dropped ``0 +`` (the start of the loops' sums), a reordered sum or a wrong
 stride shows."""
 
@@ -25,15 +27,20 @@ from reference import (
     loop_anchor_compatibility,
     loop_bianchi,
     loop_bracket,
+    loop_change_laws,
     loop_commutation,
+    loop_frame_change,
     loop_frame_derivatives,
     loop_frames,
+    loop_gamma_law,
     loop_h_cov_values,
     loop_jacobi,
     loop_koszul,
+    loop_matrix_inverse,
     loop_rh_rv,
     loop_split,
     loop_v_cov_values,
+    loop_vh,
 )
 
 from kkgeom import (
@@ -43,13 +50,23 @@ from kkgeom import (
     dconnection,
     metric,
     nlconnection,
+    suites,
 )
-from kkgeom.calculus import EPoint, Jet, seeded_point
+from kkgeom.algebroid import AlgebroidData
+from kkgeom.calculus import EPoint, Jet, primal, seeded_point
 from kkgeom.cli import main
 from kkgeom.curvature import CurvatureComponents, TorsionComponents
 from kkgeom.dconnection import h_cov_values, v_cov_values
-from kkgeom.metric import matrix_inverse, metric_dconnection
-from kkgeom.nlconnection import _split_kernel, adapted_derivatives
+from kkgeom.metric import (
+    MetricStructure,
+    SingularMetricError,
+    metric_dconnection,
+)
+from kkgeom.nlconnection import (
+    NonlinearConnection,
+    _split_kernel,
+    adapted_derivatives,
+)
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 
@@ -239,6 +256,91 @@ def test_koszul_kernel_matches_the_loop(monkeypatch, p, depth):
               (loop_koszul, gv, gd, gi, Lv))
 
 
+# Entries whose magnitudes tie (equal-magnitude pivot candidates) or vanish
+# (exactly singular blocks).
+TIES = (1.0, -1.0, 2.0, -2.0, 0.0, -0.0)
+
+
+def _tied(rng, depth):
+    """A float of TIES, or a Jet of that depth over one."""
+    if depth == 0:
+        return rng.choice(TIES)
+    return Jet(_tied(rng, depth - 1),
+               [_scalar(rng, 2, depth - 1) for _ in range(2)],
+               _scalar(rng, 2, depth - 1))
+
+
+def _inverse_or_message(inverse, mat):
+    """The bits of ``inverse(mat)``, or the message of the
+    SingularMetricError that it raises."""
+    try:
+        return bits(inverse(mat))
+    except SingularMetricError as exc:
+        return str(exc)
+
+
+def _same_inverse(monkeypatch, mat):
+    """The inverse kernel and the loop give the same bits, or raise with
+    the same message, and build as many Jets; returns whether they
+    raised."""
+    n = len(mat)
+    got = _traffic(monkeypatch, _inverse_or_message,
+                   metric._inverse_kernel(n), mat)
+    assert got == _traffic(monkeypatch, _inverse_or_message,
+                           loop_matrix_inverse, mat)
+    return isinstance(got[0], str)
+
+
+@pytest.mark.parametrize("kind", ["floats", "ties", "specials", "depth1",
+                                  "depth2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inverse_kernel_matches_the_loop(monkeypatch, n, kind):
+    """Random blocks of floats, of tied magnitudes, with infinities and
+    NaNs, and of depth-1 and depth-2 Jets (some over tied values, some
+    with float partials under a Jet value).  Every third block has a zero
+    column, so it is exactly singular and both raise, unless an infinity
+    or a NaN reaches that column first."""
+    rng = random.Random(f"inverse:{n}:{kind}")
+
+    def leaf():
+        if kind == "floats":
+            return _num(rng)
+        if kind == "ties":
+            return rng.choice(TIES)
+        if kind == "specials":
+            return _num(rng, 0.2)
+        depth = 1 if kind == "depth1" else 2
+        if rng.random() < 0.5:
+            return _tied(rng, depth)
+        return _scalar(rng, 2, depth, float_partials=rng.random() < 0.3)
+
+    raised = 0
+    for case in range(30 if kind != "depth2" else 9):
+        mat = [[leaf() for _ in range(n)] for _ in range(n)]
+        if case % 3 == 2:
+            for row in mat:
+                row[case % n] = rng.choice((0.0, -0.0))
+        raised += _same_inverse(monkeypatch, mat)
+    assert raised >= 3
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("mat", [
+    [[NAN, 1.0], [2.0, 3.0]],              # a first NaN stays the pivot
+    [[1.0, 2.0], [NAN, 3.0]],              # a later NaN is never chosen
+    [[-2.0, 1.0], [2.0, 1.0]],             # a tie keeps the first row
+    [[0.0, 1.0], [-0.0, 2.0]],             # zero column: -> 0.000e+00
+    [[-0.0]],                              # -> -0.000e+00
+    [[1e-301, 0.0], [0.0, 1.0]],           # below 1e-300: singular
+    [[INF, 1.0], [1.0, 1.0]],
+    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],
+], ids=lambda mat: repr(mat).replace(" ", ""))
+def test_inverse_kernel_keeps_the_loop_pivots(monkeypatch, mat):
+    _same_inverse(monkeypatch, mat)
+
+
 @pytest.mark.parametrize("name", ["d1.json", "vdep.json", "nonabelian.json",
                                   "gen3_seed1.json"])
 def test_metric_hh_matches_the_koszul_loop(monkeypatch, name):
@@ -251,7 +353,7 @@ def test_metric_hh_matches_the_koszul_loop(monkeypatch, name):
 
     def reference(xs, y):
         g_vals, g_delta, _ = loop_adapted_derivatives(G.g_at, xs, y, A, N)
-        ginv = matrix_inverse(g_vals)
+        ginv = loop_matrix_inverse(g_vals)
         return loop_koszul(g_vals, g_delta, ginv, A.L_at(xs))
 
     for pt in sample_points(Box.default(A.m), 2, seed=9):
@@ -444,8 +546,74 @@ def test_jacobi_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
           (loop_jacobi, *args))
 
 
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_vh_kernel_matches_the_loop(monkeypatch, p, kind, special):
+    rng = random.Random(f"vh:{p}:{kind}:{special}")
+    draw = _operands(rng, kind, special)
+    args = [_array(draw, p, p) for _ in range(4)]
+    _same(monkeypatch, (metric._vh_kernel(p), *args), (loop_vh, *args))
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_change_laws_kernel_matches_the_loop(monkeypatch, p, kind, special):
+    rng = random.Random(f"change_laws:{p}:{kind}:{special}")
+    draw = _operands(rng, kind, special)
+
+    def coeffs():
+        return [_array(draw, p, p, p), _array(draw, p), _array(draw, p, p),
+                draw()]
+
+    phi = draw()
+    while primal(phi) == 0.0:  # the law divides by phi
+        phi = draw()
+    _updates(monkeypatch, 1, dconnection._change_laws_kernel(p),
+             loop_change_laws, PT, _array(draw, p, p), _array(draw, p, p),
+             _array(draw, p, p, p), phi, _array(draw, p, 1), coeffs(),
+             coeffs())
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p,m", list(itertools.product(range(1, 5),
+                                                       range(1, 5))))
+def test_gamma_law_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
+    rng = random.Random(f"gamma_law:{p}:{m}:{kind}:{special}")
+    draw = _operands(rng, kind, special, m)
+    _updates(monkeypatch, 1, nlconnection._gamma_law_kernel(p, m),
+             loop_gamma_law, PT, draw(), _array(draw, m), _array(draw, p, m),
+             _array(draw, p), _array(draw, p), _array(draw, p, p))
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p,m", list(itertools.product(range(1, 5),
+                                                       range(1, 5))))
+def test_frame_change_kernel_matches_the_loop(monkeypatch, p, m, kind,
+                                              special):
+    """Each of the four primed-chart tables, over tables that return
+    fixed draws."""
+    rng = random.Random(f"frame_change:{p}:{m}:{kind}:{special}")
+    draw = _operands(rng, kind, special, m)
+    rho, Lv = _array(draw, p, m), _array(draw, p, p, p)
+    gam, gv = _array(draw, p), _array(draw, p, p)
+    tables = (_array(draw, p, p), _array(draw, p, p),
+              AlgebroidData(m, p, lambda xs: rho, lambda xs: Lv),
+              NonlinearConnection(p, lambda xs, y: gam),
+              MetricStructure(p, lambda xs, y: gv, lambda xs, y: 1.0))
+    xs, y = (0.5,) * m, 1.5
+    for kernel, loop, args in zip(suites._frame_change_kernel(p)(*tables),
+                                  loop_frame_change(*tables),
+                                  [(xs,), (xs,), (xs, y), (xs, y)]):
+        _same(monkeypatch, (kernel, *args), (loop, *args))
+
+
 # Each factory of the kernels above, with the reference loop it replaced.
 SWAPS = [
+    (metric, "_inverse_kernel", loop_matrix_inverse),
+    (metric, "_vh_kernel", loop_vh),
+    (dconnection, "_change_laws_kernel", loop_change_laws),
+    (nlconnection, "_gamma_law_kernel", loop_gamma_law),
+    (suites, "_frame_change_kernel", loop_frame_change),
     (dconnection, "_bracket_kernel", loop_bracket),
     (dconnection, "_frame_derivatives_kernel", loop_frame_derivatives),
     (curvature, "_frames_kernel", loop_frames),
@@ -492,6 +660,11 @@ FACTORIES = [
                                    (3, 3, 1, False),
                                    (4, 4, 2, True)], dconnection),
     (metric._koszul_kernel, [(1,), (4,)], metric),
+    (metric._inverse_kernel, [(1,), (4,)], metric),
+    (metric._vh_kernel, [(1,), (4,)], metric),
+    (dconnection._change_laws_kernel, [(1,), (4,)], dconnection),
+    (nlconnection._gamma_law_kernel, [(1, 1), (3, 2), (4, 4)], nlconnection),
+    (suites._frame_change_kernel, [(1,), (4,)], suites),
     (dconnection._bracket_kernel, [(1, 1), (2, 3), (4, 4)], dconnection),
     (dconnection._frame_derivatives_kernel, [(1,), (4,)], dconnection),
     (curvature._frames_kernel, [(1,), (4,)], curvature),
@@ -535,7 +708,7 @@ def test_a_load_generates_no_kernel():
     the CLI and loads scenarios has generated none."""
     code = ("import sys, kkgeom.cli\n"
             "from kkgeom import algebroid, calculus, curvature, dconnection\n"
-            "from kkgeom import metric, nlconnection\n"
+            "from kkgeom import metric, nlconnection, suites\n"
             "from kkgeom.scenario import load_scenario\n"
             "for path in sys.argv[1:]:\n"
             "    load_scenario(path)\n"
@@ -546,7 +719,11 @@ def test_a_load_generates_no_kernel():
             "    dconnection._frame_derivatives_kernel,\n"
             "    curvature._frames_kernel, curvature._rh_rv_kernel,\n"
             "    curvature._commutation_kernel, curvature._bianchi_kernel,\n"
-            "    algebroid._anchor_kernel, algebroid._jacobi_kernel)])\n")
+            "    algebroid._anchor_kernel, algebroid._jacobi_kernel,\n"
+            "    metric._inverse_kernel, metric._vh_kernel,\n"
+            "    dconnection._change_laws_kernel,\n"
+            "    nlconnection._gamma_law_kernel,\n"
+            "    suites._frame_change_kernel)])\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(SCENARIO_DIR / "d1.json"),
          str(SCENARIO_DIR / "vdep.json"), str(DATA_DIR / "gen3_seed1.json"),
@@ -554,4 +731,4 @@ def test_a_load_generates_no_kernel():
         capture_output=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(SRC_ROOT)))
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode() == "[" + ", ".join(["0"] * 12) + "]\n"
+    assert proc.stdout.decode() == "[" + ", ".join(["0"] * 17) + "]\n"

@@ -1,10 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from kkgeom.calculus import EPoint, EvaluationDomainError, jdx, jdy, \
+from kkgeom import scenario, suites
+from kkgeom.algebroid import AlgebroidData
+from kkgeom.calculus import EPoint, EvaluationDomainError, Jet, jdx, jdy, \
     jval, primal, seeded_point
+from kkgeom.cli import main
 from kkgeom.dconnection import DConnectionCoeffs, berwald
 from kkgeom.metric import (
     MAX_CONDITION,
@@ -12,16 +16,17 @@ from kkgeom.metric import (
     MetricStructure,
     SingularMetricError,
     inverse_h,
-    matrix_inverse,
     metric_dconnection,
     riemannian_flags,
 )
 from kkgeom.nlconnection import NonlinearConnection, adapted_derivatives
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
-from conftest import (DATA_DIR, bits, canonical_metric_dconnection,
-                      flat_metric, identity_algebroid, make_d1, make_dense3,
+from conftest import (DATA_DIR, SCENARIO_DIR, bits,
+                      canonical_metric_dconnection, flat_metric,
+                      identity_algebroid, make_d1, make_dense3,
                       make_nonabelian, make_vdep, run_check, table)
+from reference import loop_matrix_inverse
 
 PTS = sample_points(Box.default(2), 40, seed=0xA1B2)
 A_ID = identity_algebroid(2)
@@ -262,7 +267,7 @@ def _loop_hh_vh(G, baseline, A, N):
     def hh_at(xs, y):
         g_vals, g_delta, _ = adapted_derivatives(
             lambda jxs, jy: G.g_at(jxs, jy), xs, y, A, N)
-        ginv = matrix_inverse(g_vals)
+        ginv = loop_matrix_inverse(g_vals)
         Lv = A.L_at(xs)
         out = [[[None] * p for _ in range(p)] for _ in range(p)]
         for a in range(p):
@@ -286,7 +291,7 @@ def _loop_hh_vh(G, baseline, A, N):
         gj = G.g_at(jxs, jy)
         g_vals = [[jval(v) for v in row] for row in gj]
         g_dy = [[jdy(v) for v in row] for row in gj]
-        ginv = matrix_inverse(g_vals)
+        ginv = loop_matrix_inverse(g_vals)
         vh0 = baseline.vh_at(xs, y)
         out = [[None] * p for _ in range(p)]
         for a in range(p):
@@ -346,3 +351,91 @@ def test_hoisted_metric_sums_match_the_loops_bitwise(case):
             assert bits(D.hh_at(xs, y)) == bits(hh_ref(xs, y)), depth
             assert bits(D.vh_at(xs, y)) == bits(vh_ref(xs, y)), depth
             xs, y = seeded_point(xs, y)
+
+
+def _traced_metric_connections(monkeypatch):
+    """Build every metric connection of the CLI (the scenario's and the
+    transformation suite's primed ones) over counting evaluators.  The
+    Counter returned counts, per connection number k, each call of a
+    family ``(k, "hh")`` and each evaluation that the connection makes of
+    g, g00, rho or Gamma ``(k, name, point, Jet depth)``."""
+    calls = Counter()
+    original = metric_dconnection
+    built = []
+
+    def depth(s):
+        n = 0
+        while isinstance(s, Jet):
+            s, n = s.value, n + 1
+        return n
+
+    def traced(G, baseline, A, N):
+        k = len(built)
+        built.append(k)
+
+        def counted(name, fn):
+            def at(xs, *y):
+                calls[k, name, tuple(map(primal, xs + y)), depth(xs[0])] += 1
+                return fn(xs, *y)
+            return at
+
+        def family(name, fn):
+            def at(xs, y):
+                calls[k, name] += 1
+                return fn(xs, y)
+            return at
+
+        D = original(MetricStructure(G.p, counted("g", G.g_at),
+                                     counted("g00", G.g00_at)),
+                     baseline,
+                     AlgebroidData(A.m, A.p, counted("rho", A.rho_at),
+                                   A.L_at),
+                     NonlinearConnection(N.p, counted("gamma", N.gamma_at)))
+        return DConnectionCoeffs(D.p, *(family(name, getattr(D, name + "_at"))
+                                        for name in ("hh", "hv", "vh", "vv")))
+
+    monkeypatch.setattr(scenario, "metric_dconnection", traced)
+    monkeypatch.setattr(suites, "metric_dconnection", traced)
+    return calls
+
+
+def _total(calls, name):
+    return sum(n for key, n in calls.items() if key[1] == name)
+
+
+def test_check_all_evaluates_each_metric_block_once_per_point_and_depth(
+        monkeypatch, capsys):
+    """hh and vh share one evaluation of g, hv and vv one of g00: under
+    ``check --suite all`` each metric connection evaluates each block on
+    Jets once per point and depth (the scenario's down to depth 3, at the
+    seeded point of bianchi's depth-2 hh and hv)."""
+    calls = _traced_metric_connections(monkeypatch)
+    assert main(["check", str(SCENARIO_DIR / "d1.json"), "--suite", "all",
+                 "--seed", "1"]) == 0
+    capsys.readouterr()
+    blocks = {key: n for key, n in calls.items()
+              if key[1] in ("g", "g00") and key[3] > 0}
+    assert set(blocks.values()) == {1}
+    assert {key[0] for key in calls} == {0, 1, 2}
+    assert {(key[1], key[3]) for key in blocks} == {
+        (name, depth) for name in ("g", "g00") for depth in (1, 2, 3)}
+
+
+def test_a_horizontal_lift_evaluates_g_once_per_hh(monkeypatch, capsys):
+    calls = _traced_metric_connections(monkeypatch)
+    assert main(["lift", str(SCENARIO_DIR / "d1.json"), "--mode",
+                 "horizontal", "--steps", "20"]) == 0
+    capsys.readouterr()
+    assert _total(calls, "hh") == 80  # four RK4 stages per step
+    assert _total(calls, "g") == 80
+    assert _total(calls, "g00") == 0
+
+
+def test_a_vertical_lift_evaluates_g00_alone_per_vv(monkeypatch, capsys):
+    calls = _traced_metric_connections(monkeypatch)
+    assert main(["lift", str(SCENARIO_DIR / "d1.json"), "--mode",
+                 "vertical", "--steps", "20"]) == 0
+    capsys.readouterr()
+    assert _total(calls, "vv") == 80
+    assert _total(calls, "g00") == 80
+    assert [_total(calls, name) for name in ("g", "rho", "gamma")] == [0] * 3

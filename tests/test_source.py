@@ -114,21 +114,40 @@ def _scopes_reading(node, name, scope=()):
                          for child in ast.iter_child_nodes(node)))
 
 
+def _template_reads(tree, name):
+    """``NAME`` for every module-level string assigned to ``NAME`` (a
+    kernel template) whose text names ``name``."""
+    return {target.id for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+            and name in re.findall(r"[A-Za-z_]\w*", node.value.value)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
 def _primal_reads(trees):
     """``module:scope`` for every read of ``primal`` in ``trees`` (module
-    name -> parsed source) outside ``calculus.py``, the Jet arithmetic."""
+    name -> parsed source) outside ``calculus.py``, the Jet arithmetic: in
+    code, and in the text of a module-level template, whose generated
+    code the AST does not show."""
     return {f"{module}:{scope}" for module, tree in trees.items()
             if module != "calculus.py"
-            for scope in _scopes_reading(tree, "primal")}
+            for scope in (_scopes_reading(tree, "primal")
+                          | _template_reads(tree, "primal"))}
 
 
 # Jets exist only inside a derivative pass, so ``primal`` is read only where
-# one can arrive: pivoting in a matrix of Jets, the g00 test of the two
+# one can arrive: pivoting in a matrix of Jets (the inverse templates that
+# pick the pivot and skip a zero factor, the factory that hands them
+# ``primal`` and the error of a vanishing pivot), the g00 test of the
 # metric coefficients that run inside derivative passes, the float point
 # that the metric coefficients name in an error, and the depth check of the
 # per-point tables.
 PRIMAL_ALLOWED = {
-    "metric.py:matrix_inverse",
+    "metric.py:_INVERSE_COLUMN",
+    "metric.py:_INVERSE_PICK",
+    "metric.py:_INVERSE_ELIMINATE",
+    "metric.py:_inverse_kernel",
+    "metric.py:_singular_pivot",
     "metric.py:metric_dconnection.hv_at",
     "metric.py:metric_dconnection.vv_at",
     "metric.py:_float_point",
@@ -146,16 +165,20 @@ def test_the_primal_guard_sees_an_unwrap_of_a_float():
     trees = {"calculus.py": ast.parse("def flog(u):\n"
                                       "    return primal(u)\n"),
              "metric.py": ast.parse("from .calculus import primal\n"
-                                    "def matrix_inverse(m):\n"
+                                    "def _singular_pivot(m):\n"
                                     "    return primal(m)\n"
                                     "def inverse_h(g):\n"
                                     "    return [primal(v) for v in g]\n"),
              "lift.py": ast.parse("class BaseCurve:\n"
                                   "    def point_at(self, t):\n"
                                   "        return tuple(map(primal, t))\n"
-                                  "g0 = primal(1.0)\n")}
+                                  "g0 = primal(1.0)\n"
+                                  "_RHS = '''def f(u):\n"
+                                  "    return primal(u)\n'''\n"
+                                  "_NOTE = 'unwraps nothing: primary'\n")}
     assert _primal_reads(trees) - PRIMAL_ALLOWED == {
-        "metric.py:inverse_h", "lift.py:BaseCurve.point_at", "lift.py:"}
+        "metric.py:inverse_h", "lift.py:BaseCurve.point_at", "lift.py:",
+        "lift.py:_RHS"}
 
 
 def _dynamic_code_sites(trees):
@@ -168,8 +191,9 @@ def _dynamic_code_sites(trees):
 
 # Source compiled at run time: a scenario's expressions, and the generated
 # kernels (the Jet arithmetic of each dimension m, the adapted-derivative
-# split, the Leibniz rule, the Koszul formula and the per-entry sums of
-# the oracle, the curvature checks and the validators), which all go
+# split, the Leibniz rule, the matrix inverse, the Koszul formula and the
+# per-entry sums of the metric connection, the oracle, the curvature
+# checks, the validators and the transformation suite), which all go
 # through the one helper that compiles them under their own module's file.
 DYNAMIC_CODE_ALLOWED = {"exprlang.py:compile_expr",
                         "calculus.py:compile_kernel"}
