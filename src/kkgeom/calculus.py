@@ -26,11 +26,12 @@ the operands and their order of a per-component loop, so it computes the
 loop's bits; that loop is kept as the reference in ``tests/test_calculus.py``
 (``_LoopJet``).  ``compile_kernel`` compiles these and the other
 generated kernels of the package (the adapted-derivative split, the
-Leibniz rule, the matrix inverse, the Koszul formula and vh rings of the
-metric connection, the oracle's brackets, frame derivatives and
-differences, the Rh/Rv formula, the commutation and Bianchi contractions,
-the validators' sums, the transformation suite's primed-chart tables and
-change laws), each under its own module's file.
+Leibniz rule, the matrix inverse and its self-check, the Koszul formula
+and vh rings of the metric connection, the oracle's brackets, frame
+derivatives and differences, the Rh/Rv formula, the commutation and
+Bianchi contractions, the validators' sums, the transformation suite's
+primed-chart tables and change laws, and a lift's RK4 step and right
+sides), each under its own module's file.
 """
 
 from __future__ import annotations

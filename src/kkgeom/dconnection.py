@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import marshal
 import sys
 
 from .algebroid import AlgebroidData
@@ -40,6 +41,7 @@ from .nlconnection import NonlinearConnection, adapted_derivatives
 __all__ = [
     "DConnectionCoeffs",
     "berwald",
+    "zero_table",
     "h_cov_values",
     "v_cov_values",
     "frame_derivatives",
@@ -65,9 +67,9 @@ class DConnectionCoeffs:
     def zero(p: int) -> "DConnectionCoeffs":
         return DConnectionCoeffs(
             p,
-            lambda xs, y: [[[0.0] * p for _ in range(p)] for _ in range(p)],
+            zero_table(p, 3),
             lambda xs, y: [0.0] * p,
-            lambda xs, y: [[0.0] * p for _ in range(p)],
+            zero_table(p, 2),
             lambda xs, y: 0.0,
         )
 
@@ -103,6 +105,16 @@ def _nested(flat, p, rank):
     for _ in range(rank):
         flat = [flat[i:i + p] for i in range(0, len(flat), p)]
     return flat[0]
+
+
+def zero_table(p, rank):
+    """An evaluator, of any arguments, of the table of rank ``rank`` over p
+    values per slot whose entries are all 0.0.  Each call returns fresh
+    lists, which ``marshal`` rebuilds from their serialised form in one
+    call where nested comprehensions run a frame per row."""
+    blob = marshal.dumps(_nested([0.0] * p ** rank, p, rank))
+    loads = marshal.loads
+    return lambda *args: loads(blob)
 
 
 # The Leibniz rule for a tensor T of rank r over p values per slot, its

@@ -14,14 +14,24 @@ state leaves [-1e12, 1e12] or turns non-finite, and the trajectory records
 the last valid time.  A coefficient evaluated outside its domain (say the
 log of a non-positive value) also stops it, reported as an evaluation
 error rather than a blow-up.
+
+The arithmetic of a lift is straight-line code generated on first use:
+one RK4 step per state size n (its three stage states and the final
+combination), and the parallel and horizontal right sides' sums per p.
+Each writes the operands and their order of the loop it replaced, so it
+computes the loop's bits; those loops are the bitwise references in
+``tests/reference.py`` (``loop_rk4_step``, ``loop_parallel_rhs``,
+``loop_horizontal_rhs``).
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from operator import mul
 
 from .algebroid import AlgebroidData
-from .calculus import EvaluationDomainError, Jet, at_point, jdx
+from .calculus import EvaluationDomainError, Jet, at_point, compile_kernel, jdx
 from .dconnection import DConnectionCoeffs
 from .metric import SingularMetricError
 from .nlconnection import NonlinearConnection
@@ -98,11 +108,54 @@ class Trajectory:
         return self.points[-1]
 
 
+# One classic RK4 step for a state of n entries s<i>: the right side f at
+# the three stage states and the combination, each entry as the
+# comprehensions of the reference ``loop_rk4_step`` in
+# ``tests/reference.py`` write it:
+#
+#     stage:    s<i> + half * a<i>,  s<i> + half * b<i>,  s<i> + h * c<i>
+#     combined: s<i> + sixth * (a<i> + 2.0 * b<i> + 2.0 * c<i> + d<i>)
+#
+# with a, b, c, d the four right sides in turn.
+_RK4_LINE = sys._getframe().f_lineno + 2
+_RK4 = '''\
+def rk4_step(f, t, s, h, half, sixth):
+    {s}, = s
+    {a}, = f(t, s)
+    {b}, = f(t + half, ({stage_a},))
+    {c}, = f(t + half, ({stage_b},))
+    {d}, = f(t + h, ({stage_c},))
+    return ({combined},)
+'''
+
+
+@functools.cache
+def _rk4_kernel(n):
+    """The kernel of ``_RK4`` for a state of n entries, generated on first
+    use."""
+    rn = range(n)
+
+    def names(k):
+        return ", ".join(f"{k}{i}" for i in rn)
+
+    def stage(k, step):
+        return ", ".join(f"s{i} + {step} * {k}{i}" for i in rn)
+
+    source = _RK4.format(
+        s=names("s"), a=names("a"), b=names("b"), c=names("c"),
+        d=names("d"), stage_a=stage("a", "half"), stage_b=stage("b", "half"),
+        stage_c=stage("c", "h"),
+        combined=", ".join(f"s{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i}"
+                           f" + d{i})" for i in rn))
+    return compile_kernel(source, "rk4_step", __file__, _RK4_LINE, {})
+
+
 def rk4_integrate(f, t0: float, t1: float, state0, steps: int) -> Trajectory:
     """Classic fixed-step RK4 on dstate/dt = f(t, state); aborts on blow-up.
     A coefficient evaluated outside its domain (an EvaluationDomainError
     from ``f``) also ends the trajectory, reported as an evaluation error.
-    A SingularMetricError from ``f`` propagates."""
+    A SingularMetricError from ``f`` propagates.  Each step runs the
+    kernel of ``_RK4`` for the state's size."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     h = (t1 - t0) / steps
@@ -110,14 +163,11 @@ def rk4_integrate(f, t0: float, t1: float, state0, steps: int) -> Trajectory:
     half = 0.5 * h
     sixth = h / 6.0
     state = tuple(float(v) for v in state0)
+    rk4_step = _rk4_kernel(len(state))
     points = [LiftState(t0, state)]
     for k in range(steps):
-        t = t0 + k * h
         try:
-            k1 = f(t, state)
-            k2 = f(t + half, tuple([s + half * d for s, d in zip(state, k1)]))
-            k3 = f(t + half, tuple([s + half * d for s, d in zip(state, k2)]))
-            k4 = f(t + h, tuple([s + h * d for s, d in zip(state, k3)]))
+            state = rk4_step(f, t0 + k * h, state, h, half, sixth)
         except SingularMetricError:
             raise
         except EvaluationDomainError as exc:
@@ -126,8 +176,6 @@ def rk4_integrate(f, t0: float, t1: float, state0, steps: int) -> Trajectory:
         except (ArithmeticError, ValueError):
             return Trajectory(points, False,
                               f"state blew up after t={points[-1].t:.6g}")
-        state = tuple([s + sixth * (a + 2.0 * b + 2.0 * c + d)
-                       for s, a, b, c, d in zip(state, k1, k2, k3, k4)])
         for v in state:
             # false for NaN too
             if not -BLOWUP_LIMIT <= v <= BLOWUP_LIMIT:
@@ -166,18 +214,79 @@ def local_invertibility_residual(L: LiftMorphism, points):
     return worst
 
 
+# The right sides of the parallel lift and of the horizontal parallelism at
+# p, as the generator sums of the reference ``loop_parallel_rhs`` and
+# ``loop_horizontal_rhs`` in ``tests/reference.py`` write them, from the
+# integer 0 that ``sum`` starts at:
+#
+#     parallel:    -(0 + gam0 * g0 + ...) * u
+#     horizontal:  -(0 + H<a>_0_0 * z0 * z0 + H<a>_0_1 * z0 * z1 + ...)
+#                  for each a (b, then c, in order), then the parallel term
+#
+# with H<a>_<b>_<c> the entries of hh and state = (z0, .., z<p-1>, u).
+_PARALLEL_LINE = sys._getframe().f_lineno + 2
+_PARALLEL = '''\
+def parallel(u, gam, g):
+    {gam}, = gam
+    {g}, = g
+    return (-(0{dot}) * u,)
+'''
+_HORIZONTAL_LINE = sys._getframe().f_lineno + 2
+_HORIZONTAL = '''\
+def horizontal(state, Hh, gam, g):
+    {z}, u = state
+    {H}, = Hh
+    {gam}, = gam
+    {g}, = g
+    return [{dz}, -(0{dot}) * u]
+'''
+
+
+def _rhs_names(p):
+    """The unpacked names of Gamma and g at p, and the sum of their
+    products."""
+    rp = range(p)
+    return (", ".join(f"gam{a}" for a in rp), ", ".join(f"g{a}" for a in rp),
+            "".join(f" + gam{a} * g{a}" for a in rp))
+
+
+@functools.cache
+def _parallel_kernel(p):
+    """The kernel of ``_PARALLEL`` for p, generated on first use."""
+    gam, g, dot = _rhs_names(p)
+    return compile_kernel(_PARALLEL.format(gam=gam, g=g, dot=dot),
+                          "parallel", __file__, _PARALLEL_LINE, {})
+
+
+@functools.cache
+def _horizontal_kernel(p):
+    """The kernel of ``_HORIZONTAL`` for p, generated on first use."""
+    rp = range(p)
+    gam, g, dot = _rhs_names(p)
+    source = _HORIZONTAL.format(
+        z=", ".join(f"z{b}" for b in rp), gam=gam, g=g, dot=dot,
+        H=", ".join("(" + ", ".join(
+            "(" + ", ".join(f"H{a}_{b}_{c}" for c in rp) + ",)" for b in rp)
+            + ",)" for a in rp),
+        dz=", ".join("-(0" + "".join(f" + H{a}_{b}_{c} * z{b} * z{c}"
+                                     for b in rp for c in rp) + ")"
+                     for a in rp))
+    return compile_kernel(source, "horizontal", __file__, _HORIZONTAL_LINE,
+                          {})
+
+
 def integrate_parallel_lift(c: BaseCurve, L: LiftMorphism, A: AlgebroidData,
                             N: NonlinearConnection, y0: float, steps: int,
                             t0: float = 0.0, t1: float = 1.0) -> Trajectory:
-    """du/dt = -Gamma_a(c(t), u) g^a(c(t)) u; state = (u,)."""
-    point_at, gamma_at, g_at, rp = c.point_at, N.gamma_at, L.g_at, range(A.p)
+    """du/dt = -Gamma_a(c(t), u) g^a(c(t)) u; state = (u,).  The right
+    side runs the kernel of ``_PARALLEL``."""
+    point_at, gamma_at, g_at = c.point_at, N.gamma_at, L.g_at
+    rhs = _parallel_kernel(A.p)
 
     def f(t, state):
         u = state[0]
         xs = point_at(t)
-        gam = gamma_at(xs, u)
-        g = g_at(xs)
-        return (-sum(gam[a] * g[a] for a in rp) * u,)
+        return rhs(u, gamma_at(xs, u), g_at(xs))
 
     return rk4_integrate(f, t0, t1, (y0,), steps)
 
@@ -189,21 +298,16 @@ def integrate_horizontal_parallel(c: BaseCurve, L: LiftMorphism,
                                   y0: float = 1.0) -> Trajectory:
     """dz^a/dt = -hh^a_{bc}(c(t), u) z^b z^c, with the fiber coordinate u
     co-integrated along the parallel-lift equation (the coefficients are
-    evaluated on the lifted point).  State = (z_1..z_p, u)."""
-    p, rp = A.p, range(A.p)
+    evaluated on the lifted point).  State = (z_1..z_p, u).  The right side
+    runs the kernel of ``_HORIZONTAL``."""
+    p = A.p
     point_at, gamma_at, g_at, hh_at = c.point_at, N.gamma_at, L.g_at, D.hh_at
+    rhs = _horizontal_kernel(p)
 
     def f(t, state):
-        z = state[:p]
         u = state[p]
         xs = point_at(t)
-        Hh = hh_at(xs, u)
-        gam = gamma_at(xs, u)
-        g = g_at(xs)
-        dz = [-sum(Ha[b][cc] * z[b] * z[cc] for b in rp for cc in rp)
-              for Ha in Hh]
-        dz.append(-sum(gam[a] * g[a] for a in rp) * u)
-        return dz
+        return rhs(state, hh_at(xs, u), gamma_at(xs, u), g_at(xs))
 
     return rk4_integrate(f, t0, t1, tuple(z0) + (y0,), steps)
 

@@ -16,7 +16,8 @@ Matrix inversion is a plain Gauss-Jordan written to run on Jet entries, so
 the constructed coefficients can be differentiated again (curvature needs
 first derivatives of the inverse metric, the cyclic identity suites need
 second).  It is straight-line code generated per n on first use, with the
-operations of the loop that it replaced (``loop_matrix_inverse``).
+operations of the loop that it replaced (``loop_matrix_inverse``), and so
+is the self-check of ``inverse_h`` per p (``loop_inverse_check``).
 """
 
 from __future__ import annotations
@@ -78,11 +79,6 @@ class MetricStructure:
         self.p = p
         self.g_at = g_at
         self.g00_at = g00_at
-
-
-def _norm1(mat):
-    return max(sum(abs(mat[a][b]) for a in range(len(mat)))
-               for b in range(len(mat)))
 
 
 # Gauss-Jordan with partial pivoting on the n x 2n matrix [mat | I], for n:
@@ -165,11 +161,64 @@ def matrix_inverse(mat):
     return _inverse_kernel(len(mat))(mat)
 
 
+# The self-check of a float inverse gi of the block g at p: the largest
+# entry of g . gi - I, and the condition estimate ||g||_1 ||gi||_1, each
+# sum as the generator sums of the reference ``loop_inverse_check`` in
+# ``tests/reference.py`` write it and each maximum as ``max`` takes it
+# (the first of equal values; a NaN replaces nothing, and a first column
+# sum that is NaN stays):
+#
+#     r<a>_<b> = abs((0 + g<a>_0 * gi0_<b> + ...) - I<a><b>)
+#     n1(m)    = max over b of (0 + abs(m0_<b>) + abs(m1_<b>) + ...)
+#
+# with the residuals taken over (a, b) in order.
+_INVERSE_CHECK_LINE = sys._getframe().f_lineno + 2
+_INVERSE_CHECK = '''\
+def inverse_check(g, gi):
+    {g}, = g
+    {gi}, = gi
+    worst = 0.0
+    {residuals}
+    {norm_g}
+    {norm_gi}
+    return worst, ng * ngi
+'''
+
+
+@functools.cache
+def _inverse_check_kernel(p):
+    """The kernel of ``_INVERSE_CHECK`` for p, generated on first use."""
+    rp = range(p)
+
+    def rows(m):
+        return ", ".join("(" + ", ".join(f"{m}{a}_{b}" for b in rp) + ",)"
+                         for a in rp)
+
+    def norm(m, out):
+        cols = ["(0" + "".join(f" + abs({m}{a}_{b})" for a in rp) + ")"
+                for b in rp]
+        return "; ".join([f"{out} = {cols[0]}"]
+                         + [f"n = {col}; {out} = n if n > {out} else {out}"
+                            for col in cols[1:]])
+
+    source = _INVERSE_CHECK.format(
+        g=rows("g"), gi=rows("gi"),
+        residuals="; ".join(
+            "r = abs((0" + "".join(f" + g{a}_{c} * gi{c}_{b}" for c in rp)
+            + f") - {1.0 if a == b else 0.0}); "
+            f"worst = r if r > worst else worst"
+            for a in rp for b in rp),
+        norm_g=norm("g", "ng"), norm_gi=norm("gi", "ngi"))
+    return compile_kernel(source, "inverse_check", __file__,
+                          _INVERSE_CHECK_LINE, {})
+
+
 def inverse_h(G: MetricStructure, pt: EPoint):
     """Pointwise inverse of the horizontal block, self-checked by
     multiplying back; raises EvaluationDomainError when an entry of the
     block is not finite, and SingularMetricError with a condition estimate
-    when that is above MAX_CONDITION (or NaN) or the check fails."""
+    when that is above MAX_CONDITION (or NaN) or the check fails.  The
+    check runs the kernel of ``_INVERSE_CHECK``."""
     g = G.g_at(pt.x, pt.y)
     if not all(math.isfinite(v) for row in g for v in row):
         raise EvaluationDomainError("non-finite value in metric block g",
@@ -179,13 +228,7 @@ def inverse_h(G: MetricStructure, pt: EPoint):
     except SingularMetricError as exc:
         exc.point, exc.condition = pt, float("inf")
         raise
-    p = G.p
-    worst = 0.0
-    for a in range(p):
-        for b in range(p):
-            acc = sum(g[a][c] * ginv[c][b] for c in range(p))
-            worst = max(worst, abs(acc - (1.0 if a == b else 0.0)))
-    cond = _norm1(g) * _norm1(ginv)
+    worst, cond = _inverse_check_kernel(G.p)(g, ginv)
     # Written as ``not x <= bound`` so that a NaN is refused too.  A NaN or
     # infinite entry of ginv makes cond NaN or infinite, so past this test
     # every product above was finite and ``worst`` cannot have lost a NaN.

@@ -3,6 +3,12 @@
 Stdout JSON must be byte-identical across runs for fixed inputs, so floats
 are printed with 17 significant digits (exact double round-trip) and wall
 times are kept out of the structured output (they go to stderr only).
+
+``emit_json`` serves every command's documents.  It prints a list of
+scalars on one line, and a short row of a list (a trajectory point, a row
+of a coefficient table) in one step, without recursing into its entries;
+the fully recursive emitter it replaced is the bitwise reference
+``loop_emit_json`` in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -75,10 +81,35 @@ def _scalar(obj) -> str:
     return str(obj)
 
 
+def _short_row(row, pad):
+    """The text of ``row`` at indent ``pad`` when it is a short row, a list
+    whose entries are all scalars or flat lists of scalars (a trajectory
+    point ``[t, [state]]``, a row of a table), else None: what
+    :func:`emit_json` prints for it, built in one step."""
+    if not isinstance(row, (list, tuple)):
+        return None
+    texts = []
+    flat = True
+    for v in row:
+        if isinstance(v, _SCALARS):
+            texts.append(_scalar(v))
+        elif (isinstance(v, (list, tuple))
+              and all(map(isinstance, v, repeat(_SCALARS)))):
+            flat = False
+            texts.append("[" + ", ".join(map(_scalar, v)) + "]")
+        else:
+            return None
+    if flat:
+        return "[" + ", ".join(texts) + "]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+
+
 def emit_json(obj, indent: int = 0) -> str:
     """Recursive JSON emitter with pinned float formatting and key order
     as built (insertion order), so output is reproducible byte-for-byte.
-    A list of scalars is printed on one line."""
+    A list of scalars is printed on one line, and a short row of a list
+    (:func:`_short_row`) without recursing into it."""
     if isinstance(obj, _SCALARS):
         return _scalar(obj)
     pad = "  " * indent
@@ -96,6 +127,9 @@ def emit_json(obj, indent: int = 0) -> str:
             return "[]"
         if all(map(isinstance, obj, repeat(_SCALARS))):
             return "[" + ", ".join(map(_scalar, obj)) + "]"
-        items = [emit_json(v, indent + 1) for v in obj]
+        items = []
+        for v in obj:
+            text = _short_row(v, inner)
+            items.append(emit_json(v, indent + 1) if text is None else text)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return json.dumps(str(obj))

@@ -15,7 +15,7 @@ import json
 import math
 
 from .algebroid import AlgebroidData
-from .dconnection import DConnectionCoeffs, berwald
+from .dconnection import DConnectionCoeffs, berwald, zero_table
 from .exprlang import ParseError, compile_expr, parse
 from .lift import BaseCurve, LiftMorphism
 from .metric import MetricStructure, metric_dconnection
@@ -219,8 +219,7 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
         L_at = _table(alg_doc["L"], (p, p, p), m, "algebroid.L", memo,
                       on_base=True)
     else:
-        def L_at(xs):
-            return [[[0.0] * p for _ in range(p)] for _ in range(p)]
+        L_at = zero_table(p, 3)
     algebroid = AlgebroidData(m, p, rho_at, L_at)
 
     conn_doc = _section(doc, "connection")

@@ -7,11 +7,16 @@ replaced: the adapted-derivative split, the Leibniz rule, the matrix
 inverse, the Koszul formula and the vh rings of the metric connection, the
 oracle's brackets, frame derivatives and differences, the Rh/Rv formula,
 the commutation and Bianchi contractions, the anchor and Jacobi sums of
-the validators and the transformation suite's primed-chart tables and
-change laws.  The engine's batched and generated kernels
-are compared against these, and the parser against the printer."""
+the validators, the transformation suite's primed-chart tables and
+change laws, the self-check of a float metric inverse, and a lift's RK4
+step and right sides; and the fully recursive JSON emitter that
+``report.emit_json`` replaced.  The engine's batched and generated kernels
+are compared against these, the emitter against the recursive one, and the
+parser against the printer."""
 
 import itertools
+import json
+from itertools import repeat
 
 from kkgeom.calculus import Jet, jdx, jdy, primal, seeded_point
 from kkgeom.dconnection import (
@@ -26,6 +31,7 @@ from kkgeom.dconnection import (
 from kkgeom.exprlang import BinOp, Call, Neg, Num, Var
 from kkgeom.metric import SingularMetricError
 from kkgeom.nlconnection import adapted_derivatives
+from kkgeom.report import _SCALARS, _scalar
 
 
 def cov_deriv(values_at, valence, steps, A, N, D):
@@ -560,6 +566,77 @@ def loop_frame_change(lam, lam_inv, A, N, G):
                       for a in P for b in P) for bp in P] for ap in P]
 
     return rho_at, L_at, gamma_at, g_at
+
+
+def loop_inverse_check(g, ginv):
+    """The self-check of ``metric.inverse_h`` that its kernel replaced:
+    ``(worst, cond)``, the largest entry of g . ginv - I under ``max`` and
+    the product of the two 1-norms (the largest column sum under ``max``)."""
+    p = len(g)
+
+    def norm1(mat):
+        return max(_sum(abs(mat[a][b]) for a in range(p)) for b in range(p))
+
+    worst = 0.0
+    for a in range(p):
+        for b in range(p):
+            acc = _sum(g[a][c] * ginv[c][b] for c in range(p))
+            worst = max(worst, abs(acc - (1.0 if a == b else 0.0)))
+    return worst, norm1(g) * norm1(ginv)
+
+
+def loop_rk4_step(f, t, state, h, half, sixth):
+    """The stage states and the combination of one RK4 step of
+    ``lift.rk4_integrate`` as the comprehensions that its kernel replaced
+    wrote them."""
+    k1 = f(t, state)
+    k2 = f(t + half, tuple([s + half * d for s, d in zip(state, k1)]))
+    k3 = f(t + half, tuple([s + half * d for s, d in zip(state, k2)]))
+    k4 = f(t + h, tuple([s + h * d for s, d in zip(state, k3)]))
+    return tuple([s + sixth * (a + 2.0 * b + 2.0 * c + d)
+                  for s, a, b, c, d in zip(state, k1, k2, k3, k4)])
+
+
+def loop_parallel_rhs(u, gam, g):
+    """The right side of ``lift.integrate_parallel_lift`` that its kernel
+    replaced."""
+    return (-_sum(gam[a] * g[a] for a in range(len(g))) * u,)
+
+
+def loop_horizontal_rhs(state, Hh, gam, g):
+    """The right side of ``lift.integrate_horizontal_parallel`` that its
+    kernel replaced."""
+    rp = range(len(g))
+    z, u = state[:len(g)], state[len(g)]
+    dz = [-_sum(Ha[b][cc] * z[b] * z[cc] for b in rp for cc in rp)
+          for Ha in Hh]
+    dz.append(-_sum(gam[a] * g[a] for a in rp) * u)
+    return dz
+
+
+def loop_emit_json(obj, indent=0):
+    """The recursive emitter that ``report.emit_json`` replaced: every
+    entry of a list that is not all scalars is emitted by recursion."""
+    if isinstance(obj, _SCALARS):
+        return _scalar(obj)
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{inner}{json.dumps(str(k))}: {loop_emit_json(v, indent + 1)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(map(isinstance, obj, repeat(_SCALARS))):
+            return "[" + ", ".join(map(_scalar, obj)) + "]"
+        items = [loop_emit_json(v, indent + 1) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(str(obj))
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -1,4 +1,6 @@
 import gc
+import json
+import math
 import weakref
 from collections import Counter
 
@@ -13,6 +15,7 @@ from kkgeom.calculus import (
 )
 from kkgeom.dconnection import (
     DConnectionCoeffs,
+    _flat,
     berwald,
     dconnection_transformation_point,
 )
@@ -22,6 +25,7 @@ from kkgeom.nlconnection import (
     adapted_derivatives,
 )
 from kkgeom.sampling import Box, sample_points
+from kkgeom.scenario import load_scenario
 from conftest import (canonical_metric_dconnection, field,
                       identity_algebroid, make_d1, make_vdep, run_law, table)
 from reference import cov_deriv, partial
@@ -46,6 +50,42 @@ def test_berwald_zero_gamma():
     D = berwald(NonlinearConnection.zero(2))
     pt = PTS[0]
     assert [primal(v) for v in D.hv_at(pt.x, pt.y)] == [0.0, 0.0]
+
+
+def _lists(node):
+    """Every list object of a nested list, itself first."""
+    found = [node]
+    for sub in node:
+        if isinstance(sub, list):
+            found += _lists(sub)
+    return found
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_zero_tables_are_fresh_lists_of_zeros(p, tmp_path):
+    """The zero baseline's hh and vh, berwald's, and the bracket table of a
+    scenario without ``L``: 0.0 (not -0.0) entries of the table's shape, in
+    new lists at every level on every call, so a caller that writes into
+    one leaves the next call's alone."""
+    path = tmp_path / "noL.json"
+    path.write_text(json.dumps({
+        "p": p, "m": p,
+        "algebroid": {"rho": [["1" if i == a else "0" for i in range(p)]
+                              for a in range(p)]}}))
+    zero, bw = DConnectionCoeffs.zero(p), berwald(NonlinearConnection.zero(p))
+    xs, y = (0.1,) * p, 0.5
+    cases = [(zero.hh_at, (xs, y), 3), (zero.vh_at, (xs, y), 2),
+             (bw.hh_at, (xs, y), 3), (bw.vh_at, (xs, y), 2),
+             (load_scenario(str(path)).algebroid.L_at, (xs,), 3)]
+    for evaluate, args, rank in cases:
+        first, second = evaluate(*args), evaluate(*args)
+        want = [0.0] * p
+        for _ in range(rank - 1):
+            want = [list(want) for _ in range(p)]
+        assert first == want
+        assert {math.copysign(1.0, v) for v in _flat(first, rank)} == {1.0}
+        ids = [id(node) for node in _lists(first) + _lists(second)]
+        assert len(set(ids)) == len(ids)
 
 
 def test_berwald_quadratic_gamma():

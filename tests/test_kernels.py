@@ -2,11 +2,12 @@
 ``tests/reference.py`` keeps: the adapted-derivative split and the Gamma
 change law (``nlconnection``), the Leibniz rule, the oracle's brackets
 and frame derivatives and the coefficient change laws (``dconnection``),
-the matrix inverse, the Koszul formula and the vh rings (``metric``), the
-oracle's differences, the Rh/Rv formula and the commutation and Bianchi
-contractions (``curvature``), the anchor and Jacobi sums of the
-validators (``algebroid``) and the primed-chart tables of the
-transformation suite (``suites``): the same bits, signed zeros included,
+the matrix inverse, its self-check, the Koszul formula and the vh rings
+(``metric``), the oracle's differences, the Rh/Rv formula and the
+commutation and Bianchi contractions (``curvature``), the anchor and
+Jacobi sums of the validators (``algebroid``), the primed-chart tables of
+the transformation suite (``suites``) and the RK4 step and right sides of
+the lifts (``lift``): the same bits, signed zeros included,
 and the same number of Jets built.  The data mix exact and signed zeros
 with floats of several scales (and, where asked, infinities and NaNs), so a
 dropped ``0 +`` (the start of the loops' sums), a reordered sum or a wrong
@@ -31,13 +32,18 @@ from reference import (
     loop_commutation,
     loop_frame_change,
     loop_frame_derivatives,
+    loop_emit_json,
     loop_frames,
     loop_gamma_law,
     loop_h_cov_values,
+    loop_horizontal_rhs,
+    loop_inverse_check,
     loop_jacobi,
     loop_koszul,
     loop_matrix_inverse,
+    loop_parallel_rhs,
     loop_rh_rv,
+    loop_rk4_step,
     loop_split,
     loop_v_cov_values,
     loop_vh,
@@ -46,8 +52,10 @@ from reference import (
 from kkgeom import (
     algebroid,
     calculus,
+    cli,
     curvature,
     dconnection,
+    lift,
     metric,
     nlconnection,
     suites,
@@ -607,9 +615,101 @@ def test_frame_change_kernel_matches_the_loop(monkeypatch, p, m, kind,
         _same(monkeypatch, (kernel, *args), (loop, *args))
 
 
+def _wide(rng):
+    """A float of :func:`_num`, an infinity or a NaN, or a huge one."""
+    if rng.random() < 0.1:
+        return rng.choice((1e308, -1.7e308, 3e300))
+    return _num(rng, 0.1)
+
+
+def _floats(rng, *shape, wide=True):
+    """Nested lists of floats of :func:`_wide`, or of plain floats of one
+    scale (whose sums round, so a reordered sum shows)."""
+    return _array(lambda: _wide(rng) if wide else rng.uniform(-3.0, 3.0),
+                  *shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rk4_kernel_matches_the_loop(n):
+    """One step, 100 times: the same right sides asked at the same bits of
+    t and of the three stage states, and the same combined state, a
+    tuple."""
+    rng = random.Random(f"rk4:{n}")
+    for case in range(100):
+        wide = case % 2 == 0
+        ks = [_floats(rng, n, wide=wide) for _ in range(4)]
+        ks[1] = tuple(ks[1])
+        t, h, half, sixth = _floats(rng, 4, wide=wide)
+        state = tuple(_floats(rng, n, wide=wide))
+
+        def run(step):
+            asked, rhs = [], iter(ks)
+
+            def f(t, s):
+                asked.append((t, s))
+                return next(rhs)
+            out = step(f, t, state, h, half, sixth)
+            assert type(out) is tuple
+            assert all(type(s) is tuple for _, s in asked)
+            return bits(out), bits(asked)
+
+        assert run(lift._rk4_kernel(n)) == run(loop_rk4_step)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_lift_rhs_kernels_match_the_loops(p):
+    """The parallel right side (a tuple) and the horizontal one (a list of
+    p + 1 entries, the parallel term last), 100 times each."""
+    rng = random.Random(f"rhs:{p}")
+    for case in range(100):
+        wide = case % 2 == 0
+        u, gam, g = _floats(rng, 3, p, wide=wide)
+        u = u[0]
+        state = tuple(_floats(rng, p, wide=wide)) + (u,)
+        Hh = _floats(rng, p, p, p, wide=wide)
+        for kernel, loop, args in [
+                (lift._parallel_kernel(p), loop_parallel_rhs, (u, gam, g)),
+                (lift._horizontal_kernel(p), loop_horizontal_rhs,
+                 (state, Hh, gam, g))]:
+            got, want = kernel(*args), loop(*args)
+            assert type(got) is type(want)
+            assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_inverse_check_kernel_matches_the_loop(p):
+    """``(worst, cond)`` of the conditioning check, over blocks with signed
+    zeros, infinities, NaNs and huge entries, and over true inverses, 50
+    times each."""
+    rng = random.Random(f"inverse_check:{p}")
+    for _ in range(50):
+        block = [[rng.uniform(-2.0, 2.0) + (3.0 if a == b else 0.0)
+                  for b in range(p)] for a in range(p)]
+        for g, gi in [(_floats(rng, p, p), _floats(rng, p, p)),
+                      (block, loop_matrix_inverse(block))]:
+            assert (bits(metric._inverse_check_kernel(p)(g, gi))
+                    == bits(loop_inverse_check(g, gi)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_inverse_check_keeps_max_of_the_first_nan(p):
+    """``max`` keeps a NaN met first and drops one met later: a NaN in
+    column 0 of g makes cond NaN, and a NaN in the last column does not
+    (the 1-norm keeps the first column's sum)."""
+    rng = random.Random(f"nan:{p}")
+    for col in range(p):
+        g = _array(lambda: rng.uniform(0.5, 1.5), p, p)
+        gi = _array(lambda: rng.uniform(0.5, 1.5), p, p)
+        g[0][col] = math.nan
+        got = metric._inverse_check_kernel(p)(g, gi)
+        assert bits(got) == bits(loop_inverse_check(g, gi))
+        assert math.isnan(got[1]) is (col == 0)
+
+
 # Each factory of the kernels above, with the reference loop it replaced.
 SWAPS = [
     (metric, "_inverse_kernel", loop_matrix_inverse),
+    (metric, "_inverse_check_kernel", loop_inverse_check),
     (metric, "_vh_kernel", loop_vh),
     (dconnection, "_change_laws_kernel", loop_change_laws),
     (nlconnection, "_gamma_law_kernel", loop_gamma_law),
@@ -651,6 +751,38 @@ def test_the_cli_prints_what_the_reference_loops_print(monkeypatch, capsys,
     assert run() == kernels
 
 
+# The lift's kernel factories, with the reference loops they replaced.
+LIFT_SWAPS = [
+    (lift, "_rk4_kernel", loop_rk4_step),
+    (lift, "_parallel_kernel", loop_parallel_rhs),
+    (lift, "_horizontal_kernel", loop_horizontal_rhs),
+]
+
+
+@pytest.mark.parametrize("name", ["d1", "berwald", "riccati", "flat"])
+def test_lift_prints_what_the_reference_loops_print(monkeypatch, capsys,
+                                                    name):
+    """``lift`` in every mode, at the shape of the benchmark's lifts,
+    prints the same bytes with the same exit code when the RK4 step, the
+    right sides, the metric kernels and the emitter are swapped for the
+    loops they replaced."""
+    path = SCENARIO_DIR / f"{name}.json"
+
+    def run():
+        out = []
+        for mode in ("parallel", "horizontal", "vertical"):
+            code = main(["lift", str(path), "--mode", mode, "--t0", "0",
+                         "--t1", "0.9", "--steps", "400"])
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    kernels = run()
+    for module, factory, loop in LIFT_SWAPS + SWAPS:
+        monkeypatch.setattr(module, factory, lambda *key, loop=loop: loop)
+    monkeypatch.setattr(cli, "emit_json", loop_emit_json)
+    assert run() == kernels
+
+
 # Each kernel factory, keys to generate with it, and the module it belongs
 # to.
 FACTORIES = [
@@ -673,6 +805,10 @@ FACTORIES = [
     (curvature._bianchi_kernel, [(1,), (4,)], curvature),
     (algebroid._anchor_kernel, [(1, 1), (3, 2), (4, 4)], algebroid),
     (algebroid._jacobi_kernel, [(1, 1), (2, 3), (4, 4)], algebroid),
+    (metric._inverse_check_kernel, [(1,), (4,)], metric),
+    (lift._rk4_kernel, [(1,), (5,)], lift),
+    (lift._parallel_kernel, [(1,), (4,)], lift),
+    (lift._horizontal_kernel, [(1,), (4,)], lift),
 ]
 
 
@@ -708,7 +844,7 @@ def test_a_load_generates_no_kernel():
     the CLI and loads scenarios has generated none."""
     code = ("import sys, kkgeom.cli\n"
             "from kkgeom import algebroid, calculus, curvature, dconnection\n"
-            "from kkgeom import metric, nlconnection, suites\n"
+            "from kkgeom import lift, metric, nlconnection, suites\n"
             "from kkgeom.scenario import load_scenario\n"
             "for path in sys.argv[1:]:\n"
             "    load_scenario(path)\n"
@@ -723,7 +859,9 @@ def test_a_load_generates_no_kernel():
             "    metric._inverse_kernel, metric._vh_kernel,\n"
             "    dconnection._change_laws_kernel,\n"
             "    nlconnection._gamma_law_kernel,\n"
-            "    suites._frame_change_kernel)])\n")
+            "    suites._frame_change_kernel, metric._inverse_check_kernel,\n"
+            "    lift._rk4_kernel, lift._parallel_kernel,\n"
+            "    lift._horizontal_kernel)])\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(SCENARIO_DIR / "d1.json"),
          str(SCENARIO_DIR / "vdep.json"), str(DATA_DIR / "gen3_seed1.json"),
@@ -731,4 +869,4 @@ def test_a_load_generates_no_kernel():
         capture_output=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(SRC_ROOT)))
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode() == "[" + ", ".join(["0"] * 17) + "]\n"
+    assert proc.stdout.decode() == "[" + ", ".join(["0"] * 21) + "]\n"

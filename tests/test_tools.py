@@ -49,3 +49,21 @@ def test_cli_digest_equals_the_golden_digest(monkeypatch, capsys):
     assert cli_digest.run() == 0
     golden = (ROOT / "tests" / "golden" / "cli_digest.txt").read_text()
     assert capsys.readouterr().out == golden
+
+
+def test_cold_cli_prints_one_line_per_call():
+    """One call at N = 1: a header, the two scale lines, then the call's
+    line with a time, a kernel count, a compile time and its command."""
+    cold_cli = _tool("cold_cli")
+    argv = ["lift", "scenarios/flat.json", "--mode", "parallel", "--steps",
+            "5"]
+    lines = cold_cli.run([argv], 1)
+    assert lines[0] == "# median_ms\tkernels\tkernel_ms\tcommand"
+    assert [text.split("\t")[1:] for text in lines[1:3]] == [
+        ["-", "-", "python -c pass"],
+        ["-", "-", "python -c 'import kkgeom.cli'"]]
+    assert len(lines) == 4
+    ms, made, spent, command = lines[3].split("\t")
+    float(ms), float(spent)
+    assert int(made) >= 1
+    assert command == shlex.join(argv)
