@@ -2,6 +2,8 @@
 
 import importlib.util
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,3 +69,29 @@ def test_cold_cli_prints_one_line_per_call():
     float(ms), float(spent)
     assert int(made) >= 1
     assert command == shlex.join(argv)
+
+
+def test_cold_cli_times_each_kernel_from_its_factory():
+    """A kernel is counted at its factory's first call for a key, so the
+    count is the number of keys that the call's factories (the cached
+    ``*_kernel`` functions and ``calculus._jet_class``) hold afterwards,
+    and the time includes each kernel's generation."""
+    cold_cli = _tool("cold_cli")
+    argv = ["lift", "scenarios/flat.json", "--mode", "horizontal",
+            "--steps", "5"]
+    made, spent = cold_cli.kernels(argv)
+    held = ("import contextlib, io, sys\n"
+            "from kkgeom import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(sys.argv[1:])\n"
+            "print(sum(f.cache_info().currsize\n"
+            "          for name, m in list(sys.modules.items())\n"
+            "          if name.startswith('kkgeom.')\n"
+            "          for a, f in vars(m).items()\n"
+            "          if (a.endswith('_kernel') or a == '_jet_class')\n"
+            "          and hasattr(f, 'cache_info')))\n")
+    proc = subprocess.run([sys.executable, "-c", held, *argv], cwd=ROOT,
+                          env=cold_cli._env(), capture_output=True,
+                          text=True, check=True)
+    assert made == int(proc.stdout) >= 3
+    assert spent > 0.0

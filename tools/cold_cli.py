@@ -4,8 +4,8 @@ Runs every call as a fresh ``python -m kkgeom`` process from the root of
 the repository this file lives in (``src`` on ``PYTHONPATH``), N times,
 and prints one tab-separated line per call: the median wall time in ms,
 the number of kernels the call generates when it is the first call of a
-fresh process, the ms those kernels took to compile, and the command
-line.  Two lines come first for scale: the interpreter's own start
+fresh process, the ms those kernels took to generate and compile, and the
+command line.  Two lines come first for scale: the interpreter's own start
 (``python -c pass``, which depends on the host's site-packages) and the
 import of ``kkgeom.cli``.
 
@@ -14,9 +14,9 @@ import of ``kkgeom.cli``.
 
 A cold call is what a user of the command line pays: interpreter start,
 import, the scenario load and the first use of every generated kernel.
-Kernels are counted in a separate fresh process that wraps each module's
-``compile_kernel`` and runs the call in process, so the timed processes
-run unwrapped.  Standard library only.
+Kernels are counted in a separate fresh process that wraps each kernel
+factory and runs the call in process, so the timed processes run
+unwrapped.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,24 +44,32 @@ CALLS = [
 ]
 
 # Run in a fresh process with the call's argv: counts the kernels its one
-# in-process call generates and the seconds they take to compile, and
-# prints both as JSON.
+# in-process call generates and the seconds they take, each from its
+# factory's first call for a key (a miss of the factory's cache) to its
+# return, so the generation (format or unroll walk) and the compile are
+# both counted, and prints both as JSON.  The factories are the cached
+# ``*_kernel`` functions of the package and ``calculus._jet_class``.
 _COUNT = """\
 import contextlib, io, json, sys, time
-from kkgeom import calculus, cli
-modules = [m for name, m in sys.modules.items() if name.startswith("kkgeom.")
-           and getattr(m, "compile_kernel", None) is calculus.compile_kernel]
+from kkgeom import cli
 made, spent = 0, 0.0
-def counting(*args, compile_kernel=calculus.compile_kernel):
-    global made, spent
-    start = time.perf_counter()
-    try:
-        return compile_kernel(*args)
-    finally:
-        made += 1
-        spent += time.perf_counter() - start
-for module in modules:
-    module.compile_kernel = counting
+def timed(factory):
+    def call(*key):
+        global made, spent
+        misses = factory.cache_info().misses
+        start = time.perf_counter()
+        kernel = factory(*key)
+        if factory.cache_info().misses != misses:
+            made += 1
+            spent += time.perf_counter() - start
+        return kernel
+    return call
+for name, module in list(sys.modules.items()):
+    if name.startswith("kkgeom."):
+        for attr, value in list(vars(module).items()):
+            if (attr.endswith("_kernel") or attr == "_jet_class") and hasattr(
+                    value, "cache_info"):
+                setattr(module, attr, timed(value))
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
     cli.main(sys.argv[1:])
@@ -89,7 +97,7 @@ def cold_ms(args, n: int) -> float:
 
 
 def kernels(argv):
-    """(kernels generated, ms spent compiling them) by ``argv`` run as the
+    """(kernels generated, ms spent generating them) by ``argv`` run as the
     first call of a fresh process."""
     proc = subprocess.run([sys.executable, "-c", _COUNT, *argv], cwd=ROOT,
                           env=_env(), capture_output=True, text=True,
@@ -99,8 +107,8 @@ def kernels(argv):
 
 
 def line(argv, n: int) -> str:
-    """One call's line: median cold ms, kernels, their compile ms, the
-    command line."""
+    """One call's line: median cold ms, kernels, their ms, the command
+    line."""
     made, spent = kernels(argv)
     return (f"{cold_ms(['-m', 'kkgeom', *argv], n):.1f}\t{made}\t"
             f"{spent:.1f}\t{shlex.join(argv)}")
