@@ -47,6 +47,7 @@ __all__ = [
     "EPoint",
     "Jet",
     "seeded_point",
+    "fiber_seeded_point",
     "jval",
     "jdx",
     "jdy",
@@ -448,3 +449,16 @@ def seeded_point(xs, y):
     jet = _jet_class(len(xs))
     jxs = tuple([jet(x, u, 0.0) for x, u in zip(xs, units)])
     return jxs, jet(y, zeros, 1.0)
+
+
+def fiber_seeded_point(xs, y):
+    """Coordinates seeded for d/dy0, for a caller that reads only a field's
+    value and d/dy0.  At a float point (a tuple of float ``xs``, a float
+    ``y``) only ``y`` is seeded, with zero dx, and ``xs`` stay floats, so
+    the field's base-only parts run in floats; at any other point,
+    :func:`seeded_point`.  The two agree bit for bit but for the sign of a
+    zero and an infinite intermediate (a 0 * inf the full seeding forms)."""
+    if type(y) is float and type(xs) is tuple \
+            and all([type(x) is float for x in xs]):
+        return xs, _jet_class(len(xs))(y, _unit_directions(len(xs))[1], 1.0)
+    return seeded_point(xs, y)

@@ -311,6 +311,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"kkgeom: error: {message}\n")
 
     def _parse_optional(self, arg_string):
+        if arg_string[:1] != "-":
+            return None     # argparse's own answer for such a token
         try:
             float(arg_string)
         except ValueError:
@@ -325,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "computations, identity suites and lift ODEs over "
                     "scenario files.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command's own parser, by name, for :func:`main`
+    parser.commands = sub.choices
 
     pv = sub.add_parser("validate", help="structure validators")
     pv.add_argument("scenario")
@@ -366,7 +370,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line.  One that starts with a known command is
+    parsed by that command's parser, the one the top-level parser would
+    hand it to, with the same errors; any other (none, ``-h``, an
+    unknown command) by the top-level parser."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None \
+        else command.parse_args(argv[1:])
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import marshal
 import sys
 
 from .algebroid import AlgebroidData
 from .calculus import compile_kernel, jdx, jdy, jval, seeded_point
+from .exprlang import constant_table
 from .nlconnection import NonlinearConnection, adapted_derivatives
 
 __all__ = [
@@ -108,13 +108,10 @@ def _nested(flat, p, rank):
 
 
 def zero_table(p, rank):
-    """An evaluator, of any arguments, of the table of rank ``rank`` over p
-    values per slot whose entries are all 0.0.  Each call returns fresh
-    lists, which ``marshal`` rebuilds from their serialised form in one
-    call where nested comprehensions run a frame per row."""
-    blob = marshal.dumps(_nested([0.0] * p ** rank, p, rank))
-    loads = marshal.loads
-    return lambda *args: loads(blob)
+    """The :func:`~kkgeom.exprlang.constant_table` evaluator, of any
+    arguments, of the table of rank ``rank`` over p values per slot whose
+    entries are all 0.0: fresh lists on every call."""
+    return constant_table(_nested([0.0] * p ** rank, p, rank))
 
 
 # The Leibniz rule for a tensor T of rank r over p values per slot, its

@@ -13,11 +13,13 @@ tan, exp, log, sqrt, abs, pow; constants pi, e.  ``pow(a, b)`` parses to the
 same node as ``a ^ b``.  A parsed tree, or a whole table of them, compiles
 once into a plain function of ``(X, Y)`` on E, of ``X`` on the base, or of
 ``T`` for a curve, that runs the same arithmetic path on float and Jet
-coordinates.
+coordinates.  A table whose every entry is a number is not compiled: its
+evaluator returns its value, whatever the arguments.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import re
 
@@ -34,7 +36,7 @@ from .calculus import (
 )
 
 __all__ = ["ParseError", "Expr", "Num", "Var", "BinOp", "Neg", "Call",
-           "parse", "compile_expr"]
+           "parse", "compile_expr", "constant_table"]
 
 UNARY_FUNCS = {"sin": fsin, "cos": fcos, "tan": ftan, "exp": fexp,
                "log": flog, "sqrt": fsqrt, "abs": fabs_}
@@ -347,11 +349,51 @@ _ENV = {"fsin": fsin, "fcos": fcos, "ftan": ftan, "fexp": fexp, "flog": flog,
         "__builtins__": {}}
 
 
+def _value(node):
+    """The value of a table (an Expr, or nested lists or a tuple of them)
+    whose every entry is a number under zero or more unary minus signs:
+    ``Num`` and ``Neg`` nodes, which cannot raise.  ``None`` if some entry
+    is anything else."""
+    if isinstance(node, (list, tuple)):
+        values = []
+        for entry in node:
+            value = _value(entry)
+            if value is None:
+                return None
+            values.append(value)
+        return values if isinstance(node, list) else tuple(values)
+    signs = 0
+    while isinstance(node, Neg):
+        node = node.child
+        signs += 1
+    if not isinstance(node, Num):
+        return None
+    value = node.value
+    for _ in range(signs):
+        value = -value
+    return value
+
+
+def constant_table(value):
+    """An evaluator, of any arguments, of the constant table ``value`` (a
+    number, nested lists or a tuple of numbers).  Each call returns fresh
+    lists at every level, which ``marshal`` rebuilds from their serialised
+    form in one call; it keeps every float's bits, -0.0 included."""
+    blob = marshal.dumps(value)
+    loads = marshal.loads
+    return lambda *args: loads(blob)
+
+
 def compile_expr(node, params: str):
     """Compile to ``lambda <params>: <node>``, where ``node`` is an Expr or
     a table of them: a nested list compiles to a list display, a tuple to a
     tuple display, each entry in index order.  Params are "X, Y" (X
-    indexable, Y scalar) on E, "X" on the base, "T" for a curve.  One of
-    the two compile sites; the other, ``calculus.compile_kernel``, compiles
-    the generated kernels."""
+    indexable, Y scalar) on E, "X" on the base, "T" for a curve.  A table
+    whose every entry is a number (under zero or more signs) needs no code:
+    it becomes :func:`constant_table` of its value, the compiled display's
+    value bit for bit.  One of the two compile sites; the other,
+    ``calculus.compile_kernel``, compiles the generated kernels."""
+    value = _value(node)
+    if value is not None:
+        return constant_table(value)
     return eval(f"lambda {params}: {_codegen(node)}", dict(_ENV))

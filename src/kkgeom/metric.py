@@ -32,6 +32,7 @@ from .calculus import (
     EvaluationDomainError,
     at_point,
     compile_kernel,
+    fiber_seeded_point,
     jdy,
     jval,
     primal,
@@ -388,8 +389,9 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
     asked at the very same objects reads it, in one read of the entry.
     Only a tuple ``xs`` is left: with a float or Jet ``y``, the point
     cannot change under the objects compared.  A family asked alone
-    evaluates its own block: vh and vv at the seeded point only (a lift's
-    vv reads neither rho, Gamma nor g).
+    evaluates its own block: vh and vv read only its values and d/dy0, so
+    they evaluate it at ``fiber_seeded_point`` (at a float point only y is
+    seeded), and a lift's vv reads neither rho, Gamma nor g.
     """
     p = G.p
     g_last, g00_last = [(None, None, None)], [(None, None, None)]
@@ -418,7 +420,7 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
     def vh_at(xs, y):
         xs0, y0, block = g_last[0]
         if xs0 is not xs or y0 is not y:
-            gj = G.g_at(*seeded_point(xs, y))
+            gj = G.g_at(*fiber_seeded_point(xs, y))
             g_vals = [[jval(v) for v in row] for row in gj]
             block = (g_vals, [[jdy(v) for v in row] for row in gj],
                      _inverse_at(g_vals, xs, y))
@@ -429,7 +431,7 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
         if xs0 is xs and y0 is y:
             g00, g00_dy = block
         else:
-            g00j = G.g00_at(*seeded_point(xs, y))
+            g00j = G.g00_at(*fiber_seeded_point(xs, y))
             g00, g00_dy = jval(g00j), jdy(g00j)
             if primal(g00) == 0.0:
                 raise SingularMetricError("g00 vanishes",

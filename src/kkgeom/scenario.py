@@ -5,8 +5,10 @@ bracket tables, the nonlinear connection, and optionally a metric (with a
 baseline choice), explicit connection tables, a lift section, kappa, the
 sampling seed and sample count.  Shape errors and expression parse errors
 are reported with their JSON path and byte offset before anything is
-evaluated.  Each table then compiles once, as a whole, into the one
-function that evaluates it (the lift curve likewise, as a tuple of t).
+evaluated.  Each table then becomes, as a whole, the one function that
+evaluates it (the lift curve likewise, as a tuple of t): a table with a
+variable compiles once; a table whose every entry is a number is its
+value, returned by ``exprlang.constant_table`` with no code generated.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import tomllib
 
 import pytest
 
-from kkgeom import lift
+from kkgeom import cli, lift
 from kkgeom.calculus import seeded_point
 from kkgeom.cli import main
 from kkgeom.lift import MAX_STEPS
@@ -944,3 +944,60 @@ def test_domain_error_in_a_lift_is_not_a_blow_up(capsys, tmp_path):
     assert doc["final"]["state"] == doc["trajectory"][-1][1]
     _one_line_error(err)
     assert err.endswith(f"  [{message}]\n")
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The four commands replaced by recorders of the arguments they are
+    called with (exit 0), in every parser built while the test runs."""
+    seen = []
+    for name in ("cmd_validate", "cmd_compute", "cmd_check", "cmd_lift"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+    cli._parser.cache_clear()
+    yield seen
+    cli._parser.cache_clear()
+
+
+def _fields(args):
+    return {key: value for key, value in vars(args).items()
+            if key != "command"}
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("-h",), ("compute", "-h"), ("bogus",), ("bogus", "s.json"),
+    ("validate",), ("check",), ("compute", "s.json"),
+    ("compute", "s.json", "--what", "frame"), ("lift", "s.json"),
+    ("compute", "s.json", "--what", "bogus", "--at", "x1=0,y0=1"),
+    ("lift", "s.json", "--mode", "sideways"),
+    ("check", "s.json", "--bogus", "1"), ("validate", "a.json", "b.json"),
+    ("compute", "s.json", "--wh", "frame", "--at", "x1=0,y0=1"),
+    ("lift", "s.json", "--mode", "parallel", "--t0", "-1e-8"),
+    ("lift", "s.json", "--mode", "parallel", "--t1", "-inf"),
+    ("lift", "s.json", "--mode", "parallel", "--steps", "-3"),
+    ("check", "s.json", "--tol", "-1e-8"),
+    ("check", "s.json", "--suite", "oracle", "--samples", "3", "--seed",
+     "-5", "--tol", "1e-8"),
+    ("validate", "s.json"),
+])
+def test_per_command_parsing_matches_the_top_level_parser(capsys, recorded,
+                                                          argv):
+    """``main`` parses a command line that starts with a known command by
+    that command's own parser, and any other by the top-level parser: the
+    exit code, stdout, stderr and parsed fields (all but ``command``) are
+    those of ``build_parser().parse_args``."""
+    def outcome(parse):
+        try:
+            code, args = 0, parse(list(argv))
+        except SystemExit as exc:
+            code, args = exc.code, None
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, args
+
+    reference = outcome(cli.build_parser().parse_args)
+    got = outcome(main)
+    assert got[:3] == reference[:3]
+    if reference[3] is None:
+        assert recorded == []
+    else:
+        assert got[3] == 0 and len(recorded) == 1
+        assert _fields(recorded[0]) == _fields(reference[3])

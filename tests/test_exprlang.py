@@ -1,11 +1,19 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kkgeom.calculus import EPoint, EvaluationDomainError, jval, seeded_point
+from kkgeom.calculus import (
+    EPoint,
+    EvaluationDomainError,
+    Jet,
+    jval,
+    seeded_point,
+)
 from kkgeom.exprlang import (
+    _ENV,
     _MAX_NESTING,
     BinOp,
     Call,
@@ -13,11 +21,13 @@ from kkgeom.exprlang import (
     Num,
     ParseError,
     Var,
+    _codegen,
     compile_expr,
+    constant_table,
     parse,
 )
 from kkgeom.sampling import Box, sample_points
-from conftest import field
+from conftest import bits, field
 from reference import pretty
 
 
@@ -103,6 +113,69 @@ def test_fields_and_curves_are_the_compiled_lambdas():
     assert f((3.0, 1.0), 2.0) == 7.0
     assert g((3.0, 1.0), 2.0) == [[6.0, 1.0], [1.0, -2.0]]
     assert r((3.0, 1.0)) == [[3.0, 2.0]] and c(1.5) == (3.0, 2.25)
+
+
+CONSTANT_ENTRIES = ["0", "-0", "--1", "1e-308", "0.271", "-0.503", "1e5"]
+
+
+def _constant_nodes(shape, start):
+    """A table of ``shape`` (``"curve"`` for a tuple of seven) whose
+    entries run through CONSTANT_ENTRIES from ``start``, parsed."""
+    count = itertools.count(start)
+
+    def build(dims):
+        if not dims:
+            src = CONSTANT_ENTRIES[next(count) % len(CONSTANT_ENTRIES)]
+            return parse(src, 0 if shape == "curve" else 2,
+                         allow_y=shape != "curve", allow_t=shape == "curve")
+        return [build(dims[1:]) for _ in range(dims[0])]
+
+    if shape == "curve":
+        return tuple(build((7,)))
+    return build(shape)
+
+
+def _structure(value):
+    """The nesting of lists and tuples of a table, without its numbers."""
+    if isinstance(value, (list, tuple)):
+        return (type(value), tuple(map(_structure, value)))
+    return type(value)
+
+
+def _lists(value):
+    return [value] + [sub for entry in value if isinstance(entry, list)
+                      for sub in _lists(entry)] \
+        if isinstance(value, list) else []
+
+
+_FLOAT_ARGS = {"X, Y": ((0.3, -0.2), 1.5), "X": ((0.3, -0.2),), "T": (0.7,)}
+_JET_ARGS = {"X, Y": seeded_point((0.3, -0.2), 1.5),
+             "X": (seeded_point((0.3, -0.2), 1.5)[0],),
+             "T": (Jet(0.7, (1.0,), 0.0),)}
+
+
+@pytest.mark.parametrize("start", range(len(CONSTANT_ENTRIES)))
+@pytest.mark.parametrize("shape,params", [
+    ((), "X, Y"), ((7,), "X"), ((7, 2), "X, Y"), ((2, 7, 3), "X, Y"),
+    ("curve", "T")], ids=["rank0", "rank1", "rank2", "rank3", "curve"])
+def test_constant_tables_are_the_compiled_values(shape, params, start):
+    """A table whose every entry is a number (under signs: ``-0``,
+    ``--1``) is not compiled: ``compile_expr`` returns the constant
+    evaluator, whose result at float and Jet arguments is bitwise the
+    result of the table's generated ``lambda`` (-0.0 included), with the
+    same lists and tuples, in new lists at every level on every call."""
+    nodes = _constant_nodes(shape, start)
+    fn = compile_expr(nodes, params)
+    assert fn.__code__ is constant_table(0.0).__code__
+    compiled = eval(f"lambda {params}: {_codegen(nodes)}", dict(_ENV))
+    for args in (_FLOAT_ARGS[params], _JET_ARGS[params]):
+        first, second = fn(*args), fn(*args)
+        want = compiled(*args)
+        for got in (first, second):
+            assert bits(got) == bits(want)
+            assert _structure(got) == _structure(want)
+        ids = [id(node) for node in _lists(first) + _lists(second)]
+        assert len(set(ids)) == len(ids)
 
 
 def test_division_by_zero_raises():

@@ -6,8 +6,8 @@ import pytest
 
 from kkgeom import scenario, suites
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint, EvaluationDomainError, Jet, jdx, jdy, \
-    jval, primal, seeded_point
+from kkgeom.calculus import EPoint, EvaluationDomainError, Jet, \
+    fiber_seeded_point, jdx, jdy, jval, primal, seeded_point
 from kkgeom.cli import main
 from kkgeom.dconnection import DConnectionCoeffs, berwald
 from kkgeom.metric import (
@@ -439,3 +439,69 @@ def test_a_vertical_lift_evaluates_g00_alone_per_vv(monkeypatch, capsys):
     assert _total(calls, "vv") == 80
     assert _total(calls, "g00") == 80
     assert [_total(calls, name) for name in ("g", "rho", "gamma")] == [0] * 3
+
+
+METRIC_SCENARIOS = [path for path in sorted(SCENARIO_DIR.glob("*.json"))
+                    + sorted(DATA_DIR.glob("*.json"))
+                    if load_scenario(str(path)).metric is not None]
+
+
+def _with_zeros(pt):
+    """``pt`` and its copies with each x coordinate, and then all of them,
+    set to 0.0 (where the fiber-only seeding could differ in a zero's
+    sign)."""
+    xs = pt.x
+    copies = [xs[:i] + (0.0,) + xs[i + 1:] for i in range(len(xs))]
+    return [(xs, pt.y)] + [(c, pt.y) for c in copies] \
+        + [((0.0,) * len(xs), pt.y)]
+
+
+def _outcome(fn, *args):
+    """``bits`` of ``fn(*args)``, or the class of the error it raises."""
+    try:
+        return bits(fn(*args))
+    except EvaluationDomainError as exc:
+        return type(exc)
+
+
+def _value_and_dy(table, seeding, xs, y):
+    """(value, d/dy0) of each entry of ``table`` at the point seeded by
+    ``seeding``."""
+    out = table(*seeding(xs, y))
+    leaves = [v for row in out for v in row] if isinstance(out, list) \
+        else [out]
+    return [[jval(v), jdy(v)] for v in leaves]
+
+
+@pytest.mark.parametrize("path", METRIC_SCENARIOS, ids=lambda p: p.stem)
+def test_a_block_asked_alone_keeps_the_bits_of_the_full_seeding(path):
+    """vv and vh asked alone at a float point seed only the fiber
+    direction; at the sample points of every metric scenario, and with x
+    coordinates set to 0.0, g00's value and d/dy0 and g's values are
+    bitwise those of the point seeded in all m+1 directions (g's d/dy0
+    equal as numbers), and vv and vh asked alone are bitwise what they
+    read from the full derivative pass of hv and hh at the same objects."""
+    sc = load_scenario(str(path))
+    G = sc.metric
+    for pt in sample_points(sc.box, 16, sc.seed):
+        for xs, y in _with_zeros(pt):
+            assert _outcome(_value_and_dy, G.g00_at, fiber_seeded_point,
+                            xs, y) \
+                == _outcome(_value_and_dy, G.g00_at, seeded_point, xs, y)
+            # an entry of g that does not depend on y0 can differ in the
+            # sign of its zero d/dy0 (a float against -0.0 from, say,
+            # 2 * x1 * 0.0 at x1 < 0); vh below keeps its bits all the same
+            fiber = _value_and_dy(G.g_at, fiber_seeded_point, xs, y)
+            full = _value_and_dy(G.g_at, seeded_point, xs, y)
+            assert fiber == full
+            assert [bits(v) for v, _ in fiber] == [bits(v) for v, _ in full]
+            for first, family in (("hv_at", "vv_at"), ("hh_at", "vh_at")):
+                alone = getattr(sc.metric_dconnection(), family)
+                D = sc.metric_dconnection()
+                after = getattr(D, family)
+
+                def read_after(xs, y, before=getattr(D, first)):
+                    before(xs, y)
+                    return after(xs, y)
+
+                assert _outcome(alone, xs, y) == _outcome(read_after, xs, y)

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from kkgeom import scenario
+from kkgeom import exprlang, scenario
 from kkgeom.calculus import seeded_point
 from kkgeom.curvature import curvature_components_at, torsion_components_at
-from kkgeom.exprlang import compile_expr, parse
+from kkgeom.exprlang import Neg, Num, compile_expr, constant_table, parse
 from kkgeom.sampling import MAX_SAMPLES, Box, sample_points
 from kkgeom.scenario import ScenarioError, load_scenario, scenario_from_dict
 from conftest import DATA_DIR, SCENARIO_DIR, bits
@@ -237,27 +237,46 @@ def _tables_present(doc):
     return found
 
 
+def _all_numbers(sources, on_base, m):
+    """Whether every entry of a table (``on_base`` None for the curve)
+    parses to a number under zero or more signs."""
+    for src in _leaves(sources):
+        node = parse(src, 0 if on_base is None else m,
+                     allow_y=on_base is False, allow_t=on_base is None)
+        while isinstance(node, Neg):
+            node = node.child
+        if not isinstance(node, Num):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("path", LOADABLE, ids=lambda path: path.stem)
 def test_a_load_compiles_each_distinct_expression_once(monkeypatch, path):
     """A load parses each distinct (source, parsed on the base) pair of the
     tables once, plus each curve component, and calls ``compile_expr`` once
-    per table present plus once for the curve."""
+    per table present plus once for the curve; only a table with a
+    variable reaches ``eval``, an all-number table is its value."""
     doc = json.loads(path.read_text())
     pairs = {(src, on_base) for section, key, on_base, _ in TABLES
              for src in _leaves(doc.get(section, {}).get(key))}
     curve = list(doc.get("lift", {}).get("curve", ()))
-    calls = {"parse": [], "compile_expr": []}
-    for name in calls:
-        original = getattr(scenario, name)
+    calls = {"parse": [], "compile_expr": [], "eval": []}
+    for module, name in ((scenario, "parse"), (scenario, "compile_expr"),
+                         (exprlang, "eval")):
+        original = getattr(module, name, eval)
 
         def counted(*args, _name=name, _original=original, **kw):
             calls[_name].append(args[0])
             return _original(*args, **kw)
 
-        monkeypatch.setattr(scenario, name, counted)
+        monkeypatch.setattr(module, name, counted, raising=False)
     load_scenario(str(path))
+    tables = _tables_present(doc)
     assert len(calls["parse"]) == len(pairs) + len(curve)
-    assert len(calls["compile_expr"]) == len(_tables_present(doc))
+    assert len(calls["compile_expr"]) == len(tables)
+    assert len(calls["eval"]) == sum(
+        not _all_numbers(sources, on_base, doc["m"])
+        for _, sources, on_base, _ in tables)
 
 
 def _is_compiled(fn):
@@ -268,17 +287,27 @@ def _is_compiled(fn):
 
 def test_scenario_fields_are_the_compiled_functions():
     """Each table evaluator of a loaded scenario, and the curve, is the one
-    function the table compiled to, of ``(X, Y)`` on E, of ``X`` on the
-    base and of ``T`` for the curve: no wrapper sits between it and the
-    code that calls it."""
+    function the table became: for a table with a variable, the function
+    it compiled to, of ``(X, Y)`` on E, of ``X`` on the base and of ``T``
+    for the curve, with no wrapper between it and the code that calls it;
+    for a table whose every entry is a number, the constant evaluator of
+    ``exprlang.constant_table``."""
+    constant = constant_table(0.0).__code__
+    kinds = set()
     for path in LOADABLE:
         doc = json.loads(path.read_text())
         sc = load_scenario(str(path))
-        for key, _, on_base, get in _tables_present(doc):
+        for key, sources, on_base, get in _tables_present(doc):
             fn = get(sc)
+            numbers = _all_numbers(sources, on_base, doc["m"])
+            kinds.add(numbers)
+            if numbers:
+                assert fn.__code__ is constant, (path.stem, key)
+                continue
             assert _is_compiled(fn), (path.stem, key)
             assert fn.__code__.co_argcount \
                 == (2 if on_base is False else 1), (path.stem, key)
+    assert kinds == {False, True}
 
 
 def _entrywise(sources, on_base, m):
