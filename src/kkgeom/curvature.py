@@ -29,6 +29,7 @@ loops are the bitwise references in ``tests/reference.py``.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 
 from .algebroid import AlgebroidData
@@ -274,8 +275,9 @@ def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
         [
             [
                 dHh[a][eps][c] - delta[c][2][a][eps]
-                + sum(Vh[a][t] * Hh[t][eps][c] - Hh[a][t][c] * Vh[t][eps]
-                      for t in range(p))
+                + functools.reduce(operator.add, (
+                    Vh[a][t] * Hh[t][eps][c] - Hh[a][t][c] * Vh[t][eps]
+                    for t in range(p)), 0)
                 + gam_dy[c] * Vh[a][eps]
                 for c in range(p)
             ]
@@ -292,7 +294,9 @@ def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
     Sh = [
         [
             dVh[a][b] - dVh[a][b]
-            + sum(Vh[a][t] * Vh[t][b] - Vh[a][t] * Vh[t][b] for t in range(p))
+            + functools.reduce(operator.add, (Vh[a][t] * Vh[t][b]
+                                              - Vh[a][t] * Vh[t][b]
+                                              for t in range(p)), 0)
             for b in range(p)
         ]
         for a in range(p)
@@ -309,9 +313,12 @@ def curvature_components(D, N, A, pt: EPoint) -> CurvatureComponents:
 def ricci(curv: CurvatureComponents) -> RicciTensor:
     """Contractions of the curvature families."""
     p = len(curv.Pv)
-    Rab = [[sum(curv.Rh[g][a][b][g] for g in range(p)) for b in range(p)]
+    Rab = [[functools.reduce(operator.add,
+                             (curv.Rh[g][a][b][g] for g in range(p)), 0)
+            for b in range(p)] for a in range(p)]
+    Pa0 = [functools.reduce(operator.add,
+                            (curv.Ph[b][a][b] for b in range(p)), 0)
            for a in range(p)]
-    Pa0 = [sum(curv.Ph[b][a][b] for b in range(p)) for a in range(p)]
     P0b = list(curv.Pv)
     return RicciTensor(Rab=Rab, Pa0=Pa0, P0b=P0b, S00=curv.Sv)
 
@@ -320,7 +327,8 @@ def scalar_curvature(ric: RicciTensor, G: MetricStructure, pt: EPoint) -> float:
     """Double contraction of the Ricci blocks with the inverse metric."""
     ginv = inverse_h(G, pt)
     p = G.p
-    out = sum(ric.Rab[a][b] * ginv[a][b] for a in range(p) for b in range(p))
+    out = functools.reduce(operator.add, (
+        ric.Rab[a][b] * ginv[a][b] for a in range(p) for b in range(p)), 0)
     g00 = G.g00_at(pt.x, pt.y)
     if g00 == 0.0:
         raise SingularMetricError("g00 vanishes", point=pt)

@@ -14,8 +14,9 @@ matter, because each contravariant vertical slot adds +hv/+vv corrections
 and each covariant one subtracts them.  ``h_cov_values`` and
 ``v_cov_values`` add those corrections to the output of one
 ``adapted_derivatives`` pass; the suites nest passes for higher orders.
-Both run one Leibniz kernel, straight-line code generated per (p, rank,
-contravariant slots, non-zero weight) on first use; the loop it replaced
+Both run one Leibniz kernel, generated per (p, rank, contravariant slots,
+non-zero weight, direction) on first use: one loop per slot over the
+nested blocks as they are.  The loop it replaced, over flattened blocks,
 is the bitwise reference in ``tests/reference.py`` (``loop_leibniz``).
 The oracle's ``frame_derivatives`` (per p) and ``bracket_pairs`` (per p
 and m) run generated kernels the same way, with references
@@ -30,18 +31,17 @@ share their work.
 from __future__ import annotations
 
 import functools
-import itertools
+import operator
 import sys
 
 from .algebroid import AlgebroidData
 from .calculus import compile_kernel, jdx, jdy, jval, seeded_point
-from .exprlang import constant_table
+from .exprlang import zero_table
 from .nlconnection import NonlinearConnection, adapted_derivatives
 
 __all__ = [
     "DConnectionCoeffs",
     "berwald",
-    "zero_table",
     "h_cov_values",
     "v_cov_values",
     "frame_derivatives",
@@ -68,9 +68,9 @@ class DConnectionCoeffs:
         return DConnectionCoeffs(
             p,
             zero_table(p, 3),
-            lambda xs, y: [0.0] * p,
+            zero_table(p, 1),
             zero_table(p, 2),
-            lambda xs, y: 0.0,
+            zero_table(p, 0),
         )
 
     def all_at(self, xs, y):
@@ -92,84 +92,63 @@ def berwald(N: NonlinearConnection) -> DConnectionCoeffs:
     return DConnectionCoeffs(p, zero.hh_at, hv_at, zero.vh_at, zero.vv_at)
 
 
-def _flat(node, rank):
-    """The leaves of a nested list of depth ``rank``, in index order."""
-    flat = [node]
-    for _ in range(rank):
-        flat = [v for sub in flat for v in sub]
-    return flat
-
-
-def _nested(flat, p, rank):
-    """Inverse of :func:`_flat`."""
-    for _ in range(rank):
-        flat = [flat[i:i + p] for i in range(0, len(flat), p)]
-    return flat[0]
-
-
-def zero_table(p, rank):
-    """The :func:`~kkgeom.exprlang.constant_table` evaluator, of any
-    arguments, of the table of rank ``rank`` over p values per slot whose
-    entries are all 0.0: fresh lists on every call."""
-    return constant_table(_nested([0.0] * p ** rank, p, rank))
-
-
 # The Leibniz rule for a tensor T of rank r over p values per slot, its
-# first rh slots contravariant, along the directions G.  The kernel reads T
-# and, per direction g, the base B[g] by flat index i, runs over the index
-# tuple (i0, .., i<r-1>), and appends per direction g
+# first rh slots contravariant, along the horizontal directions g (h) or
+# the one vertical direction (v).  The kernel runs one loop per slot k, in
+# slot order, and along h one more over g; it binds U<k>_th to the
+# coefficient C[i<k>][th] (contravariant) or C[th][i<k>] (covariant) and
+# t<k>_th to T with index k set to th, and builds the output nested as T,
+# g last.  Each entry is
 #
-#     B[g][i] + (0 + U<k>_0[g] * t<k>_0 + ...) - (0 + ...) ...
-#             + vweight * Cv[g] * T[i]
+#     B[g][i0]..[i<r-1>] + (0 + U<k>_0[g] * t<k>_0 + ...) - (0 + ...) ...
+#         + vweight * Cv[g] * T[i0]..[i<r-1>]
 #
 # with one ``(0 + ...)`` per slot k in slot order: added for a
-# contravariant slot, subtracted for a covariant one.  t<k>_th is T with
-# slot k set to th (a slice of stride p^(r-1-k)), and U<k>_th[g] the
-# coefficient C[i<k>][th][g] (contravariant) or C[th][i<k>][g] (covariant).
-# ``{rows}`` unpacks C into C<th>, ``{fetch}`` binds U and t for the index
-# tuple; the last term is written only for a non-zero weight.
-_LEIBNIZ_LINE = sys._getframe().f_lineno + 2
-_LEIBNIZ = '''\
-def leibniz(T, B, C, Cv, vweight, G):
-    {rows}, = C
-    out = []
-    for {idx} in _product({R}, repeat={rank}):
-        i = {index}
-        {fetch}
-        for g in G: out.append({acc})
-    return out
-'''
+# contravariant slot, subtracted for a covariant one.  Along v, C is the
+# table vh[a][b], Cv the scalar vv and B the fiber derivative, and no
+# ``[g]`` is read.  The last term is written only for a non-zero weight.
+_LEIBNIZ_LINE = sys._getframe().f_lineno + 4
 
 
 @functools.cache
-def _leibniz_kernel(p, rank, rh, vterm):
-    """The kernel of ``_LEIBNIZ`` for p, rank and rh, with the ``vweight``
-    term when ``vterm``, generated on first use."""
-    fetch, sums = [], []
+def _leibniz_kernel(p, rank, rh, vterm, along):
+    """The Leibniz kernel for p, rank and rh, with the ``vweight`` term
+    when ``vterm``, along ``"h"`` or ``"v"``, generated on first use."""
+    rp, R = range(p), repr(tuple(range(p)))
+    idx = [f"i{k}" for k in range(rank)]
+    g = "[g]" if along == "h" else ""
+    sums, fetch = [], []
     for k in range(rank):
-        st = p ** (rank - 1 - k)
-        if k < rh:
-            fetch.append(", ".join(f"U{k}_{th}" for th in range(p))
-                         + f", = C[i{k}]")
-        else:
-            fetch.extend(f"U{k}_{th} = C{th}[i{k}]" for th in range(p))
-        fetch.append(f"o{k} = i - i{k}" + (f" * {st}" if st > 1 else ""))
-        fetch.append(", ".join(f"t{k}_{th}" for th in range(p))
-                     + f", = T[o{k}:o{k} + {p * st}"
-                     + (f":{st}]" if st > 1 else "]"))
+        fetch += [f"t{k}_{th} = T" + "".join(
+            f"[{th if j == k else i}]" for j, i in enumerate(idx))
+            for th in rp]
         sums.append(("+" if k < rh else "-") + " (0" + "".join(
-            f" + U{k}_{th}[g] * t{k}_{th}" for th in range(p)) + ")")
-    source = _LEIBNIZ.format(
-        rows=", ".join(f"C{th}" for th in range(p)),
-        idx=", ".join(f"i{k}" for k in range(rank)) + "," if rank else "_",
-        R=repr(tuple(range(p))), rank=rank,
-        index=" + ".join(f"i{k} * {p ** (rank - 1 - k)}" if k < rank - 1
-                         else f"i{k}" for k in range(rank)) or "0",
-        fetch="; ".join(fetch) or "pass",
-        acc=" ".join(["B[g][i]"] + sums
-                     + (["+ vweight * Cv[g] * T[i]"] if vterm else [])))
-    return compile_kernel(source, "leibniz", __file__, _LEIBNIZ_LINE,
-                          {"_product": itertools.product})
+            f" + U{k}_{th}{g} * t{k}_{th}" for th in rp) + ")")
+    at = "".join(f"[{i}]" for i in idx)
+    acc = " ".join([f"B{g}{at}"] + sums
+                   + ([f"+ vweight * Cv{g} * T{at}"] if vterm else []))
+    lines = ["def leibniz(T, B, C, Cv, vweight):",
+             "    " + ", ".join(f"C{th}" for th in rp) + ", = C"]
+    loops = idx + ["g"] * bool(g)
+    for k, var in enumerate(loops):
+        pad = "    " * (k + 1)
+        lines += [f"{pad}out{k} = []", f"{pad}for {var} in {R}:"]
+        if k < rh:
+            lines.append(f"{pad}    " + ", ".join(f"U{k}_{th}" for th in rp)
+                         + f", = C[i{k}]")
+        elif k < rank:
+            lines.append(f"{pad}    " + "; ".join(f"U{k}_{th} = C{th}[i{k}]"
+                                                  for th in rp))
+        if k == rank - 1:
+            lines.append(f"{pad}    " + "; ".join(fetch))
+    n = len(loops)
+    if n:
+        lines.append(f"{'    ' * (n + 1)}out{n - 1}.append({acc})")
+        lines += [f"{'    ' * (k + 1)}out{k - 1}.append(out{k})"
+                  for k in range(n - 1, 0, -1)]
+    lines.append(f"    return {'out0' if n else acc}")
+    return compile_kernel("\n".join(lines) + "\n", "leibniz", __file__,
+                          _LEIBNIZ_LINE, {})
 
 
 def h_cov_values(vals, delta, rh, sh, vweight, Hh, Hv):
@@ -177,23 +156,16 @@ def h_cov_values(vals, delta, rh, sh, vweight, Hh, Hv):
     valence (rh, sh) and vertical weight ``rv - sv``, from its values and
     adapted derivatives ``delta[g]``: delta_g T plus the hh and hv Leibniz
     terms, the direction g appended last."""
-    p, rank = len(Hv), rh + sh
-    leibniz = _leibniz_kernel(p, rank, rh, bool(vweight))
-    return _nested(leibniz(_flat(vals, rank),
-                           [_flat(d, rank) for d in delta], Hh, Hv, vweight,
-                           range(p)), p, rank + 1)
+    leibniz = _leibniz_kernel(len(Hv), rh + sh, rh, bool(vweight), "h")
+    return leibniz(vals, delta, Hh, Hv, vweight)
 
 
 def v_cov_values(vals, ddy, rh, sh, vweight, Vh, Vv):
     """The vertical covariant derivative, as :func:`h_cov_values`, from the
     values and fiber derivatives ``ddy``: d/dy0 T plus the vh and vv
-    Leibniz terms.  It is the rule along the one vertical direction, so vh
-    enters as the table vh[a][b][0] and vv as [vv]."""
-    p, rank = len(Vh), rh + sh
-    leibniz = _leibniz_kernel(p, rank, rh, bool(vweight))
-    return _nested(leibniz(_flat(vals, rank), [_flat(ddy, rank)],
-                           [[[c] for c in row] for row in Vh], [Vv], vweight,
-                           (0,)), p, rank)
+    Leibniz terms."""
+    leibniz = _leibniz_kernel(len(Vh), rh + sh, rh, bool(vweight), "v")
+    return leibniz(vals, ddy, Vh, Vv, vweight)
 
 
 # D along every frame field of every vector field W_k = [(w0, ..), Wv]:
@@ -390,7 +362,8 @@ def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
         # adapted (h, v) -> natural (A^gamma = h, A^0 = v - Gamma.h),
         # unpacked into values, base gradients and fiber derivatives
         h, v = Z(jxs, jy)
-        v = v - sum(jgam[g] * h[g] for g in range(p))
+        v = v - functools.reduce(operator.add,
+                                 (jgam[g] * h[g] for g in range(p)), 0)
         return ([jval(s) for s in h], jval(v),
                 [[jdx(s, i) for i in range(m)] for s in h],
                 [jdx(v, i) for i in range(m)],

@@ -36,7 +36,7 @@ from .calculus import (
 )
 
 __all__ = ["ParseError", "Expr", "Num", "Var", "BinOp", "Neg", "Call",
-           "parse", "compile_expr", "constant_table"]
+           "parse", "compile_expr", "constant_table", "zero_table"]
 
 UNARY_FUNCS = {"sin": fsin, "cos": fcos, "tan": ftan, "exp": fexp,
                "log": flog, "sqrt": fsqrt, "abs": fabs_}
@@ -376,12 +376,24 @@ def _value(node):
 
 def constant_table(value):
     """An evaluator, of any arguments, of the constant table ``value`` (a
-    number, nested lists or a tuple of numbers).  Each call returns fresh
-    lists at every level, which ``marshal`` rebuilds from their serialised
-    form in one call; it keeps every float's bits, -0.0 included."""
-    blob = marshal.dumps(value)
-    loads = marshal.loads
-    return lambda *args: loads(blob)
+    float, nested lists or a tuple of floats).  Each call returns fresh
+    lists at every level, which ``marshal`` rebuilds in one call, keeping
+    every float's bits, -0.0 included; a float is returned as it is."""
+    rebuild, arg = ((marshal.loads, marshal.dumps(value))
+                    if isinstance(value, (list, tuple)) else (float, value))
+    return lambda *args: rebuild(arg)
+
+
+def zero_table(p, rank):
+    """The :func:`constant_table` of the table of rank ``rank`` over p
+    values per slot whose entries are all 0.0 (rank 0: the scalar).  Its
+    lists are p fresh copies of the table one rank lower, because
+    ``marshal`` keeps shared references: ``[row] * p`` would load as p
+    aliases of one row."""
+    table = 0.0
+    for _ in range(rank):
+        table = [marshal.loads(marshal.dumps(table)) for _ in range(p)]
+    return constant_table(table)
 
 
 def compile_expr(node, params: str):

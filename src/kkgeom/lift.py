@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from operator import mul
+from operator import add, mul
 
 from .algebroid import AlgebroidData
 from .calculus import EvaluationDomainError, Jet, at_point, compile_kernel, jdx
@@ -194,7 +194,8 @@ def lift_condition_residual(c: BaseCurve, L: LiftMorphism, y: float,
     rho = A.rho_at(xs)
     g = L.g_at(xs)
     return [
-        sum(rho[a][i] * g[a] for a in range(A.p)) * y - vel[i]
+        functools.reduce(add, (rho[a][i] * g[a] for a in range(A.p)), 0) * y
+        - vel[i]
         for i in range(A.m)
     ]
 
@@ -207,7 +208,8 @@ def local_invertibility_residual(L: LiftMorphism, points):
     worst = 0.0
     for pt in points:
         with at_point(pt):
-            r = abs(sum(map(mul, L.gtilde_at(pt.x), L.g_at(pt.x))) - 1.0)
+            r = abs(functools.reduce(
+                add, map(mul, L.gtilde_at(pt.x), L.g_at(pt.x)), 0) - 1.0)
         # a NaN becomes the worst and stays (``max`` would drop it)
         if r > worst or r != r:
             worst = r
@@ -336,5 +338,6 @@ def acceleration_lift(c: BaseCurve, L: LiftMorphism, A: AlgebroidData,
     g = L.g_at(xs)
     z = [g[a] * y for a in range(A.p)]
     gam = N.gamma_at(xs, y)
-    v_comp = dy_dt + sum(gam[a] * z[a] for a in range(A.p))
+    v_comp = dy_dt + functools.reduce(
+        add, (gam[a] * z[a] for a in range(A.p)), 0)
     return z, v_comp

@@ -38,7 +38,7 @@ from .calculus import (
     primal,
     seeded_point,
 )
-from .dconnection import DConnectionCoeffs, _flat, h_cov_values, v_cov_values
+from .dconnection import DConnectionCoeffs, h_cov_values, v_cov_values
 from .nlconnection import NonlinearConnection, adapted_derivatives
 from .report import ResidualTracker
 
@@ -471,9 +471,9 @@ class CompatibilityCheck:
     def step(self, pt: EPoint, tables):
         G, A, N = self._args
         tracker = self.trackers[0]
-        blocks = _compatibility_values(G, tables.D, A, N, pt)
-        for block, rank in zip(blocks, (3, 2, 1, 0)):
-            for value in _flat(block, rank):
+        hg, vg, hg00, vg00 = _compatibility_values(G, tables.D, A, N, pt)
+        for row in [r for plane in hg for r in plane] + vg + [hg00, [vg00]]:
+            for value in row:
                 tracker.update(value, pt)
 
 

@@ -19,6 +19,7 @@ change law (``loop_gamma_law``).
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 
 from .algebroid import AlgebroidData
@@ -30,6 +31,7 @@ from .calculus import (
     jdx,
     seeded_point,
 )
+from .exprlang import zero_table
 
 __all__ = [
     "NonlinearConnection",
@@ -53,7 +55,7 @@ class NonlinearConnection:
 
     @staticmethod
     def zero(p: int) -> "NonlinearConnection":
-        return NonlinearConnection(p, lambda xs, y: [0.0] * p)
+        return NonlinearConnection(p, zero_table(p, 1))
 
 
 def adapted_derivatives(array_fn, xs, y, A: AlgebroidData, N: NonlinearConnection):
@@ -141,7 +143,8 @@ def bracket_curvature(gam, gam_delta, Lv):
     return [
         [
             gam_delta[b][a] - gam_delta[a][b]
-            + sum(Lv[g][a][b] * gam[g] for g in range(p))
+            + functools.reduce(operator.add,
+                               (Lv[g][a][b] * gam[g] for g in range(p)), 0)
             for b in range(p)
         ]
         for a in range(p)

@@ -17,8 +17,8 @@ import json
 import math
 
 from .algebroid import AlgebroidData
-from .dconnection import DConnectionCoeffs, berwald, zero_table
-from .exprlang import ParseError, compile_expr, parse
+from .dconnection import DConnectionCoeffs, berwald
+from .exprlang import ParseError, compile_expr, parse, zero_table
 from .lift import BaseCurve, LiftMorphism
 from .metric import MetricStructure, metric_dconnection
 from .nlconnection import NonlinearConnection

@@ -3,9 +3,10 @@ command runs it: nested covariant derivatives of a block tensor, exact and
 finite-difference partials of one field, the torsion and curvature of
 single vector fields straight from their definitions, a printer for
 parsed expressions, and the per-entry loops that the generated kernels
-replaced: the adapted-derivative split, the Leibniz rule, the matrix
-inverse, the Koszul formula and the vh rings of the metric connection, the
-oracle's brackets, frame derivatives and differences, the Rh/Rv formula,
+replaced: the adapted-derivative split, the Leibniz rule (over flattened
+blocks, through ``_flat`` and ``_nested``), the matrix inverse, the
+Koszul formula and the vh rings of the metric connection, the oracle's
+brackets, frame derivatives and differences, the Rh/Rv formula,
 the commutation and Bianchi contractions, the anchor and Jacobi sums of
 the validators, the transformation suite's primed-chart tables and
 change laws, the self-check of a float metric inverse, and a lift's RK4
@@ -20,8 +21,6 @@ from itertools import repeat
 
 from kkgeom.calculus import Jet, jdx, jdy, primal, seeded_point
 from kkgeom.dconnection import (
-    _flat,
-    _nested,
     bracket_d_vectors,
     cov_deriv_along,
     frame_contract,
@@ -154,6 +153,23 @@ def loop_adapted_derivatives(array_fn, xs, y, A, N):
     gam = N.gamma_at(xs, y)
     out = array_fn(*seeded_point(xs, y))
     return loop_split(out, tuple(zip(rho, gam)), (0.0,) * A.m)
+
+
+def _flat(node, rank):
+    """The leaves of a nested list of depth ``rank``, in index order: the
+    layout that :func:`loop_leibniz` walks (the package's kernel indexes
+    the nested lists)."""
+    flat = [node]
+    for _ in range(rank):
+        flat = [v for sub in flat for v in sub]
+    return flat
+
+
+def _nested(flat, p, rank):
+    """Inverse of :func:`_flat`."""
+    for _ in range(rank):
+        flat = [flat[i:i + p] for i in range(0, len(flat), p)]
+    return flat[0]
 
 
 def loop_leibniz(base, flat, rh, rank, up, down, vweight, vcoeff):

@@ -15,7 +15,6 @@ from kkgeom.calculus import (
 )
 from kkgeom.dconnection import (
     DConnectionCoeffs,
-    _flat,
     berwald,
     dconnection_transformation_point,
 )
@@ -28,7 +27,7 @@ from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 from conftest import (canonical_metric_dconnection, field,
                       identity_algebroid, make_d1, make_vdep, run_law, table)
-from reference import cov_deriv, partial
+from reference import _flat, cov_deriv, partial
 
 PTS = sample_points(Box.default(2), 16, seed=0xA1B2)
 A_ID = identity_algebroid(2)

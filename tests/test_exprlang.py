@@ -25,10 +25,11 @@ from kkgeom.exprlang import (
     compile_expr,
     constant_table,
     parse,
+    zero_table,
 )
 from kkgeom.sampling import Box, sample_points
 from conftest import bits, field
-from reference import pretty
+from reference import _flat, pretty
 
 
 def test_basic_eval():
@@ -176,6 +177,30 @@ def test_constant_tables_are_the_compiled_values(shape, params, start):
             assert _structure(got) == _structure(want)
         ids = [id(node) for node in _lists(first) + _lists(second)]
         assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_zero_tables_share_no_object(p, rank):
+    """Two calls of ``zero_table(p, rank)`` return equal tables of 0.0 that
+    share no list: writing into one row of a result leaves its other rows
+    alone, and writing into a result leaves the next call's alone."""
+    evaluate = zero_table(p, rank)
+    want = 0.0
+    for _ in range(rank):
+        want = [want] * p
+    first, second = evaluate(), evaluate()
+    assert bits(first) == bits(second) == bits(want)
+    ids = [id(node) for node in _lists(first) + _lists(second)]
+    assert len(set(ids)) == len(ids)
+    if rank:
+        row = first
+        for _ in range(rank - 1):
+            row = row[-1]
+        row[0] = 1.0
+        assert _flat(first, rank).count(1.0) == 1
+        first.append(None)
+        assert bits(evaluate()) == bits(second) == bits(want)
 
 
 def test_division_by_zero_raises():

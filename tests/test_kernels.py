@@ -190,24 +190,27 @@ def test_adapted_derivatives_match_the_leaf_loop(monkeypatch, name):
             xs, y = seeded_point(xs, y)
 
 
-def _tensor(rng, p, rank, depth, m=2):
+def _tensor(rng, p, rank, depth, m=2, special=0.0):
     if rank == 0:
-        return _scalar(rng, m, depth)
-    return [_tensor(rng, p, rank - 1, depth, m) for _ in range(p)]
+        return _scalar(rng, m, depth, special=special)
+    return [_tensor(rng, p, rank - 1, depth, m, special) for _ in range(p)]
 
 
-def _cov_cases(rng, p, rh, sh, depth):
-    rank = rh + sh
-    vals = _tensor(rng, p, rank, depth)
-    delta = [_tensor(rng, p, rank, depth) for _ in range(p)]
-    ddy = _tensor(rng, p, rank, depth)
-    Hh, Hv = _tensor(rng, p, 3, depth), _tensor(rng, p, 1, depth)
-    Vh, Vv = _tensor(rng, p, 2, depth), _scalar(rng, 2, depth)
+def _cov_cases(rng, p, rh, sh, depth, special=0.0):
+    def draw(rank):
+        return _tensor(rng, p, rank, depth, special=special)
+
+    vals = draw(rh + sh)
+    delta = [draw(rh + sh) for _ in range(p)]
+    ddy = draw(rh + sh)
+    Hh, Hv, Vh, Vv = draw(3), draw(1), draw(2), draw(0)
     return vals, delta, ddy, Hh, Hv, Vh, Vv
 
 
-def _check_cov(monkeypatch, rng, p, rh, sh, w, depth, h=True, v=True):
-    vals, delta, ddy, Hh, Hv, Vh, Vv = _cov_cases(rng, p, rh, sh, depth)
+def _check_cov(monkeypatch, rng, p, rh, sh, w, depth, h=True, v=True,
+               special=0.0):
+    vals, delta, ddy, Hh, Hv, Vh, Vv = _cov_cases(rng, p, rh, sh, depth,
+                                                  special)
     if h:
         _same(monkeypatch,
               (h_cov_values, vals, delta, rh, sh, w, Hh, Hv),
@@ -248,6 +251,23 @@ def test_leibniz_kernels_match_the_loop_at_every_valence(monkeypatch, p):
         for rh in range(rank + 1):
             for w in range(-2, 3):
                 _check_cov(monkeypatch, rng, p, rh, rank - rh, w, 0)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_leibniz_kernels_match_the_loop_on_special_values(monkeypatch, p,
+                                                          depth):
+    """Every (rh, sh) up to rank 4, along h and v, with signed zeros,
+    infinities and NaNs among the entries of T, of its derivatives and of
+    the coefficients (Jets only up to 27 entries)."""
+    rng = random.Random(f"special:{p}:{depth}")
+    for rank in range(5):
+        if depth and p ** rank > 27:
+            continue
+        for rh in range(rank + 1):
+            for w in (0, 1, -2):
+                _check_cov(monkeypatch, rng, p, rh, rank - rh, w, depth,
+                           special=0.1)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -788,9 +808,10 @@ def test_lift_prints_what_the_reference_loops_print(monkeypatch, capsys,
 FACTORIES = [
     (calculus._jet_class, [(1,), (4,)], calculus),
     (nlconnection._split_kernel, [(1, 1), (3, 2), (4, 4)], nlconnection),
-    (dconnection._leibniz_kernel, [(2, 0, 0, True),
-                                   (3, 3, 1, False),
-                                   (4, 4, 2, True)], dconnection),
+    (dconnection._leibniz_kernel, [(2, 0, 0, True, "h"),
+                                   (3, 3, 1, False, "v"),
+                                   (4, 4, 2, True, "h"),
+                                   (2, 2, 1, True, "v")], dconnection),
     (metric._koszul_kernel, [(1,), (4,)], metric),
     (metric._inverse_kernel, [(1,), (4,)], metric),
     (metric._vh_kernel, [(1,), (4,)], metric),

@@ -320,6 +320,46 @@ def test_the_oracle_guard_sees_a_planted_formula():
         "nlconnection.py:helper:bracket_curvature"}
 
 
+# Python 3.12's builtin ``sum`` compensates a sum of floats, so a sum in an
+# output would change its bits with the interpreter; the package folds its
+# sums from the integer 0 with ``functools.reduce(operator.add, ..., 0)``,
+# which is what ``sum`` does up to 3.11.  The stderr timing total of
+# ``check`` is the one ``sum`` left.
+SUM_ALLOWED = {"cli.py:cmd_check"}
+
+
+def _sum_reads(trees):
+    """``module:scope`` for every read of ``sum`` in ``trees`` (module name
+    -> parsed source)."""
+    return {f"{module}:{scope}" for module, tree in trees.items()
+            for scope in _scopes_reading(tree, "sum")}
+
+
+def test_no_builtin_sum():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _sum_reads(trees) == SUM_ALLOWED
+
+
+def test_the_sum_guard_sees_a_planted_sum():
+    """A call of ``sum``, or ``sum`` handed to another function, is
+    reported; a method or attribute named ``sum`` and a fold are not."""
+    trees = {"cli.py": ast.parse("def cmd_check(t):\n"
+                                 "    return sum(t)\n"),
+             "curvature.py": ast.parse(
+                 "import functools, operator\n"
+                 "def ricci(R, p):\n"
+                 "    return [sum(R[g][g] for g in range(p)),\n"
+                 "            functools.reduce(operator.add, R[0], 0),\n"
+                 "            R.sum(), R.sum]\n"
+                 "class Check:\n"
+                 "    def step(self, rows):\n"
+                 "        return list(map(sum, rows))\n"
+                 "total = sum([1.0, 2.0])\n")}
+    assert _sum_reads(trees) - SUM_ALLOWED == {
+        "curvature.py:ricci", "curvature.py:Check.step", "curvature.py:"}
+
+
 def _imported_modules(tree):
     """Top-level names of the modules a module imports (absolute imports)."""
     found = set()
