@@ -48,7 +48,7 @@ from .nlconnection import (
     adapted_derivatives,
     bracket_curvature,
 )
-from .report import ResidualTracker
+from .report import ResidualTracker, row_max
 
 __all__ = [
     "TorsionComponents",
@@ -526,7 +526,8 @@ def _oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
     """Compare each family with the definitions at pt.  A row is (the
     definition's ``(h, v)`` pair, the component h entries, the component v
     entry), with zeros for a part that must vanish; z is the vertical
-    frame."""
+    frame.  Each tracker gets the largest difference of its rows
+    (:func:`row_max`)."""
     r, z, zeros = range(p), p, [0.0] * p
     torsion = (
         [(T[c][b], [tors.Thh[a][b][c] for a in r], tors.Tv[b][c])
@@ -544,10 +545,11 @@ def _oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
         + [(C[b][z][z], [curv.Sh[a][b] for a in r], 0.0) for b in r]
         + [(C[z][z][z], zeros, curv.Sv)])
     for tracker, rows in ((t_tracker, torsion), (c_tracker, curvature)):
+        residuals = []
         for (h, v), comp_h, comp_v in rows:
-            for a in r:
-                tracker.update(h[a] - comp_h[a], pt)
-            tracker.update(v - comp_v, pt)
+            residuals += [h[a] - comp_h[a] for a in r]
+            residuals.append(v - comp_v)
+        tracker.update(row_max(residuals), pt)
 
 
 def default_test_vector(p: int, m: int):
@@ -629,9 +631,10 @@ def _commutation_values(fields, D, N, A, pt):
     return out
 
 
-# The residuals of one field Z = (Zh, Yv) at pt, fed to ``update`` in the
-# order of the loops that the kernel replaced (the reference
-# ``loop_commutation`` in ``tests/reference.py``): per (al, c, b)
+# The residuals of one field Z = (Zh, Yv) at pt, scanned in the order of
+# the loops that the kernel replaced (the reference ``loop_commutation`` in
+# ``tests/reference.py``), their largest fed to ``update`` once: per
+# (al, c, b)
 #
 #     a2[al][c][b] - a2[al][b][c] - ((0 + Rh[al][t][c][b] * Zh[t] + ..)
 #         + (0 + Thh[t][b][c] * a1[al][t] + ..) + Tv[b][c] * b1[al])
@@ -648,6 +651,7 @@ def commutation(update, pt, Zh, Yv, tensors, tors, curv):
     {Z}, = Zh
     {T}, = tors.Thh
     {P}, = tors.Ph
+    worst = 0.0
     for al in {R}:
         a2al = a2[al]; b1al = b1[al]
         {A}, = a1[al]
@@ -657,20 +661,29 @@ def commutation(update, pt, Zh, Yv, tensors, tors, curv):
             a2alc = a2al[c]; {Rhc}
             for b in {R}:
                 lhs = a2alc[b] - a2al[b][c]
-                update(lhs - ((0{rz}) + (0{ta}) + Tv[b][c] * b1al), pt)
+                r = abs(lhs - ((0{rz}) + (0{ta}) + Tv[b][c] * b1al))
+                if r >= worst or r != r:
+                    worst = r
         a1val = a1v[al]; b1hal = b1h[al]
         for c in {R}:
             lhs = a1val[c] - b1hal[c]
-            update(lhs - ((0{pz}) - Pvt[c] * b1al - (0{pa})), pt)
+            r = abs(lhs - ((0{pz}) - Pvt[c] * b1al - (0{pa})))
+            if r >= worst or r != r:
+                worst = r
     {C}, = c1
     Rv, Pcv = curv.Rv, curv.Pv
     for c in {R}:
         c2c = c2[c]; Rvc = Rv[c]
         for b in {R}:
             lhs = c2c[b] - c2[b][c]
-            update(lhs - (Rvc[b] * Yv + (0{tc}) + Tv[b][c] * d1), pt)
+            r = abs(lhs - (Rvc[b] * Yv + (0{tc}) + Tv[b][c] * d1))
+            if r >= worst or r != r:
+                worst = r
         lhs = c1v[c] - d1h[c]
-        update(lhs - (Pcv[c] * Yv - Pvt[c] * d1 - (0{pc})), pt)
+        r = abs(lhs - (Pcv[c] * Yv - Pvt[c] * d1 - (0{pc})))
+        if r >= worst or r != r:
+            worst = r
+    update(worst, pt)
 '''
 
 
@@ -718,11 +731,12 @@ class BianchiCheck:
             *_bianchi_values(tables.D, self._N, self._A, pt))
 
 
-# The four cyclic sums at pt, fed to u1h, u1v, u2h and u2v in the order of
-# the loops that the kernel replaced (the reference ``loop_bianchi``
-# in ``tests/reference.py``).  Each sum is written out over its three
-# cyclic terms (x, yy, z), each term in the order of the accumulating loop
-# from 0.0; the first family, per (b, c, d) and then al,
+# The four cyclic sums at pt, scanned in the order of the loops that the
+# kernel replaced (the reference ``loop_bianchi`` in
+# ``tests/reference.py``), the largest of each family fed to u1h, u1v, u2h
+# and u2v once.  Each sum is written out over its three cyclic terms (x,
+# yy, z), each term in the order of the accumulating loop from 0.0; the
+# first family, per (b, c, d) and then al,
 #
 #     0.0 + (Rh[al][z][yy][x] - dThh[al][z][yy][x])
 #         - (0 + Thh[0][yy][x] * Thh[al][z][0] + ..) - Tv[yy][x] * Ph[al][z]
@@ -738,20 +752,25 @@ def bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
     Rv, Pcv = curv.Rv, curv.Pv
     {T}, = Thh
     first = list(zip(curv.Rh, dThh, Thh, tors.Ph))
+    worst_1h = worst_1v = worst_2h = worst_2v = 0.0
     for b in {R}:
         for c in {R}:
             for d in {R}:
                 {s1}
                 tv0 = Tv[c][b]; tv1 = Tv[d][c]; tv2 = Tv[b][d]
                 for Ral, dal, Tal, Pal in first:
-                    u1h(0.0 + (Ral[d][c][b] - dal[d][c][b]) - (0{t0})
-                        - tv0 * Pal[d] + (Ral[b][d][c] - dal[b][d][c])
-                        - (0{t1}) - tv1 * Pal[b]
-                        + (Ral[c][b][d] - dal[c][b][d]) - (0{t2})
-                        - tv2 * Pal[c], pt)
-                u1v(0.0 - dTv[d][c][b] - (0{v0}) - tv0 * Pvt[d]
-                    - dTv[b][d][c] - (0{v1}) - tv1 * Pvt[b]
-                    - dTv[c][b][d] - (0{v2}) - tv2 * Pvt[c], pt)
+                    r = abs(0.0 + (Ral[d][c][b] - dal[d][c][b]) - (0{t0})
+                            - tv0 * Pal[d] + (Ral[b][d][c] - dal[b][d][c])
+                            - (0{t1}) - tv1 * Pal[b]
+                            + (Ral[c][b][d] - dal[c][b][d]) - (0{t2})
+                            - tv2 * Pal[c])
+                    if r >= worst_1h or r != r:
+                        worst_1h = r
+                r = abs(0.0 - dTv[d][c][b] - (0{v0}) - tv0 * Pvt[d]
+                        - dTv[b][d][c] - (0{v1}) - tv1 * Pvt[b]
+                        - dTv[c][b][d] - (0{v2}) - tv2 * Pvt[c])
+                if r >= worst_1v or r != r:
+                    worst_1v = r
     for be in {R}:
         second = [(dR[be], Rr[be], Pc[be])
                   for dR, Rr, Pc in zip(dRh, curv.Rh, curv.Ph)]
@@ -761,17 +780,25 @@ def bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
                     {s2}
                     tv0 = Tv[t][l]; tv1 = Tv[c][t]; tv2 = Tv[l][c]
                     for dR, Rr, Pc in second:
-                        u2h(0.0 + dR[c][t][l] + (0{r0}) + tv0 * Pc[c]
-                            + dR[l][c][t] + (0{r1}) + tv1 * Pc[l]
-                            + dR[t][l][c] + (0{r2}) + tv2 * Pc[t], pt)
+                        r = abs(0.0 + dR[c][t][l] + (0{r0}) + tv0 * Pc[c]
+                                + dR[l][c][t] + (0{r1}) + tv1 * Pc[l]
+                                + dR[t][l][c] + (0{r2}) + tv2 * Pc[t])
+                        if r >= worst_2h or r != r:
+                            worst_2h = r
     for c in {R}:
         for t in {R}:
             for l in {R}:
                 {s2}
                 tv0 = Tv[t][l]; tv1 = Tv[c][t]; tv2 = Tv[l][c]
-                u2v(0.0 + dRv[c][t][l] + (0{w0}) + tv0 * Pcv[c]
-                    + dRv[l][c][t] + (0{w1}) + tv1 * Pcv[l]
-                    + dRv[t][l][c] + (0{w2}) + tv2 * Pcv[t], pt)
+                r = abs(0.0 + dRv[c][t][l] + (0{w0}) + tv0 * Pcv[c]
+                        + dRv[l][c][t] + (0{w1}) + tv1 * Pcv[l]
+                        + dRv[t][l][c] + (0{w2}) + tv2 * Pcv[t])
+                if r >= worst_2v or r != r:
+                    worst_2v = r
+    u1h(worst_1h, pt)
+    u1v(worst_1v, pt)
+    u2h(worst_2h, pt)
+    u2v(worst_2v, pt)
 '''
 
 

@@ -387,9 +387,10 @@ def bracket_d_vectors(X, Y, A: AlgebroidData, N: NonlinearConnection):
 
 
 # The four change laws of :func:`dconnection_transformation_point` at p,
-# fed to ``update`` in the order of the loops that the kernel replaced (the
-# reference ``loop_change_laws`` in ``tests/reference.py``), each sum
-# written out in their operand order.  With l<a> = Lam^{a'}_a, c<b> and
+# their residuals scanned in the order of the loops that the kernel
+# replaced (the reference ``loop_change_laws`` in ``tests/reference.py``)
+# and the largest fed to ``update`` once, each sum written out in their
+# operand order.  With l<a> = Lam^{a'}_a, c<b> and
 # d<g> the entries of columns b' and g' of Laminv, and the bracket
 #
 #     B<a>_<g> = delta_g(Laminv^a_{b'}) + (0 + hh^a_{0g} c0 + ...)
@@ -419,6 +420,7 @@ def change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta, coeffs,
             {Ha}, = Hh[a]
             rows.append([inv_delta[g][a][bp] + (0{hh_terms}) for g in {R}])
         bracket.append(rows)
+    worst = 0.0
     for ap in {R}:
         {l}, = lam[ap]
         for bp in {R}:
@@ -426,16 +428,25 @@ def change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta, coeffs,
             h = Hh_p[ap][bp]
             for gp in {R}:
                 {d}
-                update(h[gp] - (0.0{law_hh}), pt)
+                r = abs(h[gp] - (0.0{law_hh}))
+                if r >= worst or r != r:
+                    worst = r
     for gp in {R}:
         {d}
-        update(Hv_p[gp] - (0.0{law_hv}), pt)
+        r = abs(Hv_p[gp] - (0.0{law_hv}))
+        if r >= worst or r != r:
+            worst = r
     for ap in {R}:
         {l}, = lam[ap]
         for bp in {R}:
             {c}
-            update(Vh_p[ap][bp] - (0{law_vh}), pt)
-    update(Vv_p - Vv / phi, pt)
+            r = abs(Vh_p[ap][bp] - (0{law_vh}))
+            if r >= worst or r != r:
+                worst = r
+    r = abs(Vv_p - Vv / phi)
+    if r >= worst or r != r:
+        worst = r
+    update(worst, pt)
 '''
 
 
@@ -467,8 +478,8 @@ def _change_laws_kernel(p):
 
 
 def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
-    """Residuals at pt, into ``tracker``, of the four coefficient change
-    laws under C:
+    """The largest residual at pt, into ``tracker``, of the four
+    coefficient change laws under C:
 
         hh': Lam^{a'}_a [ delta_g(Laminv^a_{b'}) + hh^a_{bg} Laminv^b_{b'} ] Laminv^g_{g'}
         hv': phi [ delta_g(1/phi) + hv_g / phi ] Laminv^g_{g'}

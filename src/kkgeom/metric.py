@@ -40,7 +40,7 @@ from .calculus import (
 )
 from .dconnection import DConnectionCoeffs, h_cov_values, v_cov_values
 from .nlconnection import NonlinearConnection, adapted_derivatives
-from .report import ResidualTracker
+from .report import ResidualTracker, row_max
 
 __all__ = [
     "MetricStructure",
@@ -470,11 +470,10 @@ class CompatibilityCheck:
 
     def step(self, pt: EPoint, tables):
         G, A, N = self._args
-        tracker = self.trackers[0]
         hg, vg, hg00, vg00 = _compatibility_values(G, tables.D, A, N, pt)
-        for row in [r for plane in hg for r in plane] + vg + [hg00, [vg00]]:
-            for value in row:
-                tracker.update(value, pt)
+        rows = [r for plane in hg for r in plane] + vg + [hg00, [vg00]]
+        self.trackers[0].update(row_max([v for row in rows for v in row]),
+                                pt)
 
 
 def riemannian_flags(G: MetricStructure, samples):

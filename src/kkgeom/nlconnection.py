@@ -202,8 +202,9 @@ class CoordinateChange:
 
 
 # The Gamma change law of :func:`nlc_transformation_point` for p and m,
-# fed to ``update`` per g' in the order of the loop that the kernel
-# replaced (the reference ``loop_gamma_law`` in ``tests/reference.py``):
+# its residuals scanned per g' in the order of the loop that the kernel
+# replaced (the reference ``loop_gamma_law`` in ``tests/reference.py``) and
+# the largest fed to ``update`` once:
 # with s<g> = (0 + rho[g][0] * dphi[0] + ...) and c<g> the entries of
 # column g' of Laminv,
 #
@@ -217,9 +218,13 @@ def gamma_law(update, pt, phi, dphi, rho, gam, gam_p, lam_inv):
     {li}, = lam_inv
     {s}
     y = pt.y
+    worst = 0.0
     for gp in {R}:
         {c}
-        update(gam_p[gp] - (0{terms}), pt)
+        r = abs(gam_p[gp] - (0{terms}))
+        if r >= worst or r != r:
+            worst = r
+    update(worst, pt)
 '''
 
 
@@ -240,8 +245,8 @@ def _gamma_law_kernel(p, m):
 
 
 def nlc_transformation_point(N, N_primed, C, A, pt, tracker):
-    """Residual at pt, into ``tracker``, of the connection-coefficient
-    change law
+    """The largest residual at pt, into ``tracker``, of the
+    connection-coefficient change law
 
         Gamma'_{g'}(x', y0') = [ -rho^k_g y0 dphi/dx_k + phi Gamma_g ] Lam^g_{g'}
 

@@ -19,7 +19,7 @@ from itertools import repeat
 
 from .calculus import EPoint
 
-__all__ = ["ResidualTracker", "emit_json", "fmt_float"]
+__all__ = ["ResidualTracker", "emit_json", "fmt_float", "row_max"]
 
 
 class ResidualTracker:
@@ -57,6 +57,20 @@ class ResidualTracker:
                 "y0": self.worst_point.y,
             }
         return obj
+
+
+def row_max(values):
+    """The residual of a non-empty row for one :meth:`ResidualTracker.update`
+    call: the largest |value| under ``update``'s rules (``abs`` first, a
+    later tie wins, a NaN is kept and only a later NaN replaces it).  So
+    ``update(row_max(row), pt)`` leaves a tracker as one ``update(v, pt)``
+    per entry of ``row``, in order, would.  The generated kernels scan
+    their rows inline with the same two lines."""
+    worst = 0.0
+    for value in map(abs, values):
+        if value >= worst or value != value:
+            worst = value
+    return worst
 
 
 def fmt_float(x: float) -> str:

@@ -33,7 +33,7 @@ from .metric import CompatibilityCheck, MetricStructure, inverse_h, \
     matrix_inverse, metric_dconnection, riemannian_flags
 from .nlconnection import CoordinateChange, NonlinearConnection, \
     nlc_transformation_point
-from .report import ResidualTracker
+from .report import ResidualTracker, row_max
 from .sampling import sample_points
 from .scenario import Scenario, ScenarioError
 
@@ -78,15 +78,15 @@ def run_validate(sc: Scenario, samples=None, seed=None,
         checks.append(res.to_json_obj())
     if sc.metric is not None:
         sym = ResidualTracker("g_symmetry", tol)
+        rp = range(sc.p)
         min_det = float("inf")
         min_g00 = float("inf")
         for pt in pts:
             with at_point(pt):
                 g = sc.metric.g_at(pt.x, pt.y)
                 g00 = abs(sc.metric.g00_at(pt.x, pt.y))
-            for a in range(sc.p):
-                for b in range(sc.p):
-                    sym.update(g[a][b] - g[b][a], pt)
+            sym.update(row_max([g[a][b] - g[b][a] for a in rp for b in rp]),
+                       pt)
             # A NaN must fail the check, so it replaces the minimum and is
             # never replaced (``min`` would drop it).
             det = abs(_det(g))

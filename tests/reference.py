@@ -10,7 +10,11 @@ brackets, frame derivatives and differences, the Rh/Rv formula,
 the commutation and Bianchi contractions, the anchor and Jacobi sums of
 the validators, the transformation suite's primed-chart tables and
 change laws, the self-check of a float metric inverse, and a lift's RK4
-step and right sides; and the fully recursive JSON emitter that
+step and right sides; the residual checks as they fed their trackers,
+one ``update`` per entry (the anchor, Jacobi, commutation, Bianchi and
+change-law loops, and the antisymmetry, ``g_symmetry``, compatibility
+and oracle rows), where the package feeds each tracker one scanned value
+per point; and the fully recursive JSON emitter that
 ``report.emit_json`` replaced.  The engine's batched and generated kernels
 are compared against these, the emitter against the recursive one, and the
 parser against the printer."""
@@ -19,7 +23,7 @@ import itertools
 import json
 from itertools import repeat
 
-from kkgeom.calculus import Jet, jdx, jdy, primal, seeded_point
+from kkgeom.calculus import Jet, jdx, jdy, jval, primal, seeded_point
 from kkgeom.dconnection import (
     bracket_d_vectors,
     cov_deriv_along,
@@ -28,9 +32,10 @@ from kkgeom.dconnection import (
     v_cov_values,
 )
 from kkgeom.exprlang import BinOp, Call, Neg, Num, Var
+from kkgeom import metric
 from kkgeom.metric import SingularMetricError
 from kkgeom.nlconnection import adapted_derivatives
-from kkgeom.report import _SCALARS, _scalar
+from kkgeom.report import _SCALARS, ResidualTracker, _scalar
 
 
 def cov_deriv(values_at, valence, steps, A, N, D):
@@ -482,10 +487,14 @@ def loop_bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
                 u2v(acc, pt)
 
 
-def loop_anchor_compatibility(update, pt, rho, drho, Lv):
+def loop_anchor_compatibility(update, pt, jrho, Lv):
     """The loops of ``algebroid.validate_anchor_compatibility`` at one
-    point that its kernel replaced."""
-    p, m = len(rho), len(rho[0])
+    point that its kernel replaced: the seeded anchor table split by
+    ``jval`` and ``jdx``, and one ``update`` per residual."""
+    p, m = len(jrho), len(jrho[0])
+    rho = [[jval(jrho[a][i]) for i in range(m)] for a in range(p)]
+    drho = [[[jdx(jrho[a][i], k) for k in range(m)] for i in range(m)]
+            for a in range(p)]
     for a in range(p):
         for b in range(p):
             for k in range(m):
@@ -494,20 +503,89 @@ def loop_anchor_compatibility(update, pt, rho, drho, Lv):
                 update(lhs - rhs, pt)
 
 
-def loop_jacobi(rho, Lv, dL):
-    """The Jacobi terms T[a][b][c][d] of ``algebroid.validate_jacobi`` at
-    one point, as the loop that its kernel replaced computed them."""
-    p = len(Lv)
-    Lcol = [[[Lv[e][b][c] for e in range(p)] for c in range(p)]
-            for b in range(p)]
+def loop_jacobi(update, pt, rho, jL):
+    """The Jacobi residuals of ``algebroid.validate_jacobi`` at one point,
+    as the loops that its kernel replaced computed them: the seeded
+    bracket table split by ``jval`` and ``jdx``, the terms T[a][b][c][d],
+    and one ``update`` per cyclic sum."""
+    p, m = len(jL), len(rho[0])
+    rp = range(p)
+    Lv = [[[jval(jL[g][a][b]) for b in rp] for a in rp] for g in rp]
+    dL = [[[[jdx(jL[g][a][b], k) for k in range(m)] for b in rp]
+           for a in rp] for g in rp]
+    Lcol = [[[Lv[e][b][c] for e in rp] for c in rp] for b in rp]
 
     def term(a, b, c, d):
         out = _dot(rho[a], dL[d][b][c])
         out += _dot(Lv[d][a], Lcol[b][c])
         return out
 
-    return [[[[term(a, b, c, d) for d in range(p)] for c in range(p)]
-             for b in range(p)] for a in range(p)]
+    T = [[[[term(a, b, c, d) for d in rp] for c in rp] for b in rp]
+         for a in rp]
+    for a in rp:
+        for b in rp:
+            for c in rp:
+                for d in rp:
+                    update(T[a][b][c][d] + T[b][c][a][d] + T[c][a][b][d], pt)
+
+
+def loop_antisymmetry(A, samples, tol):
+    """``algebroid.validate_antisymmetry`` with one ``update`` per entry."""
+    tracker = ResidualTracker("antisymmetry", tol)
+    for pt in samples:
+        Lv = A.L_at(pt.x)
+        for g in range(A.p):
+            for a in range(A.p):
+                for b in range(A.p):
+                    tracker.update(Lv[g][a][b] + Lv[g][b][a], pt)
+    return tracker
+
+
+def loop_g_symmetry(G, samples, tol):
+    """The ``g_symmetry`` check of ``suites.run_validate`` with one
+    ``update`` per entry."""
+    tracker = ResidualTracker("g_symmetry", tol)
+    for pt in samples:
+        g = G.g_at(pt.x, pt.y)
+        for a in range(G.p):
+            for b in range(G.p):
+                tracker.update(g[a][b] - g[b][a], pt)
+    return tracker
+
+
+def loop_compatibility_step(check, pt, tables):
+    """``metric.CompatibilityCheck.step`` with one ``update`` per entry of
+    the four covariant-derivative blocks."""
+    G, A, N = check._args
+    hg, vg, hg00, vg00 = metric._compatibility_values(G, tables.D, A, N, pt)
+    for row in [r for plane in hg for r in plane] + vg + [hg00, [vg00]]:
+        for value in row:
+            check.trackers[0].update(value, pt)
+
+
+def loop_oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
+    """``curvature._oracle_point`` with one ``update`` per entry of each
+    family's rows."""
+    r, z, zeros = range(p), p, [0.0] * p
+    torsion = (
+        [(T[c][b], [tors.Thh[a][b][c] for a in r], tors.Tv[b][c])
+         for b in r for c in r]
+        + [(T[z][b], [tors.Ph[a][b] for a in r], tors.Pv[b]) for b in r]
+        + [(T[z][z], zeros, tors.S00)])
+    curvature = (
+        [(C[b][e][c], [curv.Rh[a][b][c][e] for a in r], 0.0)
+         for b in r for c in r for e in r]
+        + [(C[z][e][c], zeros, curv.Rv[c][e]) for c in r for e in r]
+        + [(C[eps][z][c], [curv.Ph[a][eps][c] for a in r], 0.0)
+           for eps in r for c in r]
+        + [(C[z][z][c], zeros, curv.Pv[c]) for c in r]
+        + [(C[b][z][z], [curv.Sh[a][b] for a in r], 0.0) for b in r]
+        + [(C[z][z][z], zeros, curv.Sv)])
+    for tracker, rows in ((t_tracker, torsion), (c_tracker, curvature)):
+        for (h, v), comp_h, comp_v in rows:
+            for a in r:
+                tracker.update(h[a] - comp_h[a], pt)
+            tracker.update(v - comp_v, pt)
 
 
 def loop_change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta,

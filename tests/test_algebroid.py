@@ -128,19 +128,30 @@ def _jacobi_residuals_loop(A, samples):
 
 @pytest.mark.parametrize("case", ["nonabelian", "varying"])
 def test_jacobi_residuals_match_the_cyclic_loop(monkeypatch, case):
+    """The Jacobi kernel scans the residuals of the cyclic loop, in its
+    order and bit for bit (its ``abs`` records each one), and feeds the
+    check one ``update`` per point that leaves the tracker as one per
+    residual would."""
     A = make_nonabelian()[0] if case == "nonabelian" else VARYING
-    seen = []
+    scanned, fed = [], []
 
     class Recording(ResidualTracker):
         def update(self, value, point):
-            seen.append((value, point))
+            fed.append(point)
             super().update(value, point)
 
     monkeypatch.setattr(algebroid, "ResidualTracker", Recording)
-    validate_jacobi(A, PTS[:8], 1e-8)
-    want = _jacobi_residuals_loop(A, PTS[:8])
-    assert [(bits(v), pt) for v, pt in seen] == [(bits(v), pt)
-                                                 for v, pt in want]
+    monkeypatch.setitem(algebroid._jacobi_kernel(A.p, A.m).__globals__,
+                        "abs", lambda r: scanned.append(r) or abs(r))
+    got = validate_jacobi(A, PTS[:8], 1e-8)
+    want = ResidualTracker("jacobi", 1e-8)
+    for value, pt in _jacobi_residuals_loop(A, PTS[:8]):
+        want.update(value, pt)
+    assert bits(scanned) == bits([v for v, _ in
+                                  _jacobi_residuals_loop(A, PTS[:8])])
+    assert fed == PTS[:8]
+    assert bits(got.max_residual) == bits(want.max_residual)
+    assert got.worst_point == want.worst_point
 
 
 def test_jacobi_evaluates_each_term_once():

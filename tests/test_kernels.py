@@ -11,29 +11,38 @@ the lifts (``lift``): the same bits, signed zeros included,
 and the same number of Jets built.  The data mix exact and signed zeros
 with floats of several scales (and, where asked, infinities and NaNs), so a
 dropped ``0 +`` (the start of the loops' sums), a reordered sum or a wrong
-stride shows."""
+stride shows.  A residual kernel scans its residuals and calls each
+check's ``update`` once; it is compared with the loop that fed ``update``
+one residual at a time through the residuals it scans and through the
+trackers both leave (``_updates``), and the rows scanned in Python
+(``report.row_max``) with their per-entry loops the same way."""
 
 import itertools
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import DATA_DIR, SCENARIO_DIR, bits
 from reference import (
     loop_adapted_derivatives,
     loop_anchor_compatibility,
+    loop_antisymmetry,
     loop_bianchi,
     loop_bracket,
     loop_change_laws,
     loop_commutation,
+    loop_compatibility_step,
     loop_frame_change,
     loop_frame_derivatives,
     loop_emit_json,
     loop_frames,
+    loop_g_symmetry,
     loop_gamma_law,
     loop_h_cov_values,
     loop_horizontal_rhs,
@@ -41,6 +50,7 @@ from reference import (
     loop_jacobi,
     loop_koszul,
     loop_matrix_inverse,
+    loop_oracle_point,
     loop_parallel_rhs,
     loop_rh_rv,
     loop_rk4_step,
@@ -75,6 +85,7 @@ from kkgeom.nlconnection import (
     _split_kernel,
     adapted_derivatives,
 )
+from kkgeom.report import ResidualTracker
 from kkgeom.sampling import Box, sample_points
 from kkgeom.scenario import load_scenario
 
@@ -417,18 +428,67 @@ def _array(draw, *shape):
     return [_array(draw, *shape[1:]) for _ in range(shape[0])]
 
 
-def _updates(monkeypatch, checks, kernel, reference, *args):
-    """Both functions, called as ``fn(*updates, *args)`` with one recording
-    ``update`` function per check, feed the same bits to the same check at
-    the same point in the same order, and build as many Jets."""
-    def run(fn):
-        seen = []
-        updates = [lambda v, pt, k=k: seen.append((k, bits(v), pt))
-                   for k in range(checks)]
-        _, built = _traffic(monkeypatch, fn, *updates, *args)
-        return seen, built
+# Where a check's tracker stands before a kernel feeds it: fresh, or
+# holding a zero, a tiny, a mid-sized or an infinite residual or a NaN from
+# another point.
+HELD = [None, 0.0, 1e-300, 0.5, math.inf, math.nan]
+HELD_PT = EPoint((0.0, 0.0), 0.0)
 
-    assert run(kernel) == run(reference)
+
+def _updates(monkeypatch, checks, kernel, reference, *args):
+    """The kernel, called as ``kernel(*updates, *args)`` with one
+    ``update`` per check, computes the residuals that the reference feeds
+    to ``update`` one entry at a time: the same bits in the same order (the
+    kernel's ``abs`` records each residual it scans) and as many Jets
+    built.  When the residuals are floats, the kernel's one ``update`` per
+    check leaves every tracker as the reference's entries do, from each
+    state of :data:`HELD`: the same ``max_residual`` bits and
+    ``worst_point``."""
+    fed = []
+
+    def feed(v, pt):
+        fed.append(v)
+
+    _, built = _traffic(monkeypatch, reference, *[feed] * checks, *args)
+    scanned = []
+    with monkeypatch.context() as patch:
+        patch.setitem(kernel.__globals__, "abs",
+                      lambda r: scanned.append(bits(r)) or 0.0)
+        _, kernel_built = _traffic(monkeypatch, kernel,
+                                   *[lambda v, pt: None] * checks, *args)
+    assert scanned == [bits(v) for v in fed]
+    assert kernel_built == built
+    if not all(type(v) is float for v in fed):
+        return
+
+    for held in HELD:
+        assert _left(checks, held, lambda ts: kernel(
+            *(t.update for t in ts), *args)) == _left(
+                checks, held, lambda ts: reference(
+                    *(t.update for t in ts), *args))
+
+
+def _left(checks, held, feed):
+    """``(max_residual bits, worst_point)`` of each of ``checks`` trackers,
+    each fed ``held`` at :data:`HELD_PT` first (unless None), after
+    ``feed(trackers)``."""
+    trackers = [ResidualTracker("r", 1.0) for _ in range(checks)]
+    if held is not None:
+        for tracker in trackers:
+            tracker.update(held, HELD_PT)
+    feed(trackers)
+    return [(_word(t.max_residual), t.worst_point) for t in trackers]
+
+
+def _word(x):
+    """The 64 bits of a float, NaN payloads included."""
+    return struct.pack("<d", x)
+
+
+def _seeded(rng, draw, special):
+    """Draws for a seeded table: ``draw()``, or with probability 0.3 a
+    float, an entry that does not depend on x."""
+    return lambda: _num(rng, special) if rng.random() < 0.3 else draw()
 
 
 def _ids(cases):
@@ -558,8 +618,9 @@ def test_anchor_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
     rng = random.Random(f"anchor:{p}:{m}:{kind}:{special}")
     draw = _operands(rng, kind, special, m)
     _updates(monkeypatch, 1, algebroid._anchor_kernel(p, m),
-             loop_anchor_compatibility, PT, _array(draw, p, m),
-             _array(draw, p, m, m), _array(draw, p, p, p))
+             loop_anchor_compatibility, PT,
+             _array(_seeded(rng, draw, special), p, m),
+             _array(draw, p, p, p))
 
 
 @pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
@@ -568,10 +629,9 @@ def test_anchor_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
 def test_jacobi_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
     rng = random.Random(f"jacobi:{p}:{m}:{kind}:{special}")
     draw = _operands(rng, kind, special, m)
-    args = (_array(draw, p, m), _array(draw, p, p, p),
-            _array(draw, p, p, p, m))
-    _same(monkeypatch, (algebroid._jacobi_kernel(p, m), *args),
-          (loop_jacobi, *args))
+    _updates(monkeypatch, 1, algebroid._jacobi_kernel(p, m), loop_jacobi,
+             PT, _array(draw, p, m),
+             _array(_seeded(rng, draw, special), p, p, p))
 
 
 @pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
@@ -745,6 +805,91 @@ SWAPS = [
 ]
 
 
+# The rows scanned in Python (``report.row_max``), with the loops that fed
+# them to ``update`` one entry at a time.
+ROW_SWAPS = [
+    (curvature, "_oracle_point", loop_oracle_point),
+    (metric.CompatibilityCheck, "step", loop_compatibility_step),
+    (suites, "validate_antisymmetry", loop_antisymmetry),
+]
+
+
+@pytest.mark.parametrize("special", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_oracle_rows_match_the_per_entry_loop(p, special):
+    """``_oracle_point`` on 10 draws of definitions and components, signed
+    zeros, infinities and NaNs among them, leaves both trackers as the
+    per-entry loop does, from every state of :data:`HELD`."""
+    rng = random.Random(f"oracle_rows:{p}:{special}")
+    draw = _operands(rng, "floats", special)
+    r = range(p + 1)
+    for _ in range(10):
+        tors, curv = _blocks(draw, p)
+        T = [[(_array(draw, p), draw()) for _ in r] for _ in r]
+        C = [[[(_array(draw, p), draw()) for _ in r] for _ in r] for _ in r]
+        for held in HELD:
+            assert _left(2, held, lambda ts: curvature._oracle_point(
+                tors, curv, T, C, PT, p, *ts)) == _left(
+                    2, held, lambda ts: loop_oracle_point(
+                        tors, curv, T, C, PT, p, *ts))
+
+
+@pytest.mark.parametrize("special", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_compatibility_rows_match_the_per_entry_loop(monkeypatch, p,
+                                                     special):
+    """``CompatibilityCheck.step`` over 20 draws of the four
+    covariant-derivative blocks, signed zeros, infinities and NaNs among
+    them, leaves its tracker as the per-entry loop does, from every state
+    of :data:`HELD`."""
+    rng = random.Random(f"compatibility_rows:{p}:{special}")
+    draw = _operands(rng, "floats", special)
+    check = metric.CompatibilityCheck(None, None, None, 1.0)
+
+    def stepped(step):
+        def feed(trackers):
+            check.trackers = trackers
+            step(check, PT, SimpleNamespace(D=None))
+        return feed
+
+    for _ in range(20):
+        blocks = (_array(draw, p, p, p), _array(draw, p, p), _array(draw, p),
+                  draw())
+        monkeypatch.setattr(metric, "_compatibility_values",
+                            lambda *args: blocks)
+        for held in HELD:
+            assert (_left(1, held, stepped(metric.CompatibilityCheck.step))
+                    == _left(1, held, stepped(loop_compatibility_step)))
+
+
+@pytest.mark.parametrize("special", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_validate_rows_match_the_per_entry_loops(p, special):
+    """``validate``'s antisymmetry and ``g_symmetry`` checks over tables
+    drawn per point, signed zeros, infinities and NaNs among them: the
+    same ``max_residual`` bits and ``worst_point`` as one ``update`` per
+    entry."""
+    def draws(key, *shape):
+        rng = random.Random(f"{key}:{p}:{special}")
+        return _array(lambda: _num(rng, special), *shape)
+
+    A = AlgebroidData(2, p, lambda xs: draws(("rho", xs), p, 2),
+                      lambda xs: draws(("L", xs), p, p, p))
+    G = MetricStructure(p, lambda xs, y: draws(("g", xs, y), p, p),
+                        lambda xs, y: 1.0)
+    sc = SimpleNamespace(box=Box.default(2), samples=12, seed=5, p=p,
+                         algebroid=A, metric=G, lift=None)
+    checks = {c["name"]: c for c in suites.run_validate(sc)}
+    pts = sample_points(sc.box, sc.samples, sc.seed)
+    for name, loop, tables in [("antisymmetry", loop_antisymmetry, A),
+                               ("g_symmetry", loop_g_symmetry, G)]:
+        want = loop(tables, pts, suites.VALIDATE_TOL).to_json_obj()
+        got = checks[name]
+        assert _word(got.pop("max_residual")) == _word(
+            want.pop("max_residual"))
+        assert got == want
+
+
 @pytest.mark.parametrize("path", [SCENARIO_DIR / "d1.json",
                                   DATA_DIR / "gen3_seed1.json",
                                   DATA_DIR / "p2_m3.json",
@@ -768,6 +913,8 @@ def test_the_cli_prints_what_the_reference_loops_print(monkeypatch, capsys,
     kernels = run()
     for module, name, loop in SWAPS:
         monkeypatch.setattr(module, name, lambda *key, loop=loop: loop)
+    for owner, name, loop in ROW_SWAPS:
+        monkeypatch.setattr(owner, name, loop)
     assert run() == kernels
 
 

@@ -1,6 +1,9 @@
 """The tools under ``tools/``."""
 
 import importlib.util
+import json
+import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -95,3 +98,36 @@ def test_cold_cli_times_each_kernel_from_its_factory():
                           text=True, check=True)
     assert made == int(proc.stdout) >= 3
     assert spent > 0.0
+
+
+def test_bench_record_writes_the_schema(tmp_path, capsys):
+    """One short query-lift run at seed 1: a sorted-key document with the
+    commit, the Python version, the CPU count and, per workload and seed,
+    perfbench's verdict and its five end-to-end metrics; ``--compare`` of
+    the file with itself reads 1.000 for each metric.  The times are not
+    checked."""
+    bench_record = _tool("bench_record")
+    out = tmp_path / "BENCH_0.json"
+    bench_record.write(bench_record.record(0.2, ["query-lift"], [1]), out)
+    text = out.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert set(doc) == {"commit", "uncommitted_changes", "python",
+                        "cpu_count", "seconds", "runs"}
+    assert doc["python"] == platform.python_version()
+    assert doc["cpu_count"] == os.cpu_count()
+    assert doc["seconds"] == 0.2
+    assert list(doc["runs"]) == ["query-lift"]
+    assert list(doc["runs"]["query-lift"]) == ["1"]
+    run = doc["runs"]["query-lift"]["1"]
+    assert (run["correct"], run["failed"]) == (True, 0)
+    assert run["attempted"] > 0
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())[
+        "end_to_end"]
+    assert {name: metric["unit"] for name, metric in run["metrics"].items()
+            } == {m["name"]: m["unit"] for m in end_to_end}
+    capsys.readouterr()
+    assert bench_record.main(["--compare", str(out), str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + len(end_to_end)
+    assert all(line.split("\t")[-1] == "1.000" for line in lines[1:])
