@@ -21,10 +21,8 @@ adds as the loops' integer 0 does.
 
 from __future__ import annotations
 
-import functools
-import sys
-
-from .calculus import Jet, at_point, compile_kernel, seeded_point
+from .calculus import Jet, KernelTemplate, at_point, kernel, names, rows, \
+    seeded_point, terms
 from .report import ResidualTracker, row_max
 
 __all__ = ["AlgebroidData", "validate_antisymmetry",
@@ -58,23 +56,18 @@ def validate_antisymmetry(A: AlgebroidData, samples,
     return tracker
 
 
-def _names(fmt, indices):
-    """``fmt`` formatted with each index."""
-    return [fmt.format(i) for i in indices]
-
-
-def _split_lines(entries, values, grads, indent):
-    """Generated lines that split each seeded entry e<k> of a table row into
-    its value v<k> and its x-gradient w<k> (``Z``, the zero gradient, for a
-    float entry): what ``jval`` and ``jdx`` return, with one ``isinstance``
-    per entry."""
+def _split_lines(n, indent):
+    """Generated lines that split each seeded entry e<k> of a table row of
+    n entries into its value v<k> and its x-gradient w<k> (``Z``, the zero
+    gradient, for a float entry): what ``jval`` and ``jdx`` return, with
+    one ``isinstance`` per entry."""
     pad = " " * indent
     return "\n".join(
-        f"{pad}if isinstance({e}, Jet):\n"
-        f"{pad}    {v} = {e}.value; {w} = {e}.dx\n"
+        f"{pad}if isinstance(e{k}, Jet):\n"
+        f"{pad}    v{k} = e{k}.value; w{k} = e{k}.dx\n"
         f"{pad}else:\n"
-        f"{pad}    {v} = {e}; {w} = Z"
-        for e, v, w in zip(entries, values, grads))
+        f"{pad}    v{k} = e{k}; w{k} = Z"
+        for k in range(n))
 
 
 # The anchor-compatibility residuals at pt for p frames and m base
@@ -89,8 +82,7 @@ def _split_lines(entries, values, grads, indent):
 # with ra<i> = rho[a][i], rb<i> = rho[b][i], l<g> = L[g][a][b], c<g> =
 # rho[g][k], q<i> = drho[b][k][i] and s<i> = drho[a][k][i], where rho and
 # drho[a][k] = d/dx rho[a][k] are split from the seeded table ``jrho``.
-_ANCHOR_LINE = sys._getframe().f_lineno + 2
-_ANCHOR = '''\
+_ANCHOR = KernelTemplate('''\
 def anchor(update, pt, jrho, Lv):
     {L}, = Lv
     rho = []
@@ -116,27 +108,21 @@ def anchor(update, pt, jrho, Lv):
                 if r >= worst or r != r:
                     worst = r
     update(worst, pt)
-'''
+''')
 
 
-@functools.cache
+@kernel(_ANCHOR, Jet=Jet)
 def _anchor_kernel(p, m):
     """The kernel of ``_ANCHOR`` for p and m, generated on first use."""
     rp, rm = range(p), range(m)
-    e, v, w = _names("e{}", rm), _names("v{}", rm), _names("w{}", rm)
-    source = _ANCHOR.format(
-        P=repr(tuple(rp)), M=repr(tuple(rm)),
-        L=", ".join(f"L{g}" for g in rp), e=", ".join(e),
-        split=_split_lines(e, v, w, 8), v=", ".join(v), w=", ".join(w),
-        ra=", ".join(f"ra{i}" for i in rm), rb=", ".join(f"rb{i}" for i in rm),
-        l="; ".join(f"l{g} = L{g}[a][b]" for g in rp),
-        c=", ".join(f"c{g}" for g in rp), q=", ".join(f"q{i}" for i in rm),
-        s=", ".join(f"s{i}" for i in rm),
-        lhs="".join(f" + l{g} * c{g}" for g in rp),
-        rhs_a="".join(f" + ra{i} * q{i}" for i in rm),
-        rhs_b="".join(f" + rb{i} * s{i}" for i in rm))
-    return compile_kernel(source, "anchor", __file__, _ANCHOR_LINE,
-                          {"Jet": Jet, "Z": (0.0,) * m})
+    return dict(
+        P=repr(tuple(rp)), M=repr(tuple(rm)), L=names("L{}", rp),
+        e=names("e{}", rm), split=_split_lines(m, 8), v=names("v{}", rm),
+        w=names("w{}", rm), ra=names("ra{}", rm), rb=names("rb{}", rm),
+        l="; ".join(f"l{g} = L{g}[a][b]" for g in rp), c=names("c{}", rp),
+        q=names("q{}", rm), s=names("s{}", rm), lhs=terms("l{0} * c{0}", rp),
+        rhs_a=terms("ra{0} * q{0}", rm),
+        rhs_b=terms("rb{0} * s{0}", rm)), {"Z": (0.0,) * m}
 
 
 def validate_anchor_compatibility(A: AlgebroidData, samples,
@@ -166,8 +152,7 @@ def validate_anchor_compatibility(A: AlgebroidData, samples,
 # L[d][a][e], l<e> = L[e][b][c] and q<d>_<i> = dL[d][b][c][i], the terms of
 # (a, b, c) are one tuple over d; x<d>, y<d> and z<d> are those of the three
 # cyclic terms.
-_JACOBI_LINE = sys._getframe().f_lineno + 2
-_JACOBI = '''\
+_JACOBI = KernelTemplate('''\
 def jacobi(update, pt, rho, jL):
     L = []
     dL = []
@@ -210,34 +195,25 @@ def jacobi(update, pt, rho, jL):
                 {z}, = T[c][a][b]
 {scan}
     update(worst, pt)
-'''
+''')
 
 
-@functools.cache
+@kernel(_JACOBI, Jet=Jet)
 def _jacobi_kernel(p, m):
     """The kernel of ``_JACOBI`` for p and m, generated on first use."""
     rp, rm = range(p), range(m)
-
-    def rows(fmt, inner):
-        return ", ".join("(" + ", ".join(fmt.format(d, k) for k in inner)
-                         + ",)" for d in rp)
-
-    e, v, w = _names("e{}", rp), _names("v{}", rp), _names("w{}", rp)
-    source = _JACOBI.format(
-        P=repr(tuple(rp)), e=", ".join(e), split=_split_lines(e, v, w, 12),
-        v=", ".join(v), w=", ".join(w),
-        r=", ".join(_names("r{}", rm)), n=rows("n{}_{}", rp),
-        l=", ".join(_names("l{}", rp)), q=rows("q{}_{}", rm),
-        terms=", ".join(
-            "(0.0" + "".join(f" + r{i} * q{d}_{i}" for i in rm) + ") + (0.0"
-            + "".join(f" + n{d}_{k} * l{k}" for k in rp) + ")" for d in rp),
-        x=", ".join(_names("x{}", rp)), y=", ".join(_names("y{}", rp)),
-        z=", ".join(_names("z{}", rp)),
-        scan="\n".join(f"                r = abs(x{d} + y{d} + z{d})\n"
-                       "                if r >= worst or r != r:\n"
-                       "                    worst = r" for d in rp))
-    return compile_kernel(source, "jacobi", __file__, _JACOBI_LINE,
-                          {"Jet": Jet, "Z": (0.0,) * m})
+    scan = "\n".join(f"                r = abs(x{d} + y{d} + z{d})\n"
+                     "                if r >= worst or r != r:\n"
+                     "                    worst = r" for d in rp)
+    return dict(
+        P=repr(tuple(rp)), e=names("e{}", rp), split=_split_lines(p, 12),
+        v=names("v{}", rp), w=names("w{}", rp), r=names("r{}", rm),
+        n=rows("n{}_{}", rp, rp), l=names("l{}", rp), q=rows("q{}_{}", rp, rm),
+        terms=", ".join("(0.0" + terms("r{1} * q{0}_{1}", [d], rm)
+                        + ") + (0.0" + terms("n{0}_{1} * l{1}", [d], rp)
+                        + ")" for d in rp),
+        x=names("x{}", rp), y=names("y{}", rp), z=names("z{}", rp),
+        scan=scan), {"Z": (0.0,) * m}
 
 
 def validate_jacobi(A: AlgebroidData, samples,

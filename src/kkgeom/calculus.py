@@ -24,14 +24,22 @@ Jet with m partials compiles ``_KERNELS`` for that m into a subclass of
 build) belongs to.  Each kernel writes one expression per component, with
 the operands and their order of a per-component loop, so it computes the
 loop's bits; that loop is kept as the reference in ``tests/test_calculus.py``
-(``_LoopJet``).  ``compile_kernel`` compiles these and the other
-generated kernels of the package (the adapted-derivative split, the
-Leibniz rule, the matrix inverse and its self-check, the Koszul formula
-and vh rings of the metric connection, the oracle's brackets, frame
+(``_LoopJet``).
+
+Every generated kernel of the package (these, the adapted-derivative
+split, the Leibniz rule, the matrix inverse and its self-check, the Koszul
+formula and vh of the metric connection, the oracle's brackets, frame
 derivatives and differences, the Rh/Rv formula, the commutation and
 Bianchi contractions, the validators' sums, the transformation suite's
 primed-chart tables and change laws, and a lift's RK4 step and right
-sides), each under its own module's file.
+sides) is built on one path.  Its module declares the template once, a
+``KernelTemplate``, which records the module's file and the line where
+its text starts.  A function of the key returns the template's format
+fields, built with the shared text helpers ``names``, ``rows`` and
+``terms``, and ``kernel`` makes it the cached factory: on the first call
+for a key it formats the template and compiles it with
+``compile_kernel`` under that file and line, so a traceback or a profile
+points at the template's own lines in its own module.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import functools
 import math
 import sys
 from contextlib import contextmanager
+from itertools import product, starmap
 
 __all__ = [
     "EvaluationDomainError",
@@ -170,15 +179,108 @@ class Jet:
         return f"Jet({self.value!r}, dx={self.dx!r}, dy={self.dy!r})"
 
 
+def _jdiv(a, b):
+    """a / b for floats or Jets, delegating to Jet division where needed."""
+    if isinstance(a, Jet) or isinstance(b, Jet):
+        if not isinstance(a, Jet):
+            a = type(b)(a, (0.0,) * len(b.dx), 0.0)
+        return a / b
+    if b == 0.0:
+        raise EvaluationDomainError("division by zero")
+    return a / b
+
+
+def _recip(v):
+    if isinstance(v, Jet):
+        if primal(v.value) == 0.0:
+            raise EvaluationDomainError("division by zero")
+        inv = _recip(v.value)
+        return v.scaled(inv, -(inv * inv))
+    if v == 0.0:
+        raise EvaluationDomainError("division by zero")
+    return 1.0 / v
+
+
+# -- generated kernels -------------------------------------------------------
+
+
+class KernelTemplate:
+    """The source text of a generated kernel, with where it is written: the
+    file of the module that declares it and the line on which its text
+    starts.  A module declares each template once, at module level, as
+    ``_NAME = KernelTemplate('''\\`` with the text from the next line on,
+    so that a traceback or a profile of a kernel points at its template's
+    own lines."""
+
+    __slots__ = ("text", "filename", "line")
+
+    def __init__(self, text):
+        caller = sys._getframe(1)
+        self.text = text
+        self.filename = caller.f_globals["__file__"]
+        self.line = caller.f_lineno + 1
+
+
+def compile_kernel(source, filename, line, namespace):
+    """The definition that the first line of generated ``source`` names
+    (``def name(`` or ``class Name(``), run in ``namespace``.  The code is
+    compiled under ``filename``, the file of the module that generates it,
+    with its first line at ``line`` there: a traceback points into that
+    module, and a profile charges the kernel's time to it.  The one compile
+    site of generated kernels."""
+    exec(compile("\n" * (line - 1) + source, filename, "exec"), namespace)
+    return namespace[source[:source.index("(")].split()[-1]]
+
+
+def kernel(template, **namespace):
+    """Decorate ``fields(*key)`` into the cached factory of the kernels of
+    ``template``, one per key, generated on first use.  ``fields`` returns
+    the format fields of the template for its key, or, for a kernel whose
+    globals depend on the key, those fields and those globals.  The
+    factory formats the template, compiles it (:func:`compile_kernel`)
+    under the template's file and line with ``namespace`` as its globals,
+    and returns the definition that it names."""
+    def decorate(fields):
+        @functools.wraps(fields)
+        def factory(*key):
+            out = fields(*key)
+            values, own = out if type(out) is tuple else (out, {})
+            return compile_kernel(template.text.format(**values),
+                                  template.filename, template.line,
+                                  {**namespace, **own})
+        return functools.cache(factory)
+    return decorate
+
+
+def names(fmt, *ranges):
+    """``fmt`` formatted with each index tuple of ``ranges`` (their
+    product, the last fastest), as a comma list: ``names("a{}_{}",
+    range(2), [0])`` is ``a0_0, a1_0``."""
+    return ", ".join(starmap(fmt.format, product(*ranges)))
+
+
+def rows(fmt, outer, inner):
+    """A tuple display of :func:`names` of ``fmt`` over ``inner``, after
+    each index o of ``outer``: ``rows("g{}_{}", range(2), range(2))`` is
+    ``(g0_0, g0_1,), (g1_0, g1_1,)``, the target that unpacks a table's
+    rows."""
+    return ", ".join(["(" + names(fmt, [o], inner) + ",)" for o in outer])
+
+
+def terms(fmt, *ranges):
+    """`` + `` and ``fmt``, formatted as :func:`names` formats it, for
+    each index tuple: the terms that follow a sum's start, as in ``(0`` +
+    ``terms("a{0} * b{0}", range(2))`` + ``)``, ``(0 + a0 * b0 + a1 *
+    b1)``."""
+    return "".join(starmap((" + " + fmt).format, product(*ranges)))
+
+
 # The arithmetic of a Jet with m partials dx.  ``{J}`` is the class, ``{A}``
 # and ``{B}`` unpack the dx of ``self`` and ``other`` into a0.. and b0..,
 # and every other field is a tuple display of one ``_COMPONENT`` expression
 # per component.  Values divide directly so Jet evaluation matches float
 # evaluation bit for bit; only derivative coefficients go through _recip.
-# The generated code keeps the template's line numbers in this file, so a
-# traceback or a profile of a kernel points at its line here.
-_KERNELS_LINE = sys._getframe().f_lineno + 2
-_KERNELS = '''\
+_KERNELS = KernelTemplate('''\
 class {J}(Jet):
     __slots__ = ()
 
@@ -248,7 +350,7 @@ class {J}(Jet):
         self.value."""
         {A} = self.dx
         return {J}(fv, {chain}, dfv * self.dy)
-'''
+''')
 
 # Component i of each kernel field, in the i-th partials ``{a}`` of self
 # and ``{b}`` of other.
@@ -267,49 +369,14 @@ _COMPONENT = {
 }
 
 
-@functools.cache
+@kernel(_KERNELS, Jet=Jet, EvaluationDomainError=EvaluationDomainError,
+        primal=primal, _jdiv=_jdiv, _recip=_recip)
 def _jet_class(m):
     """The Jet subclass for m partials, its kernels compiled once per m."""
-    fields = {name: "(" + "".join(expr.format(a=f"a{i}", b=f"b{i}") + ", "
-                                  for i in range(m)) + ")"
-              for name, expr in _COMPONENT.items()}
-    return compile_kernel(
-        _KERNELS.format(J=f"Jet{m}", **fields), f"Jet{m}", __file__,
-        _KERNELS_LINE, {"Jet": Jet, "EvaluationDomainError":
-                        EvaluationDomainError, "primal": primal,
-                        "_jdiv": _jdiv, "_recip": _recip})
-
-
-def compile_kernel(source, name, filename, line, namespace):
-    """The definition ``name`` of generated ``source``, run in
-    ``namespace``.  The code is compiled under ``filename``, the file of
-    the module that generates it, with its first line at ``line`` there:
-    a traceback points into that module, and a profile charges the
-    kernel's time to it.  The one compile site of generated kernels."""
-    exec(compile("\n" * (line - 1) + source, filename, "exec"), namespace)
-    return namespace[name]
-
-
-def _jdiv(a, b):
-    """a / b for floats or Jets, delegating to Jet division where needed."""
-    if isinstance(a, Jet) or isinstance(b, Jet):
-        if not isinstance(a, Jet):
-            a = type(b)(a, (0.0,) * len(b.dx), 0.0)
-        return a / b
-    if b == 0.0:
-        raise EvaluationDomainError("division by zero")
-    return a / b
-
-
-def _recip(v):
-    if isinstance(v, Jet):
-        if primal(v.value) == 0.0:
-            raise EvaluationDomainError("division by zero")
-        inv = _recip(v.value)
-        return v.scaled(inv, -(inv * inv))
-    if v == 0.0:
-        raise EvaluationDomainError("division by zero")
-    return 1.0 / v
+    return {"J": f"Jet{m}", **{
+        name: "(" + "".join(expr.format(a=f"a{i}", b=f"b{i}") + ", "
+                            for i in range(m)) + ")"
+        for name, expr in _COMPONENT.items()}}
 
 
 # -- scalar function dispatchers (float or Jet, any nesting depth) ----------

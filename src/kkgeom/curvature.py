@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import functools
 import operator
-import sys
 
 from .algebroid import AlgebroidData
-from .calculus import EPoint, Jet, compile_kernel, primal
+from .calculus import EPoint, Jet, KernelTemplate, kernel, names, primal, \
+    rows, terms
 from .dconnection import (
     DConnectionCoeffs,
     bracket_pairs,
@@ -172,8 +172,7 @@ def torsion_components(D, N, A, pt: EPoint) -> TorsionComponents:
 # Hh[t][b][e], ac<t> = Hh[a][t][c], hc<t> = Hh[t][b][c], dab<e> =
 # dH<e>[a][b], dc<e> = dH<c>[a][b][e], Rc<e> = R[c][e] and Lc<t>_<e> =
 # Lv[t][c][e].
-_RH_RV_LINE = sys._getframe().f_lineno + 2
-_RH_RV = '''\
+_RH_RV = KernelTemplate('''\
 def rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
     {H}, = Hh
     {L}, = Lv
@@ -210,40 +209,32 @@ def rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
         {Lc}
         Rv.append([{rv}])
     return Rh, Rv
-'''
+''')
 
 
-@functools.cache
+@kernel(_RH_RV)
 def _rh_rv_kernel(p):
     """The kernel of ``_RH_RV`` for p, generated on first use."""
     rp = range(p)
-
-    def names(fmt):
-        return ", ".join(fmt.format(t) for t in rp)
-
-    def row(name, t):
-        return "(" + ", ".join(f"{name}{t}_{e}" for e in rp) + ",)"
-
-    source = _RH_RV.format(
-        R=repr(tuple(rp)), H=names("H{}"), L=names("L{}"), hv=names("hv{}"),
-        dv=names("dv{}"), Ha=names("Ha{}"), B=names("B{}"),
-        dab=names("dab{}"), dc=names("dc{}"), Rc=names("Rc{}"),
-        A="; ".join(f"{row('A', t)} = Ha{t}" for t in rp),
-        C="; ".join(f"T{t} = H{t}[b]; {row('C', t)} = T{t}" for t in rp),
-        Lc="; ".join(f"{row('Lc', t)} = L{t}[c]" for t in rp),
+    return dict(
+        R=repr(tuple(rp)), H=names("H{}", rp), L=names("L{}", rp),
+        hv=names("hv{}", rp), dv=names("dv{}", rp), Ha=names("Ha{}", rp),
+        B=names("B{}", rp), dab=names("dab{}", rp), dc=names("dc{}", rp),
+        Rc=names("Rc{}", rp),
+        A="; ".join(f"{rows('A{}_{}', [t], rp)} = Ha{t}" for t in rp),
+        C="; ".join(f"T{t} = H{t}[b]; {rows('C{}_{}', [t], rp)} = T{t}"
+                    for t in rp),
+        Lc="; ".join(f"{rows('Lc{}_{}', [t], rp)} = L{t}[c]" for t in rp),
         ac="; ".join(f"ac{t} = Ha{t}[c]" for t in rp),
         hc="; ".join(f"hc{t} = T{t}[c]" for t in rp),
         rh=", ".join(
-            f"dab{e}[c] - dc{e} + (0" + "".join(
-                f" + (A{t}_{e} * hc{t} - ac{t} * C{t}_{e})" for t in rp)
-            + f") + Rc{e} * vab + (0"
-            + "".join(f" + Lc{t}_{e} * B{t}" for t in rp) + ")"
-            for e in rp),
+            f"dab{e}[c] - dc{e} + (0"
+            + terms("(A{0}_{1} * hc{0} - ac{0} * C{0}_{1})", rp, [e])
+            + f") + Rc{e} * vab + (0" + terms("Lc{0}_{1} * B{0}", rp, [e])
+            + ")" for e in rp),
         rv=", ".join(
             f"dv{e}[c] - dc{e} + hv{e} * hvc - hvc * hv{e} + Rc{e} * Vv + (0"
-            + "".join(f" + Lc{t}_{e} * hv{t}" for t in rp) + ")"
-            for e in rp))
-    return compile_kernel(source, "rh_rv", __file__, _RH_RV_LINE, {})
+            + terms("Lc{0}_{1} * hv{0}", rp, [e]) + ")" for e in rp))
 
 
 def _rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
@@ -363,8 +354,7 @@ def energy_momentum(ric: RicciTensor, scalar: float, G: MetricStructure,
 # :func:`~kkgeom.dconnection.frame_contract`), (0.0 + b0 * e0_a + ... +
 # bv * e<p>_a), e<l>_a being component a of D_{e_l} e_x.  The reference
 # is ``loop_frames`` in ``tests/reference.py``.
-_FRAMES_LINE = sys._getframe().f_lineno + 2
-_FRAMES = '''\
+_FRAMES = KernelTemplate('''\
 def frames(second, br):
     torsion = []
     for x, (brx, sx) in enumerate(zip(br, second)):
@@ -386,29 +376,26 @@ def frames(second, br):
             plane.append(row)
         curvature.append(plane)
     return torsion, curvature
-'''
+''')
 
 
-@functools.cache
+@kernel(_FRAMES)
 def _frames_kernel(p):
     """The kernel of ``_FRAMES`` for p, generated on first use."""
     rp, rn = range(p), range(p + 1)
 
-    def vec(name):
-        return "(" + ", ".join(f"{name}{a}" for a in rp) + ",)"
-
     def contract(a):
-        return "".join(f" + b{l} * e{l}_{a}" for l in rp) + f" + bv * e{p}_{a}"
+        return terms("b{0} * e{0}_{1}", rp, [a]) + f" + bv * e{p}_{a}"
 
-    source = _FRAMES.format(
-        RN=repr(tuple(rn)), n=p + 1, z=vec("z"), u=vec("u"), w=vec("w"),
-        b=vec("b"),
+    return dict(
+        RN=repr(tuple(rn)), n=p + 1, z=f"({names('z{}', rp)},)",
+        u=f"({names('u{}', rp)},)", w=f"({names('w{}', rp)},)",
+        b=f"({names('b{}', rp)},)",
         torsion=", ".join(f"u{a} - w{a} - z{a}" for a in rp),
-        e="; ".join("(" + ", ".join(f"e{l}_{a}" for a in rp)
-                    + f",), e{l}_v = second[{l}][x]" for l in rn),
+        e="; ".join(f"({names('e{}_{}', [l], rp)},), e{l}_v = second[{l}][x]"
+                    for l in rn),
         curvature=", ".join(f"u{a} - w{a} - (0.0{contract(a)})" for a in rp),
         contract_v=contract("v"))
-    return compile_kernel(source, "frames", __file__, _FRAMES_LINE, {})
 
 
 def frame_definitions(D: DConnectionCoeffs, N: NonlinearConnection,
@@ -643,8 +630,7 @@ def _commutation_values(fields, D, N, A, pt):
 # written out.  The names bound are Z<t> = Zh[t], T<t> = Thh[t], P<t> =
 # tors.Ph[t], A<t> = a1[al][t], C<t> = c1[t], Rh<t> = Rh[al][t], Rhc<t> =
 # Rh[al][t][c] and Ph<t> = curv.Ph[al][t].
-_COMMUTATION_LINE = sys._getframe().f_lineno + 2
-_COMMUTATION = '''\
+_COMMUTATION = KernelTemplate('''\
 def commutation(update, pt, Zh, Yv, tensors, tors, curv):
     a2, a1, b1, a1v, b1h, c2, c1, d1, c1v, d1h = tensors
     Tv, Pvt = tors.Tv, tors.Pv
@@ -684,29 +670,21 @@ def commutation(update, pt, Zh, Yv, tensors, tors, curv):
         if r >= worst or r != r:
             worst = r
     update(worst, pt)
-'''
+''')
 
 
-@functools.cache
+@kernel(_COMMUTATION)
 def _commutation_kernel(p):
     """The kernel of ``_COMMUTATION`` for p, generated on first use."""
     rp = range(p)
-
-    def names(fmt):
-        return ", ".join(fmt.format(t) for t in rp)
-
-    def terms(fmt):
-        return "".join(" + " + fmt.format(t) for t in rp)
-
-    source = _COMMUTATION.format(
-        R=repr(tuple(rp)), Z=names("Z{}"), T=names("T{}"), P=names("P{}"),
-        A=names("A{}"), Rh=names("Rh{}"), Ph=names("Ph{}"), C=names("C{}"),
+    return dict(
+        R=repr(tuple(rp)), Z=names("Z{}", rp), T=names("T{}", rp),
+        P=names("P{}", rp), A=names("A{}", rp), Rh=names("Rh{}", rp),
+        Ph=names("Ph{}", rp), C=names("C{}", rp),
         Rhc="; ".join(f"Rhc{t} = Rh{t}[c]" for t in rp),
-        rz=terms("Rhc{0}[b] * Z{0}"), ta=terms("T{0}[b][c] * A{0}"),
-        pz=terms("Ph{0}[c] * Z{0}"), pa=terms("P{0}[c] * A{0}"),
-        tc=terms("T{0}[b][c] * C{0}"), pc=terms("P{0}[c] * C{0}"))
-    return compile_kernel(source, "commutation", __file__, _COMMUTATION_LINE,
-                          {})
+        rz=terms("Rhc{0}[b] * Z{0}", rp), ta=terms("T{0}[b][c] * A{0}", rp),
+        pz=terms("Ph{0}[c] * Z{0}", rp), pa=terms("P{0}[c] * A{0}", rp),
+        tc=terms("T{0}[b][c] * C{0}", rp), pc=terms("P{0}[c] * C{0}", rp))
 
 
 class BianchiCheck:
@@ -745,8 +723,7 @@ class BianchiCheck:
 # and the second the same way with + and dRh, Rh[al][be], Pc_h[al][be].
 # s<k>_<t> = Thh[t][yy][x] and tv<k> = Tv[yy][x] for the k-th cyclic term
 # do not depend on al (or be).
-_BIANCHI_LINE = sys._getframe().f_lineno + 2
-_BIANCHI = '''\
+_BIANCHI = KernelTemplate('''\
 def bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
     Thh, Tv, Pvt = tors.Thh, tors.Tv, tors.Pv
     Rv, Pcv = curv.Rv, curv.Pv
@@ -799,10 +776,10 @@ def bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
     u1v(worst_1v, pt)
     u2h(worst_2h, pt)
     u2v(worst_2v, pt)
-'''
+''')
 
 
-@functools.cache
+@kernel(_BIANCHI)
 def _bianchi_kernel(p):
     """The kernel of ``_BIANCHI`` for p, generated on first use."""
     rp = range(p)
@@ -812,18 +789,22 @@ def _bianchi_kernel(p):
         return "; ".join(f"s{k}_{t} = T{t}[{yy}][{x}]"
                          for k, (yy, x) in enumerate(pairs) for t in rp)
 
-    def terms(k, row):
-        return "".join(f" + s{k}_{t} * {row}[{t}]" for t in rp)
-
-    source = _BIANCHI.format(
-        R=repr(tuple(rp)), T=", ".join(f"T{t}" for t in rp),
+    return dict(
+        R=repr(tuple(rp)), T=names("T{}", rp),
         s1=bind([("c", "b"), ("d", "c"), ("b", "d")]),
         s2=bind([("t", "l"), ("c", "t"), ("l", "c")]),
-        t0=terms(0, "Tal[d]"), t1=terms(1, "Tal[b]"), t2=terms(2, "Tal[c]"),
-        v0=terms(0, "Tv[d]"), v1=terms(1, "Tv[b]"), v2=terms(2, "Tv[c]"),
-        r0=terms(0, "Rr[c]"), r1=terms(1, "Rr[l]"), r2=terms(2, "Rr[t]"),
-        w0=terms(0, "Rv[c]"), w1=terms(1, "Rv[l]"), w2=terms(2, "Rv[t]"))
-    return compile_kernel(source, "bianchi", __file__, _BIANCHI_LINE, {})
+        t0=terms("s0_{0} * Tal[d][{0}]", rp),
+        t1=terms("s1_{0} * Tal[b][{0}]", rp),
+        t2=terms("s2_{0} * Tal[c][{0}]", rp),
+        v0=terms("s0_{0} * Tv[d][{0}]", rp),
+        v1=terms("s1_{0} * Tv[b][{0}]", rp),
+        v2=terms("s2_{0} * Tv[c][{0}]", rp),
+        r0=terms("s0_{0} * Rr[c][{0}]", rp),
+        r1=terms("s1_{0} * Rr[l][{0}]", rp),
+        r2=terms("s2_{0} * Rr[t][{0}]", rp),
+        w0=terms("s0_{0} * Rv[c][{0}]", rp),
+        w1=terms("s1_{0} * Rv[l][{0}]", rp),
+        w2=terms("s2_{0} * Rv[t][{0}]", rp))
 
 
 def _bianchi_values(D, N, A, pt):

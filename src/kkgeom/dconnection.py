@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import functools
 import operator
-import sys
 
 from .algebroid import AlgebroidData
-from .calculus import compile_kernel, jdx, jdy, jval, seeded_point
+from .calculus import KernelTemplate, jdx, jdy, jval, kernel, names, rows, \
+    seeded_point, terms
 from .exprlang import zero_table
 from .nlconnection import NonlinearConnection, adapted_derivatives
 
@@ -107,10 +107,12 @@ def berwald(N: NonlinearConnection) -> DConnectionCoeffs:
 # contravariant slot, subtracted for a covariant one.  Along v, C is the
 # table vh[a][b], Cv the scalar vv and B the fiber derivative, and no
 # ``[g]`` is read.  The last term is written only for a non-zero weight.
-_LEIBNIZ_LINE = sys._getframe().f_lineno + 4
+# The source is built line by line, so its template is the whole text, and
+# its lines are those of the factory's ``def``, the line after the
+# template's.
 
 
-@functools.cache
+@kernel(KernelTemplate("{source}"))
 def _leibniz_kernel(p, rank, rh, vterm, along):
     """The Leibniz kernel for p, rank and rh, with the ``vweight`` term
     when ``vterm``, along ``"h"`` or ``"v"``, generated on first use."""
@@ -122,20 +124,19 @@ def _leibniz_kernel(p, rank, rh, vterm, along):
         fetch += [f"t{k}_{th} = T" + "".join(
             f"[{th if j == k else i}]" for j, i in enumerate(idx))
             for th in rp]
-        sums.append(("+" if k < rh else "-") + " (0" + "".join(
-            f" + U{k}_{th}{g} * t{k}_{th}" for th in rp) + ")")
+        sums.append(("+" if k < rh else "-") + " (0"
+                    + terms("U{0}_{1}" + g + " * t{0}_{1}", [k], rp) + ")")
     at = "".join(f"[{i}]" for i in idx)
     acc = " ".join([f"B{g}{at}"] + sums
                    + ([f"+ vweight * Cv{g} * T{at}"] if vterm else []))
     lines = ["def leibniz(T, B, C, Cv, vweight):",
-             "    " + ", ".join(f"C{th}" for th in rp) + ", = C"]
+             "    " + names("C{}", rp) + ", = C"]
     loops = idx + ["g"] * bool(g)
     for k, var in enumerate(loops):
         pad = "    " * (k + 1)
         lines += [f"{pad}out{k} = []", f"{pad}for {var} in {R}:"]
         if k < rh:
-            lines.append(f"{pad}    " + ", ".join(f"U{k}_{th}" for th in rp)
-                         + f", = C[i{k}]")
+            lines.append(f"{pad}    {names('U{}_{}', [k], rp)}, = C[i{k}]")
         elif k < rank:
             lines.append(f"{pad}    " + "; ".join(f"U{k}_{th} = C{th}[i{k}]"
                                                   for th in rp))
@@ -147,8 +148,7 @@ def _leibniz_kernel(p, rank, rh, vterm, along):
         lines += [f"{'    ' * (k + 1)}out{k - 1}.append(out{k})"
                   for k in range(n - 1, 0, -1)]
     lines.append(f"    return {'out0' if n else acc}")
-    return compile_kernel("\n".join(lines) + "\n", "leibniz", __file__,
-                          _LEIBNIZ_LINE, {})
+    return {"source": "\n".join(lines) + "\n"}
 
 
 def h_cov_values(vals, delta, rh, sh, vweight, Hh, Hv):
@@ -178,8 +178,7 @@ def v_cov_values(vals, ddy, rh, sh, vweight, Vh, Vv):
 #
 # in the operand order of the comprehensions that the kernel replaced
 # (the reference ``loop_frame_derivatives`` in ``tests/reference.py``).
-_FRAME_DERIVATIVES_LINE = sys._getframe().f_lineno + 2
-_FRAME_DERIVATIVES = '''\
+_FRAME_DERIVATIVES = KernelTemplate('''\
 def along_frames(vals, delta, ddy, Hh, Hv, Vh, Vv):
     {H}, = Hh
     {V}, = Vh
@@ -191,26 +190,20 @@ def along_frames(vals, delta, ddy, Hh, Hv, Vh, Vv):
             row.append([[{h}], dv + cv * Wv])
         out.append(row)
     return out
-'''
+''')
 
 
-@functools.cache
+@kernel(_FRAME_DERIVATIVES)
 def _frame_derivatives_kernel(p):
     """The kernel of ``_FRAME_DERIVATIVES`` for p, generated on first
     use."""
     rp = range(p)
-    pairs = [(a, b) for a in rp for b in rp]
-    source = _FRAME_DERIVATIVES.format(
-        H=", ".join(f"H{a}" for a in rp), V=", ".join(f"V{a}" for a in rp),
-        R=repr(tuple(rp)),
-        c=", ".join(f"c{a}_{b}" for a, b in pairs),
-        Hg=", ".join(f"H{a}[{b}][g]" for a, b in pairs),
-        Vc=", ".join(f"V{a}[{b}]" for a, b in pairs),
-        w=", ".join(f"w{b}" for b in rp), d=", ".join(f"d{a}" for a in rp),
-        h=", ".join(f"d{a} + (0" + "".join(f" + c{a}_{b} * w{b}" for b in rp)
-                    + ")" for a in rp))
-    return compile_kernel(source, "along_frames", __file__,
-                          _FRAME_DERIVATIVES_LINE, {})
+    return dict(
+        H=names("H{}", rp), V=names("V{}", rp), R=repr(tuple(rp)),
+        c=names("c{}_{}", rp, rp), Hg=names("H{}[{}][g]", rp, rp),
+        Vc=names("V{}[{}]", rp, rp), w=names("w{}", rp), d=names("d{}", rp),
+        h=", ".join(f"d{a} + (0" + terms("c{0}_{1} * w{1}", [a], rp) + ")"
+                    for a in rp))
 
 
 def frame_derivatives(W_at, A: AlgebroidData, N: NonlinearConnection,
@@ -288,8 +281,7 @@ def cov_deriv_along(X, W, A: AlgebroidData, N: NonlinearConnection,
 # Each sum is the one of the loop that the kernel replaced (the reference
 # ``loop_bracket`` in ``tests/reference.py``), which summed the anchor
 # again for every pair.
-_BRACKET_LINE = sys._getframe().f_lineno + 2
-_BRACKET = '''\
+_BRACKET = KernelTemplate('''\
 def bracket(rho, Lv, gam, nat, pairs):
     {r}, = rho
     {G}, = gam
@@ -310,37 +302,29 @@ def bracket(rho, Lv, gam, nat, pairs):
         ({a},), ({b},), xy, yy = YA[{p}], XA[{p}], Xy[{p}], Yy[{p}]
         out.append((out_h, {rho_terms} + (0{gam})))
     return out
-'''
+''')
 
 
-@functools.cache
+@kernel(_BRACKET)
 def _bracket_kernel(p, m):
     """The kernel of ``_BRACKET`` for p and m, generated on first use."""
     rp, rm = range(p), range(m)
-
-    def names(fmt):
-        return ", ".join(fmt.format(a) for a in rp)
 
     def rho_apply(Z, A, y):
         return ("((0" + "".join(f" + {Z}{a} * {A}{a}" for a in rp)
                 + f") + {Z}v * {y})")
 
-    source = _BRACKET.format(
-        r=", ".join("(" + ", ".join(f"r{a}_{i}" for i in rm) + ",)"
-                    for a in rp),
-        G=names("G{}"), d="(" + ", ".join(f"d{i}" for i in rm) + ",)",
-        anchor=", ".join("(0" + "".join(f" + r{a}_{i} * d{i}" for i in rm)
-                         + ")" for a in rp),
-        X=names("X{}"), Y=names("Y{}"), a=names("a{}"), b=names("b{}"),
-        l=", ".join("(" + ", ".join(f"l{a}_{b}" for b in rp) + ",)"
-                    for a in rp),
+    return dict(
+        r=rows("r{}_{}", rp, rm), G=names("G{}", rp),
+        d="(" + names("d{}", rm) + ",)",
+        anchor=", ".join("(0" + terms("r{0}_{1} * d{1}", [a], rm) + ")"
+                         for a in rp),
+        X=names("X{}", rp), Y=names("Y{}", rp), a=names("a{}", rp),
+        b=names("b{}", rp), l=rows("l{}_{}", rp, rp),
         rho_terms=(rho_apply("X", "a", "yy") + " - "
                    + rho_apply("Y", "b", "xy")),
-        table="(0" + "".join(f" + X{a} * Y{b} * l{a}_{b}"
-                             for a in rp for b in rp) + ")",
-        h=names("h{}"), p=p,
-        gam="".join(f" + G{g} * h{g}" for g in rp))
-    return compile_kernel(source, "bracket", __file__, _BRACKET_LINE, {})
+        table="(0" + terms("X{0} * Y{1} * l{0}_{1}", rp, rp) + ")",
+        h=names("h{}", rp), p=p, gam=terms("G{0} * h{0}", rp))
 
 
 def bracket_pairs(fields, pairs, A: AlgebroidData, N: NonlinearConnection):
@@ -402,8 +386,7 @@ def bracket_d_vectors(X, Y, A: AlgebroidData, N: NonlinearConnection):
 #                                  + hv_0 / phi) * d0 + ...)
 #     vh': Vh'[a'][b'] - (0 + l0 * vh[0][0] * c0 / phi + ...)
 #     vv': Vv' - vv / phi
-_CHANGE_LAWS_LINE = sys._getframe().f_lineno + 2
-_CHANGE_LAWS = '''\
+_CHANGE_LAWS = KernelTemplate('''\
 def change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta, coeffs,
                 primed):
     Hh, Hv, Vh, Vv = coeffs
@@ -447,34 +430,23 @@ def change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta, coeffs,
     if r >= worst or r != r:
         worst = r
     update(worst, pt)
-'''
+''')
 
 
-@functools.cache
+@kernel(_CHANGE_LAWS)
 def _change_laws_kernel(p):
     """The kernel of ``_CHANGE_LAWS`` for p, generated on first use."""
     rp = range(p)
-
-    def names(fmt):
-        return ", ".join(fmt.format(a) for a in rp)
-
-    source = _CHANGE_LAWS.format(
-        R=repr(tuple(rp)), li=names("li{}"), Hv=names("Hv{}"),
-        V=names("V{}"), pd=names("(pd{},)"), Ha=names("Ha{}"),
-        l=names("l{}"),
-        B=", ".join("(" + ", ".join(f"B{a}_{g}" for g in rp) + ",)"
-                    for a in rp),
+    return dict(
+        R=repr(tuple(rp)), li=names("li{}", rp), Hv=names("Hv{}", rp),
+        V=names("V{}", rp), pd=names("(pd{},)", rp), Ha=names("Ha{}", rp),
+        l=names("l{}", rp), B=rows("B{}_{}", rp, rp),
         c="; ".join(f"c{b} = li{b}[bp]" for b in rp),
         d="; ".join(f"d{g} = li{g}[gp]" for g in rp),
-        hh_terms="".join(f" + Ha{b}[g] * c{b}" for b in rp),
-        law_hh="".join(f" + l{a} * B{a}_{g} * d{g}"
-                       for a in rp for g in rp),
-        law_hv="".join(f" + phi * (-pd{g} / (phi * phi) + Hv{g} / phi)"
-                       f" * d{g}" for g in rp),
-        law_vh="".join(f" + l{a} * V{a}[{b}] * c{b} / phi"
-                       for a in rp for b in rp))
-    return compile_kernel(source, "change_laws", __file__,
-                          _CHANGE_LAWS_LINE, {})
+        hh_terms=terms("Ha{0}[g] * c{0}", rp),
+        law_hh=terms("l{0} * B{0}_{1} * d{1}", rp, rp),
+        law_hv=terms("phi * (-pd{0} / (phi * phi) + Hv{0} / phi) * d{0}", rp),
+        law_vh=terms("l{0} * V{0}[{1}] * c{1} / phi", rp, rp))
 
 
 def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):

@@ -27,11 +27,11 @@ computes the loop's bits; those loops are the bitwise references in
 from __future__ import annotations
 
 import functools
-import sys
 from operator import add, mul
 
 from .algebroid import AlgebroidData
-from .calculus import EvaluationDomainError, Jet, at_point, compile_kernel, jdx
+from .calculus import EvaluationDomainError, Jet, KernelTemplate, at_point, \
+    jdx, kernel, names, rows, terms
 from .dconnection import DConnectionCoeffs
 from .metric import SingularMetricError
 from .nlconnection import NonlinearConnection
@@ -117,8 +117,7 @@ class Trajectory:
 #     combined: s<i> + sixth * (a<i> + 2.0 * b<i> + 2.0 * c<i> + d<i>)
 #
 # with a, b, c, d the four right sides in turn.
-_RK4_LINE = sys._getframe().f_lineno + 2
-_RK4 = '''\
+_RK4 = KernelTemplate('''\
 def rk4_step(f, t, s, h, half, sixth):
     {s}, = s
     {a}, = f(t, s)
@@ -126,28 +125,24 @@ def rk4_step(f, t, s, h, half, sixth):
     {c}, = f(t + half, ({stage_b},))
     {d}, = f(t + h, ({stage_c},))
     return ({combined},)
-'''
+''')
 
 
-@functools.cache
+@kernel(_RK4)
 def _rk4_kernel(n):
     """The kernel of ``_RK4`` for a state of n entries, generated on first
     use."""
     rn = range(n)
 
-    def names(k):
-        return ", ".join(f"{k}{i}" for i in rn)
-
     def stage(k, step):
         return ", ".join(f"s{i} + {step} * {k}{i}" for i in rn)
 
-    source = _RK4.format(
-        s=names("s"), a=names("a"), b=names("b"), c=names("c"),
-        d=names("d"), stage_a=stage("a", "half"), stage_b=stage("b", "half"),
-        stage_c=stage("c", "h"),
-        combined=", ".join(f"s{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i}"
-                           f" + d{i})" for i in rn))
-    return compile_kernel(source, "rk4_step", __file__, _RK4_LINE, {})
+    return dict(
+        s=names("s{}", rn), a=names("a{}", rn), b=names("b{}", rn),
+        c=names("c{}", rn), d=names("d{}", rn), stage_a=stage("a", "half"),
+        stage_b=stage("b", "half"), stage_c=stage("c", "h"),
+        combined=names("s{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0}"
+                       " + d{0})", rn))
 
 
 def rk4_integrate(f, t0: float, t1: float, state0, steps: int) -> Trajectory:
@@ -226,55 +221,40 @@ def local_invertibility_residual(L: LiftMorphism, points):
 #                  for each a (b, then c, in order), then the parallel term
 #
 # with H<a>_<b>_<c> the entries of hh and state = (z0, .., z<p-1>, u).
-_PARALLEL_LINE = sys._getframe().f_lineno + 2
-_PARALLEL = '''\
+_PARALLEL = KernelTemplate('''\
 def parallel(u, gam, g):
     {gam}, = gam
     {g}, = g
     return (-(0{dot}) * u,)
-'''
-_HORIZONTAL_LINE = sys._getframe().f_lineno + 2
-_HORIZONTAL = '''\
+''')
+_HORIZONTAL = KernelTemplate('''\
 def horizontal(state, Hh, gam, g):
     {z}, u = state
     {H}, = Hh
     {gam}, = gam
     {g}, = g
     return [{dz}, -(0{dot}) * u]
-'''
+''')
 
 
-def _rhs_names(p):
-    """The unpacked names of Gamma and g at p, and the sum of their
-    products."""
-    rp = range(p)
-    return (", ".join(f"gam{a}" for a in rp), ", ".join(f"g{a}" for a in rp),
-            "".join(f" + gam{a} * g{a}" for a in rp))
-
-
-@functools.cache
+@kernel(_PARALLEL)
 def _parallel_kernel(p):
     """The kernel of ``_PARALLEL`` for p, generated on first use."""
-    gam, g, dot = _rhs_names(p)
-    return compile_kernel(_PARALLEL.format(gam=gam, g=g, dot=dot),
-                          "parallel", __file__, _PARALLEL_LINE, {})
+    rp = range(p)
+    return dict(gam=names("gam{}", rp), g=names("g{}", rp),
+                dot=terms("gam{0} * g{0}", rp))
 
 
-@functools.cache
+@kernel(_HORIZONTAL)
 def _horizontal_kernel(p):
     """The kernel of ``_HORIZONTAL`` for p, generated on first use."""
     rp = range(p)
-    gam, g, dot = _rhs_names(p)
-    source = _HORIZONTAL.format(
-        z=", ".join(f"z{b}" for b in rp), gam=gam, g=g, dot=dot,
-        H=", ".join("(" + ", ".join(
-            "(" + ", ".join(f"H{a}_{b}_{c}" for c in rp) + ",)" for b in rp)
-            + ",)" for a in rp),
-        dz=", ".join("-(0" + "".join(f" + H{a}_{b}_{c} * z{b} * z{c}"
-                                     for b in rp for c in rp) + ")"
-                     for a in rp))
-    return compile_kernel(source, "horizontal", __file__, _HORIZONTAL_LINE,
-                          {})
+    return dict(
+        z=names("z{}", rp), gam=names("gam{}", rp), g=names("g{}", rp),
+        dot=terms("gam{0} * g{0}", rp),
+        H=", ".join("(" + rows(f"H{a}_{{}}_{{}}", rp, rp) + ",)" for a in rp),
+        dz=", ".join("-(0" + terms("H{0}_{1}_{2} * z{1} * z{2}", [a], rp, rp)
+                     + ")" for a in rp))
 
 
 def integrate_parallel_lift(c: BaseCurve, L: LiftMorphism, A: AlgebroidData,

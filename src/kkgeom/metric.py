@@ -2,15 +2,15 @@
 
 The metric is a symmetric horizontal block g[alpha][beta](x, y0) plus one
 vertical coefficient g00(x, y0); both must be nondegenerate on the sampling
-box.  ``metric_dconnection`` builds, from any baseline coefficient set, a
-connection whose covariant derivatives annihilate the metric; with the
-fiber-derivative (Berwald-type) baseline this is the canonical connection.
-Its hh is the Koszul formula and its vh the ring terms, each straight-line
-code generated per p on first use; the sums they replaced are the bitwise
-references in ``tests/reference.py`` (``loop_koszul``, ``loop_vh``).  Each
-metric block is evaluated once per point: vh reads the pass over g that hh
-makes, and vv the pass over g00 that hv makes, when asked at the same
-point objects.
+box.  ``metric_dconnection`` builds, over the hv of a baseline (zero or
+the fiber-derivative one), a connection whose covariant derivatives
+annihilate the metric; with the fiber-derivative (Berwald-type) baseline
+this is the canonical connection.  Its hh is the Koszul formula and its vh
+the raised fiber derivative of g, each straight-line code generated per p
+on first use; the sums they replaced are the bitwise references in
+``tests/reference.py`` (``loop_koszul``, ``loop_vh``).  Each metric block
+is evaluated once per point: vh reads the pass over g that hh makes, and
+vv the pass over g00 that hv makes, when asked at the same point objects.
 
 Matrix inversion is a plain Gauss-Jordan written to run on Jet entries, so
 the constructed coefficients can be differentiated again (curvature needs
@@ -22,21 +22,22 @@ is the self-check of ``inverse_h`` per p (``loop_inverse_check``).
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 
 from .algebroid import AlgebroidData
 from .calculus import (
     EPoint,
     EvaluationDomainError,
+    KernelTemplate,
     at_point,
-    compile_kernel,
     fiber_seeded_point,
     jdy,
     jval,
+    kernel,
+    names,
     primal,
-    seeded_point,
+    rows,
+    terms,
 )
 from .dconnection import DConnectionCoeffs, h_cov_values, v_cov_values
 from .nlconnection import NonlinearConnection, adapted_derivatives
@@ -93,13 +94,12 @@ class MetricStructure:
 # as the loop of the reference ``loop_matrix_inverse`` in
 # ``tests/reference.py`` does.  Only the lines of ``_INVERSE`` keep their
 # line numbers here; a column's lines follow its own.
-_INVERSE_LINE = sys._getframe().f_lineno + 2
-_INVERSE = '''\
+_INVERSE = KernelTemplate('''\
 def inverse(mat):
     {rows}, = mat
     {identity}
 {columns}    return [{out}]
-'''
+''')
 _INVERSE_COLUMN = '''\
     k = abs(primal(a{c}_{c})); r = {c}
 {pick}{swap}    if k < 1e-300: raise _singular_pivot(a{c}_{c}, {c})
@@ -122,37 +122,30 @@ def _singular_pivot(pivot, col):
         f"singular matrix (pivot {primal(pivot):.3e} in column {col})")
 
 
-@functools.cache
+@kernel(_INVERSE, primal=primal, _singular_pivot=_singular_pivot)
 def _inverse_kernel(n):
     """The kernel of ``_INVERSE`` for n, generated on first use."""
     rn, r2n = range(n), range(2 * n)
-
-    def row(r):
-        return ", ".join(f"a{r}_{j}" for j in r2n)
-
+    row = [names("a{}_{}", [r], r2n) for r in rn]
     columns = "".join(_INVERSE_COLUMN.format(
         c=c,
         pick="".join(_INVERSE_PICK.format(r=r, c=c)
                      for r in range(c + 1, n)),
         swap="".join(f"    {'el' if r > c + 1 else ''}if r == {r}: "
-                     f"{row(c)}, {row(r)} = {row(r)}, {row(c)}\n"
+                     f"{row[c]}, {row[r]} = {row[r]}, {row[c]}\n"
                      for r in range(c + 1, n)),
         divide="; ".join(f"a{c}_{j} = a{c}_{j} / pivot" for j in r2n),
         eliminate="".join(_INVERSE_ELIMINATE.format(
             r=r, c=c, subtract="; ".join(
                 f"a{r}_{j} = a{r}_{j} - f * a{c}_{j}" for j in r2n))
             for r in rn if r != c)) for c in rn)
-    source = _INVERSE.format(
-        rows=", ".join("(" + ", ".join(f"a{r}_{j}" for j in rn) + ",)"
-                       for r in rn),
+    return dict(
+        rows=rows("a{}_{}", rn, rn),
         identity="; ".join(f"a{r}_{n + j} = {1.0 if r == j else 0.0}"
                            for r in rn for j in rn),
         columns=columns,
         out=", ".join("[" + ", ".join(f"a{r}_{n + j}" for j in rn) + "]"
                       for r in rn))
-    return compile_kernel(source, "inverse", __file__, _INVERSE_LINE,
-                          {"primal": primal,
-                           "_singular_pivot": _singular_pivot})
 
 
 def matrix_inverse(mat):
@@ -173,8 +166,7 @@ def matrix_inverse(mat):
 #     n1(m)    = max over b of (0 + abs(m0_<b>) + abs(m1_<b>) + ...)
 #
 # with the residuals taken over (a, b) in order.
-_INVERSE_CHECK_LINE = sys._getframe().f_lineno + 2
-_INVERSE_CHECK = '''\
+_INVERSE_CHECK = KernelTemplate('''\
 def inverse_check(g, gi):
     {g}, = g
     {gi}, = gi
@@ -183,17 +175,13 @@ def inverse_check(g, gi):
     {norm_g}
     {norm_gi}
     return worst, ng * ngi
-'''
+''')
 
 
-@functools.cache
+@kernel(_INVERSE_CHECK)
 def _inverse_check_kernel(p):
     """The kernel of ``_INVERSE_CHECK`` for p, generated on first use."""
     rp = range(p)
-
-    def rows(m):
-        return ", ".join("(" + ", ".join(f"{m}{a}_{b}" for b in rp) + ",)"
-                         for a in rp)
 
     def norm(m, out):
         cols = ["(0" + "".join(f" + abs({m}{a}_{b})" for a in rp) + ")"
@@ -202,16 +190,14 @@ def _inverse_check_kernel(p):
                          + [f"n = {col}; {out} = n if n > {out} else {out}"
                             for col in cols[1:]])
 
-    source = _INVERSE_CHECK.format(
-        g=rows("g"), gi=rows("gi"),
+    return dict(
+        g=rows("g{}_{}", rp, rp), gi=rows("gi{}_{}", rp, rp),
         residuals="; ".join(
-            "r = abs((0" + "".join(f" + g{a}_{c} * gi{c}_{b}" for c in rp)
+            "r = abs((0" + terms("g{0}_{2} * gi{2}_{1}", [a], [b], rp)
             + f") - {1.0 if a == b else 0.0}); "
             f"worst = r if r > worst else worst"
             for a in rp for b in rp),
         norm_g=norm("g", "ng"), norm_gi=norm("gi", "ngi"))
-    return compile_kernel(source, "inverse_check", __file__,
-                          _INVERSE_CHECK_LINE, {})
 
 
 def inverse_h(G: MetricStructure, pt: EPoint):
@@ -271,8 +257,7 @@ def _inverse_at(mat, xs, y):
 # with the bracket terms gv[th][e] * Lv[th][c][b] - gv[b][th] * Lv[th][c][e]
 # - gv[th][c] * Lv[th][b][e] for each th.  The kernel runs over (b, c);
 # ``{terms}`` writes out every t_e and ``{outs}`` every hh[a][b][c].
-_KOSZUL_LINE = sys._getframe().f_lineno + 2
-_KOSZUL = '''\
+_KOSZUL = KernelTemplate('''\
 def koszul(gv, gd, gi, Lv):
     {gv_rows}, = gv
     {gd_rows}, = gd
@@ -287,98 +272,75 @@ def koszul(gv, gd, gi, Lv):
             {terms}
             {outs}
     return out
-'''
+''')
 
 
-@functools.cache
+@kernel(_KOSZUL)
 def _koszul_kernel(p):
     """The kernel of ``_KOSZUL`` for p, generated on first use."""
     rp = range(p)
-
-    def names(fmt):
-        return ", ".join(fmt.format(th) for th in rp)
 
     def theta(e, th):
         return (f"(gv{th}[{e}] * L{th}c[b] - gvb[{th}] * L{th}c[{e}]"
                 f" - gv{th}[c] * L{th}b[{e}])")
 
-    source = _KOSZUL.format(
-        p=p, R=repr(tuple(rp)),
-        gv_rows=names("gv{}"), gd_rows=names("gd{}"), L_rows=names("L{}"),
-        gi=", ".join("(" + ", ".join(f"gi{a}_{e}" for e in rp) + ",)"
-                     for a in rp),
-        out_rows=names("O{}"),
+    return dict(
+        p=p, R=repr(tuple(rp)), gv_rows=names("gv{}", rp),
+        gd_rows=names("gd{}", rp), L_rows=names("L{}", rp),
+        gi=rows("gi{}_{}", rp, rp), out_rows=names("O{}", rp),
         per_b="; ".join(f"L{th}b = L{th}[b]; O{th}b = O{th}[b]" for th in rp),
         per_c="; ".join(f"L{th}c = L{th}[c]" for th in rp),
         terms="; ".join(
             f"t{e} = gdc[{e}][b] + gdb[{e}][c] - gd{e}[b][c] + (0"
             + "".join(f" + {theta(e, th)}" for th in rp) + ")" for e in rp),
-        outs="; ".join(
-            f"O{a}b[c] = 0.5 * (0.0"
-            + "".join(f" + gi{a}_{e} * t{e}" for e in rp) + ")" for a in rp))
-    return compile_kernel(source, "koszul", __file__, _KOSZUL_LINE, {})
+        outs="; ".join(f"O{a}b[c] = 0.5 * (0.0"
+                       + terms("gi{0}_{1} * t{1}", [a], rp) + ")"
+                       for a in rp))
 
 
-# vh of the metric connection at p, from the values gv and fiber
-# derivatives g_dy of the horizontal metric block, its inverse gi and the
-# baseline's vh0: per b, the ring terms (which do not depend on the upper
-# index a)
+# vh of the metric connection at p: half the fiber derivatives g_dy of the
+# horizontal metric block, raised by its inverse gi,
 #
-#     r_e = g_dy[b][e] - (0 + (vh0[0][b] * gv[0][e] + vh0[0][e] * gv[b][0])
-#                          + ...)
-#     vh[a][b] = vh0[a][b] + 0.5 * (0.0 + gi[a][0] * r_0 + ...)
+#     vh[a][b] = 0.5 * (0.0 + gi[a][0] * g_dy[b][0] + ...)
 #
 # as the loop of the reference ``loop_vh`` in ``tests/reference.py`` sums
-# them.  The kernel runs over b; ``{rings}`` writes out every r_e and
-# ``{outs}`` every vh[a][b].
-_VH_LINE = sys._getframe().f_lineno + 2
-_VH = '''\
-def vh(gv, g_dy, gi, vh0):
-    {gv_rows}, = gv
-    {V_rows}, = vh0
+# it.  The kernel runs over b; ``{outs}`` writes out every vh[a][b].
+_VH = KernelTemplate('''\
+def vh(g_dy, gi):
     {gi}, = gi
     out = [[None] * {p} for _ in {R}]
     {out_rows}, = out
     for b in {R}:
-        gvb = gv[b]; dyb = g_dy[b]; {per_b}
-        {rings}
+        dyb = g_dy[b]
         {outs}
     return out
-'''
+''')
 
 
-@functools.cache
+@kernel(_VH)
 def _vh_kernel(p):
     """The kernel of ``_VH`` for p, generated on first use."""
     rp = range(p)
-
-    def names(fmt):
-        return ", ".join(fmt.format(th) for th in rp)
-
-    source = _VH.format(
-        p=p, R=repr(tuple(rp)), gv_rows=names("gv{}"), V_rows=names("V{}"),
-        gi=", ".join("(" + ", ".join(f"gi{a}_{e}" for e in rp) + ",)"
-                     for a in rp),
-        out_rows=names("O{}"), per_b="; ".join(f"V{th}b = V{th}[b]"
-                                               for th in rp),
-        rings="; ".join(
-            f"r{e} = dyb[{e}] - (0" + "".join(
-                f" + (V{th}b * gv{th}[{e}] + V{th}[{e}] * gvb[{th}])"
-                for th in rp) + ")" for e in rp),
-        outs="; ".join(
-            f"O{a}[b] = V{a}[b] + 0.5 * (0.0"
-            + "".join(f" + gi{a}_{e} * r{e}" for e in rp) + ")" for a in rp))
-    return compile_kernel(source, "vh", __file__, _VH_LINE, {})
+    return dict(
+        p=p, R=repr(tuple(rp)), gi=rows("gi{}_{}", rp, rp),
+        out_rows=names("O{}", rp),
+        outs="; ".join(f"O{a}[b] = 0.5 * (0.0"
+                       + terms("gi{0}_{1} * dyb[{1}]", [a], rp) + ")"
+                       for a in rp))
 
 
-def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
+def metric_dconnection(G: MetricStructure, baseline_hv,
                        A: AlgebroidData, N: NonlinearConnection) -> DConnectionCoeffs:
-    """Metric-compatible coefficients built over a baseline (ring) set.
+    """Metric-compatible coefficients built over a baseline's hv, the
+    evaluator ``baseline_hv(xs, y)`` of its p entries.
 
     hh is the Koszul-type combination of adapted derivatives of g and the
-    bracket table; hv and vh correct the baseline by half the baseline
-    covariant derivative of the metric blocks; vv is half the logarithmic
-    fiber derivative of g00.
+    bracket table; hv corrects the baseline's hv by half its covariant
+    derivative of g00; vh is half the fiber derivative of g, raised by the
+    inverse of g; vv is half the logarithmic fiber derivative of g00.  A
+    baseline enters through its hv alone: both baselines a scenario can
+    name (zero and the fiber-derivative one, :func:`~kkgeom.dconnection.
+    berwald`) have zero hh, vh and vv.
 
     Each block is evaluated once per point: hh's derivative pass over g
     gives its values, fiber derivatives and (once inverted) inverse, which
@@ -400,7 +362,7 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
         g_vals, g_delta, g_dy = adapted_derivatives(G.g_at, xs, y, A, N)
         ginv = _inverse_at(g_vals, xs, y)
         if type(xs) is tuple:
-            g_last[0] = (xs, y, (g_vals, g_dy, ginv))
+            g_last[0] = (xs, y, (g_dy, ginv))
         return _koszul_kernel(p)(g_vals, g_delta, ginv, A.L_at(xs))
 
     def hv_at(xs, y):
@@ -411,7 +373,7 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
                                       point=_float_point(xs, y))
         if type(xs) is tuple:
             g00_last[0] = (xs, y, (g00, g00_dy))
-        hv0 = baseline.hv_at(xs, y)
+        hv0 = baseline_hv(xs, y)
         return [
             hv0[c] + 0.5 * (delta[c][0] - 2.0 * hv0[c] * g00) / g00
             for c in range(p)
@@ -421,10 +383,9 @@ def metric_dconnection(G: MetricStructure, baseline: DConnectionCoeffs,
         xs0, y0, block = g_last[0]
         if xs0 is not xs or y0 is not y:
             gj = G.g_at(*fiber_seeded_point(xs, y))
-            g_vals = [[jval(v) for v in row] for row in gj]
-            block = (g_vals, [[jdy(v) for v in row] for row in gj],
-                     _inverse_at(g_vals, xs, y))
-        return _vh_kernel(p)(*block, baseline.vh_at(xs, y))
+            block = ([[jdy(v) for v in row] for row in gj], _inverse_at(
+                [[jval(v) for v in row] for row in gj], xs, y))
+        return _vh_kernel(p)(*block)
 
     def vv_at(xs, y):
         xs0, y0, block = g00_last[0]
@@ -479,11 +440,13 @@ class CompatibilityCheck:
 def riemannian_flags(G: MetricStructure, samples):
     """(h-block independent of y0, vertical coefficient independent of y0):
     every |d/dy0| of the block over ``samples`` at most 1e-12, so a NaN
-    derivative makes its flag false."""
+    derivative makes its flag false.  The blocks are read at
+    ``fiber_seeded_point``, y alone seeded, so an x-only factor that
+    overflows stays a float and adds no NaN to d/dy0."""
     h_dy, v_dy = [], []
     for pt in samples:
         with at_point(pt):
-            jxs, jy = seeded_point(pt.x, pt.y)
+            jxs, jy = fiber_seeded_point(pt.x, pt.y)
             gj = G.g_at(jxs, jy)
             g00j = G.g00_at(jxs, jy)
         h_dy += [jdy(v) for row in gj for v in row]

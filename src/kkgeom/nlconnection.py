@@ -20,16 +20,19 @@ from __future__ import annotations
 
 import functools
 import operator
-import sys
 
 from .algebroid import AlgebroidData
 from .calculus import (
     EPoint,
     EvaluationDomainError,
     Jet,
-    compile_kernel,
+    KernelTemplate,
     jdx,
+    kernel,
+    names,
+    rows,
     seeded_point,
+    terms,
 )
 from .exprlang import zero_table
 
@@ -88,8 +91,7 @@ def adapted_derivatives(array_fn, xs, y, A: AlgebroidData, N: NonlinearConnectio
 # partials; an entry that is a list is walked by the same kernel, and
 # ``{append_sub}`` appends its deltas.  The recursion is a call of a
 # module-level function, so no closure cycle keeps the Jets alive.
-_SPLIT_LINE = sys._getframe().f_lineno + 2
-_SPLIT = '''\
+_SPLIT = KernelTemplate('''\
 def split(row, rho, gam):
     {r} = rho
     {G} = gam
@@ -110,28 +112,21 @@ def split(row, rho, gam):
         ddy.append(dy)
         {append}
     return vals, [{D}], ddy
-'''
+''')
 
 
-@functools.cache
+@kernel(_SPLIT, Jet=Jet)
 def _split_kernel(p, m):
     """The kernel of ``_SPLIT`` for p directions and m base coordinates,
     generated on first use."""
     rm, rp = range(m), range(p)
-    d = [f"d{i}" for i in rm]
-    source = _SPLIT.format(
-        r=", ".join("(" + ", ".join(f"r{g}_{i}" for i in rm) + ",)"
-                    for g in rp) + ",",
-        G=", ".join(f"G{g}" for g in rp) + ",",
-        D=", ".join(f"D{g}" for g in rp),
-        empty=", ".join("[]" for g in rp) + ",",
-        d=", ".join(d), d_zero=" = ".join(d),
+    return dict(
+        r=rows("r{}_{}", rp, rm) + ",", G=names("G{}", rp) + ",",
+        D=names("D{}", rp), empty=", ".join("[]" for g in rp) + ",",
+        d=names("d{}", rm), d_zero=" = ".join(f"d{i}" for i in rm),
         append_sub="; ".join(f"D{g}.append(d[{g}])" for g in rp),
-        append="; ".join(f"D{g}.append((0"
-                         + "".join(f" + r{g}_{i} * d{i}" for i in rm)
+        append="; ".join(f"D{g}.append((0" + terms("r{0}_{1} * d{1}", [g], rm)
                          + f") - G{g} * dy)" for g in rp))
-    return compile_kernel(source, "split", __file__, _SPLIT_LINE,
-                          {"Jet": Jet})
 
 
 def bracket_curvature(gam, gam_delta, Lv):
@@ -209,8 +204,7 @@ class CoordinateChange:
 # column g' of Laminv,
 #
 #     Gamma'[g'] - (0 + (-s0 * y0 + phi * Gamma[0]) * c0 + ...)
-_GAMMA_LAW_LINE = sys._getframe().f_lineno + 2
-_GAMMA_LAW = '''\
+_GAMMA_LAW = KernelTemplate('''\
 def gamma_law(update, pt, phi, dphi, rho, gam, gam_p, lam_inv):
     {d}, = dphi
     {r}, = rho
@@ -225,23 +219,20 @@ def gamma_law(update, pt, phi, dphi, rho, gam, gam_p, lam_inv):
         if r >= worst or r != r:
             worst = r
     update(worst, pt)
-'''
+''')
 
 
-@functools.cache
+@kernel(_GAMMA_LAW)
 def _gamma_law_kernel(p, m):
     """The kernel of ``_GAMMA_LAW`` for p and m, generated on first use."""
     rp, rm = range(p), range(m)
-    source = _GAMMA_LAW.format(
-        R=repr(tuple(rp)), d=", ".join(f"d{k}" for k in rm),
-        r=", ".join("(" + ", ".join(f"r{g}_{k}" for k in rm) + ",)"
+    return dict(
+        R=repr(tuple(rp)), d=names("d{}", rm), r=rows("r{}_{}", rp, rm),
+        G=names("G{}", rp), li=names("li{}", rp),
+        s="; ".join(f"s{g} = (0" + terms("r{0}_{1} * d{1}", [g], rm) + ")"
                     for g in rp),
-        G=", ".join(f"G{g}" for g in rp), li=", ".join(f"li{g}" for g in rp),
-        s="; ".join(f"s{g} = (0" + "".join(f" + r{g}_{k} * d{k}" for k in rm)
-                    + ")" for g in rp),
         c="; ".join(f"c{g} = li{g}[gp]" for g in rp),
-        terms="".join(f" + (-s{g} * y + phi * G{g}) * c{g}" for g in rp))
-    return compile_kernel(source, "gamma_law", __file__, _GAMMA_LAW_LINE, {})
+        terms=terms("(-s{0} * y + phi * G{0}) * c{0}", rp))
 
 
 def nlc_transformation_point(N, N_primed, C, A, pt, tracker):

@@ -151,7 +151,7 @@ class Scenario:
     def metric_dconnection(self) -> DConnectionCoeffs:
         """The metric connection over the configured baseline."""
         return metric_dconnection(self.metric,
-                                  self.baseline_for(self.connection),
+                                  self.baseline_hv(self.connection),
                                   self.algebroid, self.connection)
 
     def dconnection(self) -> DConnectionCoeffs:
@@ -164,12 +164,13 @@ class Scenario:
         raise ScenarioError("dconnection",
                             "scenario has neither a metric nor explicit tables")
 
-    def baseline_for(self, N: NonlinearConnection) -> DConnectionCoeffs:
-        """The configured baseline (ring) connection over ``N``: the
-        fiber-derivative (Berwald-type) one, or zero."""
+    def baseline_hv(self, N: NonlinearConnection):
+        """The hv evaluator of the configured baseline connection over
+        ``N``, the one family of it that :func:`metric_dconnection` reads:
+        the fiber-derivative (Berwald-type) one's, or zero's."""
         if self.baseline == "berwald":
-            return berwald(N)
-        return DConnectionCoeffs.zero(self.p)
+            return berwald(N).hv_at
+        return zero_table(self.p, 1)
 
 
 def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:

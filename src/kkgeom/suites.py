@@ -9,8 +9,6 @@ of the coefficient change laws, so the law is tested, not restated.
 
 from __future__ import annotations
 
-import functools
-import sys
 import time
 
 from .algebroid import (
@@ -19,7 +17,8 @@ from .algebroid import (
     validate_antisymmetry,
     validate_jacobi,
 )
-from .calculus import EPoint, at_point, compile_kernel
+from .calculus import EPoint, KernelTemplate, at_point, kernel, names, rows, \
+    terms
 from .curvature import (
     BianchiCheck,
     OracleCheck,
@@ -132,8 +131,7 @@ def run_validate(sc: Scenario, samples=None, seed=None,
 #     L'[g'][a'][b']  = 0 + l0 * L[0][0][0] * c0 * d0 + ...   (g, a, b)
 #     Gamma'[g']      = 0 + Gamma[0] * c0 + ...
 #     g'[a'][b']      = 0 + g[0][0] * c0 * d0 + ...           (a, b)
-_FRAME_CHANGE_LINE = sys._getframe().f_lineno + 2
-_FRAME_CHANGE = '''\
+_FRAME_CHANGE = KernelTemplate('''\
 def frame_change(lam, lam_inv, A, N, G):
     cols = list(zip(*lam_inv))
     M = range(A.m)
@@ -155,34 +153,21 @@ def frame_change(lam, lam_inv, A, N, G):
         return [[0{gt} for {d}, in cols] for {c}, in cols]
 
     return rho_at, L_at, gamma_at, g_at
-'''
+''')
 
 
-@functools.cache
+@kernel(_FRAME_CHANGE)
 def _frame_change_kernel(p):
     """The kernel of ``_FRAME_CHANGE`` for p, generated on first use."""
     rp = range(p)
-
-    def names(fmt):
-        return ", ".join(fmt.format(a) for a in rp)
-
-    def rows(fmt):
-        return ", ".join("(" + ", ".join(fmt.format(a, b) for b in rp) + ",)"
-                         for a in rp)
-
-    source = _FRAME_CHANGE.format(
-        r=names("r{}"), c=names("c{}"), d=names("d{}"), l=names("l{}"),
-        G=names("G{}"), g=rows("g{}_{}"),
-        L=", ".join("(" + ", ".join(
-            "(" + ", ".join(f"L{g}_{a}_{b}" for b in rp) + ",)" for a in rp)
-            + ",)" for g in rp),
-        rho="".join(f" + c{a} * r{a}[i]" for a in rp),
-        Lt="".join(f" + l{g} * L{g}_{a}_{b} * c{a} * d{b}"
-                   for g in rp for a in rp for b in rp),
-        gamma="".join(f" + G{g} * c{g}" for g in rp),
-        gt="".join(f" + g{a}_{b} * c{a} * d{b}" for a in rp for b in rp))
-    return compile_kernel(source, "frame_change", __file__,
-                          _FRAME_CHANGE_LINE, {})
+    return dict(
+        r=names("r{}", rp), c=names("c{}", rp), d=names("d{}", rp),
+        l=names("l{}", rp), G=names("G{}", rp), g=rows("g{}_{}", rp, rp),
+        L=", ".join("(" + rows(f"L{g}_{{}}_{{}}", rp, rp) + ",)" for g in rp),
+        rho=terms("c{0} * r{0}[i]", rp),
+        Lt=terms("l{0} * L{0}_{1}_{2} * c{1} * d{2}", rp, rp, rp),
+        gamma=terms("G{0} * c{0}", rp),
+        gt=terms("g{0}_{1} * c{0} * d{1}", rp, rp))
 
 
 def _frame_change_data(sc: Scenario):
@@ -244,7 +229,7 @@ class TransformationCheck:
         for kind, (C, A_p, N_p, G_p) in (("frame", _frame_change_data(sc)),
                                          ("fiber", _fiber_change_data(sc))):
             self._changes.append((
-                C, N_p, metric_dconnection(G_p, sc.baseline_for(N_p), A_p, N_p),
+                C, N_p, metric_dconnection(G_p, sc.baseline_hv(N_p), A_p, N_p),
                 ResidualTracker(f"transformation.nlc_{kind}", tol),
                 ResidualTracker(f"transformation.dconnection_{kind}", tol)))
         self.trackers = [tracker for *_, nlc, dcon in self._changes

@@ -78,7 +78,7 @@ def chart_change_residual(C, base_inverse_at, samples):
 def canonical_metric_dconnection(G, A, N):
     """Metric connection over the fiber-derivative (Berwald-type) baseline,
     as a scenario with a metric and ``baseline: berwald`` builds it."""
-    return metric_dconnection(G, berwald(N), A, N)
+    return metric_dconnection(G, berwald(N).hv_at, A, N)
 
 
 def table(src, m=2, on_base=False):

@@ -247,21 +247,17 @@ def loop_matrix_inverse(mat):
     return [row[n:] for row in aug]
 
 
-def loop_vh(g_vals, g_dy, ginv, vh0):
-    """The ring sums and contraction of ``metric_dconnection``'s vh that
-    the vh kernel replaced."""
-    p = len(g_vals)
-    rings = [[g_dy[b][e] - _sum(
-                  vh0[th][b] * g_vals[th][e] + vh0[th][e] * g_vals[b][th]
-                  for th in range(p))
-              for e in range(p)] for b in range(p)]
+def loop_vh(g_dy, ginv):
+    """The contraction of ``metric_dconnection``'s vh that the vh kernel
+    replaced: half the fiber derivatives of g, raised by its inverse."""
+    p = len(g_dy)
     out = [[None] * p for _ in range(p)]
     for a in range(p):
         for b in range(p):
             acc = 0.0
-            for gi, ring in zip(ginv[a], rings[b]):
-                acc = acc + gi * ring
-            out[a][b] = vh0[a][b] + 0.5 * acc
+            for gi, dy in zip(ginv[a], g_dy[b]):
+                acc = acc + gi * dy
+            out[a][b] = 0.5 * acc
     return out
 
 

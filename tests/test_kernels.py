@@ -18,6 +18,7 @@ trackers both leave (``_updates``), and the rows scanned in Python
 (``report.row_max``) with their per-entry loops the same way."""
 
 import itertools
+import linecache
 import math
 import os
 import random
@@ -388,7 +389,7 @@ def test_metric_hh_matches_the_koszul_loop(monkeypatch, name):
     sc = load_scenario(str((DATA_DIR if name.startswith("gen")
                             else SCENARIO_DIR) / name))
     A, N, G = sc.algebroid, sc.connection, sc.metric
-    D = metric_dconnection(G, sc.baseline_for(N), A, N)
+    D = metric_dconnection(G, sc.baseline_hv(N), A, N)
 
     def reference(xs, y):
         g_vals, g_delta, _ = loop_adapted_derivatives(G.g_at, xs, y, A, N)
@@ -639,7 +640,7 @@ def test_jacobi_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
 def test_vh_kernel_matches_the_loop(monkeypatch, p, kind, special):
     rng = random.Random(f"vh:{p}:{kind}:{special}")
     draw = _operands(rng, kind, special)
-    args = [_array(draw, p, p) for _ in range(4)]
+    args = [_array(draw, p, p) for _ in range(2)]
     _same(monkeypatch, (metric._vh_kernel(p), *args), (loop_vh, *args))
 
 
@@ -1005,6 +1006,33 @@ def test_generated_kernels_are_charged_to_their_module(factory, keys, module):
         for code in codes:
             assert code.co_filename == module.__file__, code
             assert code.co_name != "<lambda>", code
+
+
+# The one key at which each factory's kernel is read back against its
+# template: p = m = 2 (n = 2 for the inverse), a state of 3 entries for the
+# RK4 step, and the Leibniz rule along both directions.
+LINE_KEYS = {"_rk4_kernel": [(3,)],
+             "_leibniz_kernel": [(2, 2, 1, True, "h"), (2, 2, 1, True, "v")]}
+
+
+@pytest.mark.parametrize("factory,keys,module", FACTORIES,
+                         ids=[f[0].__name__ for f in FACTORIES])
+def test_generated_kernels_keep_their_template_lines(factory, keys, module):
+    """A traceback through a kernel, and a profile's line of it, point at
+    its template: every def of the kernel (every method of the Jet class)
+    is compiled under its module's file at the line that defines it
+    there.  The Leibniz source, built line by line, points at its
+    factory's ``def``."""
+    name = factory.__name__
+    for key in LINE_KEYS.get(name, [(2,) * len(keys[0])]):
+        codes = [code for code in _codes(factory(*key))
+                 if not code.co_name.startswith("<")]
+        assert codes
+        for code in codes:
+            assert code.co_filename == module.__file__, code
+            line = linecache.getline(code.co_filename, code.co_firstlineno)
+            defined = name if name == "_leibniz_kernel" else code.co_name
+            assert line.lstrip().startswith(f"def {defined}("), (code, line)
 
 
 def test_a_load_generates_no_kernel():

@@ -114,13 +114,22 @@ def _scopes_reading(node, name, scope=()):
                          for child in ast.iter_child_nodes(node)))
 
 
+def _template_text(value):
+    """The text of a kernel template assigned as ``value``: the string of a
+    ``KernelTemplate(...)``, or a plain string (a template's fragment);
+    ``""`` for any other value."""
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+            and value.func.id == "KernelTemplate" and value.args:
+        value = value.args[0]
+    return value.value if isinstance(value, ast.Constant) \
+        and isinstance(value.value, str) else ""
+
+
 def _template_reads(tree, name):
-    """``NAME`` for every module-level string assigned to ``NAME`` (a
-    kernel template) whose text names ``name``."""
+    """``NAME`` for every module-level template assigned to ``NAME``
+    (:func:`_template_text`) whose text names ``name``."""
     return {target.id for node in tree.body if isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str)
-            and name in re.findall(r"[A-Za-z_]\w*", node.value.value)
+            and name in re.findall(r"[A-Za-z_]\w*", _template_text(node.value))
             for target in node.targets if isinstance(target, ast.Name)}
 
 
@@ -175,10 +184,12 @@ def test_the_primal_guard_sees_an_unwrap_of_a_float():
                                   "g0 = primal(1.0)\n"
                                   "_RHS = '''def f(u):\n"
                                   "    return primal(u)\n'''\n"
+                                  "_STEP = KernelTemplate('''def g(u):\n"
+                                  "    return 2.0 * primal(u)\n''')\n"
                                   "_NOTE = 'unwraps nothing: primary'\n")}
     assert _primal_reads(trees) - PRIMAL_ALLOWED == {
         "metric.py:inverse_h", "lift.py:BaseCurve.point_at", "lift.py:",
-        "lift.py:_RHS"}
+        "lift.py:_RHS", "lift.py:_STEP"}
 
 
 def _dynamic_code_sites(trees):
@@ -215,6 +226,61 @@ def test_the_compile_guard_sees_a_stray_eval():
              "cli.py": ast.parse("run = exec\n")}
     assert _dynamic_code_sites(trees) - DYNAMIC_CODE_ALLOWED == {
         "exprlang.py:parse", "cli.py:"}
+
+
+def _names_read(node, name, scope=()):
+    """As :func:`_scopes_reading`, with a read of ``name`` as an attribute
+    (``sys._getframe``, ``calculus.compile_kernel``) counted too."""
+    if isinstance(node, ast.Name) and node.id == name \
+            or isinstance(node, ast.Attribute) and node.attr == name:
+        return {".".join(scope)}
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope += (node.name,)
+    return set().union(*(_names_read(child, name, scope)
+                         for child in ast.iter_child_nodes(node)))
+
+
+def _construction_sites(trees):
+    """``module:scope:name`` for every read of ``_getframe`` or of
+    ``compile_kernel`` in ``trees`` (module name -> parsed source)."""
+    return {f"{module}:{scope}:{name}" for module, tree in trees.items()
+            for name in ("_getframe", "compile_kernel")
+            for scope in _names_read(tree, name)}
+
+
+# The one construction path of the generated kernels: a template reads its
+# module's file and its line from the frame that declares it, and the
+# cached factory of ``calculus.kernel`` compiles every kernel through
+# ``compile_kernel``.  No module finds a line or compiles a kernel itself.
+CONSTRUCTION_ALLOWED = {
+    "calculus.py:KernelTemplate.__init__:_getframe",
+    "calculus.py:kernel.decorate.factory:compile_kernel",
+}
+
+
+def test_kernels_are_built_only_on_the_construction_path():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _construction_sites(trees) == CONSTRUCTION_ALLOWED
+
+
+def test_the_construction_guard_sees_a_stray_line_and_compile():
+    """A module that finds its own template line, or a factory that calls
+    ``compile_kernel`` itself (by name or through its module), is
+    reported; importing the name is not a read."""
+    trees = {"algebroid.py": ast.parse(
+                 "import sys\n"
+                 "from . import calculus\n"
+                 "from .calculus import compile_kernel\n"
+                 "_ANCHOR_LINE = sys._getframe().f_lineno + 2\n"
+                 "def _anchor_kernel(p, m):\n"
+                 "    return compile_kernel(_ANCHOR, _ANCHOR_LINE)\n"
+                 "def _jacobi_kernel(p, m):\n"
+                 "    return calculus.compile_kernel(_JACOBI, 3)\n")}
+    assert _construction_sites(trees) - CONSTRUCTION_ALLOWED == {
+        "algebroid.py::_getframe",
+        "algebroid.py:_anchor_kernel:compile_kernel",
+        "algebroid.py:_jacobi_kernel:compile_kernel"}
 
 
 # The definition side of the oracle, the arbiter of the component formulas:
@@ -292,7 +358,8 @@ def test_the_oracle_side_names_no_component_formula():
 
 def test_the_oracle_guard_sees_a_planted_formula():
     """A formula read by an oracle function, by a helper it calls in
-    another module, or named in the template of a kernel it generates is
+    another module, or named in the template of a kernel it generates (a
+    string it reads, or the ``KernelTemplate`` of a factory it calls) is
     reported; one that only a docstring mentions is not."""
     trees = {"curvature.py": ast.parse(
                  "from .dconnection import bracket_pairs\n"
@@ -305,8 +372,13 @@ def test_the_oracle_guard_sees_a_planted_formula():
                  "            tables.components)\n"),
              "dconnection.py": ast.parse(
                  "from .nlconnection import helper\n"
+                 "_B = KernelTemplate('''def b(X):\n"
+                 "    return _torsion(X)\n''')\n"
+                 "@kernel(_B)\n"
+                 "def _bracket_kernel(p):\n"
+                 "    return {}\n"
                  "def bracket_pairs(A):\n"
-                 "    return helper(A)\n"
+                 "    return helper(A), _bracket_kernel(2)\n"
                  "def frame_derivatives(A):\n"
                  "    return f\"{A}: _thh\"\n"
                  "def frame_contract(X):\n"
@@ -316,7 +388,7 @@ def test_the_oracle_guard_sees_a_planted_formula():
                  "    return bracket_curvature(A)\n")}
     assert _oracle_side_reads(trees) == {
         "curvature.py:_T:_rh_rv", "curvature.py:frame_definitions:components",
-        "dconnection.py:frame_derivatives:_thh",
+        "dconnection.py:_B:_torsion", "dconnection.py:frame_derivatives:_thh",
         "nlconnection.py:helper:bracket_curvature"}
 
 

@@ -124,8 +124,8 @@ def test_change_laws_under_base_dependent_fiber_rescale():
 
     G_p = MetricStructure(2, g_p, g00_p)
 
-    D = metric_dconnection(G, berwald(N), A, N)
-    D_p = metric_dconnection(G_p, berwald(N_p), A, N_p)
+    D = metric_dconnection(G, berwald(N).hv_at, A, N)
+    D_p = metric_dconnection(G_p, berwald(N_p).hv_at, A, N_p)
     C = CoordinateChange(2, 2, phi_at=phi)
     assert run_law(nlc_transformation_point, (N, N_p, C, A),
                    PTS).max_residual <= 1e-10
@@ -194,7 +194,7 @@ def test_primed_tables_evaluate_each_unprimed_entry_once():
         evaluate()
         assert counts == {name: 1}, name
 
-    D_p = metric_dconnection(G_p, sc.baseline_for(N_p), A_p, N_p)
+    D_p = metric_dconnection(G_p, sc.baseline_hv(N_p), A_p, N_p)
     counts.clear()
     D_p.hh_at(pt.x, pt.y)
     assert counts == dict.fromkeys(("rho", "L", "Gamma", "g"), 1)
@@ -207,8 +207,8 @@ def _unprimed_evaluations(monkeypatch, path):
     counts = Counter()
     build = scenario.metric_dconnection
 
-    def counted(G, baseline, A, N):
-        D = build(G, baseline, A, N)
+    def counted(G, baseline_hv, A, N):
+        D = build(G, baseline_hv, A, N)
 
         def wrap(name):
             fn = getattr(D, name + "_at")
@@ -250,8 +250,8 @@ def test_suites_share_the_unprimed_metric_connection(monkeypatch):
     calls = Counter()
 
     def counting(build):
-        def counted(G, baseline, A, N):
-            D = build(G, baseline, A, N)
+        def counted(G, baseline_hv, A, N):
+            D = build(G, baseline_hv, A, N)
 
             def hh_at(xs, y):
                 calls[isinstance(y, float)] += 1
