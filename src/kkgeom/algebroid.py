@@ -7,26 +7,26 @@ vector fields X_alpha = rho[alpha][i] d/dx_i close under commutator:
 
     [X_alpha, X_beta] = L[gamma][alpha][beta] X_gamma.
 
-Three sample-based validators certify antisymmetry of L, the commutator
-closure (anchor compatibility), and the Jacobi identity.  All identity
-suites downstream assume data that passes these.  The last two are
-straight-line code generated per (p, m) on first use, in the operand order
-of the loops they replaced (the references in ``tests/reference.py``).
-Each takes the table seeded for the x-derivatives as it is, splits every
-entry into its value and gradient itself, and feeds its check one value
-per sample point: the largest residual, scanned as
-:func:`~kkgeom.report.row_max` scans.  Their sums start from 0.0, which
-adds as the loops' integer 0 does.
+Three per-point residuals certify antisymmetry of L, the commutator
+closure (anchor compatibility), and the Jacobi identity; the ``validate``
+command checks them over its samples.  All identity suites downstream
+assume data that passes these.  The last two are straight-line code
+generated per (p, m) on first use, in the operand order of the loops they
+replaced (the references in ``tests/reference.py``).  Each takes the table
+seeded for the x-derivatives as it is, splits every entry into its value
+and gradient itself, and returns the largest residual at the point,
+scanned as :func:`~kkgeom.report.row_max` scans.  Their sums start from
+0.0, which adds as the loops' integer 0 does.
 """
 
 from __future__ import annotations
 
-from .calculus import Jet, KernelTemplate, at_point, kernel, names, rows, \
+from .calculus import EPoint, Jet, KernelTemplate, kernel, names, rows, \
     seeded_point, terms
-from .report import ResidualTracker, row_max
+from .report import row_max
 
-__all__ = ["AlgebroidData", "validate_antisymmetry",
-           "validate_anchor_compatibility", "validate_jacobi"]
+__all__ = ["AlgebroidData", "antisymmetry_residual", "anchor_residual",
+           "jacobi_residual"]
 
 
 class AlgebroidData:
@@ -43,17 +43,11 @@ class AlgebroidData:
         self.L_at = L_at
 
 
-def validate_antisymmetry(A: AlgebroidData, samples,
-                          tol: float) -> ResidualTracker:
-    """max |L^g_{ab} + L^g_{ba}| over samples and indices."""
-    tracker = ResidualTracker("antisymmetry", tol)
+def antisymmetry_residual(A: AlgebroidData, pt: EPoint) -> float:
+    """max |L^g_{ab} + L^g_{ba}| at pt over the indices."""
     r = range(A.p)
-    for pt in samples:
-        with at_point(pt):
-            Lv = A.L_at(pt.x)
-        tracker.update(row_max([Lg[a][b] + Lg[b][a] for Lg in Lv for a in r
-                                for b in r]), pt)
-    return tracker
+    return row_max([Lg[a][b] + Lg[b][a] for Lg in A.L_at(pt.x) for a in r
+                    for b in r])
 
 
 def _split_lines(n, indent):
@@ -73,7 +67,7 @@ def _split_lines(n, indent):
 # The anchor-compatibility residuals at pt for p frames and m base
 # coordinates, scanned per (a, b, k) in the order of the loops that the
 # kernel replaced (the reference ``loop_anchor_compatibility`` in
-# ``tests/reference.py``), their largest fed to ``update`` once:
+# ``tests/reference.py``), their largest returned:
 #
 #     (0.0 + L[0][a][b] * rho[0][k] + ..)
 #         - ((0.0 + rho[a][0] * drho[b][k][0] + ..)
@@ -83,7 +77,7 @@ def _split_lines(n, indent):
 # rho[g][k], q<i> = drho[b][k][i] and s<i> = drho[a][k][i], where rho and
 # drho[a][k] = d/dx rho[a][k] are split from the seeded table ``jrho``.
 _ANCHOR = KernelTemplate('''\
-def anchor(update, pt, jrho, Lv):
+def anchor(jrho, Lv):
     {L}, = Lv
     rho = []
     drho = []
@@ -107,7 +101,7 @@ def anchor(update, pt, jrho, Lv):
                 r = abs((0.0{lhs}) - ((0.0{rhs_a}) - (0.0{rhs_b})))
                 if r >= worst or r != r:
                     worst = r
-    update(worst, pt)
+    return worst
 ''')
 
 
@@ -125,17 +119,11 @@ def _anchor_kernel(p, m):
         rhs_b=terms("rb{0} * s{0}", rm)), {"Z": (0.0,) * m}
 
 
-def validate_anchor_compatibility(A: AlgebroidData, samples,
-                                  tol: float) -> ResidualTracker:
-    """max |L^g_{ab} rho^k_g - (rho^i_a d_i rho^k_b - rho^j_b d_j rho^k_a)|."""
-    tracker = ResidualTracker("anchor_compatibility", tol)
-    anchor = _anchor_kernel(A.p, A.m)
-    for pt in samples:
-        with at_point(pt):
-            jrho = A.rho_at(seeded_point(pt.x, pt.y)[0])
-            Lv = A.L_at(pt.x)
-        anchor(tracker.update, pt, jrho, Lv)
-    return tracker
+def anchor_residual(A: AlgebroidData, pt: EPoint) -> float:
+    """max |L^g_{ab} rho^k_g - (rho^i_a d_i rho^k_b - rho^j_b d_j rho^k_a)|
+    at pt."""
+    return _anchor_kernel(A.p, A.m)(A.rho_at(seeded_point(pt.x, pt.y)[0]),
+                                    A.L_at(pt.x))
 
 
 # The Jacobi residuals at one point for p frames and m base coordinates:
@@ -147,13 +135,13 @@ def validate_anchor_compatibility(A: AlgebroidData, samples,
 # and their cyclic sums T[a][b][c][d] + T[b][c][a][d] + T[c][a][b][d],
 # scanned per (a, b, c, d) in the order of the loops that the kernel
 # replaced (the reference ``loop_jacobi`` in ``tests/reference.py``), their
-# largest fed to ``update`` once.  L and dL[g][a][b] = d/dx L[g][a][b] are
+# largest returned.  L and dL[g][a][b] = d/dx L[g][a][b] are
 # split from the seeded table ``jL``.  With r<i> = rho[a][i], n<d>_<e> =
 # L[d][a][e], l<e> = L[e][b][c] and q<d>_<i> = dL[d][b][c][i], the terms of
 # (a, b, c) are one tuple over d; x<d>, y<d> and z<d> are those of the three
 # cyclic terms.
 _JACOBI = KernelTemplate('''\
-def jacobi(update, pt, rho, jL):
+def jacobi(rho, jL):
     L = []
     dL = []
     for plane in jL:
@@ -194,7 +182,7 @@ def jacobi(update, pt, rho, jL):
                 {y}, = Tb[c][a]
                 {z}, = T[c][a][b]
 {scan}
-    update(worst, pt)
+    return worst
 ''')
 
 
@@ -216,14 +204,8 @@ def _jacobi_kernel(p, m):
         scan=scan), {"Z": (0.0,) * m}
 
 
-def validate_jacobi(A: AlgebroidData, samples,
-                    tol: float) -> ResidualTracker:
-    """Cyclic sum of rho^i_a d_i L^d_{bc} + L^d_{ae} L^e_{bc} must vanish."""
-    tracker = ResidualTracker("jacobi", tol)
-    jacobi = _jacobi_kernel(A.p, A.m)
-    for pt in samples:
-        with at_point(pt):
-            rho = A.rho_at(pt.x)
-            jL = A.L_at(seeded_point(pt.x, pt.y)[0])
-        jacobi(tracker.update, pt, rho, jL)
-    return tracker
+def jacobi_residual(A: AlgebroidData, pt: EPoint) -> float:
+    """max |cyclic sum of rho^i_a d_i L^d_{bc} + L^d_{ae} L^e_{bc}| at pt,
+    which must vanish."""
+    return _jacobi_kernel(A.p, A.m)(A.rho_at(pt.x),
+                                    A.L_at(seeded_point(pt.x, pt.y)[0]))

@@ -221,15 +221,13 @@ def cmd_check(args) -> int:
     suites = applicable_suites(sc) if args.suite == "all" else [args.suite]
     checks = []
     timings = []
-    for suite, trackers, seconds in run_suites(
+    for suite, trackers, samples, seconds in run_suites(
             sc, suites, tol=args.tol, samples=args.samples, seed=args.seed):
-        effective = args.samples if args.samples is not None \
-            else SUITES[suite].samples
         timings.append((suite, seconds))
         for tracker in trackers:
             obj = tracker.to_json_obj()
             obj["suite"] = suite
-            obj["samples"] = effective
+            obj["samples"] = samples
             checks.append(obj)
     passed = all(c["passed"] for c in checks)
     doc = {

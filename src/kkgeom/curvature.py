@@ -48,7 +48,7 @@ from .nlconnection import (
     adapted_derivatives,
     bracket_curvature,
 )
-from .report import ResidualTracker, row_max
+from .report import row_max
 
 __all__ = [
     "TorsionComponents",
@@ -494,27 +494,27 @@ class OracleCheck:
     :func:`frame_definitions` (two nested derivative passes, whatever p),
     which never uses the component formulas; each torsion and curvature
     family is compared with it entry by entry.  This is the load-bearing
-    certification of the component formulas.  ``step(pt, tables)`` checks
-    one point; ``trackers`` are its two checks (torsion, curvature).
+    certification of the component formulas.  ``step(pt, tables)`` returns
+    the largest residual at one point of each of its ``names``.
     """
 
-    def __init__(self, N: NonlinearConnection, A: AlgebroidData, tol: float):
+    names = ("oracle.torsion", "oracle.curvature")
+
+    def __init__(self, N: NonlinearConnection, A: AlgebroidData):
         self._args = (N, A)
-        self.trackers = [ResidualTracker("oracle.torsion", tol),
-                         ResidualTracker("oracle.curvature", tol)]
 
     def step(self, pt: EPoint, tables: PointTables):
         tors, curv = tables.components
         T, C = frame_definitions(tables.D, *self._args, pt)
-        _oracle_point(tors, curv, T, C, pt, len(tors.Pv), *self.trackers)
+        return _oracle_point(tors, curv, T, C, len(tors.Pv))
 
 
-def _oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
-    """Compare each family with the definitions at pt.  A row is (the
-    definition's ``(h, v)`` pair, the component h entries, the component v
-    entry), with zeros for a part that must vanish; z is the vertical
-    frame.  Each tracker gets the largest difference of its rows
-    (:func:`row_max`)."""
+def _oracle_point(tors, curv, T, C, p):
+    """Compare each family with the definitions at one point.  A row is
+    (the definition's ``(h, v)`` pair, the component h entries, the
+    component v entry), with zeros for a part that must vanish; z is the
+    vertical frame.  Returns the largest difference of the torsion rows
+    and of the curvature rows (:func:`row_max`)."""
     r, z, zeros = range(p), p, [0.0] * p
     torsion = (
         [(T[c][b], [tors.Thh[a][b][c] for a in r], tors.Tv[b][c])
@@ -531,12 +531,14 @@ def _oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
         + [(C[z][z][c], zeros, curv.Pv[c]) for c in r]
         + [(C[b][z][z], [curv.Sh[a][b] for a in r], 0.0) for b in r]
         + [(C[z][z][z], zeros, curv.Sv)])
-    for tracker, rows in ((t_tracker, torsion), (c_tracker, curvature)):
+    worst = []
+    for rows in (torsion, curvature):
         residuals = []
         for (h, v), comp_h, comp_v in rows:
             residuals += [h[a] - comp_h[a] for a in r]
             residuals.append(v - comp_v)
-        tracker.update(row_max(residuals), pt)
+        worst.append(row_max(residuals))
+    return worst
 
 
 def default_test_vector(p: int, m: int):
@@ -565,24 +567,22 @@ class RicciCommutationCheck:
 
     with the left sides from nested differentiation of the coefficients and
     the fields only (:func:`_commutation_values`).  ``step(pt, tables)``
-    checks every field at one point; ``trackers`` has one check per
-    field, ``ricci_commutation_k`` for the k-th field (from 1).
+    returns the largest residual at one point of each field, named
+    ``ricci_commutation_k`` for the k-th field (from 1) in ``names``.
     """
 
-    def __init__(self, fields, N: NonlinearConnection, A: AlgebroidData,
-                 tol: float):
+    def __init__(self, fields, N: NonlinearConnection, A: AlgebroidData):
         self._fields = fields
         self._args = (N, A)
-        self.trackers = [ResidualTracker(f"ricci_commutation_{k}", tol)
-                         for k in range(1, len(fields) + 1)]
+        self.names = [f"ricci_commutation_{k}"
+                      for k in range(1, len(fields) + 1)]
 
     def step(self, pt: EPoint, tables: PointTables):
         tors, curv = tables.components
         values = _commutation_values(self._fields, tables.D, *self._args, pt)
         commutation = _commutation_kernel(len(tors.Pv))
-        for Z, tensors, tracker in zip(self._fields, values, self.trackers):
-            commutation(tracker.update, pt, *Z(pt.x, pt.y), tensors, tors,
-                        curv)
+        return [commutation(*Z(pt.x, pt.y), tensors, tors, curv)
+                for Z, tensors in zip(self._fields, values)]
 
 
 def _commutation_values(fields, D, N, A, pt):
@@ -618,9 +618,9 @@ def _commutation_values(fields, D, N, A, pt):
     return out
 
 
-# The residuals of one field Z = (Zh, Yv) at pt, scanned in the order of
-# the loops that the kernel replaced (the reference ``loop_commutation`` in
-# ``tests/reference.py``), their largest fed to ``update`` once: per
+# The residuals of one field Z = (Zh, Yv) at a point, scanned in the order
+# of the loops that the kernel replaced (the reference ``loop_commutation``
+# in ``tests/reference.py``), their largest returned: per
 # (al, c, b)
 #
 #     a2[al][c][b] - a2[al][b][c] - ((0 + Rh[al][t][c][b] * Zh[t] + ..)
@@ -631,7 +631,7 @@ def _commutation_values(fields, D, N, A, pt):
 # tors.Ph[t], A<t> = a1[al][t], C<t> = c1[t], Rh<t> = Rh[al][t], Rhc<t> =
 # Rh[al][t][c] and Ph<t> = curv.Ph[al][t].
 _COMMUTATION = KernelTemplate('''\
-def commutation(update, pt, Zh, Yv, tensors, tors, curv):
+def commutation(Zh, Yv, tensors, tors, curv):
     a2, a1, b1, a1v, b1h, c2, c1, d1, c1v, d1h = tensors
     Tv, Pvt = tors.Tv, tors.Pv
     {Z}, = Zh
@@ -669,7 +669,7 @@ def commutation(update, pt, Zh, Yv, tensors, tors, curv):
         r = abs(lhs - (Pcv[c] * Yv - Pvt[c] * d1 - (0{pc})))
         if r >= worst or r != r:
             worst = r
-    update(worst, pt)
+    return worst
 ''')
 
 
@@ -693,28 +693,27 @@ class BianchiCheck:
     slots, both output blocks) and second family (cyclic over the three
     direction slots with the vector slot fixed).  Valid data makes all four
     residuals vanish; any persistent nonzero indicates a formula error and
-    is reported, never absorbed.  ``step(pt, tables)`` checks one point;
-    ``trackers`` are its four checks.
+    is reported, never absorbed.  ``step(pt, tables)`` returns the largest
+    residual at one point of each of its ``names``.
     """
 
-    def __init__(self, N: NonlinearConnection, A: AlgebroidData, tol: float):
+    names = ("bianchi1_h", "bianchi1_v", "bianchi2_h", "bianchi2_v")
+
+    def __init__(self, N: NonlinearConnection, A: AlgebroidData):
         self._N, self._A = N, A
-        self.trackers = [ResidualTracker(name, tol) for name in (
-            "bianchi1_h", "bianchi1_v", "bianchi2_h", "bianchi2_v")]
 
     def step(self, pt: EPoint, tables: PointTables):
         tors, curv = tables.components
-        _bianchi_kernel(len(tors.Pv))(
-            *(tracker.update for tracker in self.trackers), pt, tors, curv,
-            *_bianchi_values(tables.D, self._N, self._A, pt))
+        return _bianchi_kernel(len(tors.Pv))(
+            tors, curv, *_bianchi_values(tables.D, self._N, self._A, pt))
 
 
-# The four cyclic sums at pt, scanned in the order of the loops that the
-# kernel replaced (the reference ``loop_bianchi`` in
-# ``tests/reference.py``), the largest of each family fed to u1h, u1v, u2h
-# and u2v once.  Each sum is written out over its three cyclic terms (x,
-# yy, z), each term in the order of the accumulating loop from 0.0; the
-# first family, per (b, c, d) and then al,
+# The four cyclic sums at a point, scanned in the order of the loops that
+# the kernel replaced (the reference ``loop_bianchi`` in
+# ``tests/reference.py``), the largest of each family returned, in the
+# order 1h, 1v, 2h, 2v.  Each sum is written out over its three cyclic
+# terms (x, yy, z), each term in the order of the accumulating loop from
+# 0.0; the first family, per (b, c, d) and then al,
 #
 #     0.0 + (Rh[al][z][yy][x] - dThh[al][z][yy][x])
 #         - (0 + Thh[0][yy][x] * Thh[al][z][0] + ..) - Tv[yy][x] * Ph[al][z]
@@ -724,7 +723,7 @@ class BianchiCheck:
 # s<k>_<t> = Thh[t][yy][x] and tv<k> = Tv[yy][x] for the k-th cyclic term
 # do not depend on al (or be).
 _BIANCHI = KernelTemplate('''\
-def bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
+def bianchi(tors, curv, dThh, dTv, dRh, dRv):
     Thh, Tv, Pvt = tors.Thh, tors.Tv, tors.Pv
     Rv, Pcv = curv.Rv, curv.Pv
     {T}, = Thh
@@ -772,10 +771,7 @@ def bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
                         + dRv[t][l][c] + (0{w2}) + tv2 * Pcv[t])
                 if r >= worst_2v or r != r:
                     worst_2v = r
-    u1h(worst_1h, pt)
-    u1v(worst_1v, pt)
-    u2h(worst_2h, pt)
-    u2v(worst_2v, pt)
+    return worst_1h, worst_1v, worst_2h, worst_2v
 ''')
 
 

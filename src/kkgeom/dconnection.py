@@ -373,9 +373,9 @@ def bracket_d_vectors(X, Y, A: AlgebroidData, N: NonlinearConnection):
 # The four change laws of :func:`dconnection_transformation_point` at p,
 # their residuals scanned in the order of the loops that the kernel
 # replaced (the reference ``loop_change_laws`` in ``tests/reference.py``)
-# and the largest fed to ``update`` once, each sum written out in their
-# operand order.  With l<a> = Lam^{a'}_a, c<b> and
-# d<g> the entries of columns b' and g' of Laminv, and the bracket
+# and the largest returned, each sum written out in their operand order.
+# With l<a> = Lam^{a'}_a, c<b> and d<g> the entries of columns b' and g'
+# of Laminv, and the bracket
 #
 #     B<a>_<g> = delta_g(Laminv^a_{b'}) + (0 + hh^a_{0g} c0 + ...)
 #
@@ -387,8 +387,7 @@ def bracket_d_vectors(X, Y, A: AlgebroidData, N: NonlinearConnection):
 #     vh': Vh'[a'][b'] - (0 + l0 * vh[0][0] * c0 / phi + ...)
 #     vv': Vv' - vv / phi
 _CHANGE_LAWS = KernelTemplate('''\
-def change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta, coeffs,
-                primed):
+def change_laws(lam, lam_inv, inv_delta, phi, phi_delta, coeffs, primed):
     Hh, Hv, Vh, Vv = coeffs
     Hh_p, Hv_p, Vh_p, Vv_p = primed
     {li}, = lam_inv
@@ -429,7 +428,7 @@ def change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta, coeffs,
     r = abs(Vv_p - Vv / phi)
     if r >= worst or r != r:
         worst = r
-    update(worst, pt)
+    return worst
 ''')
 
 
@@ -449,9 +448,9 @@ def _change_laws_kernel(p):
         law_vh=terms("l{0} * V{0}[{1}] * c{1} / phi", rp, rp))
 
 
-def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
-    """The largest residual at pt, into ``tracker``, of the four
-    coefficient change laws under C:
+def dconnection_transformation_point(D, D_primed, C, A, N, pt):
+    """The largest residual at pt of the four coefficient change laws
+    under C:
 
         hh': Lam^{a'}_a [ delta_g(Laminv^a_{b'}) + hh^a_{bg} Laminv^b_{b'} ] Laminv^g_{g'}
         hv': phi [ delta_g(1/phi) + hv_g / phi ] Laminv^g_{g'}
@@ -459,12 +458,11 @@ def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
         vv': vv / phi
 
     with the primed coefficients read at the pushed-forward point, and
-    delta_g(1/phi) = -delta_g(phi) / phi^2.  The sums run in one kernel
-    generated per p (``_CHANGE_LAWS``)."""
+    delta_g(1/phi) = -delta_g(phi) / phi^2; infinite where phi = 0.  The
+    sums run in one kernel generated per p (``_CHANGE_LAWS``)."""
     phi = C.phi_at(pt.x)
     if phi == 0.0:
-        tracker.update(float("inf"), pt)
-        return
+        return float("inf")
     pushed = C.push(pt)
     lam = C.lambda_at(pt.x)
 
@@ -474,6 +472,6 @@ def dconnection_transformation_point(D, D_primed, C, A, N, pt, tracker):
     _, phi_delta, _ = adapted_derivatives(
         lambda jxs, jy: [C.phi_at(jxs)], pt.x, pt.y, A, N)
 
-    _change_laws_kernel(D.p)(
-        tracker.update, pt, lam, lam_inv, inv_delta, phi, phi_delta,
-        D.all_at(pt.x, pt.y), D_primed.all_at(pushed.x, pushed.y))
+    return _change_laws_kernel(D.p)(
+        lam, lam_inv, inv_delta, phi, phi_delta, D.all_at(pt.x, pt.y),
+        D_primed.all_at(pushed.x, pushed.y))

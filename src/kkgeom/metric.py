@@ -41,7 +41,7 @@ from .calculus import (
 )
 from .dconnection import DConnectionCoeffs, h_cov_values, v_cov_values
 from .nlconnection import NonlinearConnection, adapted_derivatives
-from .report import ResidualTracker, row_max
+from .report import row_max
 
 __all__ = [
     "MetricStructure",
@@ -420,21 +420,21 @@ def _compatibility_values(G: MetricStructure, D: DConnectionCoeffs,
 class CompatibilityCheck:
     """The four covariant-constancy residual families: horizontal and
     vertical derivatives of both metric blocks (:func:`_compatibility_values`).
-    ``step(pt, tables)`` checks one point (it reads only the point's
-    coefficients ``tables.D``); ``trackers`` is its one check, as a
-    list."""
+    ``step(pt, tables)`` returns the largest residual at one point, as a
+    one-entry list for its one name (it reads only the point's
+    coefficients ``tables.D``)."""
+
+    names = ("compatibility",)
 
     def __init__(self, G: MetricStructure, A: AlgebroidData,
-                 N: NonlinearConnection, tol: float):
+                 N: NonlinearConnection):
         self._args = (G, A, N)
-        self.trackers = [ResidualTracker("compatibility", tol)]
 
     def step(self, pt: EPoint, tables):
         G, A, N = self._args
         hg, vg, hg00, vg00 = _compatibility_values(G, tables.D, A, N, pt)
         rows = [r for plane in hg for r in plane] + vg + [hg00, [vg00]]
-        self.trackers[0].update(row_max([v for row in rows for v in row]),
-                                pt)
+        return [row_max([v for row in rows for v in row])]
 
 
 def riemannian_flags(G: MetricStructure, samples):

@@ -196,29 +196,28 @@ class CoordinateChange:
         return EPoint(self.base_at(pt.x), self.phi_at(pt.x) * pt.y)
 
 
-# The Gamma change law of :func:`nlc_transformation_point` for p and m,
-# its residuals scanned per g' in the order of the loop that the kernel
-# replaced (the reference ``loop_gamma_law`` in ``tests/reference.py``) and
-# the largest fed to ``update`` once:
+# The Gamma change law of :func:`nlc_transformation_point` for p and m at
+# fiber coordinate y, its residuals scanned per g' in the order of the loop
+# that the kernel replaced (the reference ``loop_gamma_law`` in
+# ``tests/reference.py``) and the largest returned:
 # with s<g> = (0 + rho[g][0] * dphi[0] + ...) and c<g> the entries of
 # column g' of Laminv,
 #
 #     Gamma'[g'] - (0 + (-s0 * y0 + phi * Gamma[0]) * c0 + ...)
 _GAMMA_LAW = KernelTemplate('''\
-def gamma_law(update, pt, phi, dphi, rho, gam, gam_p, lam_inv):
+def gamma_law(y, phi, dphi, rho, gam, gam_p, lam_inv):
     {d}, = dphi
     {r}, = rho
     {G}, = gam
     {li}, = lam_inv
     {s}
-    y = pt.y
     worst = 0.0
     for gp in {R}:
         {c}
         r = abs(gam_p[gp] - (0{terms}))
         if r >= worst or r != r:
             worst = r
-    update(worst, pt)
+    return worst
 ''')
 
 
@@ -235,24 +234,22 @@ def _gamma_law_kernel(p, m):
         terms=terms("(-s{0} * y + phi * G{0}) * c{0}", rp))
 
 
-def nlc_transformation_point(N, N_primed, C, A, pt, tracker):
-    """The largest residual at pt, into ``tracker``, of the
-    connection-coefficient change law
+def nlc_transformation_point(N, N_primed, C, A, pt):
+    """The largest residual at pt of the connection-coefficient change law
 
         Gamma'_{g'}(x', y0') = [ -rho^k_g y0 dphi/dx_k + phi Gamma_g ] Lam^g_{g'}
 
     with all right-hand quantities evaluated in the unprimed chart and the
-    left side at the pushed-forward point.  The sums run in one kernel
-    generated per (p, m) (``_GAMMA_LAW``)."""
+    left side at the pushed-forward point; infinite where phi = 0.  The
+    sums run in one kernel generated per (p, m) (``_GAMMA_LAW``)."""
     phi = C.phi_at(pt.x)
     if phi == 0.0:
-        tracker.update(float("inf"), pt)
-        return
+        return float("inf")
     dphi = C.phi_grad_at(pt.x)
     lam_inv = C.lambda_inv_at(pt.x)
     rho = A.rho_at(pt.x)
     gam = N.gamma_at(pt.x, pt.y)
     pushed = C.push(pt)
-    _gamma_law_kernel(A.p, A.m)(tracker.update, pt, phi, dphi, rho, gam,
-                                N_primed.gamma_at(pushed.x, pushed.y),
-                                lam_inv)
+    return _gamma_law_kernel(A.p, A.m)(pt.y, phi, dphi, rho, gam,
+                                       N_primed.gamma_at(pushed.x, pushed.y),
+                                       lam_inv)

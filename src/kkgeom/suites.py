@@ -13,9 +13,9 @@ import time
 
 from .algebroid import (
     AlgebroidData,
-    validate_anchor_compatibility,
-    validate_antisymmetry,
-    validate_jacobi,
+    anchor_residual,
+    antisymmetry_residual,
+    jacobi_residual,
 )
 from .calculus import EPoint, KernelTemplate, at_point, kernel, names, rows, \
     terms
@@ -69,12 +69,14 @@ def run_validate(sc: Scenario, samples=None, seed=None,
     n = samples if samples is not None else sc.samples
     pts = sample_points(sc.box, n, seed if seed is not None else sc.seed)
     checks = []
-    for res in (
-        validate_antisymmetry(sc.algebroid, pts, tol),
-        validate_anchor_compatibility(sc.algebroid, pts, tol),
-        validate_jacobi(sc.algebroid, pts, tol),
-    ):
-        checks.append(res.to_json_obj())
+    for name, residual in (("antisymmetry", antisymmetry_residual),
+                           ("anchor_compatibility", anchor_residual),
+                           ("jacobi", jacobi_residual)):
+        tracker = ResidualTracker(name, tol)
+        for pt in pts:
+            with at_point(pt):
+                tracker.update(residual(sc.algebroid, pt), pt)
+        checks.append(tracker.to_json_obj())
     if sc.metric is not None:
         sym = ResidualTracker("g_symmetry", tol)
         rp = range(sc.p)
@@ -218,36 +220,39 @@ class TransformationCheck:
     ``step(pt, tables)`` reads the unprimed metric connection once for both
     changes: from ``tables.D`` when that is the metric connection, else
     (explicit tables override it) from its own evaluation at the point.
-    ``trackers`` are its four checks, frame change first.
+    It returns the largest residual at the point of each of its four
+    ``names``, frame change first.
     """
 
-    def __init__(self, sc: Scenario, tol: float):
+    names = ("transformation.nlc_frame", "transformation.dconnection_frame",
+             "transformation.nlc_fiber", "transformation.dconnection_fiber")
+
+    def __init__(self, sc: Scenario):
         A, N = sc.algebroid, sc.connection
         own = None if sc.dconnection_is_metric else sc.metric_dconnection()
         self._args = (own, N, A)
-        self._changes = []
-        for kind, (C, A_p, N_p, G_p) in (("frame", _frame_change_data(sc)),
-                                         ("fiber", _fiber_change_data(sc))):
-            self._changes.append((
-                C, N_p, metric_dconnection(G_p, sc.baseline_hv(N_p), A_p, N_p),
-                ResidualTracker(f"transformation.nlc_{kind}", tol),
-                ResidualTracker(f"transformation.dconnection_{kind}", tol)))
-        self.trackers = [tracker for *_, nlc, dcon in self._changes
-                         for tracker in (nlc, dcon)]
+        self._changes = [
+            (C, N_p, metric_dconnection(G_p, sc.baseline_hv(N_p), A_p, N_p))
+            for C, A_p, N_p, G_p in (_frame_change_data(sc),
+                                     _fiber_change_data(sc))]
 
     def step(self, pt: EPoint, tables: PointTables):
         own, N, A = self._args
         D = tables.D if own is None else PointTables(own, N, A, pt).D
-        for C, N_p, D_p, nlc, dcon in self._changes:
-            nlc_transformation_point(N, N_p, C, A, pt, nlc)
-            dconnection_transformation_point(D, D_p, C, A, N, pt, dcon)
+        residuals = []
+        for C, N_p, D_p in self._changes:
+            residuals.append(nlc_transformation_point(N, N_p, C, A, pt))
+            residuals.append(
+                dconnection_transformation_point(D, D_p, C, A, N, pt))
+        return residuals
 
 
 class Suite:
     """One row of :data:`SUITES`: the default sample count and tolerance,
     the message refusing a scenario without a metric (``None`` when the
-    suite needs none), and ``check(sc, tol)``, which builds the suite's
-    per-point check on scenario ``sc``."""
+    suite needs none), and ``check(sc)``, which builds the suite's
+    per-point check on scenario ``sc``: its ``names``, and ``step(pt,
+    tables)``, which returns one residual per name at a point."""
 
     __slots__ = ("samples", "tol", "needs_metric", "check")
 
@@ -258,26 +263,26 @@ class Suite:
         self.check = check
 
 
-def _ricci_commutation_check(sc: Scenario, tol: float):
+def _ricci_commutation_check(sc: Scenario):
     def Z2(xs, y):
         return [1.0] + [0.0] * (sc.p - 1), 1.0
 
     return RicciCommutationCheck([default_test_vector(sc.p, sc.m), Z2],
-                                 sc.connection, sc.algebroid, tol)
+                                 sc.connection, sc.algebroid)
 
 
 # The suites of ``check --suite``, in the order ``--suite all`` runs and
 # reports them.
 SUITES = {
-    "oracle": Suite(20, 1e-8, None, lambda sc, tol: OracleCheck(
-        sc.connection, sc.algebroid, tol)),
+    "oracle": Suite(20, 1e-8, None, lambda sc: OracleCheck(
+        sc.connection, sc.algebroid)),
     "ricci-commutation": Suite(20, 1e-6, None, _ricci_commutation_check),
-    "bianchi": Suite(6, 1e-5, None, lambda sc, tol: BianchiCheck(
-        sc.connection, sc.algebroid, tol)),
+    "bianchi": Suite(6, 1e-5, None, lambda sc: BianchiCheck(
+        sc.connection, sc.algebroid)),
     "compatibility": Suite(
         40, 1e-9, "compatibility suite requires a metric",
-        lambda sc, tol: CompatibilityCheck(sc.metric, sc.algebroid,
-                                           sc.connection, tol)),
+        lambda sc: CompatibilityCheck(sc.metric, sc.algebroid,
+                                      sc.connection)),
     "transformation": Suite(
         25, 1e-8, "transformation suite requires a metric (the primed "
                   "connection is rebuilt from the transformed metric)",
@@ -292,9 +297,11 @@ def applicable_suites(sc: Scenario):
 
 
 def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
-    """Run the named suites; returns ``[(name, trackers, seconds)]`` in the
-    order of ``names``, ``trackers`` being the suite check's
-    :class:`ResidualTracker` list.
+    """Run the named suites; returns ``[(name, trackers, samples,
+    seconds)]`` in the order of ``names``: one :class:`ResidualTracker` per
+    name of the suite's check, each with the tolerance ``tol`` (else the
+    suite's), fed the residual that ``step`` returns for it at each point,
+    and the number of points the suite ran at.
 
     Every suite runs point-major.  ``sample_points`` is prefix-stable, so
     one draw of the largest sample count gives every suite its points: at
@@ -315,8 +322,10 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
     pts = sample_points(sc.box, max(counts.values(), default=0),
                         seed if seed is not None else sc.seed)
     seconds = dict.fromkeys(names, 0.0)
-    checks = {name: SUITES[name].check(
-        sc, tol if tol is not None else SUITES[name].tol) for name in names}
+    checks = {name: SUITES[name].check(sc) for name in names}
+    trackers = {name: [ResidualTracker(
+        label, tol if tol is not None else SUITES[name].tol)
+        for label in check.names] for name, check in checks.items()}
     D, A, N = sc.dconnection(), sc.algebroid, sc.connection
     for k, pt in enumerate(pts):
         if sc.metric is not None:
@@ -327,6 +336,9 @@ def run_suites(sc: Scenario, names, tol=None, samples=None, seed=None):
             if k < counts[name]:
                 t0 = time.perf_counter()
                 with at_point(pt):
-                    check.step(pt, tables)
+                    residuals = check.step(pt, tables)
+                for tracker, r in zip(trackers[name], residuals, strict=True):
+                    tracker.update(r, pt)
                 seconds[name] += time.perf_counter() - t0
-    return [(name, checks[name].trackers, seconds[name]) for name in names]
+    return [(name, trackers[name], counts[name], seconds[name])
+            for name in names]

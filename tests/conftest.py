@@ -34,23 +34,27 @@ def bits(s):
     return float.hex(s)
 
 
-def run_check(check, D, N, A, pts):
+def run_check(check, D, N, A, pts, tol):
     """One check class over ``pts``, stepped as ``run_suites`` steps it:
     ``check.step`` inside ``at_point`` at each point, on the coefficient
-    set ``D``; returns ``check.trackers``."""
+    set ``D``, one residual per name into one tracker per name with
+    tolerance ``tol``; returns the trackers."""
+    trackers = [ResidualTracker(name, tol) for name in check.names]
     for pt in pts:
         with at_point(pt):
-            check.step(pt, PointTables(D, N, A, pt))
-    return check.trackers
+            residuals = check.step(pt, PointTables(D, N, A, pt))
+        for tracker, r in zip(trackers, residuals, strict=True):
+            tracker.update(r, pt)
+    return trackers
 
 
 def run_law(point_fn, args, pts, tol=1e-8):
-    """The tracker of a change law over ``pts``: ``point_fn(*args, pt,
-    tracker)`` (a ``*_transformation_point`` function) at each point into
-    one tracker, named after the law."""
+    """The tracker of a change law over ``pts``: the residual
+    ``point_fn(*args, pt)`` (a ``*_transformation_point`` function) at each
+    point into one tracker, named after the law."""
     tracker = ResidualTracker(point_fn.__name__.removesuffix("_point"), tol)
     for pt in pts:
-        point_fn(*args, pt, tracker)
+        tracker.update(point_fn(*args, pt), pt)
     return tracker
 
 

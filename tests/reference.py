@@ -13,8 +13,9 @@ change laws, the self-check of a float metric inverse, and a lift's RK4
 step and right sides; the residual checks as they fed their trackers,
 one ``update`` per entry (the anchor, Jacobi, commutation, Bianchi and
 change-law loops, and the antisymmetry, ``g_symmetry``, compatibility
-and oracle rows), where the package feeds each tracker one scanned value
-per point; and the fully recursive JSON emitter that
+and oracle rows), where the package returns one scanned value per check
+and point (:func:`scanned` turns such a loop into a function that does
+the same); and the fully recursive JSON emitter that
 ``report.emit_json`` replaced.  The engine's batched and generated kernels
 are compared against these, the emitter against the recursive one, and the
 parser against the printer."""
@@ -398,7 +399,7 @@ def loop_rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
     return Rh, Rv
 
 
-def loop_commutation(update, pt, Zh, Yv, tensors, tors, curv):
+def loop_commutation(update, Zh, Yv, tensors, tors, curv):
     """The loops of ``curvature._commutation_point`` that the commutation
     kernel replaced, for the field Z = (Zh, Yv)."""
     p = len(tors.Pv)
@@ -410,28 +411,28 @@ def loop_commutation(update, pt, Zh, Yv, tensors, tors, curv):
                 rhs = _sum(curv.Rh[al][t][c][b] * Zh[t] for t in range(p))
                 rhs += _sum(tors.Thh[t][b][c] * a1[al][t] for t in range(p))
                 rhs += tors.Tv[b][c] * b1[al]
-                update(lhs - rhs, pt)
+                update(lhs - rhs)
         for c in range(p):
             lhs = a1v[al][c] - b1h[al][c]
             rhs = _sum(curv.Ph[al][t][c] * Zh[t] for t in range(p))
             rhs -= tors.Pv[c] * b1[al]
             rhs -= _sum(tors.Ph[t][c] * a1[al][t] for t in range(p))
-            update(lhs - rhs, pt)
+            update(lhs - rhs)
     for c in range(p):
         for b in range(p):
             lhs = c2[c][b] - c2[b][c]
             rhs = curv.Rv[c][b] * Yv
             rhs += _sum(tors.Thh[t][b][c] * c1[t] for t in range(p))
             rhs += tors.Tv[b][c] * d1
-            update(lhs - rhs, pt)
+            update(lhs - rhs)
         lhs = c1v[c] - d1h[c]
         rhs = curv.Pv[c] * Yv
         rhs -= tors.Pv[c] * d1
         rhs -= _sum(tors.Ph[t][c] * c1[t] for t in range(p))
-        update(lhs - rhs, pt)
+        update(lhs - rhs)
 
 
-def loop_bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
+def loop_bianchi(u1h, u1v, u2h, u2v, tors, curv, dThh, dTv, dRh, dRv):
     """The loops of ``curvature.BianchiCheck.step`` that the Bianchi
     kernel replaced, feeding the four checks' ``update``."""
     Thh, Tv = tors.Thh, tors.Tv
@@ -450,14 +451,14 @@ def loop_bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
                         acc -= _sum(Thh[lam][yy][x] * Thh[al][z][lam]
                                     for lam in range(p))
                         acc -= Tv[yy][x] * Pht[al][z]
-                    u1h(acc, pt)
+                    u1h(acc)
                 acc = 0.0
                 for (x, yy, z) in cyc:
                     acc -= dTv[z][yy][x]
                     acc -= _sum(Thh[lam][yy][x] * Tv[z][lam]
                                 for lam in range(p))
                     acc -= Tv[yy][x] * Pvt[z]
-                u1v(acc, pt)
+                u1v(acc)
     for be in range(p):
         for c in range(p):
             for t in range(p):
@@ -470,7 +471,7 @@ def loop_bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
                             acc += _sum(Thh[mu][yy][x] * Rh[al][be][z][mu]
                                         for mu in range(p))
                             acc += Tv[yy][x] * Pch[al][be][z]
-                        u2h(acc, pt)
+                        u2h(acc)
     for c in range(p):
         for t in range(p):
             for l in range(p):
@@ -480,12 +481,12 @@ def loop_bianchi(u1h, u1v, u2h, u2v, pt, tors, curv, dThh, dTv, dRh, dRv):
                     acc += dRv[z][yy][x]
                     acc += _sum(Thh[mu][yy][x] * Rv[z][mu] for mu in range(p))
                     acc += Tv[yy][x] * Pcv[z]
-                u2v(acc, pt)
+                u2v(acc)
 
 
-def loop_anchor_compatibility(update, pt, jrho, Lv):
-    """The loops of ``algebroid.validate_anchor_compatibility`` at one
-    point that its kernel replaced: the seeded anchor table split by
+def loop_anchor_compatibility(update, jrho, Lv):
+    """The loops of ``algebroid.anchor_residual`` that its kernel
+    replaced: the seeded anchor table split by
     ``jval`` and ``jdx``, and one ``update`` per residual."""
     p, m = len(jrho), len(jrho[0])
     rho = [[jval(jrho[a][i]) for i in range(m)] for a in range(p)]
@@ -496,11 +497,11 @@ def loop_anchor_compatibility(update, pt, jrho, Lv):
             for k in range(m):
                 lhs = _sum(Lv[g][a][b] * rho[g][k] for g in range(p))
                 rhs = _dot(rho[a], drho[b][k]) - _dot(rho[b], drho[a][k])
-                update(lhs - rhs, pt)
+                update(lhs - rhs)
 
 
-def loop_jacobi(update, pt, rho, jL):
-    """The Jacobi residuals of ``algebroid.validate_jacobi`` at one point,
+def loop_jacobi(update, rho, jL):
+    """The Jacobi residuals of ``algebroid.jacobi_residual`` at one point,
     as the loops that its kernel replaced computed them: the seeded
     bracket table split by ``jval`` and ``jdx``, the terms T[a][b][c][d],
     and one ``update`` per cyclic sum."""
@@ -522,44 +523,38 @@ def loop_jacobi(update, pt, rho, jL):
         for b in rp:
             for c in rp:
                 for d in rp:
-                    update(T[a][b][c][d] + T[b][c][a][d] + T[c][a][b][d], pt)
+                    update(T[a][b][c][d] + T[b][c][a][d] + T[c][a][b][d])
 
 
-def loop_antisymmetry(A, samples, tol):
-    """``algebroid.validate_antisymmetry`` with one ``update`` per entry."""
-    tracker = ResidualTracker("antisymmetry", tol)
-    for pt in samples:
-        Lv = A.L_at(pt.x)
-        for g in range(A.p):
-            for a in range(A.p):
-                for b in range(A.p):
-                    tracker.update(Lv[g][a][b] + Lv[g][b][a], pt)
-    return tracker
+def loop_antisymmetry(update, A, pt):
+    """``algebroid.antisymmetry_residual`` with one ``update`` per entry."""
+    Lv = A.L_at(pt.x)
+    for g in range(A.p):
+        for a in range(A.p):
+            for b in range(A.p):
+                update(Lv[g][a][b] + Lv[g][b][a])
 
 
-def loop_g_symmetry(G, samples, tol):
-    """The ``g_symmetry`` check of ``suites.run_validate`` with one
-    ``update`` per entry."""
-    tracker = ResidualTracker("g_symmetry", tol)
-    for pt in samples:
-        g = G.g_at(pt.x, pt.y)
-        for a in range(G.p):
-            for b in range(G.p):
-                tracker.update(g[a][b] - g[b][a], pt)
-    return tracker
+def loop_g_symmetry(update, G, pt):
+    """The ``g_symmetry`` residual of ``suites.run_validate`` at pt with
+    one ``update`` per entry."""
+    g = G.g_at(pt.x, pt.y)
+    for a in range(G.p):
+        for b in range(G.p):
+            update(g[a][b] - g[b][a])
 
 
-def loop_compatibility_step(check, pt, tables):
+def loop_compatibility_step(update, check, pt, tables):
     """``metric.CompatibilityCheck.step`` with one ``update`` per entry of
     the four covariant-derivative blocks."""
     G, A, N = check._args
     hg, vg, hg00, vg00 = metric._compatibility_values(G, tables.D, A, N, pt)
     for row in [r for plane in hg for r in plane] + vg + [hg00, [vg00]]:
         for value in row:
-            check.trackers[0].update(value, pt)
+            update(value)
 
 
-def loop_oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
+def loop_oracle_point(t_update, c_update, tors, curv, T, C, p):
     """``curvature._oracle_point`` with one ``update`` per entry of each
     family's rows."""
     r, z, zeros = range(p), p, [0.0] * p
@@ -577,14 +572,14 @@ def loop_oracle_point(tors, curv, T, C, pt, p, t_tracker, c_tracker):
         + [(C[z][z][c], zeros, curv.Pv[c]) for c in r]
         + [(C[b][z][z], [curv.Sh[a][b] for a in r], 0.0) for b in r]
         + [(C[z][z][z], zeros, curv.Sv)])
-    for tracker, rows in ((t_tracker, torsion), (c_tracker, curvature)):
+    for update, rows in ((t_update, torsion), (c_update, curvature)):
         for (h, v), comp_h, comp_v in rows:
             for a in r:
-                tracker.update(h[a] - comp_h[a], pt)
-            tracker.update(v - comp_v, pt)
+                update(h[a] - comp_h[a])
+            update(v - comp_v)
 
 
-def loop_change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta,
+def loop_change_laws(update, lam, lam_inv, inv_delta, phi, phi_delta,
                      coeffs, primed):
     """The loops of ``dconnection.dconnection_transformation_point`` that
     the change-law kernel replaced."""
@@ -601,31 +596,45 @@ def loop_change_laws(update, pt, lam, lam_inv, inv_delta, phi, phi_delta,
                 for a in range(p):
                     for g in range(p):
                         rhs += lam[ap][a] * bracket[bp][a][g] * lam_inv[g][gp]
-                update(Hh_p[ap][bp][gp] - rhs, pt)
+                update(Hh_p[ap][bp][gp] - rhs)
     for gp in range(p):
         rhs = 0.0
         for g in range(p):
             dg_invphi = -phi_delta[g][0] / (phi * phi)
             rhs += phi * (dg_invphi + Hv[g] / phi) * lam_inv[g][gp]
-        update(Hv_p[gp] - rhs, pt)
+        update(Hv_p[gp] - rhs)
     for ap in range(p):
         for bp in range(p):
             rhs = _sum(lam[ap][a] * Vh[a][b] * lam_inv[b][bp] / phi
                        for a in range(p) for b in range(p))
-            update(Vh_p[ap][bp] - rhs, pt)
-    update(Vv_p - Vv / phi, pt)
+            update(Vh_p[ap][bp] - rhs)
+    update(Vv_p - Vv / phi)
 
 
-def loop_gamma_law(update, pt, phi, dphi, rho, gam, gam_p, lam_inv):
+def loop_gamma_law(update, y, phi, dphi, rho, gam, gam_p, lam_inv):
     """The sums of ``nlconnection.nlc_transformation_point`` that the
     Gamma-law kernel replaced."""
     p, m = len(gam), len(dphi)
     rho_dphi = [_sum(rho[g][k] * dphi[k] for k in range(m))
                 for g in range(p)]
     for gp in range(p):
-        rhs = _sum((-rho_dphi[g] * pt.y + phi * gam[g]) * lam_inv[g][gp]
+        rhs = _sum((-rho_dphi[g] * y + phi * gam[g]) * lam_inv[g][gp]
                    for g in range(p))
-        update(gam_p[gp] - rhs, pt)
+        update(gam_p[gp] - rhs)
+
+
+def scanned(loop, checks=None):
+    """A per-entry loop as the package's residual functions are called:
+    ``scanned(loop)(*args)`` runs ``loop(*updates, *args)`` with one
+    ``update`` per check into a fresh tracker each, and returns the
+    largest residual of each (one value, or a list of ``checks``), which
+    is what the kernel or the check that replaced the loop returns."""
+    def kernel(*args):
+        trackers = [ResidualTracker("r", 0.0) for _ in range(checks or 1)]
+        loop(*(lambda v, t=t: t.update(v, None) for t in trackers), *args)
+        worst = [t.max_residual for t in trackers]
+        return worst if checks else worst[0]
+    return kernel
 
 
 def loop_frame_change(lam, lam_inv, A, N, G):

@@ -71,7 +71,7 @@ def test_criterion_02_metric_compatibility():
         A, N, G = make()
         D = canonical_metric_dconnection(G, A, N)
         pts = sample_points(Box.default(2), 40, seed=0xA1B2)
-        res, = run_check(CompatibilityCheck(G, A, N, 1e-9), D, N, A, pts)
+        res, = run_check(CompatibilityCheck(G, A, N), D, N, A, pts, 1e-9)
         worst = max(worst, res.max_residual)
     report(2, "constructed metric connection is compatible on both desk "
               "scenarios", worst, 1e-9)
@@ -225,7 +225,7 @@ def test_criterion_04_oracle_equivalence():
         A, N, G = make()
         D = canonical_metric_dconnection(G, A, N)
         pts = sample_points(Box.default(2), 20, seed=0xA1B2)
-        for res in run_check(OracleCheck(N, A, 1e-8), D, N, A, pts):
+        for res in run_check(OracleCheck(N, A), D, N, A, pts, 1e-8):
             worst = max(worst, res.max_residual)
     report(4, "definition-based torsion/curvature equals component "
               "formulas (20 points, both desk scenarios)", worst, 1e-8)
@@ -241,7 +241,7 @@ def test_criterion_05_ricci_type_commutation():
         return [1.0, 0.0], 1.0
 
     worst = max(res.max_residual for res in run_check(
-        RicciCommutationCheck([Z1, Z2], N, A, 1e-6), D, N, A, pts))
+        RicciCommutationCheck([Z1, Z2], N, A), D, N, A, pts, 1e-6))
     report(5, "second-derivative commutation formulas hold for two fixed "
               "test fields on d1", worst, 1e-6)
 
@@ -251,10 +251,10 @@ def test_criterion_06_bianchi_identities():
     pts = sample_points(Box.default(2), 6, seed=0xA1B2)
     worst = 0.0
     D_metric = canonical_metric_dconnection(G, A, N)
-    for res in run_check(BianchiCheck(N, A, 1e-5), D_metric, N, A, pts):
+    for res in run_check(BianchiCheck(N, A), D_metric, N, A, pts, 1e-5):
         worst = max(worst, res.max_residual)
     D_berwald = berwald(N)
-    for res in run_check(BianchiCheck(N, A, 1e-5), D_berwald, N, A, pts):
+    for res in run_check(BianchiCheck(N, A), D_berwald, N, A, pts, 1e-5):
         worst = max(worst, res.max_residual)
     report(6, "cyclic component identities hold on d1 (metric and "
               "fiber-derivative connections)", worst, 1e-5)

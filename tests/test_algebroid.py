@@ -1,18 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from kkgeom import algebroid
 from kkgeom.algebroid import (
     AlgebroidData,
-    validate_anchor_compatibility,
-    validate_antisymmetry,
-    validate_jacobi,
+    anchor_residual,
+    antisymmetry_residual,
+    jacobi_residual,
 )
-from kkgeom.calculus import (EvaluationDomainError, jdx, jval,
+from kkgeom.calculus import (EvaluationDomainError, at_point, jdx, jval,
                              seeded_point)
 from kkgeom.report import ResidualTracker
 from kkgeom.sampling import Box, sample_points
+from kkgeom.suites import run_validate
 from conftest import bits, make_nonabelian, table
 
 PTS = sample_points(Box.default(2), 64, seed=0xA1B2)
@@ -23,70 +25,84 @@ def build(rho_rows, L_rows):
                          table(L_rows, on_base=True))
 
 
+def validated(residual, A, samples=PTS):
+    """The tracker of one validator over ``samples``, fed as
+    ``run_validate`` feeds it: ``residual(A, pt)`` at each point, inside
+    ``at_point``."""
+    tracker = ResidualTracker(residual.__name__, 1e-8)
+    for pt in samples:
+        with at_point(pt):
+            tracker.update(residual(A, pt), pt)
+    return tracker
+
+
 ZERO_L = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
 IDENT_RHO = [["1", "0"], ["0", "1"]]
 
 
 def test_antisymmetry_zero_bracket():
     A = build(IDENT_RHO, ZERO_L)
-    assert validate_antisymmetry(A, PTS, 1e-8).max_residual == 0.0
+    assert validated(antisymmetry_residual, A).max_residual == 0.0
 
 
 def test_antisymmetry_explicit_pair():
     A = build(IDENT_RHO, [[["0", "0"], ["0", "0"]],
                           [["0", "1"], ["-1", "0"]]])
-    assert validate_antisymmetry(A, PTS, 1e-8).max_residual == 0.0
+    assert validated(antisymmetry_residual, A).max_residual == 0.0
 
 
 def test_antisymmetry_violation_detected():
     A = build(IDENT_RHO, [[["0", "0"], ["0", "0"]],
                           [["0", "1"], ["0", "0"]]])
-    res = validate_antisymmetry(A, PTS, 1e-8)
+    res = validated(antisymmetry_residual, A)
     assert res.max_residual == pytest.approx(1.0)
 
 
 def test_anchor_compat_coordinate_frame():
     A = build(IDENT_RHO, ZERO_L)
-    assert validate_anchor_compatibility(A, PTS, 1e-8).max_residual == 0.0
+    assert validated(anchor_residual, A).max_residual == 0.0
 
 
 def test_anchor_compat_nonabelian():
     # frames d/dx1 and e^{x1} d/dx2: [X1, X2] = e^{x1} d/dx2 = X2
     A, _, _ = make_nonabelian()
-    assert validate_anchor_compatibility(A, PTS, 1e-8).max_residual <= 1e-12
+    assert validated(anchor_residual, A).max_residual <= 1e-12
 
 
 def test_anchor_compat_detects_missing_bracket():
     # same anchor but L = 0: the residual equals e^{x1} at each sample
     A = build([["1", "0"], ["0", "exp(x1)"]], ZERO_L)
     expected = max(math.exp(pt.x[0]) for pt in PTS)
-    res = validate_anchor_compatibility(A, PTS, 1e-8)
+    res = validated(anchor_residual, A)
     assert res.max_residual == pytest.approx(expected, rel=1e-12)
 
 
 def test_jacobi_zero():
     A = build(IDENT_RHO, ZERO_L)
-    assert validate_jacobi(A, PTS, 1e-8).max_residual == 0.0
+    assert validated(jacobi_residual, A).max_residual == 0.0
 
 
 def test_jacobi_nonabelian_frame():
     A, _, _ = make_nonabelian()
-    assert validate_jacobi(A, PTS, 1e-8).max_residual <= 1e-12
+    assert validated(jacobi_residual, A).max_residual <= 1e-12
 
 
 def test_jacobi_solvable_constant_algebra():
     # two-dimensional nonabelian Lie algebra, zero anchor
     A = build([["0", "0"], ["0", "0"]],
               [[["0", "0"], ["0", "0"]], [["0", "1"], ["-1", "0"]]])
-    assert validate_jacobi(A, PTS, 1e-8).max_residual == 0.0
+    assert validated(jacobi_residual, A).max_residual == 0.0
 
 
 def test_domain_error_carries_point():
-    # box spans negative x1, so log(x1) fails and the sample is attached
+    # box spans negative x1, so log(x1) fails and ``validate`` attaches the
+    # sample
     A = build([["log(x1)", "0"], ["0", "1"]], ZERO_L)
+    sc = SimpleNamespace(box=Box.default(2), samples=64, seed=0xA1B2,
+                         algebroid=A, metric=None, lift=None)
     with pytest.raises(EvaluationDomainError) as err:
-        validate_anchor_compatibility(A, PTS, 1e-8)
-    assert err.value.point is not None
+        run_validate(sc)
+    assert err.value.point in PTS
 
 
 # p = 3 over m = 2 with varying anchor and bracket: the Jacobi residual is
@@ -129,27 +145,19 @@ def _jacobi_residuals_loop(A, samples):
 @pytest.mark.parametrize("case", ["nonabelian", "varying"])
 def test_jacobi_residuals_match_the_cyclic_loop(monkeypatch, case):
     """The Jacobi kernel scans the residuals of the cyclic loop, in its
-    order and bit for bit (its ``abs`` records each one), and feeds the
-    check one ``update`` per point that leaves the tracker as one per
-    residual would."""
+    order and bit for bit (its ``abs`` records each one), and the one value
+    it returns per point, fed to a tracker, leaves the tracker as one
+    ``update`` per residual would."""
     A = make_nonabelian()[0] if case == "nonabelian" else VARYING
-    scanned, fed = [], []
-
-    class Recording(ResidualTracker):
-        def update(self, value, point):
-            fed.append(point)
-            super().update(value, point)
-
-    monkeypatch.setattr(algebroid, "ResidualTracker", Recording)
+    scanned = []
     monkeypatch.setitem(algebroid._jacobi_kernel(A.p, A.m).__globals__,
                         "abs", lambda r: scanned.append(r) or abs(r))
-    got = validate_jacobi(A, PTS[:8], 1e-8)
+    got = validated(jacobi_residual, A, PTS[:8])
     want = ResidualTracker("jacobi", 1e-8)
     for value, pt in _jacobi_residuals_loop(A, PTS[:8]):
         want.update(value, pt)
     assert bits(scanned) == bits([v for v, _ in
                                   _jacobi_residuals_loop(A, PTS[:8])])
-    assert fed == PTS[:8]
     assert bits(got.max_residual) == bits(want.max_residual)
     assert got.worst_point == want.worst_point
 
@@ -171,6 +179,6 @@ def test_jacobi_evaluates_each_term_once():
     def rho_at(xs):
         return [[Counting(v) for v in row] for row in VARYING.rho_at(xs)]
 
-    validate_jacobi(AlgebroidData(m, p, rho_at, VARYING.L_at), PTS[:2],
-                    1e-8)
+    validated(jacobi_residual, AlgebroidData(m, p, rho_at, VARYING.L_at),
+              PTS[:2])
     assert products[0] == 2 * p ** 4 * m

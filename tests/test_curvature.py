@@ -142,21 +142,21 @@ def test_both_torsion_evaluators_agree_bitwise(path):
 def test_oracle_equivalence_metric_scenarios(make):
     A, N, G = make()
     D = canonical_metric_dconnection(G, A, N)
-    for res in run_check(OracleCheck(N, A, 1e-8), D, N, A, PTS[:5]):
+    for res in run_check(OracleCheck(N, A), D, N, A, PTS[:5], 1e-8):
         assert res.max_residual <= 1e-8, res.name
 
 
 def test_oracle_equivalence_generic_connection():
     A, N, _ = make_nonabelian()
     D = generic_connection()
-    for res in run_check(OracleCheck(N, A, 1e-8), D, N, A, PTS[:5]):
+    for res in run_check(OracleCheck(N, A), D, N, A, PTS[:5], 1e-8):
         assert res.max_residual <= 1e-8, res.name
 
 
 def test_oracle_equivalence_berwald():
     N = NonlinearConnection(2, table(["x2*y0^2", "0.3*x1*y0"]))
     D = berwald(N)
-    for res in run_check(OracleCheck(N, A_ID, 1e-8), D, N, A_ID, PTS[:5]):
+    for res in run_check(OracleCheck(N, A_ID), D, N, A_ID, PTS[:5], 1e-8):
         assert res.max_residual <= 1e-8, res.name
 
 
@@ -265,7 +265,7 @@ def test_oracle_fails_on_perturbed_family(monkeypatch, target, family, check,
     monkeypatch.setattr(curvature, "curvature_components_at", perturbed)
     A, N, _ = make_vdep()
     results = {r.name: r for r in run_check(
-        OracleCheck(N, A, 1e-8), generic_connection(), N, A, PTS[:1])}
+        OracleCheck(N, A), generic_connection(), N, A, PTS[:1], 1e-8)}
     assert not results[check].passed
     assert results[check].max_residual >= 0.5e-6
     other = ({"oracle.torsion", "oracle.curvature"} - {check}).pop()
@@ -366,7 +366,7 @@ def test_curvature_matches_classical_oracle_on_surface():
                         assert abs(got.Rh[i][j][k][l]
                                    - expected[i][j][k][l]) <= 1e-8
     # definition-based path agrees too
-    for res in run_check(OracleCheck(N, A_ID, 1e-8), D, N, A_ID, PTS[:3]):
+    for res in run_check(OracleCheck(N, A_ID), D, N, A_ID, PTS[:3], 1e-8):
         assert res.max_residual <= 1e-8
 
 
@@ -415,8 +415,8 @@ def test_energy_momentum_signs_and_kappa():
 def test_ricci_commutation_flat():
     A, N, D = flat_setup()
     Z = default_test_vector(2, 2)
-    res, = run_check(RicciCommutationCheck([Z], N, A, 1e-6), D, N, A,
-                     PTS[:4])
+    res, = run_check(RicciCommutationCheck([Z], N, A), D, N, A,
+                     PTS[:4], 1e-6)
     assert res.max_residual <= 1e-12
 
 
@@ -429,8 +429,8 @@ def test_ricci_commutation_metric_scenarios(make):
     def Z2(xs, y):
         return [1.0, 0.0], 1.0
 
-    res1, res2 = run_check(RicciCommutationCheck([Z1, Z2], N, A, 1e-6), D,
-                           N, A, PTS[:5])
+    res1, res2 = run_check(RicciCommutationCheck([Z1, Z2], N, A), D,
+                           N, A, PTS[:5], 1e-6)
     assert res1.max_residual <= 1e-6
     assert res2.max_residual <= 1e-6
 
@@ -439,13 +439,13 @@ def test_ricci_commutation_generic_connection():
     A, N, _ = make_vdep()
     D = generic_connection()
     Z = default_test_vector(2, 2)
-    res, = run_check(RicciCommutationCheck([Z], N, A, 1e-6), D, N, A, PTS[:5])
+    res, = run_check(RicciCommutationCheck([Z], N, A), D, N, A, PTS[:5], 1e-6)
     assert res.max_residual <= 1e-8
 
 
 def test_bianchi_flat():
     A, N, D = flat_setup()
-    for res in run_check(BianchiCheck(N, A, 1e-5), D, N, A, PTS[:3]):
+    for res in run_check(BianchiCheck(N, A), D, N, A, PTS[:3], 1e-5):
         assert res.max_residual == 0.0
 
 
@@ -453,19 +453,19 @@ def test_bianchi_flat():
 def test_bianchi_metric_scenarios(make):
     A, N, G = make()
     D = canonical_metric_dconnection(G, A, N)
-    for res in run_check(BianchiCheck(N, A, 1e-5), D, N, A, PTS[:4]):
+    for res in run_check(BianchiCheck(N, A), D, N, A, PTS[:4], 1e-5):
         assert res.max_residual <= 1e-5, res.name
 
 
 def test_bianchi_berwald():
     N = NonlinearConnection(2, table(["0.7*y0", "-0.2*y0"]))
     D = berwald(N)
-    for res in run_check(BianchiCheck(N, A_ID, 1e-5), D, N, A_ID, PTS[:4]):
+    for res in run_check(BianchiCheck(N, A_ID), D, N, A_ID, PTS[:4], 1e-5):
         assert res.max_residual <= 1e-6, res.name
 
 
 def test_bianchi_generic_connection():
     A, N, _ = make_vdep()
     D = generic_connection()
-    for res in run_check(BianchiCheck(N, A, 1e-5), D, N, A, PTS[:4]):
+    for res in run_check(BianchiCheck(N, A), D, N, A, PTS[:4], 1e-5):
         assert res.max_residual <= 1e-8, res.name

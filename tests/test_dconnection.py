@@ -446,9 +446,9 @@ def test_point_tables_are_freed_by_refcount(d1):
                                   RicciCommutationCheck, default_test_vector)
     from kkgeom.metric import CompatibilityCheck
     A, N, G = d1
-    checks = (OracleCheck(N, A, 1e-8), BianchiCheck(N, A, 1e-5),
-              RicciCommutationCheck([default_test_vector(2, 2)], N, A, 1e-6),
-              CompatibilityCheck(G, A, N, 1e-9))
+    checks = (OracleCheck(N, A), BianchiCheck(N, A),
+              RicciCommutationCheck([default_test_vector(2, 2)], N, A),
+              CompatibilityCheck(G, A, N))
     gc.disable()
     try:
         tables = PointTables(canonical_metric_dconnection(G, A, N), N, A,

@@ -11,11 +11,12 @@ the lifts (``lift``): the same bits, signed zeros included,
 and the same number of Jets built.  The data mix exact and signed zeros
 with floats of several scales (and, where asked, infinities and NaNs), so a
 dropped ``0 +`` (the start of the loops' sums), a reordered sum or a wrong
-stride shows.  A residual kernel scans its residuals and calls each
-check's ``update`` once; it is compared with the loop that fed ``update``
+stride shows.  A residual kernel scans its residuals and returns the
+largest of each check; it is compared with the loop that fed ``update``
 one residual at a time through the residuals it scans and through the
-trackers both leave (``_updates``), and the rows scanned in Python
-(``report.row_max``) with their per-entry loops the same way."""
+trackers both leave, the kernel's value fed to ``update`` once
+(``_updates``), and the rows scanned in Python (``report.row_max``) with
+their per-entry loops the same way."""
 
 import itertools
 import linecache
@@ -58,6 +59,7 @@ from reference import (
     loop_split,
     loop_v_cov_values,
     loop_vh,
+    scanned,
 )
 
 from kkgeom import (
@@ -437,36 +439,48 @@ HELD_PT = EPoint((0.0, 0.0), 0.0)
 
 
 def _updates(monkeypatch, checks, kernel, reference, *args):
-    """The kernel, called as ``kernel(*updates, *args)`` with one
-    ``update`` per check, computes the residuals that the reference feeds
-    to ``update`` one entry at a time: the same bits in the same order (the
-    kernel's ``abs`` records each residual it scans) and as many Jets
-    built.  When the residuals are floats, the kernel's one ``update`` per
-    check leaves every tracker as the reference's entries do, from each
-    state of :data:`HELD`: the same ``max_residual`` bits and
+    """The kernel, called as ``kernel(*args)``, computes the residuals
+    that the reference, called as ``reference(*updates, *args)`` with one
+    ``update`` per check, feeds to ``update`` one entry at a time: the same
+    bits in the same order (the kernel's ``abs`` records each residual it
+    scans) and as many Jets built.  When the residuals are floats, the
+    largest residual that the kernel returns for each check (one value,
+    or a tuple of ``checks``), fed to the check's tracker in one
+    ``update``, leaves every tracker as the reference's entries do, from
+    each state of :data:`HELD`: the same ``max_residual`` bits and
     ``worst_point``."""
     fed = []
-
-    def feed(v, pt):
-        fed.append(v)
-
-    _, built = _traffic(monkeypatch, reference, *[feed] * checks, *args)
-    scanned = []
+    _, built = _traffic(monkeypatch, reference, *[fed.append] * checks,
+                        *args)
+    seen = []
     with monkeypatch.context() as patch:
         patch.setitem(kernel.__globals__, "abs",
-                      lambda r: scanned.append(bits(r)) or 0.0)
-        _, kernel_built = _traffic(monkeypatch, kernel,
-                                   *[lambda v, pt: None] * checks, *args)
-    assert scanned == [bits(v) for v in fed]
+                      lambda r: seen.append(bits(r)) or 0.0)
+        _, kernel_built = _traffic(monkeypatch, kernel, *args)
+    assert seen == [bits(v) for v in fed]
     assert kernel_built == built
     if not all(type(v) is float for v in fed):
         return
 
+    def returned(trackers):
+        worst = kernel(*args)
+        _into(trackers, [worst] if checks == 1 else worst)
+
     for held in HELD:
-        assert _left(checks, held, lambda ts: kernel(
-            *(t.update for t in ts), *args)) == _left(
-                checks, held, lambda ts: reference(
-                    *(t.update for t in ts), *args))
+        assert _left(checks, held, returned) == _left(
+            checks, held, lambda ts: reference(*_entries(ts), *args))
+
+
+def _into(trackers, residuals):
+    """Each tracker fed its residual at :data:`PT` in one ``update``, as
+    ``run_suites`` feeds a check's trackers."""
+    for tracker, r in zip(trackers, residuals, strict=True):
+        tracker.update(r, PT)
+
+
+def _entries(trackers):
+    """One ``update`` per tracker, at :data:`PT`, for a per-entry loop."""
+    return [lambda v, t=t: t.update(v, PT) for t in trackers]
 
 
 def _left(checks, held, feed):
@@ -597,7 +611,7 @@ def test_commutation_kernel_matches_the_loop(monkeypatch, p, kind, special):
         (p, p, p), (p, p), (p,), (p, p), (p, p), (p, p), (p,), (), (p,),
         (p,))]
     _updates(monkeypatch, 1, curvature._commutation_kernel(p),
-             loop_commutation, PT, _array(draw, p), draw(), tensors,
+             loop_commutation, _array(draw, p), draw(), tensors,
              *_blocks(draw, p))
 
 
@@ -606,7 +620,7 @@ def test_commutation_kernel_matches_the_loop(monkeypatch, p, kind, special):
 def test_bianchi_kernel_matches_the_loop(monkeypatch, p, kind, special):
     rng = random.Random(f"bianchi:{p}:{kind}:{special}")
     draw = _operands(rng, kind, special)
-    _updates(monkeypatch, 4, curvature._bianchi_kernel(p), loop_bianchi, PT,
+    _updates(monkeypatch, 4, curvature._bianchi_kernel(p), loop_bianchi,
              *_blocks(draw, p), _array(draw, p, p, p, p),
              _array(draw, p, p, p), _array(draw, p, p, p, p, p),
              _array(draw, p, p, p))
@@ -619,7 +633,7 @@ def test_anchor_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
     rng = random.Random(f"anchor:{p}:{m}:{kind}:{special}")
     draw = _operands(rng, kind, special, m)
     _updates(monkeypatch, 1, algebroid._anchor_kernel(p, m),
-             loop_anchor_compatibility, PT,
+             loop_anchor_compatibility,
              _array(_seeded(rng, draw, special), p, m),
              _array(draw, p, p, p))
 
@@ -631,7 +645,7 @@ def test_jacobi_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
     rng = random.Random(f"jacobi:{p}:{m}:{kind}:{special}")
     draw = _operands(rng, kind, special, m)
     _updates(monkeypatch, 1, algebroid._jacobi_kernel(p, m), loop_jacobi,
-             PT, _array(draw, p, m),
+             _array(draw, p, m),
              _array(_seeded(rng, draw, special), p, p, p))
 
 
@@ -658,7 +672,7 @@ def test_change_laws_kernel_matches_the_loop(monkeypatch, p, kind, special):
     while primal(phi) == 0.0:  # the law divides by phi
         phi = draw()
     _updates(monkeypatch, 1, dconnection._change_laws_kernel(p),
-             loop_change_laws, PT, _array(draw, p, p), _array(draw, p, p),
+             loop_change_laws, _array(draw, p, p), _array(draw, p, p),
              _array(draw, p, p, p), phi, _array(draw, p, 1), coeffs(),
              coeffs())
 
@@ -670,7 +684,7 @@ def test_gamma_law_kernel_matches_the_loop(monkeypatch, p, m, kind, special):
     rng = random.Random(f"gamma_law:{p}:{m}:{kind}:{special}")
     draw = _operands(rng, kind, special, m)
     _updates(monkeypatch, 1, nlconnection._gamma_law_kernel(p, m),
-             loop_gamma_law, PT, draw(), _array(draw, m), _array(draw, p, m),
+             loop_gamma_law, PT.y, draw(), _array(draw, m), _array(draw, p, m),
              _array(draw, p), _array(draw, p), _array(draw, p, p))
 
 
@@ -792,26 +806,27 @@ SWAPS = [
     (metric, "_inverse_kernel", loop_matrix_inverse),
     (metric, "_inverse_check_kernel", loop_inverse_check),
     (metric, "_vh_kernel", loop_vh),
-    (dconnection, "_change_laws_kernel", loop_change_laws),
-    (nlconnection, "_gamma_law_kernel", loop_gamma_law),
+    (dconnection, "_change_laws_kernel", scanned(loop_change_laws)),
+    (nlconnection, "_gamma_law_kernel", scanned(loop_gamma_law)),
     (suites, "_frame_change_kernel", loop_frame_change),
     (dconnection, "_bracket_kernel", loop_bracket),
     (dconnection, "_frame_derivatives_kernel", loop_frame_derivatives),
     (curvature, "_frames_kernel", loop_frames),
     (curvature, "_rh_rv_kernel", loop_rh_rv),
-    (curvature, "_commutation_kernel", loop_commutation),
-    (curvature, "_bianchi_kernel", loop_bianchi),
-    (algebroid, "_anchor_kernel", loop_anchor_compatibility),
-    (algebroid, "_jacobi_kernel", loop_jacobi),
+    (curvature, "_commutation_kernel", scanned(loop_commutation)),
+    (curvature, "_bianchi_kernel", scanned(loop_bianchi, 4)),
+    (algebroid, "_anchor_kernel", scanned(loop_anchor_compatibility)),
+    (algebroid, "_jacobi_kernel", scanned(loop_jacobi)),
 ]
 
 
 # The rows scanned in Python (``report.row_max``), with the loops that fed
-# them to ``update`` one entry at a time.
+# them to ``update`` one entry at a time (in the form of the functions
+# they replaced, :func:`reference.scanned`).
 ROW_SWAPS = [
-    (curvature, "_oracle_point", loop_oracle_point),
-    (metric.CompatibilityCheck, "step", loop_compatibility_step),
-    (suites, "validate_antisymmetry", loop_antisymmetry),
+    (curvature, "_oracle_point", scanned(loop_oracle_point, 2)),
+    (metric.CompatibilityCheck, "step", scanned(loop_compatibility_step, 1)),
+    (suites, "antisymmetry_residual", scanned(loop_antisymmetry)),
 ]
 
 
@@ -829,10 +844,10 @@ def test_oracle_rows_match_the_per_entry_loop(p, special):
         T = [[(_array(draw, p), draw()) for _ in r] for _ in r]
         C = [[[(_array(draw, p), draw()) for _ in r] for _ in r] for _ in r]
         for held in HELD:
-            assert _left(2, held, lambda ts: curvature._oracle_point(
-                tors, curv, T, C, PT, p, *ts)) == _left(
+            assert _left(2, held, lambda ts: _into(ts, curvature._oracle_point(
+                tors, curv, T, C, p))) == _left(
                     2, held, lambda ts: loop_oracle_point(
-                        tors, curv, T, C, PT, p, *ts))
+                        *_entries(ts), tors, curv, T, C, p))
 
 
 @pytest.mark.parametrize("special", [0.0, 0.1, 0.3])
@@ -845,22 +860,18 @@ def test_compatibility_rows_match_the_per_entry_loop(monkeypatch, p,
     of :data:`HELD`."""
     rng = random.Random(f"compatibility_rows:{p}:{special}")
     draw = _operands(rng, "floats", special)
-    check = metric.CompatibilityCheck(None, None, None, 1.0)
-
-    def stepped(step):
-        def feed(trackers):
-            check.trackers = trackers
-            step(check, PT, SimpleNamespace(D=None))
-        return feed
-
+    check = metric.CompatibilityCheck(None, None, None)
+    tables = SimpleNamespace(D=None)
     for _ in range(20):
         blocks = (_array(draw, p, p, p), _array(draw, p, p), _array(draw, p),
                   draw())
         monkeypatch.setattr(metric, "_compatibility_values",
                             lambda *args: blocks)
         for held in HELD:
-            assert (_left(1, held, stepped(metric.CompatibilityCheck.step))
-                    == _left(1, held, stepped(loop_compatibility_step)))
+            assert _left(1, held, lambda ts: _into(
+                ts, check.step(PT, tables))) == _left(
+                    1, held, lambda ts: loop_compatibility_step(
+                        *_entries(ts), check, PT, tables))
 
 
 @pytest.mark.parametrize("special", [0.0, 0.1, 0.3])
@@ -884,7 +895,10 @@ def test_validate_rows_match_the_per_entry_loops(p, special):
     pts = sample_points(sc.box, sc.samples, sc.seed)
     for name, loop, tables in [("antisymmetry", loop_antisymmetry, A),
                                ("g_symmetry", loop_g_symmetry, G)]:
-        want = loop(tables, pts, suites.VALIDATE_TOL).to_json_obj()
+        tracker = ResidualTracker(name, suites.VALIDATE_TOL)
+        for pt in pts:
+            loop(lambda v, pt=pt: tracker.update(v, pt), tables, pt)
+        want = tracker.to_json_obj()
         got = checks[name]
         assert _word(got.pop("max_residual")) == _word(
             want.pop("max_residual"))

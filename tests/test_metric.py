@@ -197,7 +197,7 @@ def test_compatibility_of_constructed_connection(make, baseline):
     base = berwald(N) if baseline == "berwald" \
         else DConnectionCoeffs.zero(2)
     D = metric_dconnection(G, base.hv_at, A, N)
-    res, = run_check(CompatibilityCheck(G, A, N, 1e-9), D, N, A, PTS)
+    res, = run_check(CompatibilityCheck(G, A, N), D, N, A, PTS, 1e-9)
     assert res.max_residual <= 1e-9
 
 
@@ -211,7 +211,7 @@ def test_compatibility_detects_perturbation():
         return hh
 
     D_bad = DConnectionCoeffs(2, hh_perturbed, D.hv_at, D.vh_at, D.vv_at)
-    res, = run_check(CompatibilityCheck(G, A, N, 1e-9), D_bad, N, A, PTS)
+    res, = run_check(CompatibilityCheck(G, A, N), D_bad, N, A, PTS, 1e-9)
     # g_{11|1} changes by -2*0.1*g_11 and |g_11| >= 1
     assert res.max_residual >= 0.2
 

@@ -432,6 +432,49 @@ def test_the_sum_guard_sees_a_planted_sum():
         "curvature.py:ricci", "curvature.py:Check.step", "curvature.py:"}
 
 
+# Every check and kernel returns its largest residual at a point; only
+# ``suites.py`` builds the trackers of ``report.py``, feeds them and holds
+# them to their tolerance, so no other module names the class.
+TRACKER_MODULES = {"report.py", "suites.py"}
+
+
+def _tracker_readers(trees):
+    """The modules of ``trees`` (module name -> parsed source) that read
+    or import ``ResidualTracker``."""
+    return {module for module, tree in trees.items()
+            if _names_read(tree, "ResidualTracker")
+            or any(alias.name == "ResidualTracker" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names)}
+
+
+def test_trackers_live_in_one_module():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _tracker_readers(trees) <= TRACKER_MODULES
+    assert "suites.py" in _tracker_readers(trees)
+
+
+def test_the_tracker_guard_sees_a_planted_tracker():
+    """A check that imports the class, or builds one through its module,
+    is reported; a docstring or a comment that names it is not."""
+    trees = {"curvature.py": ast.parse(
+                 "from .report import ResidualTracker, row_max\n"
+                 "class OracleCheck:\n"
+                 "    def __init__(self, tol):\n"
+                 "        self.trackers = [ResidualTracker('t', tol)]\n"),
+             "metric.py": ast.parse(
+                 "from . import report\n"
+                 "def check(tol):\n"
+                 "    return report.ResidualTracker('compatibility', tol)\n"),
+             "algebroid.py": ast.parse(
+                 "def anchor_residual(A, pt):\n"
+                 "    \"\"\"Fed to a ResidualTracker by the suites.\"\"\"\n"
+                 "    return 0.0  # ResidualTracker\n")}
+    assert _tracker_readers(trees) - TRACKER_MODULES == {"curvature.py",
+                                                         "metric.py"}
+
+
 def _imported_modules(tree):
     """Top-level names of the modules a module imports (absolute imports)."""
     found = set()

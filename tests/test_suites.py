@@ -6,6 +6,7 @@ import pytest
 from kkgeom import scenario, suites
 from kkgeom.algebroid import AlgebroidData
 from kkgeom.calculus import jdx, seeded_point
+from kkgeom.curvature import BianchiCheck
 from kkgeom.dconnection import (
     DConnectionCoeffs,
     berwald,
@@ -75,6 +76,35 @@ def test_readme_suite_defaults_table_is_the_suites_table():
     assert [(name, int(samples), float(tol)) for name, samples, tol
             in rows[2:]] == [(name, suite.samples, suite.tol)
                              for name, suite in SUITES.items()]
+
+
+def test_run_suites_reports_the_sample_count_it_used():
+    """Each suite's entry carries the points it ran at: its default
+    sample count, or ``samples`` when given; one tracker per name of its
+    check, with the suite's tolerance unless ``tol`` is given."""
+    sc = load_scenario(str(SCENARIO_DIR / "d1.json"))
+    for samples, tol, want in [(None, None, (6, 1e-5)), (2, 0.5, (2, 0.5))]:
+        (name, trackers, used, _), = run_suites(sc, ["bianchi"], tol=tol,
+                                                samples=samples, seed=1)
+        assert (name, used) == ("bianchi", want[0])
+        assert [(t.name, t.tol) for t in trackers] == [
+            (check, want[1]) for check in ("bianchi1_h", "bianchi1_v",
+                                           "bianchi2_h", "bianchi2_v")]
+
+
+def test_a_check_returning_too_few_residuals_is_refused(monkeypatch):
+    """A step that returns one residual fewer than its check has names
+    raises, where a tracker left at 0.0 would pass unseen."""
+    sc = load_scenario(str(SCENARIO_DIR / "d1.json"))
+
+    class Short(BianchiCheck):
+        def step(self, pt, tables):
+            return super().step(pt, tables)[:-1]
+
+    monkeypatch.setattr(SUITES["bianchi"], "check",
+                        lambda sc: Short(sc.connection, sc.algebroid))
+    with pytest.raises(ValueError, match="shorter"):
+        run_suites(sc, ["bianchi"], samples=1)
 
 
 def test_unknown_suite_rejected():

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import platform
+import py_compile
 import shlex
 import subprocess
 import sys
@@ -57,21 +58,37 @@ def test_cli_digest_equals_the_golden_digest(monkeypatch, capsys):
 
 
 def test_cold_cli_prints_one_line_per_call():
-    """One call at N = 1: a header, the two scale lines, then the call's
-    line with a time, a kernel count, a compile time and its command."""
+    """One call at N = 1: a header, the bytecode state, the two scale
+    lines, then the call's line with a time, a kernel count, a compile
+    time and its command."""
     cold_cli = _tool("cold_cli")
     argv = ["lift", "scenarios/flat.json", "--mode", "parallel", "--steps",
             "5"]
     lines = cold_cli.run([argv], 1)
     assert lines[0] == "# median_ms\tkernels\tkernel_ms\tcommand"
-    assert [text.split("\t")[1:] for text in lines[1:3]] == [
+    assert lines[1] == "# bytecode cached: " + (
+        "yes" if cold_cli.bytecode_cached() else "no")
+    assert [text.split("\t")[1:] for text in lines[2:4]] == [
         ["-", "-", "python -c pass"],
         ["-", "-", "python -c 'import kkgeom.cli'"]]
-    assert len(lines) == 4
-    ms, made, spent, command = lines[3].split("\t")
+    assert len(lines) == 5
+    ms, made, spent, command = lines[4].split("\t")
     float(ms), float(spent)
     assert int(made) >= 1
     assert command == shlex.join(argv)
+
+
+def test_cold_cli_sees_a_module_without_bytecode(tmp_path):
+    """The bytecode state is yes only when every module of the package has
+    its ``.pyc`` where the interpreter looks for it."""
+    cold_cli = _tool("cold_cli")
+    for name in ("a.py", "b.py"):
+        (tmp_path / name).write_text("X = 1\n")
+    assert not cold_cli.bytecode_cached(tmp_path)
+    py_compile.compile(str(tmp_path / "a.py"))
+    assert not cold_cli.bytecode_cached(tmp_path)
+    py_compile.compile(str(tmp_path / "b.py"))
+    assert cold_cli.bytecode_cached(tmp_path)
 
 
 def test_cold_cli_times_each_kernel_from_its_factory():

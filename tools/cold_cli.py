@@ -7,7 +7,12 @@ the number of kernels the call generates when it is the first call of a
 fresh process, the ms those kernels took to generate and compile, and the
 command line.  Two lines come first for scale: the interpreter's own start
 (``python -c pass``, which depends on the host's site-packages) and the
-import of ``kkgeom.cli``.
+import of ``kkgeom.cli``.  Before them, after one untimed start of the
+command line (``python -m kkgeom --help``, which imports every module a
+call imports and caches its bytecode unless PYTHONDONTWRITEBYTECODE is
+set), a comment line says whether every module of the package has its
+cached ``.pyc``: without them each start compiles the package, and every
+median is some 30 ms higher.
 
     python3 tools/cold_cli.py            # N = 7
     python3 tools/cold_cli.py -n 3
@@ -22,6 +27,7 @@ unwrapped.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import shlex
@@ -32,6 +38,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kkgeom"
 
 CALLS = [
     ["lift", "scenarios/d1.json", "--mode", "horizontal", "--steps", "400"],
@@ -96,6 +103,13 @@ def cold_ms(args, n: int) -> float:
     return statistics.median(times)
 
 
+def bytecode_cached(package: Path = PACKAGE) -> bool:
+    """Whether every module of ``package`` has its cached ``.pyc`` where
+    this interpreter looks for it."""
+    return all(os.path.exists(importlib.util.cache_from_source(str(path)))
+               for path in package.glob("*.py"))
+
+
 def kernels(argv):
     """(kernels generated, ms spent generating them) by ``argv`` run as the
     first call of a fresh process."""
@@ -115,8 +129,12 @@ def line(argv, n: int) -> str:
 
 
 def run(calls, n: int) -> list:
-    """The lines of the report over ``calls``, header first."""
+    """The lines of the report over ``calls``, header first, then the
+    bytecode state after one untimed start."""
+    subprocess.run([sys.executable, "-m", "kkgeom", "--help"], cwd=ROOT,
+                   env=_env(), stdout=subprocess.DEVNULL, check=True)
     lines = ["# median_ms\tkernels\tkernel_ms\tcommand",
+             f"# bytecode cached: {'yes' if bytecode_cached() else 'no'}",
              f"{cold_ms(['-c', 'pass'], n):.1f}\t-\t-\tpython -c pass",
              f"{cold_ms(['-c', 'import kkgeom.cli'], n):.1f}\t-\t-\t"
              "python -c 'import kkgeom.cli'"]
