@@ -13,6 +13,20 @@ evaluation is bit-identical to a float evaluation.  Everything here
 is immutable and evaluation is pure, so fields can be evaluated
 concurrently and results are bit-reproducible.
 
+A Jet whose leaves are all finite, times a float or int zero, is a
+structural zero: the product is the float ``primal(J) * 0``, the value a
+float evaluation computes, and no Jet of zeros is built (sparse forward
+mode; Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 7).  A
+Jet with an inf or NaN leaf takes the full product, so 0 * inf still
+reads NaN.  The value of every result keeps its bits.  What a structural
+zero changes is the sign of derivative entries that are zero either way
+(a later ``J + 0*K`` keeps J's partials where it added +-0.0 to them), a
+derivative entry beside an inf or NaN value, which reads 0 where the
+zero Jet's partials times that value made NaN, and the checks that only
+a Jet's derivative needs, which a float zero does not reach: a derivative
+pass over ``sqrt(0*x1)`` gives 0 and one over ``x1^(0*x2)`` at x1 < 0
+gives 1, as a float evaluation does, where both raised.
+
 Jets exist only inside a derivative pass (``seeded_point`` and
 ``nlconnection.adapted_derivatives``): at a float point every field, and
 every evaluator built on fields, returns exact floats.  Callers read those
@@ -23,8 +37,8 @@ Jet with m partials compiles ``_KERNELS`` for that m into a subclass of
 ``Jet``, which every later Jet of that m (and every Jet its operations
 build) belongs to.  Each kernel writes one expression per component, with
 the operands and their order of a per-component loop, so it computes the
-loop's bits; that loop is kept as the reference in ``tests/test_calculus.py``
-(``_LoopJet``).
+loop's bits; that loop, with the same structural zero, is kept as the
+reference in ``tests/test_calculus.py`` (``_LoopJet``).
 
 Every generated kernel of the package (these, the adapted-derivative
 split, the Leibniz rule, the matrix inverse and its self-check, the Koszul
@@ -145,6 +159,11 @@ class Jet:
     Components may themselves be Jets, which is how higher derivatives are
     taken.  Arithmetic follows the product/chain rules exactly (to IEEE
     rounding); mixed float/Jet arithmetic promotes the float to a constant.
+    A Jet with only finite leaves times a float or int zero (in either
+    order) is the float ``primal(self) * 0``, not a Jet of signed zeros:
+    a structural zero.  The primal keeps its bits; what it changes in a
+    later result (chiefly the sign of a zero derivative entry) is listed
+    in the module docstring.
 
     ``Jet(value, dx, dy)`` builds an instance of ``_jet_class(len(dx))``,
     the subclass that holds the generated arithmetic for that m; this class
@@ -278,8 +297,13 @@ def terms(fmt, *ranges):
 # The arithmetic of a Jet with m partials dx.  ``{J}`` is the class, ``{A}``
 # and ``{B}`` unpack the dx of ``self`` and ``other`` into a0.. and b0..,
 # and every other field is a tuple display of one ``_COMPONENT`` expression
-# per component.  Values divide directly so Jet evaluation matches float
-# evaluation bit for bit; only derivative coefficients go through _recip.
+# per component, but ``{zero}``, the test that every partial b0.. of a
+# product by a zero is a float zero.  A part times a zero is a float zero
+# exactly when its leaves are all finite (x * 0 is NaN for an infinite or
+# NaN x, and a Jet, which defines no ``==``, never equals 0.0), so the
+# product of a Jet with only finite leaves is its value's float zero.
+# Values divide directly so Jet evaluation matches float evaluation bit
+# for bit; only derivative coefficients go through _recip.
 _KERNELS = KernelTemplate('''\
 class {J}(Jet):
     __slots__ = ()
@@ -314,6 +338,13 @@ class {J}(Jet):
             {B} = other.dx
             u, v = self.value, other.value
             return {J}(u * v, {mul}, self.dy * v + u * other.dy)
+        if other == 0:
+            v = self.value * other
+            {B} = {mul_float}
+            dy = self.dy * other
+            if v == 0.0 and dy == 0.0 and {zero}:
+                return v
+            return {J}(v, {B}, dy)
         return {J}(self.value * other, {mul_float}, self.dy * other)
 
     __rmul__ = __mul__
@@ -376,7 +407,8 @@ def _jet_class(m):
     return {"J": f"Jet{m}", **{
         name: "(" + "".join(expr.format(a=f"a{i}", b=f"b{i}") + ", "
                             for i in range(m)) + ")"
-        for name, expr in _COMPONENT.items()}}
+        for name, expr in _COMPONENT.items()},
+        "zero": " and ".join(f"b{i} == 0.0" for i in range(m))}
 
 
 # -- scalar function dispatchers (float or Jet, any nesting depth) ----------

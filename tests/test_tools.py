@@ -118,11 +118,13 @@ def test_cold_cli_times_each_kernel_from_its_factory():
 
 
 def test_bench_record_writes_the_schema(tmp_path, capsys):
-    """One short query-lift run at seed 1: a sorted-key document with the
-    commit, the Python version, the CPU count and, per workload and seed,
-    perfbench's verdict and its five end-to-end metrics; ``--compare`` of
-    the file with itself reads 1.000 for each metric.  The times are not
-    checked."""
+    """One short query-lift run at seed 1, untraced and traced: a
+    sorted-key document with the commit, the Python version, the CPU count
+    and, per workload and seed, perfbench's verdict and its five
+    end-to-end metrics, and the verdict and count-unit per-layer metrics
+    of the traced run; ``--compare`` of the file with itself reads 1.000
+    for each end-to-end metric and ``same`` for each count, and
+    ``differs`` for a count that changed.  The times are not checked."""
     bench_record = _tool("bench_record")
     out = tmp_path / "BENCH_0.json"
     bench_record.write(bench_record.record(0.2, ["query-lift"], [1]), out)
@@ -130,21 +132,34 @@ def test_bench_record_writes_the_schema(tmp_path, capsys):
     doc = json.loads(text)
     assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
     assert set(doc) == {"commit", "uncommitted_changes", "python",
-                        "cpu_count", "seconds", "runs"}
+                        "cpu_count", "seconds", "runs", "traced"}
     assert doc["python"] == platform.python_version()
     assert doc["cpu_count"] == os.cpu_count()
     assert doc["seconds"] == 0.2
-    assert list(doc["runs"]) == ["query-lift"]
+    assert list(doc["runs"]) == list(doc["traced"]) == ["query-lift"]
     assert list(doc["runs"]["query-lift"]) == ["1"]
+    assert list(doc["traced"]["query-lift"]) == ["1"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = bench["end_to_end"]
+    count_names = {m["name"] for m in bench["per_layer"]
+                   if m["unit"] == "count"}
     run = doc["runs"]["query-lift"]["1"]
-    assert (run["correct"], run["failed"]) == (True, 0)
-    assert run["attempted"] > 0
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())[
-        "end_to_end"]
+    traced = doc["traced"]["query-lift"]["1"]
+    for verdict in (run, traced):
+        assert (verdict["correct"], verdict["failed"]) == (True, 0)
+        assert verdict["attempted"] > 0
     assert {name: metric["unit"] for name, metric in run["metrics"].items()
             } == {m["name"]: m["unit"] for m in end_to_end}
+    assert set(traced["metrics"]) == count_names
+    assert traced["metrics"]["scenario.loads"]["value"] > 0
     capsys.readouterr()
     assert bench_record.main(["--compare", str(out), str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1 + len(end_to_end)
-    assert all(line.split("\t")[-1] == "1.000" for line in lines[1:])
+    assert len(lines) == 1 + len(end_to_end) + len(count_names)
+    marks = [line.split("\t")[-1] for line in lines[1:]]
+    assert marks == ["1.000"] * len(end_to_end) + ["same"] * len(count_names)
+    traced["metrics"]["scenario.loads"]["value"] += 1
+    changed = [line.split("\t")[2::3]
+               for line in bench_record.compare(json.loads(text), doc)
+               if line.split("\t")[-1] == "differs"]
+    assert changed == [["scenario.loads", "differs"]]
