@@ -32,15 +32,25 @@ __all__ = ["AlgebroidData", "antisymmetry_residual", "anchor_residual",
 class AlgebroidData:
     """The anchor and bracket tables as evaluators on M: ``rho_at(xs)``
     returns rho[alpha][i] (p x m), ``L_at(xs)`` returns
-    L[gamma][alpha][beta] (p x p x p), entries float or Jet."""
+    L[gamma][alpha][beta] (p x p x p), entries float or Jet.
 
-    __slots__ = ("m", "p", "rho_at", "L_at")
+    ``rho_zero`` and ``L_zero``, when known, are the tables' zero masks
+    (nested tuples of bools, True where the entry is a float zero at every
+    point, as a scenario load finds them); None says nothing is known.
+    ``split`` is the walk of ``nlconnection.adapted_derivatives`` for
+    ``rho_zero``, resolved on the first pass."""
 
-    def __init__(self, m: int, p: int, rho_at, L_at):
+    __slots__ = ("m", "p", "rho_at", "L_at", "rho_zero", "L_zero", "split")
+
+    def __init__(self, m: int, p: int, rho_at, L_at, rho_zero=None,
+                 L_zero=None):
         self.m = m
         self.p = p
         self.rho_at = rho_at
         self.L_at = L_at
+        self.rho_zero = rho_zero
+        self.L_zero = L_zero
+        self.split = None
 
 
 def antisymmetry_residual(A: AlgebroidData, pt: EPoint) -> float:

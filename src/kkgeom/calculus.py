@@ -27,6 +27,26 @@ a Jet's derivative needs, which a float zero does not reach: a derivative
 pass over ``sqrt(0*x1)`` gives 0 and one over ``x1^(0*x2)`` at x1 < 0
 gives 1, as a float evaluation does, where both raised.
 
+A float or int zero over a Jet whose leaves are all finite (``0 / J``) is
+a structural zero too: the float ``0 / primal(J)``, which is the value of
+the full quotient, so a zero entry of a matrix inverse (``a / pivot`` on a
+0.0) is a float zero and not a Jet of zeros.  A Jet with an inf or NaN
+leaf takes the full quotient, and a Jet whose primal is zero still raises
+"division by zero".  What this rule changes is what the product rule
+changes (the signs of zero derivative entries later sums meet, the
+derivative entries beside an inf or NaN value), and one more: where u * u
+underflows (|primal| below about 1e-154), the full quotient's 1 / u^2
+raised "division by zero", and the rule returns the zero.
+
+The zeros a scenario writes down are left out when a kernel is
+generated: a kernel keyed by zero masks (nested tuples of bools, True at
+an entry that is a float zero at every point; ``structural`` keys one
+that marks nothing as the full kernel) drops the terms they make zero.
+Such a term is a float zero only while its other factors have finite
+leaves, so the kernel first tests them (``x * 0.0`` is a float zero
+exactly then) and runs the full kernel where one is not: its bits are
+the full kernel's on every input.
+
 Jets exist only inside a derivative pass (``seeded_point`` and
 ``nlconnection.adapted_derivatives``): at a float point every field, and
 every evaluator built on fields, returns exact floats.  Callers read those
@@ -161,7 +181,8 @@ class Jet:
     rounding); mixed float/Jet arithmetic promotes the float to a constant.
     A Jet with only finite leaves times a float or int zero (in either
     order) is the float ``primal(self) * 0``, not a Jet of signed zeros:
-    a structural zero.  The primal keeps its bits; what it changes in a
+    a structural zero; so is a float or int zero over it, the float ``0 /
+    primal(self)``.  The primal keeps its bits; what it changes in a
     later result (chiefly the sign of a zero derivative entry) is listed
     in the module docstring.
 
@@ -294,6 +315,37 @@ def terms(fmt, *ranges):
     return "".join(starmap((" + " + fmt).format, product(*ranges)))
 
 
+def factor_tests(tests):
+    """The lines of a masked kernel that add to ``z`` the factors of its
+    left-out terms, and their globals: ``tests`` holds ``(name, targets,
+    expr, entries)``, one loop ``for targets in name: z = z + expr`` over
+    the tuple ``entries`` per kind, none for a kind without entries."""
+    return ("".join(f"    for {targets} in {name}:\n        z = z + {expr}\n"
+                    for name, targets, expr, entries in tests if entries),
+            {name: entries for name, _, _, entries in tests})
+
+
+def _marks(mask):
+    """Whether the zero mask ``mask`` marks some entry."""
+    return mask is True or (type(mask) is tuple and any(map(_marks, mask)))
+
+
+def shared(table, memo=None):
+    """``table`` (nested tuples) with each tuple that equals an earlier one
+    replaced by that one, so a plan of many equal rows holds each once."""
+    memo = {} if memo is None else memo
+    if type(table) is not tuple:
+        return table
+    return memo.setdefault(table, tuple([shared(t, memo) for t in table]))
+
+
+def structural(mask):
+    """``mask``, a zero mask (nested tuples of bools, True at an entry that
+    is a float zero at every point), if it marks some entry, else None:
+    a kernel with no term to leave out is keyed as the full one."""
+    return mask if _marks(mask) else None
+
+
 # The arithmetic of a Jet with m partials dx.  ``{J}`` is the class, ``{A}``
 # and ``{B}`` unpack the dx of ``self`` and ``other`` into a0.. and b0..,
 # and every other field is a tuple display of one ``_COMPONENT`` expression
@@ -367,6 +419,8 @@ class {J}(Jet):
     def __rtruediv__(self, other):
         if primal(self.value) == 0.0:
             raise EvaluationDomainError("division by zero")
+        if other == 0 and not isinstance(self * other, Jet):
+            return other / primal(self.value)
         u = self.value
         factor = (-other) * _recip(u * u)
         return self.scaled(_jdiv(other, u), factor)

@@ -23,7 +23,12 @@ The per-entry sums are straight-line code generated per p on first use,
 each performing the float and Jet operations of the loop it replaced in
 the same order: the differences of ``frame_definitions``, the Rh/Rv
 formula and the contractions of the commutation and Bianchi checks.  The
-loops are the bitwise references in ``tests/reference.py``.
+loops are the bitwise references in ``tests/reference.py``.  The Rh/Rv
+kernel is keyed by the zero masks of L and of hh that a coefficient set
+carries (``dconnection.ConnectionZeros``: the scenario's L mask, and the
+hh mask of the Koszul formula's liveness or of explicit tables) and
+leaves out the terms they make zero at a Jet point (reference
+``loop_masked_rh_rv``).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import operator
 
 from .algebroid import AlgebroidData
 from .calculus import EPoint, Jet, KernelTemplate, kernel, names, primal, \
-    rows, terms
+    factor_tests, rows, shared, structural, terms
 from .dconnection import (
     DConnectionCoeffs,
     bracket_pairs,
@@ -172,77 +177,222 @@ def torsion_components(D, N, A, pt: EPoint) -> TorsionComponents:
 # Hh[t][b][e], ac<t> = Hh[a][t][c], hc<t> = Hh[t][b][c], dab<e> =
 # dH<e>[a][b], dc<e> = dH<c>[a][b][e], Rc<e> = R[c][e] and Lc<t>_<e> =
 # Lv[t][c][e].
+#
+# Under zero masks of L and hh (:func:`rh_rv_plan`) each of the three sums
+# over t keeps only its terms left in.  A sum that keeps every term at
+# every entry is written out as above, one that keeps none is ``(0)``, and
+# any other is a loop over the t that ``RH[a][b][c][e]`` (the sums of Rh)
+# or ``RV[c][e]`` names, from 0, into u<e>, w<e> or v<e>.  A term left
+# out of a sum from 0 is a float zero when ``{guard}``'s test adds to a
+# float zero: each factor that ``rh_rv_plan`` names, the entries of Hh,
+# L and Hv that must be finite (``HF``, ``LF``, ``VF``) times 0.0 and the
+# Hh entries that must be float zeros (``HZ``) as they are.  Only then
+# are the bits those of the full kernel, which runs otherwise.  The test
+# loops over its entries: written out as one sum, it took more memory to
+# compile than the rest of the kernel.
+_RH_RV_GUARD = '''\
+    z = 0.0
+{tests}    if z != 0.0:
+        return full({p})(Hh, Hv, Vh, Vv, delta, R, Lv)
+'''
 _RH_RV = KernelTemplate('''\
 def rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
-    {H}, = Hh
+{guard}    {H}, = Hh
     {L}, = Lv
     {hv}, = Hv
     dH = [d[0] for d in delta]
     {dv}, = dvs = [d[1] for d in delta]
     Rh = []
-    for a in {R}:
+    for {loop_a}:
         {Ha}, = Ha = Hh[a]
         {A}
         dHa = [d[a] for d in dH]
         Vha = Vh[a]
         Rha = []
-        for b in {R}:
-            {B}, = Ha[b]
+        for {loop_b}:
+            {B}, = Hab = Ha[b]
             {C}
             {dab}, = dabs = [d[b] for d in dHa]
             vab = Vha[b]
             Rhab = []
-            for c in {R}:
+            for {loop_c}:
                 {dc}, = dabs[c]
                 {ac}
                 {hc}
                 {Rc}, = R[c]
                 {Lc}
-                Rhab.append([{rh}])
+{sums}                Rhab.append([{rh}])
             Rha.append(Rhab)
         Rh.append(Rha)
     Rv = []
-    for c in {R}:
+    for {loop_v}:
         hvc = Hv[c]
         {dc}, = dvs[c]
         {Rc}, = R[c]
-        {Lc}
-        Rv.append([{rv}])
+        {Lc_v}
+{sums_v}        Rv.append([{rv}])
     return Rh, Rv
 ''')
 
 
-@kernel(_RH_RV)
-def _rh_rv_kernel(p):
-    """The kernel of ``_RH_RV`` for p, generated on first use."""
+@functools.cache
+def rh_rv_plan(p, L_zero, hh_zero):
+    """What the Rh/Rv formula at p computes under the zero masks of L and
+    hh (None: no entry known to be zero): ``(rh, rv, finite, zero)``.
+
+    A term of a sum over t is left out when each of its products has a
+    structurally zero factor: an entry of L marked in its mask (a float
+    zero at every point) or of hh marked in its.  ``rh[a][b][c][e]`` is
+    ``(t1, t2)``, the t of the terms left in of the sum over Hh products
+    and of the one over L; ``rv[c][e]`` the t of Rv's L terms.  ``finite``
+    and ``zero`` name what each factor of a left-out product must be, as
+    ``(name, index...)``, for the full formula to give the same bits: a
+    live entry of Hh, L or Hv finite, a marked Hh entry a float zero (it
+    is one where the leaves it was computed from are finite)."""
     rp = range(p)
+    L_zero = L_zero or (((False,) * p,) * p,) * p
+    hh_zero = hh_zero or (((False,) * p,) * p,) * p
+    finite, zero = set(), set()
+
+    def left_in(*products):
+        # products: pairs of (name, index, marked) factors
+        if any(not x[2] and not y[2] for x, y in products):
+            return True
+        for name, index, marked in (f for pair in products for f in pair):
+            if not marked:
+                finite.add((name, *index))
+            elif name == "Hh":
+                zero.add((name, *index))
+        return False
+
+    def H(*index):
+        return ("Hh", index, hh_zero[index[0]][index[1]][index[2]])
+
+    def L(*index):
+        return ("Lv", index, L_zero[index[0]][index[1]][index[2]])
+
+    def sums(a, b, c, e):
+        return (tuple(t for t in rp if left_in((H(a, t, e), H(t, b, c)),
+                                               (H(a, t, c), H(t, b, e)))),
+                tuple(t for t in rp if left_in((L(t, c, e), H(a, b, t)))))
+
+    rh = tuple(tuple(tuple(tuple(sums(a, b, c, e) for e in rp) for c in rp)
+                     for b in rp) for a in rp)
+    rv = tuple(tuple(tuple(t for t in rp
+                           if left_in((L(t, c, e), ("Hv", (t,), False))))
+                     for e in rp) for c in rp)
+    return shared((rh, rv, tuple(sorted(finite)), tuple(sorted(zero))))
+
+
+@kernel(_RH_RV)
+def _rh_rv_kernel(p, L_zero=None, hh_zero=None):
+    """The kernel of ``_RH_RV`` for p under the zero masks of L and hh
+    (None: no entry known to be zero), generated on first use."""
+    rp = range(p)
+    R = repr(tuple(rp))
+    rh, rv, finite, zero = rh_rv_plan(p, L_zero, hh_zero)
+    every = tuple(rp)
+
+    def kind(plans):
+        # how a sum is written: "full" (every term), "none" or "loop"
+        plans = set(plans)
+        return ("full" if plans == {every} else "none" if plans == {()}
+                else "loop")
+
+    entries = [sums for plane in rh for row in plane for c in row
+               for sums in c]
+    s1, s2 = (kind(sums[k] for sums in entries) for k in (0, 1))
+    sv = kind(ts for row in rv for ts in row)
+    mixed = "loop" in (s1, s2)
+
+    def written(kind_, name, e, text):
+        return {"full": "(0" + text + ")", "none": "(0)",
+                "loop": f"{name}{e}"}[kind_]
+
+    def loop(acc, plan, e, step, pad):
+        return (f"{pad}{acc}{e} = 0\n{pad}for t in {plan}{e}:\n"
+                f"{pad}    {acc}{e} = {acc}{e} + {step}\n")
+
+    sums = ""
+    if mixed:
+        sums = " " * 16 + ", ".join(f"(P{e}, Q{e})" for e in rp) + ", = Pc\n"
+    if s1 == "loop":
+        sums += "".join(loop("u", "P", e, f"(Ha[t][{e}] * Hb[t][c] - Ha[t][c]"
+                                          f" * Hb[t][{e}])", " " * 16)
+                        for e in rp)
+    if s2 == "loop":
+        sums += "".join(loop("w", "Q", e, f"Lv[t][c][{e}] * Hab[t]",
+                             " " * 16) for e in rp)
+    sums_v = ""
+    if sv == "loop":
+        sums_v = (" " * 8 + names("V{}", rp) + ", = Pv\n"
+                  + "".join(loop("v", "V", e, f"Lv[t][c][{e}] * Hv[t]",
+                                 " " * 8) for e in rp))
+    tests, own = factor_tests([
+        ("HF", "a, b, c", "Hh[a][b][c] * 0.0",
+         tuple(tuple(i) for name, *i in finite if name == "Hh")),
+        ("HZ", "a, b, c", "Hh[a][b][c]", tuple(tuple(i) for _, *i in zero)),
+        ("LF", "t, c, e", "Lv[t][c][e] * 0.0",
+         tuple(tuple(i) for name, *i in finite if name == "Lv")),
+        ("VF", "t", "Hv[t] * 0.0",
+         tuple(i[0] for name, *i in finite if name == "Hv"))])
+    guard = "" if not (finite or zero) else _RH_RV_GUARD.format(p=p,
+                                                                tests=tests)
+    Lc = "; ".join(f"{rows('Lc{}_{}', [t], rp)} = L{t}[c]" for t in rp)
+
+    def bound(kind_, line):
+        return line if kind_ == "full" else "pass"
+
     return dict(
-        R=repr(tuple(rp)), H=names("H{}", rp), L=names("L{}", rp),
+        guard=guard, sums=sums, sums_v=sums_v,
+        loop_a=f"a, Pa in zip({R}, RH)" if mixed else f"a in {R}",
+        loop_b=f"b, Pb in zip({R}, Pa)" if mixed else f"b in {R}",
+        loop_c=f"c, Pc in zip({R}, Pb)" if mixed else f"c in {R}",
+        loop_v=f"c, Pv in zip({R}, RV)" if sv == "loop" else f"c in {R}",
+        H=names("H{}", rp), L=names("L{}", rp),
         hv=names("hv{}", rp), dv=names("dv{}", rp), Ha=names("Ha{}", rp),
         B=names("B{}", rp), dab=names("dab{}", rp), dc=names("dc{}", rp),
         Rc=names("Rc{}", rp),
-        A="; ".join(f"{rows('A{}_{}', [t], rp)} = Ha{t}" for t in rp),
-        C="; ".join(f"T{t} = H{t}[b]; {rows('C{}_{}', [t], rp)} = T{t}"
-                    for t in rp),
-        Lc="; ".join(f"{rows('Lc{}_{}', [t], rp)} = L{t}[c]" for t in rp),
-        ac="; ".join(f"ac{t} = Ha{t}[c]" for t in rp),
-        hc="; ".join(f"hc{t} = T{t}[c]" for t in rp),
+        # the names only a sum written out reads are bound only for one
+        A=bound(s1, "; ".join(f"{rows('A{}_{}', [t], rp)} = Ha{t}"
+                              for t in rp)),
+        C="; ".join(f"T{t} = H{t}[b]" + (
+            f"; {rows('C{}_{}', [t], rp)} = T{t}" if s1 == "full" else "")
+            for t in rp)
+        + (f"; Hb = ({names('T{}', rp)},)" if s1 == "loop" else ""),
+        Lc=bound(s2, Lc), Lc_v=bound(sv, Lc),
+        ac=bound(s1, "; ".join(f"ac{t} = Ha{t}[c]" for t in rp)),
+        hc=bound(s1, "; ".join(f"hc{t} = T{t}[c]" for t in rp)),
         rh=", ".join(
-            f"dab{e}[c] - dc{e} + (0"
-            + terms("(A{0}_{1} * hc{0} - ac{0} * C{0}_{1})", rp, [e])
-            + f") + Rc{e} * vab + (0" + terms("Lc{0}_{1} * B{0}", rp, [e])
-            + ")" for e in rp),
+            f"dab{e}[c] - dc{e} + " + written(s1, "u", e, terms(
+                "(A{0}_{1} * hc{0} - ac{0} * C{0}_{1})", rp, [e]))
+            + f" + Rc{e} * vab + "
+            + written(s2, "w", e, terms("Lc{0}_{1} * B{0}", rp, [e]))
+            for e in rp),
         rv=", ".join(
-            f"dv{e}[c] - dc{e} + hv{e} * hvc - hvc * hv{e} + Rc{e} * Vv + (0"
-            + terms("Lc{0}_{1} * hv{0}", rp, [e]) + ")" for e in rp))
+            f"dv{e}[c] - dc{e} + hv{e} * hvc - hvc * hv{e} + Rc{e} * Vv + "
+            + written(sv, "v", e, terms("Lc{0}_{1} * hv{0}", rp, [e]))
+            for e in rp)), {"RH": rh, "RV": rv, "full": _rh_rv_kernel, **own}
 
 
-def _rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
-    """The Rh and Rv families from the coefficients, the adapted
-    derivatives ``delta[g][0]`` of hh and ``delta[g][1]`` of hv, the
-    bracket curvature R and the bracket table, through one generated
-    kernel per p."""
-    return _rh_rv_kernel(len(Hv))(Hh, Hv, Vh, Vv, delta, R, Lv)
+def _rh_rv(D, y, Hh, Hv, Vh, Vv, delta, R, Lv):
+    """The Rh and Rv families of the coefficient set D at a point with
+    fiber coordinate y from its values, the adapted derivatives
+    ``delta[g][0]`` of hh and ``delta[g][1]`` of hv, the bracket curvature
+    R and the bracket table, through one generated kernel per p and zero
+    masks of L and hh: at a Jet point those of ``D.zeros``, its kernel
+    resolved on first use.  At a float point, and for a coefficient set
+    without zeros, it is the full kernel: a loop over the terms left in
+    costs more there than the float products it skips (about 2x at p = 2
+    and 1.3x at p = 3)."""
+    zeros = D.zeros
+    if zeros is None or type(y) is float:
+        return _rh_rv_kernel(D.p)(Hh, Hv, Vh, Vv, delta, R, Lv)
+    if zeros.rh_rv is None:
+        masks = structural(zeros.L), structural(zeros.hh)
+        zeros.rh_rv = _rh_rv_kernel(D.p, *masks) if any(masks) \
+            else _rh_rv_kernel(D.p)
+    return zeros.rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv)
 
 
 def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
@@ -261,7 +411,7 @@ def curvature_components_at(D: DConnectionCoeffs, N: NonlinearConnection,
     dHh, dHv, dVh, dVv, gam_dy = ddy
     Lv = A.L_at(xs)
     R = bracket_curvature(gam, [d[4] for d in delta], Lv)
-    Rh, Rv = _rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv)
+    Rh, Rv = _rh_rv(D, y, Hh, Hv, Vh, Vv, delta, R, Lv)
     Pc_h = [
         [
             [
@@ -445,7 +595,7 @@ class PointTables:
                  A: AlgebroidData, pt: EPoint):
         self.pt = pt
         self.D = DConnectionCoeffs(D.p, *map(self.per_depth, (
-            D.hh_at, D.hv_at, D.vh_at, D.vv_at)))
+            D.hh_at, D.hv_at, D.vh_at, D.vv_at)), zeros=D.zeros)
         self._args = (self.D, N, A, pt.x, pt.y)
         self._components = None
 
@@ -814,7 +964,8 @@ def _bianchi_values(D, N, A, pt):
                              N.gamma_at(jxs, jy)], xs, y, A, N)
         Lv = A.L_at(xs)
         R = bracket_curvature(gam, [d[2] for d in delta], Lv)
-        Rh, Rv = _rh_rv(Hh, Hv, D.vh_at(xs, y), D.vv_at(xs, y), delta, R, Lv)
+        Rh, Rv = _rh_rv(D, y, Hh, Hv, D.vh_at(xs, y), D.vv_at(xs, y),
+                        delta, R, Lv)
         return [_thh(Hh, Lv), R, Rh, Rv]
 
     vals, delta, _ = adapted_derivatives(tensors_at, pt.x, pt.y, A, N)

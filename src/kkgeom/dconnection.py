@@ -40,6 +40,7 @@ from .exprlang import zero_table
 from .nlconnection import NonlinearConnection, adapted_derivatives
 
 __all__ = [
+    "ConnectionZeros",
     "DConnectionCoeffs",
     "berwald",
     "h_cov_values",
@@ -53,15 +54,33 @@ __all__ = [
 ]
 
 
-class DConnectionCoeffs:
-    """The four coefficient families, as point evaluators (Jet-friendly)."""
+class ConnectionZeros:
+    """The structural zeros of a coefficient set: the zero masks (nested
+    tuples of bools, True at an entry that is a float zero at every point;
+    None when nothing is known) of the bracket table ``L`` it is read with
+    and of its ``hh``, and ``rh_rv``, the Rh/Rv kernel for them, which
+    ``curvature`` resolves on first use for every view of the set."""
 
-    def __init__(self, p, hh_at, hv_at, vh_at, vv_at):
+    __slots__ = ("L", "hh", "rh_rv")
+
+    def __init__(self, L, hh):
+        self.L = L
+        self.hh = hh
+        self.rh_rv = None
+
+
+class DConnectionCoeffs:
+    """The four coefficient families, as point evaluators (Jet-friendly),
+    and their structural ``zeros`` (a :class:`ConnectionZeros`, or None
+    when nothing is known)."""
+
+    def __init__(self, p, hh_at, hv_at, vh_at, vv_at, zeros=None):
         self.p = p
         self.hh_at = hh_at
         self.hv_at = hv_at
         self.vh_at = vh_at
         self.vv_at = vv_at
+        self.zeros = zeros
 
     @staticmethod
     def zero(p: int) -> "DConnectionCoeffs":

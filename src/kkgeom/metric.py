@@ -12,6 +12,17 @@ on first use; the sums they replaced are the bitwise references in
 is evaluated once per point: vh reads the pass over g that hh makes, and
 vv the pass over g00 that hv makes, when asked at the same point objects.
 
+The Koszul kernel is keyed by the zero masks of g (``MetricStructure.
+g_zero``) and of L (``AlgebroidData.L_zero``), which a scenario load
+computes: from them ``koszul_plan`` finds the bracket terms, the t_e and
+the products gi[a][e] * t_e that are float zeros at every point, the
+last where a and e lie in two components of g's pattern, between which
+the inverse is zero.  The kernel for those masks (``_MASKED_KOSZUL``,
+resolved once when the connection is built) leaves them out, and so
+does its reference ``loop_masked_koszul``; the hh entries it leaves at
+0.0 are the hh mask that keys the connection's Rh/Rv kernel
+(``dconnection.ConnectionZeros``).
+
 Matrix inversion is a plain Gauss-Jordan written to run on Jet entries, so
 the constructed coefficients can be differentiated again (curvature needs
 first derivatives of the inverse metric, the cyclic identity suites need
@@ -22,6 +33,7 @@ is the self-check of ``inverse_h`` per p (``loop_inverse_check``).
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .algebroid import AlgebroidData
@@ -34,12 +46,16 @@ from .calculus import (
     jdy,
     jval,
     kernel,
+    factor_tests,
     names,
     primal,
     rows,
+    shared,
+    structural,
     terms,
 )
-from .dconnection import DConnectionCoeffs, h_cov_values, v_cov_values
+from .dconnection import ConnectionZeros, DConnectionCoeffs, h_cov_values, \
+    v_cov_values
 from .nlconnection import NonlinearConnection, adapted_derivatives
 from .report import row_max
 
@@ -73,14 +89,16 @@ class SingularMetricError(EvaluationDomainError):
 class MetricStructure:
     """The horizontal block ``g_at(xs, y)`` (g[alpha][beta], p x p,
     symmetric) and the vertical coefficient ``g00_at(xs, y)``, as
-    evaluators on E."""
+    evaluators on E; ``g_zero``, when known, is the block's zero mask (True
+    where an entry is a float zero at every point), else None."""
 
-    __slots__ = ("p", "g_at", "g00_at")
+    __slots__ = ("p", "g_at", "g00_at", "g_zero")
 
-    def __init__(self, p: int, g_at, g00_at):
+    def __init__(self, p: int, g_at, g00_at, g_zero=None):
         self.p = p
         self.g_at = g_at
         self.g00_at = g00_at
+        self.g_zero = g_zero
 
 
 # Gauss-Jordan with partial pivoting on the n x 2n matrix [mat | I], for n:
@@ -298,6 +316,164 @@ def _koszul_kernel(p):
                        for a in rp))
 
 
+def _components(g_zero):
+    """The component of each index in the pattern of g's nonzero entries,
+    named by its smallest index: the inverse of g is zero between two
+    components (block diagonal after a permutation)."""
+    comp = list(range(len(g_zero)))
+    for i, row in enumerate(g_zero):
+        for j, zero in enumerate(row):
+            if not zero:
+                a, b = sorted((comp[i], comp[j]))
+                comp = [a if k == b else k for k in comp]
+    return comp
+
+
+@functools.cache
+def koszul_plan(p, g_zero, L_zero):
+    """What the Koszul formula at p computes under the zero masks of g and
+    L (None: no entry known to be zero): ``(plan, finite, zero, hh_zero)``.
+
+    A bracket term theta(e, th) of t_e at (b, c) is left out when each of
+    its three products has a structurally zero factor: an entry of g or L
+    marked in its mask, which evaluates to a float zero.  t_e is left out
+    when its bracket terms are and its three gd entries are those of
+    marked g entries.  A product gi[a][e] * t_e is left out when t_e is or
+    gi[a][e] joins two components of g's pattern (:func:`_components`).
+    ``plan`` holds per (b, c) with a term left in ``(b, c, ts, hs)``: ts
+    the ``(e, ths, check)`` of each t_e left in, ths its bracket terms'
+    th and check whether a product with t_e was left out; hs the ``(a,
+    es)`` of each hh[a][b][c] left in, es the e of its products.
+    ``hh_zero`` marks the hh entries left out, ``finite`` (finiteness) and
+    ``zero`` (a float zero) name what each factor of a left-out product
+    must be for the full formula to give the same bits: gv, L, gi and gd
+    entries as ``(name, index...)``.  A marked entry of g or L needs no
+    test; a gd entry of a marked g entry and a cross-component gi entry
+    are float zeros only when the leaves they were computed from are
+    finite."""
+    rp = range(p)
+    g_zero = g_zero or ((False,) * p,) * p
+    L_zero = L_zero or (((False,) * p,) * p,) * p
+    comp = _components(g_zero)
+    finite, zero = set(), set()
+
+    def bracket_term(e, th, b, c):
+        # Whether theta(e, th) at (b, c) is left in; if not, the live
+        # factor of each of its products must be finite.
+        products = [((th, e), (th, c, b)), ((b, th), (th, c, e)),
+                    ((th, c), (th, b, e))]
+        if any(not g_zero[i][j] and not L_zero[t][k][l]
+               for (i, j), (t, k, l) in products):
+            return True
+        for (i, j), (t, k, l) in products:
+            if not g_zero[i][j]:
+                finite.add(("gv", i, j))
+            if not L_zero[t][k][l]:
+                finite.add(("L", t, k, l))
+        return False
+
+    plan, hh_zero = [], [[[True] * p for _ in rp] for _ in rp]
+    for b in rp:
+        for c in rp:
+            ts = []
+            for e in rp:
+                ths = tuple(th for th in rp if bracket_term(e, th, b, c))
+                gds = [(c, e, b), (b, e, c), (e, b, c)]
+                if ths or not all(g_zero[j][k] for _, j, k in gds):
+                    ts.append([e, ths, False])
+                else:
+                    zero.update(("gd", *index) for index in gds)
+            live = {t[0]: t for t in ts}
+            hs = []
+            for a in rp:
+                es = []
+                for e in rp:
+                    if e in live and comp[a] == comp[e]:
+                        es.append(e)
+                    elif e in live:
+                        zero.add(("gi", a, e))
+                        live[e][2] = True
+                    else:
+                        (finite if comp[a] == comp[e] else zero).add(
+                            ("gi", a, e))
+                if es:
+                    hs.append((a, tuple(es)))
+                    hh_zero[a][b][c] = False
+            if hs:
+                plan.append((b, c, tuple(map(tuple, ts)), tuple(hs)))
+    return shared((tuple(plan), tuple(sorted(finite)), tuple(sorted(zero)),
+                   tuple(tuple(map(tuple, plane)) for plane in hh_zero)))
+
+
+# The Koszul formula of ``_KOSZUL`` under zero masks (:func:`koszul_plan`):
+# per (b, c) of ``PLAN`` the t_e left in, each with the bracket terms left
+# in, and the hh[a][b][c] left in, each over the products left in, with
+# the operands and order of ``_KOSZUL``; every other hh entry is 0.0.  A
+# term left out of a sum from 0 or 0.0 is a float zero when the factors
+# that ``koszul_plan`` names, the entries of gv, L and gi that must be
+# finite (``GVF``, ``LF``, ``GIF``) times 0.0 and the gi and gd entries
+# that must be float zeros (``GIZ``, ``GDZ``) as they are (``{tests}``,
+# :func:`~kkgeom.calculus.factor_tests`), and the t_e tested in the loop
+# add to a float zero: only then are the bits those of ``_KOSZUL``, which
+# runs otherwise, after the terms left in.
+_MASKED_KOSZUL = KernelTemplate('''\
+def koszul(gv, gd, gi, Lv):
+    z = 0.0
+{tests}    out = [[[0.0] * {p} for _ in {R}] for _ in {R}]
+    t = [None] * {p}
+    for b, c, ts, hs in PLAN:
+        gvb = gv[b]; gdb = gd[b]; gdc = gd[c]
+        for e, ths, check in ts:
+            s = 0
+            for th in ths:
+                gvth = gv[th]; Lth = Lv[th]; Lthc = Lth[c]
+                s = s + (gvth[e] * Lthc[b] - gvb[th] * Lthc[e]
+                         - gvth[c] * Lth[b][e])
+            te = t[e] = gdc[e][b] + gdb[e][c] - gd[e][b][c] + s
+            if check:
+                z = z + te * 0.0
+        for a, es in hs:
+            gia = gi[a]
+            acc = 0.0
+            for e in es:
+                acc = acc + gia[e] * t[e]
+            out[a][b][c] = 0.5 * acc
+    if z != 0.0:
+        return dense({p})(gv, gd, gi, Lv)
+    return out
+''')
+
+
+@kernel(_MASKED_KOSZUL, dense=_koszul_kernel)
+def _masked_koszul_kernel(p, g_zero, L_zero):
+    """The kernel of ``_MASKED_KOSZUL`` for p under the zero masks of g
+    and L, generated on first use."""
+    plan, finite, zero, _ = koszul_plan(p, g_zero, L_zero)
+
+    def entries(names, table):
+        return tuple(tuple(i) for name, *i in names if name == table)
+
+    tests, own = factor_tests([
+        ("GVF", "i, j", "gv[i][j] * 0.0", entries(finite, "gv")),
+        ("LF", "t, i, j", "Lv[t][i][j] * 0.0", entries(finite, "L")),
+        ("GIF", "i, j", "gi[i][j] * 0.0", entries(finite, "gi")),
+        ("GIZ", "i, j", "gi[i][j]", entries(zero, "gi")),
+        ("GDZ", "i, j, k", "gd[i][j][k]", entries(zero, "gd"))])
+    return (dict(p=p, R=repr(tuple(range(p))), tests=tests),
+            {"PLAN": plan, **own})
+
+
+def koszul_for(p, g_zero, L_zero):
+    """The Koszul kernel for p under the zero masks of g and L (None: no
+    entry known to be zero), with the zero mask of the hh it returns: the
+    full ``_KOSZUL`` and None when neither mask marks an entry."""
+    g_zero, L_zero = structural(g_zero), structural(L_zero)
+    if g_zero is None and L_zero is None:
+        return _koszul_kernel(p), None
+    return (_masked_koszul_kernel(p, g_zero, L_zero),
+            koszul_plan(p, g_zero, L_zero)[3])
+
+
 # vh of the metric connection at p: half the fiber derivatives g_dy of the
 # horizontal metric block, raised by its inverse gi,
 #
@@ -357,13 +533,14 @@ def metric_dconnection(G: MetricStructure, baseline_hv,
     """
     p = G.p
     g_last, g00_last = [(None, None, None)], [(None, None, None)]
+    koszul, hh_zero = koszul_for(p, G.g_zero, A.L_zero)
 
     def hh_at(xs, y):
         g_vals, g_delta, g_dy = adapted_derivatives(G.g_at, xs, y, A, N)
         ginv = _inverse_at(g_vals, xs, y)
         if type(xs) is tuple:
             g_last[0] = (xs, y, (g_dy, ginv))
-        return _koszul_kernel(p)(g_vals, g_delta, ginv, A.L_at(xs))
+        return koszul(g_vals, g_delta, ginv, A.L_at(xs))
 
     def hv_at(xs, y):
         (g00,), delta, (g00_dy,) = adapted_derivatives(
@@ -399,7 +576,8 @@ def metric_dconnection(G: MetricStructure, baseline_hv,
                                           point=_float_point(xs, y))
         return 0.5 * g00_dy / g00
 
-    return DConnectionCoeffs(p, hh_at, hv_at, vh_at, vv_at)
+    return DConnectionCoeffs(p, hh_at, hv_at, vh_at, vv_at,
+                             zeros=ConnectionZeros(A.L_zero, hh_zero))
 
 
 def _compatibility_values(G: MetricStructure, D: DConnectionCoeffs,

@@ -13,7 +13,10 @@ on floats or Jets alike, so the operators nest.  The walk of one
 derivative pass is straight-line code, generated per (p, m) on first use;
 the per-leaf loop it replaced is the bitwise reference in
 ``tests/reference.py`` (``loop_split``).  So are the sums of the Gamma
-change law (``loop_gamma_law``).
+change law (``loop_gamma_law``).  The walk is keyed by the zero mask of
+rho (``AlgebroidData.rho_zero``) too: it leaves out the terms of a
+structurally zero rho entry (reference ``loop_masked_split``), and is
+resolved once per algebroid, on its first pass.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .calculus import (
     names,
     rows,
     seeded_point,
+    structural,
     terms,
 )
 from .exprlang import zero_table
@@ -76,7 +80,9 @@ def adapted_derivatives(array_fn, xs, y, A: AlgebroidData, N: NonlinearConnectio
     gam = N.gamma_at(xs, y)
     jxs, jy = seeded_point(xs, y)
     out = array_fn(jxs, jy)
-    split = _split_kernel(A.p, A.m)
+    split = A.split
+    if split is None:
+        split = A.split = _split_kernel(A.p, A.m, structural(A.rho_zero))
     if isinstance(out, list):
         return split(out, rho, gam)
     vals, deltas, ddy = split([out], rho, gam)
@@ -91,6 +97,14 @@ def adapted_derivatives(array_fn, xs, y, A: AlgebroidData, N: NonlinearConnectio
 # partials; an entry that is a list is walked by the same kernel, and
 # ``{append_sub}`` appends its deltas.  The recursion is a call of a
 # module-level function, so no closure cycle keeps the Jets alive.
+#
+# Under a zero mask of rho, ``{append}`` leaves out each term r<g>_<i> *
+# d<i> whose r<g>_<i> is a structural zero, a float zero at every point.
+# Such a term is a float zero when d<i> has finite leaves, and a sum from
+# the integer 0 keeps its bits without it.  So ``{guard}`` sends a leaf
+# with a non-finite leaf in a partial that a left-out term reads to the
+# full sums: the test ``d<i> * 0.0`` is a float zero exactly when
+# d<i>'s leaves are finite (``calculus``'s structural zero).
 _SPLIT = KernelTemplate('''\
 def split(row, rho, gam):
     {r} = rho
@@ -101,7 +115,7 @@ def split(row, rho, gam):
         if isinstance(s, Jet):
             vals.append(s.value)
             {d}, = s.dx
-            dy = s.dy
+            dy = s.dy{guard}
         elif isinstance(s, list):
             v, d, dy = split(s, rho, gam)
             vals.append(v); ddy.append(dy); {append_sub}
@@ -116,17 +130,30 @@ def split(row, rho, gam):
 
 
 @kernel(_SPLIT, Jet=Jet)
-def _split_kernel(p, m):
+def _split_kernel(p, m, rho_zero=None):
     """The kernel of ``_SPLIT`` for p directions and m base coordinates,
-    generated on first use."""
+    under the zero mask ``rho_zero`` of rho (None: no entry is known to be
+    zero), generated on first use."""
     rm, rp = range(m), range(p)
+    zero = rho_zero or ((False,) * m,) * p
+
+    def append(live):
+        return "; ".join(f"D{g}.append((0"
+                         + terms("r{0}_{1} * d{1}", [g], live(g))
+                         + f") - G{g} * dy)" for g in rp)
+
+    dead = sorted({i for g in rp for i in rm if zero[g][i]})
+    guard = "" if not dead else (
+        f"\n            if (0.0{terms('d{0} * 0.0', dead)}) != 0.0:"
+        f"\n                ddy.append(dy); {append(lambda g: rm)}"
+        "\n                continue")
     return dict(
         r=rows("r{}_{}", rp, rm) + ",", G=names("G{}", rp) + ",",
         D=names("D{}", rp), empty=", ".join("[]" for g in rp) + ",",
         d=names("d{}", rm), d_zero=" = ".join(f"d{i}" for i in rm),
         append_sub="; ".join(f"D{g}.append(d[{g}])" for g in rp),
-        append="; ".join(f"D{g}.append((0" + terms("r{0}_{1} * d{1}", [g], rm)
-                         + f") - G{g} * dy)" for g in rp))
+        append=append(lambda g: [i for i in rm if not zero[g][i]]),
+        guard=guard)
 
 
 def bracket_curvature(gam, gam_delta, Lv):

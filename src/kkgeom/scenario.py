@@ -9,6 +9,9 @@ evaluated.  Each table then becomes, as a whole, the one function that
 evaluates it (the lift curve likewise, as a tuple of t): a table with a
 variable compiles once; a table whose every entry is a number is its
 value, returned by ``exprlang.constant_table`` with no code generated.
+The load also computes the zero masks of rho, L, g and an explicit hh
+(``_zeros``: the entries that are 0 under signs), which key the kernels
+that read those tables; no other code computes a mask.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import json
 import math
 
 from .algebroid import AlgebroidData
-from .dconnection import DConnectionCoeffs, berwald
-from .exprlang import ParseError, compile_expr, parse, zero_table
+from .dconnection import ConnectionZeros, DConnectionCoeffs, berwald
+from .exprlang import Neg, Num, ParseError, compile_expr, parse, zero_table
 from .lift import BaseCurve, LiftMorphism
 from .metric import MetricStructure, metric_dconnection
 from .nlconnection import NonlinearConnection
@@ -68,6 +71,25 @@ def _table(src, shape, m, location, memo, on_base=False):
     on E that returns the table as nested lists."""
     return compile_expr(_nodes(src, shape, m, location, memo, on_base),
                         "X" if on_base else "X, Y")
+
+
+def _zeros(nodes):
+    """The zero mask of a parsed table: nested tuples of bools, True where
+    the entry is the number 0 under any number of signs (``Num(0)``,
+    ``-0``: a zero ``exprlang._value``), which its evaluator returns as a
+    float zero at every point.  The signs are walked here, not through
+    ``_value``, which takes 2.5x as long per entry."""
+    if type(nodes) is list:
+        return tuple([_zeros(node) for node in nodes])
+    while type(nodes) is Neg:
+        nodes = nodes.child
+    return type(nodes) is Num and nodes.value == 0.0
+
+
+def _masked_table(src, shape, m, location, memo, on_base=False):
+    """:func:`_table` and the :func:`_zeros` mask of the table."""
+    nodes = _nodes(src, shape, m, location, memo, on_base)
+    return compile_expr(nodes, "X" if on_base else "X, Y"), _zeros(nodes)
 
 
 def _section(doc, key):
@@ -213,17 +235,18 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
     alg_doc = doc.get("algebroid")
     if not isinstance(alg_doc, dict) or "rho" not in alg_doc:
         raise ScenarioError("algebroid", "must be an object with a 'rho' table")
-    rho_at = _table(alg_doc["rho"], (p, m), m, "algebroid.rho", memo,
-                    on_base=True)
+    rho_at, rho_zero = _masked_table(alg_doc["rho"], (p, m), m,
+                                     "algebroid.rho", memo, on_base=True)
     if box_doc is None:
         # Only now, with p x m entries of rho in the document, is m bounded.
         box = Box.default(m)
     if "L" in alg_doc:
-        L_at = _table(alg_doc["L"], (p, p, p), m, "algebroid.L", memo,
-                      on_base=True)
+        L_at, L_zero = _masked_table(alg_doc["L"], (p, p, p), m,
+                                     "algebroid.L", memo, on_base=True)
     else:
         L_at = zero_table(p, 3)
-    algebroid = AlgebroidData(m, p, rho_at, L_at)
+        L_zero = (((True,) * p,) * p,) * p
+    algebroid = AlgebroidData(m, p, rho_at, L_at, rho_zero, L_zero)
 
     conn_doc = _section(doc, "connection")
     if conn_doc is None:
@@ -236,21 +259,24 @@ def scenario_from_dict(doc: dict, path: str = "<dict>") -> Scenario:
     baseline = "berwald"
     met_doc = _section(doc, "metric")
     if met_doc is not None:
-        g_at = _table(met_doc.get("g"), (p, p), m, "metric.g", memo)
+        g_at, g_zero = _masked_table(met_doc.get("g"), (p, p), m,
+                                     "metric.g", memo)
         g00_at = _table(met_doc.get("g00"), (), m, "metric.g00", memo)
         baseline = met_doc.get("baseline", "berwald")
         if baseline not in ("zero", "berwald"):
             raise ScenarioError("metric.baseline",
                                 f"must be 'zero' or 'berwald', got {baseline!r}")
-        metric = MetricStructure(p, g_at, g00_at)
+        metric = MetricStructure(p, g_at, g00_at, g_zero)
 
     explicit = None
     dcon_doc = _section(doc, "dconnection")
     if dcon_doc is not None:
-        explicit = DConnectionCoeffs(p, *[
+        hh_at, hh_zero = _masked_table(dcon_doc.get("Hh"), (p, p, p), m,
+                                       "dconnection.Hh", memo)
+        explicit = DConnectionCoeffs(p, hh_at, *[
             _table(dcon_doc.get(key), shape, m, f"dconnection.{key}", memo)
-            for key, shape in (("Hh", (p, p, p)), ("Hv", (p,)),
-                               ("Vh", (p, p)), ("Vv", ()))])
+            for key, shape in (("Hv", (p,)), ("Vh", (p, p)), ("Vv", ()))],
+            zeros=ConnectionZeros(L_zero, hh_zero))
 
     lift = None
     lift_doc = _section(doc, "lift")

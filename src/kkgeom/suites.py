@@ -201,7 +201,8 @@ def _frame_change_data(sc: Scenario):
 def _fiber_change_data(sc: Scenario):
     """The fiber rescale y0' = 2 y0 and the tables in the new chart, each
     table evaluation substituting into one evaluation of the unprimed
-    table: ``(C, A, N', G')`` (the anchor and bracket do not change)."""
+    table: ``(C, A, N', G')`` (the anchor and bracket do not change, and
+    the metric block keeps its zero mask)."""
     N, G = sc.connection, sc.metric
     factor = 2.0
     inv = 1.0 / factor
@@ -210,7 +211,7 @@ def _fiber_change_data(sc: Scenario):
         factor * v for v in N.gamma_at(xs, y * inv)])
     G_p = MetricStructure(
         sc.p, lambda xs, y: G.g_at(xs, y * inv),
-        lambda xs, y: G.g00_at(xs, y * inv) * inv * inv)
+        lambda xs, y: G.g00_at(xs, y * inv) * inv * inv, G.g_zero)
     return C, sc.algebroid, N_p, G_p
 
 

@@ -10,7 +10,10 @@ brackets, frame derivatives and differences, the Rh/Rv formula,
 the commutation and Bianchi contractions, the anchor and Jacobi sums of
 the validators, the transformation suite's primed-chart tables and
 change laws, the self-check of a float metric inverse, and a lift's RK4
-step and right sides; the residual checks as they fed their trackers,
+step and right sides; the masked forms of the split, the Koszul formula
+and the Rh/Rv formula, which leave out the terms a zero mask makes zero
+and fall back to the full loop where a left-out factor is not finite;
+the residual checks as they fed their trackers,
 one ``update`` per entry (the anchor, Jacobi, commutation, Bianchi and
 change-law loops, and the antisymmetry, ``g_symmetry``, compatibility
 and oracle rows), where the package returns one scanned value per check
@@ -22,6 +25,7 @@ parser against the printer."""
 
 import itertools
 import json
+import math
 from itertools import repeat
 
 from kkgeom.calculus import Jet, jdx, jdy, jval, primal, seeded_point
@@ -153,12 +157,63 @@ def loop_split(node, pairs, zeros):
     return v, [_dot(r, dx) - g * dy for r, g in pairs], dy
 
 
+def _finite(s):
+    """Whether every float leaf of ``s`` is finite."""
+    if isinstance(s, Jet):
+        return all(map(_finite, (s.value, *s.dx, s.dy)))
+    return math.isfinite(s)
+
+
+def _float_zero(s):
+    return type(s) is float and s == 0.0
+
+
+def _unmarked(mask, *shape):
+    """``mask``, or for None the mask of ``shape`` that marks nothing."""
+    if mask is not None:
+        return mask
+    out = False
+    for n in reversed(shape):
+        out = (out,) * n
+    return out
+
+
+def loop_masked_split(node, pairs, zeros, rho_zero):
+    """:func:`loop_split` under the zero mask of rho: each delta leaves
+    out the terms rho[g][i] * dx[i] of a marked rho[g][i], for a leaf
+    whose partials that a left-out term reads have finite leaves; any
+    other leaf is walked as :func:`loop_split` walks it."""
+    if isinstance(node, list):
+        vals, ddy = [], []
+        deltas = [[] for _ in pairs]
+        for sub in node:
+            v, d, dy = loop_masked_split(sub, pairs, zeros, rho_zero)
+            vals.append(v)
+            ddy.append(dy)
+            for acc, dg in zip(deltas, d):
+                acc.append(dg)
+        return vals, deltas, ddy
+    m = len(zeros)
+    rho_zero = _unmarked(rho_zero, len(pairs), m)
+    dead = {i for row in rho_zero for i in range(m) if row[i]}
+    if isinstance(node, Jet):
+        if not all(_finite(node.dx[i]) for i in dead):
+            return loop_split(node, pairs, zeros)
+        v, dx, dy = node.value, node.dx, node.dy
+    else:
+        v, dx, dy = node, zeros, 0.0
+    return v, [_sum(r[i] * dx[i] for i in range(m) if not marked[i])
+               - g * dy for (r, g), marked in zip(pairs, rho_zero)], dy
+
+
 def loop_adapted_derivatives(array_fn, xs, y, A, N):
-    """``nlconnection.adapted_derivatives`` through :func:`loop_split`."""
+    """``nlconnection.adapted_derivatives`` through
+    :func:`loop_masked_split` under the zero mask of A's rho."""
     rho = A.rho_at(xs)
     gam = N.gamma_at(xs, y)
     out = array_fn(*seeded_point(xs, y))
-    return loop_split(out, tuple(zip(rho, gam)), (0.0,) * A.m)
+    return loop_masked_split(out, tuple(zip(rho, gam)), (0.0,) * A.m,
+                             A.rho_zero)
 
 
 def _flat(node, rank):
@@ -288,6 +343,83 @@ def loop_koszul(g_vals, g_delta, ginv, Lv):
 
 
 
+def loop_masked_koszul(g_zero, L_zero, g_vals, g_delta, ginv, Lv):
+    """:func:`loop_koszul` under the zero masks of g and L (None: nothing
+    marked).  A bracket term is left out when each of its products has a
+    marked factor; t_e when its bracket terms are and its three gd
+    entries are those of marked g entries; gi[a][e] * t_e when t_e is or
+    a and e are not joined by a path of unmarked g entries; an hh entry
+    with no product left is 0.0.  When a factor of a left-out product is
+    not what makes that product a float zero (a live factor finite, a
+    computed one of a marked entry a float zero), the result is
+    :func:`loop_koszul`'s."""
+    p = len(g_vals)
+    rp = range(p)
+    g_zero, L_zero = _unmarked(g_zero, p, p), _unmarked(L_zero, p, p, p)
+    joined = [[a == e or not g_zero[a][e] or not g_zero[e][a] for e in rp]
+              for a in rp]
+    for k in rp:
+        for a in rp:
+            for e in rp:
+                joined[a][e] = joined[a][e] or (joined[a][k]
+                                                and joined[k][e])
+    factors_ok = []
+
+    def left_out(*factors):
+        # (value, marked, computed) factors of one left-out product
+        factors_ok.extend(_float_zero(v) if marked else _finite(v)
+                          for v, marked, computed in factors
+                          if computed or not marked)
+
+    out = [[[0.0] * p for _ in rp] for _ in rp]
+    for b in rp:
+        for c in rp:
+            terms = {}
+            for e in rp:
+                bracket, kept = 0, False
+                for th in rp:
+                    products = [
+                        ((g_vals[th][e], g_zero[th][e], False),
+                         (Lv[th][c][b], L_zero[th][c][b], False)),
+                        ((g_vals[b][th], g_zero[b][th], False),
+                         (Lv[th][c][e], L_zero[th][c][e], False)),
+                        ((g_vals[th][c], g_zero[th][c], False),
+                         (Lv[th][b][e], L_zero[th][b][e], False))]
+                    if any(not x[1] and not y[1] for x, y in products):
+                        bracket = bracket + (
+                            g_vals[th][e] * Lv[th][c][b]
+                            - g_vals[b][th] * Lv[th][c][e]
+                            - g_vals[th][c] * Lv[th][b][e])
+                        kept = True
+                    else:
+                        for x, y in products:
+                            left_out(x, y)
+                gds = [(g_delta[c][e][b], g_zero[e][b]),
+                       (g_delta[b][e][c], g_zero[e][c]),
+                       (g_delta[e][b][c], g_zero[b][c])]
+                if kept or not all(marked for _, marked in gds):
+                    terms[e] = (g_delta[c][e][b] + g_delta[b][e][c]
+                                - g_delta[e][b][c] + bracket)
+                else:
+                    factors_ok.extend(_float_zero(v) for v, _ in gds)
+            for a in rp:
+                acc, kept = 0.0, False
+                for e in rp:
+                    if e in terms and joined[a][e]:
+                        acc = acc + ginv[a][e] * terms[e]
+                        kept = True
+                    elif e in terms:
+                        left_out((ginv[a][e], True, True),
+                                 (terms[e], False, True))
+                    else:
+                        left_out((ginv[a][e], not joined[a][e], True))
+                if kept:
+                    out[a][b][c] = 0.5 * acc
+    if not all(factors_ok):
+        return loop_koszul(g_vals, g_delta, ginv, Lv)
+    return out
+
+
 def loop_bracket(rho, Lv, gam, nat, pairs):
     """The pair loop of ``dconnection.bracket_pairs`` that the bracket
     kernel replaced, from rho, L, the Gamma values and each field's
@@ -396,6 +528,53 @@ def loop_rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv):
         ]
         for c in range(p)
     ]
+    return Rh, Rv
+
+
+def loop_masked_rh_rv(L_zero, hh_zero, Hh, Hv, Vh, Vv, delta, R, Lv):
+    """:func:`loop_rh_rv` under the zero masks of L and hh (None: nothing
+    marked): a term of a sum over t is left out when each of its products
+    has a marked factor.  When a factor of a left-out product is not what
+    makes that product a float zero (a live factor finite, a marked hh
+    entry a float zero; a marked L entry is one), the result is
+    :func:`loop_rh_rv`'s."""
+    p = len(Hv)
+    rp = range(p)
+    L_zero = _unmarked(L_zero, p, p, p)
+    hh_zero = _unmarked(hh_zero, p, p, p)
+    factors_ok = []
+
+    def term(*products):
+        # products: pairs of (value, marked, is an hh entry) factors;
+        # whether the term is left in
+        if any(not x[1] and not y[1] for x, y in products):
+            return True
+        factors_ok.extend(_float_zero(v) if marked else _finite(v)
+                          for pair in products for v, marked, hh in pair
+                          if hh or not marked)
+        return False
+
+    def H(a, b, c):
+        return Hh[a][b][c], hh_zero[a][b][c], True
+
+    def L(t, c, e):
+        return Lv[t][c][e], L_zero[t][c][e], False
+
+    Rh = [[[[delta[e][0][a][b][c] - delta[c][0][a][b][e]
+             + _sum(Hh[a][t][e] * Hh[t][b][c] - Hh[a][t][c] * Hh[t][b][e]
+                    for t in rp if term((H(a, t, e), H(t, b, c)),
+                                        (H(a, t, c), H(t, b, e))))
+             + R[c][e] * Vh[a][b]
+             + _sum(Lv[t][c][e] * Hh[a][b][t] for t in rp
+                    if term((L(t, c, e), H(a, b, t))))
+             for e in rp] for c in rp] for b in rp] for a in rp]
+    Rv = [[delta[e][1][c] - delta[c][1][e] + Hv[e] * Hv[c] - Hv[c] * Hv[e]
+           + R[c][e] * Vv
+           + _sum(Lv[t][c][e] * Hv[t] for t in rp
+                  if term((L(t, c, e), (Hv[t], False, False))))
+           for e in rp] for c in rp]
+    if not all(factors_ok):
+        return loop_rh_rv(Hh, Hv, Vh, Vv, delta, R, Lv)
     return Rh, Rv
 
 

@@ -595,6 +595,47 @@ def test_validate_gen3_matches_golden_output(capsys, monkeypatch):
     assert out == (GOLDEN_DIR / "validate_seed1_gen3_seed1.json").read_text()
 
 
+@pytest.mark.parametrize("name", ["torsion3", "rules"])
+def test_check_all_of_the_sparse_scenarios_matches_golden_output(
+        capsys, monkeypatch, name):
+    """``check --suite all --seed 1`` on the torsionful p = 3 scenario
+    (sparse constant L, Thh nonzero, explicit tables) and the every-rule
+    p = 2 one (non-constant L, a dense non-diagonal g): the structural
+    zeros the kernels leave out change no digit."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    code, out, _ = run(capsys, "check", f"tests/data/{name}.json", "--suite",
+                       "all", "--seed", "1")
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"check_all_seed1_{name}.json").read_text()
+
+
+def test_a_flipped_bianchi_thh_term_fails_on_torsion3(capsys, monkeypatch):
+    """The sign of the Thh.T sum of the first Bianchi family flipped in a
+    kernel factory built from the patched template: ``check --suite
+    bianchi`` still passes on gen3, whose Thh vanishes, and fails on
+    torsion3, whose Thh does not; the template as it is passes both."""
+    from kkgeom import calculus, curvature
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    text = curvature._BIANCHI.text
+    assert text.count("- (0{t0})") == 1
+    fields = curvature._bianchi_kernel.__wrapped__.__wrapped__
+    flipped = calculus.kernel(calculus.KernelTemplate(
+        text.replace("- (0{t0})", "+ (0{t0})")))(fields)
+
+    def bianchi(path):
+        code, out, _ = run(capsys, "check", path, "--suite", "bianchi",
+                           "--seed", "1")
+        return code, {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+
+    torsion3 = "tests/data/torsion3.json"
+    assert bianchi(torsion3)[0] == bianchi(GEN3)[0] == 0
+    monkeypatch.setattr(curvature, "_bianchi_kernel", flipped)
+    assert bianchi(GEN3)[0] == 0
+    code, passed = bianchi(torsion3)
+    assert code == 1
+    assert [name for name, ok in passed.items() if not ok] == ["bianchi1_h"]
+
+
 def test_check_all_gen3_matches_golden_output(capsys, monkeypatch):
     monkeypatch.chdir(SCENARIO_DIR.parent)
     code, out, _ = run(capsys, "check", GEN3, "--suite", "all",

@@ -51,6 +51,9 @@ from reference import (
     loop_inverse_check,
     loop_jacobi,
     loop_koszul,
+    loop_masked_koszul,
+    loop_masked_rh_rv,
+    loop_masked_split,
     loop_matrix_inverse,
     loop_oracle_point,
     loop_parallel_rhs,
@@ -74,7 +77,7 @@ from kkgeom import (
     suites,
 )
 from kkgeom.algebroid import AlgebroidData
-from kkgeom.calculus import EPoint, Jet, primal, seeded_point
+from kkgeom.calculus import EPoint, Jet, primal, seeded_point, structural
 from kkgeom.cli import main
 from kkgeom.curvature import CurvatureComponents, TorsionComponents
 from kkgeom.dconnection import h_cov_values, v_cov_values
@@ -383,6 +386,115 @@ def test_inverse_kernel_keeps_the_loop_pivots(monkeypatch, mat):
     _same_inverse(monkeypatch, mat)
 
 
+def _mask(rng, *shape, rate=0.6):
+    """A random zero mask of ``shape``, each entry marked with probability
+    ``rate``."""
+    if not shape:
+        return rng.random() < rate
+    return tuple(_mask(rng, *shape[1:], rate=rate) for _ in range(shape[0]))
+
+
+def _zeroed(rng, table, mask, stray=0.0):
+    """``table`` with each entry that ``mask`` marks a float zero (+-0.0),
+    as a structural zero evaluates, but with probability ``stray`` left as
+    drawn: a computed entry whose leaves were not finite."""
+    if isinstance(table, list):
+        return [_zeroed(rng, t, z, stray) for t, z in zip(table, mask)]
+    if mask and not rng.random() < stray:
+        return rng.choice((0.0, -0.0))
+    return table
+
+
+def _same_masked(monkeypatch, kernel, reference, full, jets):
+    """The masked kernel (``(fn, *args)``) gives the masked loop's bits and
+    the full kernel's, and, where ``jets``, builds as many Jets as the
+    loop: where no factor of a left-out term is inf, NaN or astray, its
+    test passes and it runs only the terms left in."""
+    got, got_jets = _traffic(monkeypatch, *kernel)
+    want, want_jets = _traffic(monkeypatch, *reference)
+    assert bits(got) == bits(want)
+    assert bits(got) == bits(full[0](*full[1:]))
+    if jets:
+        assert got_jets == want_jets
+
+
+@pytest.mark.parametrize("special", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ["floats", "depth1", "depth2"])
+@pytest.mark.parametrize("p,m", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 4)])
+def test_masked_split_kernel_matches_the_masked_loop(monkeypatch, p, m, kind,
+                                                     special):
+    """Under random zero masks of rho (its marked entries float zeros),
+    with infinities and NaNs among the leaves where asked."""
+    rng = random.Random(f"masked-split:{p}:{m}:{kind}:{special}")
+    depth = {"floats": 0, "depth1": 1, "depth2": 2}[kind]
+    for _ in range(4):
+        rho_zero = _mask(rng, p, m)
+        rho = _zeroed(rng, [[_scalar(rng, m, max(depth - 1, 0))
+                             for _ in range(m)] for _ in range(p)], rho_zero)
+        gam = [_scalar(rng, m, max(depth - 1, 0)) for _ in range(p)]
+
+        def leaves(n):
+            return [_scalar(rng, m, depth, special=special) for _ in range(n)]
+
+        node = [leaves(3), [leaves(2), leaves(p)], leaves(1)]
+        _same_masked(
+            monkeypatch, (_split_kernel(p, m, structural(rho_zero)), node,
+                          rho, gam),
+            (loop_masked_split, node, tuple(zip(rho, gam)), (0.0,) * m,
+             rho_zero),
+            (_split_kernel(p, m), node, rho, gam), not special)
+
+
+@pytest.mark.parametrize("special", [0.0, 0.05])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_masked_koszul_kernel_matches_the_masked_loop(monkeypatch, p, depth,
+                                                      special):
+    """Under random zero masks of g and L (their marked entries float
+    zeros; the gd entries of marked g entries and the gi entries between
+    components of g's pattern float zeros but, where asked, now and then
+    as drawn), with infinities and NaNs where asked."""
+    rng = random.Random(f"masked-koszul:{p}:{depth}:{special}")
+    for _ in range(3 if depth < 2 else 1):
+        g_zero, L_zero = _mask(rng, p, p), _mask(rng, p, p, p, rate=0.7)
+        comp = metric._components(g_zero)
+        cross = tuple(tuple(comp[a] != comp[e] for e in range(p))
+                      for a in range(p))
+        stray = 0.1 if special else 0.0
+
+        def draw(rank):
+            return _tensor(rng, p, rank, depth, special=special)
+
+        gv = _zeroed(rng, draw(2), g_zero)
+        gd = [_zeroed(rng, draw(2), g_zero, stray) for _ in range(p)]
+        gi = _zeroed(rng, draw(2), cross, stray)
+        Lv = _zeroed(rng, draw(3), L_zero)
+        kernel, _ = metric.koszul_for(p, g_zero, L_zero)
+        _same_masked(monkeypatch, (kernel, gv, gd, gi, Lv),
+                     (loop_masked_koszul, g_zero, L_zero, gv, gd, gi, Lv),
+                     (metric._koszul_kernel(p), gv, gd, gi, Lv), not special)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_masked_koszul_sees_a_t_that_only_a_left_out_product_reads(bad):
+    """A diagonal g and a zero L at p = 2: the one non-finite input is a
+    gd entry of a live g entry, which only t_0 reads, and t_0 times the
+    float zero gi[1][0] is a left-out product.  The full kernel makes
+    hh[1][0][0] NaN from it; so does the masked kernel, by its test of
+    t_0."""
+    g_zero = ((False, True), (True, False))
+    L_zero = (((True,) * 2,) * 2,) * 2
+    gv = [[2.0, 0.0], [0.0, 3.0]]
+    gd = [[[0.5, 0.0], [0.0, 0.25]] for _ in range(2)]
+    gd[0][0][0] = bad
+    gi = [[0.5, 0.0], [0.0, 1.0 / 3.0]]
+    Lv = [[[0.0, 0.0], [0.0, 0.0]] for _ in range(2)]
+    kernel, _ = metric.koszul_for(2, g_zero, L_zero)
+    got = kernel(gv, gd, gi, Lv)
+    assert bits(got) == bits(metric._koszul_kernel(2)(gv, gd, gi, Lv))
+    assert math.isnan(got[1][0][0])
+
+
 @pytest.mark.parametrize("name", ["d1.json", "vdep.json", "nonabelian.json",
                                   "gen3_seed1.json"])
 def test_metric_hh_matches_the_koszul_loop(monkeypatch, name):
@@ -396,7 +508,8 @@ def test_metric_hh_matches_the_koszul_loop(monkeypatch, name):
     def reference(xs, y):
         g_vals, g_delta, _ = loop_adapted_derivatives(G.g_at, xs, y, A, N)
         ginv = loop_matrix_inverse(g_vals)
-        return loop_koszul(g_vals, g_delta, ginv, A.L_at(xs))
+        return loop_masked_koszul(G.g_zero, A.L_zero, g_vals, g_delta, ginv,
+                                  A.L_at(xs))
 
     for pt in sample_points(Box.default(A.m), 2, seed=9):
         xs, y = pt.x, pt.y
@@ -585,6 +698,31 @@ def test_rh_rv_kernel_matches_the_loop(monkeypatch, p, kind, special):
                 draw(), delta, _array(draw, p, p), _array(draw, p, p, p))
         _same(monkeypatch, (curvature._rh_rv_kernel(p), *args),
               (loop_rh_rv, *args))
+
+
+@pytest.mark.parametrize("kind,special", OPERANDS, ids=_ids(OPERANDS))
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_masked_rh_rv_kernel_matches_the_masked_loop(monkeypatch, p, kind,
+                                                     special):
+    """Under random zero masks of L and hh (marked L entries float zeros,
+    marked hh entries float zeros but, where asked, now and then as
+    drawn), with infinities and NaNs where asked."""
+    rng = random.Random(f"masked-rh_rv:{p}:{kind}:{special}")
+    draw = _operands(rng, kind, special)
+    for _ in range(3):
+        L_zero, hh_zero = _mask(rng, p, p, p), _mask(rng, p, p, p, rate=0.4)
+        delta = [[_array(draw, p, p, p), _array(draw, p), _array(draw, p)]
+                 for _ in range(p)]
+        args = (_zeroed(rng, _array(draw, p, p, p), hh_zero,
+                        0.1 if special else 0.0),
+                _array(draw, p), _array(draw, p, p), draw(), delta,
+                _array(draw, p, p), _zeroed(rng, _array(draw, p, p, p),
+                                            L_zero))
+        kernel = curvature._rh_rv_kernel(p, structural(L_zero),
+                                         structural(hh_zero))
+        _same_masked(monkeypatch, (kernel, *args),
+                     (loop_masked_rh_rv, L_zero, hh_zero, *args),
+                     (curvature._rh_rv_kernel(p), *args), not special)
 
 
 def _blocks(draw, p):
@@ -812,12 +950,35 @@ SWAPS = [
     (dconnection, "_bracket_kernel", loop_bracket),
     (dconnection, "_frame_derivatives_kernel", loop_frame_derivatives),
     (curvature, "_frames_kernel", loop_frames),
-    (curvature, "_rh_rv_kernel", loop_rh_rv),
     (curvature, "_commutation_kernel", scanned(loop_commutation)),
     (curvature, "_bianchi_kernel", scanned(loop_bianchi, 4)),
     (algebroid, "_anchor_kernel", scanned(loop_anchor_compatibility)),
     (algebroid, "_jacobi_kernel", scanned(loop_jacobi)),
 ]
+
+
+# The factories keyed by zero masks, each with a function of the key's
+# masks that gives the masked loop of ``tests/reference.py``.
+MASKED_SWAPS = [
+    (nlconnection, "_split_kernel", lambda m, rho_zero=None: (
+        lambda row, rho, gam: loop_masked_split(
+            row, tuple(zip(rho, gam)), (0.0,) * m, rho_zero))),
+    (metric, "_koszul_kernel", lambda: loop_koszul),
+    (metric, "_masked_koszul_kernel", lambda g_zero, L_zero: (
+        lambda *args: loop_masked_koszul(g_zero, L_zero, *args))),
+    (curvature, "_rh_rv_kernel", lambda L_zero=None, hh_zero=None: (
+        lambda *args: loop_masked_rh_rv(L_zero, hh_zero, *args))),
+]
+
+
+def _swap_in_the_loops(monkeypatch, swaps):
+    """Each kernel factory of ``swaps`` and of ``MASKED_SWAPS`` returns
+    the loop it replaced."""
+    for module, name, loop in swaps:
+        monkeypatch.setattr(module, name, lambda *key, loop=loop: loop)
+    for module, name, loop_of in MASKED_SWAPS:
+        monkeypatch.setattr(module, name,
+                            lambda p, *masks, loop_of=loop_of: loop_of(*masks))
 
 
 # The rows scanned in Python (``report.row_max``), with the loops that fed
@@ -926,8 +1087,7 @@ def test_the_cli_prints_what_the_reference_loops_print(monkeypatch, capsys,
         return out
 
     kernels = run()
-    for module, name, loop in SWAPS:
-        monkeypatch.setattr(module, name, lambda *key, loop=loop: loop)
+    _swap_in_the_loops(monkeypatch, SWAPS)
     for owner, name, loop in ROW_SWAPS:
         monkeypatch.setattr(owner, name, loop)
     assert run() == kernels
@@ -959,8 +1119,7 @@ def test_lift_prints_what_the_reference_loops_print(monkeypatch, capsys,
         return out
 
     kernels = run()
-    for module, factory, loop in LIFT_SWAPS + SWAPS:
-        monkeypatch.setattr(module, factory, lambda *key, loop=loop: loop)
+    _swap_in_the_loops(monkeypatch, LIFT_SWAPS + SWAPS)
     monkeypatch.setattr(cli, "emit_json", loop_emit_json)
     assert run() == kernels
 
@@ -969,12 +1128,17 @@ def test_lift_prints_what_the_reference_loops_print(monkeypatch, capsys,
 # to.
 FACTORIES = [
     (calculus._jet_class, [(1,), (4,)], calculus),
-    (nlconnection._split_kernel, [(1, 1), (3, 2), (4, 4)], nlconnection),
+    (nlconnection._split_kernel, [(1, 1), (3, 2), (4, 4),
+                                  (2, 2, ((False, True), (True, False)))],
+     nlconnection),
     (dconnection._leibniz_kernel, [(2, 0, 0, True, "h"),
                                    (3, 3, 1, False, "v"),
                                    (4, 4, 2, True, "h"),
                                    (2, 2, 1, True, "v")], dconnection),
     (metric._koszul_kernel, [(1,), (4,)], metric),
+    (metric._masked_koszul_kernel, [(1, None, (((True,),),)),
+                                    (2, ((False, True), (True, False)),
+                                     None)], metric),
     (metric._inverse_kernel, [(1,), (4,)], metric),
     (metric._vh_kernel, [(1,), (4,)], metric),
     (dconnection._change_laws_kernel, [(1,), (4,)], dconnection),
@@ -983,7 +1147,8 @@ FACTORIES = [
     (dconnection._bracket_kernel, [(1, 1), (2, 3), (4, 4)], dconnection),
     (dconnection._frame_derivatives_kernel, [(1,), (4,)], dconnection),
     (curvature._frames_kernel, [(1,), (4,)], curvature),
-    (curvature._rh_rv_kernel, [(1,), (4,)], curvature),
+    (curvature._rh_rv_kernel, [(1,), (4,), (2, ((((True,) * 2,) * 2,) * 2),
+                                            None)], curvature),
     (curvature._commutation_kernel, [(1,), (4,)], curvature),
     (curvature._bianchi_kernel, [(1,), (4,)], curvature),
     (algebroid._anchor_kernel, [(1, 1), (3, 2), (4, 4)], algebroid),
@@ -1026,7 +1191,11 @@ def test_generated_kernels_are_charged_to_their_module(factory, keys, module):
 # template: p = m = 2 (n = 2 for the inverse), a state of 3 entries for the
 # RK4 step, and the Leibniz rule along both directions.
 LINE_KEYS = {"_rk4_kernel": [(3,)],
-             "_leibniz_kernel": [(2, 2, 1, True, "h"), (2, 2, 1, True, "v")]}
+             "_leibniz_kernel": [(2, 2, 1, True, "h"), (2, 2, 1, True, "v")],
+             "_split_kernel": [(2, 2), (2, 2, ((False, True), (True, False)))],
+             "_masked_koszul_kernel": [(2, ((False, True), (True, False)),
+                                        None)],
+             "_rh_rv_kernel": [(2,), (2, ((((True,) * 2,) * 2,) * 2), None)]}
 
 
 @pytest.mark.parametrize("factory,keys,module", FACTORIES,
@@ -1061,6 +1230,7 @@ def test_a_load_generates_no_kernel():
             "print([f.cache_info().currsize for f in (\n"
             "    calculus._jet_class, nlconnection._split_kernel,\n"
             "    dconnection._leibniz_kernel, metric._koszul_kernel,\n"
+            "    metric._masked_koszul_kernel,\n"
             "    dconnection._bracket_kernel,\n"
             "    dconnection._frame_derivatives_kernel,\n"
             "    curvature._frames_kernel, curvature._rh_rv_kernel,\n"
@@ -1079,4 +1249,4 @@ def test_a_load_generates_no_kernel():
         capture_output=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(SRC_ROOT)))
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode() == "[" + ", ".join(["0"] * 21) + "]\n"
+    assert proc.stdout.decode() == "[" + ", ".join(["0"] * 22) + "]\n"

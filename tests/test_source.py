@@ -283,6 +283,110 @@ def test_the_construction_guard_sees_a_stray_line_and_compile():
         "algebroid.py:_jacobi_kernel:compile_kernel"}
 
 
+# The constructors that take zero masks, with the number of arguments
+# below which a call passes none.
+MASK_CONSTRUCTORS = {"AlgebroidData": 5, "MetricStructure": 4,
+                     "ConnectionZeros": 0}
+
+
+def _mask_sites(trees):
+    """``module:scope:name`` for every read of ``_zeros`` (the zero mask
+    of a parsed table) and every call of a constructor with zero masks
+    among its arguments."""
+    found = {f"{module}:{scope}:_zeros" for module, tree in trees.items()
+             for scope in _names_read(tree, "_zeros")}
+
+    def walk(node, module, scope=()):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in MASK_CONSTRUCTORS \
+                and len(node.args) + len(node.keywords) \
+                >= MASK_CONSTRUCTORS[node.func.id]:
+            found.add(f"{module}:{'.'.join(scope)}:{node.func.id}")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        for child in ast.iter_child_nodes(node):
+            walk(child, module, scope)
+
+    for module, tree in trees.items():
+        walk(tree, module)
+    return found
+
+
+# Zero masks are computed once, at load, from the parsed tables
+# (``scenario._zeros``), and handed to the algebroid, the metric and an
+# explicit connection there; the metric connection derives its own from
+# them when it is built, and the fiber rescale of the transformation
+# suite, which substitutes into g, hands on g's.  No evaluator or kernel
+# computes a mask.
+MASK_ALLOWED = {
+    "suites.py:_fiber_change_data:MetricStructure",
+    "scenario.py:_zeros:_zeros",
+    "scenario.py:_masked_table:_zeros",
+    "scenario.py:scenario_from_dict:AlgebroidData",
+    "scenario.py:scenario_from_dict:MetricStructure",
+    "scenario.py:scenario_from_dict:ConnectionZeros",
+    "metric.py:metric_dconnection:ConnectionZeros",
+}
+
+
+def test_zero_masks_are_computed_only_at_load():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _mask_sites(trees) == MASK_ALLOWED
+
+
+def test_the_mask_guard_sees_a_stray_mask():
+    """A mask computed from parsed nodes outside the load, or handed to a
+    constructor elsewhere, is reported; a constructor called without
+    masks is not."""
+    trees = {"suites.py": ast.parse(
+                 "from .scenario import _zeros\n"
+                 "def primed(nodes, rho_at, L_at):\n"
+                 "    A = AlgebroidData(2, 2, rho_at, L_at)\n"
+                 "    return AlgebroidData(2, 2, rho_at, L_at, _zeros(nodes))\n"
+                 "def metric(g_at, g00_at):\n"
+                 "    return MetricStructure(2, g_at, g00_at, None)\n")}
+    assert _mask_sites(trees) - MASK_ALLOWED == {
+        "suites.py:primed:_zeros", "suites.py:primed:AlgebroidData",
+        "suites.py:metric:MetricStructure"}
+
+
+def _mask_factories(trees):
+    """``module:name`` of every function named ``*_kernel`` with a zero
+    mask (a ``*_zero`` parameter) in its key, and whether ``kernel(...)``
+    decorates it."""
+    return {f"{module}:{node.name}": any(
+                isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                and d.func.id == "kernel" for d in node.decorator_list)
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name.endswith("_kernel")
+            and any(a.arg.endswith("_zero")
+                    for a in node.args.args + node.args.kwonlyargs)}
+
+
+def test_masked_kernels_are_built_on_the_construction_path():
+    """The kernels keyed by zero masks are ``calculus.kernel`` factories,
+    so they compile only where :data:`CONSTRUCTION_ALLOWED` says."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _mask_factories(trees) == {
+        "nlconnection.py:_split_kernel": True,
+        "metric.py:_masked_koszul_kernel": True,
+        "curvature.py:_rh_rv_kernel": True}
+
+
+def test_the_mask_factory_guard_sees_an_undecorated_one():
+    trees = {"metric.py": ast.parse(
+        "@kernel(_KOSZUL)\n"
+        "def _koszul_kernel(p, g_zero=None):\n"
+        "    return {}\n"
+        "def _sparse_kernel(p, L_zero):\n"
+        "    return compile(text, 'metric.py', 'exec')\n")}
+    assert _mask_factories(trees) == {"metric.py:_koszul_kernel": True,
+                                      "metric.py:_sparse_kernel": False}
+
+
 # The definition side of the oracle, the arbiter of the component formulas:
 # it must compute torsion and curvature from the definitions alone, so
 # neither its code nor the kernels it generates may name a formula it

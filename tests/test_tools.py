@@ -38,6 +38,27 @@ def test_cli_digest_lines_repeat(monkeypatch):
         assert len(out) == len(err) == 64
 
 
+# The sha256 of the digest before ``tests/data/torsion3.json`` and
+# ``tests/data/rules.json`` joined its list of calls.
+EARLIER_DIGEST_SHA256 = (
+    "25d9c684d4a6f03854c7d4d09be6566146bf74011ed0306f43af04a3dfba3d92")
+
+
+def test_cli_digest_keeps_every_earlier_line():
+    """The recorded digest, without the lines of the two scenarios added
+    last, is the earlier digest byte for byte: adding them changed no
+    earlier line or its place."""
+    import hashlib
+    lines = (ROOT / "tests" / "golden" / "cli_digest.txt").read_text(
+    ).splitlines(keepends=True)
+    earlier = [line for line in lines
+               if "tests/data/torsion3.json" not in line
+               and "tests/data/rules.json" not in line]
+    assert len(lines) - len(earlier) == 2 * (2 + 2 * 7)
+    assert hashlib.sha256("".join(earlier).encode()).hexdigest() \
+        == EARLIER_DIGEST_SHA256
+
+
 def test_cli_digest_strips_wall_times():
     cli_digest = _tool("cli_digest")
     assert cli_digest._TIME.sub(
@@ -66,8 +87,10 @@ def test_cold_cli_prints_one_line_per_call():
             "5"]
     lines = cold_cli.run([argv], 1)
     assert lines[0] == "# median_ms\tkernels\tkernel_ms\tcommand"
-    assert lines[1] == "# bytecode cached: " + (
-        "yes" if cold_cli.bytecode_cached() else "no")
+    assert lines[1] == "# bytecode: {} modules cached, {} not".format(
+        *cold_cli.bytecode_counts())
+    assert sum(cold_cli.bytecode_counts()) == len(list(
+        cold_cli.PACKAGE.glob("*.py")))
     assert [text.split("\t")[1:] for text in lines[2:4]] == [
         ["-", "-", "python -c pass"],
         ["-", "-", "python -c 'import kkgeom.cli'"]]
@@ -79,16 +102,18 @@ def test_cold_cli_prints_one_line_per_call():
 
 
 def test_cold_cli_sees_a_module_without_bytecode(tmp_path):
-    """The bytecode state is yes only when every module of the package has
-    its ``.pyc`` where the interpreter looks for it."""
+    """The bytecode line counts the modules of the package that have their
+    ``.pyc`` where the interpreter looks for it and those that do not, so
+    a tree with some cached reads apart from one with none."""
     cold_cli = _tool("cold_cli")
-    for name in ("a.py", "b.py"):
+    for name in ("a.py", "b.py", "c.py"):
         (tmp_path / name).write_text("X = 1\n")
-    assert not cold_cli.bytecode_cached(tmp_path)
+    assert cold_cli.bytecode_counts(tmp_path) == (0, 3)
     py_compile.compile(str(tmp_path / "a.py"))
-    assert not cold_cli.bytecode_cached(tmp_path)
-    py_compile.compile(str(tmp_path / "b.py"))
-    assert cold_cli.bytecode_cached(tmp_path)
+    assert cold_cli.bytecode_counts(tmp_path) == (1, 2)
+    for name in ("b.py", "c.py"):
+        py_compile.compile(str(tmp_path / name))
+    assert cold_cli.bytecode_counts(tmp_path) == (3, 0)
 
 
 def test_cold_cli_times_each_kernel_from_its_factory():
@@ -123,8 +148,9 @@ def test_bench_record_writes_the_schema(tmp_path, capsys):
     and, per workload and seed, perfbench's verdict and its five
     end-to-end metrics, and the verdict and count-unit per-layer metrics
     of the traced run; ``--compare`` of the file with itself reads 1.000
-    for each end-to-end metric and ``same`` for each count, and
-    ``differs`` for a count that changed.  The times are not checked."""
+    for each end-to-end metric, marked single-run (one run per side), and
+    ``same`` for each count, and ``differs`` for a count that changed.
+    The times are not checked."""
     bench_record = _tool("bench_record")
     out = tmp_path / "BENCH_0.json"
     bench_record.write(bench_record.record(0.2, ["query-lift"], [1]), out)
@@ -156,8 +182,9 @@ def test_bench_record_writes_the_schema(tmp_path, capsys):
     assert bench_record.main(["--compare", str(out), str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + len(end_to_end) + len(count_names)
-    marks = [line.split("\t")[-1] for line in lines[1:]]
-    assert marks == ["1.000"] * len(end_to_end) + ["same"] * len(count_names)
+    marks = [line.split("\t")[5:] for line in lines[1:]]
+    assert marks == ([["1.000", "single-run"]] * len(end_to_end)
+                     + [["same"]] * len(count_names))
     traced["metrics"]["scenario.loads"]["value"] += 1
     changed = [line.split("\t")[2::3]
                for line in bench_record.compare(json.loads(text), doc)

@@ -20,7 +20,10 @@ machines.
 
 ``--compare A B`` prints one line per workload, seed and metric that both
 files hold: the two values and, for an end-to-end metric, the ratio
-B / A, for a count ``same`` or ``differs``.  Standard library only.
+B / A marked ``single-run``: each file holds one run per workload and
+seed, and a ratio of one run per side reads the host's drift as much as
+the change, so it decides no claim.  For a count the line ends ``same``
+or ``differs``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ def record(seconds, workloads, seeds=SEEDS):
 
 
 def _ratio(a, b):
-    return f"{a:.6g}\t{b:.6g}\t" + (f"{b / a:.3f}" if a else "-")
+    return f"{a:.6g}\t{b:.6g}\t" + (f"{b / a:.3f}" if a else "-") \
+        + "\tsingle-run"
 
 
 def _same(a, b):
@@ -92,9 +96,10 @@ def _same(a, b):
 
 
 def compare(before, after):
-    """Lines ``workload seed metric A B B/A`` for the end-to-end metrics
-    that both documents hold, then ``workload seed metric A B same`` (or
-    ``differs``) for the counts of their traced runs."""
+    """Lines ``workload seed metric A B B/A single-run`` for the
+    end-to-end metrics that both documents hold, then ``workload seed
+    metric A B same`` (or ``differs``) for the counts of their traced
+    runs."""
     lines = []
     for key, mark in (("runs", _ratio), ("traced", _same)):
         for workload, seeds in sorted(after.get(key, {}).items()):
@@ -119,14 +124,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("n", nargs="?", help="write BENCH_<n>.json")
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
-                    help="print the ratio B / A of every metric, and "
-                    "whether each count differs")
+                    help="print the ratio B / A of every metric, marked "
+                    "single-run, and whether each count differs")
     args = ap.parse_args(argv)
     if args.compare:
         before, after = (json.loads(p.read_text(encoding="utf-8"))
                          for p in args.compare)
-        print("# workload\tseed\tmetric\tA\tB\tB/A, or for a count "
-              "same/differs")
+        print("# workload\tseed\tmetric\tA\tB\tB/A single-run, or for a "
+              "count same/differs")
         print("\n".join(compare(before, after)))
         return 0
     if args.n is None:

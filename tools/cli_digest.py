@@ -16,8 +16,10 @@ that alters an output on purpose records it again.
 
 The calls: ``validate`` and ``check --suite all --samples 2 --seed 1`` on
 every shipped scenario, the generated p = 3 and p = 4 scenarios
-``tests/data/gen3_seed1.json`` and ``tests/data/gen4_seed1.json`` and the
-two with m != p, ``tests/data/p2_m3.json`` and ``p3_m2.json``, every
+``tests/data/gen3_seed1.json`` and ``tests/data/gen4_seed1.json``, the
+two with m != p, ``tests/data/p2_m3.json`` and ``p3_m2.json``, the
+torsionful ``tests/data/torsion3.json`` and the every-rule
+``tests/data/rules.json``, every
 ``compute --what`` at two fixed points of each one's sampling box, and
 every ``lift`` mode at ``--steps 50`` on the scenarios with a lift section.
 Standard library only.
@@ -43,7 +45,7 @@ from kkgeom.scenario import load_scenario
 SCENARIOS = [f"scenarios/{name}.json" for name in (
     "berwald", "d1", "d1_perturbed", "flat", "nonabelian", "riccati",
     "sphere", "vdep")] + [f"tests/data/{name}.json" for name in (
-    "gen3_seed1", "gen4_seed1", "p2_m3", "p3_m2")]
+    "gen3_seed1", "gen4_seed1", "p2_m3", "p3_m2", "torsion3", "rules")]
 LIFT_SCENARIOS = [f"scenarios/{name}.json"
                   for name in ("berwald", "d1", "flat", "riccati")]
 # Where each coordinate of the two compute points sits in its box range.

@@ -10,9 +10,9 @@ command line.  Two lines come first for scale: the interpreter's own start
 import of ``kkgeom.cli``.  Before them, after one untimed start of the
 command line (``python -m kkgeom --help``, which imports every module a
 call imports and caches its bytecode unless PYTHONDONTWRITEBYTECODE is
-set), a comment line says whether every module of the package has its
-cached ``.pyc``: without them each start compiles the package, and every
-median is some 30 ms higher.
+set), a comment line counts the modules of the package with and without
+a cached ``.pyc``: each start compiles the modules without one, and with
+none cached every median is some 30 ms higher.
 
     python3 tools/cold_cli.py            # N = 7
     python3 tools/cold_cli.py -n 3
@@ -103,11 +103,12 @@ def cold_ms(args, n: int) -> float:
     return statistics.median(times)
 
 
-def bytecode_cached(package: Path = PACKAGE) -> bool:
-    """Whether every module of ``package`` has its cached ``.pyc`` where
-    this interpreter looks for it."""
-    return all(os.path.exists(importlib.util.cache_from_source(str(path)))
-               for path in package.glob("*.py"))
+def bytecode_counts(package: Path = PACKAGE) -> tuple:
+    """(modules with, modules without) their cached ``.pyc`` where this
+    interpreter looks for it, over the modules of ``package``."""
+    cached = [os.path.exists(importlib.util.cache_from_source(str(path)))
+              for path in package.glob("*.py")]
+    return sum(cached), len(cached) - sum(cached)
 
 
 def kernels(argv):
@@ -134,7 +135,8 @@ def run(calls, n: int) -> list:
     subprocess.run([sys.executable, "-m", "kkgeom", "--help"], cwd=ROOT,
                    env=_env(), stdout=subprocess.DEVNULL, check=True)
     lines = ["# median_ms\tkernels\tkernel_ms\tcommand",
-             f"# bytecode cached: {'yes' if bytecode_cached() else 'no'}",
+             "# bytecode: {} modules cached, {} not".format(
+                 *bytecode_counts()),
              f"{cold_ms(['-c', 'pass'], n):.1f}\t-\t-\tpython -c pass",
              f"{cold_ms(['-c', 'import kkgeom.cli'], n):.1f}\t-\t-\t"
              "python -c 'import kkgeom.cli'"]
